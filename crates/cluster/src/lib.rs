@@ -96,6 +96,4 @@ pub use autoscaler::{Autoscaler, AutoscalerConfig, CostMeter, ScalingAction};
 pub use cost::CostModel;
 pub use node::{NodePool, NodeState, PoolTransition, WorkerNode};
 pub use placement::{PlacementGroup, PlacementGroupId};
-pub use runner::{
-    ActorPlan, ClusterConfig, ClusterStats, JobPlan, JobSpec, LogicalCluster, RoundPlanner,
-};
+pub use runner::{ActorPlan, ClusterConfig, ClusterStats, JobPlan, JobSpec, LogicalCluster};

@@ -434,11 +434,9 @@ impl LogicalCluster {
     }
 
     /// Computes the timed per-round schedule of `job` over an already
-    /// acquired placement group: deal devices round-robin over the
-    /// group's actors, charge the per-round placement+spawn setup and the
-    /// per-actor data/model download, then walk each actor's queue
-    /// sequentially. The group's reservation is untouched — one group
-    /// serves every round of its task.
+    /// acquired placement group, drawing actor ids from the cluster's own
+    /// counter. The group's reservation is untouched — one group serves
+    /// every round of its task.
     ///
     /// # Errors
     ///
@@ -449,45 +447,92 @@ impl LogicalCluster {
         job: &JobSpec,
         rng: &mut RngStream,
     ) -> Result<JobPlan> {
-        let group = self
-            .groups
-            .get(&pg_id)
-            .ok_or_else(|| SimdcError::InvalidConfig(format!("unknown placement group {pg_id}")))?;
-        plan_round_over(
-            &self.cost,
-            pg_id,
-            group.placements(),
-            job,
-            rng,
-            &mut self.next_actor,
-        )
+        let mut next_actor = self.next_actor;
+        let plan = self.plan_round_with_actor_ids(pg_id, job, rng, &mut next_actor)?;
+        self.next_actor = next_actor;
+        Ok(plan)
     }
 
-    /// Reserves a contiguous block of `n` actor ids and returns the first.
-    /// Worker shards planning rounds against a [`RoundPlanner`] snapshot
-    /// draw from their reserved block instead of this shared counter, so a
-    /// threaded plan allocates exactly the ids the sequential path would.
+    /// Reserves a contiguous block of `n` actor ids and returns the first —
+    /// the cursor [`LogicalCluster::plan_round_with_actor_ids`] draws from.
     pub fn reserve_actor_ids(&mut self, n: u64) -> u64 {
         let base = self.next_actor;
         self.next_actor += n;
         base
     }
 
-    /// An immutable snapshot of everything round planning reads — the
-    /// timing model plus each acquired group's node placements — for
-    /// plan-phase work running off-thread. Planning through the snapshot
-    /// and through [`LogicalCluster::plan_round_on_group`] share one code
-    /// path, so rng draw order and every offset are bit-identical.
-    #[must_use]
-    pub fn round_planner(&self) -> RoundPlanner {
-        RoundPlanner {
-            cost: self.cost.clone(),
-            groups: self
-                .groups
-                .iter()
-                .map(|(&id, g)| (id, g.placements().to_vec()))
-                .collect(),
+    /// [`LogicalCluster::plan_round_on_group`] through a shared reference:
+    /// actor ids come from `next_actor`, a cursor into a block the caller
+    /// took from [`LogicalCluster::reserve_actor_ids`]. Round planning
+    /// reads only the timing model and the group's node list, so worker
+    /// threads plan concurrently against one `&LogicalCluster`. Deals
+    /// devices round-robin over one actor per placement, charges the
+    /// per-round placement+spawn setup and the per-actor data/model
+    /// download, then walks each actor's queue sequentially.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidConfig` for a malformed spec or an unknown group.
+    pub fn plan_round_with_actor_ids(
+        &self,
+        pg_id: PlacementGroupId,
+        job: &JobSpec,
+        rng: &mut RngStream,
+        next_actor: &mut u64,
+    ) -> Result<JobPlan> {
+        let group = self
+            .groups
+            .get(&pg_id)
+            .ok_or_else(|| SimdcError::InvalidConfig(format!("unknown placement group {pg_id}")))?;
+        job.validate()?;
+
+        let cost = &self.cost;
+        let ready_at = cost.pg_create.saturating_add(cost.actor_spawn);
+        let download = cost.download_time(job.payload_mib);
+
+        let mut actors: Vec<ActorPlan> = group
+            .placements()
+            .iter()
+            .map(|&node| {
+                let actor = ActorId(*next_actor);
+                *next_actor += 1;
+                ActorPlan {
+                    actor,
+                    node,
+                    ready_at,
+                    completions: Vec::new(),
+                    finished_at: ready_at,
+                }
+            })
+            .collect();
+
+        // Deal devices round-robin, then walk each actor's queue
+        // sequentially.
+        let mut queues: Vec<Vec<DeviceId>> = vec![Vec::new(); actors.len()];
+        let n_queues = queues.len().max(1);
+        for (i, &dev) in job.devices.iter().enumerate() {
+            queues[i % n_queues].push(dev);
         }
+        let mut makespan = SimDuration::ZERO;
+        for (actor, queue) in actors.iter_mut().zip(queues) {
+            let mut t = ready_at.saturating_add(download);
+            for dev in queue {
+                t = t.saturating_add(cost.device_compute(job.grade, rng));
+                actor.completions.push((dev, t));
+                t = t.saturating_add(cost.upload_per_device);
+            }
+            actor.finished_at = t;
+            makespan = makespan.max(t);
+        }
+
+        Ok(JobPlan {
+            task: job.task,
+            round: job.round,
+            grade: job.grade,
+            placement_group: pg_id,
+            actors,
+            makespan,
+        })
     }
 
     /// Submits a one-shot job: acquires a placement group against the
@@ -542,106 +587,6 @@ impl LogicalCluster {
     pub fn scale_down(&mut self, keep: usize) -> usize {
         self.pool.scale_down(keep)
     }
-}
-
-/// An immutable snapshot of the cluster state round planning reads: the
-/// timing model and each acquired placement group's node list. Built by
-/// [`LogicalCluster::round_planner`]; safe to move to a worker thread and
-/// plan against while the live cluster keeps serving commits, because round
-/// planning never touches pool occupancy — only the shared actor-id counter,
-/// which workers replace with a block from
-/// [`LogicalCluster::reserve_actor_ids`].
-#[derive(Debug, Clone)]
-pub struct RoundPlanner {
-    cost: CostModel,
-    groups: BTreeMap<PlacementGroupId, Vec<NodeId>>,
-}
-
-impl RoundPlanner {
-    /// Plans one round of `job` over the snapshotted group `pg_id`,
-    /// drawing actor ids from `next_actor` (a cursor into the caller's
-    /// reserved block). Identical in every byte to
-    /// [`LogicalCluster::plan_round_on_group`] given the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidConfig` for a malformed spec or a group missing
-    /// from the snapshot.
-    pub fn plan_round_on_group(
-        &self,
-        pg_id: PlacementGroupId,
-        job: &JobSpec,
-        rng: &mut RngStream,
-        next_actor: &mut u64,
-    ) -> Result<JobPlan> {
-        let placements = self
-            .groups
-            .get(&pg_id)
-            .ok_or_else(|| SimdcError::InvalidConfig(format!("unknown placement group {pg_id}")))?;
-        plan_round_over(&self.cost, pg_id, placements, job, rng, next_actor)
-    }
-}
-
-/// The one round-planning code path, shared by the live cluster and the
-/// [`RoundPlanner`] snapshot so the two can never drift: deal devices
-/// round-robin over one actor per placement, charge setup + download, then
-/// walk each actor's queue sequentially. `next_actor` is the id cursor —
-/// the cluster passes its own counter, workers a reserved block.
-fn plan_round_over(
-    cost: &CostModel,
-    pg_id: PlacementGroupId,
-    placements: &[NodeId],
-    job: &JobSpec,
-    rng: &mut RngStream,
-    next_actor: &mut u64,
-) -> Result<JobPlan> {
-    job.validate()?;
-
-    let ready_at = cost.pg_create.saturating_add(cost.actor_spawn);
-    let download = cost.download_time(job.payload_mib);
-
-    let mut actors: Vec<ActorPlan> = placements
-        .iter()
-        .map(|&node| {
-            let actor = ActorId(*next_actor);
-            *next_actor += 1;
-            ActorPlan {
-                actor,
-                node,
-                ready_at,
-                completions: Vec::new(),
-                finished_at: ready_at,
-            }
-        })
-        .collect();
-
-    // Deal devices round-robin, then walk each actor's queue
-    // sequentially.
-    let mut queues: Vec<Vec<DeviceId>> = vec![Vec::new(); actors.len()];
-    let n_queues = queues.len().max(1);
-    for (i, &dev) in job.devices.iter().enumerate() {
-        queues[i % n_queues].push(dev);
-    }
-    let mut makespan = SimDuration::ZERO;
-    for (actor, queue) in actors.iter_mut().zip(queues) {
-        let mut t = ready_at.saturating_add(download);
-        for dev in queue {
-            t = t.saturating_add(cost.device_compute(job.grade, rng));
-            actor.completions.push((dev, t));
-            t = t.saturating_add(cost.upload_per_device);
-        }
-        actor.finished_at = t;
-        makespan = makespan.max(t);
-    }
-
-    Ok(JobPlan {
-        task: job.task,
-        round: job.round,
-        grade: job.grade,
-        placement_group: pg_id,
-        actors,
-        makespan,
-    })
 }
 
 #[cfg(test)]

@@ -1,336 +1,230 @@
-//! Batched parallel task planning with a deterministic merge.
+//! Task admission as prepare → compute → merge, with a deterministic
+//! merge.
 //!
-//! When a scheduling pass admits several tasks at the same instant, their
-//! plan phases are independent *except* for four pieces of shared state:
-//! benchmark-phone selection, placement-group acquisition, the cluster's
-//! actor-id counter, and shared storage. The dispatcher splits admission
-//! into three steps around that observation — `prepare` runs per task
-//! from the platform's scheduling pass (interleaved with its placement
-//! re-trials and resource bookkeeping), then `compute_and_merge` fans
-//! the expensive part out and commits:
+//! The plan phases of tasks admitted in one scheduling pass are
+//! independent *except* for four pieces of shared state: benchmark-phone
+//! selection, placement-group acquisition, the cluster's actor-id counter,
+//! and shared storage. Admission is split into three steps around that
+//! observation — `prepare` runs per task from the platform's scheduling
+//! pass (interleaved with its placement re-trials and resource
+//! bookkeeping), then `compute_and_merge` fans the expensive part out and
+//! commits:
 //!
 //! 1. **Prepare (serial, admission order)** — for each task: validate,
 //!    allocate, bind benchmark devices to phones with a reserved-phone
-//!    overlay (so task B skips the phones task A picked, exactly as if
-//!    A's runs were already submitted), acquire placement groups, and
-//!    reserve the task's actor-id block. Everything order-dependent
-//!    happens here, in the same order the sequential path would do it.
-//! 2. **Compute (parallel)** — workers pull prepared tasks off a shared
-//!    queue and run the full round timeline (`TaskRunner::plan_timeline`)
-//!    against an immutable [`RoundPlanner`] snapshot, profile snapshots
-//!    and a private scratch [`Storage`]. This is the expensive part —
-//!    local training, DeviceFlow routing, aggregation — and it touches no
-//!    shared state at all.
+//!    overlay (so task B skips the phones task A picked, although A's runs
+//!    are only submitted at merge), acquire placement groups, and reserve
+//!    the task's actor-id block. Everything order-dependent happens here.
+//! 2. **Compute (pool)** — the pool maps `compute_one` over the prepared
+//!    tasks: the full round timeline (`TaskRunner::plan_timeline`) against
+//!    a shared `&LogicalCluster`, the profiles frozen at prepare time and
+//!    a private scratch [`Storage`]. This is the expensive part — local
+//!    training, DeviceFlow routing, aggregation — and it mutates no shared
+//!    state at all.
 //! 3. **Merge (serial, admission order)** — scratch stores fold into
-//!    shared storage, deferred benchmark runs are actually submitted, and
-//!    the caller pushes each task's completion event in admission order,
-//!    so the event queue assigns the same `(time, seq)` pairs a
-//!    sequential run would.
+//!    shared storage, the benchmark runs are submitted, and the caller
+//!    pushes each task's completion event in admission order, so the
+//!    event queue assigns `(time, seq)` pairs that do not depend on the
+//!    pool width.
 //!
-//! The compute step runs the *same* `plan_timeline` body as the
-//! sequential path (behind the `PlanSubstrate` trait) and draws from the
-//! same per-task rng stream, so a threaded run is byte-identical to
-//! `--threads 1` — verified end-to-end by the workload crate's
-//! thread-parity scenario tests.
+//! A task whose plan fails in compute or merge gives its placement groups
+//! back at merge, after every placement re-trial of the pass has run: a
+//! later task whose placement only fits in the failed task's absence waits
+//! for the next scheduling pass.
+//!
+//! There is no other admission path: [`TaskRunner::plan`] is the same
+//! three steps for one task, and a one-thread pool (or a one-task batch)
+//! runs compute inline, so `--threads` changes the pool width and nothing
+//! else — verified end-to-end by the workload crate's thread-parity
+//! scenario tests.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use minipool::FixedPool;
-use simdc_cluster::{JobPlan, JobSpec, LogicalCluster, PlacementGroupId, RoundPlanner};
+use simdc_cluster::{LogicalCluster, PlacementGroupId};
 use simdc_data::CtrDataset;
 use simdc_phone::{PhoneMgr, PhoneProfile, RunPlan};
 use simdc_simrt::RngStream;
-use simdc_types::{DeviceGrade, PhoneId, Result, SimInstant, TaskId};
+use simdc_types::{PerGrade, PhoneId, Result, SimInstant, TaskId};
 
 use crate::alloc::Allocation;
 use crate::cloud::Storage;
-use crate::runner::{GradePlacement, PlanSubstrate, TaskPlan, TaskRunner};
+use crate::runner::{GradePlacement, TaskPlan, TaskReport, TaskRunner};
 use crate::spec::TaskSpec;
 
-/// One admission-ordered task the scheduler wants planned.
-#[derive(Debug)]
-pub(crate) struct PlanRequest {
-    /// The task's specification.
-    pub(crate) spec: TaskSpec,
-    /// Its training dataset.
-    pub(crate) dataset: Arc<CtrDataset>,
+/// A task that survived the prepare step: placement bound, groups
+/// acquired, actor ids reserved, profiles frozen. With the task's spec
+/// and dataset it is everything compute needs besides a shared
+/// `&LogicalCluster`.
+pub(crate) struct Prepared {
     /// The admission instant the plan starts from.
     pub(crate) start: SimInstant,
-}
-
-/// A task that survived the prepare step: placement bound, groups
-/// acquired, actor ids reserved, snapshots taken. Owns everything its
-/// worker needs, so compute touches no shared state.
-pub(crate) struct Prepared {
-    spec: TaskSpec,
-    dataset: Arc<CtrDataset>,
-    start: SimInstant,
-    allocation: Allocation,
-    placements: Vec<GradePlacement>,
-    grade_groups: Vec<Option<PlacementGroupId>>,
-    groups: Vec<PlacementGroupId>,
+    pub(crate) allocation: Allocation,
+    pub(crate) placements: Vec<GradePlacement>,
+    /// The placement group of each grade (`None`: no logical devices).
+    pub(crate) grade_groups: Vec<Option<PlacementGroupId>>,
     /// First actor id of the task's reserved block.
-    next_actor: u64,
-    /// Fleet-averaged profile per grade index, frozen at prepare time
-    /// (batch tasks cannot change profiles, so this equals what the
-    /// sequential path would read mid-plan).
-    effective: Vec<PhoneProfile>,
-    /// Each bound benchmark phone's own profile at prepare time.
-    bench_profiles: BTreeMap<PhoneId, PhoneProfile>,
-}
-
-/// What a worker hands back to the merge step.
-struct Computed {
-    report: crate::runner::TaskReport,
-    benchmark_phones: Vec<PhoneId>,
-    /// Benchmark run plans to submit at merge, in reservation order.
-    deferred: Vec<(PhoneId, RunPlan)>,
-    scratch: Storage,
-    /// The task's placement groups, threaded through for the final
-    /// [`TaskPlan`] (or for release on a merge failure).
-    groups: Vec<PlacementGroupId>,
-}
-
-/// The worker-side [`PlanSubstrate`]: answers every query from prepared
-/// snapshots and defers the one mutation (benchmark-run submission) to
-/// the merge step.
-struct SnapshotSubstrate<'a> {
-    planner: &'a RoundPlanner,
-    effective: &'a [PhoneProfile],
-    bench_profiles: &'a BTreeMap<PhoneId, PhoneProfile>,
-    next_actor: u64,
-    deferred: Vec<(PhoneId, RunPlan)>,
-}
-
-impl PlanSubstrate for SnapshotSubstrate<'_> {
-    fn effective_profile(&self, grade: DeviceGrade) -> PhoneProfile {
-        self.effective[grade.index()].clone()
-    }
-
-    fn benchmark_profile(&self, grade: DeviceGrade, phone: PhoneId) -> PhoneProfile {
-        self.bench_profiles
-            .get(&phone)
-            .cloned()
-            .unwrap_or_else(|| PhoneProfile::for_grade(grade))
-    }
-
-    fn plan_round(
-        &mut self,
-        pg: PlacementGroupId,
-        job: &JobSpec,
-        rng: &mut RngStream,
-    ) -> Result<JobPlan> {
-        self.planner
-            .plan_round_on_group(pg, job, rng, &mut self.next_actor)
-    }
-
-    fn submit_run(&mut self, phone: PhoneId, plan: RunPlan) -> Result<()> {
-        self.deferred.push((phone, plan));
-        Ok(())
-    }
+    pub(crate) next_actor: u64,
+    /// Fleet-averaged profile per grade, frozen at prepare time (tasks
+    /// admitted in one pass cannot change profiles).
+    pub(crate) effective: PerGrade<PhoneProfile>,
+    /// Each bound benchmark phone's own profile at prepare time (the
+    /// nominal grade profile for a phone the fleet does not know).
+    pub(crate) bench_profiles: BTreeMap<PhoneId, PhoneProfile>,
 }
 
 impl Prepared {
     /// The benchmark phones this task has bound — the caller adds them to
-    /// the reserved-phone overlay before preparing the next task, exactly
-    /// as sequential admission would have marked them busy by now.
+    /// the reserved-phone overlay before preparing the next task, because
+    /// their runs are only submitted at merge.
     pub(crate) fn reserved_phones(&self) -> impl Iterator<Item = PhoneId> + '_ {
         self.bench_profiles.keys().copied()
     }
 }
 
-/// Runs the parallel compute step over every prepared task and merges
-/// the results back in admission order. Returns one `(task, result)` per
-/// prepared task, in the given order — the caller turns each `Ok` into a
-/// completion event and each `Err` into the task's failure, exactly as
-/// it would for sequential [`TaskRunner::plan`] outcomes. On a task's
-/// failure its placement groups are already released; other tasks keep
-/// theirs, as they would under sequential admission.
-pub(crate) fn compute_and_merge(
-    runner: &TaskRunner,
-    prepared: Vec<(TaskId, Prepared)>,
-    cluster: &mut LogicalCluster,
-    phones: &mut PhoneMgr,
-    storage: &mut Storage,
-    pool: &FixedPool,
-) -> Vec<(TaskId, Result<TaskPlan>)> {
-    let planner = cluster.round_planner();
-    let order: Vec<TaskId> = prepared.iter().map(|(id, _)| *id).collect();
-    let work: Vec<(usize, Prepared)> = prepared
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, p))| (i, p))
-        .collect();
-    let computed = pool.run_batch(work, |(i, p)| (i, compute_one(runner, &planner, p)));
-
-    // Merge in admission order: run_batch preserves input order, but be
-    // explicit — each result lands back at its own slot index.
-    let mut by_slot: BTreeMap<usize, std::result::Result<Computed, PlanFailure>> =
-        computed.into_iter().collect();
-    order
-        .into_iter()
-        .enumerate()
-        .map(|(i, id)| {
-            let result = match by_slot.remove(&i) {
-                Some(Ok(computed)) => merge_one(computed, cluster, phones, storage),
-                Some(Err(failure)) => {
-                    // Failed in the worker: give the groups back now, like
-                    // the sequential path does on a `plan_timeline` error.
-                    for pg in &failure.groups {
-                        cluster.release_job(*pg);
-                    }
-                    Err(failure.error)
-                }
-                None => unreachable!("every prepared slot has a computed result"),
-            };
-            (id, result)
-        })
-        .collect()
-}
-
-/// A worker-side planning failure, carrying the groups the merge step
-/// must release.
-struct PlanFailure {
-    error: simdc_types::SimdcError,
+/// What compute hands back to the merge step.
+pub(crate) struct Computed {
+    /// The task's placement groups: held by the final [`TaskPlan`], or
+    /// released at merge when the plan failed.
     groups: Vec<PlacementGroupId>,
+    /// The store the rounds wrote to (dropped with a failed plan).
+    scratch: Storage,
+    /// The planned report and the benchmark runs to submit, in
+    /// reservation order.
+    planned: Result<(TaskReport, Vec<(PhoneId, RunPlan)>)>,
 }
 
-/// The serial prepare step for one task. Mirrors the head of
-/// [`TaskRunner::plan`] — same helper calls in the same order — with the
-/// reserved-phone overlay standing in for not-yet-submitted benchmark
-/// runs, then reserves the actor-id block its worker will draw from.
+/// The serial prepare step for one task: allocation, device placement
+/// against the fleet minus `reserved`, group acquisition, and the
+/// actor-id block its compute step will draw from.
 pub(crate) fn prepare(
     runner: &TaskRunner,
-    req: PlanRequest,
+    spec: &TaskSpec,
+    start: SimInstant,
     cluster: &mut LogicalCluster,
     phones: &PhoneMgr,
     reserved: &BTreeSet<PhoneId>,
-) -> std::result::Result<Prepared, simdc_types::SimdcError> {
-    let PlanRequest {
-        spec,
-        dataset,
-        start,
-    } = req;
+) -> Result<Prepared> {
     spec.validate()?;
-    let allocation = runner.plan_allocation(&spec, cluster)?;
-    let placements = TaskRunner::place_devices(&spec, &allocation, |grade, count| {
-        phones.select_excluding(grade, count, start, reserved)
-    })?;
-    TaskRunner::check_phone_grades(&spec, &placements, |grade| {
-        phones.try_effective_profile(grade).is_some()
-    })?;
-    let grade_groups = TaskRunner::acquire_grade_groups(&spec, &placements, cluster)?;
-    let groups: Vec<PlacementGroupId> = grade_groups.iter().flatten().copied().collect();
+    let allocation = runner.plan_allocation(spec, cluster)?;
+    let placements = TaskRunner::place_devices(spec, &allocation, phones, start, reserved)?;
+    TaskRunner::check_phone_grades(spec, &placements, phones)?;
+    // One group per grade with logical devices, acquired at admission and
+    // held for the task's whole lifetime: every round re-uses it, and the
+    // platform releases it at the completion event — which is what makes
+    // cloud capacity contention real across concurrent tasks.
+    let grade_groups = TaskRunner::acquire_grade_groups(spec, &placements, cluster)?;
 
     // The block of actor ids this task's rounds will consume: one id per
-    // group placement per round, the exact count the sequential plan
-    // draws from the shared counter.
-    let per_round: u64 = groups
+    // group placement per round.
+    let per_round: u64 = grade_groups
         .iter()
+        .flatten()
         .map(|pg| cluster.group_size(*pg).unwrap_or(0) as u64)
         .sum();
     let next_actor = cluster.reserve_actor_ids(u64::from(spec.rounds) * per_round);
 
-    let effective = DeviceGrade::ALL
-        .iter()
-        .map(|&g| phones.effective_profile(g))
-        .collect();
-    let bench_profiles = placements
-        .iter()
-        .flat_map(|p| p.benchmark_devices.iter())
-        .filter_map(|&(_dev, phone)| {
-            phones
+    let effective = PerGrade::from_fn(|g| phones.effective_profile(g));
+    let mut bench_profiles = BTreeMap::new();
+    for (g, placement) in spec.grades.iter().zip(&placements) {
+        for &(_dev, phone) in &placement.benchmark_devices {
+            let profile = phones
                 .phone(phone)
-                .map(|dev| (phone, dev.profile().clone()))
-        })
-        .collect();
+                .map_or_else(|| PhoneProfile::for_grade(g.grade), |p| p.profile().clone());
+            bench_profiles.insert(phone, profile);
+        }
+    }
 
     Ok(Prepared {
-        spec,
-        dataset,
         start,
         allocation,
         placements,
         grade_groups,
-        groups,
         next_actor,
         effective,
         bench_profiles,
     })
 }
 
-/// The parallel compute step for one task: the full round timeline
-/// against snapshots and a scratch store. Runs on a worker thread.
-fn compute_one(
+/// The compute step for one task: the full round timeline against the
+/// prepared state and a scratch store. Runs on a pool worker.
+pub(crate) fn compute_one(
     runner: &TaskRunner,
-    planner: &RoundPlanner,
+    cluster: &LogicalCluster,
+    spec: &TaskSpec,
+    dataset: &CtrDataset,
     p: Prepared,
-) -> std::result::Result<Computed, PlanFailure> {
+) -> Computed {
     // simlint::allow(T1/rng-stream-aliasing): the label is formatted from
     // the task id, which the queue guarantees unique — two tasks can never
     // alias a stream, and the seed is per-task as well.
-    let mut rng = RngStream::named(p.spec.seed, &format!("task/{}", p.spec.id.0));
+    let mut rng = RngStream::named(spec.seed, &format!("task/{}", spec.id.0));
     let mut scratch = Storage::new();
-    let mut substrate = SnapshotSubstrate {
-        planner,
-        effective: &p.effective,
-        bench_profiles: &p.bench_profiles,
-        next_actor: p.next_actor,
-        deferred: Vec::new(),
-    };
-    let planned = runner.plan_timeline(
-        &p.spec,
-        &p.dataset,
-        &mut substrate,
-        &mut scratch,
-        p.start,
-        p.allocation,
-        &p.placements,
-        &p.grade_groups,
-        &mut rng,
-    );
-    match planned {
-        Ok((report, benchmark_phones)) => Ok(Computed {
-            report,
-            benchmark_phones,
-            deferred: substrate.deferred,
-            scratch,
-            groups: p.groups,
-        }),
-        Err(error) => Err(PlanFailure {
-            error,
-            groups: p.groups,
-        }),
+    let groups = p.grade_groups.iter().flatten().copied().collect();
+    let planned = runner.plan_timeline(spec, dataset, cluster, &mut scratch, p, &mut rng);
+    Computed {
+        groups,
+        scratch,
+        planned,
     }
 }
 
 /// The serial merge step for one task: fold the scratch store into shared
-/// storage, actually submit the deferred benchmark runs, and assemble the
-/// [`TaskPlan`]. A submission failure fails the task the way a
-/// `plan_timeline` error would (groups released; earlier submissions of
-/// the same task stand, as they do sequentially).
-fn merge_one(
+/// storage, submit the benchmark runs, and assemble the [`TaskPlan`]. On
+/// any failure — in compute or submitting here — the task's groups are
+/// released (earlier submissions of the same task stand).
+pub(crate) fn merge_one(
     computed: Computed,
     cluster: &mut LogicalCluster,
     phones: &mut PhoneMgr,
     storage: &mut Storage,
 ) -> Result<TaskPlan> {
     let Computed {
-        report,
-        benchmark_phones,
-        deferred,
-        scratch,
         groups,
+        scratch,
+        planned,
     } = computed;
-    storage.absorb(scratch);
-    for (phone, plan) in deferred {
-        if let Err(err) = phones.submit_run(phone, plan) {
-            for pg in &groups {
-                cluster.release_job(*pg);
+    let merged = planned.and_then(|(report, runs)| {
+        storage.absorb(scratch);
+        let mut benchmark_phones = Vec::with_capacity(runs.len());
+        for (phone, run) in runs {
+            phones.submit_run(phone, run)?;
+            benchmark_phones.push(phone);
+        }
+        Ok((report, benchmark_phones))
+    });
+    match merged {
+        Ok((report, benchmark_phones)) => Ok(TaskPlan::assemble(report, benchmark_phones, groups)),
+        Err(err) => {
+            for pg in groups {
+                cluster.release_job(pg);
             }
-            return Err(err);
+            Err(err)
         }
     }
-    Ok(TaskPlan::assemble(report, benchmark_phones, groups))
+}
+
+/// Maps the compute step over every prepared task on `pool` and merges
+/// the results back in admission order. Returns one `(task, result)` per
+/// prepared task, in the given order — the caller turns each `Ok` into a
+/// completion event and each `Err` into the task's failure. On a task's
+/// failure its placement groups are already released; other tasks keep
+/// theirs.
+pub(crate) fn compute_and_merge(
+    runner: &TaskRunner,
+    prepared: Vec<(TaskSpec, Arc<CtrDataset>, Prepared)>,
+    cluster: &mut LogicalCluster,
+    phones: &mut PhoneMgr,
+    storage: &mut Storage,
+    pool: &FixedPool,
+) -> Vec<(TaskId, Result<TaskPlan>)> {
+    let shared: &LogicalCluster = cluster;
+    let computed = pool.run_batch(prepared, |(spec, dataset, p)| {
+        (spec.id, compute_one(runner, shared, &spec, &dataset, p))
+    });
+    computed
+        .into_iter()
+        .map(|(id, c)| (id, merge_one(c, cluster, phones, storage)))
+        .collect()
 }

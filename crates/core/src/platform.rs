@@ -12,7 +12,7 @@
 //!
 //! The platform loop is a discrete-event simulation riding the
 //! [`simdc_simrt`] event queue. Admitting a task plans its entire virtual
-//! timeline ([`TaskRunner::plan`]) and schedules a *completion event* at
+//! timeline ([`crate::dispatch`]) and schedules a *completion event* at
 //! its `finished_at` instant; popping that event releases the task's
 //! resource lease at the task's actual completion instant and immediately
 //! re-runs the greedy scheduler, so queued work starts the moment capacity
@@ -51,12 +51,12 @@ pub struct PlatformConfig {
     pub runner: RunnerConfig,
     /// Platform seed (forked per phone/task).
     pub seed: u64,
-    /// Worker threads for sharded execution: fleet construction and
-    /// plan-phase computation fan out over a fixed pool of this size.
-    /// `0` and `1` both mean fully sequential (the classic code path).
-    /// Results are byte-identical for every value — threads only change
-    /// wall-clock time — so the knob is excluded from serialized configs
-    /// and golden fixtures.
+    /// Width of the fixed worker pool that fleet construction and
+    /// plan-phase computation map over. `0` and `1` both mean a one-thread
+    /// pool, which runs every batch inline on the caller's thread; the
+    /// code path is the same for every value. Results are byte-identical
+    /// for every value — threads only change wall-clock time — so the
+    /// knob is excluded from serialized configs and golden fixtures.
     #[serde(skip)]
     pub threads: usize,
 }
@@ -132,6 +132,9 @@ enum PlatformEvent {
     NodeReady,
 }
 
+/// `step` limit of a loop that runs the event queue dry.
+const NO_LIMIT: SimInstant = SimInstant::from_micros(u64::MAX);
+
 /// The assembled platform.
 pub struct Platform {
     cluster: LogicalCluster,
@@ -158,8 +161,8 @@ pub struct Platform {
     completion_events: u64,
     /// Node-ready (elastic scale-up) events processed so far.
     cluster_events: u64,
-    /// Fixed worker pool for sharded execution; a 1-thread pool keeps
-    /// every code path sequential.
+    /// Fixed worker pool for sharded execution; a 1-thread pool runs
+    /// every batch inline.
     pool: minipool::FixedPool,
     clock: SimInstant,
 }
@@ -330,39 +333,36 @@ impl Platform {
                     reqs.get(&spec.id).is_none_or(|r| cluster.can_place_all(r))
                 })
         };
-        let admitted = if self.pool.threads() > 1 && started.len() >= 2 {
-            self.admit_batch(started)
-        } else {
-            self.admit_sequential(started)
-        };
+        let admitted = self.admit(started);
         self.autoscale_for_pending();
         admitted
     }
 
-    /// Sequential admission: each started task runs its full plan before
-    /// the next task's placement re-trial. This is the reference ordering
-    /// the batch path reproduces.
-    fn admit_sequential(&mut self, started: Vec<TaskId>) -> usize {
-        let mut admitted = 0;
+    /// Admits the tasks a scheduling pass started, through
+    /// [`crate::dispatch`]: the serial prepare step runs per task in
+    /// admission order (placement re-trial, `mark_running`, device
+    /// binding with the reserved-phone overlay, group acquisition,
+    /// actor-id reservation), the plan-phase computation maps over the
+    /// worker pool, and results merge back in admission order — so the
+    /// `(time, seq)` pairs of the completion events pushed here do not
+    /// depend on the pool width. Returns the admitted count.
+    fn admit(&mut self, started: Vec<TaskId>) -> usize {
+        let mut reserved = std::collections::BTreeSet::new();
+        let mut prepared = Vec::with_capacity(started.len());
         for id in started {
             // Re-run the placement trial against the *current* pool: a
-            // task admitted earlier in this very pass has acquired its
+            // task prepared earlier in this very pass has acquired its
             // groups by now, and a candidate that fit the pre-pass pool
             // may no longer place. It must go back to pending (wait for
             // a completion or node-ready event), not fall through to
-            // `plan` and fail permanently.
+            // `prepare` and fail permanently.
             let still_places = self
                 .placement_reqs
                 .get(&id)
                 .is_none_or(|r| self.cluster.can_place_all(r));
-            if !still_places {
-                self.rm.release(id);
-                continue;
-            }
-            let start = self.clock;
-            if self.queue.mark_running(id, start).is_err() {
-                // Keep freeze/release strictly paired: the scheduler froze
-                // the claim, so a refused admission must give it back.
+            // Keep freeze/release strictly paired: the scheduler froze
+            // the claim, so a refused admission must give it back.
+            if !still_places || self.queue.mark_running(id, self.clock).is_err() {
                 self.rm.release(id);
                 continue;
             }
@@ -372,97 +372,19 @@ impl Platform {
                 .get(&id)
                 .expect("dataset registered at submit")
                 .clone();
-            match self.runner.plan(
-                &spec,
-                &dataset,
-                &mut self.cluster,
-                &mut self.phones,
-                &mut self.storage,
-                start,
-            ) {
-                Ok(plan) => {
-                    self.events
-                        .push(plan.finished_at(), PlatformEvent::Completion(id));
-                    self.plans.insert(id, plan);
-                    self.placement_reqs.remove(&id);
-                    admitted += 1;
-                }
-                Err(err) => {
-                    self.rm.release(id);
-                    self.placement_reqs.remove(&id);
-                    let _ = self.queue.mark_failed(id, err.to_string());
-                }
-            }
-        }
-        admitted
-    }
-
-    /// Batched admission: the serial prepare step runs per task in
-    /// admission order (placement re-trial, `mark_running`, device
-    /// binding with the reserved-phone overlay, group acquisition,
-    /// actor-id reservation), the expensive plan-phase computation fans
-    /// out over the worker pool, and results merge back in admission
-    /// order — completion events are pushed in the same order the
-    /// sequential path would push them, so `(time, seq)` pairs match.
-    ///
-    /// One documented divergence: a task whose plan fails *in the worker*
-    /// releases its placement groups at merge, after every placement
-    /// re-trial has already run, whereas the sequential path releases
-    /// them before later tasks' trials. A later task whose placement only
-    /// fits in the failed task's absence therefore waits for the next
-    /// scheduling pass instead of admitting in this one. Plan failures
-    /// after group acquisition cannot occur in the shipped scenarios, so
-    /// threaded parity holds end-to-end there.
-    fn admit_batch(&mut self, started: Vec<TaskId>) -> usize {
-        let mut reserved: std::collections::BTreeSet<simdc_types::PhoneId> =
-            std::collections::BTreeSet::new();
-        let mut prepared: Vec<(TaskId, crate::dispatch::Prepared)> =
-            Vec::with_capacity(started.len());
-        let mut admitted = 0;
-        for id in started {
-            // Same re-trial as the sequential path: prepare acquires each
-            // admitted task's groups immediately, so the pool this trial
-            // sees matches what sequential admission would have seen.
-            let still_places = self
-                .placement_reqs
-                .get(&id)
-                .is_none_or(|r| self.cluster.can_place_all(r));
-            if !still_places {
-                self.rm.release(id);
-                continue;
-            }
-            let start = self.clock;
-            if self.queue.mark_running(id, start).is_err() {
-                self.rm.release(id);
-                continue;
-            }
-            let spec = self.queue.get(id).expect("just marked").spec.clone();
-            let dataset = self
-                .datasets
-                .get(&id)
-                .expect("dataset registered at submit")
-                .clone();
-            let req = crate::dispatch::PlanRequest {
-                spec,
-                dataset,
-                start,
-            };
             match crate::dispatch::prepare(
                 &self.runner,
-                req,
+                &spec,
+                self.clock,
                 &mut self.cluster,
                 &self.phones,
                 &reserved,
             ) {
                 Ok(p) => {
                     reserved.extend(p.reserved_phones());
-                    prepared.push((id, p));
+                    prepared.push((spec, dataset, p));
                 }
-                Err(err) => {
-                    self.rm.release(id);
-                    self.placement_reqs.remove(&id);
-                    let _ = self.queue.mark_failed(id, err.to_string());
-                }
+                Err(err) => self.fail_admission(id, &err),
             }
         }
         let outcomes = crate::dispatch::compute_and_merge(
@@ -473,6 +395,7 @@ impl Platform {
             &mut self.storage,
             &self.pool,
         );
+        let mut admitted = 0;
         for (id, result) in outcomes {
             match result {
                 Ok(plan) => {
@@ -482,14 +405,18 @@ impl Platform {
                     self.placement_reqs.remove(&id);
                     admitted += 1;
                 }
-                Err(err) => {
-                    self.rm.release(id);
-                    self.placement_reqs.remove(&id);
-                    let _ = self.queue.mark_failed(id, err.to_string());
-                }
+                Err(err) => self.fail_admission(id, &err),
             }
         }
         admitted
+    }
+
+    /// Fails a task whose plan failed outright after the scheduler froze
+    /// its claim: the lease goes back and the task is terminal.
+    fn fail_admission(&mut self, id: TaskId, err: &SimdcError) {
+        self.rm.release(id);
+        self.placement_reqs.remove(&id);
+        let _ = self.queue.mark_failed(id, err.to_string());
     }
 
     /// Derives the queue pressure left after a scheduling pass — the
@@ -553,13 +480,35 @@ impl Platform {
         self.events.push(self.clock, PlatformEvent::NodeReady);
     }
 
+    /// Pops the next event due at or before `limit` and fires it. Returns
+    /// the event's instant and whether it completed a task, or `None`
+    /// when nothing is due by `limit`.
+    fn step(&mut self, limit: SimInstant) -> Option<(SimInstant, bool)> {
+        let (at, event) = self.events.pop_before(limit)?;
+        Some((at, self.fire(at, event)))
+    }
+
+    /// Handles one event at instant `at` — the only place the event
+    /// alphabet is interpreted. Returns whether a task completed.
+    fn fire(&mut self, at: SimInstant, event: PlatformEvent) -> bool {
+        self.clock = self.clock.max(at);
+        match event {
+            PlatformEvent::Completion(id) => self.finish(id, at),
+            PlatformEvent::NodeReady => {
+                // The next scheduling pass advances the cluster to this
+                // instant, making the booted capacity placeable.
+                self.cluster_events += 1;
+                false
+            }
+        }
+    }
+
     /// Handles one completion event: commits the plan (taking the
     /// benchmark measurements), releases the lease and the task's
     /// placement groups at the completion instant, and records the final
     /// state. Returns whether the task completed (vs. failed at commit).
     fn finish(&mut self, id: TaskId, at: SimInstant) -> bool {
         self.debug_assert_capacity_bounds();
-        self.clock = self.clock.max(at);
         self.completion_events += 1;
         let plan = self.plans.remove(&id).expect("completion without a plan");
         // Give the cloud capacity back at the completion instant — the
@@ -636,29 +585,16 @@ impl Platform {
         let mut completed = 0usize;
         loop {
             self.dispatch_pending();
-            match self.events.pop() {
-                Some((at, PlatformEvent::Completion(id))) => {
-                    if self.finish(id, at) {
-                        completed += 1;
-                    }
-                }
-                Some((at, PlatformEvent::NodeReady)) => {
-                    // The next dispatch advances the cluster to this
-                    // instant, making the booted capacity placeable.
-                    self.clock = self.clock.max(at);
-                    self.cluster_events += 1;
-                }
-                None => {
-                    // Nothing running and no capacity in flight: whatever
-                    // is still pending is starved — fail it loudly rather
-                    // than spin. (A pending task waiting on a scale-up
-                    // always has a NodeReady event here; reaching `None`
-                    // means the autoscaler can do no more for it.)
-                    self.fail_starved();
-                    break;
-                }
-            }
+            let Some((_, done)) = self.step(NO_LIMIT) else {
+                break;
+            };
+            completed += usize::from(done);
         }
+        // Nothing running and no capacity in flight: whatever is still
+        // pending is starved — fail it loudly rather than spin. (A pending
+        // task waiting on a scale-up always has a NodeReady event queued;
+        // running dry means the autoscaler can do no more for it.)
+        self.fail_starved();
         completed
     }
 
@@ -676,18 +612,8 @@ impl Platform {
         // platform starts now, not at the arbitrary deadline.
         self.dispatch_pending();
         let mut completed = 0usize;
-        while let Some((at, event)) = self.events.pop_before(deadline) {
-            match event {
-                PlatformEvent::Completion(id) => {
-                    if self.finish(id, at) {
-                        completed += 1;
-                    }
-                }
-                PlatformEvent::NodeReady => {
-                    self.clock = self.clock.max(at);
-                    self.cluster_events += 1;
-                }
-            }
+        while let Some((_, done)) = self.step(deadline) {
+            completed += usize::from(done);
             self.dispatch_pending();
         }
         self.advance_clock_to(deadline);
@@ -708,34 +634,26 @@ impl Platform {
     pub fn run_from_source(&mut self, source: &mut dyn SubmissionSource) -> SourceRunStats {
         let mut stats = SourceRunStats::default();
         let mut last_arrival = SimInstant::EPOCH;
-        let mut carried: Option<(SimInstant, TaskSpec, Arc<CtrDataset>)> = None;
-        while let Some((at, spec, data)) = carried.take().or_else(|| source.next_submission()) {
+        let mut arrivals = std::iter::from_fn(|| source.next_submission()).peekable();
+        while let Some((at, spec, data)) = arrivals.next() {
             assert!(
                 at >= last_arrival,
                 "submission source went back in time ({at} < {last_arrival})"
             );
             last_arrival = at;
             stats.completed += self.sync_to_arrival(at);
-            match self.submit(spec, data) {
-                Ok(_) => stats.submitted += 1,
-                Err(_) => stats.rejected += 1,
-            }
-            // Batch further arrivals at the same instant, so simultaneous
-            // submissions are admitted in one scheduler pass — priority
-            // order, not source order.
-            while let Some((at2, spec2, data2)) = source.next_submission() {
-                assert!(
-                    at2 >= at,
-                    "submission source went back in time ({at2} < {at})"
-                );
-                if at2 > at {
-                    carried = Some((at2, spec2, data2));
-                    break;
-                }
-                match self.submit(spec2, data2) {
+            // Submit every arrival at this instant before the one pass, so
+            // simultaneous submissions are admitted in priority order, not
+            // source order.
+            let mut wave = Some((spec, data));
+            while let Some((spec, data)) = wave {
+                match self.submit(spec, data) {
                     Ok(_) => stats.submitted += 1,
                     Err(_) => stats.rejected += 1,
                 }
+                wave = arrivals
+                    .next_if(|(at2, _, _)| *at2 == at)
+                    .map(|(_, spec, data)| (spec, data));
             }
             self.dispatch_pending();
         }
@@ -754,41 +672,19 @@ impl Platform {
     /// tasks completed.
     pub fn sync_to_arrival(&mut self, at: SimInstant) -> usize {
         let mut completed = 0usize;
-        // Everything completing (or booting) strictly before the arrival
-        // happens first — including the admissions those events unlock.
-        while self.events.peek_time().is_some_and(|t| t < at) {
-            let (t, event) = self.events.pop().expect("peeked event vanished");
-            match event {
-                PlatformEvent::Completion(id) => {
-                    if self.finish(id, t) {
-                        completed += 1;
-                    }
-                }
-                PlatformEvent::NodeReady => {
-                    self.clock = self.clock.max(t);
-                    self.cluster_events += 1;
-                }
+        while let Some((t, done)) = self.step(at) {
+            completed += usize::from(done);
+            // An event strictly before the arrival also runs the
+            // admissions it unlocks. One at exactly the arrival instant
+            // only releases its lease or makes its nodes visible:
+            // admission is deferred to the caller's post-submit pass, so
+            // one pass sees freed capacity, fresh nodes and the new tasks
+            // together and priority decides the tie.
+            if t < at {
+                self.dispatch_pending();
             }
-            self.dispatch_pending();
         }
         self.advance_clock_to(at);
-        // Events at exactly the arrival instant: completions release
-        // their leases, node-readies make capacity visible — but
-        // admission is deferred to the caller's post-submit pass, so one
-        // pass sees freed capacity, fresh nodes and the new tasks
-        // together and priority decides the tie.
-        while let Some((t, event)) = self.events.pop_before(at) {
-            match event {
-                PlatformEvent::Completion(id) => {
-                    if self.finish(id, t) {
-                        completed += 1;
-                    }
-                }
-                PlatformEvent::NodeReady => {
-                    self.cluster_events += 1;
-                }
-            }
-        }
         completed
     }
 
@@ -1016,11 +912,10 @@ mod tests {
         }
     }
 
-    /// The tentpole determinism guarantee, at platform granularity: a
-    /// threaded run — parallel fleet build plus batched plan-phase
-    /// dispatch — is byte-identical to the sequential run. Three tasks
+    /// The determinism guarantee, at platform granularity: a run on a
+    /// wider pool is byte-identical to the one-thread run. Three tasks
     /// submitted before the first scheduling pass admit together, so the
-    /// batch path (prepare / compute / merge) actually executes.
+    /// compute step really runs on scoped threads.
     #[test]
     fn threaded_run_is_byte_identical_to_sequential() {
         let run = |threads: usize| {

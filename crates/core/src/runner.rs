@@ -16,12 +16,14 @@
 //!
 //! Everything is deterministic given the task seed and start instant.
 
+use std::collections::BTreeSet;
+
 use serde::{Deserialize, Serialize};
 use simdc_cluster::{JobSpec, LogicalCluster, PlacementGroupId};
 use simdc_data::CtrDataset;
 use simdc_deviceflow::{DeviceFlow, FlowHarness};
 use simdc_ml::{evaluate, EvalMetrics, FedAvg, KernelKind, LocalTrainer, LrModel};
-use simdc_phone::{PerfReport, PhoneMgr, PhoneProfile};
+use simdc_phone::{PerfReport, PhoneMgr, PhoneProfile, RunPlan};
 use simdc_simrt::RngStream;
 use simdc_types::{
     DeviceId, Message, MessageId, PhoneId, ResourceBundle, Result, RoundId, SimDuration,
@@ -30,6 +32,7 @@ use simdc_types::{
 
 use crate::alloc::{optimize, Allocation, GradeAllocParams, GradeAllocation};
 use crate::cloud::{decode_update, encode_update, resolve_round, Storage};
+use crate::dispatch::{self, Prepared};
 use crate::spec::{AllocationPolicy, GradeRequirement, TaskSpec};
 
 /// One round's outcome.
@@ -121,12 +124,11 @@ pub struct TaskRunner {
 /// admission time, with benchmark phones reserved but their measurements
 /// not yet taken.
 ///
-/// The event-driven platform calls [`TaskRunner::plan`] when the scheduler
-/// admits a task — fixing the task's completion instant so it can be
-/// scheduled as an event — and [`TaskRunner::commit`] when that event
-/// fires, which performs the benchmark measurements and produces the final
-/// [`TaskReport`]. `plan` then `commit` is byte-identical to the old
-/// single-shot `execute`.
+/// The event-driven platform plans a task when the scheduler admits it
+/// (the steps of [`TaskRunner::plan`], see [`crate::dispatch`]) — fixing
+/// the task's completion instant so it can be scheduled as an event — and
+/// calls [`TaskRunner::commit`] when that event fires, which performs the
+/// benchmark measurements and produces the final [`TaskReport`].
 #[derive(Debug)]
 pub struct TaskPlan {
     report: TaskReport,
@@ -138,8 +140,9 @@ pub struct TaskPlan {
 }
 
 impl TaskPlan {
-    /// Assembles a plan from its parts — the batch dispatcher's merge
-    /// step builds plans this way after workers compute the timelines.
+    /// Assembles a plan from its parts — the merge step of
+    /// [`crate::dispatch`] builds plans this way once the runs are
+    /// submitted.
     pub(crate) fn assemble(
         report: TaskReport,
         benchmark_phones: Vec<PhoneId>,
@@ -188,63 +191,6 @@ pub(crate) struct GradePlacement {
     pub(crate) logical_devices: Vec<DeviceId>,
     pub(crate) phone_devices: Vec<DeviceId>,
     pub(crate) benchmark_devices: Vec<(DeviceId, PhoneId)>,
-}
-
-/// What [`TaskRunner::plan_timeline`] needs from the world: grade
-/// profiles, cloud round planning and benchmark-run submission. Two
-/// implementations exist — the live substrates (`LiveSubstrate`, used by
-/// the sequential path) and the snapshot substrate built by
-/// [`crate::dispatch`] for plan-phase work running on worker threads.
-/// Both feed the *same* `plan_timeline` body, so the sequential and
-/// threaded paths cannot drift.
-pub(crate) trait PlanSubstrate {
-    /// Fleet-averaged behaviour profile of a grade.
-    fn effective_profile(&self, grade: simdc_types::DeviceGrade) -> PhoneProfile;
-    /// The profile a concrete benchmark phone is measured at (nominal
-    /// grade profile when the phone is unknown).
-    fn benchmark_profile(&self, grade: simdc_types::DeviceGrade, phone: PhoneId) -> PhoneProfile;
-    /// Plans one cloud round over an acquired placement group.
-    fn plan_round(
-        &mut self,
-        pg: PlacementGroupId,
-        job: &JobSpec,
-        rng: &mut RngStream,
-    ) -> Result<simdc_cluster::JobPlan>;
-    /// Reserves a benchmark phone by assigning its run plan (live) or
-    /// deferring the assignment to the merge step (snapshot).
-    fn submit_run(&mut self, phone: PhoneId, plan: simdc_phone::RunPlan) -> Result<()>;
-}
-
-/// The sequential substrate: borrows the platform's live cluster and
-/// fleet, so `plan_timeline` mutates them directly.
-pub(crate) struct LiveSubstrate<'a> {
-    pub(crate) cluster: &'a mut LogicalCluster,
-    pub(crate) phones: &'a mut PhoneMgr,
-}
-
-impl PlanSubstrate for LiveSubstrate<'_> {
-    fn effective_profile(&self, grade: simdc_types::DeviceGrade) -> PhoneProfile {
-        self.phones.effective_profile(grade)
-    }
-
-    fn benchmark_profile(&self, grade: simdc_types::DeviceGrade, phone: PhoneId) -> PhoneProfile {
-        self.phones
-            .phone(phone)
-            .map_or_else(|| PhoneProfile::for_grade(grade), |p| p.profile().clone())
-    }
-
-    fn plan_round(
-        &mut self,
-        pg: PlacementGroupId,
-        job: &JobSpec,
-        rng: &mut RngStream,
-    ) -> Result<simdc_cluster::JobPlan> {
-        self.cluster.plan_round_on_group(pg, job, rng)
-    }
-
-    fn submit_run(&mut self, phone: PhoneId, plan: simdc_phone::RunPlan) -> Result<()> {
-        self.phones.submit_run(phone, plan)
-    }
 }
 
 impl TaskRunner {
@@ -382,10 +328,12 @@ impl TaskRunner {
     /// `finished_at`, so the platform can schedule the completion event
     /// before any wall-clock-later work happens.
     ///
+    /// This is the platform's admission procedure ([`crate::dispatch`]:
+    /// prepare, compute, merge) for a single task.
+    ///
     /// # Errors
     ///
     /// Returns validation/allocation/resource errors.
-    #[allow(clippy::too_many_lines)]
     pub fn plan(
         &self,
         spec: &TaskSpec,
@@ -395,70 +343,22 @@ impl TaskRunner {
         storage: &mut Storage,
         start: SimInstant,
     ) -> Result<TaskPlan> {
-        spec.validate()?;
-        let allocation = self.plan_allocation(spec, cluster)?;
-        let mut rng = RngStream::named(spec.seed, &format!("task/{}", spec.id.0));
-
-        // --- Device placement -------------------------------------------
-        let placements = Self::place_devices(spec, &allocation, |grade, count| {
-            phones.select(grade, count, start)
-        })?;
-
-        Self::check_phone_grades(spec, &placements, |grade| {
-            phones.try_effective_profile(grade).is_some()
-        })?;
-
-        // --- Placement-group acquisition --------------------------------
-        // One group per grade with logical devices, acquired at admission
-        // and held for the task's whole lifetime: every round re-uses it,
-        // and the platform releases it at the completion event — which is
-        // what makes cloud capacity contention real across concurrent
-        // tasks. Acquisition failing here means the platform's admission
-        // pre-check raced a competing placement; the caller handles it
-        // like any other resource failure.
-        let grade_groups = Self::acquire_grade_groups(spec, &placements, cluster)?;
-        let groups: Vec<PlacementGroupId> = grade_groups.iter().flatten().copied().collect();
-
-        // Everything past acquisition must give the groups back on error.
-        let planned = self.plan_timeline(
-            spec,
-            dataset,
-            &mut LiveSubstrate { cluster, phones },
-            storage,
-            start,
-            allocation,
-            &placements,
-            &grade_groups,
-            &mut rng,
-        );
-        match planned {
-            Ok((report, benchmark_phones)) => Ok(TaskPlan {
-                report,
-                benchmark_phones,
-                groups,
-            }),
-            Err(err) => {
-                for pg in &groups {
-                    cluster.release_job(*pg);
-                }
-                Err(err)
-            }
-        }
+        let prepared = dispatch::prepare(self, spec, start, cluster, phones, &BTreeSet::new())?;
+        let computed = dispatch::compute_one(self, cluster, spec, dataset, prepared);
+        dispatch::merge_one(computed, cluster, phones, storage)
     }
 
     /// Deals device ids to grades in allocation order and binds benchmark
-    /// devices to concrete phones via `select` — the sequential path
-    /// queries the live fleet, the batch dispatcher layers a
-    /// reserved-phone overlay on the same query. One body for both, so
-    /// device numbering and selection order cannot drift.
-    pub(crate) fn place_devices<F>(
+    /// devices to concrete phones idle at `start`, skipping `reserved` —
+    /// the phones bound by tasks admitted earlier in the same pass, whose
+    /// runs are not submitted yet.
+    pub(crate) fn place_devices(
         spec: &TaskSpec,
         allocation: &Allocation,
-        mut select: F,
-    ) -> Result<Vec<GradePlacement>>
-    where
-        F: FnMut(simdc_types::DeviceGrade, usize) -> Result<Vec<PhoneId>>,
-    {
+        phones: &PhoneMgr,
+        start: SimInstant,
+        reserved: &BTreeSet<PhoneId>,
+    ) -> Result<Vec<GradePlacement>> {
         let mut placements: Vec<GradePlacement> = Vec::with_capacity(spec.grades.len());
         let mut next_device: u64 = 0;
         for (g, alloc) in spec.grades.iter().zip(&allocation.grades) {
@@ -471,7 +371,12 @@ impl TaskRunner {
             let phone_devices = take(alloc.phone_devices);
             let benchmark_ids = take(alloc.benchmark_devices);
             let benchmark_phones = if alloc.benchmark_devices > 0 {
-                select(g.grade, alloc.benchmark_devices as usize)?
+                phones.select_excluding(
+                    g.grade,
+                    alloc.benchmark_devices as usize,
+                    start,
+                    reserved,
+                )?
             } else {
                 Vec::new()
             };
@@ -492,12 +397,12 @@ impl TaskRunner {
     pub(crate) fn check_phone_grades(
         spec: &TaskSpec,
         placements: &[GradePlacement],
-        has_profile: impl Fn(simdc_types::DeviceGrade) -> bool,
+        phones: &PhoneMgr,
     ) -> Result<()> {
         for (g, placement) in spec.grades.iter().zip(placements) {
             let needs_phones =
                 !placement.phone_devices.is_empty() || !placement.benchmark_devices.is_empty();
-            if needs_phones && !has_profile(g.grade) {
+            if needs_phones && phones.try_effective_profile(g.grade).is_none() {
                 return Err(SimdcError::ResourceExhausted {
                     requested: format!("{} phone-cluster devices for task {}", g.grade, spec.id),
                     available: format!("0 {} phones registered", g.grade),
@@ -535,23 +440,32 @@ impl TaskRunner {
         Ok(grade_groups)
     }
 
-    /// The fallible tail of [`TaskRunner::plan`]: rounds, DeviceFlow
-    /// routing, aggregation and benchmark reservation over already
-    /// acquired placement groups. Split out so `plan` can release the
-    /// groups on any error.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    pub(crate) fn plan_timeline<S: PlanSubstrate>(
+    /// The compute step of [`TaskRunner::plan`]: rounds, DeviceFlow
+    /// routing, aggregation and benchmark-run planning over the prepared
+    /// placement. Mutates nothing shared — rounds write to `storage` (the
+    /// caller's scratch store), cloud rounds are planned through a shared
+    /// `&LogicalCluster` with the task's reserved actor ids, and the
+    /// benchmark runs come back for the merge step to submit, in
+    /// reservation order.
+    #[allow(clippy::too_many_lines)]
+    pub(crate) fn plan_timeline(
         &self,
         spec: &TaskSpec,
         dataset: &CtrDataset,
-        substrate: &mut S,
+        cluster: &LogicalCluster,
         storage: &mut Storage,
-        start: SimInstant,
-        allocation: Allocation,
-        placements: &[GradePlacement],
-        grade_groups: &[Option<PlacementGroupId>],
+        prepared: Prepared,
         rng: &mut RngStream,
-    ) -> Result<(TaskReport, Vec<PhoneId>)> {
+    ) -> Result<(TaskReport, Vec<(PhoneId, RunPlan)>)> {
+        let Prepared {
+            start,
+            allocation,
+            placements,
+            grade_groups,
+            mut next_actor,
+            effective,
+            bench_profiles,
+        } = prepared;
         // --- DeviceFlow -------------------------------------------------
         let mut harness = spec.strategy.as_ref().map(|strategy| {
             let mut flow = DeviceFlow::new();
@@ -582,14 +496,14 @@ impl TaskRunner {
             let payload_mib =
                 self.config.data_payload_mib + global.serialized_size() as f64 / (1024.0 * 1024.0);
 
-            for ((g, placement), group) in spec.grades.iter().zip(placements).zip(grade_groups) {
+            for ((g, placement), group) in spec.grades.iter().zip(&placements).zip(&grade_groups) {
                 // Effective (fleet-averaged) profile, so stragglers and
                 // other per-phone perturbations stretch the actual wave
                 // timing — the optimizer plans with nominal profiles.
                 // Grades that place phone work were verified non-empty
                 // right after placement, so the nominal fallback here can
                 // only ever serve fully-logical grades.
-                let profile = substrate.effective_profile(g.grade);
+                let profile = &effective[g.grade];
                 // Logical side: plan this round over the task's standing
                 // placement group (acquired once, released at completion).
                 if let Some(pg) = group {
@@ -602,7 +516,8 @@ impl TaskRunner {
                         units_per_device: g.units_per_device as u32,
                         payload_mib,
                     };
-                    let plan = substrate.plan_round(*pg, &job, rng)?;
+                    let plan =
+                        cluster.plan_round_with_actor_ids(*pg, &job, rng, &mut next_actor)?;
                     for (dev, offset) in plan.device_completions() {
                         let at = round_start + offset;
                         compute_finished = compute_finished.max(at);
@@ -755,28 +670,24 @@ impl TaskRunner {
         }
 
         // --- Benchmark reservation ---------------------------------------
-        // Submitting the run plans here (not at commit) keeps the phones
-        // busy over their measurement windows, so a task admitted mid-run
-        // cannot double-book them; the measurements themselves wait for
-        // the commit phase.
-        let mut benchmark_phones = Vec::new();
+        // Submitting the run plans at merge (not at commit) keeps the
+        // phones busy over their measurement windows, so a task admitted
+        // mid-run cannot double-book them; the measurements themselves
+        // wait for the commit phase.
+        let mut benchmark_runs = Vec::new();
         let mut finished_at = rounds.last().map_or(start, |r| r.aggregated_at);
         if self.config.measure_benchmarks {
-            for (g, placement) in spec.grades.iter().zip(placements) {
-                if placement.benchmark_devices.is_empty() {
-                    continue;
-                }
+            for placement in &placements {
                 for &(_dev, phone) in &placement.benchmark_devices {
                     // Each benchmark placement names a concrete phone, so
                     // its measurement windows come from that phone's own
                     // profile — a straggler benchmark phone is measured at
                     // its real (slowed) pace, not the fleet average.
-                    let profile = substrate.benchmark_profile(g.grade, phone);
-                    let (durations, gaps) = benchmark_windows(&rounds, &profile);
-                    let plan = simdc_phone::RunPlan::new(spec.id, phone, start, &durations, &gaps)?;
-                    finished_at = finished_at.max(plan.end());
-                    substrate.submit_run(phone, plan)?;
-                    benchmark_phones.push(phone);
+                    let profile = &bench_profiles[&phone];
+                    let (durations, gaps) = benchmark_windows(&rounds, profile);
+                    let run = RunPlan::new(spec.id, phone, start, &durations, &gaps)?;
+                    finished_at = finished_at.max(run.end());
+                    benchmark_runs.push((phone, run));
                 }
             }
         }
@@ -791,7 +702,7 @@ impl TaskRunner {
                 final_model: global,
                 benchmark_reports: Vec::new(),
             },
-            benchmark_phones,
+            benchmark_runs,
         ))
     }
 

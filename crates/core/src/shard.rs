@@ -17,7 +17,8 @@ use simdc_phone::{FleetSpec, PhoneMgr};
 use simdc_types::SimDuration;
 
 /// Minimum phones per construction chunk: below this, per-chunk overhead
-/// (allocation, queue traffic) outweighs the parallelism.
+/// (allocation, queue traffic) outweighs the parallelism. A fleet smaller
+/// than one chunk is built inline.
 const MIN_CHUNK: usize = 4_096;
 
 /// The chunk plan for building `spec` on `threads` workers: each segment
@@ -47,7 +48,10 @@ pub fn build_fleet(
     poll_interval: SimDuration,
     seed: u64,
 ) -> PhoneMgr {
-    if pool.threads() <= 1 {
+    // `MIN_CHUNK` only bounds how far a segment splits: a small fleet
+    // still has one chunk per (grade, provenance) segment, and spawning
+    // workers for those costs more than building them.
+    if pool.threads() <= 1 || spec.total() < MIN_CHUNK {
         return PhoneMgr::with_fleet(spec, poll_interval, seed);
     }
     let chunks = chunk_plan(&spec, pool.threads());

@@ -463,12 +463,12 @@ impl PhoneMgr {
     }
 
     /// [`PhoneMgr::select`] with a reserved-phone overlay: `reserved` ids
-    /// are treated as busy even though no run has been assigned yet. The
-    /// batch plan dispatcher uses this to replay sequential admission —
-    /// task B's selection must skip the phones task A picked an instant
-    /// ago, before A's run plans have actually been submitted. Reported
+    /// are treated as busy even though no run has been assigned yet. A
+    /// scheduling pass admitting several tasks needs this — task B's
+    /// selection must skip the phones task A picked an instant ago,
+    /// before A's run plans have actually been submitted. Reported
     /// availability subtracts the reserved phones of the grade, so error
-    /// messages match what the sequential path would say.
+    /// messages count them as busy too.
     ///
     /// # Errors
     ///

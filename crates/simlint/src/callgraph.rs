@@ -14,10 +14,10 @@
 //!
 //! Like the rest of simlint the graph is context-insensitive: a
 //! function body is one node regardless of who calls it. Where that
-//! over-approximates (e.g. the sequential `LiveSubstrate` path being
-//! linked from worker code through the shared `PlanSubstrate` bound),
-//! the exception is a named, reviewed `exempt` entry in `simlint.toml`
-//! — never a weaker graph.
+//! over-approximates (e.g. `Engine::schedule_at` on a DeviceFlow engine
+//! a worker owns privately being indistinguishable from a push into
+//! shared event state), the exception is a named, reviewed `exempt`
+//! entry in `simlint.toml` — never a weaker graph.
 
 use std::collections::BTreeMap;
 

@@ -12,7 +12,7 @@
 //! * `(type, method)` → inherent/trait-impl methods;
 //! * method name → all methods anywhere (the unknown-receiver fallback);
 //! * trait → implementing types, and trait → method names (for calls
-//!   through generic bounds like `S: PlanSubstrate`);
+//!   through generic bounds like `S: Strategy`);
 //! * `(type, field)` → field type head (to type `self.rm.release(..)`).
 
 use std::collections::{BTreeMap, BTreeSet};

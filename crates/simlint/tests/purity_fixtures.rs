@@ -164,7 +164,7 @@ fn injected_release_in_compute_phase_is_caught_on_the_real_tree() {
     assert!(dispatch.1.contains(anchor), "compute_one anchor moved");
     dispatch.1 = dispatch.1.replace(
         anchor,
-        "let mut scratch = Storage::new();\n    rm.release(p.spec.id);",
+        "let mut scratch = Storage::new();\n    rm.release(spec.id);",
     );
 
     let (findings, _) = analyze_sources(&sources, &cfg);

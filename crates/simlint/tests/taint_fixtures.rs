@@ -231,7 +231,7 @@ fn clean_real_tree() -> (Vec<(String, String)>, Config) {
 }
 
 const DISPATCH_ANCHOR: &str =
-    "let mut rng = RngStream::named(p.spec.seed, &format!(\"task/{}\", p.spec.id.0));";
+    "let mut rng = RngStream::named(spec.seed, &format!(\"task/{}\", spec.id.0));";
 
 fn inject_into_compute_one(sources: &mut [(String, String)], extra: &str) {
     let dispatch = sources
