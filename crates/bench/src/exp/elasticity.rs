@@ -1,13 +1,12 @@
 //! Elasticity bench — the cost-vs-scale story of the elastic cloud tier.
 //!
-//! Drives the two cloud-contention scenarios ([`simdc_workload::cloud_surge`]
-//! and [`simdc_workload::budget_capped`]) and emits their node-count /
-//! utilization / cost time series to `BENCH_elasticity.json` — the data
-//! behind the paper's Fig 8/Fig 9 framing that elastic capacity trades
-//! money for queueing delay. The uncapped run shows the pool surging with
-//! each arrival burst and draining back between them; the budget-capped
-//! run shows the same traffic held at six nodes with the overflow
-//! absorbed as wait time.
+//! Drives the two cloud-contention library scenarios (`cloud_surge` and
+//! `budget_capped`) and emits their node-count / utilization / cost time
+//! series to `BENCH_elasticity.json` — the data behind the paper's Fig
+//! 8/Fig 9 framing that elastic capacity trades money for queueing delay.
+//! The uncapped run shows the pool surging with each arrival burst and
+//! draining back between them; the budget-capped run shows the same
+//! traffic held at six nodes with the overflow absorbed as wait time.
 //!
 //! Everything inside each scenario summary (including the series) is
 //! byte-deterministic per seed; CI diffs a same-seed double run and
@@ -16,8 +15,7 @@
 use std::sync::Arc;
 
 use serde::Serialize;
-use simdc_core::PlatformConfig;
-use simdc_workload::{budget_capped, cloud_surge, Scenario, ScenarioSummary};
+use simdc_workload::{scenario, ScenarioSummary};
 
 use crate::{f, render_table, ExpOptions};
 
@@ -34,26 +32,22 @@ pub struct ElasticityResult {
 ///
 /// # Panics
 ///
-/// Panics if a library scenario fails validation (a library bug), or if
+/// Panics if a library scenario fails to compile (a fixture bug), or if
 /// the uncapped run never scaled out / never scaled back in — the bench
 /// exists to certify exactly that behavior, so a flat series is a
 /// regression, not a result.
 pub fn run(opts: &ExpOptions) -> ElasticityResult {
     let scale = if opts.quick { 0.5 } else { 1.0 };
-    let scenarios: Vec<Scenario> = [cloud_surge(), budget_capped()]
-        .into_iter()
-        .map(|s| if opts.quick { s.scaled(scale) } else { s })
-        .collect();
     let data = Arc::new(super::standard_dataset(64, opts.seed));
 
-    let mut summaries = Vec::with_capacity(scenarios.len());
-    for scenario in &scenarios {
-        scenario.validate().expect("library scenario must be valid");
-        let config = PlatformConfig {
-            seed: opts.seed,
-            ..PlatformConfig::default()
-        };
-        summaries.push(scenario.run(config, &data, opts.seed));
+    let mut summaries = Vec::new();
+    for name in ["cloud_surge", "budget_capped"] {
+        let mut spec = scenario(name)
+            .expect("library scenario exists")
+            .with_horizon_scale(scale);
+        spec.seed = opts.seed;
+        let compiled = spec.compile().expect("library scenario must compile");
+        summaries.push(compiled.run(&data));
     }
 
     // The bench's own acceptance: the uncapped pool surged and drained.

@@ -2,7 +2,6 @@
 //!
 //! Each module exposes `run(&ExpOptions)`, prints the paper-table analog to
 //! stdout and writes a machine-readable JSON result under `results/`.
-//! `EXPERIMENTS.md` records the paper-vs-measured comparison.
 
 pub mod elasticity;
 pub mod fig10;
@@ -28,11 +27,12 @@ pub type ExpRunner = fn(&ExpOptions);
 
 /// Every experiment of the paper's evaluation, in presentation order.
 ///
-/// The single source of truth for "what does the suite contain": the
-/// `run_all` binary and the registry smoke test both iterate this slice,
-/// so a new experiment module is either wired in here (and thereby run,
-/// smoke-tested and listed) or it does not exist as far as the suite is
-/// concerned. The name doubles as the JSON result stem under `--out`.
+/// The single source of truth for "what does the suite contain":
+/// `simdc-bench all`, its by-name lookup ([`find`]) and the registry smoke
+/// test all read this slice, so a new experiment module is either wired in
+/// here (and thereby runnable, smoke-tested and listed) or it does not
+/// exist as far as the suite is concerned. The name doubles as the JSON
+/// result stem under `--out`.
 pub const ALL: &[(&str, ExpRunner)] = &[
     ("table1", |opts| {
         table1::run(opts);
@@ -84,6 +84,15 @@ pub const ALL: &[(&str, ExpRunner)] = &[
         sweep::run(opts);
     }),
 ];
+
+/// Looks an experiment up by its [`ALL`] name; the `BENCH_` prefix is
+/// optional (`scale` finds `BENCH_scale`).
+#[must_use]
+pub fn find(name: &str) -> Option<ExpRunner> {
+    ALL.iter()
+        .find(|(known, _)| *known == name || known.strip_prefix("BENCH_") == Some(name))
+        .map(|(_, run)| *run)
+}
 
 /// Standard two-grade dataset used by the platform experiments.
 ///

@@ -1,4 +1,4 @@
-//! Scale bench — the `mega_fleet` scenario against a 100k-phone fleet,
+//! Scale bench — the `mega_fleet` scenario against its 100k-phone fleet,
 //! swept over a worker-thread axis.
 //!
 //! This is the experiment that *measures* (rather than asserts) the two
@@ -6,10 +6,10 @@
 //! availability accounting in `PhoneMgr` (per-task cost O(k log F)
 //! instead of a fleet rescan) and the sharded execution path (parallel
 //! fleet construction plus batched plan-phase dispatch behind
-//! `PlatformConfig::threads`). It drives the
-//! [`simdc_workload::mega_fleet`] scenario — superposed bursty arrivals of
-//! phone-heavy tasks, light churn, a straggler tail — over a fleet scaled
-//! with [`FleetSpec::scaled_paper`], once per thread count, and reports
+//! `PlatformConfig::threads`). It drives the `mega_fleet` library
+//! scenario — superposed bursty arrivals of phone-heavy tasks, light
+//! churn, a straggler tail — over a fleet scaled with
+//! [`FleetSpec::scaled_paper`], once per thread count, and reports
 //! wall-clock throughput per point: simulation events per second,
 //! completed tasks per second, the virtual-time speedup, and the
 //! wall-clock speedup relative to the sequential run.
@@ -21,23 +21,21 @@
 //! `host_cpus` is recorded next to the curve so a flat speedup on a
 //! 1-CPU runner reads as what it is, not as a regression.
 //!
-//! The default fleet is 100,000 phones (`--fleet N` overrides, up to the
-//! ROADMAP's million); `--quick` drops to a 2,000-phone smoke size with a
-//! shortened horizon. `--threads N` raises the top of the thread axis
-//! (default 4); the axis is the powers of two up to and including N.
+//! The default fleet is the scenario's own 100,000 phones (`--fleet N`
+//! overrides, up to the ROADMAP's million); `--quick` drops to a
+//! 2,000-phone smoke size with a shortened horizon. `--threads N` raises
+//! the top of the thread axis (default 4); the axis is the powers of two
+//! up to and including N.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
-use simdc_core::PlatformConfig;
 use simdc_phone::FleetSpec;
-use simdc_workload::{mega_fleet, Scenario, ScenarioSummary};
+use simdc_workload::{scenario, ScenarioSpec, ScenarioSummary};
 
 use crate::{f, render_table, ExpOptions};
 
-/// Default fleet size of the full-scale run.
-pub const FULL_FLEET: usize = 100_000;
 /// Fleet size of `--quick` smoke runs.
 pub const QUICK_FLEET: usize = 2_000;
 /// Default top of the worker-thread axis (`--threads N` overrides).
@@ -89,23 +87,18 @@ pub struct ScaleResult {
 }
 
 fn run_once(
-    scenario: &Scenario,
-    fleet_size: usize,
+    spec: &ScenarioSpec,
     threads: usize,
     data: &Arc<simdc_data::CtrDataset>,
-    seed: u64,
 ) -> (ScenarioSummary, ScaleTiming) {
-    let config = PlatformConfig {
-        fleet: FleetSpec::scaled_paper(fleet_size),
-        seed,
-        threads,
-        ..PlatformConfig::default()
-    };
+    let mut spec = spec.clone();
+    spec.threads = threads;
+    let compiled = spec.compile().expect("mega_fleet must compile");
     // Wall-clock throughput is this bench's product (clippy.toml bans
     // `Instant::now` in simulation code; `crates/bench` is harness).
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now();
-    let summary = scenario.run(config, data, seed);
+    let summary = compiled.run(data);
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
     let timing = ScaleTiming {
         wall_secs,
@@ -136,19 +129,20 @@ fn thread_axis(max: usize) -> Vec<usize> {
 ///
 /// # Panics
 ///
-/// Panics if the `mega_fleet` scenario fails validation (a library bug),
+/// Panics if the `mega_fleet` scenario fails to compile (a fixture bug),
 /// or if any threaded run's summary differs byte-for-byte from the
 /// sequential run's — the deterministic-merge contract.
 pub fn run(opts: &ExpOptions) -> ScaleResult {
-    let fleet_size = opts
-        .fleet
-        .unwrap_or(if opts.quick { QUICK_FLEET } else { FULL_FLEET });
-    let scenario = if opts.quick {
-        mega_fleet().scaled(0.1)
-    } else {
-        mega_fleet()
-    };
-    scenario.validate().expect("mega_fleet must be valid");
+    let mut spec = scenario("mega_fleet").expect("library scenario exists");
+    spec.seed = opts.seed;
+    if opts.quick {
+        spec = spec.with_horizon_scale(0.1);
+        spec.fleet = FleetSpec::scaled_paper(QUICK_FLEET);
+    }
+    if let Some(fleet_size) = opts.fleet {
+        spec.fleet = FleetSpec::scaled_paper(fleet_size);
+    }
+    let fleet_size = spec.fleet.total();
     let data = Arc::new(super::standard_dataset(64, opts.seed));
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
@@ -158,7 +152,7 @@ pub fn run(opts: &ExpOptions) -> ScaleResult {
     let mut sequential_json = String::new();
     let mut sequential_wall = 0.0f64;
     for &threads in &axis {
-        let (run_summary, timing) = run_once(&scenario, fleet_size, threads, &data, opts.seed);
+        let (run_summary, timing) = run_once(&spec, threads, &data);
         let json = serde_json::to_string(&run_summary).expect("summary serializes");
         if let Some(_first) = &summary {
             assert_eq!(

@@ -1,7 +1,7 @@
 //! Scenario suite — the workload library beyond the paper's fixed
 //! experiments.
 //!
-//! Runs every scenario in [`simdc_workload::library`] against a fresh
+//! Runs every scenario in [`simdc_workload::library()`] against a fresh
 //! paper-default platform and reports per-scenario throughput, queueing,
 //! fleet-perturbation and accuracy figures. The whole suite derives from
 //! one seed: rerunning with the same seed writes byte-identical JSON
@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use simdc_core::PlatformConfig;
 use simdc_workload::{library, ScenarioSummary};
 
 use crate::{f, render_table, ExpOptions};
@@ -19,21 +18,19 @@ use crate::{f, render_table, ExpOptions};
 ///
 /// # Panics
 ///
-/// Panics if a library scenario fails validation (a bug in the library,
-/// not an input error).
+/// Panics if a library scenario fails to compile (a bug in the committed
+/// fixtures, not an input error).
 pub fn run(opts: &ExpOptions) -> Vec<ScenarioSummary> {
     // Quick mode shrinks the arrival horizon; the scenario set is fixed.
     let scale = if opts.quick { 0.3 } else { 1.0 };
     let data = Arc::new(super::standard_dataset(120, opts.seed));
 
     let mut summaries = Vec::new();
-    for scenario in library() {
-        let scenario = scenario.scaled(scale);
-        let config = PlatformConfig {
-            seed: opts.seed,
-            ..PlatformConfig::default()
-        };
-        summaries.push(scenario.run(config, &data, opts.seed));
+    for spec in library() {
+        let mut spec = spec.with_horizon_scale(scale);
+        spec.seed = opts.seed;
+        let compiled = spec.compile().expect("library scenario must compile");
+        summaries.push(compiled.run(&data));
     }
 
     let table = render_table(

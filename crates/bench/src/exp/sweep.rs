@@ -12,8 +12,7 @@
 use std::sync::Arc;
 
 use serde::Serialize;
-use simdc_phone::FleetSpec;
-use simdc_workload::{library, ScenarioSpec, ScenarioSummary};
+use simdc_workload::{scenario, ScenarioSpec, ScenarioSummary};
 
 use crate::{f, render_table, ExpOptions};
 
@@ -105,7 +104,8 @@ pub struct CellRecord {
 pub fn run(opts: &ExpOptions) -> Vec<CellRecord> {
     // Quick mode shrinks the horizon; the grid shape is fixed.
     let horizon_scale = if opts.quick { 0.2 } else { 1.0 };
-    let base = ScenarioSpec::from_scenario(&library()[0], FleetSpec::paper_default(), opts.seed, 1)
+    let base = scenario("steady_poisson")
+        .expect("library scenario exists")
         .with_horizon_scale(horizon_scale);
     let grid = SweepGrid {
         base,
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn grid_expansion_is_deterministic_and_complete() {
-        let base = ScenarioSpec::from_scenario(&library()[0], FleetSpec::paper_default(), 7, 1);
+        let base = scenario("steady_poisson").unwrap();
         let grid = SweepGrid {
             base,
             seeds: vec![7, 8],

@@ -1,9 +1,10 @@
 //! Shared plumbing for the SimDC experiment harness.
 //!
-//! Every table and figure of the paper's evaluation has a dedicated binary
-//! in `src/bin/` (see `DESIGN.md` → "Experiment index"); this library holds
-//! the bits they share: CLI parsing, result serialization and small
-//! text-rendering helpers.
+//! Every table and figure of the paper's evaluation is a module under
+//! [`exp`], registered in [`exp::ALL`] and run by name through the one
+//! `simdc-bench` binary (`src/main.rs`); this library holds the bits they
+//! share: CLI parsing, result serialization and small text-rendering
+//! helpers.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -14,7 +15,7 @@ use serde::Serialize;
 
 pub mod exp;
 
-/// Common command-line options of every experiment binary.
+/// Common command-line options of every experiment.
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
     /// Root RNG seed.
@@ -45,16 +46,16 @@ impl Default for ExpOptions {
 
 impl ExpOptions {
     /// Parses `--seed N`, `--quick`, `--out DIR`, `--fleet N` and
-    /// `--threads N` from `std::env::args`.
+    /// `--threads N` from `args` — what follows the experiment name on
+    /// the `simdc-bench` command line.
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on malformed arguments (these are
-    /// developer-facing binaries).
+    /// Panics with a usage message on malformed arguments (this is a
+    /// developer-facing binary).
     #[must_use]
-    pub fn from_args() -> Self {
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Self {
         let mut opts = ExpOptions::default();
-        let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--seed" => {
@@ -89,8 +90,8 @@ impl ExpOptions {
     ///
     /// # Panics
     ///
-    /// Panics on I/O or serialization failure (experiment binaries want
-    /// loud failures).
+    /// Panics on I/O or serialization failure (experiment runs want loud
+    /// failures).
     pub fn write_json<T: Serialize>(&self, name: &str, value: &T) -> PathBuf {
         std::fs::create_dir_all(&self.out_dir).expect("create results directory");
         let path = self.out_dir.join(format!("{name}.json"));
@@ -100,8 +101,8 @@ impl ExpOptions {
     }
 }
 
-/// Renders a text table with a header row (every experiment binary prints
-/// its paper-table analog this way).
+/// Renders a text table with a header row (every experiment prints its
+/// paper-table analog this way).
 #[must_use]
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

@@ -10,8 +10,8 @@
 //! When an output change is *intended*, regenerate the fixtures:
 //!
 //! ```sh
-//! cargo run --release --bin table1 -- --quick --out crates/bench/tests/golden
-//! cargo run --release --bin fig5   -- --quick --out crates/bench/tests/golden
+//! cargo run --release -p simdc-bench -- table1 --quick --out crates/bench/tests/golden
+//! cargo run --release -p simdc-bench -- fig5   --quick --out crates/bench/tests/golden
 //! mv crates/bench/tests/golden/table1.json crates/bench/tests/golden/table1_quick.json
 //! mv crates/bench/tests/golden/fig5.json   crates/bench/tests/golden/fig5_quick.json
 //! ```

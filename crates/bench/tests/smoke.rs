@@ -1,7 +1,7 @@
 //! Smoke test for the experiment registry.
 //!
-//! Runs every figure/table experiment in `exp::ALL` — the same slice the
-//! `run_all` binary iterates — at the `--quick` scale (few devices, 1–2
+//! Runs every figure/table experiment in `exp::ALL` — the same slice
+//! `simdc-bench all` iterates — at the `--quick` scale (few devices, 1–2
 //! rounds) so the registry cannot silently rot: a panic, a missing output
 //! file or malformed JSON in any experiment fails `cargo test` long before
 //! anyone re-renders the paper's evaluation.
@@ -26,6 +26,7 @@ fn quick_registry_runs_and_writes_parseable_results() {
         "experiment registry must not be empty"
     );
     for (name, run) in exp::ALL {
+        assert!(exp::find(name).is_some(), "{name} resolves by its own name");
         run(&opts);
         let path = out_dir.join(format!("{name}.json"));
         let content = std::fs::read_to_string(&path)
@@ -33,6 +34,13 @@ fn quick_registry_runs_and_writes_parseable_results() {
         serde_json::from_str::<serde_json::Value>(&content)
             .unwrap_or_else(|e| panic!("experiment {name} wrote malformed JSON: {e}"));
     }
+
+    // The CLI's lookup: `BENCH_` is optional, unknown names miss.
+    for short in ["scale", "elasticity", "sweep"] {
+        assert!(exp::find(short).is_some(), "{short}");
+    }
+    assert!(exp::find("run_all").is_none());
+    assert!(exp::find("").is_none());
 
     std::fs::remove_dir_all(&out_dir).ok();
 }

@@ -6,11 +6,11 @@ use simdc_types::{DeviceGrade, PerGrade, SimDuration};
 
 /// Virtual-time costs of cluster operations.
 ///
-/// Calibrated so the *shapes* of the paper's Fig 7/8 hold (see
-/// `DESIGN.md` → "Timing calibration"): per-device compute times `α` match
-/// the training-stage durations of Table I within a few percent, and every
-/// actor pays a data/model download each round — the overhead that makes
-/// SimDC slower than in-memory simulators below ~1,000 devices.
+/// Calibrated so the *shapes* of the paper's Fig 7/8 hold: per-device
+/// compute times `α` match the training-stage durations of Table I within
+/// a few percent, and every actor pays a data/model download each round —
+/// the overhead that makes SimDC slower than in-memory simulators below
+/// ~1,000 devices.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// One-time placement-group creation latency per job.

@@ -1,6 +1,6 @@
 //! A standalone event-loop harness for driving DeviceFlow without the full
-//! platform (used by unit tests and the Fig 10 / Table II experiment
-//! binaries).
+//! platform (used by unit tests and the Fig 10 / Table II
+//! experiments).
 
 use simdc_simrt::{Engine, EngineCtx, RngStream, World};
 use simdc_types::{Message, RoundId, SimInstant, TaskId};

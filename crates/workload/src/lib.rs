@@ -9,16 +9,15 @@
 //! * [`template`] — bounded random [`simdc_core::TaskSpec`] generation;
 //! * [`fleet`] — fleet-dynamics injectors: phone churn, stragglers and
 //!   benchmark-phone outages layered onto the phone cluster;
-//! * [`scenario`] — named scenarios executed through the deterministic
-//!   [`simdc_simrt::Engine`] event loop, producing [`ScenarioSummary`]
-//!   JSON;
-//! * [`source`] — the pre-sampled [`simdc_core::SubmissionSource`]
-//!   adapter pacing an arrival process + template straight into
-//!   [`simdc_core::Platform::run_from_source`];
+//! * [`mod@scenario`] — the runnable [`Scenario`], executed through the
+//!   deterministic [`simdc_simrt::Engine`] event loop, producing
+//!   [`ScenarioSummary`] JSON;
 //! * [`spec`] — the declarative scenario DSL: serde-backed
-//!   [`ScenarioSpec`]s (the committed JSON fixtures under
-//!   `fixtures/scenarios/`), the compiler to runnable scenarios, and the
-//!   greedy shrinker the fuzz harness minimizes failing specs with.
+//!   [`ScenarioSpec`]s, the compiler to runnable scenarios, and the
+//!   greedy shrinker the fuzz harness minimizes failing specs with;
+//! * [`scenario()`] / [`library()`] — the named scenarios: the JSON specs
+//!   committed under `fixtures/`, embedded at compile time and looked up
+//!   by name.
 //!
 //! Every stochastic choice derives from one scenario seed through named
 //! [`simdc_simrt::RngStream`]s: the same seed replays the exact same
@@ -28,29 +27,20 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use simdc_core::PlatformConfig;
 //! use simdc_data::{CtrDataset, GeneratorConfig};
-//! use simdc_types::SimDuration;
-//! use simdc_workload::{ArrivalProcess, FleetDynamics, Scenario, TaskTemplate};
+//! use simdc_workload::scenario;
 //!
-//! let scenario = Scenario {
-//!     name: "quickstart".into(),
-//!     description: "steady light traffic".into(),
-//!     horizon: SimDuration::from_mins(5),
-//!     dispatch_interval: SimDuration::from_mins(2),
-//!     arrivals: ArrivalProcess::Poisson { rate_per_min: 0.4 },
-//!     template: TaskTemplate::default(),
-//!     fleet: FleetDynamics::calm(),
-//!     cluster: None,
-//! };
+//! // Load a committed spec by name, turn its knobs, compile, run.
+//! let mut spec = scenario("steady_poisson").unwrap().with_horizon_scale(0.2);
+//! spec.seed = 7;
 //! let data = Arc::new(CtrDataset::generate(&GeneratorConfig {
 //!     n_devices: 30,
 //!     n_test_devices: 6,
 //!     feature_dim: 1 << 12,
 //!     ..GeneratorConfig::default()
 //! }));
-//! let summary = scenario.run(PlatformConfig::default(), &data, 7);
-//! assert_eq!(summary.scenario, "quickstart");
+//! let summary = spec.compile().unwrap().run(&data);
+//! assert_eq!(summary.scenario, "steady_poisson");
 //! assert_eq!(summary.completed + summary.failed, summary.submitted);
 //! ```
 
@@ -59,17 +49,14 @@
 
 pub mod arrival;
 pub mod fleet;
+mod library;
 pub mod scenario;
-pub mod source;
 pub mod spec;
 pub mod template;
 
 pub use arrival::ArrivalProcess;
 pub use fleet::{FleetDynamics, FleetEvent};
-pub use scenario::{
-    budget_capped, cloud_surge, library, mega_fleet, CloudSample, CloudSummary, Scenario,
-    ScenarioSummary,
-};
-pub use source::SampledSource;
+pub use library::{library, scenario, scenario_names};
+pub use scenario::{CloudSample, CloudSummary, Scenario, ScenarioSummary};
 pub use spec::{scale_arrival_rates, shrink, CompiledScenario, ScenarioSpec};
 pub use template::{GradeScheme, TaskTemplate};

@@ -1,14 +1,17 @@
-//! Named workload scenarios and the engine that executes them.
+//! The runnable form of a scenario and the engine that executes it.
 //!
 //! A [`Scenario`] composes an [`ArrivalProcess`], a [`TaskTemplate`] and
-//! [`FleetDynamics`] over a time horizon. [`Scenario::run`] pre-samples the
-//! stochastic schedules from the scenario seed, then replays them through
-//! the deterministic [`simdc_simrt::Engine`] event loop: task arrivals,
-//! phone crashes and reboots are all events in one queue. The platform
-//! core is itself event-driven — each arrival is admitted at its arrival
-//! instant (or at the first task completion that frees its claim), and a
-//! recurring dispatch event merely paces the platform's completion events
-//! forward, never draining ahead of the outer timeline.
+//! [`FleetDynamics`] over a time horizon; it is what a
+//! [`crate::ScenarioSpec`] compiles to (the named scenarios themselves are
+//! the JSON specs behind [`crate::library()`]). [`Scenario::run`]
+//! pre-samples the stochastic schedules from the scenario seed, then
+//! replays them through the deterministic [`simdc_simrt::Engine`] event
+//! loop: task arrivals, phone crashes and reboots are all events in one
+//! queue. The platform core is itself event-driven — each arrival is
+//! admitted at its arrival instant (or at the first task completion that
+//! frees its claim), and a recurring dispatch event merely paces the
+//! platform's completion events forward, never draining ahead of the
+//! outer timeline.
 //!
 //! Everything downstream of the seed is deterministic: same seed ⇒
 //! byte-identical [`ScenarioSummary`] JSON; different seed ⇒ different
@@ -18,7 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use simdc_cluster::{AutoscalerConfig, ClusterConfig};
+use simdc_cluster::ClusterConfig;
 use simdc_core::{Platform, PlatformConfig, TaskSpec, TaskState};
 use simdc_data::CtrDataset;
 use simdc_simrt::{Engine, EngineCtx, RngStream, World};
@@ -79,22 +82,6 @@ impl Scenario {
             cluster.validate()?;
         }
         self.fleet.validate()
-    }
-
-    /// Returns a copy with the horizon scaled by `factor` (quick-profile
-    /// runs shrink scenarios this way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not in `(0, 1]`.
-    #[must_use]
-    pub fn scaled(mut self, factor: f64) -> Self {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "scale factor must be in (0, 1], got {factor}"
-        );
-        self.horizon = SimDuration::from_secs_f64(self.horizon.as_secs_f64() * factor);
-        self
     }
 
     /// Executes the scenario against a fresh platform and returns its
@@ -458,270 +445,12 @@ fn summarize(
     (summary, world.platform)
 }
 
-/// The built-in scenario library: the six workloads `cargo run --bin
-/// scenarios` exercises. Each stresses a different axis — steady load,
-/// time-varying load, flash crowds, fleet churn, stragglers and
-/// benchmark-phone outages.
-#[must_use]
-pub fn library() -> Vec<Scenario> {
-    let mins = SimDuration::from_mins;
-    let base_template = TaskTemplate::default();
-    vec![
-        Scenario {
-            name: "steady_poisson".into(),
-            description: "memoryless constant-rate submissions; the capacity baseline".into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Poisson { rate_per_min: 0.7 },
-            template: base_template.clone(),
-            fleet: FleetDynamics::calm(),
-            cluster: None,
-        },
-        Scenario {
-            name: "diurnal_cycle".into(),
-            description: "sinusoidal day/night load riding one full period".into(),
-            horizon: mins(40),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Diurnal {
-                mean_per_min: 0.6,
-                amplitude_per_min: 0.5,
-                period: mins(40),
-            },
-            template: base_template.clone(),
-            fleet: FleetDynamics::calm(),
-            cluster: None,
-        },
-        Scenario {
-            name: "flash_crowd".into(),
-            description: "low background traffic punctuated by 8x burst windows".into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Bursty {
-                base_per_min: 0.25,
-                burst_multiplier: 8.0,
-                burst_every: mins(15),
-                burst_len: mins(2),
-            },
-            template: base_template.clone(),
-            fleet: FleetDynamics::calm(),
-            cluster: None,
-        },
-        Scenario {
-            name: "phone_churn".into(),
-            description: "steady load while phones crash and reboot across the fleet".into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Poisson { rate_per_min: 0.6 },
-            template: base_template.clone(),
-            fleet: FleetDynamics {
-                mean_time_between_crashes: Some(mins(4)),
-                reboot_after: mins(3),
-                ..FleetDynamics::calm()
-            },
-            cluster: None,
-        },
-        Scenario {
-            name: "straggler_fleet".into(),
-            description: "40% of phones run 2.5x slower from the start".into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Poisson { rate_per_min: 0.6 },
-            template: TaskTemplate {
-                // Half of each task's devices run on phones, so the slowed
-                // fleet actually stretches round times.
-                allocation: simdc_core::AllocationPolicy::FixedLogicalFraction(0.5),
-                ..base_template.clone()
-            },
-            fleet: FleetDynamics {
-                straggler_frac: 0.4,
-                straggler_slowdown: 2.5,
-                ..FleetDynamics::calm()
-            },
-            cluster: None,
-        },
-        Scenario {
-            name: "benchmark_outage".into(),
-            description: "benchmark-measuring tasks while local phones (the preferred \
-                          benchmark pool) keep crashing"
-                .into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Superpose(vec![
-                ArrivalProcess::Poisson { rate_per_min: 0.4 },
-                ArrivalProcess::Bursty {
-                    base_per_min: 0.1,
-                    burst_multiplier: 6.0,
-                    burst_every: mins(12),
-                    burst_len: mins(2),
-                },
-            ]),
-            template: TaskTemplate {
-                benchmark_phones: 1,
-                ..base_template
-            },
-            fleet: FleetDynamics {
-                mean_time_between_crashes: Some(mins(3)),
-                reboot_after: mins(4),
-                target_local: true,
-                ..FleetDynamics::calm()
-            },
-            cluster: None,
-        },
-        cloud_surge(),
-        budget_capped(),
-    ]
-}
-
-/// The million-phone scale scenario: superposed bursty arrivals of small,
-/// phone-heavy tasks over a fleet sized by the *platform config* (pair it
-/// with [`simdc_phone::FleetSpec::scaled_paper`] at 100k–1M phones — the
-/// scenario itself is fleet-size agnostic). Light churn and a straggler
-/// tail keep the availability index under continuous transition pressure;
-/// every task runs its devices on the phone cluster
-/// (`FixedLogicalFraction(0.0)`) and reserves one benchmark phone, so
-/// `select`, `available` and `effective_profile` all sit on the task-plan
-/// hot path. Low per-task bundle claims let ~50 tasks run concurrently.
-///
-/// The `scale` bench bin (`crates/bench`) drives this scenario and reports
-/// wall-clock throughput and events per second (`BENCH_scale.json`).
-#[must_use]
-pub fn mega_fleet() -> Scenario {
-    let mins = SimDuration::from_mins;
-    Scenario {
-        name: "mega_fleet".into(),
-        description: "100k–1M-phone fleet under superposed bursty arrivals of phone-heavy tasks"
-            .into(),
-        horizon: mins(30),
-        dispatch_interval: mins(1),
-        arrivals: ArrivalProcess::Superpose(vec![
-            ArrivalProcess::Poisson { rate_per_min: 12.0 },
-            ArrivalProcess::Bursty {
-                base_per_min: 2.0,
-                burst_multiplier: 10.0,
-                burst_every: mins(6),
-                burst_len: mins(1),
-            },
-        ]),
-        template: TaskTemplate {
-            rounds: (1, 1),
-            devices_per_grade: (4, 8),
-            benchmark_phones: 1,
-            allocation: simdc_core::AllocationPolicy::FixedLogicalFraction(0.0),
-            high: crate::GradeScheme {
-                unit_bundles: 4,
-                units_per_device: 8,
-                phones: 16,
-            },
-            low: crate::GradeScheme {
-                unit_bundles: 2,
-                units_per_device: 2,
-                phones: 12,
-            },
-            ..TaskTemplate::default()
-        },
-        fleet: FleetDynamics {
-            mean_time_between_crashes: Some(SimDuration::from_secs(45)),
-            reboot_after: mins(2),
-            straggler_frac: 0.05,
-            straggler_slowdown: 2.0,
-            ..FleetDynamics::calm()
-        },
-        cluster: None,
-    }
-}
-
-/// The elastic scale-out scenario: bursty arrivals of *logical-heavy*
-/// tasks (every device simulated on the cloud tier, large unit-bundle
-/// claims) against the default four-node pool. Each burst stacks more
-/// bundle demand than the booted capacity holds, so placement blocks,
-/// the autoscaler boots nodes, blocked tasks admit at the node-ready
-/// event — and the quiet stretches between bursts drain the surplus back
-/// toward the floor. The summary's [`CloudSummary::series`] is the Fig
-/// 8/9-style node-count-over-time story the elasticity bench plots.
-#[must_use]
-pub fn cloud_surge() -> Scenario {
-    let mins = SimDuration::from_mins;
-    Scenario {
-        name: "cloud_surge".into(),
-        description: "bursty logical-heavy arrivals force elastic scale-out, quiet \
-                      stretches scale back in"
-            .into(),
-        horizon: mins(30),
-        dispatch_interval: mins(1),
-        arrivals: ArrivalProcess::Bursty {
-            base_per_min: 0.2,
-            burst_multiplier: 14.0,
-            burst_every: mins(12),
-            burst_len: mins(2),
-        },
-        template: cloud_heavy_template(),
-        fleet: FleetDynamics::calm(),
-        cluster: None,
-    }
-}
-
-/// The cost-governed variant of [`cloud_surge`]: the same bursty
-/// logical-heavy traffic, but the autoscaler carries a spend-rate budget
-/// that affords six nodes — deep bursts queue behind the cap instead of
-/// scaling through it, trading wait time for cost. Node count in the
-/// emitted series never exceeds the budget cap.
-#[must_use]
-pub fn budget_capped() -> Scenario {
-    let mins = SimDuration::from_mins;
-    Scenario {
-        name: "budget_capped".into(),
-        description: "cloud_surge traffic under a 6-node hourly cost budget: queues \
-                      absorb what the budget refuses to boot"
-            .into(),
-        horizon: mins(30),
-        dispatch_interval: mins(1),
-        arrivals: ArrivalProcess::Bursty {
-            base_per_min: 0.2,
-            burst_multiplier: 14.0,
-            burst_every: mins(12),
-            burst_len: mins(2),
-        },
-        template: cloud_heavy_template(),
-        fleet: FleetDynamics::calm(),
-        cluster: Some(ClusterConfig {
-            autoscaler: AutoscalerConfig {
-                // Nodes cost 1.0/h (CostModel default): affords 6 nodes.
-                max_hourly_cost: Some(6.0),
-                ..AutoscalerConfig::default()
-            },
-            ..ClusterConfig::default()
-        }),
-    }
-}
-
-/// The task population of the elastic-tier scenarios: fully logical
-/// placement (`FixedLogicalFraction(1.0)` — no phone-cluster devices, so
-/// cloud capacity is the only bottleneck) with unit-bundle claims big
-/// enough that a burst outgrows the four initial nodes.
-fn cloud_heavy_template() -> TaskTemplate {
-    TaskTemplate {
-        rounds: (1, 2),
-        devices_per_grade: (16, 32),
-        benchmark_phones: 0,
-        allocation: simdc_core::AllocationPolicy::FixedLogicalFraction(1.0),
-        high: crate::GradeScheme {
-            unit_bundles: 64,
-            units_per_device: 8,
-            phones: 0,
-        },
-        low: crate::GradeScheme {
-            unit_bundles: 32,
-            units_per_device: 2,
-            phones: 0,
-        },
-        ..TaskTemplate::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{library, scenario_names, ScenarioSpec};
     use simdc_data::GeneratorConfig;
+    use simdc_phone::FleetSpec;
 
     fn dataset() -> Arc<CtrDataset> {
         Arc::new(CtrDataset::generate(&GeneratorConfig {
@@ -732,6 +461,21 @@ mod tests {
             seed: 55,
             ..GeneratorConfig::default()
         }))
+    }
+
+    /// A library scenario by name, re-seeded.
+    fn spec(name: &str, seed: u64) -> ScenarioSpec {
+        let mut spec = crate::scenario(name).unwrap();
+        spec.seed = seed;
+        spec
+    }
+
+    /// `mega_fleet` at test size: a 3-minute horizon over 1,500 phones.
+    fn small_mega_fleet(threads: usize) -> ScenarioSpec {
+        let mut spec = spec("mega_fleet", 21).with_horizon_scale(0.1);
+        spec.fleet = FleetSpec::scaled_paper(1_500);
+        spec.threads = threads;
+        spec
     }
 
     fn tiny(name: &str) -> Scenario {
@@ -846,15 +590,10 @@ mod tests {
 
     #[test]
     fn mega_fleet_is_byte_deterministic_over_a_scaled_fleet() {
-        let scenario = mega_fleet().scaled(0.1); // 3-minute horizon
-        scenario.validate().unwrap();
+        let scenario = small_mega_fleet(1).compile().unwrap();
         let data = dataset();
-        let config = || PlatformConfig {
-            fleet: simdc_phone::FleetSpec::scaled_paper(1_500),
-            ..PlatformConfig::default()
-        };
-        let a = scenario.run(config(), &data, 21);
-        let b = scenario.run(config(), &data, 21);
+        let a = scenario.run(&data);
+        let b = scenario.run(&data);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -873,15 +612,10 @@ mod tests {
     /// byte-identical summary JSON for every thread count.
     #[test]
     fn thread_count_never_changes_scenario_bytes() {
-        let scenario = mega_fleet().scaled(0.1);
         let data = dataset();
         let run = |threads: usize| {
-            let config = PlatformConfig {
-                fleet: simdc_phone::FleetSpec::scaled_paper(1_500),
-                threads,
-                ..PlatformConfig::default()
-            };
-            serde_json::to_string(&scenario.run(config, &data, 21)).unwrap()
+            let scenario = small_mega_fleet(threads).compile().unwrap();
+            serde_json::to_string(&scenario.run(&data)).unwrap()
         };
         let sequential = run(1);
         for threads in [2, 8] {
@@ -899,9 +633,8 @@ mod tests {
     /// capacity instead of failing.
     #[test]
     fn cloud_surge_scales_up_then_back_down_within_one_run() {
-        let scenario = cloud_surge();
         let data = dataset();
-        let summary = scenario.run(PlatformConfig::default(), &data, 5);
+        let summary = spec("cloud_surge", 5).compile().unwrap().run(&data);
         assert!(summary.submitted > 0, "{summary:?}");
         assert_eq!(
             summary.completed + summary.failed,
@@ -936,10 +669,10 @@ mod tests {
 
     #[test]
     fn cloud_surge_is_byte_deterministic() {
-        let scenario = cloud_surge();
+        let scenario = spec("cloud_surge", 42).compile().unwrap();
         let data = dataset();
-        let a = scenario.run(PlatformConfig::default(), &data, 42);
-        let b = scenario.run(PlatformConfig::default(), &data, 42);
+        let a = scenario.run(&data);
+        let b = scenario.run(&data);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -949,9 +682,11 @@ mod tests {
 
     #[test]
     fn budget_cap_bounds_node_count_in_the_series() {
-        let scenario = budget_capped();
         let data = dataset();
-        let (summary, platform) = scenario.run_detailed(PlatformConfig::default(), &data, 5);
+        let (summary, platform) = spec("budget_capped", 5)
+            .compile()
+            .unwrap()
+            .run_detailed(&data);
         assert!(summary.submitted > 0);
         // Cost reconciliation: the reported total equals billed
         // node-seconds × the hourly rate within one float rounding step —
@@ -978,7 +713,7 @@ mod tests {
         assert_eq!(summary.cloud.peak_nodes.max(6), 6, "{:?}", summary.cloud);
         // The capped pool pays with queueing: the same traffic waits at
         // least as long as under the uncapped autoscaler.
-        let uncapped = cloud_surge().run(PlatformConfig::default(), &data, 5);
+        let uncapped = spec("cloud_surge", 5).compile().unwrap().run(&data);
         assert!(
             summary.mean_wait_secs >= uncapped.mean_wait_secs,
             "cap {} vs uncapped {}",
@@ -989,18 +724,41 @@ mod tests {
 
     #[test]
     fn library_scenarios_validate() {
-        let lib = library();
-        assert_eq!(lib.len(), 8);
-        let mut names = std::collections::BTreeSet::new();
-        for scenario in &lib {
-            scenario.validate().unwrap();
-            assert!(names.insert(scenario.name.clone()), "duplicate name");
+        let names: Vec<&str> = scenario_names().collect();
+        assert_eq!(names.len(), 9);
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate name");
+        for name in &names {
+            let spec = crate::scenario(name).unwrap();
+            assert_eq!(spec.name, *name, "file stem and spec name must agree");
+            spec.compile().unwrap();
         }
+        // The suite is the first eight, in order; `mega_fleet` is by-name
+        // only and sized for the scale bench's default fleet.
+        let lib = library();
+        assert_eq!(
+            lib.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
+            names[..8]
+        );
+        assert_eq!(names[8], "mega_fleet");
+        assert_eq!(
+            crate::scenario("mega_fleet").unwrap().fleet,
+            FleetSpec::scaled_paper(100_000)
+        );
+        assert_eq!(
+            crate::scenario("steady").unwrap_err().to_string(),
+            format!(
+                "invalid configuration: unknown scenario `steady` (known: {})",
+                names.join(", ")
+            )
+        );
     }
 
     #[test]
     fn scaled_shrinks_horizon() {
-        let scenario = tiny("scaling").scaled(0.5);
-        assert_eq!(scenario.horizon, SimDuration::from_mins(3));
+        let mut spec = spec("steady_poisson", 7);
+        spec.horizon = SimDuration::from_mins(6);
+        let compiled = spec.with_horizon_scale(0.5).compile().unwrap();
+        assert_eq!(compiled.scenario.horizon, SimDuration::from_mins(3));
     }
 }

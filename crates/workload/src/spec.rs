@@ -2,20 +2,20 @@
 //! compiler to runnable [`CompiledScenario`]s, and the greedy [`shrink`]er
 //! the fuzz harness minimizes failing specs with.
 //!
-//! All eight library scenarios ([`crate::library`]) are committed as JSON
-//! fixtures under `fixtures/scenarios/` at the repository root; the
-//! fixture tests assert each one compiles to a summary byte-identical to
-//! its legacy Rust constructor. The spec grammar is exactly the struct
-//! tree below — arrival mixes compose as [`ArrivalProcess`] trees,
-//! fleet composition rides [`FleetSpec`], injector schedules ride
-//! [`FleetDynamics`], and the elastic tier rides an optional
-//! [`ClusterConfig`] override.
+//! Every named scenario is a spec committed as JSON under `fixtures/` at
+//! the repository root and embedded by [`crate::scenario()`] /
+//! [`crate::library()`]; the files are the only definition, and
+//! `tests/byte_identity.rs` pins a digest of each one's run summary. The
+//! spec grammar is exactly the struct tree below — arrival mixes compose
+//! as [`ArrivalProcess`] trees, fleet composition rides [`FleetSpec`],
+//! injector schedules ride [`FleetDynamics`], and the elastic tier rides
+//! an optional [`ClusterConfig`] override.
 //!
 //! # Compiler guarantees
 //!
 //! * **Byte-identity** — `compile` introduces no stochastic choice of its
 //!   own: the compiled scenario replays through the same engine as a
-//!   hand-written [`Scenario`], so spec + seed ⇒ byte-identical
+//!   [`Scenario`] built field by field, so spec + seed ⇒ byte-identical
 //!   [`ScenarioSummary`] JSON, for every worker-thread count.
 //! * **Typed rejection** — [`ScenarioSpec::from_json_str`] never panics
 //!   on malformed input: parse errors and unknown enum variants surface
@@ -30,16 +30,17 @@
 //! # Examples
 //!
 //! ```
-//! use simdc_phone::FleetSpec;
-//! use simdc_workload::{library, ScenarioSpec};
+//! use simdc_workload::{scenario, ScenarioSpec};
 //!
-//! let scenario = &library()[0];
-//! let spec = ScenarioSpec::from_scenario(scenario, FleetSpec::paper_default(), 7, 1);
+//! // Load a committed spec, turn its knobs, compile.
+//! let mut spec = scenario("flash_crowd").unwrap().with_horizon_scale(0.5);
+//! spec.seed = 7;
+//! let compiled = spec.compile().unwrap();
+//! assert_eq!(compiled.config.seed, 7);
+//! assert_eq!(compiled.scenario.horizon, spec.horizon);
 //! // JSON round trip is lossless and loads back through the validator.
 //! let reloaded = ScenarioSpec::from_json_str(&spec.to_json_string_pretty()).unwrap();
 //! assert_eq!(reloaded, spec);
-//! // The compiler reproduces the hand-written scenario exactly.
-//! assert_eq!(reloaded.compile().unwrap().scenario, *scenario);
 //! ```
 
 use std::sync::Arc;
@@ -96,26 +97,6 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Builds the spec equivalent of a hand-written [`Scenario`] plus the
-    /// platform-side knobs a run needs (the legacy constructors carry
-    /// only the scenario half).
-    #[must_use]
-    pub fn from_scenario(scenario: &Scenario, fleet: FleetSpec, seed: u64, threads: usize) -> Self {
-        ScenarioSpec {
-            name: scenario.name.clone(),
-            description: scenario.description.clone(),
-            horizon: scenario.horizon,
-            dispatch_interval: scenario.dispatch_interval,
-            arrivals: scenario.arrivals.clone(),
-            template: scenario.template.clone(),
-            fleet_dynamics: scenario.fleet,
-            cluster: scenario.cluster.clone(),
-            fleet,
-            seed,
-            threads,
-        }
-    }
-
     /// The scenario half of the spec (no validation — use
     /// [`ScenarioSpec::compile`] for the checked path).
     #[must_use]
@@ -134,7 +115,7 @@ impl ScenarioSpec {
 
     /// Validates the spec: the scenario half (name, horizon, arrival
     /// tree, template, injectors, cluster override) plus the
-    /// platform-side knobs the legacy constructors never carried.
+    /// platform-side knobs (fleet composition, thread count).
     ///
     /// # Errors
     ///
@@ -223,8 +204,8 @@ impl ScenarioSpec {
         self
     }
 
-    /// Returns a copy with the horizon scaled by `factor` (mirrors
-    /// [`Scenario::scaled`] for quick-profile sweeps).
+    /// Returns a copy with the horizon scaled by `factor` (quick-profile
+    /// runs shrink scenarios this way).
     ///
     /// # Panics
     ///
@@ -458,29 +439,32 @@ fn shrink_arrivals(process: &ArrivalProcess) -> Vec<ArrivalProcess> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library;
+    use crate::{library, scenario};
 
     fn steady_spec() -> ScenarioSpec {
-        ScenarioSpec::from_scenario(&library()[0], FleetSpec::paper_default(), 7, 1)
+        let mut spec = scenario("steady_poisson").unwrap();
+        spec.seed = 7;
+        spec
     }
 
     #[test]
     fn json_round_trip_is_lossless_for_every_library_scenario() {
-        for scenario in library() {
-            let spec = ScenarioSpec::from_scenario(&scenario, FleetSpec::paper_default(), 7, 1);
+        for spec in library() {
             let reloaded = ScenarioSpec::from_json_str(&spec.to_json_string_pretty()).unwrap();
-            assert_eq!(reloaded, spec, "{}", scenario.name);
-            assert_eq!(reloaded.to_scenario(), scenario, "{}", scenario.name);
+            assert_eq!(reloaded, spec, "{}", spec.name);
         }
     }
 
     #[test]
     fn compile_reproduces_the_scenario_and_platform_knobs() {
-        let spec = steady_spec();
+        let mut spec = steady_spec();
+        spec.threads = 3;
         let compiled = spec.compile().unwrap();
-        assert_eq!(compiled.scenario, library()[0]);
+        assert_eq!(compiled.scenario, spec.to_scenario());
+        assert_eq!(compiled.scenario.name, "steady_poisson");
+        assert_eq!(compiled.scenario.fleet, spec.fleet_dynamics);
         assert_eq!(compiled.config.seed, 7);
-        assert_eq!(compiled.config.threads, 1);
+        assert_eq!(compiled.config.threads, 3);
         assert_eq!(compiled.config.fleet, FleetSpec::paper_default());
     }
 
@@ -530,12 +514,8 @@ mod tests {
     fn shrink_converges_to_a_minimal_failing_spec() {
         // "Fails whenever any arrivals exist at all" — the shrinker must
         // walk everything else down to its floor without losing failure.
-        let spec = ScenarioSpec::from_scenario(
-            &crate::scenario::mega_fleet(),
-            FleetSpec::paper_default(),
-            7,
-            4,
-        );
+        let mut spec = scenario("mega_fleet").unwrap();
+        spec.threads = 4;
         let minimal = shrink(&spec, |s| s.arrivals.peak_rate_per_min() > 0.0);
         assert!(minimal.horizon <= SimDuration::from_mins(1));
         assert!(matches!(minimal.arrivals, ArrivalProcess::Poisson { .. }));

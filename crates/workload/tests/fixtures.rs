@@ -1,121 +1,58 @@
-//! The scenario-fixture contract: all eight library scenarios live as
-//! committed JSON specs under `fixtures/scenarios/` at the repository
-//! root, and each fixture compiles to a run summary byte-identical to its
-//! legacy Rust constructor (kept for one release as the oracle).
+//! The scenario-fixture contract: every spec committed under
+//! `fixtures/scenarios/` (the library) and `fixtures/scale/` (`mega_fleet`)
+//! at the repository root is embedded in the crate, loads through the
+//! strict loader, and is in canonical form — re-serializing the loaded
+//! spec reproduces the file byte for byte, so the JSON schema (field
+//! names, order, value encoding) cannot drift without a reviewed diff.
 //!
-//! Regenerate after an intentional schema or library change with
-//! `SIMDC_WRITE_FIXTURES=1 cargo test -p simdc-workload --test fixtures`
-//! — the sync test then fails until the rewritten fixtures are committed,
-//! so drift is always a reviewed diff.
+//! The fixtures are the only definition of each scenario; what their
+//! numbers *do* is pinned by the per-fixture digests in
+//! `byte_identity.rs`.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use simdc_data::{CtrDataset, GeneratorConfig};
-use simdc_phone::FleetSpec;
-use simdc_workload::{library, ScenarioSpec};
+use simdc_workload::{scenario_names, ScenarioSpec};
 
-/// The seed every fixture carries (the workspace's default platform
-/// seed); tests that want another seed override the field after loading.
-const FIXTURE_SEED: u64 = 0x51AD_C0DE;
-
-fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/scenarios")
+/// The spec files under `fixtures/<dir>/`, sorted.
+fn committed(dir: &str) -> Vec<PathBuf> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../fixtures")
+        .join(dir);
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{} unreadable: {e}", dir.display()))
+        .map(|entry| entry.expect("readable entry").path())
+        // The summary JSON-schema golden shares the scenarios directory.
+        .filter(|path| !path.to_string_lossy().ends_with(".schema.json"))
+        .collect();
+    paths.sort();
+    paths
 }
 
-fn fixture_path(name: &str) -> PathBuf {
-    fixture_dir().join(format!("{name}.json"))
-}
-
-fn canonical_fixture(scenario: &simdc_workload::Scenario) -> (PathBuf, String) {
-    let spec = ScenarioSpec::from_scenario(scenario, FleetSpec::paper_default(), FIXTURE_SEED, 1);
-    let mut json = spec.to_json_string_pretty();
-    json.push('\n');
-    (fixture_path(&scenario.name), json)
-}
-
-fn dataset() -> Arc<CtrDataset> {
-    Arc::new(CtrDataset::generate(&GeneratorConfig {
-        n_devices: 40,
-        n_test_devices: 8,
-        mean_records_per_device: 15.0,
-        feature_dim: 1 << 12,
-        seed: 55,
-        ..GeneratorConfig::default()
-    }))
-}
-
-/// Every committed fixture is byte-identical to the canonical
-/// serialization of its legacy constructor — the JSON schema (field
-/// names, order, value encoding) cannot drift without a reviewed diff.
 #[test]
-fn fixtures_stay_in_sync_with_the_legacy_constructors() {
-    let write = std::env::var_os("SIMDC_WRITE_FIXTURES").is_some();
-    for scenario in library() {
-        let (path, expected) = canonical_fixture(&scenario);
-        if write {
-            std::fs::write(&path, &expected).expect("write fixture");
-        }
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
+fn every_committed_fixture_is_embedded_and_canonical() {
+    let (library, scale) = (committed("scenarios"), committed("scale"));
+    assert_eq!((library.len(), scale.len()), (8, 1));
+
+    let stem = |path: &PathBuf| path.file_stem().unwrap().to_string_lossy().into_owned();
+    let mut on_disk: Vec<String> = library.iter().chain(&scale).map(stem).collect();
+    let mut embedded: Vec<&str> = scenario_names().collect();
+    on_disk.sort();
+    embedded.sort_unstable();
+    assert_eq!(on_disk, embedded, "fixture files vs embedded names");
+
+    for path in library.iter().chain(&scale) {
+        let text = std::fs::read_to_string(path).expect("fixture readable");
+        let spec = ScenarioSpec::from_json_str(&text).unwrap_or_else(|e| {
+            panic!(
+                "{} must load through the strict loader: {e}",
+                path.display()
+            )
+        });
         assert_eq!(
-            committed,
-            expected,
-            "fixture {} drifted from the legacy constructor; regenerate with \
-             SIMDC_WRITE_FIXTURES=1 and review the diff",
+            spec.to_json_string_pretty() + "\n",
+            text,
+            "{} is not in canonical form",
             path.display()
-        );
-    }
-}
-
-/// Each fixture loads through the strict loader, validates, and compiles
-/// to exactly the scenario the legacy constructor builds.
-#[test]
-fn fixtures_compile_to_the_legacy_scenarios() {
-    let scenarios = library();
-    assert_eq!(scenarios.len(), 8, "fixture set tracks the library");
-    for scenario in &scenarios {
-        let text = std::fs::read_to_string(fixture_path(&scenario.name)).expect("fixture exists");
-        let spec = ScenarioSpec::from_json_str(&text).expect("fixture loads cleanly");
-        let compiled = spec.compile().expect("fixture compiles");
-        assert_eq!(
-            compiled.scenario, *scenario,
-            "compiled {} diverges from its constructor",
-            scenario.name
-        );
-        assert_eq!(compiled.config.seed, FIXTURE_SEED);
-        assert_eq!(compiled.config.fleet, FleetSpec::paper_default());
-    }
-}
-
-/// The byte-identity oracle: running a fixture-compiled scenario produces
-/// summary JSON byte-identical to running the legacy constructor with the
-/// same platform knobs. (Both sides shrink their horizon the same way to
-/// keep the test fast; the compiler is horizon-agnostic.)
-#[test]
-fn fixture_runs_are_byte_identical_to_constructor_runs() {
-    let data = dataset();
-    for scenario in library() {
-        let text = std::fs::read_to_string(fixture_path(&scenario.name)).expect("fixture exists");
-        let spec = ScenarioSpec::from_json_str(&text).expect("fixture loads cleanly");
-        let compiled = spec.with_horizon_scale(0.25).compile().unwrap();
-        let from_fixture = compiled.run(&data);
-
-        let legacy = scenario.scaled(0.25).run(
-            simdc_core::PlatformConfig {
-                fleet: FleetSpec::paper_default(),
-                seed: FIXTURE_SEED,
-                threads: 1,
-                ..simdc_core::PlatformConfig::default()
-            },
-            &data,
-            FIXTURE_SEED,
-        );
-        assert_eq!(
-            serde_json::to_string(&from_fixture).unwrap(),
-            serde_json::to_string(&legacy).unwrap(),
-            "fixture-compiled {} diverged from the legacy constructor run",
-            from_fixture.scenario
         );
     }
 }

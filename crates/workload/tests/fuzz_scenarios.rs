@@ -25,9 +25,7 @@ use proptest::{BoxedStrategy, Just, TestRng};
 use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_phone::FleetSpec;
 use simdc_types::{PerGrade, SimDuration};
-use simdc_workload::{
-    budget_capped, shrink, ArrivalProcess, FleetDynamics, ScenarioSpec, TaskTemplate,
-};
+use simdc_workload::{scenario, shrink, ArrivalProcess, FleetDynamics, ScenarioSpec, TaskTemplate};
 
 /// Accepted random specs per fuzz run (the PR's floor is 64).
 const CASES: usize = 64;
@@ -106,7 +104,8 @@ fn fleet_dynamics() -> BoxedStrategy<FleetDynamics> {
 /// Bounded random specs: short horizons, small fleets, optionally the
 /// budget-capped library cluster so the billing oracle sees real cost.
 fn specs() -> BoxedStrategy<ScenarioSpec> {
-    let cluster = prop_oneof![Just(None), Just(budget_capped().cluster),];
+    let budget_capped = scenario("budget_capped").unwrap().cluster;
+    let cluster = prop_oneof![Just(None), Just(budget_capped),];
     (
         (2u64..5),
         arrivals(),
@@ -216,12 +215,9 @@ fn injected_terminal_clobber_is_caught_and_shrunk() {
     // threads — everything the shrinker should strip. The base rates
     // stay high enough that every simplification still submits tasks,
     // so the clobber fault has terminal states to collide with.
-    let mut original = ScenarioSpec::from_scenario(
-        &simdc_workload::budget_capped(),
-        FleetSpec::paper_default(),
-        0xFA_17,
-        2,
-    );
+    let mut original = scenario("budget_capped").unwrap();
+    original.seed = 0xFA_17;
+    original.threads = 2;
     original.arrivals = ArrivalProcess::Superpose(vec![
         ArrivalProcess::Bursty {
             base_per_min: 3.0,
