@@ -1,14 +1,16 @@
-//! `simlint.toml`: the reviewed-exception surface of the linter.
+//! `simlint.toml`: the policy surface of the linter.
 //!
-//! Every rule can be relaxed here — and *only* here, so an intentional
-//! exception is a diffable, reviewable line instead of an inline
-//! attribute scattered through the tree. The format is a small TOML
-//! subset (tables, strings, booleans, string arrays, `#` comments),
+//! Each rule's scope — the files that own task-state assignment, the
+//! lease pairing points, the worker entry points and their reviewed
+//! prunes, the sink lists — is declared here, so a policy change is a
+//! diffable, reviewable line. (Single-site waivers are inline
+//! `simlint::allow` comments, see [`crate::suppress`].) The format is a
+//! small TOML subset (tables, strings, string arrays, `#` comments),
 //! parsed by hand because the linter must not depend on the crates it
 //! audits (and the workspace deliberately vendors no TOML parser).
 //!
-//! Unknown keys are hard errors: a typoed allowlist entry that silently
-//! parses is an allowlist that silently does nothing.
+//! Unknown keys are hard errors: a typoed list that silently parses is
+//! a list that silently does nothing.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -28,7 +30,6 @@ impl fmt::Display for ConfigError {
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
     Str(String),
-    Bool(bool),
     List(Vec<String>),
 }
 
@@ -36,17 +37,6 @@ enum Value {
 /// setting — everything the workspace relaxes is in its `simlint.toml`.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Workspace-relative path prefixes treated as measurement harness:
-    /// rule D2 (wall-clock / ambient entropy) does not apply there,
-    /// because wall timings are those crates' product.
-    pub harness: Vec<String>,
-    /// Per-rule file allowlists, keyed by rule slug (e.g.
-    /// `hash-collections`). Entries are workspace-relative paths.
-    pub allow: BTreeMap<String, Vec<String>>,
-    /// Whether `.expect("…")` is acceptable in library code. The
-    /// workspace sets this to `true`: an expect message documents the
-    /// invariant whose violation panics. Bare `.unwrap()` stays banned.
-    pub allow_expect: bool,
     /// Receiver identifiers whose `.freeze(..)` / `.release(..)` calls
     /// are lease operations (rule D3), as opposed to e.g.
     /// `BytesMut::freeze`.
@@ -58,9 +48,9 @@ pub struct Config {
     /// Files allowed to call lease freeze/release: the plan/commit
     /// pairing points.
     pub lease_callers: Vec<String>,
-    /// Worker entry points for the P-rules (`Type::method`,
-    /// `file.rs::name` or bare-name specs). Empty means the purity
-    /// analysis is off — the workspace opts in via `simlint.toml`.
+    /// Worker entry points the P- and T-rules walk from (`Type::method`,
+    /// `file.rs::name` or bare-name specs). Empty means both analyses
+    /// are off — the workspace opts in via `simlint.toml`.
     pub purity_entries: Vec<String>,
     /// Functions pruned from the reachability walk: the reviewed escape
     /// hatch for call-graph over-approximation.
@@ -70,8 +60,6 @@ pub struct Config {
     pub mutation_sinks: Vec<String>,
     /// Interior-mutability type patterns for P2.
     pub interior_mutability: Vec<String>,
-    /// Unordered-collection type patterns for P3.
-    pub unordered_state: Vec<String>,
     /// Fan-out call names policed by P4 (e.g. `run_batch`).
     pub spawners: Vec<String>,
     /// Files allowed to call the spawners: the registered parallel
@@ -84,13 +72,6 @@ pub struct Config {
     /// (so unrelated `state` fields — RNG internals, node lifecycles —
     /// are not dragged in).
     pub state_guard: String,
-    /// Entry points for the T-rules (`[rules.determinism-taint]
-    /// entries`). Empty means the taint analysis is off — the workspace
-    /// opts in via `simlint.toml`, same as the P-rules.
-    pub taint_entries: Vec<String>,
-    /// Functions pruned from the taint reachability walk: the reviewed
-    /// escape hatch for call-graph over-approximation.
-    pub taint_exempt: Vec<String>,
     /// Type heads whose values *are* rng streams: seeds the `STREAM`
     /// taint bit, and any method on such a receiver counts as a draw
     /// unless listed in [`Config::fork_methods`].
@@ -116,9 +97,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            harness: Vec::new(),
-            allow: BTreeMap::new(),
-            allow_expect: false,
             lease_receivers: vec!["rm".into()],
             lease_types: vec!["ResourceManager".into()],
             lease_callers: Vec::new(),
@@ -136,13 +114,10 @@ impl Default for Config {
                 "LazyLock".into(),
                 "Atomic*".into(),
             ],
-            unordered_state: vec!["HashMap".into(), "HashSet".into()],
             spawners: Vec::new(),
             spawner_sites: Vec::new(),
             state_owners: Vec::new(),
             state_guard: "TaskState".into(),
-            taint_entries: Vec::new(),
-            taint_exempt: Vec::new(),
             stream_types: vec!["RngStream".into(), "SplitMix64".into()],
             fork_methods: vec!["fork".into(), "clone".into()],
             seed_args: vec!["derive_seed:0".into(), "RngStream::named:0".into()],
@@ -164,10 +139,6 @@ impl Config {
         let mut config = Config::default();
         for (key, value) in values {
             match key.as_str() {
-                "workspace.harness" => config.harness = expect_list(&key, value)?,
-                "rules.unwrap-in-lib.allow_expect" => {
-                    config.allow_expect = expect_bool(&key, value)?;
-                }
                 "rules.freeze-release.receivers" => {
                     config.lease_receivers = expect_list(&key, value)?;
                 }
@@ -189,9 +160,6 @@ impl Config {
                 "rules.worker-purity.interior_mutability" => {
                     config.interior_mutability = expect_list(&key, value)?;
                 }
-                "rules.worker-purity.unordered_state" => {
-                    config.unordered_state = expect_list(&key, value)?;
-                }
                 "rules.worker-purity.spawners" => {
                     config.spawners = expect_list(&key, value)?;
                 }
@@ -200,12 +168,6 @@ impl Config {
                 }
                 "rules.task-state.owners" => config.state_owners = expect_list(&key, value)?,
                 "rules.task-state.guard" => config.state_guard = expect_str(&key, value)?,
-                "rules.determinism-taint.entries" => {
-                    config.taint_entries = expect_list(&key, value)?;
-                }
-                "rules.determinism-taint.exempt" => {
-                    config.taint_exempt = expect_list(&key, value)?;
-                }
                 "rules.determinism-taint.stream_types" => {
                     config.stream_types = expect_list(&key, value)?;
                 }
@@ -224,18 +186,7 @@ impl Config {
                 "rules.determinism-taint.tainted_fields" => {
                     config.tainted_fields = expect_list(&key, value)?;
                 }
-                _ => {
-                    if let Some(rule) = key
-                        .strip_prefix("rules.")
-                        .and_then(|r| r.strip_suffix(".allow"))
-                    {
-                        config
-                            .allow
-                            .insert(rule.to_string(), expect_list(&key, value)?);
-                    } else {
-                        return Err(ConfigError(format!("unknown key `{key}`")));
-                    }
-                }
+                _ => return Err(ConfigError(format!("unknown key `{key}`"))),
             }
         }
         Ok(config)
@@ -254,37 +205,12 @@ impl Config {
             Err(e) => Err(ConfigError(format!("unreadable: {e}"))),
         }
     }
-
-    /// Whether `path` (workspace-relative, `/`-separated) is allowlisted
-    /// for `rule`.
-    pub fn is_allowed(&self, rule: &str, path: &str) -> bool {
-        self.allow
-            .get(rule)
-            .is_some_and(|files| files.iter().any(|f| f == path))
-    }
-
-    /// Whether `path` lies under a harness prefix.
-    pub fn is_harness(&self, path: &str) -> bool {
-        self.harness.iter().any(|p| {
-            path == p
-                || path
-                    .strip_prefix(p.as_str())
-                    .is_some_and(|r| r.starts_with('/'))
-        })
-    }
 }
 
 fn expect_list(key: &str, value: Value) -> Result<Vec<String>, ConfigError> {
     match value {
         Value::List(v) => Ok(v),
         _ => Err(ConfigError(format!("`{key}` must be a string array"))),
-    }
-}
-
-fn expect_bool(key: &str, value: Value) -> Result<bool, ConfigError> {
-    match value {
-        Value::Bool(b) => Ok(b),
-        _ => Err(ConfigError(format!("`{key}` must be a boolean"))),
     }
 }
 
@@ -354,12 +280,6 @@ fn strip_comment(line: &str) -> &str {
 }
 
 fn parse_value(text: &str) -> Result<Value, String> {
-    if text == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if text == "false" {
-        return Ok(Value::Bool(false));
-    }
     if let Some(inner) = text.strip_prefix('"') {
         let s = inner
             .strip_suffix('"')
@@ -398,18 +318,6 @@ mod tests {
         let cfg = Config::parse(
             r##"
 # comment
-[workspace]
-harness = ["crates/bench"]
-
-[rules.hash-collections]
-allow = [
-    "crates/a/src/x.rs", # reviewed: order never escapes
-    "crates/b/src/y.rs",
-]
-
-[rules.unwrap-in-lib]
-allow_expect = true
-
 [rules.freeze-release]
 receivers = ["rm"]
 callers = ["crates/core/src/platform.rs"]
@@ -417,22 +325,35 @@ callers = ["crates/core/src/platform.rs"]
 [rules.task-state]
 owners = ["crates/core/src/queue.rs"]
 guard = "TaskState"
+
+[rules.worker-purity]
+entries = [
+    "Worker::build", # reviewed: the parallel region's root
+    "crates/a/src/x.rs::compute",
+]
 "##,
         )
         .expect("parses");
-        assert!(cfg.is_harness("crates/bench/src/lib.rs"));
-        assert!(!cfg.is_harness("crates/benchmark/src/lib.rs"));
-        assert!(cfg.is_allowed("hash-collections", "crates/a/src/x.rs"));
-        assert!(!cfg.is_allowed("hash-collections", "crates/c/src/z.rs"));
-        assert!(cfg.allow_expect);
         assert_eq!(cfg.lease_callers, vec!["crates/core/src/platform.rs"]);
         assert_eq!(cfg.state_owners, vec!["crates/core/src/queue.rs"]);
+        assert_eq!(
+            cfg.purity_entries,
+            vec!["Worker::build", "crates/a/src/x.rs::compute"]
+        );
     }
 
     #[test]
     fn unknown_keys_are_rejected() {
-        let err = Config::parse("[rules.hash-collections]\nallowed = []").unwrap_err();
-        assert!(err.0.contains("unknown key"), "{err}");
+        // A typo, and the keys whose rules moved to clippy.toml.
+        for doc in [
+            "[rules.task-state]\nowner = []",
+            "[workspace]\nharness = []",
+            "[rules.hash-collections]\nallow = []",
+            "[rules.determinism-taint]\nentries = []",
+        ] {
+            let err = Config::parse(doc).unwrap_err();
+            assert!(err.0.contains("unknown key"), "{doc}: {err}");
+        }
     }
 
     #[test]
@@ -446,14 +367,14 @@ guard = "TaskState"
     #[test]
     fn empty_and_missing_config_are_strict_defaults() {
         let cfg = Config::parse("").expect("empty parses");
-        assert!(!cfg.allow_expect);
-        assert!(cfg.harness.is_empty());
+        assert!(cfg.purity_entries.is_empty());
+        assert!(cfg.lease_callers.is_empty());
         assert_eq!(cfg.lease_receivers, vec!["rm"]);
     }
 
     #[test]
     fn duplicate_keys_are_rejected() {
-        let err = Config::parse("[workspace]\nharness = []\nharness = []").unwrap_err();
+        let err = Config::parse("[rules.task-state]\nowners = []\nowners = []").unwrap_err();
         assert!(err.0.contains("duplicate"), "{err}");
     }
 }

@@ -11,14 +11,10 @@
 //! * **returns** — `return expr;` statements plus the tail expression,
 //!   so per-function summaries can say "this function's result carries
 //!   its inputs' taint";
-//! * **loops** — `for pat in head { body }` spans, so the
-//!   unordered-float-reduction rule can ask "is this accumulation inside
-//!   iteration whose order is not provably deterministic?";
 //! * **call arguments** — per-argument sources and constant-string
 //!   detection (the T1 label analysis needs to know that
 //!   `RngStream::named(seed, "task/a")` has a *constant* label while
-//!   `named(seed, &label)` does not), and `::<f64>` turbofish heads (the
-//!   float evidence for `.sum::<f64>()`).
+//!   `named(seed, &label)` does not).
 //!
 //! Everything stays nominal and flow-insensitive: sources are joined,
 //! never killed, so the downstream taint fixpoint is monotone and its
@@ -27,8 +23,8 @@
 
 use crate::lexer::{TokKind, Token};
 use crate::parser::{
-    ctor_type_head, match_brace, match_paren, method_callee, path_callee, read_type_head,
-    skip_angles, CallSite, Callee, FnDef, KEYWORDS,
+    ctor_type_head, match_paren, method_callee, path_callee, read_type_head, skip_angles, CallSite,
+    Callee, FnDef, KEYWORDS,
 };
 
 /// The sources feeding a value: variable reads (with `self.field`
@@ -71,21 +67,7 @@ pub enum FlowTarget {
     },
 }
 
-/// A `for pat in head { body }` loop.
-#[derive(Debug)]
-pub struct LoopSpan {
-    /// What the iteration head reads.
-    pub head: Sources,
-    /// Token-index range of the body (exclusive end), for containment
-    /// tests against [`Flow::tok`] and [`CallSite::tok`].
-    pub body: (usize, usize),
-    /// 1-based line of the `for`.
-    pub line: u32,
-    /// 1-based column of the `for`.
-    pub col: u32,
-}
-
-/// Extracts calls, locals, flows, returns and loops from a function body
+/// Extracts calls, locals, flows and returns from a function body
 /// (`tokens[start..end]`, the tokens between the body braces).
 pub(crate) fn extract_body(tokens: &[Token], start: usize, end: usize, def: &mut FnDef) {
     // Local type environment: params seed it, `let` bindings extend it.
@@ -96,7 +78,6 @@ pub(crate) fn extract_body(tokens: &[Token], start: usize, end: usize, def: &mut
     let mut flow_spans: Vec<(usize, usize)> = Vec::new();
     let mut ret_spans: Vec<(usize, usize)> = Vec::new();
     let mut arg_spans: Vec<Vec<(usize, usize)>> = Vec::new();
-    let mut loop_head_spans: Vec<(usize, usize)> = Vec::new();
     // `=` tokens already consumed by a `let` statement.
     let mut let_eqs: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
 
@@ -140,11 +121,9 @@ pub(crate) fn extract_body(tokens: &[Token], start: usize, end: usize, def: &mut
                         }
                         def.flows.push(Flow {
                             target: FlowTarget::Var(name),
-                            compound: false,
                             src: scan_sources(tokens, eq + 1, semi),
                             line: tokens[j].line,
                             col: tokens[j].col,
-                            tok: j,
                         });
                         flow_spans.push((eq + 1, semi));
                     }
@@ -160,23 +139,6 @@ pub(crate) fn extract_body(tokens: &[Token], start: usize, end: usize, def: &mut
             if i + 1 < semi {
                 def.rets.push(scan_sources(tokens, i + 1, semi));
                 ret_spans.push((i + 1, semi));
-            }
-            i += 1;
-            continue;
-        }
-
-        // `for pat in head { body }` (not the `for<'a>` binder form,
-        // whose next token is `<`).
-        if t.is_ident("for") && !tokens.get(i + 1).is_some_and(|n| n.is_punct("<")) {
-            if let Some((in_idx, open)) = for_loop_shape(tokens, i, end) {
-                let close = match_brace(tokens, open, end);
-                def.loops.push(LoopSpan {
-                    head: scan_sources(tokens, in_idx + 1, open),
-                    body: (open + 1, close),
-                    line: t.line,
-                    col: t.col,
-                });
-                loop_head_spans.push((in_idx + 1, open));
             }
             i += 1;
             continue;
@@ -206,11 +168,9 @@ pub(crate) fn extract_body(tokens: &[Token], start: usize, end: usize, def: &mut
                         let at = if compound { i - 1 } else { i };
                         def.flows.push(Flow {
                             target,
-                            compound,
                             src: scan_sources(tokens, i + 1, semi),
                             line: tokens[at].line,
                             col: tokens[at].col,
-                            tok: at,
                         });
                         flow_spans.push((i + 1, semi));
                     }
@@ -223,33 +183,23 @@ pub(crate) fn extract_body(tokens: &[Token], start: usize, end: usize, def: &mut
         // A call: identifier followed by `(` (optionally via a
         // `::<T>` turbofish), not preceded by `fn` or a macro bang.
         if t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text.as_str()) {
-            let (open, turbofish) = if tokens.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-                (Some(i + 1), None)
+            let open = if tokens.get(i + 1).is_some_and(|n| n.is_punct("(")) {
+                Some(i + 1)
             } else if tokens.get(i + 1).is_some_and(|n| n.is_punct("::"))
                 && tokens.get(i + 2).is_some_and(|n| n.is_punct("<"))
             {
                 let past = skip_angles(tokens, i + 2, end);
-                if past < end && tokens[past].is_punct("(") {
-                    let (head, _) = read_type_head(tokens, i + 3, past.saturating_sub(1));
-                    (Some(past), head)
-                } else {
-                    (None, None)
-                }
+                (past < end && tokens[past].is_punct("(")).then_some(past)
             } else {
-                (None, None)
+                None
             };
             if let Some(open) = open {
                 let prev = i.checked_sub(1).map(|p| &tokens[p]);
                 let callee = match prev {
                     Some(p) if p.is_punct(".") => Some(method_callee(tokens, i)),
-                    Some(p) if p.is_punct("::") && turbofish.is_none() => {
-                        Some(path_callee(tokens, i))
-                    }
-                    Some(p) if p.is_punct("::") => {
-                        // `Type::parse::<T>(..)`: the `::` before the name
-                        // belongs to the path, not the turbofish.
-                        Some(path_callee(tokens, i))
-                    }
+                    // Also `Type::parse::<T>(..)`: the `::` before the
+                    // name belongs to the path, not the turbofish.
+                    Some(p) if p.is_punct("::") => Some(path_callee(tokens, i)),
                     Some(p) if p.is_ident("fn") => None,
                     Some(p) if p.is_punct("!") => None, // macro bang — not a call
                     _ => Some(Callee::Free(t.text.clone())),
@@ -267,7 +217,6 @@ pub(crate) fn extract_body(tokens: &[Token], start: usize, end: usize, def: &mut
                         callee,
                         tok: i,
                         args,
-                        turbofish,
                         base,
                     });
                     arg_spans.push(spans);
@@ -318,9 +267,6 @@ pub(crate) fn extract_body(tokens: &[Token], start: usize, end: usize, def: &mut
     for (ret, span) in def.rets.iter_mut().zip(&ret_spans) {
         ret.calls = calls_in(*span);
     }
-    for (lp, span) in def.loops.iter_mut().zip(&loop_head_spans) {
-        lp.head.calls = calls_in(*span);
-    }
     for (ci, spans) in arg_spans.iter().enumerate() {
         for (ai, span) in spans.iter().enumerate() {
             def.calls[ci].args[ai].src.calls = calls_in(*span);
@@ -333,16 +279,12 @@ pub(crate) fn extract_body(tokens: &[Token], start: usize, end: usize, def: &mut
 pub struct Flow {
     /// What is written.
     pub target: FlowTarget,
-    /// Whether this is a compound (`+=`-family) assignment.
-    pub compound: bool,
     /// What the right-hand side reads.
     pub src: Sources,
     /// 1-based line of the assignment.
     pub line: u32,
     /// 1-based column of the assignment.
     pub col: u32,
-    /// Token index of the assignment (for loop-body containment).
-    pub tok: usize,
 }
 
 /// The `=` of a `let` statement: first `=` at statement depth before the
@@ -421,29 +363,6 @@ fn last_stmt_boundary(tokens: &[Token], start: usize, end: usize) -> (usize, usi
         j += 1;
     }
     (boundary, prev)
-}
-
-/// The `(in_idx, body_open)` shape of a `for` loop at `at`, if present.
-fn for_loop_shape(tokens: &[Token], at: usize, end: usize) -> Option<(usize, usize)> {
-    let mut depth = 0isize;
-    let mut j = at + 1;
-    let mut in_idx = None;
-    while j < end {
-        let t = &tokens[j];
-        if t.is_punct("(") || t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") {
-            depth -= 1;
-        } else if t.is_ident("in") && depth == 0 && in_idx.is_none() {
-            in_idx = Some(j);
-        } else if t.is_punct("{") && depth == 0 {
-            return in_idx.filter(|&idx| idx < j).map(|idx| (idx, j));
-        } else if t.is_punct(";") && depth == 0 {
-            return None;
-        }
-        j += 1;
-    }
-    None
 }
 
 /// The assignment target whose last token is at `last` (just before the

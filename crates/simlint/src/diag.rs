@@ -11,7 +11,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Rule code, e.g. `D1/hash-collections`.
+    /// Rule code, e.g. `D3/task-state`.
     pub code: &'static str,
     /// Human-readable explanation with the suggested fix.
     pub message: String,
@@ -34,117 +34,6 @@ pub fn sort_findings(findings: &mut [Finding]) {
     });
 }
 
-/// Renders findings as the machine-readable JSON document CI archives
-/// (`simlint.json`) and diffs against the committed baseline.
-///
-/// The output is deterministic byte-for-byte for a given finding list:
-/// fixed key order, two-space indentation, a trailing newline, and no
-/// volatile fields (file counts change on every PR; findings are the
-/// contract). An empty scan renders as `{"findings": []}` so the
-/// baseline of a clean tree is a stable two-line document.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"path\": \"{}\",\n", escape_json(&f.path)));
-        out.push_str(&format!("      \"line\": {},\n", f.line));
-        out.push_str(&format!("      \"col\": {},\n", f.col));
-        out.push_str(&format!("      \"code\": \"{}\",\n", escape_json(f.code)));
-        out.push_str(&format!(
-            "      \"message\": \"{}\"\n",
-            escape_json(&f.message)
-        ));
-        out.push_str("    }");
-    }
-    if findings.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
-}
-
-/// Renders findings as a SARIF 2.1.0 document for CI annotation upload.
-///
-/// Deterministic byte-for-byte for a given finding list: the rules array
-/// lists the distinct rule codes in sorted order, results follow the
-/// (already sorted) finding order, key order and indentation are fixed,
-/// and there are no volatile fields (no timestamps, no absolute paths).
-pub fn render_sarif(findings: &[Finding]) -> String {
-    let codes: std::collections::BTreeSet<&str> = findings.iter().map(|f| f.code).collect();
-    let rule_index: std::collections::BTreeMap<&str, usize> =
-        codes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut out = String::from(
-        "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-         \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \
-         \"driver\": {\n          \"name\": \"simlint\",\n          \
-         \"informationUri\": \"https://example.invalid/simdc/simlint\",\n          \
-         \"rules\": [",
-    );
-    for (i, code) in codes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n            {{ \"id\": \"{}\" }}",
-            escape_json(code)
-        ));
-    }
-    if codes.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n          ]\n");
-    }
-    out.push_str("        }\n      },\n      \"results\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n        {{\n          \"ruleId\": \"{}\",\n          \"ruleIndex\": {},\n          \
-             \"level\": \"error\",\n          \"message\": {{ \"text\": \"{}\" }},\n          \
-             \"locations\": [\n            {{\n              \"physicalLocation\": {{\n                \
-             \"artifactLocation\": {{ \"uri\": \"{}\" }},\n                \
-             \"region\": {{ \"startLine\": {}, \"startColumn\": {} }}\n              }}\n            \
-             }}\n          ]\n        }}",
-            escape_json(f.code),
-            rule_index[f.code],
-            escape_json(&f.message),
-            escape_json(&f.path),
-            f.line,
-            f.col
-        ));
-    }
-    if findings.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n      ]\n");
-    }
-    out.push_str("    }\n  ]\n}\n");
-    out
-}
-
-/// Escapes a string for a JSON literal (quotes, backslashes, control
-/// characters; non-ASCII passes through as UTF-8).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,74 +44,13 @@ mod tests {
             path: "crates/x/src/lib.rs".into(),
             line: 3,
             col: 9,
-            code: "D1/hash-collections",
+            code: "D3/task-state",
             message: "msg".into(),
         };
         assert_eq!(
             f.to_string(),
-            "crates/x/src/lib.rs:3:9: [D1/hash-collections] msg"
+            "crates/x/src/lib.rs:3:9: [D3/task-state] msg"
         );
-    }
-
-    #[test]
-    fn json_of_empty_scan_is_the_stable_baseline_document() {
-        assert_eq!(render_json(&[]), "{\n  \"findings\": []\n}\n");
-    }
-
-    #[test]
-    fn json_escapes_and_orders_fields() {
-        let f = Finding {
-            path: "crates/x/src/lib.rs".into(),
-            line: 3,
-            col: 9,
-            code: "P1/shared-mutation",
-            message: "a \"quoted\"\tpath\\name".into(),
-        };
-        let json = render_json(&[f]);
-        assert!(json.contains("\"path\": \"crates/x/src/lib.rs\""));
-        assert!(json.contains("\"line\": 3"));
-        assert!(json.contains("\"message\": \"a \\\"quoted\\\"\\tpath\\\\name\""));
-        assert!(json.ends_with("\n  ]\n}\n"));
-    }
-
-    #[test]
-    fn sarif_is_deterministic_and_indexes_rules() {
-        let mk = |code: &'static str, line: u32| Finding {
-            path: "crates/x/src/lib.rs".into(),
-            line,
-            col: 1,
-            code,
-            message: "why it \"fired\"".into(),
-        };
-        let findings = vec![
-            mk("T1/rng-stream-aliasing", 3),
-            mk("D1/hash-collections", 9),
-            mk("T1/rng-stream-aliasing", 12),
-        ];
-        let a = render_sarif(&findings);
-        let b = render_sarif(&findings);
-        assert_eq!(a, b, "same findings must render identically");
-        assert!(a.contains("\"version\": \"2.1.0\""));
-        // Rules are distinct and sorted; results reference them by index.
-        let d1 = a
-            .find("{ \"id\": \"D1/hash-collections\" }")
-            .expect("D1 rule");
-        let t1 = a
-            .find("{ \"id\": \"T1/rng-stream-aliasing\" }")
-            .expect("T1 rule");
-        assert!(d1 < t1, "rules must be sorted");
-        assert_eq!(a.matches("\"id\": \"T1/rng-stream-aliasing\"").count(), 1);
-        assert_eq!(a.matches("\"ruleIndex\": 1").count(), 2);
-        assert!(a.contains("\"message\": { \"text\": \"why it \\\"fired\\\"\" }"));
-        assert!(a.contains("\"startLine\": 12"));
-        assert!(a.ends_with("}\n"));
-    }
-
-    #[test]
-    fn sarif_of_empty_scan_has_empty_rules_and_results() {
-        let sarif = render_sarif(&[]);
-        assert!(sarif.contains("\"rules\": []"));
-        assert!(sarif.contains("\"results\": []"));
     }
 
     #[test]
@@ -231,7 +59,7 @@ mod tests {
             path: path.into(),
             line,
             col,
-            code: "D1/hash-collections",
+            code: "D3/task-state",
             message: String::new(),
         };
         let mut v = vec![mk("b.rs", 1, 1), mk("a.rs", 9, 1), mk("a.rs", 2, 5)];

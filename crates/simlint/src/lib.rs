@@ -19,8 +19,8 @@
 //! Above the call graph sits the value-flow tier: statement-level
 //! def-use extraction ([`dataflow`]) and the interprocedural
 //! determinism-taint analysis ([`taint`]) behind the T-rules — rng
-//! stream-label aliasing, draws escaping the compute phase, unordered
-//! float reductions, and seed provenance. File-local policy exceptions
+//! stream-label aliasing, draws escaping the compute phase, and seed
+//! provenance. File-local policy exceptions
 //! are inline `// simlint::allow(<rule>): <reason>` comments
 //! ([`suppress`]); workspace policy lives in `simlint.toml` at the
 //! workspace root ([`config`]).
@@ -32,11 +32,14 @@
 //! ```
 //!
 //! Exit code 0 means a clean tree; any finding exits 1 and prints
-//! GCC-style `path:line:col: [code] message` diagnostics (`--format
-//! json` and `--format sarif` render the same findings for the baseline
-//! diff and for CI annotation upload). See ARCHITECTURE.md § "Static
-//! analysis & determinism discipline" for the rule catalog and the
-//! exception policy.
+//! GCC-style `path:line:col: [code] message` diagnostics.
+//!
+//! A check lives here only if no compiler-backed lint expresses it and
+//! it can fire on a tree that passes the other gates: the generic bans
+//! (hash-ordered collections, wall-clock reads, ambient entropy,
+//! `env::var`) belong to `clippy.toml`, public-item docs to rustc's
+//! `missing_docs`. See ARCHITECTURE.md § "Static analysis & determinism
+//! discipline" for the per-rule audit and the exception policy.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -55,8 +58,8 @@ pub mod taint;
 pub mod walk;
 
 pub use config::{Config, ConfigError};
-pub use diag::{render_json, render_sarif, Finding};
+pub use diag::Finding;
 pub use purity::{analyze_sources, GraphStats};
 pub use rules::{lint_file, FileContext};
 pub use taint::{function_summaries, TaintSummary, DRAWN, FLOATY, STREAM};
-pub use walk::{find_workspace_root, lint_sources, lint_workspace, ScanReport};
+pub use walk::{find_workspace_root, lint_sources, lint_workspace, workspace_sources, ScanReport};

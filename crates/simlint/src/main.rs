@@ -3,40 +3,24 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simdc_simlint::{find_workspace_root, lint_workspace, render_json, render_sarif, Config};
+use simdc_simlint::{find_workspace_root, lint_workspace, Config};
 
-const USAGE: &str =
-    "usage: simlint --workspace [--root DIR] [--config FILE] [--format FMT] [--write-baseline]
+const USAGE: &str = "usage: simlint --workspace [--root DIR] [--config FILE]
 
-Lints the SimDC workspace for determinism & invariant violations.
+Lints the SimDC workspace for determinism & invariant violations; prints
+`path:line:col: [code] message` diagnostics and exits 1 on any finding.
   --workspace        scan the whole workspace (required; explicit by design)
   --root DIR         workspace root (default: walk up from the current dir)
-  --config FILE      simlint.toml to use (default: <root>/simlint.toml)
-  --format FMT       `text` (default), `json` or `sarif` — machine formats
-                     print the findings document to stdout (the summary
-                     goes to stderr) for CI archiving and baseline diffing
-  --write-baseline   atomically regenerate <root>/simlint-baseline.json
-                     from this scan (exit code still reflects findings)";
-
-/// Diagnostic output formats.
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+  --config FILE      simlint.toml to use (default: <root>/simlint.toml)";
 
 fn main() -> ExitCode {
     let mut workspace = false;
     let mut root: Option<PathBuf> = None;
     let mut config_path: Option<PathBuf> = None;
-    let mut format = Format::Text;
-    let mut write_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--write-baseline" => write_baseline = true,
             "--root" => match args.next() {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage_error("--root needs a value"),
@@ -44,15 +28,6 @@ fn main() -> ExitCode {
             "--config" => match args.next() {
                 Some(v) => config_path = Some(PathBuf::from(v)),
                 None => return usage_error("--config needs a value"),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                Some(other) => {
-                    return usage_error(&format!("unknown format `{other}` (text|json|sarif)"))
-                }
-                None => return usage_error("--format needs a value"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -97,20 +72,6 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => return fatal(&e),
     };
-    if write_baseline {
-        // Temp-file + rename so a concurrent reader (or an interrupt)
-        // never observes a torn baseline.
-        let target = root.join("simlint-baseline.json");
-        let tmp = root.join("simlint-baseline.json.tmp");
-        let doc = render_json(&report.findings);
-        if let Err(e) = std::fs::write(&tmp, doc) {
-            return fatal(&format!("write {}: {e}", tmp.display()));
-        }
-        if let Err(e) = std::fs::rename(&tmp, &target) {
-            return fatal(&format!("rename to {}: {e}", target.display()));
-        }
-        eprintln!("simlint: baseline written to {}", target.display());
-    }
     let summary = if report.findings.is_empty() {
         format!(
             "simlint: clean ({} files scanned; call graph: {} fns, {} edges)",
@@ -128,24 +89,10 @@ fn main() -> ExitCode {
             report.graph.edges
         )
     };
-    match format {
-        Format::Text => {
-            for finding in &report.findings {
-                println!("{finding}");
-            }
-            println!("{summary}");
-        }
-        Format::Json | Format::Sarif => {
-            // Findings document to stdout (redirectable to simlint.json /
-            // simlint.sarif), human summary to stderr.
-            let doc = match format {
-                Format::Json => render_json(&report.findings),
-                _ => render_sarif(&report.findings),
-            };
-            print!("{doc}");
-            eprintln!("{summary}");
-        }
+    for finding in &report.findings {
+        println!("{finding}");
     }
+    println!("{summary}");
     if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -23,7 +23,7 @@
 //! Test-gated tokens (`in_test`) are skipped wholesale: the purity rules
 //! police simulation code, not its tests.
 
-use crate::dataflow::{extract_body, ArgInfo, Flow, LoopSpan, Sources};
+use crate::dataflow::{extract_body, ArgInfo, Flow, Sources};
 use crate::lexer::{lex, TokKind, Token};
 
 /// Everything the symbol table needs from one source file.
@@ -74,8 +74,6 @@ pub struct FnDef {
     pub flows: Vec<Flow>,
     /// The sources of every `return` statement plus the tail expression.
     pub rets: Vec<Sources>,
-    /// Every `for` loop, in source order.
-    pub loops: Vec<LoopSpan>,
 }
 
 impl FnDef {
@@ -128,9 +126,6 @@ pub struct CallSite {
     pub tok: usize,
     /// Per-argument sources and constant-string shapes.
     pub args: Vec<ArgInfo>,
-    /// The `::<T>` turbofish type head, if present (`f64` in
-    /// `.sum::<f64>()`).
-    pub turbofish: Option<String>,
     /// For method calls: the base of the dot-chain (`weights` in
     /// `self.weights.values().sum()`), as far as tokens reveal it.
     pub base: Option<Receiver>,
@@ -266,7 +261,7 @@ fn parse_items(
 }
 
 /// Finds the index of the `}` matching the `{` at `open`.
-pub(crate) fn match_brace(tokens: &[Token], open: usize, end: usize) -> usize {
+fn match_brace(tokens: &[Token], open: usize, end: usize) -> usize {
     let mut depth = 0isize;
     let mut i = open;
     while i < end {
@@ -550,7 +545,6 @@ fn parse_fn(
         ret_type: None,
         flows: Vec::new(),
         rets: Vec::new(),
-        loops: Vec::new(),
     };
     let mut i = at + 2;
     if i < end && tokens[i].is_punct("<") {

@@ -5,7 +5,6 @@
 //! | `P0/unresolved-config` | every entry/exempt spec resolves | a typoed entry point is a gate that silently does nothing |
 //! | `P1/shared-mutation` | no worker-reachable call into a shared-mutation sink | freeze/release, `mark_*`, event pushes and `PhoneMgr` writes belong to the serial prepare/merge phases |
 //! | `P2/interior-mutability` | no worker-reachable `RefCell`/`Mutex`/`Cell`/atomics | interior mutability inside workers is a data race or a hidden ordering dependency |
-//! | `P3/unordered-iteration` | no worker-reachable iteration over unordered state | `HashMap` iteration order would vary run to run |
 //! | `P4/unregistered-spawner` | fan-out (`run_batch`) only at registered sites | every parallel region must be a reviewed prepare/compute/merge split |
 //!
 //! The analysis computes the transitive closure of functions reachable
@@ -15,7 +14,8 @@
 //! the full entry-point → sink path so a violation reads as the race it
 //! would become. `exempt` entries prune the walk — the reviewed escape
 //! hatch for context-insensitivity (e.g. `Engine::schedule_at`, which
-//! workers only ever call on the DeviceFlow engine they own).
+//! workers only ever call on the DeviceFlow engine they own). The
+//! T-rules ([`crate::taint`]) police the same reachable set.
 //!
 //! The same pass upgrades D3 freeze/release from receiver-name token
 //! matching to call-graph-aware pairing: any call whose *resolved
@@ -23,26 +23,13 @@
 //! is flagged outside the blessed pairing points, however the receiver
 //! is spelled.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::diag::Finding;
 use crate::parser::parse_file;
 use crate::symbols::{FnId, SymbolTable};
-
-/// Iteration methods policed by P3 (and T3's loop-head detection) on
-/// unordered receiver types.
-pub(crate) const ITER_METHODS: &[&str] = &[
-    "drain",
-    "into_iter",
-    "iter",
-    "iter_mut",
-    "keys",
-    "retain",
-    "values",
-    "values_mut",
-];
 
 /// Constructor names policed by P2 on interior-mutability types.
 const CTOR_METHODS: &[&str] = &["new", "default", "from", "with_capacity"];
@@ -57,9 +44,9 @@ pub struct GraphStats {
 }
 
 /// A `Type::method` / `file.rs::name` / bare-name function spec, as
-/// used by `entries` and `exempt` (both the P- and T-rule sections).
+/// used by `entries` and `exempt`.
 #[derive(Debug)]
-pub(crate) struct FnSpec {
+struct FnSpec {
     raw: String,
     file: Option<String>,
     owner: Option<String>,
@@ -170,7 +157,7 @@ impl SinkSpec {
 }
 
 /// Matches a `Name` / `Prefix*` type pattern.
-pub(crate) fn type_pat_match(pat: &str, ty: &str) -> bool {
+fn type_pat_match(pat: &str, ty: &str) -> bool {
     match pat.strip_suffix('*') {
         Some(prefix) => ty.starts_with(prefix),
         None => ty == pat,
@@ -215,46 +202,101 @@ pub(crate) fn workspace_findings(
         edges: graph.edges,
     };
     let mut findings = Vec::new();
-    check_purity(&graph, cfg, &mut findings);
+    if !cfg.purity_entries.is_empty() {
+        let reach = Reach::walk(&graph, cfg, &mut findings);
+        check_purity(&graph, cfg, &reach, &mut findings);
+        crate::taint::check_taint(&graph, cfg, &reach, &mut findings);
+    }
     check_spawners(&graph, cfg, &mut findings);
     check_typed_leases(&graph, cfg, &mut findings);
     check_stale_lease_types(&graph.symbols, cfg, &mut findings);
-    crate::taint::check_taint(&graph, cfg, &mut findings);
     (findings, stats)
 }
 
-/// Resolves a spec list against the table, reporting unmatched specs
-/// under the given rule `code` and config `section`.
-pub(crate) fn resolve_specs(
+/// Resolves a `[rules.worker-purity]` spec list against the table, in
+/// spec order; a spec matching nothing is a `P0/unresolved-config`
+/// finding.
+fn resolve_specs(
     symbols: &SymbolTable,
     raws: &[String],
     kind: &str,
-    section: &str,
-    code: &'static str,
     findings: &mut Vec<Finding>,
-) -> Vec<(FnSpec, Vec<FnId>)> {
+) -> Vec<FnId> {
     let mut out = Vec::new();
     for raw in raws {
         let spec = FnSpec::parse(raw);
-        let ids: Vec<FnId> = (0..symbols.fns.len())
-            .filter(|&id| spec.matches(symbols, id))
-            .collect();
-        if ids.is_empty() {
+        let before = out.len();
+        out.extend((0..symbols.fns.len()).filter(|&id| spec.matches(symbols, id)));
+        if out.len() == before {
             findings.push(Finding {
                 path: "simlint.toml".into(),
                 line: 1,
                 col: 1,
-                code,
+                code: "P0/unresolved-config",
                 message: format!(
-                    "[{section}] {kind} `{}` matches no function in the \
+                    "[rules.worker-purity] {kind} `{}` matches no function in the \
                      workspace — fix the spec or remove the stale entry",
                     spec.raw
                 ),
             });
         }
-        out.push((spec, ids));
     }
     out
+}
+
+/// The worker-reachable function set both rule families police: a BFS
+/// over the call graph from the `[rules.worker-purity] entries`, pruned
+/// at the `exempt` functions.
+pub(crate) struct Reach {
+    /// Each reached function's BFS predecessor (`None` for an entry).
+    pub(crate) preds: BTreeMap<FnId, Option<FnId>>,
+    /// The functions the `exempt` specs resolved to.
+    pub(crate) exempt: BTreeSet<FnId>,
+}
+
+impl Reach {
+    /// Resolves the entry/exempt specs (stale ones become P0 findings)
+    /// and walks the graph.
+    pub(crate) fn walk(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Finding>) -> Reach {
+        let symbols = &graph.symbols;
+        let entries = resolve_specs(symbols, &cfg.purity_entries, "entry", findings);
+        let exempt: BTreeSet<FnId> = resolve_specs(symbols, &cfg.purity_exempt, "exempt", findings)
+            .into_iter()
+            .collect();
+        let mut preds: BTreeMap<FnId, Option<FnId>> = BTreeMap::new();
+        let mut queue: VecDeque<FnId> = VecDeque::new();
+        for id in entries {
+            if !exempt.contains(&id) && !preds.contains_key(&id) {
+                preds.insert(id, None);
+                queue.push_back(id);
+            }
+        }
+        while let Some(id) = queue.pop_front() {
+            for next in graph.successors(id) {
+                if !exempt.contains(&next) && !preds.contains_key(&next) {
+                    preds.insert(next, Some(id));
+                    queue.push_back(next);
+                }
+            }
+        }
+        Reach { preds, exempt }
+    }
+
+    /// The `entry → … → fn` chain for diagnostics.
+    pub(crate) fn path_to(&self, symbols: &SymbolTable, id: FnId) -> String {
+        let mut chain = vec![id];
+        let mut cur = id;
+        while let Some(Some(parent)) = self.preds.get(&cur) {
+            chain.push(*parent);
+            cur = *parent;
+        }
+        chain.reverse();
+        chain
+            .iter()
+            .map(|&f| format!("`{}`", symbols.fns[f].def.display()))
+            .collect::<Vec<_>>()
+            .join(" → ")
+    }
 }
 
 /// Stale-config check for `[rules.freeze-release] types`: a lease type
@@ -282,68 +324,19 @@ fn check_stale_lease_types(symbols: &SymbolTable, cfg: &Config, findings: &mut V
     }
 }
 
-/// P1/P2/P3: the reachability walk and per-call sink checks.
-fn check_purity(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Finding>) {
-    if cfg.purity_entries.is_empty() {
-        return;
-    }
+/// P1/P2: per-call sink checks over the worker-reachable set.
+fn check_purity(graph: &CallGraph, cfg: &Config, reach: &Reach, findings: &mut Vec<Finding>) {
     let symbols = &graph.symbols;
-    let entries = resolve_specs(
-        symbols,
-        &cfg.purity_entries,
-        "entry",
-        "rules.worker-purity",
-        "P0/unresolved-config",
-        findings,
-    );
-    let exempts = resolve_specs(
-        symbols,
-        &cfg.purity_exempt,
-        "exempt",
-        "rules.worker-purity",
-        "P0/unresolved-config",
-        findings,
-    );
-    let exempt_ids: BTreeSet<FnId> = exempts.iter().flat_map(|(_, ids)| ids.clone()).collect();
     let sinks: Vec<SinkSpec> = cfg
         .mutation_sinks
         .iter()
         .map(|s| SinkSpec::parse(s))
         .collect();
 
-    // BFS from every entry; `preds` reconstructs entry → sink paths.
-    let mut preds: BTreeMap<FnId, Option<FnId>> = BTreeMap::new();
-    let mut entry_of: BTreeMap<FnId, FnId> = BTreeMap::new();
-    let mut queue: std::collections::VecDeque<FnId> = std::collections::VecDeque::new();
-    for (_, ids) in &entries {
-        for &id in ids {
-            if !exempt_ids.contains(&id) && !preds.contains_key(&id) {
-                preds.insert(id, None);
-                entry_of.insert(id, id);
-                queue.push_back(id);
-            }
-        }
-    }
-    while let Some(id) = queue.pop_front() {
-        for next in graph.successors(id) {
-            if exempt_ids.contains(&next) || preds.contains_key(&next) {
-                continue;
-            }
-            preds.insert(next, Some(id));
-            let root = entry_of[&id];
-            entry_of.insert(next, root);
-            queue.push_back(next);
-        }
-    }
-
     let mut reported: BTreeSet<(String, u32, u32, &'static str)> = BTreeSet::new();
-    for &id in preds.keys() {
-        let entry = &symbols.fns[id];
-        let file = entry.file.clone();
-        if cfg.is_allowed("worker-purity", &file) {
-            continue;
-        }
-        let chain = path_to(symbols, &preds, id);
+    for &id in reach.preds.keys() {
+        let file = symbols.fns[id].file.clone();
+        let chain = reach.path_to(symbols, id);
         for call in &graph.calls[id] {
             // P1: configured shared-mutation sinks.
             for sink in &sinks {
@@ -391,61 +384,8 @@ fn check_purity(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Finding>) {
                     });
                 }
             }
-            // P3: iteration over unordered state.
-            if call.is_method && ITER_METHODS.contains(&call.name.as_str()) {
-                for ty in call
-                    .recv_types
-                    .iter()
-                    .filter(|ty| {
-                        cfg.unordered_state
-                            .iter()
-                            .any(|pat| type_pat_match(pat, ty.as_str()))
-                    })
-                    .take(1)
-                {
-                    if reported.insert((
-                        file.clone(),
-                        call.line,
-                        call.col,
-                        "P3/unordered-iteration",
-                    )) {
-                        findings.push(Finding {
-                            path: file.clone(),
-                            line: call.line,
-                            col: call.col,
-                            code: "P3/unordered-iteration",
-                            message: format!(
-                                "worker-reachable iteration over unordered `{ty}` state \
-                                 (`.{}()`) — path: {chain}; iteration order would vary \
-                                 run to run",
-                                call.name
-                            ),
-                        });
-                    }
-                }
-            }
         }
     }
-}
-
-/// The `entry → … → fn` chain for diagnostics (shared with the T-rules).
-pub(crate) fn path_to(
-    symbols: &SymbolTable,
-    preds: &BTreeMap<FnId, Option<FnId>>,
-    id: FnId,
-) -> String {
-    let mut chain = vec![id];
-    let mut cur = id;
-    while let Some(Some(parent)) = preds.get(&cur) {
-        chain.push(*parent);
-        cur = *parent;
-    }
-    chain.reverse();
-    chain
-        .iter()
-        .map(|&f| format!("`{}`", symbols.fns[f].def.display()))
-        .collect::<Vec<_>>()
-        .join(" → ")
 }
 
 /// P4: fan-out primitives only at registered spawner sites.
@@ -455,10 +395,7 @@ fn check_spawners(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Finding>) 
     }
     for (id, entry) in graph.symbols.fns.iter().enumerate() {
         let file = &entry.file;
-        if cfg.spawner_sites.iter().any(|s| s == file)
-            || cfg.is_allowed("worker-purity", file)
-            || cfg.is_harness(file)
-        {
+        if cfg.spawner_sites.iter().any(|s| s == file) {
             continue;
         }
         for call in &graph.calls[id] {
@@ -490,7 +427,7 @@ fn check_typed_leases(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Findin
     }
     for (id, entry) in graph.symbols.fns.iter().enumerate() {
         let file = &entry.file;
-        if cfg.lease_callers.iter().any(|c| c == file) || cfg.is_allowed("freeze-release", file) {
+        if cfg.lease_callers.iter().any(|c| c == file) {
             continue;
         }
         for call in &graph.calls[id] {

@@ -1,16 +1,17 @@
-//! The rule catalog: SimDC's determinism and invariant discipline as
-//! checkable properties.
+//! The per-file token rules: the project-specific disciplines no
+//! compiler-backed lint can express.
 //!
 //! | code | rule | what it guards |
 //! |------|------|----------------|
-//! | `D1/hash-collections` | no `HashMap`/`HashSet` in simulation code | iteration order feeds schedules, summaries and golden fixtures |
-//! | `D2/wall-clock` | no `Instant`/`SystemTime` outside harness code | virtual time must come from the event loop |
-//! | `D2/ambient-entropy` | no `thread_rng`/`RandomState`/`from_entropy`/`env::var` | all randomness is seeded, all config explicit |
 //! | `D3/task-state` | `.state = …` only inside the `mark_*` owner files | terminal-state discipline is an API, not a convention |
 //! | `D3/freeze-release` | lease `freeze`/`release` only at pairing points | every freeze must meet its release at the completion event |
 //! | `D4/lint-gates` | crate roots carry `deny(missing_docs)` + `forbid(unsafe_code)` | hygiene gates stay on as crates are added |
-//! | `D4/unwrap-in-lib` | no `.unwrap()` (and optionally `.expect`) in library code | library panics carry an invariant message or propagate |
-//! | `D4/pub-docs` | pub items documented in crates not yet under the doc gate | migration path onto `deny(missing_docs)` |
+//! | `D4/unwrap-in-lib` | no bare `.unwrap()` in library code | library panics carry an invariant message or propagate |
+//!
+//! The generic determinism bans (hash-ordered collections, wall-clock
+//! reads, ambient entropy) are owned by `clippy.toml`, and public-item
+//! docs by rustc's `missing_docs` (which `D4/lint-gates` keeps switched
+//! on) — see the audit table in ARCHITECTURE.md.
 //!
 //! Test-gated code (`#[cfg(test)]`, `#[test]`) is exempt from all rules:
 //! the discipline protects simulation behavior, not test scaffolding.
@@ -25,44 +26,18 @@ pub struct FileContext {
     /// Whether this file is a crate root (`src/lib.rs`), where the
     /// hygiene gates must sit.
     pub is_crate_root: bool,
-    /// Whether the file's crate already compiles under
-    /// `#![deny(missing_docs)]` (then `D4/pub-docs` is redundant —
-    /// rustc enforces the stronger property).
-    pub crate_has_doc_gate: bool,
 }
 
 /// Lints one file; `path` must be workspace-relative with `/` separators.
 pub fn lint_file(path: &str, source: &str, ctx: &FileContext, cfg: &Config) -> Vec<Finding> {
     let tokens = lex(source);
     let mut findings = Vec::new();
-    let harness = cfg.is_harness(path);
-
-    if !cfg.is_allowed("hash-collections", path) {
-        rule_hash_collections(path, &tokens, &mut findings);
-    }
-    if !harness {
-        if !cfg.is_allowed("wall-clock", path) {
-            rule_wall_clock(path, &tokens, &mut findings);
-        }
-        if !cfg.is_allowed("ambient-entropy", path) {
-            rule_ambient_entropy(path, &tokens, &mut findings);
-        }
-    }
-    if !cfg.is_allowed("task-state", path) {
-        rule_task_state(path, &tokens, ctx, cfg, &mut findings);
-    }
-    if !cfg.is_allowed("freeze-release", path) {
-        rule_freeze_release(path, &tokens, cfg, &mut findings);
-    }
-    if ctx.is_crate_root && !cfg.is_allowed("lint-gates", path) {
+    rule_task_state(path, &tokens, cfg, &mut findings);
+    rule_freeze_release(path, &tokens, cfg, &mut findings);
+    if ctx.is_crate_root {
         rule_lint_gates(path, &tokens, &mut findings);
     }
-    if !cfg.is_allowed("unwrap-in-lib", path) {
-        rule_unwrap(path, &tokens, cfg, &mut findings);
-    }
-    if !ctx.crate_has_doc_gate && !cfg.is_allowed("pub-docs", path) {
-        rule_pub_docs(path, source, &tokens, &mut findings);
-    }
+    rule_unwrap(path, &tokens, &mut findings);
     crate::diag::sort_findings(&mut findings);
     findings
 }
@@ -77,104 +52,12 @@ fn finding(path: &str, tok: &Token, code: &'static str, message: String) -> Find
     }
 }
 
-/// D1: unordered hash collections on simulation paths.
-fn rule_hash_collections(path: &str, tokens: &[Token], out: &mut Vec<Finding>) {
-    for tok in tokens {
-        if tok.in_test || tok.kind != TokKind::Ident {
-            continue;
-        }
-        let ordered = match tok.text.as_str() {
-            "HashMap" => "BTreeMap",
-            "HashSet" => "BTreeSet",
-            _ => continue,
-        };
-        out.push(finding(
-            path,
-            tok,
-            "D1/hash-collections",
-            format!(
-                "`{}` iterates in hasher order — use `{}` or an ordered index so \
-                 same-seed runs stay byte-identical",
-                tok.text, ordered
-            ),
-        ));
-    }
-}
-
-/// D2: wall-clock time sources.
-fn rule_wall_clock(path: &str, tokens: &[Token], out: &mut Vec<Finding>) {
-    for tok in tokens {
-        if tok.in_test || tok.kind != TokKind::Ident {
-            continue;
-        }
-        if tok.text == "Instant" || tok.text == "SystemTime" {
-            out.push(finding(
-                path,
-                tok,
-                "D2/wall-clock",
-                format!(
-                    "wall-clock `{}` in simulation code — virtual time comes from \
-                     `SimInstant` and the event loop (measurement harnesses belong \
-                     under a `[workspace] harness` prefix in simlint.toml)",
-                    tok.text
-                ),
-            ));
-        }
-    }
-}
-
-/// D2: ambient entropy and environment-dependent behavior.
-fn rule_ambient_entropy(path: &str, tokens: &[Token], out: &mut Vec<Finding>) {
-    for (i, tok) in tokens.iter().enumerate() {
-        if tok.in_test || tok.kind != TokKind::Ident {
-            continue;
-        }
-        match tok.text.as_str() {
-            "thread_rng" | "RandomState" | "from_entropy" => {
-                out.push(finding(
-                    path,
-                    tok,
-                    "D2/ambient-entropy",
-                    format!(
-                        "ambient randomness `{}` — seed a deterministic RNG \
-                         (`simdc_simrt::SimRng`) explicitly so runs replay",
-                        tok.text
-                    ),
-                ));
-            }
-            // `env::var` / `std::env::var` — but not the compile-time
-            // `env!` macro and not `env::args` (explicit CLI input).
-            "env"
-                if tokens.get(i + 1).is_some_and(|t| t.is_punct("::"))
-                    && tokens.get(i + 2).is_some_and(|t| t.is_ident("var")) =>
-            {
-                out.push(finding(
-                    path,
-                    tok,
-                    "D2/ambient-entropy",
-                    "environment-dependent `env::var` — thread configuration \
-                     through explicit config structs so behavior is a function \
-                     of inputs"
-                        .to_string(),
-                ));
-            }
-            _ => {}
-        }
-    }
-}
-
 /// D3: direct task-state assignment outside the `mark_*` owner files.
 ///
 /// Only files that reference the lifecycle type (`TaskState` by default)
 /// are policed; `state` fields of unrelated types (RNG internals, node
 /// lifecycles) keep their name without tripping the rule.
-fn rule_task_state(
-    path: &str,
-    tokens: &[Token],
-    _ctx: &FileContext,
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
+fn rule_task_state(path: &str, tokens: &[Token], cfg: &Config, out: &mut Vec<Finding>) {
     if cfg.state_owners.iter().any(|o| o == path) {
         return;
     }
@@ -289,8 +172,9 @@ fn rule_lint_gates(path: &str, tokens: &[Token], out: &mut Vec<Finding>) {
     }
 }
 
-/// D4: `.unwrap()` (and, unless relaxed, `.expect(`) in library code.
-fn rule_unwrap(path: &str, tokens: &[Token], cfg: &Config, out: &mut Vec<Finding>) {
+/// D4: bare `.unwrap()` in library code. `.expect("…")` is accepted:
+/// the message documents the invariant whose violation panics.
+fn rule_unwrap(path: &str, tokens: &[Token], out: &mut Vec<Finding>) {
     for i in 0..tokens.len() {
         let t = &tokens[i];
         if t.in_test || !t.is_punct(".") {
@@ -299,10 +183,10 @@ fn rule_unwrap(path: &str, tokens: &[Token], cfg: &Config, out: &mut Vec<Finding
         let Some(method) = tokens.get(i + 1) else {
             continue;
         };
-        if !tokens.get(i + 2).is_some_and(|t| t.is_punct("(")) {
-            continue;
-        }
-        if method.is_ident("unwrap") && tokens.get(i + 3).is_some_and(|t| t.is_punct(")")) {
+        if method.is_ident("unwrap")
+            && tokens.get(i + 2).is_some_and(|t| t.is_punct("("))
+            && tokens.get(i + 3).is_some_and(|t| t.is_punct(")"))
+        {
             out.push(finding(
                 path,
                 method,
@@ -310,72 +194,6 @@ fn rule_unwrap(path: &str, tokens: &[Token], cfg: &Config, out: &mut Vec<Finding
                 "`unwrap()` in library code — propagate the error or use \
                  `expect(\"invariant\")` to document why this cannot fail"
                     .to_string(),
-            ));
-        } else if method.is_ident("expect") && !cfg.allow_expect {
-            out.push(finding(
-                path,
-                method,
-                "D4/unwrap-in-lib",
-                "`expect()` in library code — propagate the error instead \
-                 (set `allow_expect = true` under [rules.unwrap-in-lib] to accept \
-                 invariant-documenting expects)"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// D4: public items without a doc comment, in crates not yet compiled
-/// under `deny(missing_docs)`.
-fn rule_pub_docs(path: &str, source: &str, tokens: &[Token], out: &mut Vec<Finding>) {
-    let lines: Vec<&str> = source.lines().collect();
-    let documented = |pub_line: u32| -> bool {
-        // Walk upward over attributes and blanks; a doc comment (or doc
-        // attribute) immediately above the item documents it.
-        let mut l = pub_line as usize - 1; // to 0-based, then step up
-        while l > 0 {
-            l -= 1;
-            let text = lines.get(l).map_or("", |s| s.trim_start());
-            if text.is_empty() || (text.starts_with("#[") && !text.starts_with("#[doc")) {
-                continue;
-            }
-            return text.starts_with("///") || text.starts_with("#[doc") || text.starts_with("/**");
-        }
-        false
-    };
-    const ITEM_KINDS: [&str; 9] = [
-        "fn", "struct", "enum", "trait", "mod", "const", "static", "type", "union",
-    ];
-    for (i, t) in tokens.iter().enumerate() {
-        if t.in_test || !t.is_ident("pub") {
-            continue;
-        }
-        // `pub(crate)` and friends are not public API.
-        let mut j = i + 1;
-        if tokens.get(j).is_some_and(|t| t.is_punct("(")) {
-            continue;
-        }
-        // Skip `unsafe`/`async`/`extern` qualifiers to reach the kind.
-        while tokens
-            .get(j)
-            .is_some_and(|t| t.is_ident("unsafe") || t.is_ident("async") || t.is_ident("extern"))
-        {
-            j += 1;
-        }
-        let Some(kind) = tokens.get(j) else { continue };
-        if kind.kind != TokKind::Ident || !ITEM_KINDS.contains(&kind.text.as_str()) {
-            continue;
-        }
-        if !documented(t.line) {
-            out.push(finding(
-                path,
-                t,
-                "D4/pub-docs",
-                format!(
-                    "public `{}` without a doc comment — document it (the crate \
-                     is not yet under `#![deny(missing_docs)]`)",
-                    kind.text
-                ),
             ));
         }
     }
@@ -391,29 +209,6 @@ mod tests {
 
     fn codes(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.code).collect()
-    }
-
-    #[test]
-    fn hash_map_flagged_outside_tests_only() {
-        let f = run("use std::collections::HashMap;\n#[cfg(test)]\nmod t { use std::collections::HashSet; }");
-        assert_eq!(codes(&f), vec!["D1/hash-collections"]);
-        assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn wall_clock_and_entropy_flagged() {
-        let f = run("fn f() { let t = std::time::Instant::now(); let r = thread_rng(); }");
-        assert_eq!(codes(&f), vec!["D2/wall-clock", "D2/ambient-entropy"]);
-    }
-
-    #[test]
-    fn env_var_flagged_but_args_and_macro_are_not() {
-        assert_eq!(
-            codes(&run("fn f() { let v = std::env::var(\"X\"); }")),
-            vec!["D2/ambient-entropy"]
-        );
-        assert!(run("fn f() { let a = std::env::args(); }").is_empty());
-        assert!(run("const D: &str = env!(\"CARGO_MANIFEST_DIR\");").is_empty());
     }
 
     #[test]
@@ -470,7 +265,6 @@ mod tests {
     fn crate_root_gates_required() {
         let ctx = FileContext {
             is_crate_root: true,
-            crate_has_doc_gate: true,
         };
         let f = lint_file("lib.rs", "//! Docs.\n", &ctx, &Config::default());
         assert_eq!(codes(&f), vec!["D4/lint-gates", "D4/lint-gates"]);
@@ -484,51 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_flagged_expect_configurable() {
+    fn unwrap_flagged_expect_accepted() {
         let f = run("fn f(o: Option<u8>) -> u8 { o.unwrap() }");
         assert_eq!(codes(&f), vec!["D4/unwrap-in-lib"]);
-        let e = run("fn f(o: Option<u8>) -> u8 { o.expect(\"set\") }");
-        assert_eq!(codes(&e), vec!["D4/unwrap-in-lib"]);
-        let cfg = Config {
-            allow_expect: true,
-            ..Config::default()
-        };
-        let ok = lint_file(
-            "x.rs",
-            "fn f(o: Option<u8>) -> u8 { o.expect(\"set\") }",
-            &FileContext::default(),
-            &cfg,
-        );
-        assert!(ok.is_empty());
+        // An expect message documents the invariant: accepted.
+        assert!(run("fn f(o: Option<u8>) -> u8 { o.expect(\"set\") }").is_empty());
         // `unwrap_or` must not match the unwrap pattern.
         assert!(run("fn f(o: Option<u8>) -> u8 { o.unwrap_or(0) }").is_empty());
-    }
-
-    #[test]
-    fn pub_docs_only_without_the_gate() {
-        let src = "/// Documented.\npub fn a() {}\n\npub fn b() {}\npub(crate) fn c() {}";
-        let unguarded = FileContext::default();
-        let f = lint_file("x.rs", src, &unguarded, &Config::default());
-        assert_eq!(codes(&f), vec!["D4/pub-docs"]);
-        assert_eq!(f[0].line, 4);
-        let gated = FileContext {
-            is_crate_root: false,
-            crate_has_doc_gate: true,
-        };
-        assert!(lint_file("x.rs", src, &gated, &Config::default()).is_empty());
-    }
-
-    #[test]
-    fn file_allowlist_suppresses_a_rule() {
-        let mut cfg = Config::default();
-        cfg.allow
-            .insert("hash-collections".into(), vec!["x.rs".into()]);
-        let f = lint_file(
-            "x.rs",
-            "use std::collections::HashMap;",
-            &FileContext::default(),
-            &cfg,
-        );
-        assert!(f.is_empty());
     }
 }

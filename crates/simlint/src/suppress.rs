@@ -29,23 +29,17 @@ use crate::lexer::{Comment, Token};
 /// let dead waivers accumulate, which is the one thing it exists to
 /// prevent.
 pub const RULE_CODES: &[&str] = &[
-    "D1/hash-collections",
-    "D2/wall-clock",
-    "D2/ambient-entropy",
     "D3/task-state",
     "D3/freeze-release",
     "D4/lint-gates",
     "D4/unwrap-in-lib",
-    "D4/pub-docs",
     "P0/unresolved-config",
     "P1/shared-mutation",
     "P2/interior-mutability",
-    "P3/unordered-iteration",
     "P4/unregistered-spawner",
     "T0/unresolved-config",
     "T1/rng-stream-aliasing",
     "T2/rng-escape",
-    "T3/unordered-float-reduction",
     "T4/seed-provenance",
 ];
 
@@ -212,12 +206,11 @@ mod tests {
 
     #[test]
     fn trailing_directive_targets_its_own_line() {
-        let ds =
-            parse("fn f() {\n    let x = 1; // simlint::allow(D1/hash-collections): scratch\n}")
-                .expect("parses");
+        let ds = parse("fn f() {\n    let x = 1; // simlint::allow(D3/task-state): scratch\n}")
+            .expect("parses");
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].target, 2);
-        assert_eq!(ds[0].rule, "D1/hash-collections");
+        assert_eq!(ds[0].rule, "D3/task-state");
         assert_eq!(ds[0].reason, "scratch");
     }
 
@@ -236,6 +229,12 @@ mod tests {
         let err = parse("// simlint::allow(T9/bogus): nope\nfn f() {}").unwrap_err();
         assert!(err.contains("unknown rule code `T9/bogus`"), "{err}");
         assert!(err.starts_with("crates/demo/src/lib.rs:1:1:"), "{err}");
+        // A ban that moved to clippy.toml is no longer a simlint code.
+        let err = parse("// simlint::allow(D1/hash-collections): old\nfn f() {}").unwrap_err();
+        assert!(
+            err.contains("unknown rule code `D1/hash-collections`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -254,31 +253,31 @@ mod tests {
 
     #[test]
     fn unknown_directive_kind_is_a_hard_error() {
-        let err = parse("// simlint::deny(D1/hash-collections): no\nfn f() {}").unwrap_err();
+        let err = parse("// simlint::deny(D3/task-state): no\nfn f() {}").unwrap_err();
         assert!(err.contains("unknown directive"), "{err}");
     }
 
     #[test]
     fn filter_marks_used_and_removes_matched_findings() {
-        let ds = parse("fn f() {\n    let x = 1; // simlint::allow(D2/wall-clock): fixture\n}")
+        let ds = parse("fn f() {\n    let x = 1; // simlint::allow(D3/task-state): fixture\n}")
             .expect("parses");
         let hit = Finding {
             path: "crates/demo/src/lib.rs".into(),
             line: 2,
             col: 5,
-            code: "D2/wall-clock",
+            code: "D3/task-state",
             message: "m".into(),
         };
         let miss = Finding {
             path: "crates/demo/src/lib.rs".into(),
             line: 2,
             col: 9,
-            code: "D1/hash-collections",
+            code: "D4/unwrap-in-lib",
             message: "m".into(),
         };
         let (kept, used) = filter_suppressed(&ds, vec![hit, miss]);
         assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].code, "D1/hash-collections");
+        assert_eq!(kept[0].code, "D4/unwrap-in-lib");
         assert_eq!(used, vec![true]);
     }
 }

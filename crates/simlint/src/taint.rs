@@ -2,10 +2,9 @@
 //!
 //! | code | rule | what it guards |
 //! |------|------|----------------|
-//! | `T0/unresolved-config` | every taint entry/exempt/arg spec resolves | a typoed spec is a gate that silently does nothing |
+//! | `T0/unresolved-config` | every `seed_args`/`label_args` spec parses | a typoed spec is a gate that silently does nothing |
 //! | `T1/rng-stream-aliasing` | rng stream labels are constant and unique | two streams created under one label draw identical sequences |
 //! | `T2/rng-escape` | draws stay inside the compute phase | a drawn value written into shared/merge state or an event time/seq field couples the schedule to the draw order |
-//! | `T3/unordered-float-reduction` | no float accumulation over unordered iteration | `HashMap`-order float sums differ run to run even with identical elements |
 //! | `T4/seed-provenance` | stream seeds trace to the experiment seed/config | seeding from a drawn or float-cast value breaks replayability |
 //!
 //! The analysis is a three-bit taint lattice over the [`crate::dataflow`]
@@ -20,20 +19,19 @@
 //! so the fixpoint terminates and its output is deterministic — the same
 //! discipline the linter polices.
 //!
-//! Like the P-rules, the T-rules are scoped by reachability from the
-//! configured entry points (`[rules.determinism-taint] entries` in
-//! `simlint.toml`); `exempt` prunes the walk, and inline
-//! `simlint::allow` comments waive individual findings with a reviewed
-//! reason.
+//! The T-rules police the same worker-reachable set as the P-rules
+//! (one walk in [`crate::purity`] from the `[rules.worker-purity]`
+//! entries, pruned at `exempt`); inline `simlint::allow` comments waive
+//! individual findings with a reviewed reason.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallGraph, ResolvedCall};
 use crate::config::Config;
 use crate::dataflow::{FlowTarget, Sources};
 use crate::diag::Finding;
 use crate::parser::{parse_file, FnDef, Receiver};
-use crate::purity::{path_to, resolve_specs, SinkSpec, ITER_METHODS};
+use crate::purity::{Reach, SinkSpec};
 use crate::symbols::{FnId, SymbolTable};
 
 /// Taint bit: the value came out of an rng draw.
@@ -493,14 +491,15 @@ struct LabelSite {
     label: Option<String>,
 }
 
-/// Runs the T-rules over the sources' call graph, appending findings.
-pub(crate) fn check_taint(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Finding>) {
-    if cfg.taint_entries.is_empty() {
-        return;
-    }
+/// Runs the T-rules over the worker-reachable set, appending findings.
+pub(crate) fn check_taint(
+    graph: &CallGraph,
+    cfg: &Config,
+    reach: &Reach,
+    findings: &mut Vec<Finding>,
+) {
     let symbols = &graph.symbols;
     const SECTION: &str = "rules.determinism-taint";
-    const T0: &str = "T0/unresolved-config";
     let mut parse_arg_specs = |key: &str, raws: &[String]| -> Vec<ArgSpec> {
         let mut out = Vec::new();
         for raw in raws {
@@ -510,7 +509,7 @@ pub(crate) fn check_taint(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Fi
                     path: "simlint.toml".into(),
                     line: 1,
                     col: 1,
-                    code: T0,
+                    code: "T0/unresolved-config",
                     message: format!(
                         "[{SECTION}] {key} `{raw}` is malformed — expected \
                          `name:argindex` or `Type::method:argindex`"
@@ -528,45 +527,17 @@ pub(crate) fn check_taint(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Fi
         .map(|s| SinkSpec::parse(s))
         .collect();
 
-    let entries = resolve_specs(symbols, &cfg.taint_entries, "entry", SECTION, T0, findings);
-    let exempts = resolve_specs(symbols, &cfg.taint_exempt, "exempt", SECTION, T0, findings);
-    let exempt_ids: BTreeSet<FnId> = exempts.iter().flat_map(|(_, ids)| ids.clone()).collect();
-
-    let analysis = run_analysis(graph, cfg, &seed_specs, &escape_specs, &exempt_ids);
-
-    // Reachability BFS from the entries, with exempt pruning and
-    // predecessor links for entry → sink path diagnostics.
-    let mut preds: BTreeMap<FnId, Option<FnId>> = BTreeMap::new();
-    let mut queue: VecDeque<FnId> = VecDeque::new();
-    for (_, ids) in &entries {
-        for &id in ids {
-            if !exempt_ids.contains(&id) && !preds.contains_key(&id) {
-                preds.insert(id, None);
-                queue.push_back(id);
-            }
-        }
-    }
-    while let Some(id) = queue.pop_front() {
-        for next in graph.successors(id) {
-            if !exempt_ids.contains(&next) && !preds.contains_key(&next) {
-                preds.insert(next, Some(id));
-                queue.push_back(next);
-            }
-        }
-    }
+    let analysis = run_analysis(graph, cfg, &seed_specs, &escape_specs, &reach.exempt);
 
     let escape_kinds = u64::from(DRAWN) | u64::from(STREAM);
     let seed_kinds = u64::from(DRAWN) | u64::from(FLOATY);
     let mut reported: BTreeSet<(String, u32, u32, &'static str)> = BTreeSet::new();
     let mut label_sites: Vec<LabelSite> = Vec::new();
 
-    for &id in preds.keys() {
+    for &id in reach.preds.keys() {
         let entry = &symbols.fns[id];
         let def = &entry.def;
         let file = entry.file.clone();
-        if cfg.is_allowed("determinism-taint", &file) {
-            continue;
-        }
         let st = &analysis.states[id];
         let ctx = FnCtx {
             graph,
@@ -575,9 +546,9 @@ pub(crate) fn check_taint(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Fi
             def,
             seed_specs: &seed_specs,
             escape_specs: &escape_specs,
-            exempt: &exempt_ids,
+            exempt: &reach.exempt,
         };
-        let chain = path_to(symbols, &preds, id);
+        let chain = reach.path_to(symbols, id);
 
         for (ci, site) in def.calls.iter().enumerate() {
             let rc = &graph.calls[id][ci];
@@ -727,95 +698,6 @@ pub(crate) fn check_taint(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Fi
                 }
             }
         }
-
-        // T3 (loop form): float accumulation inside iteration over
-        // unordered state.
-        for lp in &def.loops {
-            let unordered_ty = loop_head_unordered(&ctx, lp, &graph.calls[id]);
-            let Some(ty) = unordered_ty else { continue };
-            for flow in &def.flows {
-                if !flow.compound || flow.tok < lp.body.0 || flow.tok >= lp.body.1 {
-                    continue;
-                }
-                let float_target = match &flow.target {
-                    FlowTarget::Var(n) => {
-                        matches!(def.locals.get(n).map(String::as_str), Some("f32" | "f64"))
-                    }
-                    FlowTarget::Field { field, .. } => def
-                        .owner
-                        .as_deref()
-                        .and_then(|o| symbols.field_type(o, field))
-                        .is_some_and(|t| t == "f32" || t == "f64"),
-                };
-                if (float_target || flow.src.has_float_lit)
-                    && reported.insert((
-                        file.clone(),
-                        flow.line,
-                        flow.col,
-                        "T3/unordered-float-reduction",
-                    ))
-                {
-                    findings.push(Finding {
-                        path: file.clone(),
-                        line: flow.line,
-                        col: flow.col,
-                        code: "T3/unordered-float-reduction",
-                        message: format!(
-                            "float accumulation inside iteration over unordered `{ty}` \
-                             — path: {chain}; float addition is not associative, so the \
-                             sum depends on `{ty}` order: iterate a `BTreeMap` or sort \
-                             keys first (simlint.toml [{SECTION}])"
-                        ),
-                    });
-                }
-            }
-        }
-        // T3 (chain form): `.sum::<f64>()` / `.fold(0.0, ..)` over an
-        // unordered chain base.
-        for (ci, site) in def.calls.iter().enumerate() {
-            let rc = &graph.calls[id][ci];
-            if !matches!(rc.name.as_str(), "sum" | "product" | "fold") {
-                continue;
-            }
-            let Some(base_ty) = site
-                .base
-                .as_ref()
-                .and_then(|r| receiver_type(symbols, def, r))
-            else {
-                continue;
-            };
-            if !cfg
-                .unordered_state
-                .iter()
-                .any(|pat| crate::purity::type_pat_match(pat, &base_ty))
-            {
-                continue;
-            }
-            let float_evidence = matches!(site.turbofish.as_deref(), Some("f32" | "f64"))
-                || site.args.iter().any(|a| a.src.has_float_lit);
-            if float_evidence
-                && reported.insert((
-                    file.clone(),
-                    rc.line,
-                    rc.col,
-                    "T3/unordered-float-reduction",
-                ))
-            {
-                findings.push(Finding {
-                    path: file.clone(),
-                    line: rc.line,
-                    col: rc.col,
-                    code: "T3/unordered-float-reduction",
-                    message: format!(
-                        "unordered float reduction `.{}(..)` over `{base_ty}` — path: \
-                         {chain}; float addition is not associative, so the result \
-                         depends on `{base_ty}` order: iterate a `BTreeMap` or sort \
-                         keys first (simlint.toml [{SECTION}])",
-                        rc.name
-                    ),
-                });
-            }
-        }
     }
 
     // T1 cross-set pass: constant labels colliding anywhere in the
@@ -831,7 +713,7 @@ pub(crate) fn check_taint(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Fi
                     site.col,
                     "T1/rng-stream-aliasing",
                 )) {
-                    let chain = path_to(symbols, &preds, site.id);
+                    let chain = reach.path_to(symbols, site.id);
                     findings.push(Finding {
                         path: site.file.clone(),
                         line: site.line,
@@ -875,7 +757,7 @@ pub(crate) fn check_taint(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Fi
                 site.col,
                 "T1/rng-stream-aliasing",
             )) {
-                let chain = path_to(symbols, &preds, site.id);
+                let chain = reach.path_to(symbols, site.id);
                 findings.push(Finding {
                     path: site.file.clone(),
                     line: site.line,
@@ -893,82 +775,13 @@ pub(crate) fn check_taint(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Fi
     }
 }
 
-/// Whether a loop head iterates unordered state; returns the offending
-/// type head. Checks iteration-method receivers first, then plain
-/// variable/field heads (`for x in &map`).
-fn loop_head_unordered(
-    ctx: &FnCtx<'_>,
-    lp: &crate::dataflow::LoopSpan,
-    resolved: &[ResolvedCall],
-) -> Option<String> {
-    let unordered = |ty: &str| {
-        ctx.cfg
-            .unordered_state
-            .iter()
-            .any(|pat| crate::purity::type_pat_match(pat, ty))
-    };
-    for &ci in &lp.head.calls {
-        let rc = resolved.get(ci)?;
-        if !ITER_METHODS.contains(&rc.name.as_str()) {
-            continue;
-        }
-        if let Some(ty) = rc.recv_types.iter().find(|t| unordered(t)) {
-            return Some(ty.clone());
-        }
-        if let Some(ty) = ctx.def.calls[ci]
-            .base
-            .as_ref()
-            .and_then(|r| receiver_type(&ctx.graph.symbols, ctx.def, r))
-        {
-            if unordered(&ty) {
-                return Some(ty);
-            }
-        }
-    }
-    for v in &lp.head.vars {
-        if let Some(field) = v.strip_prefix("self.") {
-            if let Some(ty) = ctx
-                .def
-                .owner
-                .as_deref()
-                .and_then(|o| ctx.graph.symbols.field_type(o, field))
-            {
-                if unordered(ty) {
-                    return Some(ty.to_string());
-                }
-            }
-        } else if let Some(ty) = ctx.def.locals.get(v) {
-            if unordered(ty) {
-                return Some(ty.clone());
-            }
-        }
-    }
-    None
-}
-
-/// Nominal type of a receiver in the context of `def`: `self` through
-/// the owner, `self.field` through the owner's struct, plain idents
-/// through params and typed `let`s.
-fn receiver_type(symbols: &SymbolTable, def: &FnDef, recv: &Receiver) -> Option<String> {
-    match recv {
-        Receiver::SelfValue => def.owner.clone(),
-        Receiver::SelfField(f) => def
-            .owner
-            .as_deref()
-            .and_then(|o| symbols.field_type(o, f))
-            .map(str::to_string),
-        Receiver::Ident(i) => def.locals.get(i).cloned(),
-        Receiver::Opaque(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn cfg(entries: &[&str]) -> Config {
         Config {
-            taint_entries: entries.iter().map(ToString::to_string).collect(),
+            purity_entries: entries.iter().map(ToString::to_string).collect(),
             escape_sinks: vec!["EventQueue::push".into()],
             ..Config::default()
         }
@@ -976,10 +789,7 @@ mod tests {
 
     fn run(src: &str, cfg: &Config) -> Vec<String> {
         let files = [("crates/a/src/lib.rs".to_string(), src.to_string())];
-        let parsed = files.iter().map(|(p, s)| parse_file(p, s)).collect();
-        let graph = CallGraph::build(SymbolTable::build(parsed));
-        let mut findings = Vec::new();
-        check_taint(&graph, cfg, &mut findings);
+        let (findings, _) = crate::purity::workspace_findings(&files, cfg);
         findings.iter().map(ToString::to_string).collect()
     }
 
@@ -1046,17 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn t3_loop_and_chain_forms_fire_only_with_float_evidence() {
-        let src = "struct W { weights: HashMap }\nimpl W {\n    fn entry(&self) -> f64 {\n        let mut acc = 0.0;\n        for v in self.weights.values() { acc += v; }\n        let direct = self.weights.values().sum::<f64>();\n        let mut n = 0u64;\n        for v in self.weights.values() { n += 1; let _ = v; }\n        acc + direct + n as f64\n    }\n}\n";
-        let findings = run(src, &cfg(&["W::entry"]));
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings
-            .iter()
-            .any(|f| f.contains("float accumulation inside iteration")));
-        assert!(findings.iter().any(|f| f.contains(".sum(..)")));
-    }
-
-    #[test]
     fn t2_fires_when_a_draw_escapes_into_a_shared_sink() {
         let src = format!(
             "{STREAM_DEF}struct EventQueue {{}}\nimpl EventQueue {{ fn push(&mut self, t: u64) {{ let _ = t; }} }}\nstruct W {{ queue: EventQueue }}\nimpl W {{\n    fn entry(&mut self, rng: &mut RngStream) {{\n        let t = rng.next_u64();\n        self.queue.push(t);\n    }}\n}}\n"
@@ -1071,17 +870,16 @@ mod tests {
     }
 
     #[test]
-    fn stale_entries_and_malformed_arg_specs_are_t0_findings() {
+    fn malformed_arg_specs_are_t0_findings() {
+        // The stale entry is the shared walk's to report — once, as P0.
         let mut c = cfg(&["Ghost::entry"]);
         c.seed_args.push("broken-spec".into());
         let findings = run(STREAM_DEF, &c);
         assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings
-            .iter()
-            .any(|f| f.contains("entry `Ghost::entry` matches no function")));
-        assert!(findings
-            .iter()
-            .any(|f| f.contains("seed_args `broken-spec` is malformed")));
+        assert!(findings.iter().any(|f| f.contains("[P0/unresolved-config]")
+            && f.contains("entry `Ghost::entry` matches no function")));
+        assert!(findings.iter().any(|f| f.contains("[T0/unresolved-config]")
+            && f.contains("seed_args `broken-spec` is malformed")));
     }
 
     #[test]

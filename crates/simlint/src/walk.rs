@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use crate::config::Config;
 use crate::diag::{sort_findings, Finding};
-use crate::lexer::{lex, lex_with_comments};
+use crate::lexer::lex_with_comments;
 use crate::purity::{workspace_findings, GraphStats};
 use crate::rules::{lint_file, FileContext};
 use crate::suppress::{filter_suppressed, parse_directives, unused_finding};
@@ -41,6 +41,18 @@ pub struct ScanReport {
 /// Returns a message when the root does not look like the SimDC
 /// workspace or a source file cannot be read.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<ScanReport, String> {
+    lint_sources(&workspace_sources(root)?, cfg)
+}
+
+/// Loads every in-scope file of the workspace at `root` as
+/// `(workspace-relative path, source)` pairs in scan order: the façade
+/// crate's `src/`, then each `crates/*/src` member by name.
+///
+/// # Errors
+///
+/// Returns a message when the root does not look like the SimDC
+/// workspace or a source file cannot be read.
+pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() || !root.join("Cargo.toml").is_file() {
         return Err(format!(
@@ -83,7 +95,7 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<ScanReport, String> {
             sources.push((rel, source));
         }
     }
-    lint_sources(&sources, cfg)
+    Ok(sources)
 }
 
 /// Runs the full lint pipeline over already-loaded sources: per-file
@@ -105,7 +117,6 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Result<ScanRepo
     for (path, source) in files {
         let ctx = FileContext {
             is_crate_root: path_is_crate_root(path),
-            crate_has_doc_gate: crate_doc_gate(files, path),
         };
         findings.extend(lint_file(path, source, &ctx, cfg));
         let (tokens, comments) = lex_with_comments(source);
@@ -144,22 +155,6 @@ fn path_is_crate_root(path: &str) -> bool {
         segs.as_slice(),
         ["src", "lib.rs"] | ["crates", _, "src", "lib.rs"]
     )
-}
-
-/// Whether the crate containing `path` compiles under
-/// `#![deny(missing_docs)]` (checked lexically on its `lib.rs` within
-/// the loaded file set).
-fn crate_doc_gate(files: &[(String, String)], path: &str) -> bool {
-    let root = match path.split_once("src/") {
-        Some((prefix, _)) => format!("{prefix}src/lib.rs"),
-        None => return false,
-    };
-    let Some((_, source)) = files.iter().find(|(p, _)| *p == root) else {
-        return false;
-    };
-    let tokens = lex(source);
-    let has = |ident: &str| tokens.iter().any(|t| t.is_ident(ident));
-    has("deny") && has("missing_docs")
 }
 
 /// Recursively collects `.rs` files under `dir`.

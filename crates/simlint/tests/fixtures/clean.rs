@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Ordered per-task accounting (D1-clean).
+/// Ordered per-task accounting.
 pub struct Claims {
     by_task: BTreeMap<u64, u64>,
     seen: BTreeSet<u64>,

@@ -67,7 +67,7 @@ impl Worker {
         w.tally()
     }
 
-    /// Ordered float reduction — no T3.
+    /// Ordered float reduction — no finding.
     fn tally(&self) -> f64 {
         let mut acc = 0.0;
         for w in self.weights.values() {

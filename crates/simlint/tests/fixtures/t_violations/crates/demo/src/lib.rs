@@ -6,7 +6,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Deterministic stream stand-in (same surface as simrt's `RngStream`).
 pub struct RngStream {
@@ -55,7 +55,7 @@ pub struct Event {
 
 /// The configured taint entry point's owner.
 pub struct Worker {
-    weights: HashMap<u64, f64>,
+    weights: BTreeMap<u64, f64>,
 }
 
 impl Worker {
@@ -70,12 +70,12 @@ impl Worker {
         ev.time = child.next_u64();
         let _ = (reseed, ev);
         let w = Worker {
-            weights: HashMap::new(),
+            weights: BTreeMap::new(),
         };
         w.tally()
     }
 
-    /// Transitively reached: T3 in both loop and chain form.
+    /// Transitively reached: an ordered float reduction — no finding.
     fn tally(&self) -> f64 {
         let mut acc = 0.0;
         for w in self.weights.values() {

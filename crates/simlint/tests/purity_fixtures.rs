@@ -2,13 +2,13 @@
 //! `tests/fixtures/p_violations` and `tests/fixtures/p_clean` pin the
 //! call-graph analysis end to end — every P-rule fires with an exact,
 //! path-naming diagnostic on the seeded tree and stays silent on its
-//! pure twin. A final test proves the acceptance criterion on the real
-//! tree: moving a lease release into the compute phase is caught.
+//! pure twin. The final tests prove the rules sharp on the real tree:
+//! a lease release or a `RefCell` moved into the compute phase is caught.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use simdc_simlint::{analyze_sources, lint_workspace, Config};
+use simdc_simlint::{analyze_sources, lint_workspace, workspace_sources, Config};
 
 fn fixture_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -34,7 +34,6 @@ fn seeded_workspace_pins_every_p_rule_diagnostic() {
         vec![
             "crates/demo/src/lib.rs:38:28: [P2/interior-mutability] worker-reachable code constructs interior mutability `Mutex::new` — path: `Worker::build` → `Worker::tally`; worker results must be pure functions of (input, seed)",
             "crates/demo/src/lib.rs:40:30: [P2/interior-mutability] worker-reachable code uses interior mutability `Mutex::lock` — path: `Worker::build` → `Worker::tally`; worker results must be pure functions of (input, seed)",
-            "crates/demo/src/lib.rs:43:34: [P3/unordered-iteration] worker-reachable iteration over unordered `HashMap` state (`.iter()`) — path: `Worker::build` → `Worker::tally`; iteration order would vary run to run",
             "crates/demo/src/lib.rs:51:17: [D3/freeze-release] lease `rm.release` outside the plan/commit pairing points () — freezes happen at admission, releases at the completion event, nowhere else",
             "crates/demo/src/lib.rs:51:17: [P1/shared-mutation] worker-reachable shared mutation `ResourceManager::release` — path: `Worker::build` → `Worker::finish`; shared state may only change in the serial prepare/merge phases (simlint.toml [rules.worker-purity])",
             "crates/demo/src/lib.rs:57:5: [P4/unregistered-spawner] worker fan-out `run_batch` outside the registered spawner sites () — every parallel region must be a reviewed prepare/compute/merge split (simlint.toml [rules.worker-purity] spawner_sites)",
@@ -50,14 +49,13 @@ fn clean_workspace_has_zero_findings() {
     assert_eq!(scan("p_clean"), Vec::<String>::new());
 }
 
-/// The CLI gate holds on both fixture workspaces, and `--format json`
-/// on the clean one reproduces the committed-baseline document byte for
-/// byte.
+/// The CLI gate holds on both fixture workspaces: violations exit 1
+/// with their diagnostics on stdout, the pure twin exits 0.
 #[test]
-fn cli_gate_and_json_baseline_on_fixture_workspaces() {
-    let run = |name: &str, format: &str| {
+fn cli_gate_on_fixture_workspaces() {
+    let run = |name: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_simdc-simlint"))
-            .args(["--workspace", "--format", format, "--root"])
+            .args(["--workspace", "--root"])
             .arg(fixture_root(name))
             .output()
             .expect("binary runs");
@@ -67,80 +65,32 @@ fn cli_gate_and_json_baseline_on_fixture_workspaces() {
         )
     };
 
-    let (code, stdout) = run("p_violations", "text");
+    let (code, stdout) = run("p_violations");
     assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("[P1/shared-mutation]"), "{stdout}");
+    for rule in [
+        "[P0/unresolved-config]",
+        "[P1/shared-mutation]",
+        "[P2/interior-mutability]",
+        "[P4/unregistered-spawner]",
+    ] {
+        assert!(stdout.contains(rule), "missing {rule} in:\n{stdout}");
+    }
 
-    let (code, json) = run("p_violations", "json");
-    assert_eq!(code, 1, "{json}");
-    assert!(
-        json.contains("\"code\": \"P4/unregistered-spawner\""),
-        "{json}"
-    );
-
-    let (code, json) = run("p_clean", "json");
-    assert_eq!(code, 0, "{json}");
-    assert_eq!(
-        json, "{\n  \"findings\": []\n}\n",
-        "clean JSON must match the committed simlint-baseline.json"
-    );
+    let (code, stdout) = run("p_clean");
+    assert_eq!(code, 0, "{stdout}");
+    assert!(stdout.starts_with("simlint: clean"), "{stdout}");
 }
 
-/// Collects the real workspace's in-scope sources exactly as the walk
-/// does (root `src/` plus `crates/*/src`, `/`-separated relative paths).
-fn real_sources(root: &Path) -> Vec<(String, String)> {
-    fn collect(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-            .expect("readable source dir")
-            .map(|e| e.expect("dir entry").path())
-            .collect();
-        entries.sort();
-        for path in entries {
-            if path.is_dir() {
-                collect(&path, root, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let rel = path
-                    .strip_prefix(root)
-                    .expect("under root")
-                    .components()
-                    .map(|c| c.as_os_str().to_string_lossy())
-                    .collect::<Vec<_>>()
-                    .join("/");
-                let source = std::fs::read_to_string(&path).expect("readable source");
-                out.push((rel, source));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    if root.join("src").is_dir() {
-        collect(&root.join("src"), root, &mut out);
-    }
-    let mut members: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
-        .expect("crates/ exists")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.join("src").is_dir())
-        .collect();
-    members.sort();
-    for member in members {
-        collect(&member.join("src"), root, &mut out);
-    }
-    out
-}
-
-/// The ISSUE's acceptance criterion, run against the *real* tree and the
-/// *real* policy without touching the checkout: injecting an
-/// `rm.release(...)` into the compute phase of `compute_one` must
-/// produce a P1 finding that names the worker entry.
-#[test]
-fn injected_release_in_compute_phase_is_caught_on_the_real_tree() {
+/// Loads the real tree and policy, asserts the tree is clean and the
+/// graph really spans the workspace, and returns (sources, config) ready
+/// for an injection.
+fn clean_real_tree() -> (Vec<(String, String)>, Config) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root resolves");
     let cfg = Config::load(&root).expect("real simlint.toml parses");
-    let mut sources = real_sources(&root);
-
-    // Baseline: the unmodified tree is P-clean under the real policy.
+    let sources = workspace_sources(&root).expect("real tree loads");
     let (findings, graph) = analyze_sources(&sources, &cfg);
     assert!(
         findings.is_empty(),
@@ -151,34 +101,63 @@ fn injected_release_in_compute_phase_is_caught_on_the_real_tree() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // The graph really spans the workspace, not just one crate.
     assert!(graph.functions > 500, "graph too small: {graph:?}");
     assert!(graph.edges > 1000, "graph too sparse: {graph:?}");
+    (sources, cfg)
+}
 
-    // Inject the race: a lease release inside the parallel compute step.
+/// Injects `extra` into the parallel compute step of `compute_one` and
+/// returns the findings carrying `code`.
+fn inject_into_compute_one(extra: &str, code: &str) -> Vec<String> {
+    let (mut sources, cfg) = clean_real_tree();
     let dispatch = sources
         .iter_mut()
         .find(|(rel, _)| rel == "crates/core/src/dispatch.rs")
         .expect("dispatch.rs is in scope");
     let anchor = "let mut scratch = Storage::new();";
     assert!(dispatch.1.contains(anchor), "compute_one anchor moved");
-    dispatch.1 = dispatch.1.replace(
-        anchor,
-        "let mut scratch = Storage::new();\n    rm.release(spec.id);",
-    );
-
+    dispatch.1 = dispatch
+        .1
+        .replace(anchor, &format!("{anchor}\n    {extra}"));
     let (findings, _) = analyze_sources(&sources, &cfg);
-    let p1: Vec<String> = findings
+    findings
         .iter()
-        .filter(|f| f.code == "P1/shared-mutation")
+        .filter(|f| f.code == code)
         .map(ToString::to_string)
-        .collect();
-    assert_eq!(p1.len(), 1, "exactly one P1 expected: {findings:?}");
+        .collect()
+}
+
+/// Run against the *real* tree and the *real* policy without touching
+/// the checkout: an `rm.release(...)` injected into the compute phase of
+/// `compute_one` must produce a P1 finding that names the worker entry.
+#[test]
+fn injected_release_in_compute_phase_is_caught_on_the_real_tree() {
+    let p1 = inject_into_compute_one("rm.release(spec.id);", "P1/shared-mutation");
+    assert_eq!(p1.len(), 1, "exactly one P1 expected: {p1:?}");
     assert!(
         p1[0].contains("crates/core/src/dispatch.rs")
             && p1[0].contains("`ResourceManager::release`")
             && p1[0].contains("`compute_one`"),
         "P1 must name the sink and the worker entry: {}",
         p1[0]
+    );
+}
+
+/// Why P2 is kept: the tree holds one reviewed `RefCell` (`PhoneMgr`'s
+/// lazy index), and P2 is what proves it is not worker-reachable — the
+/// same construction inside `compute_one` is caught.
+#[test]
+fn injected_refcell_in_compute_phase_is_caught_on_the_real_tree() {
+    let p2 = inject_into_compute_one(
+        "let memo = RefCell::new(spec.id);",
+        "P2/interior-mutability",
+    );
+    assert_eq!(p2.len(), 1, "exactly one P2 expected: {p2:?}");
+    assert!(
+        p2[0].contains("crates/core/src/dispatch.rs")
+            && p2[0].contains("`RefCell::new`")
+            && p2[0].contains("`compute_one`"),
+        "P2 must name the type and the worker entry: {}",
+        p2[0]
     );
 }

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use simdc_simlint::{analyze_sources, lint_sources, lint_workspace, Config};
+use simdc_simlint::{analyze_sources, lint_sources, lint_workspace, workspace_sources, Config};
 
 fn fixture_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -41,9 +41,7 @@ fn seeded_workspace_pins_every_t_rule_diagnostic() {
             "crates/demo/src/lib.rs:67:22: [T4/seed-provenance] argument reaches the seed of `RngStream::named` inside `mk` while carrying drawn or float taint — path: `Worker::build`; seeds must trace to the experiment seed or config (simlint.toml [rules.determinism-taint])",
             "crates/demo/src/lib.rs:68:15: [T2/rng-escape] draw-tainted value flows into shared sink `EventQueue::push` — path: `Worker::build`; randomness may not escape the compute phase into shared or merge state (simlint.toml [rules.determinism-taint])",
             "crates/demo/src/lib.rs:70:17: [T2/rng-escape] draw-tainted value assigned to `ev.time` — path: `Worker::build`; `time` orders the deterministic merge and must not depend on draw order (simlint.toml [rules.determinism-taint])",
-            "crates/demo/src/lib.rs:82:17: [T3/unordered-float-reduction] float accumulation inside iteration over unordered `HashMap` — path: `Worker::build` → `Worker::tally`; float addition is not associative, so the sum depends on `HashMap` order: iterate a `BTreeMap` or sort keys first (simlint.toml [rules.determinism-taint])",
-            "crates/demo/src/lib.rs:84:37: [T3/unordered-float-reduction] unordered float reduction `.sum(..)` over `HashMap` — path: `Worker::build` → `Worker::tally`; float addition is not associative, so the result depends on `HashMap` order: iterate a `BTreeMap` or sort keys first (simlint.toml [rules.determinism-taint])",
-            "simlint.toml:1:1: [T0/unresolved-config] [rules.determinism-taint] entry `Ghost::missing` matches no function in the workspace — fix the spec or remove the stale entry",
+            "simlint.toml:1:1: [P0/unresolved-config] [rules.worker-purity] entry `Ghost::missing` matches no function in the workspace — fix the spec or remove the stale entry",
         ]
     );
 }
@@ -60,9 +58,9 @@ fn clean_workspace_has_zero_findings() {
 /// the clean twin exits 0 even though it contains a (used) waiver.
 #[test]
 fn cli_gate_on_fixture_workspaces() {
-    let run = |name: &str, format: &str| {
+    let run = |name: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_simdc-simlint"))
-            .args(["--workspace", "--format", format, "--root"])
+            .args(["--workspace", "--root"])
             .arg(fixture_root(name))
             .output()
             .expect("binary runs");
@@ -72,71 +70,23 @@ fn cli_gate_on_fixture_workspaces() {
         )
     };
 
-    let (code, stdout) = run("t_violations", "text");
+    let (code, stdout) = run("t_violations");
     assert_eq!(code, 1, "{stdout}");
     for rule in [
         "[T1/rng-stream-aliasing]",
         "[T2/rng-escape]",
-        "[T3/unordered-float-reduction]",
         "[T4/seed-provenance]",
-        "[T0/unresolved-config]",
+        "[P0/unresolved-config]",
     ] {
         assert!(stdout.contains(rule), "missing {rule} in:\n{stdout}");
     }
 
-    let (code, stdout) = run("t_clean", "text");
+    let (code, stdout) = run("t_clean");
     assert_eq!(code, 0, "{stdout}");
     assert_eq!(
         stdout,
         "simlint: clean (1 files scanned; call graph: 7 fns, 7 edges)\n"
     );
-}
-
-/// `--format sarif` emits a SARIF 2.1.0 document on stdout, carries
-/// every fired rule id, and is byte-deterministic across runs.
-#[test]
-fn sarif_output_is_complete_and_deterministic() {
-    let run = || {
-        let out = Command::new(env!("CARGO_BIN_EXE_simdc-simlint"))
-            .args(["--workspace", "--format", "sarif", "--root"])
-            .arg(fixture_root("t_violations"))
-            .output()
-            .expect("binary runs");
-        (
-            out.status.code().expect("exit code"),
-            String::from_utf8(out.stdout).expect("utf8 stdout"),
-        )
-    };
-
-    let (code, sarif) = run();
-    assert_eq!(code, 1, "{sarif}");
-    assert!(
-        sarif.contains("\"version\": \"2.1.0\""),
-        "SARIF version pinned:\n{sarif}"
-    );
-    assert!(
-        sarif.contains("\"$schema\""),
-        "SARIF schema reference present:\n{sarif}"
-    );
-    for rule in [
-        "T0/unresolved-config",
-        "T1/rng-stream-aliasing",
-        "T2/rng-escape",
-        "T3/unordered-float-reduction",
-        "T4/seed-provenance",
-    ] {
-        assert!(
-            sarif.contains(&format!("\"id\": \"{rule}\"")),
-            "rule {rule} missing from the rules array:\n{sarif}"
-        );
-    }
-    assert!(
-        sarif.contains("\"uri\": \"crates/demo/src/lib.rs\""),
-        "result locations use workspace-relative URIs:\n{sarif}"
-    );
-
-    let (_, again) = run();
-    assert_eq!(sarif, again, "SARIF must be byte-deterministic");
 }
 
 /// A `simlint::allow` that suppresses nothing is itself a finding (S1):
@@ -167,47 +117,6 @@ fn unused_suppression_is_reported_as_s1() {
     );
 }
 
-/// Collects the real workspace's in-scope sources exactly as the walk
-/// does (root `src/` plus `crates/*/src`, `/`-separated relative paths).
-fn real_sources(root: &Path) -> Vec<(String, String)> {
-    fn collect(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-            .expect("readable source dir")
-            .map(|e| e.expect("dir entry").path())
-            .collect();
-        entries.sort();
-        for path in entries {
-            if path.is_dir() {
-                collect(&path, root, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let rel = path
-                    .strip_prefix(root)
-                    .expect("under root")
-                    .components()
-                    .map(|c| c.as_os_str().to_string_lossy())
-                    .collect::<Vec<_>>()
-                    .join("/");
-                let source = std::fs::read_to_string(&path).expect("readable source");
-                out.push((rel, source));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    if root.join("src").is_dir() {
-        collect(&root.join("src"), root, &mut out);
-    }
-    let mut members: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
-        .expect("crates/ exists")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.join("src").is_dir())
-        .collect();
-    members.sort();
-    for member in members {
-        collect(&member.join("src"), root, &mut out);
-    }
-    out
-}
-
 /// Loads the real tree, asserts it is taint-clean under the real
 /// policy, and returns (sources, config) ready for an injection.
 fn clean_real_tree() -> (Vec<(String, String)>, Config) {
@@ -216,7 +125,7 @@ fn clean_real_tree() -> (Vec<(String, String)>, Config) {
         .canonicalize()
         .expect("workspace root resolves");
     let cfg = Config::load(&root).expect("real simlint.toml parses");
-    let sources = real_sources(&root);
+    let sources = workspace_sources(&root).expect("real tree loads");
     let (findings, _) = analyze_sources(&sources, &cfg);
     assert!(
         findings.is_empty(),
