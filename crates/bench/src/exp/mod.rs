@@ -3,7 +3,6 @@
 //! Each module exposes `run(&ExpOptions)`, prints the paper-table analog to
 //! stdout and writes a machine-readable JSON result under `results/`.
 
-pub mod elasticity;
 pub mod fig10;
 pub mod fig11;
 pub mod fig5;
@@ -11,7 +10,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod scale;
 pub mod scenarios;
 pub mod sweep;
 pub mod table1;
@@ -64,29 +62,16 @@ pub const ALL: &[(&str, ExpRunner)] = &[
     ("scenarios", |opts| {
         scenarios::run(opts);
     }),
-    // The scale bench goes beyond the paper: mega_fleet throughput over a
-    // grade-indexed 100k+-phone fleet (quick mode shrinks the fleet). The
-    // name doubles as the JSON stem, so the suite emits BENCH_scale.json.
-    ("BENCH_scale", |opts| {
-        scale::run(opts);
-    }),
-    // The elasticity bench certifies the cloud tier's scale-out /
-    // scale-in behavior and emits its node/cost/utilization time series
-    // (BENCH_elasticity.json, archived by CI).
-    ("BENCH_elasticity", |opts| {
-        elasticity::run(opts);
-    }),
-    // The sweep runner expands a seed × rate × thread grid over the
-    // declarative scenario layer, one SWEEP_<cell>.json per cell plus
-    // the BENCH_sweep.json manifest (archived and diffed by CI); its
-    // thread axis doubles as a determinism gate.
+    // The sweep runner expands a seed × rate grid over the declarative
+    // scenario layer, one SWEEP_<cell>.json per cell plus the
+    // BENCH_sweep.json manifest.
     ("BENCH_sweep", |opts| {
         sweep::run(opts);
     }),
 ];
 
 /// Looks an experiment up by its [`ALL`] name; the `BENCH_` prefix is
-/// optional (`scale` finds `BENCH_scale`).
+/// optional (`sweep` finds `BENCH_sweep`).
 #[must_use]
 pub fn find(name: &str) -> Option<ExpRunner> {
     ALL.iter()

@@ -69,7 +69,6 @@ mod tests {
             quick: true,
             seed: 11,
             out_dir: out_dir.clone(),
-            ..ExpOptions::default()
         };
         let first = run(&opts);
         assert_eq!(first.len(), 8, "one summary per library scenario");

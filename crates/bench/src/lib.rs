@@ -24,12 +24,6 @@ pub struct ExpOptions {
     pub quick: bool,
     /// Where to write the JSON result (default `results/<name>.json`).
     pub out_dir: PathBuf,
-    /// Phone-fleet size override for the scale experiments (`--fleet N`);
-    /// experiments without a fleet knob ignore it.
-    pub fleet: Option<usize>,
-    /// Largest worker-thread count for the scale experiment's sweep
-    /// (`--threads N`); experiments without a thread axis ignore it.
-    pub threads: Option<usize>,
 }
 
 impl Default for ExpOptions {
@@ -38,16 +32,13 @@ impl Default for ExpOptions {
             seed: 0x51AD_C0DE,
             quick: false,
             out_dir: PathBuf::from("results"),
-            fleet: None,
-            threads: None,
         }
     }
 }
 
 impl ExpOptions {
-    /// Parses `--seed N`, `--quick`, `--out DIR`, `--fleet N` and
-    /// `--threads N` from `args` — what follows the experiment name on
-    /// the `simdc-bench` command line.
+    /// Parses `--seed N`, `--quick` and `--out DIR` from `args` — what
+    /// follows the experiment name on the `simdc-bench` command line.
     ///
     /// # Panics
     ///
@@ -66,19 +57,8 @@ impl ExpOptions {
                 "--out" => {
                     opts.out_dir = PathBuf::from(args.next().expect("--out needs a value"));
                 }
-                "--fleet" => {
-                    let v = args.next().expect("--fleet needs a value");
-                    opts.fleet = Some(v.parse().expect("--fleet must be an integer"));
-                }
-                "--threads" => {
-                    let v = args.next().expect("--threads needs a value");
-                    opts.threads = Some(v.parse().expect("--threads must be an integer"));
-                }
                 other => {
-                    panic!(
-                        "unknown argument '{other}' \
-                         (supported: --seed N, --quick, --out DIR, --fleet N, --threads N)"
-                    )
+                    panic!("unknown argument '{other}' (supported: --seed N, --quick, --out DIR)")
                 }
             }
         }

@@ -1,14 +1,13 @@
-//! `simdc-bench <name>|all [--quick] [--seed N] [--out DIR] [--fleet N]
-//! [--threads N]` — runs one experiment of [`exp::ALL`] by name (the
-//! `BENCH_` prefix is optional), or the whole suite.
+//! `simdc-bench <name>|all [--quick] [--seed N] [--out DIR]` — runs one
+//! experiment of [`exp::ALL`] by name (the `BENCH_` prefix is optional),
+//! or the whole suite.
 //!
 //! Results land in `<out>/<name>.json` (default `results/`); the printed
 //! tables mirror the paper's layout. `--quick` is the fast smoke profile.
 //!
 //! ```sh
 //! cargo run --release -p simdc-bench -- all --quick
-//! cargo run --release -p simdc-bench -- scale --fleet 1000000 --threads 8
-//! cargo run -p simdc-bench -- scale --quick --fleet 500   # debug: parity armed
+//! cargo run --release -p simdc-bench -- fig9 --seed 3 --out /tmp/fig9
 //! ```
 
 use std::process::ExitCode;
@@ -27,8 +26,7 @@ fn main() -> ExitCode {
     if selected.is_empty() {
         let names: Vec<&str> = exp::ALL.iter().map(|(known, _)| *known).collect();
         eprintln!(
-            "usage: simdc-bench <name>|all [--quick] [--seed N] [--out DIR] [--fleet N] \
-             [--threads N]\nexperiments: {}",
+            "usage: simdc-bench <name>|all [--quick] [--seed N] [--out DIR]\nexperiments: {}",
             names.join(", ")
         );
         return ExitCode::from(2);

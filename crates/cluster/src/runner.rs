@@ -184,8 +184,8 @@ impl JobPlan {
     }
 }
 
-/// A point-in-time view of the elastic tier (what the elasticity bench
-/// samples into its time series).
+/// A point-in-time view of the elastic tier (what a scenario run samples
+/// into the `cloud.series` of its summary).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClusterStats {
     /// Physical nodes in any lifecycle state.

@@ -194,7 +194,7 @@ pub fn resolve_round(
     let deadline = round_start + timeout;
     match trigger {
         AggregationTrigger::Scheduled { period } => {
-            let at = round_start + period;
+            let at = (round_start + period).min(deadline);
             split_at(deliveries, at, true)
         }
         AggregationTrigger::SampleThreshold { min_samples } => {
@@ -381,6 +381,17 @@ mod tests {
         assert_eq!(out.aggregated_at, t(35));
         assert_eq!(out.included.len(), 4);
         assert_eq!(out.stragglers, 6);
+        // A period past the round timeout aggregates at the timeout.
+        let clamped = resolve_round(
+            AggregationTrigger::Scheduled {
+                period: SimDuration::from_secs(35),
+            },
+            t(0),
+            &deliveries(),
+            SimDuration::from_secs(20),
+        );
+        assert!(clamped.trigger_fired);
+        assert_eq!(clamped.aggregated_at, t(20));
     }
 
     #[test]

@@ -132,6 +132,26 @@ enum PlatformEvent {
     NodeReady,
 }
 
+/// What a task carries while it is pending.
+struct PendingTask {
+    dataset: Arc<CtrDataset>,
+    /// Actor-bundle placement requests, computed once at submission (the
+    /// allocation is deterministic in the spec and cost model); scheduling
+    /// passes run the cloud placement trial against this cache. `None`
+    /// means the allocation failed at submit: the task counts as
+    /// placeable, so `plan` surfaces the real error on the normal failure
+    /// path.
+    placement: Option<Vec<(ResourceBundle, u64)>>,
+}
+
+impl PendingTask {
+    fn places_on(&self, cluster: &LogicalCluster) -> bool {
+        self.placement
+            .as_ref()
+            .is_none_or(|requests| cluster.can_place_all(requests))
+    }
+}
+
 /// `step` limit of a loop that runs the event queue dry.
 const NO_LIMIT: SimInstant = SimInstant::from_micros(u64::MAX);
 
@@ -144,16 +164,13 @@ pub struct Platform {
     queue: TaskQueue,
     scheduler: GreedyScheduler,
     runner: TaskRunner,
-    datasets: BTreeMap<TaskId, Arc<CtrDataset>>,
+    /// What each pending task carries; entries leave when the task leaves
+    /// the pending state (admitted or starved).
+    pending: BTreeMap<TaskId, PendingTask>,
     reports: BTreeMap<TaskId, TaskReport>,
     /// Planned executions of running tasks, keyed by task; each has a
     /// matching completion event in `events`.
     plans: BTreeMap<TaskId, TaskPlan>,
-    /// Per-pending-task actor-bundle placement requests, computed once at
-    /// submission (the allocation is deterministic in the spec and cost
-    /// model). Scheduling passes run the cloud placement trial against
-    /// this cache; entries leave when the task leaves the pending state.
-    placement_reqs: BTreeMap<TaskId, Vec<(ResourceBundle, u64)>>,
     /// Pending completion events on the virtual timeline.
     events: EventQueue<PlatformEvent>,
     /// Completion events processed so far — including tasks that failed
@@ -199,10 +216,9 @@ impl Platform {
             queue: TaskQueue::new(),
             scheduler: GreedyScheduler::new(),
             runner: TaskRunner::new(config.runner),
-            datasets: BTreeMap::new(),
+            pending: BTreeMap::new(),
             reports: BTreeMap::new(),
             plans: BTreeMap::new(),
-            placement_reqs: BTreeMap::new(),
             events: EventQueue::new(),
             completion_events: 0,
             cluster_events: 0,
@@ -258,12 +274,12 @@ impl Platform {
         // fully-scaled pool (per-node fragmentation the aggregate unit
         // ceiling misses) is rejected now rather than booting nodes it
         // can never use and starving later.
-        let requests = self
+        let placement = self
             .runner
             .plan_allocation(&spec, &self.cluster)
             .map(|alloc| TaskRunner::placement_requests(&spec, &alloc, &self.cluster))
             .ok();
-        if let Some(requests) = &requests {
+        if let Some(requests) = &placement {
             if !self.cluster.could_ever_place(requests) {
                 return Err(SimdcError::ResourceExhausted {
                     requested: format!("actor placement of task {}", spec.id),
@@ -273,10 +289,7 @@ impl Platform {
         }
         let id = spec.id;
         self.queue.submit(spec)?;
-        self.datasets.insert(id, dataset);
-        if let Some(requests) = requests {
-            self.placement_reqs.insert(id, requests);
-        }
+        self.pending.insert(id, PendingTask { dataset, placement });
         Ok(id)
     }
 
@@ -324,13 +337,12 @@ impl Platform {
         self.sync_cluster_totals();
         let started = {
             let cluster = &self.cluster;
-            let reqs = &self.placement_reqs;
+            let pending = &self.pending;
             self.scheduler
                 .schedule_filtered(&self.queue, &mut self.rm, |spec| {
-                    // No cached requests means the allocation failed at
-                    // submit: let `plan` surface the real error on the
-                    // normal failure path.
-                    reqs.get(&spec.id).is_none_or(|r| cluster.can_place_all(r))
+                    pending
+                        .get(&spec.id)
+                        .is_some_and(|task| task.places_on(cluster))
                 })
         };
         let admitted = self.admit(started);
@@ -357,21 +369,21 @@ impl Platform {
             // a completion or node-ready event), not fall through to
             // `prepare` and fail permanently.
             let still_places = self
-                .placement_reqs
+                .pending
                 .get(&id)
-                .is_none_or(|r| self.cluster.can_place_all(r));
+                .is_some_and(|task| task.places_on(&self.cluster));
+            let carried = if still_places && self.queue.mark_running(id, self.clock).is_ok() {
+                self.pending.remove(&id)
+            } else {
+                None
+            };
             // Keep freeze/release strictly paired: the scheduler froze
             // the claim, so a refused admission must give it back.
-            if !still_places || self.queue.mark_running(id, self.clock).is_err() {
+            let Some(PendingTask { dataset, .. }) = carried else {
                 self.rm.release(id);
                 continue;
-            }
+            };
             let spec = self.queue.get(id).expect("just marked").spec.clone();
-            let dataset = self
-                .datasets
-                .get(&id)
-                .expect("dataset registered at submit")
-                .clone();
             match crate::dispatch::prepare(
                 &self.runner,
                 &spec,
@@ -402,7 +414,6 @@ impl Platform {
                     self.events
                         .push(plan.finished_at(), PlatformEvent::Completion(id));
                     self.plans.insert(id, plan);
-                    self.placement_reqs.remove(&id);
                     admitted += 1;
                 }
                 Err(err) => self.fail_admission(id, &err),
@@ -415,7 +426,6 @@ impl Platform {
     /// its claim: the lease goes back and the task is terminal.
     fn fail_admission(&mut self, id: TaskId, err: &SimdcError) {
         self.rm.release(id);
-        self.placement_reqs.remove(&id);
         let _ = self.queue.mark_failed(id, err.to_string());
     }
 
@@ -537,7 +547,7 @@ impl Platform {
     /// tasks hold no lease — failing them involves no release.
     fn fail_starved(&mut self) {
         for id in self.queue.pending_by_priority() {
-            self.placement_reqs.remove(&id);
+            self.pending.remove(&id);
             let _ = self
                 .queue
                 .mark_failed(id, "resources never became available");
@@ -1381,6 +1391,53 @@ mod tests {
         assert_eq!(platform.status().now, t(50));
         platform.advance_clock_to(t(10));
         assert_eq!(platform.status().now, t(50));
+    }
+
+    /// A task's dataset is held only while the task is pending: whether it
+    /// completed, failed at admission or starved, the platform keeps no
+    /// clone behind.
+    #[test]
+    fn no_dataset_outlives_the_pending_state() {
+        let mut platform = Platform::paper_default();
+        let data = dataset();
+        let high: Vec<_> = platform
+            .phones()
+            .phones()
+            .iter()
+            .filter(|p| p.grade() == DeviceGrade::High)
+            .map(|p| p.id())
+            .collect();
+        let failure = |platform: &Platform, id: u64| match platform.task_state(TaskId(id)) {
+            Some(TaskState::Failed { reason }) => reason.clone(),
+            other => panic!("task {id} must have failed: {other:?}"),
+        };
+        let starved = "never became available";
+
+        platform.submit(small_spec(1, 0), data.clone()).unwrap();
+        assert_eq!(platform.run_until_idle(), 1);
+
+        // Fails at admission: the claim fits the fleet totals, but with
+        // every High phone crashed no benchmark phone is idle.
+        platform.submit(small_spec(2, 0), data.clone()).unwrap();
+        for &id in &high {
+            platform
+                .phones_mut()
+                .inject_crash(id, SimInstant::EPOCH)
+                .unwrap();
+        }
+        platform.run_until_idle();
+        assert!(!failure(&platform, 2).contains(starved));
+
+        // Starves: accepted against the full fleet, then the High phones
+        // are retired, so its claim never fits again.
+        platform.submit(small_spec(3, 0), data.clone()).unwrap();
+        for &id in &high {
+            platform.phones_mut().retire(id).unwrap();
+        }
+        platform.run_until_idle();
+        assert!(failure(&platform, 3).contains(starved));
+
+        assert_eq!(Arc::strong_count(&data), 1);
     }
 
     #[test]

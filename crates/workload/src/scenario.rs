@@ -292,8 +292,8 @@ pub struct CloudSample {
 }
 
 /// The elastic tier's story of one scenario run: lifecycle counters, the
-/// final bill and the node-count/utilization/cost time series the
-/// elasticity bench plots (and CI assertions read).
+/// final bill and the node-count/utilization/cost time series — the
+/// `cloud` block of each summary `simdc-bench scenarios` writes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CloudSummary {
     /// Largest physical footprint the pool ever reached.
@@ -341,7 +341,7 @@ pub struct ScenarioSummary {
     pub stragglers: u64,
     /// Discrete events processed: outer engine events (arrivals, fleet
     /// perturbations, dispatch ticks) plus platform completion events —
-    /// the numerator of the scale bench's events-per-second figure.
+    /// the numerator of `benchmark/`'s `events_per_s`.
     pub events: u64,
     /// Virtual end-to-end makespan (platform clock at drain), seconds.
     pub makespan_secs: f64,
@@ -734,7 +734,7 @@ mod tests {
             spec.compile().unwrap();
         }
         // The suite is the first eight, in order; `mega_fleet` is by-name
-        // only and sized for the scale bench's default fleet.
+        // only: its 100,000 phones are a release-build size.
         let lib = library();
         assert_eq!(
             lib.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),

@@ -44,23 +44,40 @@ fn spec_with(id: u64, strategy: Option<DispatchStrategy>, trigger: AggregationTr
 #[test]
 fn immediate_strategy_matches_direct_delivery() {
     // Routing through DeviceFlow with threshold 1 and no failures must
-    // produce the same learning outcome as bypassing DeviceFlow.
-    let trigger = AggregationTrigger::DeviceThreshold { min_devices: 24 };
-    let run = |strategy: Option<DispatchStrategy>| {
-        let mut platform = Platform::paper_default();
-        let id = match strategy {
-            Some(_) => 1,
-            None => 2,
+    // produce the same learning outcome as bypassing DeviceFlow. A
+    // schedule is independent of delivery timing, so there the two routes
+    // must also aggregate at the same instants — even when the period
+    // overruns the round timeout (`spec_with` sets 30 min) and both clamp.
+    let overrun = SimDuration::from_mins(60);
+    for (trigger, same_instants) in [
+        (
+            AggregationTrigger::DeviceThreshold { min_devices: 24 },
+            false,
+        ),
+        (AggregationTrigger::Scheduled { period: overrun }, true),
+    ] {
+        let run = |strategy: Option<DispatchStrategy>| {
+            let mut platform = Platform::paper_default();
+            let id = match strategy {
+                Some(_) => 1,
+                None => 2,
+            };
+            platform
+                .submit(spec_with(id, strategy, trigger), dataset(7))
+                .unwrap();
+            platform.run_until_idle();
+            let report = platform.report(TaskId(id)).unwrap();
+            let aggregated_at: Vec<SimInstant> =
+                report.rounds.iter().map(|r| r.aggregated_at).collect();
+            (aggregated_at, report.final_model.clone())
         };
-        platform
-            .submit(spec_with(id, strategy, trigger), dataset(7))
-            .unwrap();
-        platform.run_until_idle();
-        platform.report(TaskId(id)).unwrap().final_model.clone()
-    };
-    let through_flow = run(Some(DispatchStrategy::immediate()));
-    let direct = run(None);
-    assert_eq!(through_flow, direct);
+        let through_flow = run(Some(DispatchStrategy::immediate()));
+        let direct = run(None);
+        assert_eq!(through_flow.1, direct.1, "{trigger:?}");
+        if same_instants {
+            assert_eq!(through_flow.0, direct.0, "{trigger:?}");
+        }
+    }
 }
 
 #[test]
