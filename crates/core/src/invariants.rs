@@ -238,7 +238,7 @@ mod tests {
         let mut rm = rm();
         // Shrinking the total below the free count is the overflow shape
         // a double release would produce.
-        rm.scale_bundles(5);
+        rm.set_total_bundles(15);
         rm.set_total_bundles(10);
         assert!(capacity_violations(&rm).is_empty(), "set_total re-derives");
         assert_eq!(

@@ -434,19 +434,17 @@ impl Platform {
     /// currently fit (a phone-starved task should not boot cloud nodes) —
     /// and runs one autoscaler pass with it. A scale-up schedules the
     /// node-ready event that will wake the scheduler when the capacity
-    /// becomes placeable.
+    /// becomes placeable. The sum is taken per claim-shape group of the
+    /// queue (`members × unit_bundles`), so it costs O(shapes).
     fn autoscale_for_pending(&mut self) {
         let mut demand_units = 0u64;
-        for id in self.queue.iter_pending() {
-            let Some(record) = self.queue.get(id) else {
-                continue;
-            };
-            let claim = crate::scheduler::claim_for(&record.spec);
+        for (claim, members) in self.queue.pending_groups() {
             let phones_fit = simdc_types::DeviceGrade::ALL
                 .iter()
                 .all(|&g| *claim.phones.get(g) <= self.rm.free_phones(g));
             if phones_fit {
-                demand_units += claim.unit_bundles;
+                let group_units = (members.len() as u64).saturating_mul(claim.unit_bundles);
+                demand_units = demand_units.saturating_add(group_units);
             }
         }
         match self.cluster.autoscale(demand_units, self.clock) {

@@ -1,11 +1,14 @@
 //! The task queue and task lifecycle states.
 
 use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 use simdc_types::{Result, SimInstant, SimdcError, TaskId};
 
+use crate::resources::ResourceClaim;
+use crate::scheduler::claim_for;
 use crate::spec::TaskSpec;
 
 /// Lifecycle state of a submitted task.
@@ -64,19 +67,34 @@ pub struct TaskRecord {
 }
 
 /// Index key ordering pending tasks by `(priority desc, submission asc)`.
-type PendingKey = (Reverse<u32>, u64, TaskId);
+/// The submission sequence is unique, so the order is total.
+pub(crate) type PendingKey = (Reverse<u32>, u64, TaskId);
+
+impl TaskRecord {
+    fn pending_key(&self) -> PendingKey {
+        (
+            Reverse(self.spec.priority),
+            self.submitted_seq,
+            self.spec.id,
+        )
+    }
+}
 
 /// The Task Queue of §III-B: ordered by priority (descending) with FIFO
 /// tie-break.
 ///
-/// The scan order is maintained incrementally: `pending` holds one key per
-/// pending task, inserted on submit and removed on the transition out of
-/// `Pending`, so a scheduling pass is an ordered walk instead of an
-/// O(n log n) collect-and-sort over every record.
+/// Pending tasks are indexed by *claim shape*: `pending` maps each
+/// [`ResourceClaim`] some pending task derives (see [`claim_for`]) to the
+/// keys of the tasks that derive it, in scan order. Admission arithmetic
+/// depends on a task only through its claim, so a scheduling pass decides
+/// once per shape instead of once per task (see
+/// [`crate::GreedyScheduler::schedule_filtered`]). A key enters its group
+/// on submit and leaves on the transition out of `Pending`; a group is
+/// dropped with its last member, so the map holds live shapes only.
 #[derive(Debug, Default)]
 pub struct TaskQueue {
     records: BTreeMap<TaskId, TaskRecord>,
-    pending: BTreeSet<PendingKey>,
+    pending: BTreeMap<ResourceClaim, BTreeSet<PendingKey>>,
     next_seq: u64,
     /// `mark_*` calls that tried to transition a task already in a
     /// terminal state. The guards reject every such call, so healthy code
@@ -106,18 +124,29 @@ impl TaskQueue {
                 spec.id
             )));
         }
-        let seq = self.next_seq;
+        let record = TaskRecord {
+            spec,
+            state: TaskState::Pending,
+            submitted_seq: self.next_seq,
+        };
         self.next_seq += 1;
-        self.pending.insert((Reverse(spec.priority), seq, spec.id));
-        self.records.insert(
-            spec.id,
-            TaskRecord {
-                spec,
-                state: TaskState::Pending,
-                submitted_seq: seq,
-            },
-        );
+        self.pending
+            .entry(claim_for(&record.spec))
+            .or_default()
+            .insert(record.pending_key());
+        self.records.insert(record.spec.id, record);
         Ok(())
+    }
+
+    /// Takes a record leaving the `Pending` state out of the index,
+    /// dropping its group if it was the last member.
+    fn unindex(pending: &mut BTreeMap<ResourceClaim, BTreeSet<PendingKey>>, record: &TaskRecord) {
+        if let Entry::Occupied(mut group) = pending.entry(claim_for(&record.spec)) {
+            group.get_mut().remove(&record.pending_key());
+            if group.get().is_empty() {
+                group.remove();
+            }
+        }
     }
 
     /// A record by id.
@@ -126,29 +155,34 @@ impl TaskQueue {
         self.records.get(&id)
     }
 
-    // No public mutable record access: the incremental pending index is
-    // keyed by (priority, seq, id), so out-of-band mutation of a record's
+    // No public mutable record access: the pending index is keyed by the
+    // spec's claim, priority and id, so out-of-band mutation of a record's
     // spec or state would silently desync it. All lifecycle transitions go
     // through the mark_* methods, which maintain the index.
 
     /// Pending tasks ordered by `(priority desc, submission asc)` — the
-    /// order the greedy scheduler scans. A plain walk of the incremental
-    /// index; no per-call sorting.
+    /// order the greedy scheduler admits in. Gathers and sorts every
+    /// pending key, O(n log n): for whole-queue sweeps (starvation
+    /// handling, tests), not for the per-event scheduling pass.
     #[must_use]
     pub fn pending_by_priority(&self) -> Vec<TaskId> {
-        self.iter_pending().collect()
+        let mut keys: Vec<PendingKey> = self.pending.values().flatten().copied().collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|(_, _, id)| id).collect()
     }
 
-    /// Iterates pending task ids in `(priority desc, submission asc)`
-    /// order without allocating.
-    pub fn iter_pending(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.pending.iter().map(|&(_, _, id)| id)
+    /// The pending index: every live claim shape with the keys of the
+    /// pending tasks deriving it, each group in scan order and non-empty.
+    pub(crate) fn pending_groups(
+        &self,
+    ) -> impl Iterator<Item = (&ResourceClaim, &BTreeSet<PendingKey>)> {
+        self.pending.iter()
     }
 
     /// Number of tasks in each broad state: `(pending, running, terminal)`.
     #[must_use]
     pub fn census(&self) -> (usize, usize, usize) {
-        let mut counts = (self.pending.len(), 0, 0);
+        let mut counts = (self.pending.values().map(BTreeSet::len).sum(), 0, 0);
         for r in self.records.values() {
             if r.state.is_running() {
                 counts.1 += 1;
@@ -186,8 +220,7 @@ impl TaskQueue {
                 "task {id} is not pending"
             )));
         }
-        self.pending
-            .remove(&(Reverse(record.spec.priority), record.submitted_seq, id));
+        Self::unindex(&mut self.pending, record);
         record.state = TaskState::Running { started_at: at };
         Ok(())
     }
@@ -241,8 +274,9 @@ impl TaskQueue {
                 "task {id} is already terminal"
             )));
         }
-        self.pending
-            .remove(&(Reverse(record.spec.priority), record.submitted_seq, id));
+        if record.state.is_pending() {
+            Self::unindex(&mut self.pending, record);
+        }
         record.state = TaskState::Failed {
             reason: reason.into(),
         };
@@ -361,10 +395,70 @@ mod tests {
         );
         q.mark_failed(TaskId(1), "boom").unwrap();
         assert_eq!(q.pending_by_priority(), vec![TaskId(2), TaskId(4)]);
-        // The allocation-free iterator walks the same order.
-        let scanned: Vec<TaskId> = q.iter_pending().collect();
-        assert_eq!(scanned, q.pending_by_priority());
         assert_eq!(q.census().0, 2);
+    }
+
+    /// `(claim's high phones, member ids in scan order)` per group.
+    fn groups(q: &TaskQueue) -> Vec<(u64, Vec<u64>)> {
+        q.pending_groups()
+            .map(|(claim, members)| {
+                let ids = members.iter().map(|&(_, _, id)| id.0).collect();
+                (claim.phones.high, ids)
+            })
+            .collect()
+    }
+
+    /// [`spec`] claiming `phones` high phones instead of four.
+    fn sized(id: u64, priority: u32, phones: u64) -> TaskSpec {
+        let mut spec = spec(id, priority);
+        spec.grades[0].phones = phones;
+        spec
+    }
+
+    #[test]
+    fn pending_order_is_global_across_claim_shapes() {
+        // Two shapes interleaved in priority and submission order: the
+        // groups split them, the global order is what one flat index gave.
+        let mut q = TaskQueue::new();
+        for (id, priority, phones) in [(1, 3, 4), (2, 7, 2), (3, 7, 4), (4, 1, 2), (5, 3, 2)] {
+            q.submit(sized(id, priority, phones)).unwrap();
+        }
+        assert_eq!(groups(&q), vec![(2, vec![2, 5, 4]), (4, vec![3, 1])]);
+        let order: Vec<u64> = q.pending_by_priority().iter().map(|id| id.0).collect();
+        assert_eq!(order, vec![2, 3, 1, 5, 4]);
+        assert_eq!(q.census().0, 5);
+    }
+
+    #[test]
+    fn a_group_leaves_with_its_last_member() {
+        let mut q = TaskQueue::new();
+        q.submit(sized(1, 0, 4)).unwrap();
+        q.submit(sized(2, 0, 2)).unwrap();
+        q.submit(sized(3, 0, 2)).unwrap();
+        assert_eq!(groups(&q), vec![(2, vec![2, 3]), (4, vec![1])]);
+        // Last member marked running: the shape is gone, not left empty.
+        q.mark_running(TaskId(1), SimInstant::EPOCH).unwrap();
+        assert_eq!(groups(&q), vec![(2, vec![2, 3])]);
+        // A group with members left stays.
+        q.mark_failed(TaskId(2), "boom").unwrap();
+        assert_eq!(groups(&q), vec![(2, vec![3])]);
+        // Last member failed: gone as well, and the index is empty.
+        q.mark_failed(TaskId(3), "boom").unwrap();
+        assert_eq!(groups(&q), vec![]);
+        assert_eq!(q.census(), (0, 1, 2));
+    }
+
+    #[test]
+    fn failing_a_running_task_leaves_the_index_untouched() {
+        let mut q = TaskQueue::new();
+        q.submit(sized(1, 0, 4)).unwrap();
+        q.submit(sized(2, 0, 4)).unwrap();
+        q.mark_running(TaskId(1), SimInstant::EPOCH).unwrap();
+        let before = groups(&q);
+        q.mark_failed(TaskId(1), "failed at commit").unwrap();
+        assert_eq!(groups(&q), before);
+        assert_eq!(before, vec![(4, vec![2])]);
+        assert_eq!(q.census(), (1, 0, 1));
     }
 
     #[test]

@@ -11,8 +11,10 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 use simdc_types::{DeviceGrade, PerGrade, Result, SimdcError, TaskId};
 
-/// Quantities a task freezes for its lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Quantities a task freezes for its lifetime. `Ord` (bundles, then high
+/// phones, then low phones) exists so a claim can key the task queue's
+/// pending index; the order itself carries no meaning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub struct ResourceClaim {
     /// Unit bundles in Logical Simulation.
     pub unit_bundles: u64,
@@ -180,28 +182,6 @@ impl ResourceManager {
     pub fn active_leases(&self) -> usize {
         self.leases.len()
     }
-
-    /// Fraction of unit bundles currently frozen, in `[0, 1]`.
-    #[must_use]
-    pub fn bundle_utilization(&self) -> f64 {
-        if self.total_bundles == 0 {
-            return 0.0;
-        }
-        (self.total_bundles - self.free_bundles) as f64 / self.total_bundles as f64
-    }
-
-    /// Grows (or shrinks, saturating at what is free) the logical capacity
-    /// — the dynamic scaling §III-B mentions.
-    pub fn scale_bundles(&mut self, delta: i64) {
-        if delta >= 0 {
-            self.total_bundles += delta as u64;
-            self.free_bundles += delta as u64;
-        } else {
-            let shrink = (-delta as u64).min(self.free_bundles);
-            self.total_bundles -= shrink;
-            self.free_bundles -= shrink;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +206,6 @@ mod tests {
         assert_eq!(rm.free_bundles(), 120);
         assert_eq!(rm.free_phones(DeviceGrade::High), 12);
         assert_eq!(rm.active_leases(), 1);
-        assert!((rm.bundle_utilization() - 0.4).abs() < 1e-12);
         let released = rm.release(TaskId(1)).unwrap();
         assert_eq!(released, claim(80, 5, 0));
         assert_eq!(rm.free_bundles(), 200);
@@ -297,18 +276,5 @@ mod tests {
         rm.release(TaskId(1));
         assert_eq!(rm.free_phones(DeviceGrade::High), 4, "clamped to total");
         assert!(rm.fully_free());
-    }
-
-    #[test]
-    fn elastic_scaling() {
-        let mut rm = manager();
-        rm.scale_bundles(100);
-        assert_eq!(rm.free_bundles(), 300);
-        rm.scale_bundles(-250);
-        assert_eq!(rm.free_bundles(), 50);
-        // Shrinking below frozen capacity saturates at free.
-        rm.freeze(TaskId(1), claim(50, 0, 0)).unwrap();
-        rm.scale_bundles(-100);
-        assert_eq!(rm.free_bundles(), 0);
     }
 }

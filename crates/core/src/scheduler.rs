@@ -1,9 +1,16 @@
 //! The greedy task scheduler (§III-B).
 //!
-//! Periodically scans the queue in `(priority desc, submission asc)` order
-//! and starts every pending task whose resource claim currently fits —
-//! "prioritizing tasks that meet resource requirements while maximizing
-//! the anticipated benefits".
+//! A pass starts every pending task whose resource claim fits, deciding
+//! in `(priority desc, submission asc)` order — "prioritizing tasks that
+//! meet resource requirements while maximizing the anticipated benefits".
+//! It re-runs on every arrival and completion, so its cost must not grow
+//! with the queue: the pass works on the queue's claim-shape groups and
+//! costs O(shapes + visited · log shapes), where *visited* counts the
+//! tasks whose claim fitted when their turn came — O(shapes) for a pass
+//! that can admit nothing, however deep the queue.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use simdc_types::{DeviceGrade, PerGrade, TaskId};
 
@@ -41,10 +48,6 @@ impl GreedyScheduler {
     /// Picks the pending tasks to start now, freezing their claims in
     /// priority order. Tasks that do not fit are skipped (a later, smaller
     /// task may still be admitted — classic greedy backfilling).
-    ///
-    /// A pass walks the queue's incremental `(priority desc, submission
-    /// asc)` index directly — no per-pass sort — which keeps the
-    /// event-driven core cheap when every completion triggers a re-run.
     pub fn schedule(&self, queue: &TaskQueue, rm: &mut ResourceManager) -> Vec<TaskId> {
         self.schedule_filtered(queue, rm, |_| true)
     }
@@ -56,25 +59,48 @@ impl GreedyScheduler {
     /// Manager but whose placement would block — capacity still booting,
     /// or free units fragmented across nodes — is skipped without
     /// freezing, staying pending until a node-ready or completion event
-    /// re-runs the pass. The platform derives queue pressure for the
-    /// autoscaler from exactly those skipped tasks.
+    /// re-runs the pass.
+    ///
+    /// The result is that of walking every pending task in scan order and
+    /// freezing each whose claim fits and for which `cloud_fits` holds,
+    /// but whole claim-shape groups are decided at once. Two facts make
+    /// that exact: whether a task passes `rm.fits` depends on nothing but
+    /// its claim, and free capacity only falls during a pass (the pass
+    /// freezes, nothing releases). So a shape that does not fit — at the
+    /// start, or at any head of its group later — fits for none of the
+    /// group's remaining members, and the group is dropped unvisited. The
+    /// surviving groups are merged by key through a heap of their heads;
+    /// `cloud_fits` is asked for exactly the tasks the full walk would
+    /// ask it for, in the same order.
     pub fn schedule_filtered(
         &self,
         queue: &TaskQueue,
         rm: &mut ResourceManager,
         mut cloud_fits: impl FnMut(&TaskSpec) -> bool,
     ) -> Vec<TaskId> {
+        let mut groups = Vec::new();
+        let mut heads = BinaryHeap::new();
+        for (claim, members) in queue.pending_groups() {
+            if rm.fits(claim) {
+                let mut members = members.iter();
+                if let Some(&head) = members.next() {
+                    heads.push(Reverse((head, groups.len())));
+                }
+                groups.push((*claim, members));
+            }
+        }
         let mut started = Vec::new();
-        for id in queue.iter_pending() {
-            let Some(record) = queue.get(id) else {
-                continue;
-            };
-            let claim = claim_for(&record.spec);
-            if !rm.fits(&claim) || !cloud_fits(&record.spec) {
+        while let Some(Reverse(((_, _, id), group))) = heads.pop() {
+            let (claim, members) = &mut groups[group];
+            if !rm.fits(claim) {
                 continue;
             }
-            if rm.freeze(id, claim).is_ok() {
+            let placeable = queue.get(id).is_some_and(|record| cloud_fits(&record.spec));
+            if placeable && rm.freeze(id, *claim).is_ok() {
                 started.push(id);
+            }
+            if let Some(&next) = members.next() {
+                heads.push(Reverse((next, group)));
             }
         }
         started

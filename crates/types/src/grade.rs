@@ -85,7 +85,9 @@ impl fmt::Display for DeviceGrade {
 /// counts[DeviceGrade::Low] = 500;
 /// assert_eq!(counts.iter().map(|(_, c)| *c).sum::<u32>(), 1_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct PerGrade<T> {
     /// Value for [`DeviceGrade::High`].
     pub high: T,
