@@ -286,14 +286,6 @@ impl LogicalCluster {
         self.clock = now;
     }
 
-    /// The earliest instant a booting node becomes ready — where the
-    /// platform schedules its node-ready event. `None` when nothing is
-    /// booting.
-    #[must_use]
-    pub fn next_node_ready(&self) -> Option<SimInstant> {
-        self.pool.next_ready_at()
-    }
-
     /// One autoscaling pass: reacts to `demand_units` of queued
     /// unit-bundle demand at instant `now` (see [`Autoscaler::assess`]).
     /// Scale-ups charge [`CostModel::node_boot`] before the capacity is

@@ -158,14 +158,6 @@ pub struct Allocation {
     pub task_time: SimDuration,
 }
 
-impl Allocation {
-    /// Total devices placed in Logical Simulation.
-    #[must_use]
-    pub fn total_logical(&self) -> u64 {
-        self.grades.iter().map(|g| g.logical_devices).sum()
-    }
-}
-
 /// Minimizes task time over the per-grade splits, then applies the
 /// secondary objective: among all splits achieving `T*`, maximize the
 /// number of logically simulated devices (the paper's "prioritizing the

@@ -1,26 +1,26 @@
 //! Cloud-side services: shared storage, message intake and aggregation
 //! triggers.
 //!
-//! Devices upload update payloads to [`Storage`] and announce them with
+//! Devices upload their updates to [`Storage`] and announce them with
 //! messages; DeviceFlow forwards the messages according to the task's
-//! strategy; the cloud service decides *when to aggregate*. In real
-//! deployments the cloud does not know how many devices will report
-//! (§VI-C.1), so aggregation fires on a trigger: a sample threshold or a
-//! schedule.
+//! strategy; the cloud service decides *when to aggregate* and takes the
+//! announced updates out of the store by key. In real deployments the
+//! cloud does not know how many devices will report (§VI-C.1), so
+//! aggregation fires on a trigger: a sample threshold or a schedule.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use simdc_types::{DeviceId, Message, Result, SimDuration, SimInstant, SimdcError, StorageKey};
 
-use simdc_ml::{LocalUpdate, LrModel};
+use simdc_ml::LocalUpdate;
 
 /// In-memory shared storage (the paper's object store between devices and
-/// cloud services).
+/// cloud services). Updates cross it by value; the bandwidth figure counts
+/// each at its wire size.
 #[derive(Debug, Default)]
 pub struct Storage {
-    map: BTreeMap<StorageKey, Bytes>,
+    map: BTreeMap<StorageKey, LocalUpdate>,
     bytes_written: u64,
 }
 
@@ -31,27 +31,33 @@ impl Storage {
         Storage::default()
     }
 
-    /// Stores a payload under `key` (overwrites).
-    pub fn put(&mut self, key: StorageKey, payload: Bytes) {
-        self.bytes_written += payload.len() as u64;
-        self.map.insert(key, payload);
+    /// Stores an update under `key` (overwrites).
+    pub fn put(&mut self, key: StorageKey, update: LocalUpdate) {
+        self.bytes_written += update.serialized_size();
+        self.map.insert(key, update);
     }
 
-    /// Fetches a payload.
+    /// Fetches an update out of the store — the aggregator is its one
+    /// reader, so the fetch consumes it.
     ///
     /// # Errors
     ///
     /// Returns [`SimdcError::StorageMiss`] when the key is absent.
-    pub fn get(&self, key: &StorageKey) -> Result<Bytes> {
+    pub fn take(&mut self, key: &StorageKey) -> Result<LocalUpdate> {
         self.map
-            .get(key)
-            .cloned()
+            .remove(key)
             .ok_or_else(|| SimdcError::StorageMiss(key.to_string()))
     }
 
-    /// Removes a payload, returning whether it existed.
+    /// Removes an update nobody fetched, returning whether it existed.
     pub fn remove(&mut self, key: &StorageKey) -> bool {
         self.map.remove(key).is_some()
+    }
+
+    /// Counts `bytes` as written without keeping an object: the global
+    /// model the cloud publishes each round, which no one fetches by key.
+    pub fn charge(&mut self, bytes: u64) {
+        self.bytes_written += bytes;
     }
 
     /// Number of stored objects.
@@ -81,40 +87,6 @@ impl Storage {
         self.bytes_written += scratch.bytes_written;
         self.map.extend(scratch.map);
     }
-}
-
-/// Serializes a [`LocalUpdate`] into the payload devices upload.
-#[must_use]
-pub fn encode_update(update: &LocalUpdate) -> Bytes {
-    let model = update.model.to_bytes();
-    let mut buf = BytesMut::with_capacity(model.len() + 16);
-    buf.put_u64_le(update.n_samples);
-    buf.put_f64_le(update.final_loss);
-    buf.extend_from_slice(&model);
-    buf.freeze()
-}
-
-/// Decodes a payload produced by [`encode_update`].
-///
-/// # Errors
-///
-/// Returns [`SimdcError::Serialization`] on truncated or malformed
-/// payloads.
-pub fn decode_update(mut payload: Bytes) -> Result<LocalUpdate> {
-    if payload.len() < 16 {
-        return Err(SimdcError::Serialization(format!(
-            "update payload too short: {} bytes",
-            payload.len()
-        )));
-    }
-    let n_samples = payload.get_u64_le();
-    let final_loss = payload.get_f64_le();
-    let model = LrModel::from_bytes(payload)?;
-    Ok(LocalUpdate {
-        model,
-        n_samples,
-        final_loss,
-    })
 }
 
 /// When the cloud aggregates a round (§VI-C.1: "Common triggers include
@@ -211,14 +183,12 @@ pub fn resolve_round(
             split_at(deliveries, deadline, false)
         }
         AggregationTrigger::DeviceThreshold { min_devices } => {
-            let mut seen: Vec<DeviceId> = Vec::new();
+            let mut seen: BTreeSet<DeviceId> = BTreeSet::new();
             for (i, (t, m)) in deliveries.iter().enumerate() {
                 if *t > deadline {
                     break;
                 }
-                if !seen.contains(&m.device) {
-                    seen.push(m.device);
-                }
+                seen.insert(m.device);
                 if seen.len() as u64 >= min_devices {
                     return take_first(deliveries, i + 1, *t, true);
                 }
@@ -263,6 +233,7 @@ fn take_first(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdc_ml::LrModel;
     use simdc_types::{MessageId, RoundId, TaskId};
 
     fn t(secs: u64) -> SimInstant {
@@ -287,37 +258,31 @@ mod tests {
 
     #[test]
     fn storage_round_trip_and_miss() {
-        let mut s = Storage::new();
-        let key = StorageKey::from("a/b");
-        s.put(key.clone(), Bytes::from_static(b"hello"));
-        assert_eq!(s.get(&key).unwrap(), Bytes::from_static(b"hello"));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.bytes_written(), 5);
-        assert!(s.remove(&key));
-        assert!(!s.remove(&key));
-        assert!(matches!(s.get(&key), Err(SimdcError::StorageMiss(_))));
-    }
-
-    #[test]
-    fn update_codec_round_trips() {
         let update = LocalUpdate {
             model: LrModel::from_parts(vec![0.5, -1.5, 2.0], 0.25),
             n_samples: 321,
             final_loss: 0.625,
         };
-        let bytes = encode_update(&update);
-        let back = decode_update(bytes).unwrap();
-        assert_eq!(back, update);
-    }
+        let wire = 16 + 8 + 4 * 3;
+        let mut s = Storage::new();
+        let (a, b) = (StorageKey::from("a"), StorageKey::from("b"));
+        s.put(a.clone(), update.clone());
+        s.put(b.clone(), update.clone());
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.bytes_written(), 2 * wire);
+        assert_eq!(s.take(&a).unwrap(), update);
+        assert!(matches!(s.take(&a), Err(SimdcError::StorageMiss(_))));
+        assert!(s.remove(&b));
+        assert!(!s.remove(&b));
+        assert!(s.is_empty());
+        assert_eq!(s.bytes_written(), 2 * wire, "reads and removals are free");
 
-    #[test]
-    fn update_codec_rejects_garbage() {
-        assert!(decode_update(Bytes::from_static(b"short")).is_err());
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(1);
-        buf.put_f64_le(0.0);
-        buf.put_u8(9); // truncated model
-        assert!(decode_update(buf.freeze()).is_err());
+        let mut scratch = Storage::new();
+        scratch.put(b.clone(), update);
+        scratch.charge(100);
+        s.absorb(scratch);
+        assert_eq!(s.bytes_written(), 3 * wire + 100);
+        assert!(s.remove(&b), "what the scratch still held moved over");
     }
 
     #[test]

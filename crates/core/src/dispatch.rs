@@ -18,11 +18,13 @@
 //! 2. **Compute (pool)** — the pool maps `compute_one` over the prepared
 //!    tasks: the full round timeline (`TaskRunner::plan_timeline`) against
 //!    a shared `&LogicalCluster`, the profiles frozen at prepare time and
-//!    a private scratch [`Storage`]. This is the expensive part — local
-//!    training, DeviceFlow routing, aggregation — and it mutates no shared
-//!    state at all.
+//!    a private scratch [`Storage`] that carries each round's updates from
+//!    the devices to the aggregator and counts the bytes written. This is
+//!    the expensive part — local training, DeviceFlow routing, aggregation
+//!    — and it mutates no shared state at all.
 //! 3. **Merge (serial, admission order)** — scratch stores fold into
-//!    shared storage, the benchmark runs are submitted, and the caller
+//!    shared storage (every round swept its own updates, so what moves is
+//!    the write count), the benchmark runs are submitted, and the caller
 //!    pushes each task's completion event in admission order, so the
 //!    event queue assigns `(time, seq)` pairs that do not depend on the
 //!    pool width.
@@ -88,7 +90,7 @@ pub(crate) struct Computed {
     /// The task's placement groups: held by the final [`TaskPlan`], or
     /// released at merge when the plan failed.
     groups: Vec<PlacementGroupId>,
-    /// The store the rounds wrote to (dropped with a failed plan).
+    /// The store the rounds went through (dropped with a failed plan).
     scratch: Storage,
     /// The planned report and the benchmark runs to submit, in
     /// reservation order.

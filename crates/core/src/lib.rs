@@ -12,7 +12,7 @@
 //! * [`alloc`] — the hybrid allocation optimizer (§IV-B): the exact integer
 //!   minimizer of `T = max(Tl, Tp)` with the "prefer logical" secondary
 //!   objective.
-//! * [`cloud`] — shared storage, update codecs and aggregation triggers.
+//! * [`cloud`] — shared storage of device updates and aggregation triggers.
 //! * [`runner`] — the Task Runner: executes the multi-round operator flow
 //!   over hybrid resources, routes messages through DeviceFlow, trains real
 //!   models with the dual numeric kernels, and aggregates with FedAvg.

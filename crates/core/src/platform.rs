@@ -557,7 +557,9 @@ impl Platform {
     /// have been paired with its release: free capacity equals total
     /// capacity. Catches lease leaks like failing a running task without
     /// releasing its claim. Shares its oracle with the post-run checks —
-    /// see [`crate::invariants::idle_violations`].
+    /// see [`crate::invariants::idle_violations`]. Likewise every uploaded
+    /// update was fetched or swept by the end of its round: the shared
+    /// store is empty.
     fn debug_assert_idle_capacity(&self) {
         if cfg!(debug_assertions) {
             let violations =
@@ -565,6 +567,11 @@ impl Platform {
             assert!(
                 violations.is_empty(),
                 "invariant violated at idle: {violations:?}"
+            );
+            assert!(
+                self.storage.is_empty(),
+                "invariant violated at idle: {} payloads outlived their round",
+                self.storage.len()
             );
         }
     }
@@ -1436,6 +1443,51 @@ mod tests {
         assert!(failure(&platform, 3).contains(starved));
 
         assert_eq!(Arc::strong_count(&data), 1);
+    }
+
+    /// An uploaded update lives until its round aggregates and no longer:
+    /// whether its task completed, aggregated early and left stragglers
+    /// behind, or failed at admission, the shared store is empty at idle.
+    #[test]
+    fn no_payload_outlives_its_round() {
+        let mut platform = Platform::paper_default();
+        let data = dataset();
+
+        platform.submit(small_spec(1, 0), data.clone()).unwrap();
+        // Aggregates before the phones' λ + β ≈ 46 s completion, so their
+        // updates are uploaded but never fetched.
+        let mut early = small_spec(2, 0);
+        early.trigger = AggregationTrigger::Scheduled {
+            period: SimDuration::from_secs(40),
+        };
+        platform.submit(early, data.clone()).unwrap();
+        assert_eq!(platform.run_until_idle(), 2);
+        let early = platform.report(TaskId(2)).unwrap();
+        assert!(early.rounds.iter().any(|r| r.stragglers > 0), "{early:?}");
+
+        // Fails at admission: with every High phone crashed no benchmark
+        // phone is idle.
+        platform.submit(small_spec(3, 0), data).unwrap();
+        let high: Vec<_> = platform
+            .phones()
+            .phones()
+            .iter()
+            .filter(|p| p.grade() == DeviceGrade::High)
+            .map(|p| p.id())
+            .collect();
+        for id in high {
+            platform
+                .phones_mut()
+                .inject_crash(id, SimInstant::EPOCH)
+                .unwrap();
+        }
+        platform.run_until_idle();
+        assert!(matches!(
+            platform.task_state(TaskId(3)),
+            Some(TaskState::Failed { .. })
+        ));
+
+        assert_eq!(platform.storage().len(), 0);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! 2. actually trains every simulated device's model on its local shard —
 //!    server kernel on the cluster, mobile kernel on phones (the §VI-B.2
 //!    implementation split),
-//! 3. uploads updates to shared storage and feeds the announcement
-//!    messages through DeviceFlow at each device's virtual completion
-//!    time,
-//! 4. lets the cloud trigger decide the aggregation instant, FedAvgs the
-//!    updates that made it, and evaluates the new global model.
+//! 3. puts each update into shared storage under its key and feeds the
+//!    announcement messages (which carry the key) through DeviceFlow at
+//!    each device's virtual completion time,
+//! 4. lets the cloud trigger decide the aggregation instant, takes the
+//!    updates that made it out of storage, FedAvgs them, evaluates the new
+//!    global model, and removes what was left behind.
 //!
 //! Everything is deterministic given the task seed and start instant.
 
@@ -31,7 +32,7 @@ use simdc_types::{
 };
 
 use crate::alloc::{optimize, Allocation, GradeAllocParams, GradeAllocation};
-use crate::cloud::{decode_update, encode_update, resolve_round, Storage};
+use crate::cloud::{resolve_round, Storage};
 use crate::dispatch::{self, Prepared};
 use crate::spec::{AllocationPolicy, GradeRequirement, TaskSpec};
 
@@ -485,10 +486,9 @@ impl TaskRunner {
 
         for round_idx in 0..spec.rounds {
             let round = RoundId(round_idx);
-            storage.put(
-                StorageKey::for_global_model(spec.id, round),
-                global.to_bytes(),
-            );
+            // Devices train from `global` directly; its publication is
+            // bandwidth only.
+            storage.charge(global.serialized_size());
 
             // Compute every device's completion offset and train it.
             let mut emissions: Vec<(SimInstant, Message)> = Vec::new();
@@ -637,7 +637,7 @@ impl TaskRunner {
                 let key = m.storage_key.as_ref().ok_or_else(|| {
                     SimdcError::Serialization("model-update message without key".into())
                 })?;
-                updates.push(decode_update(storage.get(key)?)?);
+                updates.push(storage.take(key)?);
             }
             let included_samples: u64 = updates.iter().map(|u| u.n_samples).sum();
             let train_loss = FedAvg::weighted_loss(&updates);
@@ -646,7 +646,7 @@ impl TaskRunner {
             }
             let eval = evaluate(&global, &dataset.test);
 
-            // Clean consumed payloads out of storage.
+            // Stragglers' and dropped devices' updates were never fetched.
             for (_, m) in &emissions {
                 if let Some(key) = &m.storage_key {
                     storage.remove(key);
@@ -770,10 +770,11 @@ impl TaskRunner {
         let shard = &dataset.devices[(device.0 % dataset.devices.len() as u64) as usize];
         let update = trainer.train(global, &shard.data, kernel);
         let key = StorageKey::for_update(spec.id, round, device);
-        storage.put(key.clone(), encode_update(&update));
+        let n_samples = update.n_samples;
+        storage.put(key.clone(), update);
         let id = MessageId(*message_seq);
         *message_seq += 1;
-        Message::model_update(id, spec.id, device, round, update.n_samples, key, at)
+        Message::model_update(id, spec.id, device, round, n_samples, key, at)
     }
 }
 
@@ -842,15 +843,13 @@ fn run_flow_round(
             (included, agg_at, fired)
         }
         AggregationTrigger::DeviceThreshold { min_devices } => {
-            let mut devices: Vec<simdc_types::DeviceId> = Vec::new();
+            let mut devices: BTreeSet<DeviceId> = BTreeSet::new();
             let fired = step_until(
                 h,
                 deadline,
                 |batch_msgs| {
                     for m in batch_msgs {
-                        if !devices.contains(&m.device) {
-                            devices.push(m.device);
-                        }
+                        devices.insert(m.device);
                         included.push(m.clone());
                     }
                     devices.len() as u64 >= min_devices
@@ -1253,7 +1252,13 @@ mod tests {
                 SimInstant::EPOCH,
             )
             .unwrap();
-        // Only the published global models remain (one per round).
-        assert_eq!(storage.len(), 3);
+        assert!(storage.is_empty());
+        // Three rounds, each publishing one global model and uploading 20
+        // updates.
+        let dim = u64::from(data.feature_dim);
+        assert_eq!(
+            storage.bytes_written(),
+            3 * (8 + 4 * dim) + 60 * (24 + 4 * dim)
+        );
     }
 }

@@ -35,12 +35,6 @@ impl Dataset {
         Dataset::default()
     }
 
-    /// Creates a dataset from examples.
-    #[must_use]
-    pub fn from_examples(examples: Vec<Example>) -> Self {
-        Dataset { examples }
-    }
-
     /// Number of examples.
     #[must_use]
     pub fn len(&self) -> usize {

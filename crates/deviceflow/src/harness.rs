@@ -111,12 +111,6 @@ impl FlowHarness {
         &self.engine.world().flow
     }
 
-    /// Mutable access to the wrapped controller (e.g. to register tasks
-    /// after construction).
-    pub fn flow_mut(&mut self) -> &mut DeviceFlow {
-        &mut self.engine.world_mut().flow
-    }
-
     /// Total messages delivered downstream.
     #[must_use]
     pub fn delivered_messages(&self) -> u64 {

@@ -1,8 +1,6 @@
 //! The logistic-regression model.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
-use simdc_types::{Result, SimdcError};
 
 use simdc_data::FeatureVec;
 
@@ -97,53 +95,8 @@ impl LrModel {
         sum.sqrt()
     }
 
-    /// Serializes the model to a compact binary payload (little-endian
-    /// `dim`, bias, then weights). This is what devices upload to shared
-    /// storage.
-    #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + self.weights.len() * 4);
-        buf.put_u32_le(self.dim());
-        buf.put_f32_le(self.bias);
-        for &w in &self.weights {
-            buf.put_f32_le(w);
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a model produced by [`LrModel::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimdcError::Serialization`] if the payload is truncated or
-    /// the declared dimension does not match the payload length.
-    pub fn from_bytes(mut payload: Bytes) -> Result<Self> {
-        if payload.len() < 8 {
-            return Err(SimdcError::Serialization(format!(
-                "model payload too short: {} bytes",
-                payload.len()
-            )));
-        }
-        let dim = payload.get_u32_le() as usize;
-        let bias = payload.get_f32_le();
-        if dim == 0 {
-            return Err(SimdcError::Serialization("model dimension is zero".into()));
-        }
-        if payload.remaining() != dim * 4 {
-            return Err(SimdcError::Serialization(format!(
-                "model payload length mismatch: expected {} weight bytes, got {}",
-                dim * 4,
-                payload.remaining()
-            )));
-        }
-        let mut weights = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            weights.push(payload.get_f32_le());
-        }
-        Ok(LrModel { weights, bias })
-    }
-
-    /// Size in bytes of the serialized model (for bandwidth accounting).
+    /// Size in bytes of the model on the wire — little-endian `dim`, bias,
+    /// then weights — for bandwidth accounting.
     #[must_use]
     pub fn serialized_size(&self) -> u64 {
         8 + self.weights.len() as u64 * 4
@@ -190,32 +143,6 @@ mod tests {
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-9);
         // Symmetry.
         assert!((sigmoid(2.0) + sigmoid(-2.0) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bytes_round_trip() {
-        let mut m = LrModel::zeros(5);
-        m.weights_mut().copy_from_slice(&[0.1, -0.2, 0.3, 0.0, 9.5]);
-        m.set_bias(-1.25);
-        let bytes = m.to_bytes();
-        assert_eq!(bytes.len() as u64, m.serialized_size());
-        let back = LrModel::from_bytes(bytes).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn from_bytes_rejects_garbage() {
-        assert!(LrModel::from_bytes(Bytes::from_static(&[1, 2, 3])).is_err());
-        // Declared dim 10 but no weights.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(10);
-        buf.put_f32_le(0.0);
-        assert!(LrModel::from_bytes(buf.freeze()).is_err());
-        // Zero dim.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
-        buf.put_f32_le(0.0);
-        assert!(LrModel::from_bytes(buf.freeze()).is_err());
     }
 
     #[test]

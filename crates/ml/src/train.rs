@@ -60,6 +60,15 @@ pub struct LocalUpdate {
     pub final_loss: f64,
 }
 
+impl LocalUpdate {
+    /// Size in bytes of the update on the wire — sample count, loss, then
+    /// the model — for bandwidth accounting.
+    #[must_use]
+    pub fn serialized_size(&self) -> u64 {
+        16 + self.model.serialized_size()
+    }
+}
+
 /// Runs local training rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LocalTrainer {

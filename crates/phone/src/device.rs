@@ -169,12 +169,6 @@ impl PhoneDevice {
         self.train_pid = None;
     }
 
-    /// Clears the current run (task finished or torn down).
-    pub fn clear_run(&mut self) {
-        self.run = None;
-        self.train_pid = None;
-    }
-
     /// Injects a crash at `at`: from then on the device drops off ADB until
     /// [`PhoneDevice::reboot`] is called.
     pub fn inject_crash(&mut self, at: SimInstant) {

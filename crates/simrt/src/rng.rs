@@ -11,10 +11,9 @@
 //! needs (normal, gamma, beta, poisson) so that no external distribution
 //! crate is required.
 
-use rand::{Rng, RngCore, SeedableRng};
-
 /// SplitMix64: a tiny, high-quality 64-bit PRNG used both as a mixing
-/// function for seed derivation and as a cheap [`RngCore`].
+/// function for seed derivation and as the generator behind every
+/// [`RngStream`].
 ///
 /// Reference: Steele, Lea, Flood — "Fast Splittable Pseudorandom Number
 /// Generators" (the same generator used to seed xoshiro family PRNGs).
@@ -37,30 +36,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-}
-
-impl RngCore for SplitMix64 {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_value() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.next_value()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_value().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_value().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -93,7 +68,6 @@ pub fn derive_seed(root: u64, label: &str) -> u64 {
 /// A named random stream.
 ///
 /// Thin wrapper over SplitMix64 with the distribution samplers SimDC needs.
-/// Implements [`RngCore`] so it composes with `rand` adapters too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RngStream {
     inner: SplitMix64,
@@ -128,6 +102,11 @@ impl RngStream {
             // streams, never as draws.
             inner: SplitMix64::new(derive_seed(salt, label)),
         }
+    }
+
+    /// The next raw 64-bit output.
+    pub fn next_u64(&mut self) -> u64 {
+        self.inner.next_value()
     }
 
     /// Uniform float in `[0, 1)`.
@@ -284,37 +263,6 @@ impl RngStream {
     }
 }
 
-impl RngCore for RngStream {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest);
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
-    }
-}
-
-impl SeedableRng for RngStream {
-    type Seed = [u8; 8];
-    fn from_seed(seed: Self::Seed) -> Self {
-        RngStream::from_seed(u64::from_le_bytes(seed))
-    }
-    fn seed_from_u64(state: u64) -> Self {
-        RngStream::from_seed(state)
-    }
-}
-
-#[allow(dead_code)]
-fn _assert_rng_usable(mut s: RngStream) -> f64 {
-    // Compile-time check that rand::Rng methods are available.
-    Rng::gen_range(&mut s, 0.0..1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,13 +394,5 @@ mod tests {
             items, sorted,
             "shuffle left items in order (astronomically unlikely)"
         );
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = RngStream::from_seed(18);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

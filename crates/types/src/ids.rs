@@ -84,9 +84,9 @@ impl RoundId {
 /// Key under which a device's computation result is stored in shared
 /// storage.
 ///
-/// Devices upload payloads to storage and send a [`crate::Message`] carrying
-/// the key; cloud services later fetch the payload by key (§III-B of the
-/// paper).
+/// A device puts its update into storage and sends a [`crate::Message`]
+/// carrying the key; the cloud service later takes the update out by key
+/// (§III-B of the paper).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct StorageKey(pub String);
@@ -102,12 +102,6 @@ impl StorageKey {
     #[must_use]
     pub fn for_update(task: TaskId, round: RoundId, device: DeviceId) -> Self {
         StorageKey(format!("{task}/{round}/{device}"))
-    }
-
-    /// Builds the canonical key for the global model published in a round.
-    #[must_use]
-    pub fn for_global_model(task: TaskId, round: RoundId) -> Self {
-        StorageKey(format!("{task}/{round}/global"))
     }
 
     /// Returns the key as a string slice.

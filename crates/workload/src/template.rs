@@ -159,7 +159,7 @@ impl TaskTemplate {
                 learning_rate: 0.3,
                 epochs: 3,
             })
-            .seed(rand::RngCore::next_u64(rng));
+            .seed(rng.next_u64());
         let mut total_devices = 0u64;
         for grade in &grades {
             let n = draw(rng, self.devices_per_grade.0, self.devices_per_grade.1);
