@@ -19,10 +19,10 @@
 //!   Execution is split into a *plan* phase (compute the per-round
 //!   timeline, reserve benchmark phones) and a *commit* phase (take the
 //!   measurements), so the platform can schedule completions as events.
-//! * [`shard`] / [`dispatch`] — sharded parallel execution: fleet
-//!   construction fanned out over a fixed worker pool, and batched
-//!   plan-phase computation whose deterministic admission-order merge
-//!   keeps `--threads N` byte-identical to `--threads 1`.
+//! * [`dispatch`] — sharded parallel execution: batched plan-phase
+//!   computation over a fixed worker pool, whose deterministic
+//!   admission-order merge keeps `--threads N` byte-identical to
+//!   `--threads 1`.
 //! * [`invariants`] — the platform-invariant oracles (freeze/release
 //!   pairing, capacity bounds, terminal-state immutability, billing
 //!   reconciliation) shared by the debug assertions and the scenario
@@ -73,7 +73,6 @@ pub mod queue;
 pub mod resources;
 pub mod runner;
 pub mod scheduler;
-pub mod shard;
 pub mod spec;
 
 pub use alloc::{optimize, Allocation, GradeAllocParams, GradeAllocation};

@@ -51,10 +51,10 @@ pub struct PlatformConfig {
     pub runner: RunnerConfig,
     /// Platform seed (forked per phone/task).
     pub seed: u64,
-    /// Width of the fixed worker pool that fleet construction and
-    /// plan-phase computation map over. `0` and `1` both mean a one-thread
-    /// pool, which runs every batch inline on the caller's thread; the
-    /// code path is the same for every value. Results are byte-identical
+    /// Width of the fixed worker pool that plan-phase computation maps
+    /// over. `0` and `1` both mean a one-thread pool, which runs every
+    /// batch inline on the caller's thread; the code path is the same for
+    /// every value. Results are byte-identical
     /// for every value — threads only change wall-clock time — so the
     /// knob is excluded from serialized configs and golden fixtures.
     #[serde(skip)]
@@ -204,8 +204,7 @@ impl Platform {
     pub fn new(config: PlatformConfig) -> Self {
         let pool = minipool::FixedPool::new(config.threads.max(1));
         let cluster = LogicalCluster::new(config.cluster.clone());
-        let phones =
-            crate::shard::build_fleet(&pool, config.fleet, config.poll_interval, config.seed);
+        let phones = PhoneMgr::with_fleet(config.fleet, config.poll_interval, config.seed);
         let total_bundles = cluster.free_unit_bundles();
         let total_phones = PerGrade::from_fn(|g| phones.count(g, None) as u64);
         Platform {

@@ -269,7 +269,6 @@ fn fleet_growth_is_visible_to_completion_triggered_passes() {
             .phones_mut()
             .register(PhoneDevice::new(
                 simdc_types::PhoneId(900 + i as u32),
-                "late-addition",
                 DeviceGrade::High,
                 Provenance::Local,
                 77,

@@ -187,13 +187,7 @@ mod tests {
     use simdc_types::{DeviceGrade, PhoneId, SimDuration, TaskId};
 
     fn busy_phone() -> PhoneDevice {
-        let mut p = PhoneDevice::new(
-            PhoneId(2),
-            "simphone-a2",
-            DeviceGrade::Low,
-            Provenance::Msp,
-            11,
-        );
+        let mut p = PhoneDevice::new(PhoneId(2), DeviceGrade::Low, Provenance::Msp, 11);
         let plan = RunPlan::new(
             TaskId(9),
             PhoneId(2),

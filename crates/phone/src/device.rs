@@ -26,58 +26,91 @@ impl std::fmt::Display for Provenance {
     }
 }
 
-/// An emulated Android phone: stage-driven power/CPU/memory/network models
-/// behind a virtual sysfs/procfs, addressable through
-/// [`PhoneDevice::adb_shell`].
+/// What a phone carries only once something has happened to it: a run, a
+/// crash, a re-profile or a measurement draw. A fleet is mostly phones
+/// nothing ever happens to, and those hold no `Cold` at all.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PhoneDevice {
-    id: PhoneId,
-    model_name: String,
-    grade: DeviceGrade,
-    provenance: Provenance,
-    profile: PhoneProfile,
+struct Cold {
+    /// `Some` only while the profile differs from the grade's nominal one.
+    profile: Option<PhoneProfile>,
     run: Option<RunPlan>,
     train_pid: Option<u32>,
     crashed_at: Option<SimInstant>,
-    noise: RngStream,
+    /// Seeded on the first draw (see [`PhoneDevice::noise`]).
+    noise: Option<RngStream>,
+}
+
+/// The cold state of a phone that has none.
+static UNTOUCHED: Cold = Cold {
+    profile: None,
+    run: None,
+    train_pid: None,
+    crashed_at: None,
+    noise: None,
+};
+
+/// An emulated Android phone: stage-driven power/CPU/memory/network models
+/// behind a virtual sysfs/procfs, addressable through
+/// [`PhoneDevice::adb_shell`].
+///
+/// The record itself is 24 bytes — identity, the noise seed and a pointer
+/// to a boxed cold part (run, crash, custom profile, noise stream), which
+/// exists only for phones something has happened to.
+#[derive(Debug, Clone)]
+pub struct PhoneDevice {
+    cold: Option<Box<Cold>>,
+    seed: u64,
+    id: PhoneId,
+    grade: DeviceGrade,
+    provenance: Provenance,
+}
+
+impl PartialEq for PhoneDevice {
+    /// Observable state: an untouched phone equals one whose cold part was
+    /// materialised and emptied again (a crash followed by a reboot).
+    fn eq(&self, other: &Self) -> bool {
+        (self.id, self.grade, self.provenance, self.seed)
+            == (other.id, other.grade, other.provenance, other.seed)
+            && self.cold() == other.cold()
+    }
 }
 
 impl PhoneDevice {
     /// Creates an idle phone with the default profile of its grade.
     #[must_use]
-    pub fn new(
-        id: PhoneId,
-        model_name: impl Into<String>,
-        grade: DeviceGrade,
-        provenance: Provenance,
-        seed: u64,
-    ) -> Self {
+    pub fn new(id: PhoneId, grade: DeviceGrade, provenance: Provenance, seed: u64) -> Self {
         PhoneDevice {
+            cold: None,
+            seed,
             id,
-            model_name: model_name.into(),
             grade,
             provenance,
-            profile: PhoneProfile::for_grade(grade),
-            run: None,
-            train_pid: None,
-            crashed_at: None,
-            // simlint::allow(T1/rng-stream-aliasing): labelled by phone id,
-            // which PhoneMgr::register assigns uniquely — no two phones can
-            // share a noise stream.
-            noise: RngStream::named(seed, &format!("phone/{}", id.0)),
         }
+    }
+
+    fn cold(&self) -> &Cold {
+        self.cold.as_deref().unwrap_or(&UNTOUCHED)
+    }
+
+    fn cold_mut(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(|| Box::new(UNTOUCHED.clone()))
+    }
+
+    /// The measurement-noise stream, seeded on its first use from the same
+    /// `(seed, "phone/{id}")` label an eagerly built stream would carry.
+    fn noise(&mut self) -> &mut RngStream {
+        // Labelled by phone id, which PhoneMgr::register keeps unique — no
+        // two phones can share a noise stream.
+        let (seed, id) = (self.seed, self.id);
+        self.cold_mut()
+            .noise
+            .get_or_insert_with(|| RngStream::named(seed, &format!("phone/{}", id.0)))
     }
 
     /// Phone identifier.
     #[must_use]
     pub fn id(&self) -> PhoneId {
         self.id
-    }
-
-    /// Marketing model name (phones can be classified by model, §IV-A).
-    #[must_use]
-    pub fn model_name(&self) -> &str {
-        &self.model_name
     }
 
     /// Performance grade.
@@ -92,10 +125,14 @@ impl PhoneDevice {
         self.provenance
     }
 
-    /// The behaviour profile.
+    /// The behaviour profile: the grade's shared nominal one until
+    /// [`PhoneDevice::set_profile`] stores a different one.
     #[must_use]
     pub fn profile(&self) -> &PhoneProfile {
-        &self.profile
+        match &self.cold().profile {
+            Some(own) => own,
+            None => PhoneProfile::nominal(self.grade),
+        }
     }
 
     /// Replaces the behaviour profile (e.g. for custom calibrations).
@@ -112,37 +149,38 @@ impl PhoneDevice {
                 profile.grade, self.grade
             )));
         }
-        self.profile = profile;
+        if profile != *PhoneProfile::nominal(self.grade) {
+            self.cold_mut().profile = Some(profile);
+        } else if let Some(cold) = &mut self.cold {
+            cold.profile = None;
+        }
         Ok(())
     }
 
     /// The active run plan, if any.
     #[must_use]
     pub fn run(&self) -> Option<&RunPlan> {
-        self.run.as_ref()
+        self.cold().run.as_ref()
     }
 
     /// Whether the phone is executing (or scheduled to execute) work at
     /// `now`.
     #[must_use]
     pub fn is_busy(&self, now: SimInstant) -> bool {
-        if self.crashed_at.is_some_and(|t| now >= t) {
-            return false;
-        }
-        self.run.as_ref().is_some_and(|r| now < r.end())
+        !self.is_crashed(now) && self.run().is_some_and(|r| now < r.end())
     }
 
     /// Whether the phone has crashed (ADB unreachable) as of `now`.
     #[must_use]
     pub fn is_crashed(&self, now: SimInstant) -> bool {
-        self.crashed_at.is_some_and(|t| now >= t)
+        self.crashed_at().is_some_and(|t| now >= t)
     }
 
     /// The instant an injected crash takes (or took) effect, if any — the
     /// availability index schedules the offline transition from this.
     #[must_use]
     pub fn crashed_at(&self) -> Option<SimInstant> {
-        self.crashed_at
+        self.cold().crashed_at
     }
 
     /// Assigns a run plan.
@@ -156,23 +194,27 @@ impl PhoneDevice {
             return Err(SimdcError::PhoneUnavailable(self.id));
         }
         // Deterministic fake pid derived from the phone id and task.
-        self.train_pid = Some(10_000 + (self.id.0 * 13 + plan.task.0 as u32 * 7) % 20_000);
-        self.run = Some(plan);
+        let pid = 10_000 + (self.id.0 * 13 + plan.task.0 as u32 * 7) % 20_000;
+        let cold = self.cold_mut();
+        cold.train_pid = Some(pid);
+        cold.run = Some(plan);
         Ok(())
     }
 
     /// Reboots a crashed phone: clears the crash state and any stale run so
     /// the device becomes selectable again.
     pub fn reboot(&mut self) {
-        self.crashed_at = None;
-        self.run = None;
-        self.train_pid = None;
+        if let Some(cold) = &mut self.cold {
+            cold.crashed_at = None;
+            cold.run = None;
+            cold.train_pid = None;
+        }
     }
 
     /// Injects a crash at `at`: from then on the device drops off ADB until
     /// [`PhoneDevice::reboot`] is called.
     pub fn inject_crash(&mut self, at: SimInstant) {
-        self.crashed_at = Some(at);
+        self.cold_mut().crashed_at = Some(at);
     }
 
     /// The lifecycle stage at `now` ([`Stage::ApkClosed`] outside any run
@@ -182,31 +224,31 @@ impl PhoneDevice {
         if self.is_crashed(now) {
             return None;
         }
-        self.run.as_ref().and_then(|r| r.stage_at(now))
+        self.run().and_then(|r| r.stage_at(now))
     }
 
     /// Pid of the training process if the APK is alive at `now`.
     #[must_use]
     pub fn train_pid_at(&self, now: SimInstant) -> Option<u32> {
         match self.stage_at(now) {
-            Some(s) if s.apk_running() => self.train_pid,
+            Some(s) if s.apk_running() => self.cold().train_pid,
             _ => None,
         }
     }
 
     fn noisy(&mut self, value: f64) -> f64 {
-        let frac = self.profile.noise_frac;
+        let frac = self.profile().noise_frac;
         if frac == 0.0 {
             return value;
         }
-        value * self.noise.uniform_range(1.0 - frac, 1.0 + frac)
+        value * self.noise().uniform_range(1.0 - frac, 1.0 + frac)
     }
 
     /// Instantaneous battery discharge current in µA.
     #[must_use]
     pub fn current_ua_at(&mut self, now: SimInstant) -> f64 {
         let ma = match self.stage_at(now) {
-            Some(stage) => self.profile.stage_current(stage),
+            Some(stage) => self.profile().stage_current(stage),
             None => 20.0, // deep idle
         };
         self.noisy(ma * 1_000.0)
@@ -216,9 +258,9 @@ impl PhoneDevice {
     /// converts to the mV the paper reports).
     #[must_use]
     pub fn voltage_uv_at(&mut self, _now: SimInstant) -> f64 {
-        let base = self.profile.voltage_mv * 1_000.0;
+        let base = self.profile().voltage_mv * 1_000.0;
         // Voltage wobbles far less than current.
-        base * self.noise.uniform_range(0.995, 1.005)
+        base * self.noise().uniform_range(0.995, 1.005)
     }
 
     /// Instantaneous CPU usage of the training process, in percent.
@@ -227,10 +269,10 @@ impl PhoneDevice {
     /// (Fig 5's 4–13% band); idle stages sit near the idle floor.
     #[must_use]
     pub fn cpu_pct_at(&mut self, now: SimInstant) -> f64 {
-        let p = &self.profile;
+        let p = self.profile();
         let value = match self.stage_at(now) {
             Some(Stage::Training) => {
-                let run = self.run.as_ref().expect("stage implies run");
+                let run = self.run().expect("stage implies run");
                 let t = run.training_elapsed_at(now).as_secs_f64();
                 // 20 s oscillation plus a short ramp-in at round start.
                 let osc = (t / 20.0 * std::f64::consts::TAU).sin();
@@ -255,10 +297,10 @@ impl PhoneDevice {
     /// gaps, matching Fig 5's 10→50 MB envelope.
     #[must_use]
     pub fn mem_kb_at(&mut self, now: SimInstant) -> f64 {
-        let p = &self.profile;
+        let p = self.profile();
         let value = match self.stage_at(now) {
             Some(stage) if stage.apk_running() => {
-                let run = self.run.as_ref().expect("stage implies run");
+                let run = self.run().expect("stage implies run");
                 let active = run.training_elapsed_at(now).as_secs_f64();
                 let ramp = (active / p.mem_ramp.as_secs_f64()).min(1.0);
                 let mb = p.mem_launch_mb + ramp * (p.mem_train_peak_mb - p.mem_launch_mb);
@@ -281,14 +323,14 @@ impl PhoneDevice {
     /// end, gradients in between).
     #[must_use]
     pub fn net_bytes_at(&self, now: SimInstant) -> u64 {
-        let Some(run) = self.run.as_ref() else {
+        let Some(run) = self.run() else {
             return 0;
         };
         if self.is_crashed(now) {
             return 0;
         }
         let (completed, progress) = run.round_progress_at(now);
-        let kb = self.profile.comm_kb_per_round * (f64::from(completed) + progress);
+        let kb = self.profile().comm_kb_per_round * (f64::from(completed) + progress);
         (kb * 1_024.0).round() as u64
     }
 
@@ -320,18 +362,20 @@ impl PhoneDevice {
 }
 
 #[cfg(test)]
+impl PhoneDevice {
+    /// Whether the cold part has been materialised.
+    pub(crate) fn is_touched(&self) -> bool {
+        self.cold.is_some()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use simdc_types::{SimDuration, TaskId};
 
     fn phone() -> PhoneDevice {
-        PhoneDevice::new(
-            PhoneId(1),
-            "simphone-x1",
-            DeviceGrade::High,
-            Provenance::Local,
-            7,
-        )
+        PhoneDevice::new(PhoneId(1), DeviceGrade::High, Provenance::Local, 7)
     }
 
     fn plan(start_secs: u64) -> RunPlan {

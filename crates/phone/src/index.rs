@@ -4,15 +4,20 @@
 //! `effective_profile` — used to rescan the whole `Vec<PhoneDevice>` on
 //! every call, which is O(fleet) per task per grade and the wall between
 //! paper-scale fleets (30 phones) and million-device scenarios. This module
-//! keeps the answers *incrementally*:
+//! keeps the answers *incrementally*, and at a cost that follows the phones
+//! something has happened to rather than the size of the fleet:
 //!
-//! * per-`(grade, provenance)` ordered **free sets** (`BTreeSet<PhoneId>`),
-//!   so selection pops the cheapest ids in the exact order the old
-//!   sort-based scan produced (local before MSP, ids ascending);
+//! * per-`(grade, provenance)` **free sets** stored as id ranges
+//!   ([`IdRanges`]): a freshly built fleet is one range per segment, each
+//!   busy or crashed phone splits a range in two, and selection walks the
+//!   ids in the exact order the old sort-based scan produced (local before
+//!   MSP, ids ascending);
 //! * per-`(grade, provenance)` **registration totals**, making `count`
 //!   O(1);
-//! * per-grade **running sums** of the profiled training/startup
-//!   durations, making `effective_profile` O(1);
+//! * per-grade **sums** of the profiled training/startup durations in
+//!   whole microseconds, making `effective_profile` O(1) and exact — plus
+//!   the contribution of each phone whose profile is *not* the grade's
+//!   nominal one, so a re-profile swaps its old share for the new;
 //! * a global min-heap of **availability transitions** — run completions
 //!   and scheduled crash onsets — drained lazily as query time advances,
 //!   so a phone whose run ends at `t` re-enters its free set the first
@@ -24,19 +29,21 @@
 //! non-decreasing `now` — which the event-driven platform guarantees.
 //! `select` additionally re-verifies every candidate against the device
 //! state, so even a misuse cannot hand out a busy phone. In debug builds
-//! the manager asserts after every sync that the index agrees with a full
-//! brute-force rescan.
+//! the manager asserts after every sync that the index agrees with one
+//! walk over the fleet.
 //!
 //! Mutations that bypass the manager's APIs (raw [`crate::PhoneMgr::phone_mut`]
 //! access) are tracked as *dirty* ids and re-indexed on the next query, so
 //! existing callers stay correct without threading hooks everywhere.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
-use simdc_types::{DeviceGrade, PhoneId, SimInstant};
+use simdc_types::{DeviceGrade, PhoneId, SimDuration, SimInstant};
 
 use crate::device::{PhoneDevice, Provenance};
+use crate::mgr::FleetSegment;
+use crate::profile::PhoneProfile;
 
 /// Provenance slot inside the per-grade bucket arrays.
 pub(crate) const fn prov_slot(prov: Provenance) -> usize {
@@ -46,30 +53,114 @@ pub(crate) const fn prov_slot(prov: Provenance) -> usize {
     }
 }
 
-/// Running per-grade profile sums backing O(1) `effective_profile`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct GradeSums {
-    /// Registered phones of the grade.
-    pub n: u32,
-    /// Sum of profiled training durations, seconds.
-    pub train_secs: f64,
-    /// Sum of profiled framework-startup durations, seconds.
-    pub startup_secs: f64,
+/// A set of phone ids kept as disjoint, non-adjacent inclusive ranges
+/// (`start → end`).
+#[derive(Debug, Default)]
+pub(crate) struct IdRanges {
+    ranges: BTreeMap<u32, u32>,
+    len: usize,
+}
+
+impl IdRanges {
+    /// Ids in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The range holding `id`, if any.
+    fn range_of(&self, id: u32) -> Option<(u32, u32)> {
+        let (&start, &end) = self.ranges.range(..=id).next_back()?;
+        (id <= end).then_some((start, end))
+    }
+
+    /// Whether `id` is in the set.
+    pub fn contains(&self, id: PhoneId) -> bool {
+        self.range_of(id.0).is_some()
+    }
+
+    /// Adds every id of `start..=end`, none of which may be present,
+    /// coalescing with the ranges that touch either side.
+    pub fn insert_range(&mut self, mut start: u32, mut end: u32) {
+        debug_assert!(
+            self.ranges
+                .range(..=end)
+                .next_back()
+                .is_none_or(|(_, &e)| e < start),
+            "id range {start}..={end} overlaps the set"
+        );
+        self.len += (end - start) as usize + 1;
+        if let Some((&s, &e)) = self.ranges.range(..start).next_back() {
+            if e + 1 == start {
+                start = s;
+            }
+        }
+        if let Some(e) = end
+            .checked_add(1)
+            .and_then(|next| self.ranges.remove(&next))
+        {
+            end = e;
+        }
+        self.ranges.insert(start, end);
+    }
+
+    /// Adds one id; a no-op if present.
+    pub fn insert(&mut self, id: PhoneId) {
+        if !self.contains(id) {
+            self.insert_range(id.0, id.0);
+        }
+    }
+
+    /// Removes one id, splitting its range; a no-op if absent.
+    pub fn remove(&mut self, id: PhoneId) {
+        let Some((start, end)) = self.range_of(id.0) else {
+            return;
+        };
+        self.len -= 1;
+        if start < id.0 {
+            self.ranges.insert(start, id.0 - 1);
+        } else {
+            self.ranges.remove(&start);
+        }
+        if id.0 < end {
+            self.ranges.insert(id.0 + 1, end);
+        }
+    }
+
+    /// The ids, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = PhoneId> + '_ {
+        self.ranges
+            .iter()
+            .flat_map(|(&start, &end)| (start..=end).map(PhoneId))
+    }
+}
+
+/// A profile's share of its grade's sums: `(train, startup)` microseconds.
+fn contribution(profile: &PhoneProfile) -> (u64, u64) {
+    (
+        profile.train_duration.as_micros(),
+        profile.framework_startup.as_micros(),
+    )
+}
+
+/// The share of a phone that was never re-profiled.
+fn nominal_contribution(grade: DeviceGrade) -> (u64, u64) {
+    contribution(PhoneProfile::nominal(grade))
 }
 
 /// The incremental availability index. See the module docs.
 #[derive(Debug, Default)]
 pub(crate) struct FleetIndex {
     /// Free (idle, healthy) phones per `[grade][provenance]`.
-    free: [[BTreeSet<PhoneId>; 2]; DeviceGrade::COUNT],
+    free: [[IdRanges; 2]; DeviceGrade::COUNT],
     /// Registered phones per `[grade][provenance]` (busy or not).
     totals: [[usize; 2]; DeviceGrade::COUNT],
-    /// Per-grade profile sums.
-    sums: [GradeSums; DeviceGrade::COUNT],
-    /// Each phone's last-indexed profile contribution
-    /// `(train_secs, startup_secs)` — subtracted before re-adding on a
-    /// profile change so the sums never double-count.
-    cached_profile: BTreeMap<PhoneId, (f64, f64)>,
+    /// Per-grade `(train, startup)` profile sums in microseconds. Integer,
+    /// so they do not depend on the order phones were added in.
+    sums: [(u128, u128); DeviceGrade::COUNT],
+    /// The last-indexed contribution of each phone whose profile is not
+    /// its grade's nominal one (absent = nominal) — what a profile change
+    /// or a retirement takes back out of the sums.
+    cached_profile: BTreeMap<PhoneId, (u64, u64)>,
     /// Future instants at which a phone's availability may flip (run end,
     /// scheduled crash onset). Entries may be stale — re-indexing is
     /// idempotent, so stale pops are harmless.
@@ -108,17 +199,44 @@ impl FleetIndex {
     /// old full-fleet sort produced.
     pub fn iter_free(&self, grade: DeviceGrade) -> impl Iterator<Item = PhoneId> + '_ {
         let bucket = &self.free[grade.index()];
-        bucket[0].iter().copied().chain(bucket[1].iter().copied())
+        bucket[0].iter().chain(bucket[1].iter())
     }
 
-    /// The per-grade profile sums (synced).
-    pub fn sums(&self, grade: DeviceGrade) -> GradeSums {
-        self.sums[grade.index()]
+    /// Mean profiled `(train, startup)` durations over the registered
+    /// phones of `grade`, rounded to the microsecond; `None` for a grade
+    /// with no phones.
+    pub fn mean_profile(&self, grade: DeviceGrade) -> Option<(SimDuration, SimDuration)> {
+        let n = self.total(grade, None) as u128;
+        if n == 0 {
+            return None;
+        }
+        // Each term is a u64, so the rounded mean is one too.
+        let mean = |sum: u128| {
+            SimDuration::from_micros(u64::try_from((sum + n / 2) / n).unwrap_or(u64::MAX))
+        };
+        let (train, startup) = self.sums[grade.index()];
+        Some((mean(train), mean(startup)))
+    }
+
+    /// Accounts for a whole segment of freshly built, untouched phones:
+    /// one free range and `count × nominal` in the sums.
+    pub fn load_segment(&mut self, seg: &FleetSegment) {
+        let (g, s) = (seg.grade.index(), prov_slot(seg.provenance));
+        self.totals[g][s] += seg.count;
+        // `FleetSpec::segments` emits no empty segment.
+        self.free[g][s].insert_range(seg.start, seg.start + (seg.count - 1) as u32);
+        let (train, startup) = nominal_contribution(seg.grade);
+        self.sums[g].0 += seg.count as u128 * u128::from(train);
+        self.sums[g].1 += seg.count as u128 * u128::from(startup);
     }
 
     /// Accounts for a newly registered phone and indexes it.
     pub fn note_registered(&mut self, phone: &PhoneDevice) {
-        self.totals[phone.grade().index()][prov_slot(phone.provenance())] += 1;
+        let g = phone.grade().index();
+        self.totals[g][prov_slot(phone.provenance())] += 1;
+        let (train, startup) = nominal_contribution(phone.grade());
+        self.sums[g].0 += u128::from(train);
+        self.sums[g].1 += u128::from(startup);
         let at = self.indexed_to;
         self.reindex(phone, at);
     }
@@ -128,13 +246,13 @@ impl FleetIndex {
     pub fn note_retired(&mut self, phone: &PhoneDevice) {
         let g = phone.grade().index();
         self.totals[g][prov_slot(phone.provenance())] -= 1;
-        self.free[g][prov_slot(phone.provenance())].remove(&phone.id());
-        if let Some((train, startup)) = self.cached_profile.remove(&phone.id()) {
-            let sums = &mut self.sums[g];
-            sums.n -= 1;
-            sums.train_secs -= train;
-            sums.startup_secs -= startup;
-        }
+        self.free[g][prov_slot(phone.provenance())].remove(phone.id());
+        let (train, startup) = self
+            .cached_profile
+            .remove(&phone.id())
+            .unwrap_or_else(|| nominal_contribution(phone.grade()));
+        self.sums[g].0 -= u128::from(train);
+        self.sums[g].1 -= u128::from(startup);
     }
 
     /// Re-indexes one phone at the index's current high-water instant —
@@ -144,37 +262,32 @@ impl FleetIndex {
         self.reindex(phone, at);
     }
 
-    /// Re-derives one phone's index state from the device itself, as of
-    /// `at`: profile contribution, free-set membership, and any future
-    /// transition instants. Idempotent.
+    /// Re-derives one registered phone's index state from the device
+    /// itself, as of `at`: profile contribution, free-set membership, and
+    /// any future transition instants. Idempotent.
     pub fn reindex(&mut self, phone: &PhoneDevice, at: SimInstant) {
         let id = phone.id();
         let g = phone.grade().index();
 
         // Profile sums: swap the cached contribution for the current one.
-        let contribution = (
-            phone.profile().train_duration.as_secs_f64(),
-            phone.profile().framework_startup.as_secs_f64(),
-        );
-        let sums = &mut self.sums[g];
-        match self.cached_profile.insert(id, contribution) {
-            Some((old_train, old_startup)) => {
-                if (old_train, old_startup) != contribution {
-                    sums.train_secs += contribution.0 - old_train;
-                    sums.startup_secs += contribution.1 - old_startup;
-                }
-            }
-            None => {
-                sums.n += 1;
-                sums.train_secs += contribution.0;
-                sums.startup_secs += contribution.1;
-            }
+        let nominal = nominal_contribution(phone.grade());
+        let new = contribution(phone.profile());
+        let old = if new == nominal {
+            self.cached_profile.remove(&id)
+        } else {
+            self.cached_profile.insert(id, new)
+        }
+        .unwrap_or(nominal);
+        if old != new {
+            let sums = &mut self.sums[g];
+            sums.0 = sums.0 + u128::from(new.0) - u128::from(old.0);
+            sums.1 = sums.1 + u128::from(new.1) - u128::from(old.1);
         }
 
         // Free-set membership as of `at`.
         let set = &mut self.free[g][prov_slot(phone.provenance())];
         if phone.is_busy(at) || phone.is_crashed(at) {
-            set.remove(&id);
+            set.remove(id);
         } else {
             set.insert(id);
         }
@@ -195,13 +308,14 @@ impl FleetIndex {
     }
 
     /// Brings the index up to `now`: drains due transitions and re-indexes
-    /// dirty phones. O(k log F) in the number of due transitions and dirty
-    /// ids — independent of fleet size on the steady-state path.
-    pub fn sync(
+    /// dirty phones, resolving ids through `phone` (retired ids resolve to
+    /// nothing and are skipped). O(k log F) in the number of due
+    /// transitions and dirty ids — independent of fleet size on the
+    /// steady-state path.
+    pub fn sync<'a>(
         &mut self,
         now: SimInstant,
-        phones: &[PhoneDevice],
-        by_id: &BTreeMap<PhoneId, usize>,
+        phone: impl Fn(PhoneId) -> Option<&'a PhoneDevice>,
     ) {
         let at = self.indexed_to.max(now);
         self.indexed_to = at;
@@ -210,9 +324,7 @@ impl FleetIndex {
                 break;
             }
             self.transitions.pop();
-            if let Some(&slot) = by_id.get(&id) {
-                // Split the borrow: reindex needs &mut self.
-                let phone = &phones[slot];
+            if let Some(phone) = phone(id) {
                 self.reindex(phone, at);
             }
         }
@@ -222,54 +334,71 @@ impl FleetIndex {
         self.dirty.sort_unstable();
         self.dirty.dedup();
         while let Some(id) = self.dirty.pop() {
-            if let Some(&slot) = by_id.get(&id) {
-                let phone = &phones[slot];
+            if let Some(phone) = phone(id) {
                 self.reindex(phone, at);
             }
         }
     }
 
-    /// Full-rescan parity check (debug builds): the free sets, totals and
-    /// profile sums must agree with a brute-force walk of the fleet at the
-    /// index's high-water instant.
+    /// Parity check (debug builds): one walk over the fleet at the index's
+    /// high-water instant must find exactly the free sets, totals and
+    /// profile sums the index holds. Phone ids are unique, so "every free
+    /// phone is in its set" plus equal counts is set equality.
     #[cfg(debug_assertions)]
     pub fn assert_parity(&self, phones: &[PhoneDevice]) {
         let at = self.indexed_to;
-        let mut free: [[BTreeSet<PhoneId>; 2]; DeviceGrade::COUNT] = Default::default();
+        let mut free = [[0usize; 2]; DeviceGrade::COUNT];
         let mut totals = [[0usize; 2]; DeviceGrade::COUNT];
-        let mut ns = [0u32; DeviceGrade::COUNT];
+        let mut sums = [(0u128, 0u128); DeviceGrade::COUNT];
+        let mut off_nominal = 0usize;
+        let nominal = DeviceGrade::ALL.map(nominal_contribution);
         for p in phones {
             let g = p.grade().index();
             let s = prov_slot(p.provenance());
             totals[g][s] += 1;
-            ns[g] += 1;
+            let (train, startup) = contribution(p.profile());
+            sums[g].0 += u128::from(train);
+            sums[g].1 += u128::from(startup);
+            if (train, startup) != nominal[g] {
+                off_nominal += 1;
+            }
             if !p.is_busy(at) && !p.is_crashed(at) {
-                free[g][s].insert(p.id());
+                free[g][s] += 1;
+                assert!(
+                    self.free[g][s].contains(p.id()),
+                    "free phone {} is missing from the fleet index at {at}",
+                    p.id()
+                );
             }
         }
-        assert_eq!(
-            self.free, free,
-            "fleet index free sets diverged from a full rescan at {at}"
-        );
+        for (sets, counts) in self.free.iter().zip(free) {
+            for (set, count) in sets.iter().zip(counts) {
+                assert_eq!(
+                    (set.len(), set.iter().count()),
+                    (count, count),
+                    "fleet index free set holds phones a full rescan at {at} finds busy"
+                );
+            }
+        }
         assert_eq!(self.totals, totals, "fleet index totals diverged");
-        for g in DeviceGrade::ALL {
-            let sums = self.sums[g.index()];
-            assert_eq!(sums.n, ns[g.index()], "profile-sum count diverged for {g}");
-            let (mut train, mut startup) = (0.0f64, 0.0f64);
-            for p in phones.iter().filter(|p| p.grade() == g) {
-                train += p.profile().train_duration.as_secs_f64();
-                startup += p.profile().framework_startup.as_secs_f64();
-            }
-            assert!(
-                (sums.train_secs - train).abs() <= 1e-6 * train.abs().max(1.0),
-                "profile train-duration sum drifted for {g}: {} vs rescan {train}",
-                sums.train_secs
-            );
-            assert!(
-                (sums.startup_secs - startup).abs() <= 1e-6 * startup.abs().max(1.0),
-                "profile startup sum drifted for {g}: {} vs rescan {startup}",
-                sums.startup_secs
-            );
-        }
+        assert_eq!(self.sums, sums, "fleet index profile sums diverged");
+        assert_eq!(
+            self.cached_profile.len(),
+            off_nominal,
+            "fleet index caches a contribution for a nominal or retired phone"
+        );
+    }
+}
+
+#[cfg(test)]
+impl FleetIndex {
+    /// Free ranges held across all `(grade, provenance)` sets.
+    pub fn free_ranges(&self) -> usize {
+        self.free.iter().flatten().map(|set| set.ranges.len()).sum()
+    }
+
+    /// Phones with a cached non-nominal contribution.
+    pub fn cached_profiles(&self) -> usize {
+        self.cached_profile.len()
     }
 }

@@ -12,7 +12,16 @@
 //! (registration, retirement, run submission, crash, reboot, profile
 //! change); raw mutations through [`PhoneMgr::phone_mut`] are tracked as
 //! dirty and re-indexed on the next query. Debug builds cross-check every
-//! synced query against a full rescan.
+//! synced query against one walk over the fleet.
+//!
+//! # What a fleet costs
+//!
+//! A phone nothing has happened to is a 24-byte [`PhoneDevice`] record in
+//! one dense vector and nothing else: no map entry, no set entry, no
+//! profile copy. Lookup by id follows the *slot rule* — a phone sits at
+//! slot `id` unless the `displaced` map says otherwise — and
+//! [`PhoneMgr::with_fleet`] loads the index with one id range per
+//! segment, so building a fleet costs one vector fill.
 //!
 //! Availability is time-dependent (runs end, crashes strike), so index
 //! queries assume a non-decreasing `now` — the discrete-event platform's
@@ -22,8 +31,8 @@
 
 // Reviewed interior-mutability exception (clippy mirror of simlint P2):
 // the lazy fleet index memoises on the `&self` read path of a
-// single-threaded manager; parallel workers only ever see plain-data
-// `FleetSegment` inputs, so no worker-reachable code touches this cell.
+// single-threaded manager; the manager is only ever borrowed by the serial
+// prepare and merge phases, so no worker-reachable code touches this cell.
 #[allow(clippy::disallowed_types)]
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -76,23 +85,33 @@ impl FleetSpec {
         }
     }
 
-    /// Total phones across grades and provenances.
+    /// Total phones across grades and provenances, saturating at
+    /// `usize::MAX` (counts come from spec files; a sum that wraps would
+    /// pass for a small fleet).
     #[must_use]
     pub fn total(&self) -> usize {
         DeviceGrade::ALL
             .iter()
-            .map(|&g| self.local.get(g) + self.msp.get(g))
-            .sum()
+            .flat_map(|&g| [*self.local.get(g), *self.msp.get(g)])
+            .fold(0, usize::saturating_add)
     }
 
     /// The fleet as contiguous id-range segments in registration order
-    /// (every Local grade, then every MSP grade — the exact order
-    /// [`PhoneMgr::with_fleet`] registers phones). Each segment is an
-    /// independent unit of work for parallel fleet construction: building
-    /// the segments in any order and concatenating them by `start` yields
-    /// the same fleet `with_fleet` builds one phone at a time.
+    /// (every Local grade, then every MSP grade): what
+    /// [`PhoneMgr::with_fleet`] fills the roster and loads the index from,
+    /// one range each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fleet exceeds `u32::MAX` phones — ids are `u32`.
+    /// Scenario specs are checked against that bound when validated.
     #[must_use]
     pub fn segments(&self) -> Vec<FleetSegment> {
+        assert!(
+            self.total() <= u32::MAX as usize,
+            "a fleet holds at most u32::MAX phones, got {}",
+            self.total()
+        );
         let mut out = Vec::with_capacity(2 * DeviceGrade::COUNT);
         let mut next_id = 0u32;
         let mut push = |grade: DeviceGrade, provenance: Provenance, count: usize| {
@@ -117,9 +136,7 @@ impl FleetSpec {
 }
 
 /// One contiguous run of same-`(grade, provenance)` phone ids inside a
-/// [`FleetSpec`]'s registration order — the unit of parallel fleet
-/// construction. Produced by [`FleetSpec::segments`]; built into devices by
-/// [`FleetSegment::build`].
+/// [`FleetSpec`]'s registration order. Produced by [`FleetSpec::segments`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetSegment {
     /// First phone id in the segment.
@@ -132,46 +149,6 @@ pub struct FleetSegment {
     pub provenance: Provenance,
 }
 
-impl FleetSegment {
-    /// Builds the segment's devices — a pure function of `(self, seed)`,
-    /// safe to run on any thread. Model strings and per-phone rng seeding
-    /// match [`PhoneMgr::with_fleet`] exactly (which is itself built on
-    /// this function, so the two cannot drift).
-    #[must_use]
-    pub fn build(&self, seed: u64) -> Vec<PhoneDevice> {
-        let prefix = match self.provenance {
-            Provenance::Local => "l",
-            Provenance::Msp => "m",
-        };
-        (0..self.count as u32)
-            .map(|i| {
-                let id = PhoneId(self.start + i);
-                let model = format!("simphone-{prefix}{}", id.0);
-                PhoneDevice::new(id, model, self.grade, self.provenance, seed)
-            })
-            .collect()
-    }
-
-    /// Splits the segment into chunks of at most `chunk` phones, keeping
-    /// id order — the fan-out step for parallel construction.
-    #[must_use]
-    pub fn chunked(&self, chunk: usize) -> Vec<FleetSegment> {
-        let chunk = chunk.max(1);
-        let mut out = Vec::with_capacity(self.count.div_ceil(chunk));
-        let mut offset = 0usize;
-        while offset < self.count {
-            let count = chunk.min(self.count - offset);
-            out.push(FleetSegment {
-                start: self.start + offset as u32,
-                count,
-                ..*self
-            });
-            offset += count;
-        }
-        out
-    }
-}
-
 /// The phone-device management module (§IV-C).
 ///
 /// PhoneMgr owns the physical device cluster, selects phones for tasks,
@@ -181,9 +158,11 @@ impl FleetSegment {
 #[derive(Debug)]
 pub struct PhoneMgr {
     phones: Vec<PhoneDevice>,
-    /// O(1) id → slot lookup (slots are stable except across `retire`,
-    /// which swap-removes and patches the moved phone's entry).
-    by_id: BTreeMap<PhoneId, usize>,
+    /// The slot of every phone that is not at slot `id`: fresh
+    /// registrations outside the dense range and phones `retire`'s
+    /// swap-remove moved. Invariant: a phone at slot `s` with id ≠ `s` has
+    /// an entry here, and no other entries exist.
+    displaced: BTreeMap<PhoneId, u32>,
     poll_interval: SimDuration,
     /// Incremental availability index; interior mutability keeps the
     /// read-path API (`select`, `available`, `effective_profile`) on
@@ -206,7 +185,7 @@ impl PhoneMgr {
         assert!(!poll_interval.is_zero(), "poll interval must be positive");
         PhoneMgr {
             phones: Vec::new(),
-            by_id: BTreeMap::new(),
+            displaced: BTreeMap::new(),
             poll_interval,
             index: RefCell::new(FleetIndex::default()),
         }
@@ -218,33 +197,49 @@ impl PhoneMgr {
         Self::with_fleet(FleetSpec::paper_default(), SimDuration::from_secs(1), seed)
     }
 
-    /// Builds a fleet from an explicit composition by materializing each
-    /// registration-order segment in turn (see [`FleetSpec::segments`]).
+    /// Builds a fleet from an explicit composition in one pass: each
+    /// registration-order segment (see [`FleetSpec::segments`]) is one
+    /// `extend` of the roster and one id range in the index, so every
+    /// phone lands at slot `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `poll_interval` is zero or the fleet exceeds `u32::MAX`
+    /// phones.
     #[must_use]
     pub fn with_fleet(spec: FleetSpec, poll_interval: SimDuration, seed: u64) -> Self {
-        let phones = spec
-            .segments()
-            .iter()
-            .flat_map(|seg| seg.build(seed))
-            .collect();
-        Self::from_prebuilt(phones, poll_interval).expect("segment ids cannot collide")
+        let segments = spec.segments(); // checks the size before anything is reserved
+        let mut mgr = PhoneMgr::new(poll_interval);
+        let index = mgr.index.get_mut();
+        mgr.phones.reserve_exact(spec.total());
+        for seg in &segments {
+            mgr.phones.extend((0..seg.count as u32).map(|i| {
+                PhoneDevice::new(PhoneId(seg.start + i), seg.grade, seg.provenance, seed)
+            }));
+            index.load_segment(seg);
+        }
+        mgr
     }
 
-    /// Assembles a manager from devices built elsewhere — the join step of
-    /// parallel fleet construction. `phones` must arrive in registration
-    /// order (concatenated [`FleetSegment::build`] outputs sorted by
-    /// `start`) for the fleet to be indistinguishable from a
-    /// [`PhoneMgr::with_fleet`] build.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidConfig` on a duplicate phone id.
-    pub fn from_prebuilt(phones: Vec<PhoneDevice>, poll_interval: SimDuration) -> Result<Self> {
-        let mut mgr = PhoneMgr::new(poll_interval);
-        for phone in phones {
-            mgr.register(phone)?;
+    /// The slot holding phone `id`: slot `id` itself unless the phone was
+    /// displaced.
+    fn slot_of(&self, id: PhoneId) -> Option<usize> {
+        let home = id.0 as usize;
+        if self.phones.get(home).is_some_and(|p| p.id() == id) {
+            return Some(home);
         }
-        Ok(mgr)
+        self.displaced.get(&id).map(|&slot| slot as usize)
+    }
+
+    /// Records that `id` now sits at `slot`, keeping `displaced` to exactly
+    /// the phones that are not at home.
+    fn note_slot(&mut self, id: PhoneId, slot: usize) {
+        if slot == id.0 as usize {
+            self.displaced.remove(&id);
+        } else {
+            let slot = u32::try_from(slot).expect("ids are unique u32s, so slots fit one");
+            self.displaced.insert(id, slot);
+        }
     }
 
     /// Registers a phone.
@@ -253,13 +248,13 @@ impl PhoneMgr {
     ///
     /// Returns `InvalidConfig` on a duplicate id.
     pub fn register(&mut self, phone: PhoneDevice) -> Result<()> {
-        if self.by_id.contains_key(&phone.id()) {
+        if self.slot_of(phone.id()).is_some() {
             return Err(SimdcError::InvalidConfig(format!(
                 "duplicate phone id {}",
                 phone.id()
             )));
         }
-        self.by_id.insert(phone.id(), self.phones.len());
+        self.note_slot(phone.id(), self.phones.len());
         self.index.get_mut().note_registered(&phone);
         self.phones.push(phone);
         Ok(())
@@ -273,14 +268,11 @@ impl PhoneMgr {
     ///
     /// Returns [`SimdcError::PhoneUnavailable`] for unknown ids.
     pub fn retire(&mut self, id: PhoneId) -> Result<PhoneDevice> {
-        let slot = *self
-            .by_id
-            .get(&id)
-            .ok_or(SimdcError::PhoneUnavailable(id))?;
+        let slot = self.slot_of(id).ok_or(SimdcError::PhoneUnavailable(id))?;
         let phone = self.phones.swap_remove(slot);
-        self.by_id.remove(&id);
+        self.displaced.remove(&id);
         if let Some(moved) = self.phones.get(slot) {
-            self.by_id.insert(moved.id(), slot);
+            self.note_slot(moved.id(), slot);
         }
         self.index.get_mut().note_retired(&phone);
         Ok(phone)
@@ -307,7 +299,7 @@ impl PhoneMgr {
     /// A phone by id.
     #[must_use]
     pub fn phone(&self, id: PhoneId) -> Option<&PhoneDevice> {
-        self.by_id.get(&id).map(|&slot| &self.phones[slot])
+        self.slot_of(id).map(|slot| &self.phones[slot])
     }
 
     /// Mutable access to a phone by id.
@@ -319,7 +311,7 @@ impl PhoneMgr {
     /// ([`PhoneMgr::inject_crash`], [`PhoneMgr::reboot`],
     /// [`PhoneMgr::set_phone_profile`]) where one exists.
     pub fn phone_mut(&mut self, id: PhoneId) -> Option<&mut PhoneDevice> {
-        let slot = *self.by_id.get(&id)?;
+        let slot = self.slot_of(id)?;
         self.index.get_mut().mark_dirty(id);
         Some(&mut self.phones[slot])
     }
@@ -328,13 +320,13 @@ impl PhoneMgr {
     /// operations that cannot change availability (measurement RNG draws)
     /// or that re-index explicitly afterwards.
     fn device_mut(&mut self, id: PhoneId) -> Option<&mut PhoneDevice> {
-        let slot = *self.by_id.get(&id)?;
+        let slot = self.slot_of(id)?;
         Some(&mut self.phones[slot])
     }
 
     /// Re-indexes one phone after a manager-performed mutation.
     fn touch(&mut self, id: PhoneId) {
-        let slot = self.by_id[&id];
+        let slot = self.slot_of(id).expect("touched phones are registered");
         let Self { phones, index, .. } = self;
         index.get_mut().touch(&phones[slot]);
     }
@@ -343,7 +335,7 @@ impl PhoneMgr {
     /// then (debug builds) asserts the index matches a full rescan.
     fn sync_index(&self, now: SimInstant) {
         let mut idx = self.index.borrow_mut();
-        idx.sync(now, &self.phones, &self.by_id);
+        idx.sync(now, |id| self.phone(id));
         #[cfg(debug_assertions)]
         idx.assert_parity(&self.phones);
     }
@@ -408,18 +400,15 @@ impl PhoneMgr {
     ///
     /// Returns `None` when the fleet holds no phone of `grade` (drained by
     /// churn or never provisioned) — there is no device whose behaviour
-    /// the profile could describe. O(1) from the per-grade running sums.
+    /// the profile could describe. O(1) from the per-grade integer sums,
+    /// rounded to the microsecond.
     #[must_use]
     pub fn try_effective_profile(&self, grade: DeviceGrade) -> Option<PhoneProfile> {
         self.sync_index(SimInstant::EPOCH); // flush dirty profile changes
-        let sums = self.index.borrow().sums(grade);
-        if sums.n == 0 {
-            return None;
-        }
+        let (train, startup) = self.index.borrow().mean_profile(grade)?;
         let mut profile = PhoneProfile::for_grade(grade);
-        profile.train_duration = SimDuration::from_secs_f64(sums.train_secs / f64::from(sums.n));
-        profile.framework_startup =
-            SimDuration::from_secs_f64(sums.startup_secs / f64::from(sums.n));
+        profile.train_duration = train;
+        profile.framework_startup = startup;
         Some(profile)
     }
 
@@ -506,9 +495,8 @@ impl PhoneMgr {
         // phones a sequential run would already have marked busy.
         let reserved_free = reserved.map_or(0, |set| {
             set.iter()
-                .filter(|id| {
-                    self.by_id.get(id).is_some_and(|&slot| {
-                        let p = &self.phones[slot];
+                .filter(|&&id| {
+                    self.phone(id).is_some_and(|p| {
                         p.grade() == grade && !p.is_busy(now) && !p.is_crashed(now)
                     })
                 })
@@ -528,7 +516,7 @@ impl PhoneMgr {
             // Defensive re-verification: free sets are exact for
             // monotonically advancing query times; this guards the
             // invariant even if a caller runs time backwards.
-            let phone = &self.phones[self.by_id[&id]];
+            let phone = self.phone(id).expect("indexed phones are registered");
             if phone.is_busy(now) || phone.is_crashed(now) {
                 continue;
             }
@@ -982,46 +970,38 @@ mod tests {
             .all(|s| s.provenance == Provenance::Msp));
     }
 
+    /// "Costs what it touches", as counts that repeat exactly rather than
+    /// timings: an untouched fleet is the 24-byte records plus one free
+    /// range per segment, and touching `k` phones adds `k` cold states and
+    /// at most `k` ranges. (That lazily seeded phones draw the noise an
+    /// eagerly seeded phone would is already pinned by the table1 / fig5
+    /// goldens in `crates/bench/tests/golden.rs`.)
     #[test]
-    fn chunked_segments_rebuild_the_segment_exactly() {
-        let seg = FleetSegment {
-            start: 10,
-            count: 7,
-            grade: DeviceGrade::Low,
-            provenance: Provenance::Msp,
-        };
-        for chunk in [1, 2, 3, 7, 100] {
-            let parts = seg.chunked(chunk);
-            assert_eq!(parts.iter().map(|p| p.count).sum::<usize>(), seg.count);
-            let rebuilt: Vec<PhoneDevice> = parts.iter().flat_map(|p| p.build(42)).collect();
-            assert_eq!(rebuilt, seg.build(42), "chunk size {chunk}");
-        }
-    }
+    fn a_fleet_costs_what_it_touches() {
+        assert!(std::mem::size_of::<PhoneDevice>() <= 24);
+        let mut mgr = PhoneMgr::with_fleet(
+            FleetSpec::scaled_paper(100_000),
+            SimDuration::from_secs(1),
+            3,
+        );
+        // No query yet, so nothing has synced the index.
+        assert_eq!(mgr.index.borrow().free_ranges(), 4, "one per segment");
+        assert_eq!(mgr.index.borrow().cached_profiles(), 0);
+        assert!(mgr.displaced.is_empty());
+        assert!(!mgr.phones.iter().any(PhoneDevice::is_touched));
 
-    #[test]
-    fn prebuilt_segments_match_with_fleet_exactly() {
-        let spec = FleetSpec::scaled_paper(90);
-        let seed = 7;
-        let direct = PhoneMgr::with_fleet(spec, SimDuration::from_secs(1), seed);
-        let phones: Vec<PhoneDevice> = spec
-            .segments()
-            .iter()
-            .flat_map(|seg| seg.chunked(13))
-            .flat_map(|seg| seg.build(seed))
-            .collect();
-        let rebuilt = PhoneMgr::from_prebuilt(phones, SimDuration::from_secs(1)).unwrap();
-        assert_eq!(direct.phones(), rebuilt.phones());
-        // And the index answers agree.
-        for grade in DeviceGrade::ALL {
-            assert_eq!(
-                direct.available(grade, t(0)),
-                rebuilt.available(grade, t(0))
-            );
-            assert_eq!(
-                direct.select(grade, 5, t(0)).unwrap(),
-                rebuilt.select(grade, 5, t(0)).unwrap()
-            );
+        let k = 5;
+        for id in mgr.select(DeviceGrade::Low, k, t(0)).unwrap() {
+            let plan = mgr
+                .plan_for(id, TaskId(1), t(0), 1, SimDuration::ZERO)
+                .unwrap();
+            mgr.submit_run(id, plan).unwrap();
         }
+        assert!(mgr.index.borrow().free_ranges() <= 4 + k);
+        let touched = mgr.phones.iter().filter(|p| p.is_touched()).count();
+        assert_eq!(touched, k);
+        assert_eq!(mgr.index.borrow().cached_profiles(), 0);
+        assert!(mgr.displaced.is_empty());
     }
 
     #[test]
@@ -1060,7 +1040,7 @@ mod tests {
     #[test]
     fn duplicate_registration_rejected() {
         let mut mgr = PhoneMgr::new(SimDuration::from_secs(1));
-        let p = PhoneDevice::new(PhoneId(0), "x", DeviceGrade::High, Provenance::Local, 1);
+        let p = PhoneDevice::new(PhoneId(0), DeviceGrade::High, Provenance::Local, 1);
         mgr.register(p.clone()).unwrap();
         assert!(mgr.register(p).is_err());
     }

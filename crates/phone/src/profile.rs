@@ -54,13 +54,13 @@ impl PhoneProfile {
     /// Stage currents derive from Table I row "High": `mAh · 60 / minutes`
     /// → `[57.6, 122.4, 40.0, 88.8, 105.6]` mA across the five stages.
     #[must_use]
-    pub fn high() -> Self {
+    pub const fn high() -> Self {
         PhoneProfile {
             grade: DeviceGrade::High,
             voltage_mv: 3_900.0,
             stage_current_ma: [57.6, 122.4, 40.0, 88.8, 105.6],
             waiting_current_ma: 35.0,
-            train_duration: SimDuration::from_secs_f64(0.27 * 60.0), // 16.2 s
+            train_duration: SimDuration::from_micros(16_200_000), // 0.27 min
             framework_startup: SimDuration::from_secs(30),
             comm_kb_per_round: 33.1,
             cpu_train_base_pct: 8.5,
@@ -78,13 +78,13 @@ impl PhoneProfile {
     /// Table I row "Low" → stage currents
     /// `[410.4, 432.0, 110.0, 396.0, 436.8]` mA.
     #[must_use]
-    pub fn low() -> Self {
+    pub const fn low() -> Self {
         PhoneProfile {
             grade: DeviceGrade::Low,
             voltage_mv: 3_800.0,
             stage_current_ma: [410.4, 432.0, 110.0, 396.0, 436.8],
             waiting_current_ma: 90.0,
-            train_duration: SimDuration::from_secs_f64(0.36 * 60.0), // 21.6 s
+            train_duration: SimDuration::from_micros(21_600_000), // 0.36 min
             framework_startup: SimDuration::from_secs(45),
             comm_kb_per_round: 33.1,
             cpu_train_base_pct: 10.0,
@@ -100,9 +100,18 @@ impl PhoneProfile {
     /// The profile for a grade.
     #[must_use]
     pub fn for_grade(grade: DeviceGrade) -> Self {
+        Self::nominal(grade).clone()
+    }
+
+    /// The one shared copy of a grade's profile: what every phone that was
+    /// never re-profiled points at instead of carrying its own 144 bytes.
+    #[must_use]
+    pub(crate) fn nominal(grade: DeviceGrade) -> &'static PhoneProfile {
+        static HIGH: PhoneProfile = PhoneProfile::high();
+        static LOW: PhoneProfile = PhoneProfile::low();
         match grade {
-            DeviceGrade::High => PhoneProfile::high(),
-            DeviceGrade::Low => PhoneProfile::low(),
+            DeviceGrade::High => &HIGH,
+            DeviceGrade::Low => &LOW,
         }
     }
 
@@ -205,6 +214,26 @@ mod tests {
         assert!(high.train_duration < low.train_duration);
         assert!(high.stage_current_ma[2] < low.stage_current_ma[2]);
         assert!(high.framework_startup < low.framework_startup);
+    }
+
+    /// Pins the `const` rewrite of the two training durations to the float
+    /// expressions they replaced.
+    #[test]
+    fn const_durations_equal_the_table1_minutes() {
+        assert_eq!(
+            PhoneProfile::high().train_duration,
+            SimDuration::from_secs_f64(0.27 * 60.0)
+        );
+        assert_eq!(
+            PhoneProfile::low().train_duration,
+            SimDuration::from_secs_f64(0.36 * 60.0)
+        );
+        for grade in DeviceGrade::ALL {
+            assert_eq!(
+                *PhoneProfile::nominal(grade),
+                PhoneProfile::for_grade(grade)
+            );
+        }
     }
 
     #[test]

@@ -1,188 +1,347 @@
-//! Property tests for the grade-indexed availability accounting.
+//! Differential property tests for the phone roster and its availability
+//! index.
 //!
 //! The [`PhoneMgr`] answers `select` / `available` / `count` /
-//! `effective_profile` from an incremental per-`(grade, provenance)` index
-//! instead of rescanning the fleet. These properties drive the manager
-//! through arbitrary operation sequences — selection, run submission,
-//! future-dated crashes, reboots, profile slowdowns, retirement, fresh
-//! registration and raw `phone_mut` mutations — with a monotonically
-//! advancing clock, and after every step compare each query against a
-//! brute-force rescan of the device states. (Debug builds additionally
-//! self-check inside the manager; this suite is the external oracle and
-//! also runs in release mode.)
+//! `effective_profile` from range-coded free sets and integer profile sums,
+//! and `phone(id)` from the slot rule (a phone sits at slot `id` unless a
+//! displaced entry says otherwise). The oracle here is a model the test
+//! owns — a `BTreeMap<PhoneId, ModelPhone>` holding grade, provenance, the
+//! two profile durations, the run end and the crash onset, sharing no
+//! storage with the subject and never read back from it. A script of
+//! operations — selection, run submission, future-dated crashes, reboots,
+//! slowdowns and resets to nominal, retirement (of any phone and of the
+//! last slot), fresh and repeated registration, raw `phone_mut` mutations —
+//! is applied to the model and to *two* managers, one built in bulk by
+//! `with_fleet` and one by pushing the same phones through `register` one
+//! at a time, under a monotonically advancing clock. After every step each
+//! manager must give the model's answers to every query, resolve every
+//! model id and no retired id, hold exactly the model's ids, and the two
+//! rosters must be equal. (Debug builds additionally self-check inside the
+//! manager; this suite is the external oracle and also runs in release
+//! mode, where that self-check is compiled out.)
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use simdc_phone::{PhoneDevice, PhoneMgr, Provenance};
+use proptest::TestRng;
+use simdc_phone::{FleetSpec, PhoneDevice, PhoneMgr, PhoneProfile, Provenance, RunPlan};
 use simdc_types::{DeviceGrade, PhoneId, SimDuration, SimInstant, TaskId};
+
+const SEED: u64 = 17;
 
 /// One scripted operation: `(opcode, phone pick, small duration knob)`.
 type Op = (u8, u8, u16);
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..8, 0u8..64, 1u16..120), 1..48)
+    proptest::collection::vec((0u8..10, 0u8..64, 1u16..120), 1..48)
 }
 
-fn brute_available(mgr: &PhoneMgr, grade: DeviceGrade, now: SimInstant) -> usize {
-    mgr.phones()
-        .iter()
-        .filter(|p| p.grade() == grade && !p.is_busy(now) && !p.is_crashed(now))
-        .count()
+/// Everything the queries under test depend on, for one phone.
+#[derive(Debug, Clone, Copy)]
+struct ModelPhone {
+    grade: DeviceGrade,
+    provenance: Provenance,
+    train: SimDuration,
+    startup: SimDuration,
+    run_end: Option<SimInstant>,
+    crash_at: Option<SimInstant>,
 }
 
-/// The full idle set in the contract order: local before MSP, ids
-/// ascending — what the pre-index sort produced.
-fn brute_selection(mgr: &PhoneMgr, grade: DeviceGrade, now: SimInstant) -> Vec<PhoneId> {
-    let mut free: Vec<&PhoneDevice> = mgr
-        .phones()
-        .iter()
-        .filter(|p| p.grade() == grade && !p.is_busy(now) && !p.is_crashed(now))
-        .collect();
-    free.sort_by_key(|p| {
-        (
-            match p.provenance() {
-                Provenance::Local => 0u8,
-                Provenance::Msp => 1,
-            },
-            p.id(),
-        )
-    });
-    free.iter().map(|p| p.id()).collect()
+impl ModelPhone {
+    fn fresh(grade: DeviceGrade, provenance: Provenance) -> Self {
+        let nominal = PhoneProfile::for_grade(grade);
+        ModelPhone {
+            grade,
+            provenance,
+            train: nominal.train_duration,
+            startup: nominal.framework_startup,
+            run_end: None,
+            crash_at: None,
+        }
+    }
+
+    fn is_free(&self, now: SimInstant) -> bool {
+        let crashed = self.crash_at.is_some_and(|t| now >= t);
+        let busy = self.run_end.is_some_and(|end| now < end);
+        !crashed && !busy
+    }
+
+    fn profile(&self) -> PhoneProfile {
+        let mut profile = PhoneProfile::for_grade(self.grade);
+        profile.train_duration = self.train;
+        profile.framework_startup = self.startup;
+        profile
+    }
 }
 
-/// Mean `(train_duration, framework_startup)` seconds over the grade.
-fn brute_mean_profile_secs(mgr: &PhoneMgr, grade: DeviceGrade) -> Option<(f64, f64)> {
-    let (mut n, mut train, mut startup) = (0usize, 0.0f64, 0.0f64);
-    for p in mgr.phones().iter().filter(|p| p.grade() == grade) {
+type Model = BTreeMap<PhoneId, ModelPhone>;
+
+/// The model's idle set in the contract order: local before MSP, ids
+/// ascending.
+fn model_selection(model: &Model, grade: DeviceGrade, now: SimInstant) -> Vec<PhoneId> {
+    let of = |provenance| {
+        model
+            .iter()
+            .filter(move |(_, p)| p.grade == grade && p.provenance == provenance && p.is_free(now))
+            .map(|(&id, _)| id)
+    };
+    of(Provenance::Local).chain(of(Provenance::Msp)).collect()
+}
+
+/// The model's mean `(train, startup)` over a grade, rounded half-up to
+/// the microsecond; `None` for an empty grade.
+fn model_mean_profile(model: &Model, grade: DeviceGrade) -> Option<(SimDuration, SimDuration)> {
+    let (mut n, mut train, mut startup) = (0u128, 0u128, 0u128);
+    for p in model.values().filter(|p| p.grade == grade) {
         n += 1;
-        train += p.profile().train_duration.as_secs_f64();
-        startup += p.profile().framework_startup.as_secs_f64();
+        train += u128::from(p.train.as_micros());
+        startup += u128::from(p.startup.as_micros());
     }
-    (n > 0).then(|| (train / n as f64, startup / n as f64))
+    let mean = |sum: u128| SimDuration::from_micros(((sum + n / 2) / n) as u64);
+    (n > 0).then(|| (mean(train), mean(startup)))
 }
 
-fn pick_phone(mgr: &PhoneMgr, sel: u8) -> Option<PhoneId> {
-    if mgr.total() == 0 {
-        return None;
+/// Every comparison between one manager and the model at `now`.
+fn assert_agrees(mgr: &PhoneMgr, model: &Model, retired: &[PhoneId], now: SimInstant) {
+    // (a) The index-backed queries.
+    for grade in DeviceGrade::ALL {
+        let expected = model_selection(model, grade, now);
+        assert_eq!(
+            mgr.available(grade, now),
+            expected.len(),
+            "available({grade}) diverged at {now}"
+        );
+        for provenance in [None, Some(Provenance::Local), Some(Provenance::Msp)] {
+            let want = model
+                .values()
+                .filter(|p| p.grade == grade && provenance.is_none_or(|v| p.provenance == v))
+                .count();
+            assert_eq!(
+                mgr.count(grade, provenance),
+                want,
+                "count({grade}, {provenance:?})"
+            );
+        }
+        // Selection returns the model's prefix, in order; a zero-count
+        // request is satisfied trivially.
+        assert!(mgr.select(grade, 0, now).unwrap().is_empty());
+        let want = expected.len().min(3);
+        if want > 0 {
+            let picked = mgr.select(grade, want, now).expect("enough free phones");
+            assert_eq!(picked[..], expected[..want], "selection order diverged");
+        }
+        assert!(
+            mgr.select(grade, expected.len() + 1, now).is_err(),
+            "select past the free count must exhaust"
+        );
+        let effective = mgr
+            .try_effective_profile(grade)
+            .map(|p| (p.train_duration, p.framework_startup));
+        assert_eq!(
+            effective,
+            model_mean_profile(model, grade),
+            "effective profile of {grade} diverged"
+        );
     }
-    Some(mgr.phones()[sel as usize % mgr.total()].id())
+    // (b) Lookup by id: every model phone resolves to itself, no retired
+    // phone resolves at all.
+    for (&id, want) in model {
+        let phone = mgr
+            .phone(id)
+            .unwrap_or_else(|| panic!("phone {id} is lost"));
+        assert_eq!(phone.id(), id, "phone({id}) resolved to another phone");
+        assert_eq!(phone.grade(), want.grade, "grade of {id}");
+        assert_eq!(phone.provenance(), want.provenance, "provenance of {id}");
+        assert_eq!(*phone.profile(), want.profile(), "profile of {id}");
+        assert_eq!(phone.run().map(RunPlan::end), want.run_end, "run of {id}");
+        assert_eq!(phone.crashed_at(), want.crash_at, "crash of {id}");
+    }
+    for &id in retired {
+        assert!(mgr.phone(id).is_none(), "retired phone {id} still resolves");
+    }
+    // (c) The roster holds exactly the model's ids, once each.
+    let mut roster: Vec<PhoneId> = mgr.phones().iter().map(PhoneDevice::id).collect();
+    roster.sort_unstable();
+    assert!(
+        roster.iter().copied().eq(model.keys().copied()),
+        "roster ids diverged from the model: {roster:?}"
+    );
+    assert_eq!(mgr.total(), model.len());
+}
+
+/// Runs `script` from the `fleet` starting state against the model and the
+/// two managers, comparing after every operation.
+fn check_script(fleet: FleetSpec, script: Vec<Op>) {
+    let poll = SimDuration::from_secs(1);
+    let bulk = PhoneMgr::with_fleet(fleet, poll, SEED);
+    let mut one_by_one = PhoneMgr::new(poll);
+    let mut model = Model::new();
+    for seg in fleet.segments() {
+        for id in (seg.start..).take(seg.count).map(PhoneId) {
+            one_by_one
+                .register(PhoneDevice::new(id, seg.grade, seg.provenance, SEED))
+                .expect("segment ids are unique");
+            model.insert(id, ModelPhone::fresh(seg.grade, seg.provenance));
+        }
+    }
+    let mut mgrs = [bulk, one_by_one];
+    let mut retired: Vec<PhoneId> = Vec::new();
+    let mut now = SimInstant::EPOCH;
+    let mut next_fresh_id = fleet.total() as u32 + 400;
+    let mut task_seq = 1u64;
+
+    for (op, sel, dt) in script {
+        // A model phone picked by both knobs, so large fleets are reached
+        // everywhere.
+        let pick = (!model.is_empty()).then(|| {
+            let nth = (sel as usize * 120 + dt as usize) % model.len();
+            *model.keys().nth(nth).expect("nth < len")
+        });
+        let dt = SimDuration::from_secs(u64::from(dt));
+        let grade = DeviceGrade::ALL[sel as usize % 2];
+        match (op, pick) {
+            // Let virtual time pass: pending run-ends and scheduled crash
+            // onsets between `now` and `now + dt` must surface.
+            (0, _) => now += dt,
+            // Submit a run to the cheapest free phone of a grade.
+            (1, _) => {
+                if let Some(&id) = model_selection(&model, grade, now).first() {
+                    let phone = model.get_mut(&id).expect("selected from the model");
+                    let rounds = 1 + sel as usize % 3;
+                    let plan = RunPlan::new(
+                        TaskId(task_seq),
+                        id,
+                        now,
+                        &vec![phone.train; rounds],
+                        &vec![dt; rounds - 1],
+                    )
+                    .expect("positive durations");
+                    task_seq += 1;
+                    phone.run_end = Some(plan.end());
+                    for mgr in &mut mgrs {
+                        assert_eq!(
+                            mgr.plan_for(id, plan.task, now, rounds, dt).unwrap(),
+                            plan,
+                            "plan_for({id}) read another profile than the model's"
+                        );
+                        mgr.submit_run(id, plan.clone())
+                            .expect("the model says idle");
+                    }
+                }
+            }
+            // Crash with a (possibly future) onset.
+            (2, Some(id)) => {
+                model.get_mut(&id).expect("picked").crash_at = Some(now + dt);
+                for mgr in &mut mgrs {
+                    mgr.inject_crash(id, now + dt).unwrap();
+                }
+            }
+            (3, Some(id)) => {
+                let phone = model.get_mut(&id).expect("picked");
+                (phone.run_end, phone.crash_at) = (None, None);
+                for mgr in &mut mgrs {
+                    mgr.reboot(id).unwrap();
+                }
+            }
+            // Straggler-style slowdown, and (8) back to nominal, through
+            // the manager hook.
+            (4 | 8, Some(id)) => {
+                let phone = model.get_mut(&id).expect("picked");
+                if op == 4 {
+                    phone.train = phone.train.mul_f64(1.5);
+                    phone.startup = phone.startup.mul_f64(1.25);
+                } else {
+                    *phone = ModelPhone {
+                        run_end: phone.run_end,
+                        crash_at: phone.crash_at,
+                        ..ModelPhone::fresh(phone.grade, phone.provenance)
+                    };
+                }
+                for mgr in &mut mgrs {
+                    mgr.set_phone_profile(id, phone.profile()).unwrap();
+                }
+            }
+            // Churn: retire a picked phone, or (9) whichever phone holds
+            // the last slot — the one retirement that moves nobody.
+            (5 | 9, Some(picked)) => {
+                let id = if op == 5 {
+                    picked
+                } else {
+                    mgrs[0].phones().last().expect("model is non-empty").id()
+                };
+                model.remove(&id);
+                retired.push(id);
+                for mgr in &mut mgrs {
+                    assert_eq!(mgr.retire(id).unwrap().id(), id);
+                }
+            }
+            // Register a fresh id, or bring a retired one back (its old
+            // slot is taken, so it must be found through the displaced
+            // map).
+            (6, _) => {
+                let id = match retired.pop() {
+                    Some(id) if sel % 2 == 1 => id,
+                    other => {
+                        retired.extend(other);
+                        next_fresh_id += 1;
+                        PhoneId(next_fresh_id)
+                    }
+                };
+                let provenance = if sel % 4 < 2 {
+                    Provenance::Local
+                } else {
+                    Provenance::Msp
+                };
+                model.insert(id, ModelPhone::fresh(grade, provenance));
+                for mgr in &mut mgrs {
+                    mgr.register(PhoneDevice::new(id, grade, provenance, SEED))
+                        .expect("the id is not registered");
+                }
+            }
+            // Raw phone_mut mutation (crash without the manager hook):
+            // must reach the index via dirty tracking.
+            (7, Some(id)) => {
+                model.get_mut(&id).expect("picked").crash_at = Some(now);
+                for mgr in &mut mgrs {
+                    mgr.phone_mut(id).unwrap().inject_crash(now);
+                }
+            }
+            // A phone op on an empty fleet.
+            _ => {}
+        }
+
+        for mgr in &mgrs {
+            assert_agrees(mgr, &model, &retired, now);
+        }
+        assert_eq!(
+            mgrs[0].phones(),
+            mgrs[1].phones(),
+            "bulk-built and one-by-one rosters diverged"
+        );
+    }
 }
 
 proptest! {
-    /// After any operation sequence, every index-backed query agrees with
-    /// a brute-force rescan at the current instant.
+    /// The paper's 30-phone fleet, small enough that scripts drain whole
+    /// grades and empty the roster: after any operation sequence every
+    /// answer agrees with a brute-force scan of the model.
     #[test]
     fn index_matches_brute_force_rescan(script in ops()) {
-        let mut mgr = PhoneMgr::paper_default(17);
-        let mut now = SimInstant::EPOCH;
-        let mut next_fresh_id = 1_000u32;
-        let mut task_seq = 1u64;
+        check_script(FleetSpec::paper_default(), script);
+    }
+}
 
-        for (op, sel, dt) in script {
-            let dt = SimDuration::from_secs(u64::from(dt));
-            match op {
-                // Let virtual time pass: pending run-ends and scheduled
-                // crash onsets between `now` and `now + dt` must surface.
-                0 => now += dt,
-                // Submit a run to the cheapest free phone of a grade.
-                1 => {
-                    let grade = DeviceGrade::ALL[sel as usize % 2];
-                    if let Ok(ids) = mgr.select(grade, 1, now) {
-                        let plan = mgr
-                            .plan_for(ids[0], TaskId(task_seq), now, 1 + sel as usize % 3, dt)
-                            .expect("selected phone accepts a plan");
-                        task_seq += 1;
-                        mgr.submit_run(ids[0], plan).expect("selected phone is idle");
-                    }
-                }
-                // Crash with a (possibly future) onset.
-                2 => {
-                    if let Some(id) = pick_phone(&mgr, sel) {
-                        mgr.inject_crash(id, now + dt).unwrap();
-                    }
-                }
-                3 => {
-                    if let Some(id) = pick_phone(&mgr, sel) {
-                        mgr.reboot(id).unwrap();
-                    }
-                }
-                // Straggler-style slowdown through the manager hook.
-                4 => {
-                    if let Some(id) = pick_phone(&mgr, sel) {
-                        let mut profile = mgr.phone(id).unwrap().profile().clone();
-                        profile.train_duration = profile.train_duration.mul_f64(1.5);
-                        profile.framework_startup = profile.framework_startup.mul_f64(1.25);
-                        mgr.set_phone_profile(id, profile).unwrap();
-                    }
-                }
-                // Churn: retire / register.
-                5 => {
-                    if let Some(id) = pick_phone(&mgr, sel) {
-                        mgr.retire(id).unwrap();
-                    }
-                }
-                6 => {
-                    let grade = DeviceGrade::ALL[sel as usize % 2];
-                    let prov = if sel % 4 < 2 { Provenance::Local } else { Provenance::Msp };
-                    let id = PhoneId(next_fresh_id);
-                    next_fresh_id += 1;
-                    mgr.register(PhoneDevice::new(id, format!("fresh-{}", id.0), grade, prov, 17))
-                        .expect("fresh ids never collide");
-                }
-                // Raw phone_mut mutation (crash without the manager hook):
-                // must reach the index via dirty tracking.
-                _ => {
-                    if let Some(id) = pick_phone(&mgr, sel) {
-                        mgr.phone_mut(id).unwrap().inject_crash(now);
-                    }
-                }
-            }
-
-            for grade in DeviceGrade::ALL {
-                let expected = brute_selection(&mgr, grade, now);
-                prop_assert_eq!(
-                    mgr.available(grade, now),
-                    brute_available(&mgr, grade, now),
-                    "available({grade}) diverged at {now}"
-                );
-                prop_assert_eq!(
-                    mgr.count(grade, None),
-                    mgr.phones().iter().filter(|p| p.grade() == grade).count(),
-                    "count({grade}) diverged"
-                );
-                // Selection returns the brute-force prefix, in order; a
-                // zero-count request is satisfied trivially.
-                prop_assert!(mgr.select(grade, 0, now).unwrap().is_empty());
-                let want = expected.len().min(3);
-                if want > 0 {
-                    let picked = mgr.select(grade, want, now).expect("enough free phones");
-                    prop_assert_eq!(&picked[..], &expected[..want], "selection order diverged");
-                }
-                prop_assert!(
-                    mgr.select(grade, expected.len() + 1, now).is_err(),
-                    "select past the free count must exhaust"
-                );
-                // Effective profile means match a rescan.
-                match (mgr.try_effective_profile(grade), brute_mean_profile_secs(&mgr, grade)) {
-                    (Some(profile), Some((train_mean, startup_mean))) => {
-                        let train = profile.train_duration.as_secs_f64();
-                        prop_assert!(
-                            (train - train_mean).abs() <= 1e-6 * train_mean.max(1.0),
-                            "effective train duration drifted for {grade}: {train} vs {train_mean}"
-                        );
-                        let startup = profile.framework_startup.as_secs_f64();
-                        prop_assert!(
-                            (startup - startup_mean).abs() <= 1e-6 * startup_mean.max(1.0),
-                            "effective startup drifted for {grade}: {startup} vs {startup_mean}"
-                        );
-                    }
-                    (None, None) => {}
-                    (got, want) => prop_assert!(
-                        false,
-                        "effective-profile presence diverged for {grade}: \
-                         index {got:?} vs rescan {want:?}"
-                    ),
-                }
-            }
-        }
+/// A 600-phone fleet: most phones stay untouched, so the free sets stay a
+/// few long ranges that the script splits and re-joins. Fewer scripts than
+/// `proptest!` would run — in debug builds every query also pays the
+/// manager's own walk over the 600 phones.
+#[test]
+fn scaled_fleet_matches_the_model() {
+    let mut rng = TestRng::deterministic();
+    for _ in 0..64 {
+        let script = ops()
+            .generate(&mut rng)
+            .expect("no filter to reject a draw");
+        check_script(FleetSpec::scaled_paper(600), script);
     }
 }

@@ -103,13 +103,18 @@ impl FleetDynamics {
         let Some(mtbc) = self.mean_time_between_crashes else {
             return Vec::new();
         };
-        let victims: Vec<PhoneId> = mgr
-            .phones()
-            .iter()
-            .filter(|p| !self.target_local || p.provenance() == Provenance::Local)
-            .map(|p| p.id())
-            .collect();
-        if victims.is_empty() {
+        // The whole fleet is drawn from by slot; only local targeting
+        // needs its own victim list.
+        let phones = mgr.phones();
+        let locals: Option<Vec<PhoneId>> = self.target_local.then(|| {
+            phones
+                .iter()
+                .filter(|p| p.provenance() == Provenance::Local)
+                .map(|p| p.id())
+                .collect()
+        });
+        let victims = locals.as_ref().map_or(phones.len(), Vec::len);
+        if victims == 0 {
             return Vec::new();
         }
         let mut schedule = Vec::new();
@@ -121,7 +126,10 @@ impl FleetDynamics {
             if t >= horizon_secs {
                 return schedule;
             }
-            let victim = victims[rng.index(victims.len())];
+            let pick = rng.index(victims);
+            let victim = locals
+                .as_ref()
+                .map_or_else(|| phones[pick].id(), |ids| ids[pick]);
             schedule.push((SimDuration::from_secs_f64(t), FleetEvent::Crash(victim)));
         }
     }
@@ -138,17 +146,15 @@ impl FleetDynamics {
         if self.straggler_frac <= 0.0 || self.straggler_slowdown <= 1.0 {
             return 0;
         }
-        let ids: Vec<PhoneId> = mgr.phones().iter().map(|p| p.id()).collect();
         let mut slowed = 0u64;
-        for id in ids {
+        // By slot: re-profiling moves no phone, so this is `phones()` order.
+        for slot in 0..mgr.total() {
             if !rng.chance(self.straggler_frac) {
                 continue;
             }
-            let mut profile = mgr
-                .phone(id)
-                .expect("id from the same manager")
-                .profile()
-                .clone();
+            let phone = &mgr.phones()[slot];
+            let id = phone.id();
+            let mut profile = phone.profile().clone();
             profile.train_duration = SimDuration::from_secs_f64(
                 profile.train_duration.as_secs_f64() * self.straggler_slowdown,
             );

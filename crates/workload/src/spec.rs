@@ -127,6 +127,13 @@ impl ScenarioSpec {
                 "fleet must contain at least one phone".into(),
             ));
         }
+        if self.fleet.total() > u32::MAX as usize {
+            return Err(SimdcError::InvalidConfig(format!(
+                "fleet must contain at most {} phones (ids are 32-bit), got {}",
+                u32::MAX,
+                self.fleet.total()
+            )));
+        }
         if self.threads > MAX_THREADS {
             return Err(SimdcError::InvalidConfig(format!(
                 "threads must be at most {MAX_THREADS}, got {}",
@@ -536,6 +543,17 @@ mod tests {
             spec.validate().unwrap_err().to_string(),
             "invalid configuration: fleet must contain at least one phone"
         );
+        // One past the id space (`segments` used to truncate the count to
+        // u32), and counts whose sum wraps a usize.
+        for high in [u32::MAX as usize + 1, usize::MAX] {
+            let mut spec = steady_spec();
+            spec.fleet.msp.high = high;
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(
+                err.starts_with("invalid configuration: fleet must contain at most 4294967295"),
+                "{high}: {err}"
+            );
+        }
         let mut spec = steady_spec();
         spec.threads = MAX_THREADS + 1;
         assert!(spec.validate().is_err());
