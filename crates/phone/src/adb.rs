@@ -12,8 +12,12 @@
 //!   training traffic)
 //!
 //! Outputs deliberately include the header/noise lines real tools print, so
-//! PhoneMgr's post-processing (the "extract valid data" step of the paper)
-//! is genuinely exercised.
+//! the post-processing in [`crate::measure`] (the "extract valid data" step
+//! of the paper) has something to extract from. PhoneMgr itself does not
+//! go through this text: it samples [`PhoneDevice`]'s typed reading, and
+//! `tests/poll_reference.rs` pins that reading to what these commands
+//! print. The shell is the rendered view of a phone — for
+//! `examples/phone_benchmarking.rs` and for that oracle.
 
 use simdc_types::{Result, SimInstant, SimdcError};
 

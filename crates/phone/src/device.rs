@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use simdc_simrt::RngStream;
-use simdc_types::{DeviceGrade, PhoneId, Result, SimInstant, SimdcError};
+use simdc_types::{DeviceGrade, PhoneId, Result, SimDuration, SimInstant, SimdcError};
 
 use crate::profile::PhoneProfile;
 use crate::stage::{RunPlan, Stage};
@@ -48,6 +48,82 @@ static UNTOUCHED: Cold = Cold {
     crashed_at: None,
     noise: None,
 };
+
+/// Where an instant falls inside a run: the active stage and the training
+/// progress up to it, resolved in one walk over the plan's windows — what
+/// [`RunPlan::stage_at`], [`RunPlan::training_elapsed_at`] and
+/// [`RunPlan::round_progress_at`] each rescan the plan for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RunPosition {
+    stage: Stage,
+    /// Active training time up to the instant.
+    training_elapsed: SimDuration,
+    /// Training rounds completed before the instant.
+    completed: u32,
+    /// Fraction of the running round done (0 outside training).
+    progress: f64,
+}
+
+impl RunPosition {
+    /// `None` outside the plan. Windows are contiguous and time-ordered,
+    /// so the walk stops at the one holding `now`.
+    fn locate(run: &RunPlan, now: SimInstant) -> Option<Self> {
+        let mut training_elapsed = SimDuration::ZERO;
+        let mut completed = 0;
+        for w in run.windows() {
+            let training = w.stage == Stage::Training;
+            if now >= w.end() {
+                if training {
+                    training_elapsed += w.duration;
+                    completed += 1;
+                }
+                continue;
+            }
+            if now < w.start {
+                return None;
+            }
+            let mut progress = 0.0;
+            if training {
+                let into = now.duration_since(w.start);
+                training_elapsed += into;
+                progress = into.as_secs_f64() / w.duration.as_secs_f64();
+            }
+            return Some(RunPosition {
+                stage: w.stage,
+                training_elapsed,
+                completed,
+                progress,
+            });
+        }
+        None
+    }
+}
+
+/// One measurement of a phone inside its run, as typed values: exactly the
+/// numbers the [`crate::adb`] command battery prints at the same instant
+/// (and [`crate::measure`]'s parsers read back), without the text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Reading {
+    /// Stage of the run the instant falls in.
+    pub(crate) stage: Stage,
+    /// Discharge current in µA, rounded as sysfs `current_now` reports it.
+    pub(crate) current_ua: i64,
+    /// Battery voltage in µV, rounded as sysfs `voltage_now` reports it.
+    pub(crate) voltage_uv: i64,
+    /// The training process: `Some` exactly when `pgrep -f` prints a pid.
+    pub(crate) process: Option<ProcessReading>,
+    /// Cumulative wlan0 bytes, rx + tx.
+    pub(crate) net_bytes: u64,
+}
+
+/// The training process's share of a [`Reading`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ProcessReading {
+    /// `top`'s `%CPU` column: one decimal.
+    pub(crate) cpu_pct: f64,
+    /// `dumpsys`' `TOTAL PSS`, whole KB.
+    pub(crate) pss_kb: u64,
+}
 
 /// An emulated Android phone: stage-driven power/CPU/memory/network models
 /// behind a virtual sysfs/procfs, addressable through
@@ -230,10 +306,33 @@ impl PhoneDevice {
     /// Pid of the training process if the APK is alive at `now`.
     #[must_use]
     pub fn train_pid_at(&self, now: SimInstant) -> Option<u32> {
-        match self.stage_at(now) {
-            Some(s) if s.apk_running() => self.cold().train_pid,
-            _ => None,
+        self.stage_at(now)
+            .and_then(|stage| self.train_pid_in(stage))
+    }
+
+    fn train_pid_in(&self, stage: Stage) -> Option<u32> {
+        if stage.apk_running() {
+            self.cold().train_pid
+        } else {
+            None
         }
+    }
+
+    /// The position as the plan's own scans give it. The public `*_at`
+    /// accessors — and through them the ADB shell — resolve it this way,
+    /// which keeps the shell an independent reference for
+    /// [`RunPosition::locate`], the single walk [`PhoneDevice::reading_at`]
+    /// takes.
+    fn position_at(&self, now: SimInstant) -> Option<RunPosition> {
+        let stage = self.stage_at(now)?;
+        let run = self.run()?;
+        let (completed, progress) = run.round_progress_at(now);
+        Some(RunPosition {
+            stage,
+            training_elapsed: run.training_elapsed_at(now),
+            completed,
+            progress,
+        })
     }
 
     fn noisy(&mut self, value: f64) -> f64 {
@@ -247,7 +346,12 @@ impl PhoneDevice {
     /// Instantaneous battery discharge current in µA.
     #[must_use]
     pub fn current_ua_at(&mut self, now: SimInstant) -> f64 {
-        let ma = match self.stage_at(now) {
+        let stage = self.stage_at(now);
+        self.current_ua_in(stage)
+    }
+
+    fn current_ua_in(&mut self, stage: Option<Stage>) -> f64 {
+        let ma = match stage {
             Some(stage) => self.profile().stage_current(stage),
             None => 20.0, // deep idle
         };
@@ -269,21 +373,32 @@ impl PhoneDevice {
     /// (Fig 5's 4–13% band); idle stages sit near the idle floor.
     #[must_use]
     pub fn cpu_pct_at(&mut self, now: SimInstant) -> f64 {
+        let pos = self.position_at(now);
+        self.cpu_pct_in(pos)
+    }
+
+    fn cpu_pct_in(&mut self, pos: Option<RunPosition>) -> f64 {
         let p = self.profile();
-        let value = match self.stage_at(now) {
-            Some(Stage::Training) => {
-                let run = self.run().expect("stage implies run");
-                let t = run.training_elapsed_at(now).as_secs_f64();
+        let value = match pos {
+            Some(RunPosition {
+                stage: Stage::Training,
+                training_elapsed,
+                progress,
+                ..
+            }) => {
+                let t = training_elapsed.as_secs_f64();
                 // 20 s oscillation plus a short ramp-in at round start.
                 let osc = (t / 20.0 * std::f64::consts::TAU).sin();
-                let (_, progress) = run.round_progress_at(now);
                 let ramp = (progress * 8.0).min(1.0);
                 p.cpu_idle_pct
                     + ramp
                         * (p.cpu_train_base_pct - p.cpu_idle_pct
                             + p.cpu_train_amp_pct * 0.5 * (1.0 + osc))
             }
-            Some(Stage::ApkLaunch) => p.cpu_idle_pct + 2.0,
+            Some(RunPosition {
+                stage: Stage::ApkLaunch,
+                ..
+            }) => p.cpu_idle_pct + 2.0,
             Some(_) => p.cpu_idle_pct,
             None => 0.3,
         };
@@ -297,11 +412,15 @@ impl PhoneDevice {
     /// gaps, matching Fig 5's 10→50 MB envelope.
     #[must_use]
     pub fn mem_kb_at(&mut self, now: SimInstant) -> f64 {
+        let pos = self.position_at(now);
+        self.mem_kb_in(pos)
+    }
+
+    fn mem_kb_in(&mut self, pos: Option<RunPosition>) -> f64 {
         let p = self.profile();
-        let value = match self.stage_at(now) {
-            Some(stage) if stage.apk_running() => {
-                let run = self.run().expect("stage implies run");
-                let active = run.training_elapsed_at(now).as_secs_f64();
+        let value = match pos {
+            Some(pos) if pos.stage.apk_running() => {
+                let active = pos.training_elapsed.as_secs_f64();
                 let ramp = (active / p.mem_ramp.as_secs_f64()).min(1.0);
                 let mb = p.mem_launch_mb + ramp * (p.mem_train_peak_mb - p.mem_launch_mb);
                 mb * 1_024.0
@@ -330,6 +449,10 @@ impl PhoneDevice {
             return 0;
         }
         let (completed, progress) = run.round_progress_at(now);
+        self.net_bytes_in(completed, progress)
+    }
+
+    fn net_bytes_in(&self, completed: u32, progress: f64) -> u64 {
         let kb = self.profile().comm_kb_per_round * (f64::from(completed) + progress);
         (kb * 1_024.0).round() as u64
     }
@@ -341,6 +464,44 @@ impl PhoneDevice {
         let total = self.net_bytes_at(now);
         let rx = (total as f64 * 0.6).round() as u64;
         (rx, total - rx)
+    }
+
+    /// Measures the phone at `now`; `None` when it is crashed or `now` is
+    /// outside its run (no stage to report).
+    ///
+    /// The noise draws are made in the order the shell battery makes them —
+    /// current, voltage, then for a live process `%CPU`, `top`'s RES column
+    /// and `dumpsys`' PSS — because the stream's position carries from one
+    /// sample of a phone to the next.
+    pub(crate) fn reading_at(&mut self, now: SimInstant) -> Option<Reading> {
+        if self.is_crashed(now) {
+            return None;
+        }
+        let pos = RunPosition::locate(self.run()?, now)?;
+        let current_ua = self.current_ua_in(Some(pos.stage)).round() as i64;
+        let voltage_uv = self.voltage_uv_at(now).round() as i64;
+        let process = self.train_pid_in(pos.stage).map(|_pid| {
+            let cpu = self.cpu_pct_in(Some(pos));
+            // `top` takes a memory reading of its own for RES / SHR / %MEM.
+            // Nobody reads those columns, but the draw happened.
+            let _top_res = self.mem_kb_in(Some(pos));
+            ProcessReading {
+                // `{:.1}` rounds the exact binary value to the nearest
+                // decimal tenth, which arithmetic on `cpu * 10.0` does not
+                // reproduce — so go through the same text `top` prints.
+                cpu_pct: format!("{cpu:.1}")
+                    .parse()
+                    .expect("a formatted float parses back"),
+                pss_kb: self.mem_kb_in(Some(pos)).round() as u64,
+            }
+        });
+        Some(Reading {
+            stage: pos.stage,
+            current_ua,
+            voltage_uv,
+            process,
+            net_bytes: self.net_bytes_in(pos.completed, pos.progress),
+        })
     }
 
     /// Executes an ADB shell command against this phone at virtual time
@@ -521,6 +682,58 @@ mod tests {
         assert!(p.train_pid_at(t(40)).is_some()); // training
         let end = p.run().unwrap().end();
         assert_eq!(p.train_pid_at(end), None);
+    }
+
+    #[test]
+    fn run_position_agrees_with_the_plan_scans() {
+        let run = RunPlan::new(
+            TaskId(1),
+            PhoneId(1),
+            t(3),
+            &[SimDuration::from_secs(16), SimDuration::from_millis(7_300)],
+            &[SimDuration::from_secs(5)],
+        )
+        .unwrap();
+        let mut now = t(1);
+        while now < run.end() + SimDuration::from_secs(2) {
+            let pos = RunPosition::locate(&run, now);
+            assert_eq!(pos.map(|p| p.stage), run.stage_at(now), "stage at {now}");
+            if let Some(pos) = pos {
+                assert_eq!(pos.training_elapsed, run.training_elapsed_at(now));
+                assert_eq!((pos.completed, pos.progress), run.round_progress_at(now));
+            }
+            now += SimDuration::from_millis(137);
+        }
+    }
+
+    /// `poll` reports no CPU or memory exactly when the reading carries no
+    /// process, so that must be exactly when `pgrep` finds no pid.
+    #[test]
+    fn reading_and_pgrep_agree_on_when_a_pid_exists() {
+        let mut p = phone();
+        p.assign_run(plan(0)).unwrap();
+        let mut alive_in = std::collections::BTreeMap::new();
+        // One instant inside each window, and both edges of the run.
+        for secs in [0, 7, 15, 22, 30, 40, 46, 60, 66, 80, 82, 90, 97, 111] {
+            let stage = p.stage_at(t(secs)).expect("inside the run");
+            let pid = p.adb_shell("pgrep -f com.simdc.train", t(secs)).unwrap();
+            let reading = p.reading_at(t(secs)).expect("inside the run");
+            assert_eq!(reading.stage, stage);
+            assert_eq!(
+                reading.process.is_some(),
+                !pid.is_empty(),
+                "{stage} at {secs} s: pgrep printed '{pid}'"
+            );
+            assert_eq!(pid.parse().ok(), p.train_pid_at(t(secs)));
+            alive_in.insert(stage.label(), reading.process.is_some());
+        }
+        assert_eq!(alive_in.len(), 6, "every stage visited: {alive_in:?}");
+        assert_eq!(alive_in.values().filter(|&&alive| alive).count(), 4);
+        // Outside the run, and once crashed, there is nothing to read.
+        assert!(p.reading_at(t(112)).is_none());
+        p.inject_crash(t(40));
+        assert!(p.reading_at(t(40)).is_none());
+        assert!(p.reading_at(t(39)).is_some());
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! memory and bandwidth at a fixed frequency, post-processes the noisy
 //! command output and uploads the cleaned samples to a cloud database
 //! (§IV-C). Real phones are not available in this environment, so this
-//! crate emulates them one layer below PhoneMgr: each [`PhoneDevice`]
-//! exposes a virtual sysfs/procfs and process table through an ADB-shell
-//! parser, backed by grade-calibrated power/CPU/memory/network models —
-//! PhoneMgr then runs the *same* command strings and parsing the paper
-//! lists.
+//! crate emulates them one layer below PhoneMgr: each [`PhoneDevice`] is
+//! a set of grade-calibrated power/CPU/memory/network models. PhoneMgr
+//! samples them as typed values; [`PhoneDevice::adb_shell`] renders the
+//! same models as a virtual sysfs/procfs and process table answering the
+//! command strings the paper lists, and [`measure`] parses that text back
+//! — the view a person at a terminal would have, kept equal to the typed
+//! samples by a differential test.
 //!
 //! Stage machine (Table I): ① clear background (no APK) → ② APK launch →
 //! ③ training → ④ post-training → ⑤ APK closed, with unmeasured

@@ -3,7 +3,10 @@
 //! Real tool output contains headers, idle lines and units; the paper notes
 //! the collected information "typically contains other non-essential data,
 //! requiring post-processing to extract valid data" (§IV-C). The parsers
-//! here do exactly that extraction.
+//! here do exactly that extraction on [`crate::adb`]'s output. PhoneMgr's
+//! own sampling builds a [`PerfSample`] from typed values with the same
+//! unit conversions; the parsers serve callers holding shell text and are
+//! the reference `tests/poll_reference.rs` compares that sampling to.
 
 use serde::{Deserialize, Serialize};
 use simdc_simrt::TimeSeries;

@@ -43,13 +43,9 @@ use simdc_types::{DeviceGrade, PerGrade, PhoneId, Result, SimDuration, SimInstan
 
 use crate::device::{PhoneDevice, Provenance};
 use crate::index::FleetIndex;
-use crate::measure::{
-    aggregate_stages, parse_current_ua, parse_pss_kb, parse_top_cpu, parse_voltage_mv,
-    parse_wlan_bytes, PerfReport, PerfSample,
-};
+use crate::measure::{aggregate_stages, PerfReport, PerfSample};
 use crate::profile::PhoneProfile;
 use crate::stage::{RunPlan, Stage};
-use crate::TRAIN_PROCESS;
 
 /// Fleet composition used by [`PhoneMgr::paper_default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -153,8 +149,8 @@ pub struct FleetSegment {
 ///
 /// PhoneMgr owns the physical device cluster, selects phones for tasks,
 /// submits run plans, and — for benchmarking devices — periodically
-/// executes the paper's ADB command battery, post-processes the output and
-/// aggregates it into Table-I-style reports.
+/// samples what the paper's ADB command battery reports and aggregates it
+/// into Table-I-style reports.
 #[derive(Debug)]
 pub struct PhoneMgr {
     phones: Vec<PhoneDevice>,
@@ -545,105 +541,71 @@ impl PhoneMgr {
         Ok(())
     }
 
-    /// Executes the paper's measurement command battery against one phone
-    /// at virtual time `now` and post-processes the output into a
-    /// [`PerfSample`].
+    /// Measures one phone at virtual time `now`: the numbers the paper's
+    /// ADB command battery reports (see [`crate::adb`]), read from the
+    /// device's typed reading of itself rather than rendered and parsed.
     ///
     /// # Errors
     ///
-    /// Returns [`SimdcError::PhoneUnavailable`] for unknown phones, and
-    /// [`SimdcError::AdbCommand`] when the device is offline or output is
-    /// malformed. A phone without an active run yields an error too — only
-    /// benchmarking devices inside a run are polled.
+    /// Returns [`SimdcError::PhoneUnavailable`] for unknown phones and
+    /// [`SimdcError::AdbCommand`] when the device is offline or has no
+    /// active run at `now` — only benchmarking devices inside a run are
+    /// polled.
     pub fn poll(&mut self, id: PhoneId, now: SimInstant) -> Result<PerfSample> {
         // Measurement draws device noise (mutating the RNG stream) but
         // never changes availability, so it bypasses the dirty tracking.
         let phone = self
             .device_mut(id)
             .ok_or(SimdcError::PhoneUnavailable(id))?;
-        let stage = phone.stage_at(now).ok_or_else(|| {
-            SimdcError::AdbCommand(format!("phone {id} has no active run at {now}"))
-        })?;
-
-        let current_ua = parse_current_ua(
-            &phone.adb_shell("cat /sys/class/power_supply/battery/current_now", now)?,
-        )?;
-        let voltage_mv = parse_voltage_mv(
-            &phone.adb_shell("cat /sys/class/power_supply/battery/voltage_now", now)?,
-        )?;
-
-        let pid_out = phone.adb_shell(&format!("pgrep -f {TRAIN_PROCESS}"), now)?;
-        let (cpu_pct, mem_kb, net_bytes) = if pid_out.trim().is_empty() {
-            // Process not alive (stages 1 and 5): nothing to measure.
-            (0.0, 0.0, phone.net_bytes_at(now))
-        } else {
-            let pid = pid_out.trim();
-            let cpu = parse_top_cpu(&phone.adb_shell(&format!("top -b -n 1 -p {pid}"), now)?)?;
-            let mem = parse_pss_kb(
-                &phone.adb_shell(&format!("dumpsys {TRAIN_PROCESS} | grep PSS"), now)?,
-            )?;
-            let net = parse_wlan_bytes(
-                &phone.adb_shell(&format!("cat /proc/{pid}/net/dev | grep wlan"), now)?,
-            )?;
-            (cpu, mem, net)
-        };
-
-        Ok(PerfSample {
-            phone: id,
-            at: now,
-            stage,
-            current_ua,
-            voltage_mv,
-            cpu_pct,
-            mem_kb,
-            net_bytes,
-        })
+        take_sample(phone, now)
     }
 
     /// Measures a benchmarking phone across its entire active run: polls at
     /// the manager's interval, skips the waiting-for-aggregation gaps (the
     /// paper records no data there), and aggregates the Table-I stages.
     ///
-    /// If the phone crashes mid-run the report contains everything captured
-    /// up to the crash.
+    /// The one thing that ends a measurement early is the phone crashing
+    /// mid-run: the report then contains everything captured before the
+    /// crash instant.
     ///
     /// # Errors
     ///
-    /// Returns [`SimdcError::PhoneUnavailable`] for unknown phones and
-    /// `InvalidConfig` if the phone has no assigned run.
+    /// Returns [`SimdcError::PhoneUnavailable`] for unknown phones,
+    /// `InvalidConfig` if the phone has no assigned run, and propagates any
+    /// sampling error.
     pub fn measure_run(&mut self, id: PhoneId) -> Result<PerfReport> {
-        let (start, end, grade) = {
-            let phone = self.phone(id).ok_or(SimdcError::PhoneUnavailable(id))?;
-            let run = phone.run().ok_or_else(|| {
-                SimdcError::InvalidConfig(format!("phone {id} has no assigned run"))
-            })?;
-            (run.start(), run.end(), phone.grade())
-        };
+        let interval = self.poll_interval;
+        let phone = self
+            .device_mut(id)
+            .ok_or(SimdcError::PhoneUnavailable(id))?;
+        let run = phone
+            .run()
+            .ok_or_else(|| SimdcError::InvalidConfig(format!("phone {id} has no assigned run")))?;
+        let (start, end, grade) = (run.start(), run.end(), phone.grade());
 
-        let mut samples = Vec::new();
-        let mut cpu_series = TimeSeries::new(format!("{id}/cpu_pct"));
-        let mut mem_series = TimeSeries::new(format!("{id}/mem_mb"));
+        let polls = end
+            .duration_since(start)
+            .as_micros()
+            .div_ceil(interval.as_micros()) as usize;
+        let mut samples = Vec::with_capacity(polls);
+        let mut cpu_series = TimeSeries::with_capacity(format!("{id}/cpu_pct"), polls);
+        let mut mem_series = TimeSeries::with_capacity(format!("{id}/mem_mb"), polls);
         let mut t = start;
-        while t < end {
-            match self.poll(id, t) {
-                Ok(sample) => {
-                    // The paper records no data while a device waits for
-                    // global aggregation (Fig 5's dashed gaps) — waiting
-                    // samples are kept only as raw stage markers so the
-                    // Table-I aggregation can separate adjacent rounds.
-                    if sample.stage != Stage::Waiting && sample.stage.apk_running() {
-                        cpu_series.record(t, sample.cpu_pct);
-                        mem_series.record(t, sample.mem_kb / 1_024.0);
-                    }
-                    samples.push(sample);
-                }
-                Err(SimdcError::AdbCommand(_)) => break, // crashed mid-run
-                Err(other) => return Err(other),
+        while t < end && !phone.is_crashed(t) {
+            let sample = take_sample(phone, t)?;
+            // The paper records no data while a device waits for global
+            // aggregation (Fig 5's dashed gaps) — waiting samples are kept
+            // only as raw stage markers so the Table-I aggregation can
+            // separate adjacent rounds.
+            if sample.stage != Stage::Waiting && sample.stage.apk_running() {
+                cpu_series.record(t, sample.cpu_pct);
+                mem_series.record(t, sample.mem_kb / 1_024.0);
             }
-            t += self.poll_interval;
+            samples.push(sample);
+            t += interval;
         }
 
-        let stages = aggregate_stages(&samples, self.poll_interval);
+        let stages = aggregate_stages(&samples, interval);
         Ok(PerfReport {
             phone: id,
             grade,
@@ -676,6 +638,29 @@ impl PhoneMgr {
         let gaps = vec![waiting_gap; rounds.saturating_sub(1)];
         RunPlan::new(task, id, start, &durations, &gaps)
     }
+}
+
+/// One [`PerfSample`] from the phone's typed reading, with the unit
+/// conversions the text parsers apply ([`crate::measure`]): positive µA,
+/// µV → mV, whole-KB PSS, and zero CPU / memory while no process is alive.
+fn take_sample(phone: &mut PhoneDevice, now: SimInstant) -> Result<PerfSample> {
+    let id = phone.id();
+    let reading = phone
+        .reading_at(now)
+        .ok_or_else(|| SimdcError::AdbCommand(format!("phone {id} has no active run at {now}")))?;
+    let (cpu_pct, mem_kb) = reading
+        .process
+        .map_or((0.0, 0.0), |p| (p.cpu_pct, p.pss_kb as f64));
+    Ok(PerfSample {
+        phone: id,
+        at: now,
+        stage: reading.stage,
+        current_ua: reading.current_ua.unsigned_abs() as f64,
+        voltage_mv: reading.voltage_uv as f64 / 1_000.0,
+        cpu_pct,
+        mem_kb,
+        net_bytes: reading.net_bytes,
+    })
 }
 
 #[cfg(test)]
@@ -897,6 +882,81 @@ mod tests {
         let report = mgr.measure_run(id).unwrap();
         assert!(report.samples.last().unwrap().at < t(40));
         assert!(report.stages.len() < 5, "post-crash stages missing");
+    }
+
+    /// The only thing that ends a measurement early is the crash instant
+    /// itself: a phone is offline from `crashed_at` on (`now >= at`), so a
+    /// crash at the run's start leaves an empty report and a crash on a
+    /// poll instant loses that instant's sample.
+    #[test]
+    fn measurement_stops_exactly_at_the_crash_instant() {
+        for (crash_secs, expected_samples) in [(0, 0), (40, 40)] {
+            let mut mgr = PhoneMgr::paper_default(10);
+            let id = mgr.select(DeviceGrade::High, 1, t(0)).unwrap()[0];
+            let plan = mgr
+                .plan_for(id, TaskId(1), t(0), 2, SimDuration::from_secs(10))
+                .unwrap();
+            mgr.submit_run(id, plan).unwrap();
+            mgr.inject_crash(id, t(crash_secs)).unwrap();
+            let report = mgr.measure_run(id).unwrap();
+            assert_eq!(report.samples.len(), expected_samples);
+            assert_eq!(
+                report.samples.last().map(|s| s.at),
+                crash_secs.checked_sub(1).map(t),
+                "the sample on the crash instant is absent"
+            );
+            assert!(report.samples.iter().all(|s| s.phone == id));
+            assert_eq!(report.stages.is_empty(), expected_samples == 0);
+            assert!(matches!(
+                mgr.poll(id, t(crash_secs)),
+                Err(SimdcError::AdbCommand(_))
+            ));
+        }
+    }
+
+    /// A noiseless profile draws nothing for current, CPU or memory — the
+    /// samples are the model values — but voltage always wobbles, one draw
+    /// per poll.
+    #[test]
+    fn noiseless_profile_still_draws_voltage() {
+        let build = || {
+            let mut mgr = PhoneMgr::paper_default(18);
+            let id = mgr.select(DeviceGrade::High, 1, t(0)).unwrap()[0];
+            let mut quiet = PhoneProfile::high();
+            quiet.noise_frac = 0.0;
+            mgr.set_phone_profile(id, quiet).unwrap();
+            let plan = mgr
+                .plan_for(id, TaskId(1), t(0), 1, SimDuration::ZERO)
+                .unwrap();
+            mgr.submit_run(id, plan).unwrap();
+            (mgr, id)
+        };
+        let (mut polled, id) = build();
+        let (mut drawn, _) = build();
+        let mut voltages = Vec::new();
+        for secs in [2, 20, 35, 50, 70] {
+            let sample = polled.poll(id, t(secs)).unwrap();
+            let profile = PhoneProfile::high();
+            assert_eq!(
+                sample.current_ua,
+                (profile.stage_current(sample.stage) * 1_000.0).round()
+            );
+            match sample.stage {
+                Stage::ApkLaunch => assert_eq!(sample.cpu_pct, 3.0),
+                Stage::PostTraining => assert_eq!(sample.cpu_pct, 1.0),
+                Stage::Training => {}
+                _ => assert_eq!((sample.cpu_pct, sample.mem_kb), (0.0, 0.0)),
+            }
+            if sample.stage == Stage::ApkLaunch {
+                assert_eq!(sample.mem_kb, 14.0 * 1_024.0);
+            }
+            // The same phone, making only the voltage draw.
+            let uv = drawn.phone_mut(id).unwrap().voltage_uv_at(t(secs));
+            assert_eq!(sample.voltage_mv, uv.round() / 1_000.0);
+            voltages.push(sample.voltage_mv);
+        }
+        voltages.dedup();
+        assert_eq!(voltages.len(), 5, "voltage wobbles from poll to poll");
     }
 
     #[test]

@@ -38,6 +38,16 @@ impl TimeSeries {
         }
     }
 
+    /// An empty series with room for `capacity` samples, for recorders
+    /// that know how many they will append.
+    #[must_use]
+    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
+        TimeSeries {
+            name: name.into(),
+            points: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The series name.
     #[must_use]
     pub fn name(&self) -> &str {
