@@ -158,9 +158,9 @@ pub(crate) fn compute_one(
     dataset: &CtrDataset,
     p: Prepared,
 ) -> Computed {
-    // simlint::allow(T1/rng-stream-aliasing): the label is formatted from
-    // the task id, which the queue guarantees unique — two tasks can never
-    // alias a stream, and the seed is per-task as well.
+    // The label is formatted from the task id, which the queue guarantees
+    // unique — two tasks can never alias a stream, and the seed is
+    // per-task as well.
     let mut rng = RngStream::named(spec.seed, &format!("task/{}", spec.id.0));
     let mut scratch = Storage::new();
     let groups = p.grade_groups.iter().flatten().copied().collect();

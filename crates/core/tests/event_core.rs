@@ -7,7 +7,7 @@
 //! (free capacity equals total capacity whenever the platform is idle)
 //! across random schedules.
 
-// Reviewed interior-mutability exception (clippy mirror of simlint P2):
+// Reviewed interior-mutability exception to the clippy.toml ban:
 // test-only memoisation of a deterministic dataset — the cell's content
 // is a pure function of its fixed seed, so init order cannot matter.
 #[allow(clippy::disallowed_types)]

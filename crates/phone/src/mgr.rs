@@ -29,10 +29,11 @@
 //! device state regardless, so a violated assumption can under-report
 //! availability but never hand out a busy phone.
 
-// Reviewed interior-mutability exception (clippy mirror of simlint P2):
-// the lazy fleet index memoises on the `&self` read path of a
-// single-threaded manager; the manager is only ever borrowed by the serial
-// prepare and merge phases, so no worker-reachable code touches this cell.
+// Reviewed interior-mutability exception to the clippy.toml ban: the lazy
+// fleet index memoises on the `&self` read path of a single-threaded
+// manager. The cell makes `PhoneMgr` `!Sync`, so rustc rejects any
+// `run_batch` worker closure that captures it — only the serial prepare
+// and merge phases can borrow the manager.
 #[allow(clippy::disallowed_types)]
 use std::cell::RefCell;
 use std::collections::BTreeMap;

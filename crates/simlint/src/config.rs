@@ -1,13 +1,13 @@
 //! `simlint.toml`: the policy surface of the linter.
 //!
 //! Each rule's scope — the files that own task-state assignment, the
-//! lease pairing points, the worker entry points and their reviewed
-//! prunes, the sink lists — is declared here, so a policy change is a
-//! diffable, reviewable line. (Single-site waivers are inline
-//! `simlint::allow` comments, see [`crate::suppress`].) The format is a
-//! small TOML subset (tables, strings, string arrays, `#` comments),
-//! parsed by hand because the linter must not depend on the crates it
-//! audits (and the workspace deliberately vendors no TOML parser).
+//! lease pairing points and what marks a lease call — is declared here,
+//! so a policy change is a diffable, reviewable line. (Single-site
+//! waivers are inline `simlint::allow` comments, see
+//! [`crate::suppress`].) The format is a small TOML subset (tables,
+//! strings, string arrays, `#` comments), parsed by hand because the
+//! linter must not depend on the crates it audits (and the workspace
+//! deliberately vendors no TOML parser).
 //!
 //! Unknown keys are hard errors: a typoed list that silently parses is
 //! a list that silently does nothing.
@@ -41,30 +41,14 @@ pub struct Config {
     /// are lease operations (rule D3), as opposed to e.g.
     /// `BytesMut::freeze`.
     pub lease_receivers: Vec<String>,
-    /// Receiver *types* whose `.freeze(..)` / `.release(..)` calls are
-    /// lease operations, matched through the call graph's receiver-type
-    /// resolution (so a renamed binding cannot dodge rule D3).
+    /// Type names that mark a file as lease-aware: in a file naming one
+    /// outside test code, every `.freeze(..)` / `.release(..)` call is a
+    /// lease operation whatever its receiver is called (so a renamed
+    /// binding cannot dodge rule D3).
     pub lease_types: Vec<String>,
     /// Files allowed to call lease freeze/release: the plan/commit
     /// pairing points.
     pub lease_callers: Vec<String>,
-    /// Worker entry points the P- and T-rules walk from (`Type::method`,
-    /// `file.rs::name` or bare-name specs). Empty means both analyses
-    /// are off — the workspace opts in via `simlint.toml`.
-    pub purity_entries: Vec<String>,
-    /// Functions pruned from the reachability walk: the reviewed escape
-    /// hatch for call-graph over-approximation.
-    pub purity_exempt: Vec<String>,
-    /// Shared-mutation sink patterns for P1 (`Type::method`,
-    /// `recv.method`, `prefix*` or bare names).
-    pub mutation_sinks: Vec<String>,
-    /// Interior-mutability type patterns for P2.
-    pub interior_mutability: Vec<String>,
-    /// Fan-out call names policed by P4 (e.g. `run_batch`).
-    pub spawners: Vec<String>,
-    /// Files allowed to call the spawners: the registered parallel
-    /// regions.
-    pub spawner_sites: Vec<String>,
     /// Files that own direct task-state assignment (the `mark_*` APIs).
     pub state_owners: Vec<String>,
     /// Identifier whose presence marks a file as task-lifecycle-aware;
@@ -72,26 +56,6 @@ pub struct Config {
     /// (so unrelated `state` fields — RNG internals, node lifecycles —
     /// are not dragged in).
     pub state_guard: String,
-    /// Type heads whose values *are* rng streams: seeds the `STREAM`
-    /// taint bit, and any method on such a receiver counts as a draw
-    /// unless listed in [`Config::fork_methods`].
-    pub stream_types: Vec<String>,
-    /// Methods on a stream receiver that produce another stream rather
-    /// than a draw (`fork`, `clone`).
-    pub fork_methods: Vec<String>,
-    /// `name:argindex` / `Type::method:argindex` positions that consume
-    /// a root seed (rule T4 polices their provenance).
-    pub seed_args: Vec<String>,
-    /// `name:argindex` / `Type::method:argindex` positions that consume
-    /// a stream label (rule T1 polices constancy and uniqueness).
-    pub label_args: Vec<String>,
-    /// Shared-state sink patterns for T2 (same grammar as the P1
-    /// `mutation_sinks`): calls where a draw-tainted argument means
-    /// randomness escaped the compute phase.
-    pub escape_sinks: Vec<String>,
-    /// Field names whose assignment from a draw-tainted value is a T2
-    /// escape (`time`, `seq` — the deterministic-merge ordering keys).
-    pub tainted_fields: Vec<String>,
 }
 
 impl Default for Config {
@@ -100,30 +64,8 @@ impl Default for Config {
             lease_receivers: vec!["rm".into()],
             lease_types: vec!["ResourceManager".into()],
             lease_callers: Vec::new(),
-            purity_entries: Vec::new(),
-            purity_exempt: Vec::new(),
-            mutation_sinks: Vec::new(),
-            interior_mutability: vec![
-                "RefCell".into(),
-                "Cell".into(),
-                "UnsafeCell".into(),
-                "Mutex".into(),
-                "RwLock".into(),
-                "OnceCell".into(),
-                "OnceLock".into(),
-                "LazyLock".into(),
-                "Atomic*".into(),
-            ],
-            spawners: Vec::new(),
-            spawner_sites: Vec::new(),
             state_owners: Vec::new(),
             state_guard: "TaskState".into(),
-            stream_types: vec!["RngStream".into(), "SplitMix64".into()],
-            fork_methods: vec!["fork".into(), "clone".into()],
-            seed_args: vec!["derive_seed:0".into(), "RngStream::named:0".into()],
-            label_args: vec!["RngStream::named:1".into(), "RngStream::fork:0".into()],
-            escape_sinks: Vec::new(),
-            tainted_fields: vec!["time".into(), "seq".into()],
         }
     }
 }
@@ -148,44 +90,8 @@ impl Config {
                 "rules.freeze-release.callers" => {
                     config.lease_callers = expect_list(&key, value)?;
                 }
-                "rules.worker-purity.entries" => {
-                    config.purity_entries = expect_list(&key, value)?;
-                }
-                "rules.worker-purity.exempt" => {
-                    config.purity_exempt = expect_list(&key, value)?;
-                }
-                "rules.worker-purity.mutation_sinks" => {
-                    config.mutation_sinks = expect_list(&key, value)?;
-                }
-                "rules.worker-purity.interior_mutability" => {
-                    config.interior_mutability = expect_list(&key, value)?;
-                }
-                "rules.worker-purity.spawners" => {
-                    config.spawners = expect_list(&key, value)?;
-                }
-                "rules.worker-purity.spawner_sites" => {
-                    config.spawner_sites = expect_list(&key, value)?;
-                }
                 "rules.task-state.owners" => config.state_owners = expect_list(&key, value)?,
                 "rules.task-state.guard" => config.state_guard = expect_str(&key, value)?,
-                "rules.determinism-taint.stream_types" => {
-                    config.stream_types = expect_list(&key, value)?;
-                }
-                "rules.determinism-taint.fork_methods" => {
-                    config.fork_methods = expect_list(&key, value)?;
-                }
-                "rules.determinism-taint.seed_args" => {
-                    config.seed_args = expect_list(&key, value)?;
-                }
-                "rules.determinism-taint.label_args" => {
-                    config.label_args = expect_list(&key, value)?;
-                }
-                "rules.determinism-taint.escape_sinks" => {
-                    config.escape_sinks = expect_list(&key, value)?;
-                }
-                "rules.determinism-taint.tainted_fields" => {
-                    config.tainted_fields = expect_list(&key, value)?;
-                }
                 _ => return Err(ConfigError(format!("unknown key `{key}`"))),
             }
         }
@@ -319,37 +225,42 @@ mod tests {
             r##"
 # comment
 [rules.freeze-release]
-receivers = ["rm"]
-callers = ["crates/core/src/platform.rs"]
+receivers = ["rm", "leases"]
+types = ["ResourceManager"]
+callers = [
+    "crates/core/src/scheduler.rs", # reviewed: the plan step
+    "crates/core/src/platform.rs",
+]
 
 [rules.task-state]
 owners = ["crates/core/src/queue.rs"]
 guard = "TaskState"
-
-[rules.worker-purity]
-entries = [
-    "Worker::build", # reviewed: the parallel region's root
-    "crates/a/src/x.rs::compute",
-]
 "##,
         )
         .expect("parses");
-        assert_eq!(cfg.lease_callers, vec!["crates/core/src/platform.rs"]);
-        assert_eq!(cfg.state_owners, vec!["crates/core/src/queue.rs"]);
+        assert_eq!(cfg.lease_receivers, vec!["rm", "leases"]);
+        assert_eq!(cfg.lease_types, vec!["ResourceManager"]);
         assert_eq!(
-            cfg.purity_entries,
-            vec!["Worker::build", "crates/a/src/x.rs::compute"]
+            cfg.lease_callers,
+            vec![
+                "crates/core/src/scheduler.rs",
+                "crates/core/src/platform.rs"
+            ]
         );
+        assert_eq!(cfg.state_owners, vec!["crates/core/src/queue.rs"]);
+        assert_eq!(cfg.state_guard, "TaskState");
     }
 
     #[test]
     fn unknown_keys_are_rejected() {
-        // A typo, and the keys whose rules moved to clippy.toml.
+        // A typo, the keys whose rules moved to clippy.toml, and the
+        // tables of the deleted call-graph and taint tiers.
         for doc in [
             "[rules.task-state]\nowner = []",
             "[workspace]\nharness = []",
             "[rules.hash-collections]\nallow = []",
-            "[rules.determinism-taint]\nentries = []",
+            "[rules.worker-purity]\nentries = []",
+            "[rules.determinism-taint]\nseed_args = []",
         ] {
             let err = Config::parse(doc).unwrap_err();
             assert!(err.0.contains("unknown key"), "{doc}: {err}");
@@ -367,9 +278,10 @@ entries = [
     #[test]
     fn empty_and_missing_config_are_strict_defaults() {
         let cfg = Config::parse("").expect("empty parses");
-        assert!(cfg.purity_entries.is_empty());
+        assert!(cfg.state_owners.is_empty());
         assert!(cfg.lease_callers.is_empty());
         assert_eq!(cfg.lease_receivers, vec!["rm"]);
+        assert_eq!(cfg.lease_types, vec!["ResourceManager"]);
     }
 
     #[test]

@@ -27,13 +27,12 @@ pub enum TokKind {
     Ident,
     /// A single punctuation character, or the merged `::` separator.
     Punct,
-    /// A number or char literal. Numbers retain their text (the taint
-    /// layer types `0.5` as a float); chars stay empty.
+    /// A number or char literal. Numbers retain their text; chars stay
+    /// empty.
     Literal,
     /// A string literal. The text is the *content* between the quotes
-    /// (escape sequences verbatim) — the T1 label analysis compares
-    /// constant stream labels, so the content matters here, unlike the
-    /// identifier rules which never match on string tokens.
+    /// (escape sequences verbatim), kept apart from [`TokKind::Ident`] so
+    /// the identifier rules never match on string tokens.
     Str,
 }
 
@@ -334,8 +333,7 @@ fn scan(source: &str, comments: &mut Vec<Comment>) -> Vec<Token> {
         }
 
         // Numbers: `1.5e-3` hangs together; `0..10` must not swallow the
-        // range dots. The text is retained so the taint layer can type
-        // `0.5` / `1f64` as float literals.
+        // range dots.
         if c.is_ascii_digit() {
             let (tok_line, tok_col) = (line, col);
             let mut text = String::new();
@@ -639,7 +637,7 @@ mod tests {
         let toks = lex("for i in 0..10 { x(1.5e-3); }");
         assert!(toks.iter().any(|t| t.is_punct(".")));
         assert!(idents(&toks).iter().any(|(t, _)| *t == "x"));
-        // Float literal text survives for the taint layer.
+        // The float literal is one token with its text intact.
         assert!(toks
             .iter()
             .any(|t| t.kind == TokKind::Literal && t.text == "1.5e-3"));
@@ -660,12 +658,12 @@ mod tests {
     #[test]
     fn simlint_directive_comments_are_captured() {
         let src = "\
-fn f() {\n    // simlint::allow(T1/rng-stream-aliasing): label embeds the task id\n    let x = 1; // simlint::allow(D1/hash-collections): scratch only\n    // an ordinary comment mentioning simlint stays stripped\n}";
+fn f() {\n    // simlint::allow(D3/task-state): replay harness rewinds\n    let x = 1; // simlint::allow(D1/hash-collections): scratch only\n    // an ordinary comment mentioning simlint stays stripped\n}";
         let (_, comments) = lex_with_comments(src);
         assert_eq!(comments.len(), 2);
         assert!(!comments[0].trailing);
         assert_eq!(comments[0].line, 2);
-        assert!(comments[0].text.starts_with("simlint::allow(T1"));
+        assert!(comments[0].text.starts_with("simlint::allow(D3"));
         assert!(comments[1].trailing);
         assert_eq!(comments[1].line, 3);
     }

@@ -73,20 +73,15 @@ fn main() -> ExitCode {
         Err(e) => return fatal(&e),
     };
     let summary = if report.findings.is_empty() {
-        format!(
-            "simlint: clean ({} files scanned; call graph: {} fns, {} edges)",
-            report.files_scanned, report.graph.functions, report.graph.edges
-        )
+        format!("simlint: clean ({} files scanned)", report.files_scanned)
     } else {
         let files: std::collections::BTreeSet<&str> =
             report.findings.iter().map(|f| f.path.as_str()).collect();
         format!(
-            "simlint: {} finding(s) in {} file(s) ({} files scanned; call graph: {} fns, {} edges)",
+            "simlint: {} finding(s) in {} file(s) ({} files scanned)",
             report.findings.len(),
             files.len(),
-            report.files_scanned,
-            report.graph.functions,
-            report.graph.edges
+            report.files_scanned
         )
     };
     for finding in &report.findings {

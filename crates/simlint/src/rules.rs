@@ -4,14 +4,16 @@
 //! | code | rule | what it guards |
 //! |------|------|----------------|
 //! | `D3/task-state` | `.state = …` only inside the `mark_*` owner files | terminal-state discipline is an API, not a convention |
-//! | `D3/freeze-release` | lease `freeze`/`release` only at pairing points | every freeze must meet its release at the completion event |
+//! | `D3/freeze-release` | lease `freeze`/`release` only at pairing points — matched by receiver name, and by any receiver in a file naming the lease type | every freeze must meet its release at the completion event |
 //! | `D4/lint-gates` | crate roots carry `deny(missing_docs)` + `forbid(unsafe_code)` | hygiene gates stay on as crates are added |
 //! | `D4/unwrap-in-lib` | no bare `.unwrap()` in library code | library panics carry an invariant message or propagate |
 //!
 //! The generic determinism bans (hash-ordered collections, wall-clock
-//! reads, ambient entropy) are owned by `clippy.toml`, and public-item
-//! docs by rustc's `missing_docs` (which `D4/lint-gates` keeps switched
-//! on) — see the audit table in ARCHITECTURE.md.
+//! reads, ambient entropy, interior mutability) are owned by
+//! `clippy.toml`, public-item docs by rustc's `missing_docs` and worker
+//! purity by rustc's `Fn + Sync` bound on `run_batch` (both of which
+//! lean on the gates `D4/lint-gates` keeps switched on) — see the audit
+//! table in ARCHITECTURE.md.
 //!
 //! Test-gated code (`#[cfg(test)]`, `#[test]`) is exempt from all rules:
 //! the discipline protects simulation behavior, not test scaffolding.
@@ -102,41 +104,57 @@ fn rule_task_state(path: &str, tokens: &[Token], cfg: &Config, out: &mut Vec<Fin
 }
 
 /// D3: lease freeze/release outside the plan/commit pairing points.
+///
+/// A `.freeze(` / `.release(` call is a lease operation when its
+/// receiver is one of the configured names (`rm`), or — whatever the
+/// receiver is called — when the file names a lease type
+/// (`ResourceManager`) outside test code, so `let leases = &mut self.rm`
+/// cannot dodge the rule. Files that never mention the type keep their
+/// unrelated `freeze`/`release` methods (`BytesMut`, node groups).
 fn rule_freeze_release(path: &str, tokens: &[Token], cfg: &Config, out: &mut Vec<Finding>) {
     if cfg.lease_callers.iter().any(|c| c == path) {
         return;
     }
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if t.in_test || t.kind != TokKind::Ident {
+    let lease_type = cfg
+        .lease_types
+        .iter()
+        .find(|ty| tokens.iter().any(|t| !t.in_test && t.is_ident(ty)));
+    for i in 1..tokens.len() {
+        let method = &tokens[i];
+        if method.in_test
+            || !(method.is_ident("freeze") || method.is_ident("release"))
+            || !tokens[i - 1].is_punct(".")
+            || !tokens.get(i + 1).is_some_and(|t| t.is_punct("("))
+        {
             continue;
         }
-        if !cfg.lease_receivers.iter().any(|r| t.is_ident(r)) {
-            continue;
-        }
-        let (Some(dot), Some(method), Some(paren)) =
-            (tokens.get(i + 1), tokens.get(i + 2), tokens.get(i + 3))
-        else {
+        let named_receiver = i >= 2
+            && cfg
+                .lease_receivers
+                .iter()
+                .any(|name| tokens[i - 2].is_ident(name));
+        let what = if named_receiver {
+            format!("lease `{}.{}`", tokens[i - 2].text, method.text)
+        } else if let Some(ty) = lease_type {
+            format!(
+                "`.{}(` in a file that names `{ty}` (a lease call whatever the \
+                 receiver is called)",
+                method.text
+            )
+        } else {
             continue;
         };
-        if dot.is_punct(".")
-            && (method.is_ident("freeze") || method.is_ident("release"))
-            && paren.is_punct("(")
-        {
-            out.push(finding(
-                path,
-                method,
-                "D3/freeze-release",
-                format!(
-                    "lease `{}.{}` outside the plan/commit pairing points ({}) — \
-                     freezes happen at admission, releases at the completion event, \
-                     nowhere else",
-                    t.text,
-                    method.text,
-                    cfg.lease_callers.join(", ")
-                ),
-            ));
-        }
+        out.push(finding(
+            path,
+            method,
+            "D3/freeze-release",
+            format!(
+                "{what} outside the plan/commit pairing points ({}) — \
+                 freezes happen at admission, releases at the completion event, \
+                 nowhere else",
+                cfg.lease_callers.join(", ")
+            ),
+        ));
     }
 }
 
@@ -253,6 +271,23 @@ mod tests {
             &cfg,
         );
         assert!(ok.is_empty());
+    }
+
+    #[test]
+    fn lease_type_guard_catches_any_receiver_outside_test_code() {
+        // A renamed binding and an expression receiver, in a file that
+        // names the lease type: both are lease calls.
+        let src = "fn f(p: &mut P, _: &ResourceManager) {\n    let leases = &mut p.rm;\n    leases.release(1);\n    p.leases().freeze(2, c);\n}";
+        let f = run(src);
+        assert_eq!(codes(&f), vec!["D3/freeze-release", "D3/freeze-release"]);
+        assert_eq!((f[0].line, f[0].col), (3, 12));
+        assert!(f[1]
+            .message
+            .starts_with("`.freeze(` in a file that names `ResourceManager`"));
+        // Naming the type only in test code does not arm the guard, and
+        // test code itself is never policed.
+        let gated = "fn f(buf: BytesMut) -> Bytes { buf.freeze() }\n#[cfg(test)]\nmod tests {\n    fn t(m: &mut ResourceManager) { m.release(1); }\n}";
+        assert!(run(gated).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! // simlint::allow(<rule>): <reason>
 //! ```
 //!
-//! * `<rule>` is a full rule code (`T1/rng-stream-aliasing`, not `T1`) —
+//! * `<rule>` is a full rule code (`D4/unwrap-in-lib`, not `D4`) —
 //!   an unknown code is a hard error (exit 2), so a typo can never
 //!   silently widen the waiver.
 //! * `<reason>` is mandatory: the comment is the review record for the
@@ -33,14 +33,6 @@ pub const RULE_CODES: &[&str] = &[
     "D3/freeze-release",
     "D4/lint-gates",
     "D4/unwrap-in-lib",
-    "P0/unresolved-config",
-    "P1/shared-mutation",
-    "P2/interior-mutability",
-    "P4/unregistered-spawner",
-    "T0/unresolved-config",
-    "T1/rng-stream-aliasing",
-    "T2/rng-escape",
-    "T4/seed-provenance",
 ];
 
 /// A parsed, target-resolved suppression directive.
@@ -86,26 +78,6 @@ pub fn parse_directives(
     Ok(out)
 }
 
-/// Like [`parse_directives`], but drops malformed directives instead of
-/// failing. Used by the analysis-only entry point
-/// ([`crate::analyze_sources`]) where the full pipeline (which *does*
-/// hard-error) has already vetted the tree, or where tests feed sources
-/// directly.
-pub fn parse_directives_lenient(
-    path: &str,
-    comments: &[Comment],
-    tokens: &[Token],
-) -> Vec<Directive> {
-    comments
-        .iter()
-        .filter_map(|c| parse_one(c, tokens).ok())
-        .map(|d| Directive {
-            path: path.to_string(),
-            ..d
-        })
-        .collect()
-}
-
 fn parse_one(c: &Comment, tokens: &[Token]) -> Result<Directive, String> {
     let rest = c.text.strip_prefix("simlint::allow").ok_or_else(|| {
         format!(
@@ -123,7 +95,7 @@ fn parse_one(c: &Comment, tokens: &[Token]) -> Result<Directive, String> {
     let rule = rest[..close].trim();
     if !RULE_CODES.contains(&rule) {
         return Err(format!(
-            "unknown rule code `{rule}` (use the full code, e.g. `T1/rng-stream-aliasing`)"
+            "unknown rule code `{rule}` (use the full code, e.g. `D4/unwrap-in-lib`)"
         ));
     }
     let after = rest[close + 1..].trim_start();
@@ -216,7 +188,7 @@ mod tests {
 
     #[test]
     fn standalone_directive_targets_the_next_code_line_across_blanks() {
-        let src = "fn f() {\n    // simlint::allow(T4/seed-provenance): replay harness reseeds\n    // simlint::allow(T1/rng-stream-aliasing): label is unique\n\n    let x = 1;\n}";
+        let src = "fn f() {\n    // simlint::allow(D4/unwrap-in-lib): checked two lines up\n    // simlint::allow(D3/task-state): replay harness rewinds\n\n    let x = 1;\n}";
         let ds = parse(src).expect("parses");
         assert_eq!(ds.len(), 2);
         // Both stacked directives land on the first following code line.
@@ -226,28 +198,36 @@ mod tests {
 
     #[test]
     fn unknown_rule_code_is_a_hard_error() {
-        let err = parse("// simlint::allow(T9/bogus): nope\nfn f() {}").unwrap_err();
-        assert!(err.contains("unknown rule code `T9/bogus`"), "{err}");
+        let err = parse("// simlint::allow(D9/bogus): nope\nfn f() {}").unwrap_err();
+        assert!(err.contains("unknown rule code `D9/bogus`"), "{err}");
         assert!(err.starts_with("crates/demo/src/lib.rs:1:1:"), "{err}");
-        // A ban that moved to clippy.toml is no longer a simlint code.
-        let err = parse("// simlint::allow(D1/hash-collections): old\nfn f() {}").unwrap_err();
-        assert!(
-            err.contains("unknown rule code `D1/hash-collections`"),
-            "{err}"
-        );
+        // A ban that moved to clippy.toml, a rule whose contract rustc
+        // owns (`Fn + Sync`), and the given-up label check are no longer
+        // simlint codes.
+        for gone in [
+            "D1/hash-collections",
+            "P1/shared-mutation",
+            "T1/rng-stream-aliasing",
+        ] {
+            let err = parse(&format!("// simlint::allow({gone}): old\nfn f() {{}}")).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown rule code `{gone}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn short_rule_codes_are_rejected() {
-        let err = parse("// simlint::allow(T1): terse\nfn f() {}").unwrap_err();
-        assert!(err.contains("unknown rule code `T1`"), "{err}");
+        let err = parse("// simlint::allow(D3): terse\nfn f() {}").unwrap_err();
+        assert!(err.contains("unknown rule code `D3`"), "{err}");
     }
 
     #[test]
     fn missing_reason_is_a_hard_error() {
-        let err = parse("// simlint::allow(T2/rng-escape)\nfn f() {}").unwrap_err();
+        let err = parse("// simlint::allow(D3/freeze-release)\nfn f() {}").unwrap_err();
         assert!(err.contains("missing `: <reason>`"), "{err}");
-        let err = parse("// simlint::allow(T2/rng-escape):   \nfn f() {}").unwrap_err();
+        let err = parse("// simlint::allow(D3/freeze-release):   \nfn f() {}").unwrap_err();
         assert!(err.contains("empty reason"), "{err}");
     }
 

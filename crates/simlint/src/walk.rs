@@ -7,11 +7,6 @@
 //! * `tests/`, `benches/`, `examples/` directories — test scaffolding
 //!   (in-file `#[cfg(test)]` modules are already exempted by the lexer);
 //! * `target/` and anything else outside the two source roots.
-//!
-//! The walk runs two passes over the same file set: the per-file token
-//! rules ([`crate::rules`]), then the workspace-level call-graph
-//! analysis ([`crate::purity`]) which needs every file at once to
-//! resolve cross-crate symbols.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -19,7 +14,6 @@ use std::path::{Path, PathBuf};
 use crate::config::Config;
 use crate::diag::{sort_findings, Finding};
 use crate::lexer::lex_with_comments;
-use crate::purity::{workspace_findings, GraphStats};
 use crate::rules::{lint_file, FileContext};
 use crate::suppress::{filter_suppressed, parse_directives, unused_finding};
 
@@ -30,8 +24,6 @@ pub struct ScanReport {
     pub findings: Vec<Finding>,
     /// How many files were scanned.
     pub files_scanned: usize,
-    /// Size of the call graph the purity analysis ran over.
-    pub graph: GraphStats,
 }
 
 /// Walks the workspace at `root` and lints every in-scope file.
@@ -52,7 +44,7 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<ScanReport, String> {
 ///
 /// Returns a message when the root does not look like the SimDC
 /// workspace or a source file cannot be read.
-pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
+fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() || !root.join("Cargo.toml").is_file() {
         return Err(format!(
@@ -99,9 +91,8 @@ pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
 }
 
 /// Runs the full lint pipeline over already-loaded sources: per-file
-/// token rules, the workspace-level call-graph analysis (P- and
-/// T-rules, typed D3, stale-config checks), inline `simlint::allow`
-/// suppression, and `S1/unused-suppression` reporting.
+/// token rules, inline `simlint::allow` suppression, and
+/// `S1/unused-suppression` reporting.
 ///
 /// `files` are `(workspace-relative path, source)` pairs in scan order
 /// — the same pipeline serves [`lint_workspace`] and in-memory tests.
@@ -122,10 +113,6 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Result<ScanRepo
         let (tokens, comments) = lex_with_comments(source);
         directives.extend(parse_directives(path, &comments, &tokens)?);
     }
-    // Workspace-level pass: symbol table, call graph, P-/T-rules and the
-    // call-graph-aware D3 check over every scanned file at once.
-    let (analysis_findings, graph) = workspace_findings(files, cfg);
-    findings.extend(analysis_findings);
     // Inline suppressions: drop waived findings, then report every
     // directive that waived nothing.
     let (mut findings, used) = filter_suppressed(&directives, findings);
@@ -135,15 +122,9 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Result<ScanRepo
         }
     }
     sort_findings(&mut findings);
-    // The typed D3 check and the token rule can anchor the same call
-    // site; keep one diagnostic per (position, code).
-    findings.dedup_by(|a, b| {
-        a.path == b.path && a.line == b.line && a.col == b.col && a.code == b.code
-    });
     Ok(ScanReport {
         findings,
         files_scanned: files.len(),
-        graph,
     })
 }
 

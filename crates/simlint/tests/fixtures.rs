@@ -22,6 +22,7 @@ fn policy() -> Config {
         r#"
 [rules.freeze-release]
 receivers = ["rm"]
+types = ["ResourceManager"]
 callers = ["crates/core/src/scheduler.rs", "crates/core/src/platform.rs"]
 
 [rules.task-state]
@@ -33,7 +34,11 @@ guard = "TaskState"
 }
 
 fn render(name: &str, ctx: &FileContext, cfg: &Config) -> Vec<String> {
-    lint_file(name, &fixture(name), ctx, cfg)
+    render_source(name, &fixture(name), ctx, cfg)
+}
+
+fn render_source(name: &str, source: &str, ctx: &FileContext, cfg: &Config) -> Vec<String> {
+    lint_file(name, source, ctx, cfg)
         .iter()
         .map(ToString::to_string)
         .collect()
@@ -50,14 +55,28 @@ fn clean_fixture_has_zero_findings() {
 
 #[test]
 fn d3_lifecycle_discipline() {
+    const TASK_STATE: &str = "d3_lifecycle.rs:7:12: [D3/task-state] task state assigned directly — route the transition through the `mark_*` APIs (crates/core/src/queue.rs) so terminal states stay terminal";
+    const RM_RELEASE: &str = "d3_lifecycle.rs:8:8: [D3/freeze-release] lease `rm.release` outside the plan/commit pairing points (crates/core/src/scheduler.rs, crates/core/src/platform.rs) — freezes happen at admission, releases at the completion event, nowhere else";
+    const RM_FREEZE: &str = "d3_lifecycle.rs:13:16: [D3/freeze-release] lease `rm.freeze` outside the plan/commit pairing points (crates/core/src/scheduler.rs, crates/core/src/platform.rs) — freezes happen at admission, releases at the completion event, nowhere else";
     let ctx = FileContext::default();
     assert_eq!(
         render("d3_lifecycle.rs", &ctx, &policy()),
         vec![
-            "d3_lifecycle.rs:7:12: [D3/task-state] task state assigned directly — route the transition through the `mark_*` APIs (crates/core/src/queue.rs) so terminal states stay terminal",
-            "d3_lifecycle.rs:8:8: [D3/freeze-release] lease `rm.release` outside the plan/commit pairing points (crates/core/src/scheduler.rs, crates/core/src/platform.rs) — freezes happen at admission, releases at the completion event, nowhere else",
-            "d3_lifecycle.rs:13:16: [D3/freeze-release] lease `rm.freeze` outside the plan/commit pairing points (crates/core/src/scheduler.rs, crates/core/src/platform.rs) — freezes happen at admission, releases at the completion event, nowhere else",
+            TASK_STATE,
+            RM_RELEASE,
+            RM_FREEZE,
+            // The renamed binding: the file names `ResourceManager`, so the
+            // receiver's spelling does not matter.
+            "d3_lifecycle.rs:21:16: [D3/freeze-release] `.release(` in a file that names `ResourceManager` (a lease call whatever the receiver is called) outside the plan/commit pairing points (crates/core/src/scheduler.rs, crates/core/src/platform.rs) — freezes happen at admission, releases at the completion event, nowhere else",
         ]
+    );
+    // The same lines in a file that does not name the lease type: the
+    // `rm.*` calls still fire by receiver name, `leases.release(id)`
+    // stays silent (it could be any type's `release`).
+    let unnamed = fixture("d3_lifecycle.rs").replace("ResourceManager", "Leases");
+    assert_eq!(
+        render_source("d3_lifecycle.rs", &unnamed, &ctx, &policy()),
+        vec![TASK_STATE, RM_RELEASE, RM_FREEZE]
     );
 }
 

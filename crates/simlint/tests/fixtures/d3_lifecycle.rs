@@ -12,3 +12,12 @@ pub fn finish(record: &mut Record, rm: &mut ResourceManager, id: u64) {
 pub fn admit(rm: &mut ResourceManager, id: u64, claim: Claim) {
     let _ = rm.freeze(id, claim);
 }
+
+impl Platform {
+    /// Releases through a renamed binding: no receiver is called `rm`,
+    /// but the file names `ResourceManager`.
+    pub fn drop_lease(&mut self, id: u64) {
+        let leases = &mut self.rm;
+        leases.release(id);
+    }
+}

@@ -95,11 +95,9 @@ impl RngStream {
     pub fn fork(&mut self, label: &str) -> RngStream {
         let salt = self.inner.next_value();
         RngStream {
-            // simlint::allow(T4/seed-provenance): the salt draw *is* the
-            // fork mechanism — it advances the parent deterministically, so
-            // the child's seed still traces to the experiment seed through
-            // the parent's own provenance. Callers see fork results as
-            // streams, never as draws.
+            // The salt draw *is* the fork mechanism — it advances the
+            // parent deterministically, so the child's seed still traces
+            // to the experiment seed through the parent's own provenance.
             inner: SplitMix64::new(derive_seed(salt, label)),
         }
     }
