@@ -105,10 +105,8 @@ fn delayed_round(
         .collect();
     deliveries.sort_by_key(|(at, m, _)| (*at, m.id));
 
-    let timeline: Vec<(SimInstant, Message)> = deliveries
-        .iter()
-        .map(|(at, m, _)| (*at, m.clone()))
-        .collect();
+    let timeline: Vec<(SimInstant, Message)> =
+        deliveries.iter().map(|(at, m, _)| (*at, *m)).collect();
     let outcome = resolve_round(trigger, round_start, &timeline, timeout);
     let included: Vec<simdc_ml::LocalUpdate> = deliveries
         .iter()

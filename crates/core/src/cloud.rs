@@ -43,15 +43,15 @@ impl Storage {
     /// # Errors
     ///
     /// Returns [`SimdcError::StorageMiss`] when the key is absent.
-    pub fn take(&mut self, key: &StorageKey) -> Result<LocalUpdate> {
+    pub fn take(&mut self, key: StorageKey) -> Result<LocalUpdate> {
         self.map
-            .remove(key)
+            .remove(&key)
             .ok_or_else(|| SimdcError::StorageMiss(key.to_string()))
     }
 
     /// Removes an update nobody fetched, returning whether it existed.
-    pub fn remove(&mut self, key: &StorageKey) -> bool {
-        self.map.remove(key).is_some()
+    pub fn remove(&mut self, key: StorageKey) -> bool {
+        self.map.remove(&key).is_some()
     }
 
     /// Counts `bytes` as written without keeping an object: the global
@@ -206,7 +206,7 @@ fn split_at(
     let included: Vec<Message> = deliveries
         .iter()
         .take_while(|(t, _)| *t <= at)
-        .map(|(_, m)| m.clone())
+        .map(|(_, m)| *m)
         .collect();
     RoundOutcome {
         aggregated_at: at,
@@ -224,7 +224,7 @@ fn take_first(
 ) -> RoundOutcome {
     RoundOutcome {
         aggregated_at: at,
-        included: deliveries[..n].iter().map(|(_, m)| m.clone()).collect(),
+        included: deliveries[..n].iter().map(|(_, m)| *m).collect(),
         stragglers: (deliveries.len() - n) as u64,
         trigger_fired,
     }
@@ -265,24 +265,25 @@ mod tests {
         };
         let wire = 16 + 8 + 4 * 3;
         let mut s = Storage::new();
-        let (a, b) = (StorageKey::from("a"), StorageKey::from("b"));
-        s.put(a.clone(), update.clone());
-        s.put(b.clone(), update.clone());
+        let key = |d| StorageKey::for_update(TaskId(1), RoundId(0), DeviceId(d));
+        let (a, b) = (key(0), key(1));
+        s.put(a, update.clone());
+        s.put(b, update.clone());
         assert_eq!(s.len(), 2);
         assert_eq!(s.bytes_written(), 2 * wire);
-        assert_eq!(s.take(&a).unwrap(), update);
-        assert!(matches!(s.take(&a), Err(SimdcError::StorageMiss(_))));
-        assert!(s.remove(&b));
-        assert!(!s.remove(&b));
+        assert_eq!(s.take(a).unwrap(), update);
+        assert!(matches!(s.take(a), Err(SimdcError::StorageMiss(_))));
+        assert!(s.remove(b));
+        assert!(!s.remove(b));
         assert!(s.is_empty());
         assert_eq!(s.bytes_written(), 2 * wire, "reads and removals are free");
 
         let mut scratch = Storage::new();
-        scratch.put(b.clone(), update);
+        scratch.put(b, update);
         scratch.charge(100);
         s.absorb(scratch);
         assert_eq!(s.bytes_written(), 3 * wire + 100);
-        assert!(s.remove(&b), "what the scratch still held moved over");
+        assert!(s.remove(b), "what the scratch still held moved over");
     }
 
     #[test]

@@ -634,7 +634,7 @@ impl TaskRunner {
             // Cloud side: fetch, aggregate, evaluate.
             let mut updates = Vec::with_capacity(included.len());
             for m in &included {
-                let key = m.storage_key.as_ref().ok_or_else(|| {
+                let key = m.storage_key.ok_or_else(|| {
                     SimdcError::Serialization("model-update message without key".into())
                 })?;
                 updates.push(storage.take(key)?);
@@ -648,7 +648,7 @@ impl TaskRunner {
 
             // Stragglers' and dropped devices' updates were never fetched.
             for (_, m) in &emissions {
-                if let Some(key) = &m.storage_key {
+                if let Some(key) = m.storage_key {
                     storage.remove(key);
                 }
             }
@@ -771,7 +771,7 @@ impl TaskRunner {
         let update = trainer.train(global, &shard.data, kernel);
         let key = StorageKey::for_update(spec.id, round, device);
         let n_samples = update.n_samples;
-        storage.put(key.clone(), update);
+        storage.put(key, update);
         let id = MessageId(*message_seq);
         *message_seq += 1;
         Message::model_update(id, spec.id, device, round, n_samples, key, at)
@@ -799,14 +799,14 @@ fn run_flow_round(
     h.run_until(round_start);
     h.round_started(spec.id, round);
     for (at, m) in emissions {
-        h.ingest_at(*at, m.clone());
+        h.ingest_at(*at, *m);
     }
     h.round_completed_at(compute_finished.max(round_start), spec.id, round);
 
     // Collects this round's freshly delivered messages past the cursor.
     let collect = |h: &FlowHarness, seen: &mut usize, sink: &mut Vec<Message>| {
         for batch in &h.delivered()[*seen..] {
-            sink.extend(batch.messages.iter().filter(|m| m.round == round).cloned());
+            sink.extend(batch.messages.iter().filter(|m| m.round == round).copied());
         }
         *seen = h.delivered().len();
     };
@@ -826,7 +826,7 @@ fn run_flow_round(
                 deadline,
                 |batch_msgs| {
                     for m in batch_msgs {
-                        included.push(m.clone());
+                        included.push(*m);
                         samples += m.sample_count;
                     }
                     samples >= min_samples
@@ -850,7 +850,7 @@ fn run_flow_round(
                 |batch_msgs| {
                     for m in batch_msgs {
                         devices.insert(m.device);
-                        included.push(m.clone());
+                        included.push(*m);
                     }
                     devices.len() as u64 >= min_devices
                 },

@@ -143,6 +143,7 @@ impl DeviceFlow {
     /// final statistics.
     pub fn deregister_task(&mut self, task: TaskId) -> Option<FlowStats> {
         self.dispatchers.remove(&task);
+        self.sorter.remove(task);
         self.stats.remove(&task)
     }
 
@@ -433,12 +434,16 @@ mod tests {
         assert_eq!(delivered[0].messages.len(), 1);
     }
 
+    /// Deregistering takes the shelf along, undelivered messages included.
     #[test]
     fn deregister_returns_final_stats() {
         let mut flow = DeviceFlow::new();
         let mut rng = RngStream::from_seed(5);
-        flow.register_task(TaskId(1), DispatchStrategy::immediate())
-            .unwrap();
+        let strategy = DispatchStrategy::RealTimeAccumulated {
+            thresholds: vec![1, 2],
+            failure_prob: 0.0,
+        };
+        flow.register_task(TaskId(1), strategy).unwrap();
         let t0 = SimInstant::EPOCH;
         flow.on_event(
             t0,
@@ -449,8 +454,11 @@ mod tests {
             &mut rng,
         );
         flow.on_event(t0, FlowEvent::Ingest(msg(1, 0, t0)), &mut rng);
+        flow.on_event(t0, FlowEvent::Ingest(msg(1, 1, t0)), &mut rng);
+        assert_eq!(flow.shelf(TaskId(1)).unwrap().len(), 1);
         let stats = flow.deregister_task(TaskId(1)).unwrap();
-        assert_eq!(stats.dispatched, 1);
+        assert_eq!((stats.received, stats.dispatched), (2, 1));
         assert!(flow.stats(TaskId(1)).is_none());
+        assert!(flow.shelf(TaskId(1)).is_none());
     }
 }

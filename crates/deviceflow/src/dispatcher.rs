@@ -138,16 +138,16 @@ impl Dispatcher {
         match &self.strategy {
             DispatchStrategy::RealTimeAccumulated { .. } => Ok(Vec::new()),
             DispatchStrategy::TimePoints { points } => {
-                let mut due = Vec::with_capacity(points.len());
-                for rule in points.clone() {
-                    let at = rule.at.resolve(now);
-                    let seq = self.push_pending(PendingSend {
-                        count: rule.count,
-                        dropout: rule.dropout,
-                    });
-                    due.push((at, seq));
-                }
-                Ok(due)
+                let sends: Vec<_> = points
+                    .iter()
+                    .map(|r| (r.at.resolve(now), r.count, r.dropout))
+                    .collect();
+                Ok(sends
+                    .into_iter()
+                    .map(|(at, count, dropout)| {
+                        (at, self.push_pending(PendingSend { count, dropout }))
+                    })
+                    .collect())
             }
             DispatchStrategy::TimeInterval {
                 function,
@@ -235,8 +235,6 @@ impl Dispatcher {
         else {
             return Vec::new();
         };
-        let thresholds = thresholds.clone();
-        let failure_prob = *failure_prob;
         let mut batches = Vec::new();
         loop {
             let threshold = thresholds[self.cycle_idx % thresholds.len()];
@@ -249,7 +247,7 @@ impl Dispatcher {
                 now,
                 taken,
                 Dropout {
-                    probability: failure_prob,
+                    probability: *failure_prob,
                     random_discard: 0,
                 },
                 rng,
@@ -264,19 +262,14 @@ impl Dispatcher {
 /// the random discard of a fixed count.
 fn apply_dropout(
     at: SimInstant,
-    messages: Vec<Message>,
+    mut kept: Vec<Message>,
     dropout: Dropout,
     rng: &mut RngStream,
 ) -> DispatchBatch {
-    let before = messages.len() as u64;
-    let mut kept: Vec<Message> = if dropout.probability > 0.0 {
-        messages
-            .into_iter()
-            .filter(|_| !rng.chance(dropout.probability))
-            .collect()
-    } else {
-        messages
-    };
+    let before = kept.len() as u64;
+    if dropout.probability > 0.0 {
+        kept.retain(|_| !rng.chance(dropout.probability));
+    }
     let mut dropped_total = before - kept.len() as u64;
     for _ in 0..dropout.random_discard {
         if kept.is_empty() {

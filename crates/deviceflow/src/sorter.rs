@@ -48,6 +48,12 @@ impl Sorter {
         self.shelves.entry(task).or_insert_with(|| Shelf::new(task))
     }
 
+    /// Removes the shelf of `task`, returning it with whatever messages it
+    /// still held.
+    pub fn remove(&mut self, task: TaskId) -> Option<Shelf> {
+        self.shelves.remove(&task)
+    }
+
     /// Number of shelves.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -1,7 +1,7 @@
 //! The event loop: virtual clock + priority queue of pending events.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use simdc_types::{SimDuration, SimInstant};
 
@@ -198,8 +198,15 @@ impl<W: World> Engine<W> {
 /// which is what makes runs deterministic. Public so that schedulers built
 /// on top of the engine (and the property-test suite) can exercise the
 /// ordering contract directly.
+///
+/// Two containers hold the pending set: a push that is not earlier than
+/// the last one appended to `run` is appended there, every other push goes
+/// to `heap`. `seq` only rises, so `run` is sorted by `(time, seq)` and the
+/// overall minimum is the smaller of the two fronts — a stream that
+/// arrives in firing order never pays for a sift.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    run: VecDeque<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
 }
@@ -215,6 +222,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             seq: 0,
         }
@@ -222,9 +230,17 @@ impl<E> EventQueue<E> {
 
     /// Enqueues `event` at instant `at`.
     pub fn push(&mut self, at: SimInstant, event: E) {
-        let seq = self.seq;
+        let entry = Entry {
+            at,
+            seq: self.seq,
+            event,
+        };
         self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        if self.run.back().is_none_or(|last| last.at <= at) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Enqueues a batch of events in the given order: element `i` receives
@@ -240,7 +256,14 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest `(time, insertion order)` event.
     pub fn pop(&mut self) -> Option<(SimInstant, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
+        // `Entry` orders the earliest `(time, seq)` greatest (it sits in a
+        // max-heap) and an empty side's `None` is below any entry.
+        let entry = if self.run.front() > self.heap.peek() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        entry.map(|e| (e.at, e.event))
     }
 
     /// Pops the earliest event only if it is due at or before `deadline`;
@@ -258,19 +281,19 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimInstant> {
-        self.heap.peek().map(|e| e.at)
+        self.run.front().max(self.heap.peek()).map(|e| e.at)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 

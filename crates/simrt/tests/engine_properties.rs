@@ -6,7 +6,14 @@
 //!    order they were pushed in;
 //! 2. events scheduled at the same instant pop in FIFO (insertion) order;
 //! 3. an [`Engine`] run seeded the same way twice produces byte-identical
-//!    event traces, including follow-up events scheduled from handlers.
+//!    event traces, including follow-up events scheduled from handlers;
+//! 4. under any interleaving of pushes, pops and peeks the queue answers
+//!    exactly as an ordered map keyed by `(time, insertion sequence)`.
+//!    1–3 push everything and then pop everything; here the sorted run and
+//!    the heap are refilled while they drain, and `peek_time`, `pop_before`
+//!    and `len` are read mid-stream.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use simdc_simrt::{derive_seed, Engine, EngineCtx, EventQueue, RngStream, World};
@@ -16,7 +23,86 @@ fn times() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..500, 1..64)
 }
 
+/// One step of a random queue schedule. Instants come from a range of six
+/// so ties are common, and are not monotone so both containers fill.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    Push(u64),
+    PushBatch(Vec<u64>),
+    Pop,
+    PopBefore(u64),
+    PeekTime,
+}
+
+fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
+    let op = prop_oneof![
+        // Twice, so the queue grows faster than the pops drain it.
+        (0u64..6).prop_map(QueueOp::Push),
+        (0u64..6).prop_map(QueueOp::Push),
+        proptest::collection::vec(0u64..6, 0..4).prop_map(QueueOp::PushBatch),
+        proptest::Just(QueueOp::Pop),
+        (0u64..6).prop_map(QueueOp::PopBefore),
+        proptest::Just(QueueOp::PeekTime),
+    ];
+    proptest::collection::vec(op, 1..48)
+}
+
+/// The reference the queue must equal: an ordered map keyed by `(time,
+/// insertion sequence)`. The payload is the sequence number, so a popped
+/// event names the push it came from.
+#[derive(Default)]
+struct QueueModel {
+    map: BTreeMap<(SimInstant, u64), u64>,
+    seq: u64,
+}
+
+impl QueueModel {
+    fn push(&mut self, at: SimInstant) -> u64 {
+        self.map.insert((at, self.seq), self.seq);
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    fn peek_time(&self) -> Option<SimInstant> {
+        self.map.first_key_value().map(|(&(at, _), _)| at)
+    }
+
+    fn pop_before(&mut self, deadline: SimInstant) -> Option<(SimInstant, u64)> {
+        let first = self.map.first_entry().filter(|e| e.key().0 <= deadline)?;
+        Some((first.key().0, first.remove()))
+    }
+}
+
 proptest! {
+    #[test]
+    fn queue_matches_ordered_map_under_interleaved_ops(ops in queue_ops()) {
+        let at = SimInstant::from_micros;
+        let mut queue = EventQueue::new();
+        let mut model = QueueModel::default();
+        for (i, op) in ops.iter().enumerate() {
+            let (got, want) = match op {
+                QueueOp::Push(t) => {
+                    queue.push(at(*t), model.push(at(*t)));
+                    (None, None)
+                }
+                QueueOp::PushBatch(ts) => {
+                    let batch: Vec<_> = ts.iter().map(|&t| (at(t), model.push(at(t)))).collect();
+                    queue.push_batch(batch);
+                    (None, None)
+                }
+                QueueOp::Pop => (queue.pop(), model.pop_before(at(u64::MAX))),
+                QueueOp::PopBefore(d) => (queue.pop_before(at(*d)), model.pop_before(at(*d))),
+                QueueOp::PeekTime => (
+                    queue.peek_time().map(|t| (t, 0)),
+                    model.peek_time().map(|t| (t, 0)),
+                ),
+            };
+            prop_assert_eq!(got, want, "after {:?}", &ops[..=i]);
+            prop_assert_eq!(queue.len(), model.map.len(), "after {:?}", &ops[..=i]);
+            prop_assert_eq!(queue.is_empty(), model.map.is_empty());
+        }
+    }
+
     #[test]
     fn queue_pops_in_nondecreasing_time_order(micros in times()) {
         let mut queue = EventQueue::new();

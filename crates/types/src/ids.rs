@@ -1,9 +1,9 @@
 //! Strongly typed identifiers.
 //!
-//! Each identifier is a newtype over an integer (or string for
-//! [`StorageKey`]) so that a task id can never be confused with a device id
-//! at a call site. All ids implement the common traits eagerly
-//! (`C-COMMON-TRAITS`) and serialize transparently.
+//! Each identifier is a newtype over an integer ([`StorageKey`] is a triple
+//! of them) so that a task id can never be confused with a device id at a
+//! call site. All ids implement the common traits eagerly
+//! (`C-COMMON-TRAITS`); the integer ids serialize transparently.
 
 use std::fmt;
 
@@ -82,14 +82,17 @@ impl RoundId {
 }
 
 /// Key under which a device's computation result is stored in shared
-/// storage.
+/// storage: the `(task, round, device)` triple that produced it.
 ///
 /// A device puts its update into storage and sends a [`crate::Message`]
 /// carrying the key; the cloud service later takes the update out by key
 /// (§III-B of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct StorageKey(pub String);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct StorageKey {
+    task: TaskId,
+    round: RoundId,
+    device: DeviceId,
+}
 
 impl StorageKey {
     /// Builds the canonical key for a device's result in a given round.
@@ -97,35 +100,21 @@ impl StorageKey {
     /// ```
     /// use simdc_types::{DeviceId, RoundId, StorageKey, TaskId};
     /// let key = StorageKey::for_update(TaskId(7), RoundId(2), DeviceId(19));
-    /// assert_eq!(key.as_str(), "task-7/round-2/dev-19");
+    /// assert_eq!(key.to_string(), "task-7/round-2/dev-19");
     /// ```
     #[must_use]
-    pub fn for_update(task: TaskId, round: RoundId, device: DeviceId) -> Self {
-        StorageKey(format!("{task}/{round}/{device}"))
-    }
-
-    /// Returns the key as a string slice.
-    #[must_use]
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub const fn for_update(task: TaskId, round: RoundId, device: DeviceId) -> Self {
+        StorageKey {
+            task,
+            round,
+            device,
+        }
     }
 }
 
 impl fmt::Display for StorageKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<&str> for StorageKey {
-    fn from(s: &str) -> Self {
-        StorageKey(s.to_owned())
-    }
-}
-
-impl From<String> for StorageKey {
-    fn from(s: String) -> Self {
-        StorageKey(s)
+        write!(f, "{}/{}/{}", self.task, self.round, self.device)
     }
 }
 
@@ -160,9 +149,21 @@ mod tests {
     fn storage_key_round_trips_serde() {
         let key = StorageKey::for_update(TaskId(1), RoundId(0), DeviceId(4));
         let json = serde_json::to_string(&key).unwrap();
-        assert_eq!(json, "\"task-1/round-0/dev-4\"");
+        assert_eq!(json, r#"{"task":1,"round":0,"device":4}"#);
         let back: StorageKey = serde_json::from_str(&json).unwrap();
         assert_eq!(back, key);
+        assert_eq!(key.to_string(), "task-1/round-0/dev-4");
+    }
+
+    /// Keys order by `(task, round, device)` as numbers; the formatted
+    /// string put `dev-10` before `dev-9`.
+    #[test]
+    fn storage_key_orders_numerically() {
+        let key = |t, r, d| StorageKey::for_update(TaskId(t), RoundId(r), DeviceId(d));
+        assert!(key(1, 0, 9) < key(1, 0, 10));
+        assert!(key(1, 9, 99) < key(1, 10, 0));
+        assert!(key(9, 7, 7) < key(10, 0, 0));
+        assert!(key(1, 0, 10).to_string() < key(1, 0, 9).to_string());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub enum MessageKind {
 /// Messages are intentionally small: bulky payloads (model weights, metric
 /// batches) live in shared storage and are referenced by key, mirroring the
 /// paper's storage/notification split.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Message {
     /// Unique id assigned at emission.
     pub id: MessageId,
@@ -74,18 +74,6 @@ impl Message {
             emitted_at,
         }
     }
-
-    /// Approximate wire size of the message itself in bytes (excluding the
-    /// payload, which lives in storage). Used by bandwidth accounting.
-    #[must_use]
-    pub fn wire_size_bytes(&self) -> u64 {
-        // Fixed header + key string; matches the "small control message"
-        // regime the paper assumes for DeviceFlow (≤ ~1 KB each).
-        96 + self
-            .storage_key
-            .as_ref()
-            .map_or(0, |k| k.as_str().len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -108,21 +96,7 @@ mod tests {
     fn model_update_sets_kind_and_key() {
         let msg = sample_message();
         assert_eq!(msg.kind, MessageKind::ModelUpdate);
-        assert_eq!(
-            msg.storage_key.as_ref().unwrap().as_str(),
-            "task-7/round-0/dev-3"
-        );
-    }
-
-    #[test]
-    fn wire_size_includes_key() {
-        let msg = sample_message();
-        let bare = Message {
-            storage_key: None,
-            ..msg.clone()
-        };
-        assert!(msg.wire_size_bytes() > bare.wire_size_bytes());
-        assert_eq!(bare.wire_size_bytes(), 96);
+        assert_eq!(msg.storage_key.unwrap().to_string(), "task-7/round-0/dev-3");
     }
 
     #[test]
