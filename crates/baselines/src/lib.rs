@@ -24,6 +24,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 use serde::{Deserialize, Serialize};
 use simdc_data::CtrDataset;

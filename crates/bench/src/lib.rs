@@ -8,6 +8,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 use std::path::PathBuf;
 

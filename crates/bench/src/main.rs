@@ -10,6 +10,8 @@
 //! cargo run --release -p simdc-bench -- fig9 --seed 3 --out /tmp/fig9
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 use std::process::ExitCode;
 
 use simdc_bench::{exp, ExpOptions};

@@ -63,6 +63,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod alloc;
 pub mod cloud;

@@ -150,15 +150,26 @@ impl TaskQueue {
     }
 
     /// A record by id.
+    ///
+    /// There is no public mutable record access: the pending index is
+    /// keyed by the spec's claim, priority and id, so out-of-band mutation
+    /// of a record's spec or state would silently desync it. Every
+    /// lifecycle transition goes through the `mark_*` methods, which
+    /// maintain the index. Assigning a state through the shared borrow
+    /// does not compile (E0594 "cannot assign to data in a `&`
+    /// reference"):
+    ///
+    /// ```compile_fail,E0594
+    /// use simdc_core::{TaskQueue, TaskState};
+    /// use simdc_types::TaskId;
+    ///
+    /// let q = TaskQueue::new();
+    /// q.get(TaskId(1)).expect("submitted").state = TaskState::Pending;
+    /// ```
     #[must_use]
     pub fn get(&self, id: TaskId) -> Option<&TaskRecord> {
         self.records.get(&id)
     }
-
-    // No public mutable record access: the pending index is keyed by the
-    // spec's claim, priority and id, so out-of-band mutation of a record's
-    // spec or state would silently desync it. All lifecycle transitions go
-    // through the mark_* methods, which maintain the index.
 
     /// Pending tasks ordered by `(priority desc, submission asc)` — the
     /// order the greedy scheduler admits in. Gathers and sorts every

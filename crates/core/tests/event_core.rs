@@ -7,10 +7,12 @@
 //! (free capacity equals total capacity whenever the platform is idle)
 //! across random schedules.
 
-// Reviewed interior-mutability exception to the clippy.toml ban:
-// test-only memoisation of a deterministic dataset — the cell's content
-// is a pure function of its fixed seed, so init order cannot matter.
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "reviewed interior-mutability exception to the clippy.toml ban: \
+              test-only memoisation of a deterministic dataset — the cell's content \
+              is a pure function of its fixed seed, so init order cannot matter"
+)]
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -21,7 +23,10 @@ use simdc_core::{
 use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_types::{DeviceGrade, PerGrade, SimDuration, SimInstant, TaskId};
 
-#[allow(clippy::disallowed_types)] // reviewed: see the `OnceLock` import
+#[expect(
+    clippy::disallowed_types,
+    reason = "reviewed: see the `OnceLock` import"
+)]
 fn dataset() -> Arc<CtrDataset> {
     static DATA: OnceLock<Arc<CtrDataset>> = OnceLock::new();
     DATA.get_or_init(|| {

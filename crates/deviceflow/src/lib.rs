@@ -45,6 +45,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod controller;
 pub mod discretize;

@@ -29,12 +29,14 @@
 //! device state regardless, so a violated assumption can under-report
 //! availability but never hand out a busy phone.
 
-// Reviewed interior-mutability exception to the clippy.toml ban: the lazy
-// fleet index memoises on the `&self` read path of a single-threaded
-// manager. The cell makes `PhoneMgr` `!Sync`, so rustc rejects any
-// `run_batch` worker closure that captures it — only the serial prepare
-// and merge phases can borrow the manager.
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "reviewed interior-mutability exception to the clippy.toml ban: the lazy \
+              fleet index memoises on the `&self` read path of a single-threaded \
+              manager. The cell makes `PhoneMgr` `!Sync`, so rustc rejects any \
+              `run_batch` worker closure that captures it — only the serial prepare \
+              and merge phases can borrow the manager"
+)]
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -163,9 +165,11 @@ pub struct PhoneMgr {
     poll_interval: SimDuration,
     /// Incremental availability index; interior mutability keeps the
     /// read-path API (`select`, `available`, `effective_profile`) on
-    /// `&self` while the index syncs lazily. Reviewed P2 exception —
-    /// see the comment on the `RefCell` import.
-    #[allow(clippy::disallowed_types)]
+    /// `&self` while the index syncs lazily.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reviewed: see the `RefCell` import"
+    )]
     index: RefCell<FleetIndex>,
 }
 
@@ -177,7 +181,10 @@ impl PhoneMgr {
     ///
     /// Panics if `poll_interval` is zero.
     #[must_use]
-    #[allow(clippy::disallowed_types)] // reviewed: see the `RefCell` import
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reviewed: see the `RefCell` import"
+    )]
     pub fn new(poll_interval: SimDuration) -> Self {
         assert!(!poll_interval.is_zero(), "poll interval must be positive");
         PhoneMgr {

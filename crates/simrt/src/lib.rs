@@ -38,6 +38,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod engine;
 pub mod rng;

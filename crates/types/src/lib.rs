@@ -18,6 +18,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod error;
 pub mod grade;

@@ -46,6 +46,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod arrival;
 pub mod fleet;

@@ -4,7 +4,7 @@
 //! agree byte for byte; this suite goes further and pins a digest of the
 //! summary JSON, so a change that is internally consistent but alters the
 //! bytes — e.g. swapping an ordered map for a hash map on a
-//! determinism-relevant path, exactly what `simlint` rule D1 guards —
+//! determinism-relevant path, exactly what `clippy.toml`'s ban guards —
 //! fails here even though both runs of the new build still match each
 //! other.
 //!

@@ -92,10 +92,12 @@ fn scenario_summary_schema_matches_the_golden_fixture() {
     expected.push('\n');
 
     let path = golden_path();
-    // The fixture-regeneration switch: it decides whether the golden is
-    // rewritten, never what the simulation computes (clippy.toml bans
-    // environment reads in simulation code).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the fixture-regeneration switch: it decides whether the golden is \
+                  rewritten, never what the simulation computes (clippy.toml bans \
+                  environment reads in simulation code)"
+    )]
     let regenerate = std::env::var_os("SIMDC_WRITE_FIXTURES").is_some();
     if regenerate {
         std::fs::write(&path, &expected).expect("write schema golden");

@@ -67,6 +67,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub use simdc_baselines as baselines;
 pub use simdc_cluster as cluster;

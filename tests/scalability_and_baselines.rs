@@ -59,9 +59,11 @@ fn fig8_orderings_hold_across_four_decades() {
 }
 
 #[test]
-// This test's assertion *is* a wall-time bound, so it reads the real
-// clock (clippy.toml bans `Instant::now` in simulation code).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this test's assertion *is* a wall-time bound, so it reads the real \
+              clock (clippy.toml bans `Instant::now` in simulation code)"
+)]
 fn simulating_100k_devices_is_tractable() {
     let start = std::time::Instant::now();
     let secs = simdc_round_secs(100_000);
