@@ -61,7 +61,6 @@ fn run_config(
     )
     .expect("valid strategy");
     let mut harness = FlowHarness::new(flow, RngStream::named(seed, "fig11/flow"));
-    let mut delivered_seen = 0usize;
     let mut now = SimInstant::EPOCH;
     let round_len = SimDuration::from_secs(60);
 
@@ -71,7 +70,6 @@ fn run_config(
             .iter()
             .map(|d| trainer.train(&global, &d.data, KernelKind::Server))
             .collect();
-        harness.run_until(now);
         harness.round_started(TaskId(1), round);
         for (i, (shard, update)) in shards.iter().zip(&updates).enumerate() {
             let at = now + SimDuration::from_millis(10 * i as u64 % 50_000);
@@ -90,20 +88,16 @@ fn run_config(
         }
         // Timed aggregation at the end of the round window.
         now += round_len;
-        harness.run_until(now);
-        let mut included = Vec::new();
-        for batch in &harness.delivered()[delivered_seen..] {
-            for m in &batch.messages {
-                if m.round == round {
-                    let idx = shards
-                        .iter()
-                        .position(|s| s.device.0 == m.device.0)
-                        .expect("message from a known shard");
-                    included.push(updates[idx].clone());
-                }
-            }
-        }
-        delivered_seen = harness.delivered().len();
+        let included: Vec<LocalUpdate> = harness
+            .deliver_round(round, now)
+            .map(|(_, m)| {
+                let idx = shards
+                    .iter()
+                    .position(|s| s.device.0 == m.device.0)
+                    .expect("message from a known shard");
+                updates[idx].clone()
+            })
+            .collect();
         if !included.is_empty() {
             global = FedAvg::aggregate(&included).expect("non-empty aggregate");
         }

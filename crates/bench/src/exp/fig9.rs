@@ -105,9 +105,8 @@ fn delayed_round(
         .collect();
     deliveries.sort_by_key(|(at, m, _)| (*at, m.id));
 
-    let timeline: Vec<(SimInstant, Message)> =
-        deliveries.iter().map(|(at, m, _)| (*at, *m)).collect();
-    let outcome = resolve_round(trigger, round_start, &timeline, timeout);
+    let timeline = deliveries.iter().map(|(at, m, _)| (*at, *m));
+    let outcome = resolve_round(trigger, round_start, timeline, timeout);
     let included: Vec<simdc_ml::LocalUpdate> = deliveries
         .iter()
         .filter(|(_, m, _)| outcome.included.iter().any(|inc| inc.id == m.id))

@@ -134,6 +134,18 @@ impl AggregationTrigger {
             _ => Ok(()),
         }
     }
+
+    /// The instant a round begun at `round_start` aggregates unless a
+    /// threshold fires first: the schedule clamped to the round timeout, or
+    /// the timeout itself. No delivery after it can join the round.
+    #[must_use]
+    pub fn horizon(&self, round_start: SimInstant, timeout: SimDuration) -> SimInstant {
+        let deadline = round_start + timeout;
+        match *self {
+            AggregationTrigger::Scheduled { period } => (round_start + period).min(deadline),
+            _ => deadline,
+        }
+    }
 }
 
 /// The outcome of one aggregation round on the cloud side.
@@ -143,90 +155,60 @@ pub struct RoundOutcome {
     pub aggregated_at: SimInstant,
     /// Messages included in the aggregate, in arrival order.
     pub included: Vec<Message>,
-    /// Messages that arrived after aggregation (stragglers, discarded).
-    pub stragglers: u64,
     /// Whether the trigger actually fired (vs. the round timing out with a
     /// best-effort aggregate).
     pub trigger_fired: bool,
 }
 
-/// Decides the aggregation instant for a round given the messages
-/// DeviceFlow delivered (each with its delivery time).
+/// Decides the aggregation instant for a round: the one trigger evaluator,
+/// fed either the emissions directly or DeviceFlow's deliveries.
 ///
-/// `deliveries` must be sorted by delivery time (DeviceFlow emits them in
-/// order). If the trigger never fires, the round times out at
-/// `round_start + timeout` and everything delivered by then is included.
+/// `deliveries` yields `(delivery time, message)` in delivery order and is
+/// pulled one message at a time. A threshold fires on the message that
+/// reaches it, so the round includes exactly the prefix up to that message
+/// even when later messages share its instant. Nothing is pulled after the
+/// firing message or the first message past
+/// [`AggregationTrigger::horizon`]; if no threshold fires, the round
+/// aggregates at the horizon with everything delivered by then.
 #[must_use]
 pub fn resolve_round(
     trigger: AggregationTrigger,
     round_start: SimInstant,
-    deliveries: &[(SimInstant, Message)],
+    deliveries: impl IntoIterator<Item = (SimInstant, Message)>,
     timeout: SimDuration,
 ) -> RoundOutcome {
-    let deadline = round_start + timeout;
-    match trigger {
-        AggregationTrigger::Scheduled { period } => {
-            let at = (round_start + period).min(deadline);
-            split_at(deliveries, at, true)
+    let horizon = trigger.horizon(round_start, timeout);
+    let mut included = Vec::new();
+    let mut samples = 0u64;
+    let mut devices: BTreeSet<DeviceId> = BTreeSet::new();
+    for (at, m) in deliveries {
+        if at > horizon {
+            break;
         }
-        AggregationTrigger::SampleThreshold { min_samples } => {
-            let mut acc = 0u64;
-            for (i, (t, m)) in deliveries.iter().enumerate() {
-                if *t > deadline {
-                    break;
-                }
-                acc += m.sample_count;
-                if acc >= min_samples {
-                    return take_first(deliveries, i + 1, *t, true);
-                }
+        included.push(m);
+        let fired = match trigger {
+            AggregationTrigger::Scheduled { .. } => false,
+            AggregationTrigger::SampleThreshold { min_samples } => {
+                samples += m.sample_count;
+                samples >= min_samples
             }
-            split_at(deliveries, deadline, false)
-        }
-        AggregationTrigger::DeviceThreshold { min_devices } => {
-            let mut seen: BTreeSet<DeviceId> = BTreeSet::new();
-            for (i, (t, m)) in deliveries.iter().enumerate() {
-                if *t > deadline {
-                    break;
-                }
-                seen.insert(m.device);
-                if seen.len() as u64 >= min_devices {
-                    return take_first(deliveries, i + 1, *t, true);
-                }
+            AggregationTrigger::DeviceThreshold { min_devices } => {
+                devices.insert(m.device);
+                devices.len() as u64 >= min_devices
             }
-            split_at(deliveries, deadline, false)
+        };
+        if fired {
+            return RoundOutcome {
+                aggregated_at: at,
+                included,
+                trigger_fired: true,
+            };
         }
     }
-}
-
-fn split_at(
-    deliveries: &[(SimInstant, Message)],
-    at: SimInstant,
-    trigger_fired: bool,
-) -> RoundOutcome {
-    let included: Vec<Message> = deliveries
-        .iter()
-        .take_while(|(t, _)| *t <= at)
-        .map(|(_, m)| *m)
-        .collect();
     RoundOutcome {
-        aggregated_at: at,
-        stragglers: (deliveries.len() - included.len()) as u64,
+        aggregated_at: horizon,
         included,
-        trigger_fired,
-    }
-}
-
-fn take_first(
-    deliveries: &[(SimInstant, Message)],
-    n: usize,
-    at: SimInstant,
-    trigger_fired: bool,
-) -> RoundOutcome {
-    RoundOutcome {
-        aggregated_at: at,
-        included: deliveries[..n].iter().map(|(_, m)| *m).collect(),
-        stragglers: (deliveries.len() - n) as u64,
-        trigger_fired,
+        trigger_fired: matches!(trigger, AggregationTrigger::Scheduled { .. }),
     }
 }
 
@@ -288,33 +270,54 @@ mod tests {
 
     #[test]
     fn sample_threshold_fires_at_accumulation() {
+        let mut pulled = 0;
         let out = resolve_round(
             AggregationTrigger::SampleThreshold { min_samples: 250 },
             t(0),
-            &deliveries(),
+            deliveries().into_iter().inspect(|_| pulled += 1),
             SimDuration::from_secs(1_000),
         );
         // 3 × 100 samples ≥ 250 → fires at the third delivery (t = 20).
         assert!(out.trigger_fired);
         assert_eq!(out.aggregated_at, t(20));
         assert_eq!(out.included.len(), 3);
-        assert_eq!(out.stragglers, 7);
+        assert_eq!(pulled, 3, "nothing is pulled after the firing message");
+    }
+
+    /// Same-instant ties: the trigger takes the prefix up to the message
+    /// that reaches it, not everything delivered at that instant.
+    #[test]
+    fn device_threshold_takes_the_prefix_of_a_tied_instant() {
+        let tied: Vec<_> = (0..8).map(|i| (t(7), msg(i, 100))).collect();
+        let out = resolve_round(
+            AggregationTrigger::DeviceThreshold { min_devices: 5 },
+            t(0),
+            tied,
+            SimDuration::from_secs(60),
+        );
+        assert!(out.trigger_fired);
+        assert_eq!(out.aggregated_at, t(7));
+        assert_eq!(out.included.len(), 5);
     }
 
     #[test]
     fn sample_threshold_times_out_gracefully() {
+        let mut pulled = 0;
         let out = resolve_round(
             AggregationTrigger::SampleThreshold {
                 min_samples: 100_000,
             },
             t(0),
-            &deliveries(),
+            deliveries().into_iter().inspect(|_| pulled += 1),
             SimDuration::from_secs(45),
         );
         assert!(!out.trigger_fired);
         assert_eq!(out.aggregated_at, t(45));
         assert_eq!(out.included.len(), 5); // t = 0, 10, 20, 30, 40
-        assert_eq!(out.stragglers, 5);
+        assert_eq!(
+            pulled, 6,
+            "the first message past the horizon ends the pull"
+        );
     }
 
     #[test]
@@ -325,7 +328,7 @@ mod tests {
         let out = resolve_round(
             AggregationTrigger::DeviceThreshold { min_devices: 3 },
             t(0),
-            &d,
+            d,
             SimDuration::from_secs(1_000),
         );
         assert!(out.trigger_fired);
@@ -340,24 +343,24 @@ mod tests {
                 period: SimDuration::from_secs(35),
             },
             t(0),
-            &deliveries(),
+            deliveries(),
             SimDuration::from_secs(1_000),
         );
         assert!(out.trigger_fired);
         assert_eq!(out.aggregated_at, t(35));
         assert_eq!(out.included.len(), 4);
-        assert_eq!(out.stragglers, 6);
         // A period past the round timeout aggregates at the timeout.
         let clamped = resolve_round(
             AggregationTrigger::Scheduled {
                 period: SimDuration::from_secs(35),
             },
             t(0),
-            &deliveries(),
+            deliveries(),
             SimDuration::from_secs(20),
         );
         assert!(clamped.trigger_fired);
         assert_eq!(clamped.aggregated_at, t(20));
+        assert_eq!(clamped.included.len(), 3);
     }
 
     #[test]
@@ -365,7 +368,7 @@ mod tests {
         let out = resolve_round(
             AggregationTrigger::SampleThreshold { min_samples: 1 },
             t(0),
-            &[],
+            [],
             SimDuration::from_secs(60),
         );
         assert!(!out.trigger_fired);

@@ -32,7 +32,7 @@ use simdc_types::{
 };
 
 use crate::alloc::{optimize, Allocation, GradeAllocParams, GradeAllocation};
-use crate::cloud::{resolve_round, Storage};
+use crate::cloud::{resolve_round, RoundOutcome, Storage};
 use crate::dispatch::{self, Prepared};
 use crate::spec::{AllocationPolicy, GradeRequirement, TaskSpec};
 
@@ -64,7 +64,7 @@ pub struct RoundReport {
 }
 
 /// A completed task's full report.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskReport {
     /// The task.
     pub task: TaskId,
@@ -468,13 +468,17 @@ impl TaskRunner {
             bench_profiles,
         } = prepared;
         // --- DeviceFlow -------------------------------------------------
-        let mut harness = spec.strategy.as_ref().map(|strategy| {
-            let mut flow = DeviceFlow::new();
-            flow.register_task(spec.id, strategy.clone())
-                .expect("spec validation checked the strategy");
-            FlowHarness::new(flow, rng.fork("deviceflow"))
-        });
-        let mut delivered_seen = 0usize;
+        // The stage draws from a stream of its own, so setting a strategy
+        // leaves the task stream (and every cluster timing) untouched.
+        let mut harness = match &spec.strategy {
+            Some(strategy) => {
+                let mut flow = DeviceFlow::new();
+                flow.register_task(spec.id, strategy.clone())?;
+                let rng = RngStream::named(spec.seed, &format!("task/{}/deviceflow", spec.id.0));
+                Some(FlowHarness::new(flow, rng))
+            }
+            None => None,
+        };
         let mut dropped_seen = 0u64;
 
         // --- Round loop --------------------------------------------------
@@ -588,48 +592,37 @@ impl TaskRunner {
             }
             emissions.sort_by_key(|(at, m)| (*at, m.id));
 
-            // Route through DeviceFlow (or deliver directly) and let the
-            // trigger pick the aggregation instant.
-            let deadline = round_start + spec.round_timeout;
-            let (included, aggregated_at, trigger_fired, stragglers, dropped_messages) =
-                match harness.as_mut() {
-                    Some(h) => {
-                        let (included, at, fired) = run_flow_round(
-                            h,
-                            spec,
-                            round,
-                            &emissions,
-                            round_start,
-                            compute_finished,
-                            deadline,
-                            &mut delivered_seen,
-                        );
-                        let dropped_total = h.flow().stats(spec.id).map_or(0, |s| s.dropped);
-                        let dropped = dropped_total - dropped_seen;
-                        dropped_seen = dropped_total;
-                        // Anything emitted but neither aggregated nor
-                        // dropped is a straggler (possibly still shelved).
-                        let stragglers = (emissions.len() as u64)
-                            .saturating_sub(included.len() as u64)
-                            .saturating_sub(dropped);
-                        (included, at, fired, stragglers, dropped)
+            // Deliver directly or through the DeviceFlow stage; either way
+            // the one evaluator pulls deliveries until the trigger fires.
+            let RoundOutcome {
+                aggregated_at,
+                included,
+                trigger_fired,
+            } = match harness.as_mut() {
+                None => resolve_round(
+                    spec.trigger,
+                    round_start,
+                    emissions.iter().copied(),
+                    spec.round_timeout,
+                ),
+                Some(h) => {
+                    h.run_until(round_start);
+                    h.round_started(spec.id, round);
+                    for &(at, m) in &emissions {
+                        h.ingest_at(at, m);
                     }
-                    None => {
-                        let outcome = resolve_round(
-                            spec.trigger,
-                            round_start,
-                            &emissions,
-                            spec.round_timeout,
-                        );
-                        (
-                            outcome.included,
-                            outcome.aggregated_at,
-                            outcome.trigger_fired,
-                            outcome.stragglers,
-                            0,
-                        )
-                    }
-                };
+                    h.round_completed_at(compute_finished, spec.id, round);
+                    let horizon = spec.trigger.horizon(round_start, spec.round_timeout);
+                    let deliveries = h.deliver_round(round, horizon);
+                    resolve_round(spec.trigger, round_start, deliveries, spec.round_timeout)
+                }
+            };
+            let dropped_total = harness
+                .as_ref()
+                .and_then(|h| h.flow().stats(spec.id))
+                .map_or(0, |s| s.dropped);
+            let dropped_messages = dropped_total - dropped_seen;
+            dropped_seen = dropped_total;
 
             // Cloud side: fetch, aggregate, evaluate.
             let mut updates = Vec::with_capacity(included.len());
@@ -661,7 +654,10 @@ impl TaskRunner {
                 trigger_fired,
                 included_updates: included.len() as u64,
                 included_samples,
-                stragglers,
+                // Emitted but neither aggregated nor dropped (possibly
+                // still shelved in DeviceFlow).
+                stragglers: ((emissions.len() - included.len()) as u64)
+                    .saturating_sub(dropped_messages),
                 dropped_messages,
                 train_loss,
                 eval,
@@ -775,129 +771,6 @@ impl TaskRunner {
         let id = MessageId(*message_seq);
         *message_seq += 1;
         Message::model_update(id, spec.id, device, round, n_samples, key, at)
-    }
-}
-
-/// Advances the DeviceFlow harness through one round and determines the
-/// aggregation instant *without running the virtual clock past it* — the
-/// invariant that lets the next round start exactly at aggregation.
-///
-/// Returns `(included messages, aggregated_at, trigger_fired)`.
-#[allow(clippy::too_many_arguments)]
-fn run_flow_round(
-    h: &mut FlowHarness,
-    spec: &TaskSpec,
-    round: RoundId,
-    emissions: &[(SimInstant, Message)],
-    round_start: SimInstant,
-    compute_finished: SimInstant,
-    deadline: SimInstant,
-    delivered_seen: &mut usize,
-) -> (Vec<Message>, SimInstant, bool) {
-    use crate::cloud::AggregationTrigger;
-
-    h.run_until(round_start);
-    h.round_started(spec.id, round);
-    for (at, m) in emissions {
-        h.ingest_at(*at, *m);
-    }
-    h.round_completed_at(compute_finished.max(round_start), spec.id, round);
-
-    // Collects this round's freshly delivered messages past the cursor.
-    let collect = |h: &FlowHarness, seen: &mut usize, sink: &mut Vec<Message>| {
-        for batch in &h.delivered()[*seen..] {
-            sink.extend(batch.messages.iter().filter(|m| m.round == round).copied());
-        }
-        *seen = h.delivered().len();
-    };
-
-    let mut included = Vec::new();
-    match spec.trigger {
-        AggregationTrigger::Scheduled { period } => {
-            let agg_at = (round_start + period).min(deadline);
-            h.run_until(agg_at);
-            collect(h, delivered_seen, &mut included);
-            (included, agg_at, true)
-        }
-        AggregationTrigger::SampleThreshold { min_samples } => {
-            let mut samples = 0u64;
-            let fired = step_until(
-                h,
-                deadline,
-                |batch_msgs| {
-                    for m in batch_msgs {
-                        included.push(*m);
-                        samples += m.sample_count;
-                    }
-                    samples >= min_samples
-                },
-                round,
-                delivered_seen,
-            );
-            let agg_at = if fired {
-                h.now()
-            } else {
-                h.run_until(deadline);
-                deadline
-            };
-            (included, agg_at, fired)
-        }
-        AggregationTrigger::DeviceThreshold { min_devices } => {
-            let mut devices: BTreeSet<DeviceId> = BTreeSet::new();
-            let fired = step_until(
-                h,
-                deadline,
-                |batch_msgs| {
-                    for m in batch_msgs {
-                        devices.insert(m.device);
-                        included.push(*m);
-                    }
-                    devices.len() as u64 >= min_devices
-                },
-                round,
-                delivered_seen,
-            );
-            let agg_at = if fired {
-                h.now()
-            } else {
-                h.run_until(deadline);
-                deadline
-            };
-            (included, agg_at, fired)
-        }
-    }
-}
-
-/// Steps the harness event by event (never past `deadline`), feeding each
-/// newly delivered batch of this round's messages to `on_batch`; stops and
-/// returns `true` the moment `on_batch` reports the trigger satisfied.
-fn step_until(
-    h: &mut FlowHarness,
-    deadline: SimInstant,
-    mut on_batch: impl FnMut(&[Message]) -> bool,
-    round: RoundId,
-    delivered_seen: &mut usize,
-) -> bool {
-    loop {
-        match h.next_event_at() {
-            Some(t) if t <= deadline => {
-                h.step();
-            }
-            _ => return false,
-        }
-        while *delivered_seen < h.delivered().len() {
-            let batch = &h.delivered()[*delivered_seen];
-            *delivered_seen += 1;
-            let msgs: Vec<Message> = batch
-                .messages
-                .iter()
-                .filter(|m| m.round == round)
-                .cloned()
-                .collect();
-            if on_batch(&msgs) {
-                return true;
-            }
-        }
     }
 }
 

@@ -81,42 +81,19 @@ impl FlowStats {
 }
 
 /// The device-behavior traffic controller (Fig 4).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DeviceFlow {
     sorter: Sorter,
     dispatchers: BTreeMap<TaskId, Dispatcher>,
     stats: BTreeMap<TaskId, FlowStats>,
-    capacity_per_sec: u64,
-}
-
-impl Default for DeviceFlow {
-    fn default() -> Self {
-        DeviceFlow::new()
-    }
 }
 
 impl DeviceFlow {
-    /// Creates a controller with the default 700 msg/s capacity.
+    /// Creates a controller; every task dispatches at
+    /// [`DEFAULT_CAPACITY_PER_SEC`].
     #[must_use]
     pub fn new() -> Self {
-        DeviceFlow::with_capacity(DEFAULT_CAPACITY_PER_SEC)
-    }
-
-    /// Creates a controller with an explicit single-threaded transmission
-    /// capacity (messages per second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_per_sec` is zero.
-    #[must_use]
-    pub fn with_capacity(capacity_per_sec: u64) -> Self {
-        assert!(capacity_per_sec > 0, "capacity must be positive");
-        DeviceFlow {
-            sorter: Sorter::new(),
-            dispatchers: BTreeMap::new(),
-            stats: BTreeMap::new(),
-            capacity_per_sec,
-        }
+        DeviceFlow::default()
     }
 
     /// Registers a task's dispatch strategy (stored in the Strategy module
@@ -132,7 +109,7 @@ impl DeviceFlow {
                 "task {task} already has a strategy registered"
             )));
         }
-        let dispatcher = Dispatcher::new(task, strategy, self.capacity_per_sec)?;
+        let dispatcher = Dispatcher::new(task, strategy, DEFAULT_CAPACITY_PER_SEC)?;
         self.sorter.ensure_shelf(task);
         self.dispatchers.insert(task, dispatcher);
         self.stats.insert(task, FlowStats::new(task));
@@ -157,8 +134,8 @@ impl DeviceFlow {
     ) -> (Vec<(SimInstant, FlowEvent)>, Vec<DeliveredBatch>) {
         match event {
             FlowEvent::Ingest(message) => self.on_ingest(now, message, rng),
-            FlowEvent::RoundStarted { task, .. } => self.on_round_started(now, task, rng),
-            FlowEvent::RoundCompleted { task, .. } => self.on_round_completed(now, task),
+            FlowEvent::RoundStarted { task, round } => self.on_round_started(now, task, round, rng),
+            FlowEvent::RoundCompleted { task, round } => self.on_round_completed(now, task, round),
             FlowEvent::DispatchDue { task, seq } => self.on_due(now, task, seq, rng),
         }
     }
@@ -189,13 +166,14 @@ impl DeviceFlow {
         &mut self,
         now: SimInstant,
         task: TaskId,
+        round: RoundId,
         rng: &mut RngStream,
     ) -> (Vec<(SimInstant, FlowEvent)>, Vec<DeliveredBatch>) {
         let Some(dispatcher) = self.dispatchers.get_mut(&task) else {
             return (Vec::new(), Vec::new());
         };
         let shelf = self.sorter.ensure_shelf(task);
-        let batches = dispatcher.on_round_started(now, shelf, rng);
+        let batches = dispatcher.on_round_started(now, round, shelf, rng);
         (Vec::new(), self.record_batches(task, batches))
     }
 
@@ -203,12 +181,13 @@ impl DeviceFlow {
         &mut self,
         now: SimInstant,
         task: TaskId,
+        round: RoundId,
     ) -> (Vec<(SimInstant, FlowEvent)>, Vec<DeliveredBatch>) {
         let Some(dispatcher) = self.dispatchers.get_mut(&task) else {
             return (Vec::new(), Vec::new());
         };
         let shelf = self.sorter.ensure_shelf(task);
-        match dispatcher.on_round_completed(now, shelf) {
+        match dispatcher.on_round_completed(now, round, shelf) {
             Ok(due) => (
                 due.into_iter()
                     .map(|(at, seq)| (at, FlowEvent::DispatchDue { task, seq }))
@@ -272,12 +251,6 @@ impl DeviceFlow {
     #[must_use]
     pub fn stats(&self, task: TaskId) -> Option<&FlowStats> {
         self.stats.get(&task)
-    }
-
-    /// The configured transmission capacity.
-    #[must_use]
-    pub fn capacity_per_sec(&self) -> u64 {
-        self.capacity_per_sec
     }
 }
 

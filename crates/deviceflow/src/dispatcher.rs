@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use simdc_simrt::RngStream;
-use simdc_types::{Message, Result, SimDuration, SimInstant, TaskId};
+use simdc_types::{Message, Result, RoundId, SimDuration, SimInstant, TaskId};
 
 use crate::discretize::discretize;
 use crate::shelf::Shelf;
@@ -50,6 +50,8 @@ pub struct Dispatcher {
     capacity_per_sec: u64,
     cycle_idx: usize,
     round_active: bool,
+    /// The latest round started; completions of earlier rounds are stale.
+    started: Option<RoundId>,
     pending: BTreeMap<u64, PendingSend>,
     next_seq: u64,
 }
@@ -74,6 +76,7 @@ impl Dispatcher {
             capacity_per_sec,
             cycle_idx: 0,
             round_active: false,
+            started: None,
             pending: BTreeMap::new(),
             next_seq: 0,
         })
@@ -97,10 +100,12 @@ impl Dispatcher {
     pub fn on_round_started(
         &mut self,
         now: SimInstant,
+        round: RoundId,
         shelf: &mut Shelf,
         rng: &mut RngStream,
     ) -> Vec<DispatchBatch> {
         self.round_active = true;
+        self.started = Some(round);
         if self.strategy.activates_at_round_start() {
             self.drain_realtime(now, shelf, rng)
         } else {
@@ -126,14 +131,22 @@ impl Dispatcher {
     /// schedule now. Returns `(instant, seq)` pairs to schedule as
     /// `DispatchDue` events.
     ///
+    /// A completion of a round older than the latest one started is
+    /// ignored: the cloud aggregated that round before its compute finished
+    /// and has moved on, so it must not end the running round.
+    ///
     /// # Errors
     ///
     /// Propagates discretization failures for time-interval strategies.
     pub fn on_round_completed(
         &mut self,
         now: SimInstant,
+        round: RoundId,
         shelf: &Shelf,
     ) -> Result<Vec<(SimInstant, u64)>> {
+        if self.started > Some(round) {
+            return Ok(Vec::new());
+        }
         self.round_active = false;
         match &self.strategy {
             DispatchStrategy::RealTimeAccumulated { .. } => Ok(Vec::new()),
@@ -291,7 +304,7 @@ mod tests {
     use super::*;
     use crate::function::TrafficFunction;
     use crate::strategy::{TimePointRule, TimeSpec};
-    use simdc_types::{DeviceId, MessageId, RoundId, StorageKey};
+    use simdc_types::{DeviceId, MessageId, StorageKey};
 
     fn msg(i: u64) -> Message {
         Message::model_update(
@@ -330,7 +343,7 @@ mod tests {
         .unwrap();
         let mut shelf = filled_shelf(200);
         let mut rng = RngStream::from_seed(1);
-        let batches = d.on_round_started(t(0), &mut shelf, &mut rng);
+        let batches = d.on_round_started(t(0), RoundId(0), &mut shelf, &mut rng);
         // 200 pending → 20, then 100, then 50; 30 left (< next 20? no: 30 ≥ 20
         // → another 20 flushes, leaving 10 < 100).
         let sizes: Vec<usize> = batches.iter().map(|b| b.messages.len()).collect();
@@ -348,12 +361,30 @@ mod tests {
         assert!(d.on_ingest(t(0), &mut shelf, &mut rng).is_empty());
         assert_eq!(shelf.len(), 1);
         // Activate: backlog flushes immediately.
-        let batches = d.on_round_started(t(1), &mut shelf, &mut rng);
+        let batches = d.on_round_started(t(1), RoundId(0), &mut shelf, &mut rng);
         assert_eq!(batches.len(), 1);
         shelf.push(msg(1));
         let batches = d.on_ingest(t(2), &mut shelf, &mut rng);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].messages[0].id, MessageId(1));
+    }
+
+    #[test]
+    fn superseded_round_completion_is_ignored() {
+        let mut d = Dispatcher::new(TaskId(1), DispatchStrategy::immediate(), 700).unwrap();
+        let mut shelf = Shelf::new(TaskId(1));
+        let mut rng = RngStream::from_seed(10);
+        d.on_round_started(t(0), RoundId(0), &mut shelf, &mut rng);
+        d.on_round_started(t(1), RoundId(1), &mut shelf, &mut rng);
+        // Round 0 aggregated early; its compute finishes inside round 1,
+        // which keeps flowing.
+        d.on_round_completed(t(2), RoundId(0), &shelf).unwrap();
+        shelf.push(msg(0));
+        assert_eq!(d.on_ingest(t(3), &mut shelf, &mut rng).len(), 1);
+        // Round 1's own completion ends it.
+        d.on_round_completed(t(4), RoundId(1), &shelf).unwrap();
+        shelf.push(msg(1));
+        assert!(d.on_ingest(t(5), &mut shelf, &mut rng).is_empty());
     }
 
     #[test]
@@ -369,7 +400,7 @@ mod tests {
         .unwrap();
         let mut shelf = filled_shelf(2_000);
         let mut rng = RngStream::from_seed(3);
-        let batches = d.on_round_started(t(0), &mut shelf, &mut rng);
+        let batches = d.on_round_started(t(0), RoundId(0), &mut shelf, &mut rng);
         let delivered: usize = batches.iter().map(|b| b.messages.len()).sum();
         let dropped: u64 = batches.iter().map(|b| b.dropped).sum();
         assert_eq!(delivered as u64 + dropped, 2_000);
@@ -399,7 +430,7 @@ mod tests {
         )
         .unwrap();
         let mut shelf = filled_shelf(100);
-        let due = d.on_round_completed(t(0), &shelf).unwrap();
+        let due = d.on_round_completed(t(0), RoundId(0), &shelf).unwrap();
         assert_eq!(due.len(), 2);
         assert_eq!(due[0].0, t(5));
         assert_eq!(due[1].0, t(10));
@@ -429,7 +460,7 @@ mod tests {
         )
         .unwrap();
         let mut shelf = filled_shelf(1_500);
-        let due = d.on_round_completed(t(0), &shelf).unwrap();
+        let due = d.on_round_completed(t(0), RoundId(0), &shelf).unwrap();
         let mut rng = RngStream::from_seed(5);
 
         let (b1, f1) = d.on_due(t(0), due[0].1, &mut shelf, &mut rng);
@@ -463,7 +494,7 @@ mod tests {
         )
         .unwrap();
         let mut shelf = filled_shelf(50);
-        let due = d.on_round_completed(t(0), &shelf).unwrap();
+        let due = d.on_round_completed(t(0), RoundId(0), &shelf).unwrap();
         let mut rng = RngStream::from_seed(6);
         let (batch, _) = d.on_due(t(0), due[0].1, &mut shelf, &mut rng);
         let batch = batch.unwrap();
@@ -487,7 +518,7 @@ mod tests {
         )
         .unwrap();
         let mut shelf = filled_shelf(5_000);
-        let due = d.on_round_completed(t(0), &shelf).unwrap();
+        let due = d.on_round_completed(t(0), RoundId(0), &shelf).unwrap();
         assert!(!due.is_empty());
         assert_eq!(d.pending_count(), 5_000);
         // Releasing everything delivers the full volume.
@@ -529,7 +560,9 @@ mod tests {
         )
         .unwrap();
         let shelf_snapshot = Shelf::new(TaskId(1));
-        let due = d.on_round_completed(t(0), &shelf_snapshot).unwrap();
+        let due = d
+            .on_round_completed(t(0), RoundId(0), &shelf_snapshot)
+            .unwrap();
         let mut shelf = Shelf::new(TaskId(1));
         let mut rng = RngStream::from_seed(9);
         let (batch, follow) = d.on_due(t(0), due[0].1, &mut shelf, &mut rng);

@@ -1,6 +1,13 @@
-//! A standalone event-loop harness for driving DeviceFlow without the full
-//! platform (used by unit tests and the Fig 10 / Table II
-//! experiments).
+//! DeviceFlow on its own discrete-event engine: the delivery stage between
+//! device upload and the cloud trigger.
+//!
+//! A task runner feeds a round in (round start, ingests, round
+//! completion) and hands [`FlowHarness::deliver_round`] to
+//! `simdc_core::cloud::resolve_round`, the one trigger evaluator. The
+//! deliveries are produced lazily: the engine advances only when the
+//! evaluator asks for the next message, so the clock stops at the
+//! aggregation instant. The Fig 10 / Fig 11 experiments, the examples and
+//! the unit tests drive the harness directly.
 
 use simdc_simrt::{Engine, EngineCtx, RngStream, World};
 use simdc_types::{Message, RoundId, SimInstant, TaskId};
@@ -28,6 +35,9 @@ impl World for HarnessWorld {
 #[derive(Debug)]
 pub struct FlowHarness {
     engine: Engine<HarnessWorld>,
+    /// `(batch, message)` position in `delivered` of the next message
+    /// [`FlowHarness::deliver_round`] has not looked at.
+    cursor: (usize, usize),
 }
 
 impl std::fmt::Debug for HarnessWorld {
@@ -48,6 +58,7 @@ impl FlowHarness {
                 rng,
                 delivered: Vec::new(),
             }),
+            cursor: (0, 0),
         }
     }
 
@@ -79,24 +90,26 @@ impl FlowHarness {
         self.engine.run()
     }
 
-    /// Executes a single event. Returns `false` when the queue is empty.
-    ///
-    /// Together with [`FlowHarness::next_event_at`] this lets a caller
-    /// advance the flow *just* until some condition (e.g. an aggregation
-    /// trigger) is met, without running the clock past it.
-    pub fn step(&mut self) -> bool {
-        self.engine.step()
-    }
-
-    /// Timestamp of the next pending event.
-    #[must_use]
-    pub fn next_event_at(&self) -> Option<SimInstant> {
-        self.engine.next_event_at()
-    }
-
     /// Runs events up to `deadline` and advances the clock there.
     pub fn run_until(&mut self, deadline: SimInstant) -> u64 {
         self.engine.run_until(deadline)
+    }
+
+    /// `round`'s messages as they are delivered, each with its release
+    /// time, up to `horizon`.
+    ///
+    /// Lazy: an event runs only when every message delivered so far has
+    /// been handed out, and never one past `horizon`. Once nothing more can
+    /// be delivered by `horizon` the clock moves there. Dropping the
+    /// iterator early — the trigger fired — leaves the clock at the last
+    /// message's release time. Each delivered message is looked at once
+    /// across all calls; other rounds' messages are skipped.
+    pub fn deliver_round(&mut self, round: RoundId, horizon: SimInstant) -> RoundDeliveries<'_> {
+        RoundDeliveries {
+            harness: self,
+            round,
+            horizon,
+        }
     }
 
     /// Everything delivered downstream so far, in delivery order.
@@ -118,6 +131,46 @@ impl FlowHarness {
             .iter()
             .map(|b| b.messages.len() as u64)
             .sum()
+    }
+}
+
+/// The lazy delivery stream of [`FlowHarness::deliver_round`].
+#[derive(Debug)]
+pub struct RoundDeliveries<'a> {
+    harness: &'a mut FlowHarness,
+    round: RoundId,
+    horizon: SimInstant,
+}
+
+impl Iterator for RoundDeliveries<'_> {
+    type Item = (SimInstant, Message);
+
+    fn next(&mut self) -> Option<(SimInstant, Message)> {
+        let h = &mut *self.harness;
+        loop {
+            let (batch, msg) = h.cursor;
+            let Some(b) = h.engine.world().delivered.get(batch) else {
+                // Everything delivered so far is handed out: run the next
+                // event, unless it lies past the horizon.
+                match h.engine.next_event_at() {
+                    Some(at) if at <= self.horizon => h.engine.step(),
+                    _ => {
+                        h.engine.run_until(self.horizon);
+                        return None;
+                    }
+                };
+                continue;
+            };
+            match b.messages.get(msg) {
+                Some(m) => {
+                    h.cursor.1 += 1;
+                    if m.round == self.round {
+                        return Some((b.at, *m));
+                    }
+                }
+                None => h.cursor = (batch + 1, 0),
+            }
+        }
     }
 }
 
@@ -180,6 +233,33 @@ mod tests {
         assert!(r > 0.99, "dispatch/curve correlation {r}");
         // All sends happen within the 60 s interval (plus epsilon).
         assert!(sends.iter().all(|&(t, _)| t <= 61.0));
+    }
+
+    #[test]
+    fn deliver_round_is_lazy_and_stops_at_the_horizon() {
+        let mut flow = DeviceFlow::new();
+        flow.register_task(TaskId(1), DispatchStrategy::immediate())
+            .unwrap();
+        let mut harness = FlowHarness::new(flow, RngStream::from_seed(4));
+        harness.round_started(TaskId(1), RoundId(0));
+        let t = |s| SimInstant::EPOCH + SimDuration::from_secs(s);
+        for i in 0..3 {
+            harness.ingest_at(t(10 * (i + 1)), msg(i, t(0)));
+        }
+        // Taking one delivery runs the flow only to its release time.
+        let first = harness.deliver_round(RoundId(0), t(25)).next();
+        assert_eq!(first.map(|(at, m)| (at, m.id)), Some((t(10), MessageId(0))));
+        assert_eq!(harness.now(), t(10));
+        // The rest up to the horizon, then the clock moves to the horizon.
+        let rest: Vec<_> = harness
+            .deliver_round(RoundId(0), t(25))
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(rest, vec![t(20)]);
+        assert_eq!(harness.now(), t(25));
+        // Another round's stream skips round 0's last message.
+        assert_eq!(harness.deliver_round(RoundId(1), t(60)).count(), 0);
+        assert_eq!(harness.delivered_messages(), 3);
     }
 
     #[test]

@@ -22,6 +22,13 @@
 //!   continuous) is discretized by area-under-curve ratios into a
 //!   time-point plan (Fig 10(c/d), Table II).
 //!
+//! DeviceFlow is a stage, not an evaluator: it maps each emitted message to
+//! a release time or a drop, and [`FlowHarness::deliver_round`] streams a
+//! round's releases into the cloud's one trigger evaluator
+//! (`simdc_core::cloud::resolve_round`). A round's completion signal that
+//! arrives after the task's next round has started is ignored, so a round
+//! aggregated before its compute finished cannot pause the next one.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,7 +46,7 @@
 //! )
 //! .unwrap();
 //! let harness = FlowHarness::new(flow, RngStream::from_seed(7));
-//! // …ingest messages, run, inspect harness.delivered()…
+//! // …ingest messages, then drain a round with harness.deliver_round(…)…
 //! # let _ = harness;
 //! ```
 
@@ -60,7 +67,7 @@ pub use controller::{DeliveredBatch, DeviceFlow, FlowEvent, FlowStats};
 pub use discretize::{discretize, DispatchPlan, DispatchPoint};
 pub use dispatcher::Dispatcher;
 pub use function::{Domain, TrafficFunction};
-pub use harness::FlowHarness;
+pub use harness::{FlowHarness, RoundDeliveries};
 pub use shelf::Shelf;
 pub use sorter::Sorter;
 pub use strategy::{DispatchStrategy, Dropout, TimePointRule, TimeSpec};

@@ -56,7 +56,6 @@ fn main() -> Result<(), SimdcError> {
             )?;
             let mut harness = FlowHarness::new(flow, RngStream::from_seed(dropout.to_bits()));
             let mut global = LrModel::zeros(base.feature_dim);
-            let mut seen = 0usize;
             let mut now = SimInstant::EPOCH;
             let mut accs = Vec::new();
 
@@ -66,7 +65,6 @@ fn main() -> Result<(), SimdcError> {
                     .iter()
                     .map(|d| trainer.train(&global, &d.data, KernelKind::Server))
                     .collect();
-                harness.run_until(now);
                 harness.round_started(TaskId(1), round);
                 for (i, shard) in shards.iter().enumerate() {
                     let at = now + SimDuration::from_millis(i as u64 * 5);
@@ -84,12 +82,9 @@ fn main() -> Result<(), SimdcError> {
                     );
                 }
                 now += SimDuration::from_secs(30);
-                harness.run_until(now);
-                let included: Vec<_> = harness.delivered()[seen..]
-                    .iter()
-                    .flat_map(|b| b.messages.iter())
-                    .filter(|m| m.round == round)
-                    .map(|m| {
+                let included: Vec<_> = harness
+                    .deliver_round(round, now)
+                    .map(|(_, m)| {
                         let idx = shards
                             .iter()
                             .position(|s| s.device.0 == m.device.0)
@@ -97,7 +92,6 @@ fn main() -> Result<(), SimdcError> {
                         updates[idx].clone()
                     })
                     .collect();
-                seen = harness.delivered().len();
                 if !included.is_empty() {
                     global = FedAvg::aggregate(&included)?;
                 }
