@@ -395,14 +395,6 @@ impl LogicalCluster {
         self.groups.len()
     }
 
-    /// Number of actor placements an acquired group holds — how many
-    /// actor ids one planned round over it consumes. `None` for unknown
-    /// (released) groups.
-    #[must_use]
-    pub fn group_size(&self, pg_id: PlacementGroupId) -> Option<usize> {
-        self.groups.get(&pg_id).map(|g| g.placements().len())
-    }
-
     /// Atomically reserves a placement group of `count` copies of
     /// `bundle` on the ready nodes. The group stays reserved — blocking
     /// scale-in of its nodes — until [`LogicalCluster::release_job`].
@@ -428,7 +420,10 @@ impl LogicalCluster {
     /// Computes the timed per-round schedule of `job` over an already
     /// acquired placement group, drawing actor ids from the cluster's own
     /// counter. The group's reservation is untouched — one group serves
-    /// every round of its task.
+    /// every round of its task. Deals devices round-robin over one actor
+    /// per placement, charges the per-round placement+spawn setup and the
+    /// per-actor data/model download, then walks each actor's queue
+    /// sequentially.
     ///
     /// # Errors
     ///
@@ -438,39 +433,6 @@ impl LogicalCluster {
         pg_id: PlacementGroupId,
         job: &JobSpec,
         rng: &mut RngStream,
-    ) -> Result<JobPlan> {
-        let mut next_actor = self.next_actor;
-        let plan = self.plan_round_with_actor_ids(pg_id, job, rng, &mut next_actor)?;
-        self.next_actor = next_actor;
-        Ok(plan)
-    }
-
-    /// Reserves a contiguous block of `n` actor ids and returns the first —
-    /// the cursor [`LogicalCluster::plan_round_with_actor_ids`] draws from.
-    pub fn reserve_actor_ids(&mut self, n: u64) -> u64 {
-        let base = self.next_actor;
-        self.next_actor += n;
-        base
-    }
-
-    /// [`LogicalCluster::plan_round_on_group`] through a shared reference:
-    /// actor ids come from `next_actor`, a cursor into a block the caller
-    /// took from [`LogicalCluster::reserve_actor_ids`]. Round planning
-    /// reads only the timing model and the group's node list, so worker
-    /// threads plan concurrently against one `&LogicalCluster`. Deals
-    /// devices round-robin over one actor per placement, charges the
-    /// per-round placement+spawn setup and the per-actor data/model
-    /// download, then walks each actor's queue sequentially.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidConfig` for a malformed spec or an unknown group.
-    pub fn plan_round_with_actor_ids(
-        &self,
-        pg_id: PlacementGroupId,
-        job: &JobSpec,
-        rng: &mut RngStream,
-        next_actor: &mut u64,
     ) -> Result<JobPlan> {
         let group = self
             .groups
@@ -482,6 +444,7 @@ impl LogicalCluster {
         let ready_at = cost.pg_create.saturating_add(cost.actor_spawn);
         let download = cost.download_time(job.payload_mib);
 
+        let next_actor = &mut self.next_actor;
         let mut actors: Vec<ActorPlan> = group
             .placements()
             .iter()

@@ -78,14 +78,15 @@ impl Storage {
         self.bytes_written
     }
 
-    /// Folds a scratch store into this one: remaining objects move over
-    /// (task-scoped keys cannot collide across tasks) and the scratch's
-    /// lifetime write count joins the bandwidth total, exactly as if every
-    /// `put` had happened here. The merge step of off-thread task planning,
-    /// which gives each worker its own scratch [`Storage`].
-    pub fn absorb(&mut self, scratch: Storage) {
-        self.bytes_written += scratch.bytes_written;
-        self.map.extend(scratch.map);
+    /// Folds a task-local store into this one: remaining objects move over
+    /// (task-scoped keys cannot collide across tasks) and its lifetime
+    /// write count joins the bandwidth total, exactly as if every `put`
+    /// had happened here. [`crate::TaskRunner::plan`] runs a task's rounds
+    /// through a local store and folds it in only once the plan succeeds,
+    /// so a failed plan leaves no object and no bytes behind.
+    pub fn absorb(&mut self, local: Storage) {
+        self.bytes_written += local.bytes_written;
+        self.map.extend(local.map);
     }
 }
 

@@ -26,9 +26,6 @@
 //!    ([`clobber_violation`]).
 //! 4. **Billing reconciliation** — the reported cloud spend equals billed
 //!    node-seconds × the hourly rate ([`billing_violation`]).
-//! 5. **Thread-count invariance** — byte-identical summaries for every
-//!    worker-thread count; this one needs two runs, so it lives in the
-//!    fuzzer itself rather than here.
 
 use std::fmt;
 

@@ -19,10 +19,8 @@
 //!   Execution is split into a *plan* phase (compute the per-round
 //!   timeline, reserve benchmark phones) and a *commit* phase (take the
 //!   measurements), so the platform can schedule completions as events.
-//! * [`dispatch`] — sharded parallel execution: batched plan-phase
-//!   computation over a fixed worker pool, whose deterministic
-//!   admission-order merge keeps `--threads N` byte-identical to
-//!   `--threads 1`.
+//!   Planning is admission: the platform plans each task a scheduling
+//!   pass starts, one at a time, before the next one's placement re-trial.
 //! * [`invariants`] — the platform-invariant oracles (freeze/release
 //!   pairing, capacity bounds, terminal-state immutability, billing
 //!   reconciliation) shared by the debug assertions and the scenario
@@ -67,7 +65,6 @@
 
 pub mod alloc;
 pub mod cloud;
-pub mod dispatch;
 pub mod invariants;
 pub mod platform;
 pub mod queue;

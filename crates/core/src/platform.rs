@@ -12,7 +12,7 @@
 //!
 //! The platform loop is a discrete-event simulation riding the
 //! [`simdc_simrt`] event queue. Admitting a task plans its entire virtual
-//! timeline ([`crate::dispatch`]) and schedules a *completion event* at
+//! timeline ([`TaskRunner::plan`]) and schedules a *completion event* at
 //! its `finished_at` instant; popping that event releases the task's
 //! resource lease at the task's actual completion instant and immediately
 //! re-runs the greedy scheduler, so queued work starts the moment capacity
@@ -51,14 +51,6 @@ pub struct PlatformConfig {
     pub runner: RunnerConfig,
     /// Platform seed (forked per phone/task).
     pub seed: u64,
-    /// Width of the fixed worker pool that plan-phase computation maps
-    /// over. `0` and `1` both mean a one-thread pool, which runs every
-    /// batch inline on the caller's thread; the code path is the same for
-    /// every value. Results are byte-identical
-    /// for every value — threads only change wall-clock time — so the
-    /// knob is excluded from serialized configs and golden fixtures.
-    #[serde(skip)]
-    pub threads: usize,
 }
 
 impl Default for PlatformConfig {
@@ -69,7 +61,6 @@ impl Default for PlatformConfig {
             poll_interval: SimDuration::from_secs(1),
             runner: RunnerConfig::default(),
             seed: 0x51AD_C0DE,
-            threads: 0,
         }
     }
 }
@@ -178,9 +169,6 @@ pub struct Platform {
     completion_events: u64,
     /// Node-ready (elastic scale-up) events processed so far.
     cluster_events: u64,
-    /// Fixed worker pool for sharded execution; a 1-thread pool runs
-    /// every batch inline.
-    pool: minipool::FixedPool,
     clock: SimInstant,
 }
 
@@ -202,7 +190,6 @@ impl Platform {
     /// recoverable error).
     #[must_use]
     pub fn new(config: PlatformConfig) -> Self {
-        let pool = minipool::FixedPool::new(config.threads.max(1));
         let cluster = LogicalCluster::new(config.cluster.clone());
         let phones = PhoneMgr::with_fleet(config.fleet, config.poll_interval, config.seed);
         let total_bundles = cluster.free_unit_bundles();
@@ -221,7 +208,6 @@ impl Platform {
             events: EventQueue::new(),
             completion_events: 0,
             cluster_events: 0,
-            pool,
             clock: SimInstant::EPOCH,
         }
     }
@@ -349,24 +335,22 @@ impl Platform {
         admitted
     }
 
-    /// Admits the tasks a scheduling pass started, through
-    /// [`crate::dispatch`]: the serial prepare step runs per task in
-    /// admission order (placement re-trial, `mark_running`, device
-    /// binding with the reserved-phone overlay, group acquisition,
-    /// actor-id reservation), the plan-phase computation maps over the
-    /// worker pool, and results merge back in admission order — so the
-    /// `(time, seq)` pairs of the completion events pushed here do not
-    /// depend on the pool width. Returns the admitted count.
+    /// Admits the tasks a scheduling pass started, one at a time in
+    /// admission order: each task's placement re-trial, `mark_running` and
+    /// [`TaskRunner::plan`] — phone binding, group acquisition, every
+    /// round, run submission — and its completion event all happen before
+    /// the next task's re-trial, so the next task sees this one's phones
+    /// and groups taken (or, if its plan failed, given back). Returns the
+    /// admitted count.
     fn admit(&mut self, started: Vec<TaskId>) -> usize {
-        let mut reserved = std::collections::BTreeSet::new();
-        let mut prepared = Vec::with_capacity(started.len());
+        let mut admitted = 0;
         for id in started {
             // Re-run the placement trial against the *current* pool: a
-            // task prepared earlier in this very pass has acquired its
+            // task admitted earlier in this very pass has acquired its
             // groups by now, and a candidate that fit the pre-pass pool
             // may no longer place. It must go back to pending (wait for
             // a completion or node-ready event), not fall through to
-            // `prepare` and fail permanently.
+            // `plan` and fail permanently.
             let still_places = self
                 .pending
                 .get(&id)
@@ -382,33 +366,15 @@ impl Platform {
                 self.rm.release(id);
                 continue;
             };
-            let spec = self.queue.get(id).expect("just marked").spec.clone();
-            match crate::dispatch::prepare(
-                &self.runner,
-                &spec,
-                self.clock,
+            let spec = &self.queue.get(id).expect("just marked").spec;
+            match self.runner.plan(
+                spec,
+                &dataset,
                 &mut self.cluster,
-                &self.phones,
-                &reserved,
+                &mut self.phones,
+                &mut self.storage,
+                self.clock,
             ) {
-                Ok(p) => {
-                    reserved.extend(p.reserved_phones());
-                    prepared.push((spec, dataset, p));
-                }
-                Err(err) => self.fail_admission(id, &err),
-            }
-        }
-        let outcomes = crate::dispatch::compute_and_merge(
-            &self.runner,
-            prepared,
-            &mut self.cluster,
-            &mut self.phones,
-            &mut self.storage,
-            &self.pool,
-        );
-        let mut admitted = 0;
-        for (id, result) in outcomes {
-            match result {
                 Ok(plan) => {
                     self.events
                         .push(plan.finished_at(), PlatformEvent::Completion(id));
@@ -926,42 +892,59 @@ mod tests {
         }
     }
 
-    /// The determinism guarantee, at platform granularity: a run on a
-    /// wider pool is byte-identical to the one-thread run. Three tasks
-    /// submitted before the first scheduling pass admit together, so the
-    /// compute step really runs on scoped threads.
-    #[test]
-    fn threaded_run_is_byte_identical_to_sequential() {
-        let run = |threads: usize| {
-            let mut platform = Platform::new(PlatformConfig {
-                threads,
-                ..PlatformConfig::default()
-            });
-            let data = dataset();
-            platform.submit(small_spec(1, 1), data.clone()).unwrap();
-            platform.submit(small_spec(2, 9), data.clone()).unwrap();
-            platform.submit(small_spec(3, 5), data).unwrap();
-            let completed = platform.run_until_idle();
-            assert_eq!(completed, 3);
-            let reports: Vec<String> = [1u64, 2, 3]
-                .iter()
-                .map(|&id| format!("{:?}", platform.report(TaskId(id)).unwrap()))
-                .collect();
-            let states: Vec<String> = [1u64, 2, 3]
-                .iter()
-                .map(|&id| format!("{:?}", platform.task_state(TaskId(id)).unwrap()))
-                .collect();
-            (
-                reports,
-                states,
-                format!("{:?}", platform.status()),
-                platform.storage().bytes_written(),
-            )
-        };
-        let sequential = run(1);
-        for threads in [2, 8] {
-            assert_eq!(run(threads), sequential, "threads={threads} diverged");
+    /// FNV-1a 64-bit over `parts`, in order.
+    fn fnv1a<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in parts.into_iter().flat_map(str::bytes) {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
+        hash
+    }
+
+    /// Three tasks submitted before the first scheduling pass all admit in
+    /// that one pass (priority order 2, 3, 1), so admission order decides
+    /// which High phone each task's benchmark device binds and which
+    /// completion event is pushed first. Reports, states, status and
+    /// bytes written are pinned to the values the batched prepare →
+    /// compute → merge admission produced before serial admission
+    /// replaced it.
+    #[test]
+    fn single_pass_admission_is_pinned() {
+        let mut platform = Platform::paper_default();
+        let data = dataset();
+        platform.submit(small_spec(1, 1), data.clone()).unwrap();
+        platform.submit(small_spec(2, 9), data.clone()).unwrap();
+        platform.submit(small_spec(3, 5), data).unwrap();
+        assert_eq!(platform.run_until_idle(), 3);
+        let reports: Vec<String> = [1u64, 2, 3]
+            .iter()
+            .map(|&id| format!("{:?}", platform.report(TaskId(id)).unwrap()))
+            .collect();
+        assert_eq!(
+            fnv1a(reports.iter().map(String::as_str)),
+            10_330_521_597_193_897_328,
+            "task reports changed"
+        );
+        let states: Vec<String> = [1u64, 2, 3]
+            .iter()
+            .map(|&id| format!("{:?}", platform.task_state(TaskId(id)).unwrap()))
+            .collect();
+        assert_eq!(
+            states,
+            [
+                "Completed { started_at: SimInstant(0), finished_at: SimInstant(129816147) }",
+                "Completed { started_at: SimInstant(0), finished_at: SimInstant(129254008) }",
+                "Completed { started_at: SimInstant(0), finished_at: SimInstant(127841020) }",
+            ]
+        );
+        assert_eq!(
+            format!("{:?}", platform.status()),
+            "PlatformStatus { now: SimInstant(129816147), pending: 0, running: 0, finished: 3, \
+             free_bundles: 200, free_phones: PerGrade { high: 17, low: 13 }, nodes: 4, \
+             ready_nodes: 4 }"
+        );
+        assert_eq!(platform.storage().bytes_written(), 1_279_728);
     }
 
     #[test]
@@ -1030,12 +1013,11 @@ mod tests {
     /// (priority decides the tie, not source order) admits identically
     /// whichever driver paces the platform — [`Platform::run_from_source`]
     /// or a manual loop over [`Platform::run_until`] /
-    /// [`Platform::advance_clock_to`] / [`Platform::admit_now`] — and
-    /// whether the platform runs sequentially or threaded. The workload
-    /// oversubscribes capacity so late admissions land on completion
-    /// instants, exercising completion-vs-pending ordering too.
+    /// [`Platform::advance_clock_to`] / [`Platform::admit_now`]. The
+    /// workload oversubscribes capacity so late admissions land on
+    /// completion instants, exercising completion-vs-pending ordering too.
     #[test]
-    fn tied_arrivals_admit_identically_across_drivers_and_threads() {
+    fn tied_arrivals_admit_identically_across_drivers() {
         let t = |secs: u64| SimInstant::EPOCH + SimDuration::from_secs(secs);
         // Three waves; within each wave every task shares an arrival
         // instant and priorities are deliberately out of source order.
@@ -1065,13 +1047,6 @@ mod tests {
                 .map(|id| format!("{:?}", platform.task_state(TaskId(id)).unwrap()))
                 .collect()
         };
-        let platform_with = |threads: usize| {
-            Platform::new(PlatformConfig {
-                threads,
-                ..PlatformConfig::default()
-            })
-        };
-
         struct Timed {
             items: std::vec::IntoIter<(SimInstant, TaskSpec, Arc<CtrDataset>)>,
         }
@@ -1081,8 +1056,8 @@ mod tests {
             }
         }
 
-        let via_source = |threads: usize| {
-            let mut platform = platform_with(threads);
+        let via_source = || {
+            let mut platform = Platform::paper_default();
             let mut source = Timed {
                 items: workload().into_iter(),
             };
@@ -1102,8 +1077,8 @@ mod tests {
             }
             fingerprint(&platform, 9)
         };
-        let via_manual = |threads: usize| {
-            let mut platform = platform_with(threads);
+        let via_manual = || {
+            let mut platform = Platform::paper_default();
             // Group the workload by arrival instant; run the platform up
             // to each instant, submit the whole wave, admit in one pass.
             let mut items = workload().into_iter().peekable();
@@ -1121,10 +1096,7 @@ mod tests {
             fingerprint(&platform, 9)
         };
 
-        let reference = via_source(1);
-        assert_eq!(via_manual(1), reference, "manual driver diverged");
-        assert_eq!(via_source(4), reference, "threaded source run diverged");
-        assert_eq!(via_manual(4), reference, "threaded manual run diverged");
+        assert_eq!(via_manual(), via_source(), "manual driver diverged");
     }
 
     #[test]

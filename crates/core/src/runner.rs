@@ -17,8 +17,6 @@
 //!
 //! Everything is deterministic given the task seed and start instant.
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 use simdc_cluster::{JobSpec, LogicalCluster, PlacementGroupId};
 use simdc_data::CtrDataset;
@@ -33,7 +31,6 @@ use simdc_types::{
 
 use crate::alloc::{optimize, Allocation, GradeAllocParams, GradeAllocation};
 use crate::cloud::{resolve_round, RoundOutcome, Storage};
-use crate::dispatch::{self, Prepared};
 use crate::spec::{AllocationPolicy, GradeRequirement, TaskSpec};
 
 /// One round's outcome.
@@ -126,10 +123,10 @@ pub struct TaskRunner {
 /// not yet taken.
 ///
 /// The event-driven platform plans a task when the scheduler admits it
-/// (the steps of [`TaskRunner::plan`], see [`crate::dispatch`]) — fixing
-/// the task's completion instant so it can be scheduled as an event — and
-/// calls [`TaskRunner::commit`] when that event fires, which performs the
-/// benchmark measurements and produces the final [`TaskReport`].
+/// ([`TaskRunner::plan`]) — fixing the task's completion instant so it can
+/// be scheduled as an event — and calls [`TaskRunner::commit`] when that
+/// event fires, which performs the benchmark measurements and produces the
+/// final [`TaskReport`].
 #[derive(Debug)]
 pub struct TaskPlan {
     report: TaskReport,
@@ -141,21 +138,6 @@ pub struct TaskPlan {
 }
 
 impl TaskPlan {
-    /// Assembles a plan from its parts — the merge step of
-    /// [`crate::dispatch`] builds plans this way once the runs are
-    /// submitted.
-    pub(crate) fn assemble(
-        report: TaskReport,
-        benchmark_phones: Vec<PhoneId>,
-        groups: Vec<PlacementGroupId>,
-    ) -> Self {
-        TaskPlan {
-            report,
-            benchmark_phones,
-            groups,
-        }
-    }
-
     /// The planned task.
     #[must_use]
     pub fn task(&self) -> TaskId {
@@ -188,10 +170,15 @@ impl Default for TaskRunner {
     }
 }
 
-pub(crate) struct GradePlacement {
-    pub(crate) logical_devices: Vec<DeviceId>,
-    pub(crate) phone_devices: Vec<DeviceId>,
-    pub(crate) benchmark_devices: Vec<(DeviceId, PhoneId)>,
+/// Where one grade's devices run: logical devices on the grade's
+/// placement group (`None` until acquired, and for a grade without logical
+/// devices), phone devices in waves over the granted phones, and each
+/// benchmark device on its own bound phone.
+struct GradePlacement {
+    logical_devices: Vec<DeviceId>,
+    group: Option<PlacementGroupId>,
+    phone_devices: Vec<DeviceId>,
+    benchmark_devices: Vec<(DeviceId, PhoneId)>,
 }
 
 impl TaskRunner {
@@ -322,15 +309,18 @@ impl TaskRunner {
         report
     }
 
-    /// Plan phase: computes the task's entire per-round timeline (device
-    /// placement, training, DeviceFlow routing, aggregation instants) and
-    /// reserves the benchmark phones by submitting their run plans —
-    /// without taking the measurements. The returned [`TaskPlan`] fixes
-    /// `finished_at`, so the platform can schedule the completion event
-    /// before any wall-clock-later work happens.
+    /// Plan phase, and the platform's whole admission procedure for one
+    /// task: validate, allocate, bind benchmark devices to phones idle at
+    /// `start`, acquire the placement groups, plan every round (training,
+    /// DeviceFlow routing, aggregation instants) and reserve the benchmark
+    /// phones by submitting their run plans — without taking the
+    /// measurements. The returned [`TaskPlan`] fixes `finished_at`, so the
+    /// platform can schedule the completion event before any
+    /// wall-clock-later work happens.
     ///
-    /// This is the platform's admission procedure ([`crate::dispatch`]:
-    /// prepare, compute, merge) for a single task.
+    /// A plan that fails leaves no object and no bytes in `storage` — its
+    /// rounds go through a task-local store that is folded in only on
+    /// success — and gives its placement groups back.
     ///
     /// # Errors
     ///
@@ -344,21 +334,62 @@ impl TaskRunner {
         storage: &mut Storage,
         start: SimInstant,
     ) -> Result<TaskPlan> {
-        let prepared = dispatch::prepare(self, spec, start, cluster, phones, &BTreeSet::new())?;
-        let computed = dispatch::compute_one(self, cluster, spec, dataset, prepared);
-        dispatch::merge_one(computed, cluster, phones, storage)
+        spec.validate()?;
+        let allocation = self.plan_allocation(spec, cluster)?;
+        let mut placements = Self::place_devices(spec, &allocation, phones, start)?;
+        Self::check_phone_grades(spec, &placements, phones)?;
+        // One group per grade with logical devices, acquired at admission
+        // and held for the task's whole lifetime: every round re-uses it,
+        // and the platform releases it at the completion event — which is
+        // what makes cloud capacity contention real across concurrent
+        // tasks.
+        Self::acquire_grade_groups(spec, &mut placements, cluster)?;
+        let groups: Vec<PlacementGroupId> = placements.iter().filter_map(|p| p.group).collect();
+        let mut local = Storage::new();
+        let planned = self
+            .plan_timeline(
+                spec,
+                dataset,
+                start,
+                allocation,
+                &placements,
+                cluster,
+                phones,
+                &mut local,
+            )
+            .and_then(|(report, runs)| {
+                let mut benchmark_phones = Vec::with_capacity(runs.len());
+                for (phone, run) in runs {
+                    phones.submit_run(phone, run)?;
+                    benchmark_phones.push(phone);
+                }
+                Ok((report, benchmark_phones))
+            });
+        match planned {
+            Ok((report, benchmark_phones)) => {
+                storage.absorb(local);
+                Ok(TaskPlan {
+                    report,
+                    benchmark_phones,
+                    groups,
+                })
+            }
+            Err(err) => {
+                for pg in groups {
+                    cluster.release_job(pg);
+                }
+                Err(err)
+            }
+        }
     }
 
     /// Deals device ids to grades in allocation order and binds benchmark
-    /// devices to concrete phones idle at `start`, skipping `reserved` —
-    /// the phones bound by tasks admitted earlier in the same pass, whose
-    /// runs are not submitted yet.
-    pub(crate) fn place_devices(
+    /// devices to concrete phones idle at `start`.
+    fn place_devices(
         spec: &TaskSpec,
         allocation: &Allocation,
         phones: &PhoneMgr,
         start: SimInstant,
-        reserved: &BTreeSet<PhoneId>,
     ) -> Result<Vec<GradePlacement>> {
         let mut placements: Vec<GradePlacement> = Vec::with_capacity(spec.grades.len());
         let mut next_device: u64 = 0;
@@ -371,18 +402,11 @@ impl TaskRunner {
             let logical_devices = take(alloc.logical_devices);
             let phone_devices = take(alloc.phone_devices);
             let benchmark_ids = take(alloc.benchmark_devices);
-            let benchmark_phones = if alloc.benchmark_devices > 0 {
-                phones.select_excluding(
-                    g.grade,
-                    alloc.benchmark_devices as usize,
-                    start,
-                    reserved,
-                )?
-            } else {
-                Vec::new()
-            };
+            let benchmark_phones =
+                phones.select(g.grade, alloc.benchmark_devices as usize, start)?;
             placements.push(GradePlacement {
                 logical_devices,
+                group: None,
                 phone_devices,
                 benchmark_devices: benchmark_ids.into_iter().zip(benchmark_phones).collect(),
             });
@@ -395,7 +419,7 @@ impl TaskRunner {
     /// average. A task placing devices on that grade's phone cluster
     /// must surface resource exhaustion instead of silently planning
     /// with the static paper profile of phones that do not exist.
-    pub(crate) fn check_phone_grades(
+    fn check_phone_grades(
         spec: &TaskSpec,
         placements: &[GradePlacement],
         phones: &PhoneMgr,
@@ -413,60 +437,55 @@ impl TaskRunner {
         Ok(())
     }
 
-    /// Acquires one placement group per grade with logical devices,
-    /// rolling back the task's own partial acquisitions on failure.
-    pub(crate) fn acquire_grade_groups(
+    /// Acquires one placement group per grade with logical devices into
+    /// its placement, rolling back the task's own partial acquisitions on
+    /// failure.
+    fn acquire_grade_groups(
         spec: &TaskSpec,
-        placements: &[GradePlacement],
+        placements: &mut [GradePlacement],
         cluster: &mut LogicalCluster,
-    ) -> Result<Vec<Option<PlacementGroupId>>> {
-        let mut grade_groups: Vec<Option<PlacementGroupId>> = Vec::with_capacity(spec.grades.len());
-        for (g, placement) in spec.grades.iter().zip(placements) {
+    ) -> Result<()> {
+        for i in 0..placements.len() {
+            let g = &spec.grades[i];
             let Some((bundle, actors)) =
-                Self::grade_request(g, placement.logical_devices.len() as u64, cluster)
+                Self::grade_request(g, placements[i].logical_devices.len() as u64, cluster)
             else {
-                grade_groups.push(None);
                 continue;
             };
             match cluster.acquire_group(bundle, actors as usize) {
-                Ok(pg) => grade_groups.push(Some(pg)),
+                Ok(pg) => placements[i].group = Some(pg),
                 Err(err) => {
-                    for pg in grade_groups.iter().flatten() {
-                        cluster.release_job(*pg);
+                    for pg in placements[..i].iter().filter_map(|p| p.group) {
+                        cluster.release_job(pg);
                     }
                     return Err(err);
                 }
             }
         }
-        Ok(grade_groups)
+        Ok(())
     }
 
-    /// The compute step of [`TaskRunner::plan`]: rounds, DeviceFlow
-    /// routing, aggregation and benchmark-run planning over the prepared
-    /// placement. Mutates nothing shared — rounds write to `storage` (the
-    /// caller's scratch store), cloud rounds are planned through a shared
-    /// `&LogicalCluster` with the task's reserved actor ids, and the
-    /// benchmark runs come back for the merge step to submit, in
-    /// reservation order.
-    #[allow(clippy::too_many_lines)]
-    pub(crate) fn plan_timeline(
+    /// Rounds, DeviceFlow routing, aggregation and benchmark-run planning
+    /// over the bound placement: updates go through `storage`, cloud
+    /// rounds are planned on the task's placement groups, and the
+    /// benchmark runs come back for [`TaskRunner::plan`] to submit, in
+    /// binding order. Profiles are read from the fleet as it stands.
+    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    fn plan_timeline(
         &self,
         spec: &TaskSpec,
         dataset: &CtrDataset,
-        cluster: &LogicalCluster,
+        start: SimInstant,
+        allocation: Allocation,
+        placements: &[GradePlacement],
+        cluster: &mut LogicalCluster,
+        phones: &PhoneMgr,
         storage: &mut Storage,
-        prepared: Prepared,
-        rng: &mut RngStream,
     ) -> Result<(TaskReport, Vec<(PhoneId, RunPlan)>)> {
-        let Prepared {
-            start,
-            allocation,
-            placements,
-            grade_groups,
-            mut next_actor,
-            effective,
-            bench_profiles,
-        } = prepared;
+        // The label is formatted from the task id, which the queue
+        // guarantees unique — two tasks can never alias a stream, and the
+        // seed is per-task as well.
+        let mut rng = RngStream::named(spec.seed, &format!("task/{}", spec.id.0));
         // --- DeviceFlow -------------------------------------------------
         // The stage draws from a stream of its own, so setting a strategy
         // leaves the task stream (and every cluster timing) untouched.
@@ -500,17 +519,17 @@ impl TaskRunner {
             let payload_mib =
                 self.config.data_payload_mib + global.serialized_size() as f64 / (1024.0 * 1024.0);
 
-            for ((g, placement), group) in spec.grades.iter().zip(&placements).zip(&grade_groups) {
+            for (g, placement) in spec.grades.iter().zip(placements) {
                 // Effective (fleet-averaged) profile, so stragglers and
                 // other per-phone perturbations stretch the actual wave
                 // timing — the optimizer plans with nominal profiles.
                 // Grades that place phone work were verified non-empty
                 // right after placement, so the nominal fallback here can
                 // only ever serve fully-logical grades.
-                let profile = &effective[g.grade];
+                let profile = phones.effective_profile(g.grade);
                 // Logical side: plan this round over the task's standing
                 // placement group (acquired once, released at completion).
-                if let Some(pg) = group {
+                if let Some(pg) = placement.group {
                     let job = JobSpec {
                         task: spec.id,
                         round,
@@ -520,8 +539,7 @@ impl TaskRunner {
                         units_per_device: g.units_per_device as u32,
                         payload_mib,
                     };
-                    let plan =
-                        cluster.plan_round_with_actor_ids(*pg, &job, rng, &mut next_actor)?;
+                    let plan = cluster.plan_round_on_group(pg, &job, &mut rng)?;
                     for (dev, offset) in plan.device_completions() {
                         let at = round_start + offset;
                         compute_finished = compute_finished.max(at);
@@ -666,20 +684,23 @@ impl TaskRunner {
         }
 
         // --- Benchmark reservation ---------------------------------------
-        // Submitting the run plans at merge (not at commit) keeps the
+        // Submitting the run plans at admission (not at commit) keeps the
         // phones busy over their measurement windows, so a task admitted
-        // mid-run cannot double-book them; the measurements themselves
-        // wait for the commit phase.
+        // next — in the same pass or mid-run — cannot double-book them;
+        // the measurements themselves wait for the commit phase.
         let mut benchmark_runs = Vec::new();
         let mut finished_at = rounds.last().map_or(start, |r| r.aggregated_at);
         if self.config.measure_benchmarks {
-            for placement in &placements {
+            for placement in placements {
                 for &(_dev, phone) in &placement.benchmark_devices {
                     // Each benchmark placement names a concrete phone, so
                     // its measurement windows come from that phone's own
                     // profile — a straggler benchmark phone is measured at
                     // its real (slowed) pace, not the fleet average.
-                    let profile = &bench_profiles[&phone];
+                    let profile = phones
+                        .phone(phone)
+                        .ok_or(SimdcError::PhoneUnavailable(phone))?
+                        .profile();
                     let (durations, gaps) = benchmark_windows(&rounds, profile);
                     let run = RunPlan::new(spec.id, phone, start, &durations, &gaps)?;
                     finished_at = finished_at.max(run.end());

@@ -40,7 +40,7 @@ impl KernelKind {
 /// Implementations must visit examples in order (determinism) and update
 /// the model in place. The trait is object-safe so heterogeneous clusters
 /// can mix kernels at runtime.
-pub trait TrainKernel: Sync {
+pub trait TrainKernel {
     /// Runs one epoch of SGD at learning rate `lr`, returning the mean
     /// training loss *before* each example's update (the usual online
     /// estimate).

@@ -33,9 +33,7 @@
     clippy::disallowed_types,
     reason = "reviewed interior-mutability exception to the clippy.toml ban: the lazy \
               fleet index memoises on the `&self` read path of a single-threaded \
-              manager. The cell makes `PhoneMgr` `!Sync`, so rustc rejects any \
-              `run_batch` worker closure that captures it — only the serial prepare \
-              and merge phases can borrow the manager"
+              manager, and the platform admits tasks one at a time on one thread"
 )]
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -452,40 +450,6 @@ impl PhoneMgr {
         count: usize,
         now: SimInstant,
     ) -> Result<Vec<PhoneId>> {
-        self.select_where(grade, count, now, None)
-    }
-
-    /// [`PhoneMgr::select`] with a reserved-phone overlay: `reserved` ids
-    /// are treated as busy even though no run has been assigned yet. A
-    /// scheduling pass admitting several tasks needs this — task B's
-    /// selection must skip the phones task A picked an instant ago,
-    /// before A's run plans have actually been submitted. Reported
-    /// availability subtracts the reserved phones of the grade, so error
-    /// messages count them as busy too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimdcError::ResourceExhausted`] if fewer than `count`
-    /// unreserved phones are idle.
-    pub fn select_excluding(
-        &self,
-        grade: DeviceGrade,
-        count: usize,
-        now: SimInstant,
-        reserved: &std::collections::BTreeSet<PhoneId>,
-    ) -> Result<Vec<PhoneId>> {
-        self.select_where(grade, count, now, Some(reserved))
-    }
-
-    /// The one selection body behind [`PhoneMgr::select`] and
-    /// [`PhoneMgr::select_excluding`], so the two orders cannot drift.
-    fn select_where(
-        &self,
-        grade: DeviceGrade,
-        count: usize,
-        now: SimInstant,
-        reserved: Option<&std::collections::BTreeSet<PhoneId>>,
-    ) -> Result<Vec<PhoneId>> {
         if count == 0 {
             return Ok(Vec::new());
         }
@@ -495,28 +459,14 @@ impl PhoneMgr {
             requested: format!("{count} {grade} phones"),
             available: format!("{available} {grade} phones"),
         };
-        // Reserved ids currently sitting in this grade's free sets — the
-        // phones a sequential run would already have marked busy.
-        let reserved_free = reserved.map_or(0, |set| {
-            set.iter()
-                .filter(|&&id| {
-                    self.phone(id).is_some_and(|p| {
-                        p.grade() == grade && !p.is_busy(now) && !p.is_crashed(now)
-                    })
-                })
-                .count()
-        });
         // O(1) shortfall check so an unsatisfiable request never walks the
         // free set (the scheduler probes depleted grades repeatedly).
-        let free = idx.free_count(grade).saturating_sub(reserved_free);
+        let free = idx.free_count(grade);
         if free < count {
             return Err(exhausted(free));
         }
         let mut picked = Vec::with_capacity(count);
         for id in idx.iter_free(grade) {
-            if reserved.is_some_and(|set| set.contains(&id)) {
-                continue;
-            }
             // Defensive re-verification: free sets are exact for
             // monotonically advancing query times; this guards the
             // invariant even if a caller runs time backwards.
@@ -1070,39 +1020,6 @@ mod tests {
         assert_eq!(touched, k);
         assert_eq!(mgr.index.borrow().cached_profiles(), 0);
         assert!(mgr.displaced.is_empty());
-    }
-
-    #[test]
-    fn select_excluding_replays_sequential_reservation() {
-        let mut mgr = PhoneMgr::paper_default(17);
-        let first = mgr.select(DeviceGrade::High, 3, t(0)).unwrap();
-        let reserved: std::collections::BTreeSet<PhoneId> = first.iter().copied().collect();
-        // Overlay path: before any run exists, exclude the reserved set.
-        let overlay_picked = mgr
-            .select_excluding(DeviceGrade::High, 3, t(0), &reserved)
-            .unwrap();
-        let overlay_err = mgr
-            .select_excluding(DeviceGrade::High, 15, t(0), &reserved)
-            .unwrap_err()
-            .to_string();
-        // Sequential path: actually submit runs on the first batch.
-        for &id in &first {
-            let plan = mgr
-                .plan_for(id, TaskId(1), t(0), 1, SimDuration::ZERO)
-                .unwrap();
-            mgr.submit_run(id, plan).unwrap();
-        }
-        assert_eq!(
-            mgr.select(DeviceGrade::High, 3, t(0)).unwrap(),
-            overlay_picked
-        );
-        assert_eq!(
-            mgr.select(DeviceGrade::High, 15, t(0))
-                .unwrap_err()
-                .to_string(),
-            overlay_err,
-            "exhaustion reports must match the sequential wording"
-        );
     }
 
     #[test]

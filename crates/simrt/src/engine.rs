@@ -245,9 +245,7 @@ impl<E> EventQueue<E> {
 
     /// Enqueues a batch of events in the given order: element `i` receives
     /// sequence number `seq + i`, exactly as if each had been pushed
-    /// individually. The merge step of parallel planning uses this to
-    /// commit worker results in admission order, so a threaded run
-    /// assigns the same `(time, seq)` pairs a sequential run would.
+    /// individually.
     pub fn push_batch(&mut self, events: impl IntoIterator<Item = (SimInstant, E)>) {
         for (at, event) in events {
             self.push(at, event);

@@ -58,7 +58,7 @@ fn load((name, text): &(&str, &str)) -> ScenarioSpec {
 }
 
 /// Loads an embedded scenario by name; adjust the returned spec's knobs
-/// (`seed`, `fleet`, `threads`, [`ScenarioSpec::with_horizon_scale`],
+/// (`seed`, `fleet`, [`ScenarioSpec::with_horizon_scale`],
 /// [`ScenarioSpec::with_rate_scale`]) before [`ScenarioSpec::compile`].
 ///
 /// # Errors

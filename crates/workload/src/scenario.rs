@@ -471,10 +471,9 @@ mod tests {
     }
 
     /// `mega_fleet` at test size: a 3-minute horizon over 1,500 phones.
-    fn small_mega_fleet(threads: usize) -> ScenarioSpec {
+    fn small_mega_fleet() -> ScenarioSpec {
         let mut spec = spec("mega_fleet", 21).with_horizon_scale(0.1);
         spec.fleet = FleetSpec::scaled_paper(1_500);
-        spec.threads = threads;
         spec
     }
 
@@ -590,7 +589,7 @@ mod tests {
 
     #[test]
     fn mega_fleet_is_byte_deterministic_over_a_scaled_fleet() {
-        let scenario = small_mega_fleet(1).compile().unwrap();
+        let scenario = small_mega_fleet().compile().unwrap();
         let data = dataset();
         let a = scenario.run(&data);
         let b = scenario.run(&data);
@@ -604,27 +603,6 @@ mod tests {
         assert!(a.crashes > 0, "churn must fire at this horizon: {a:?}");
         // Every arrival, perturbation and completion is an event.
         assert!(a.events > a.arrivals + a.completed, "{a:?}");
-    }
-
-    /// Sharded-execution acceptance check: the same scenario run with a
-    /// worker pool — parallel fleet construction plus batched plan-phase
-    /// dispatch with the deterministic `(time, seq)` merge — produces
-    /// byte-identical summary JSON for every thread count.
-    #[test]
-    fn thread_count_never_changes_scenario_bytes() {
-        let data = dataset();
-        let run = |threads: usize| {
-            let scenario = small_mega_fleet(threads).compile().unwrap();
-            serde_json::to_string(&scenario.run(&data)).unwrap()
-        };
-        let sequential = run(1);
-        for threads in [2, 8] {
-            assert_eq!(
-                run(threads),
-                sequential,
-                "threads={threads} changed scenario bytes"
-            );
-        }
     }
 
     /// The tentpole acceptance check: one `cloud_surge` run scales the

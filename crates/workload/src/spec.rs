@@ -16,7 +16,7 @@
 //! * **Byte-identity** — `compile` introduces no stochastic choice of its
 //!   own: the compiled scenario replays through the same engine as a
 //!   [`Scenario`] built field by field, so spec + seed ⇒ byte-identical
-//!   [`ScenarioSummary`] JSON, for every worker-thread count.
+//!   [`ScenarioSummary`] JSON.
 //! * **Typed rejection** — [`ScenarioSpec::from_json_str`] never panics
 //!   on malformed input: parse errors and unknown enum variants surface
 //!   as [`SimdcError::Serialization`], unknown keys and semantic
@@ -57,8 +57,7 @@ use crate::fleet::FleetDynamics;
 use crate::scenario::{Scenario, ScenarioSummary};
 use crate::template::TaskTemplate;
 
-/// Worker-thread ceiling a spec may ask for — a fuzzer-friendly bound on
-/// OS threads, far above anything the benches use.
+/// The largest [`ScenarioSpec::threads`] a spec may carry.
 pub const MAX_THREADS: usize = 64;
 
 /// A complete, self-contained scenario description: everything a run
@@ -90,9 +89,10 @@ pub struct ScenarioSpec {
     /// Root seed: platform seed and scenario seed alike (same seed ⇒
     /// byte-identical summary JSON).
     pub seed: u64,
-    /// Worker threads for sharded execution. Never changes results —
-    /// summaries are byte-identical for every value — only wall-clock
-    /// time; it is part of the spec so sweeps can put it on an axis.
+    /// A dead input: accepted, range-checked against [`MAX_THREADS`] and
+    /// otherwise ignored — the platform admits tasks serially on one
+    /// thread. It survives only because `benchmark/workloads/*.json` and
+    /// `benchmark/src/{workload,rep,driver}.rs` still write it.
     pub threads: usize,
 }
 
@@ -115,7 +115,7 @@ impl ScenarioSpec {
 
     /// Validates the spec: the scenario half (name, horizon, arrival
     /// tree, template, injectors, cluster override) plus the
-    /// platform-side knobs (fleet composition, thread count).
+    /// platform-side knobs (fleet composition, the `threads` range).
     ///
     /// # Errors
     ///
@@ -155,7 +155,6 @@ impl ScenarioSpec {
             config: PlatformConfig {
                 fleet: self.fleet,
                 seed: self.seed,
-                threads: self.threads,
                 ..PlatformConfig::default()
             },
         })
@@ -234,7 +233,7 @@ impl ScenarioSpec {
 pub struct CompiledScenario {
     /// The scenario half (arrivals, template, injectors, cluster).
     pub scenario: Scenario,
-    /// The platform half (fleet composition, seed, threads); the seed
+    /// The platform half (fleet composition, seed); the seed
     /// doubles as the scenario seed, exactly like the bench suite runs
     /// the library.
     pub config: PlatformConfig,
@@ -319,7 +318,7 @@ fn reject_unknown_keys(
 /// Greedily minimizes a failing spec: repeatedly tries the candidate
 /// simplifications of [`shrink`]'s catalog (halve the horizon, prune the
 /// arrival tree, calm the fleet, drop the cluster override, shrink the
-/// fleet and template, force one worker thread) and keeps any candidate
+/// fleet and template, reset `threads` to 1) and keeps any candidate
 /// for which `fails` still returns `true`, until no candidate fails —
 /// the returned spec is a local minimum that still exhibits the failure.
 ///
@@ -464,14 +463,12 @@ mod tests {
 
     #[test]
     fn compile_reproduces_the_scenario_and_platform_knobs() {
-        let mut spec = steady_spec();
-        spec.threads = 3;
+        let spec = steady_spec();
         let compiled = spec.compile().unwrap();
         assert_eq!(compiled.scenario, spec.to_scenario());
         assert_eq!(compiled.scenario.name, "steady_poisson");
         assert_eq!(compiled.scenario.fleet, spec.fleet_dynamics);
         assert_eq!(compiled.config.seed, 7);
-        assert_eq!(compiled.config.threads, 3);
         assert_eq!(compiled.config.fleet, FleetSpec::paper_default());
     }
 

@@ -75,8 +75,8 @@ const MEGA_FLEET_DIGEST: u64 = 6_374_329_799_801_503_195;
 /// accounting) on purpose. See the autoscaler's reclaimed-drain tests.
 const CLOUD_SURGE_DIGEST: u64 = 3_823_498_095_159_712_412;
 
-/// One digest per committed fixture, run as committed (own seed, fleet
-/// and thread count) over a quarter of its horizon. The fixtures are the
+/// One digest per committed fixture, run as committed (own seed and
+/// fleet) over a quarter of its horizon. The fixtures are the
 /// only definition of these scenarios, so this table is what notices a
 /// changed number in one of them: the values were computed at commit
 /// 982e39a from the Rust constructors the fixtures replaced.
