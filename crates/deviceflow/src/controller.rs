@@ -1,45 +1,30 @@
-//! The DeviceFlow controller: Sorter + per-task Dispatchers behind one
-//! event-driven façade.
+//! The DeviceFlow controller: one record per task behind the harness's
+//! event loop.
 
 use std::collections::BTreeMap;
 
-use simdc_simrt::{Counter, RngStream};
+use simdc_simrt::{EngineCtx, RngStream};
 use simdc_types::{Message, Result, RoundId, SimInstant, SimdcError, TaskId};
 
-use crate::dispatcher::{DispatchBatch, Dispatcher};
-use crate::shelf::Shelf;
-use crate::sorter::Sorter;
-use crate::strategy::DispatchStrategy;
-use crate::DEFAULT_CAPACITY_PER_SEC;
+use crate::dispatcher::Dispatcher;
+use crate::strategy::{DispatchStrategy, Dropout};
 
-/// Events DeviceFlow reacts to. The composition root (platform or
-/// [`crate::FlowHarness`]) owns the event queue; DeviceFlow returns
-/// follow-up events to schedule.
+/// Events DeviceFlow reacts to on the [`crate::FlowHarness`] engine.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FlowEvent {
+pub(crate) enum FlowEvent {
     /// A device→cloud message arrived from a computation cluster.
     Ingest(Message),
     /// A task's round began (activates real-time strategies).
-    RoundStarted {
-        /// The task.
-        task: TaskId,
-        /// The starting round.
-        round: RoundId,
-    },
+    RoundStarted { task: TaskId, round: RoundId },
     /// A task's round finished on the compute side (activates rule-based
     /// strategies).
-    RoundCompleted {
-        /// The task.
-        task: TaskId,
-        /// The finished round.
-        round: RoundId,
-    },
-    /// A scheduled dispatch for `task` came due.
+    RoundCompleted { task: TaskId, round: RoundId },
+    /// A scheduled send came due: up to `count` of the task's shelved
+    /// messages, under `dropout`.
     DispatchDue {
-        /// The task.
         task: TaskId,
-        /// Dispatcher-local sequence number.
-        seq: u64,
+        count: u64,
+        dropout: Dropout,
     },
 }
 
@@ -57,7 +42,7 @@ pub struct DeliveredBatch {
 }
 
 /// Per-task traffic statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowStats {
     /// Messages received from compute clusters.
     pub received: u64,
@@ -65,32 +50,17 @@ pub struct FlowStats {
     pub dispatched: u64,
     /// Messages dropped by dropout simulation.
     pub dropped: u64,
-    /// Cumulative dispatch history (for Fig 10-style plots).
-    pub send_history: Counter,
-}
-
-impl FlowStats {
-    fn new(task: TaskId) -> Self {
-        FlowStats {
-            received: 0,
-            dispatched: 0,
-            dropped: 0,
-            send_history: Counter::new(format!("{task}/dispatched")),
-        }
-    }
 }
 
 /// The device-behavior traffic controller (Fig 4).
 #[derive(Debug, Default)]
 pub struct DeviceFlow {
-    sorter: Sorter,
-    dispatchers: BTreeMap<TaskId, Dispatcher>,
-    stats: BTreeMap<TaskId, FlowStats>,
+    tasks: BTreeMap<TaskId, Dispatcher>,
 }
 
 impl DeviceFlow {
     /// Creates a controller; every task dispatches at
-    /// [`DEFAULT_CAPACITY_PER_SEC`].
+    /// [`crate::DEFAULT_CAPACITY_PER_SEC`].
     #[must_use]
     pub fn new() -> Self {
         DeviceFlow::default()
@@ -104,160 +74,49 @@ impl DeviceFlow {
     /// Returns [`SimdcError::InvalidStrategy`] for invalid strategies or a
     /// duplicate registration.
     pub fn register_task(&mut self, task: TaskId, strategy: DispatchStrategy) -> Result<()> {
-        if self.dispatchers.contains_key(&task) {
+        if self.tasks.contains_key(&task) {
             return Err(SimdcError::InvalidStrategy(format!(
                 "task {task} already has a strategy registered"
             )));
         }
-        let dispatcher = Dispatcher::new(task, strategy, DEFAULT_CAPACITY_PER_SEC)?;
-        self.sorter.ensure_shelf(task);
-        self.dispatchers.insert(task, dispatcher);
-        self.stats.insert(task, FlowStats::new(task));
+        strategy.validate()?;
+        self.tasks.insert(task, Dispatcher::new(strategy));
         Ok(())
     }
 
-    /// Removes a finished task's dispatcher and shelf state, returning its
-    /// final statistics.
-    pub fn deregister_task(&mut self, task: TaskId) -> Option<FlowStats> {
-        self.dispatchers.remove(&task);
-        self.sorter.remove(task);
-        self.stats.remove(&task)
-    }
-
-    /// Handles one event, returning `(events to schedule, batches released
-    /// downstream)`.
-    pub fn on_event(
+    /// Routes one event to its task's record (Fig 4's Sorter). A message
+    /// for an unregistered task is dropped: no strategy would release it.
+    pub(crate) fn on_event(
         &mut self,
-        now: SimInstant,
+        ctx: &mut EngineCtx<'_, FlowEvent>,
         event: FlowEvent,
         rng: &mut RngStream,
-    ) -> (Vec<(SimInstant, FlowEvent)>, Vec<DeliveredBatch>) {
-        match event {
-            FlowEvent::Ingest(message) => self.on_ingest(now, message, rng),
-            FlowEvent::RoundStarted { task, round } => self.on_round_started(now, task, round, rng),
-            FlowEvent::RoundCompleted { task, round } => self.on_round_completed(now, task, round),
-            FlowEvent::DispatchDue { task, seq } => self.on_due(now, task, seq, rng),
-        }
-    }
-
-    fn on_ingest(
-        &mut self,
-        now: SimInstant,
-        message: Message,
-        rng: &mut RngStream,
-    ) -> (Vec<(SimInstant, FlowEvent)>, Vec<DeliveredBatch>) {
-        let task = message.task;
-        self.sorter.route(message);
-        if let Some(stats) = self.stats.get_mut(&task) {
-            stats.received += 1;
-        }
-        let Some(dispatcher) = self.dispatchers.get_mut(&task) else {
-            return (Vec::new(), Vec::new());
+        log: &mut Vec<DeliveredBatch>,
+    ) {
+        let task = match &event {
+            FlowEvent::Ingest(message) => message.task,
+            FlowEvent::RoundStarted { task, .. }
+            | FlowEvent::RoundCompleted { task, .. }
+            | FlowEvent::DispatchDue { task, .. } => *task,
         };
-        let shelf = self
-            .sorter
-            .shelf_mut(task)
-            .expect("route created the shelf");
-        let batches = dispatcher.on_ingest(now, shelf, rng);
-        (Vec::new(), self.record_batches(task, batches))
-    }
-
-    fn on_round_started(
-        &mut self,
-        now: SimInstant,
-        task: TaskId,
-        round: RoundId,
-        rng: &mut RngStream,
-    ) -> (Vec<(SimInstant, FlowEvent)>, Vec<DeliveredBatch>) {
-        let Some(dispatcher) = self.dispatchers.get_mut(&task) else {
-            return (Vec::new(), Vec::new());
-        };
-        let shelf = self.sorter.ensure_shelf(task);
-        let batches = dispatcher.on_round_started(now, round, shelf, rng);
-        (Vec::new(), self.record_batches(task, batches))
-    }
-
-    fn on_round_completed(
-        &mut self,
-        now: SimInstant,
-        task: TaskId,
-        round: RoundId,
-    ) -> (Vec<(SimInstant, FlowEvent)>, Vec<DeliveredBatch>) {
-        let Some(dispatcher) = self.dispatchers.get_mut(&task) else {
-            return (Vec::new(), Vec::new());
-        };
-        let shelf = self.sorter.ensure_shelf(task);
-        match dispatcher.on_round_completed(now, round, shelf) {
-            Ok(due) => (
-                due.into_iter()
-                    .map(|(at, seq)| (at, FlowEvent::DispatchDue { task, seq }))
-                    .collect(),
-                Vec::new(),
-            ),
-            Err(_) => (Vec::new(), Vec::new()),
+        if let Some(dispatcher) = self.tasks.get_mut(&task) {
+            dispatcher.on_event(ctx, event, rng, log);
         }
-    }
-
-    fn on_due(
-        &mut self,
-        now: SimInstant,
-        task: TaskId,
-        seq: u64,
-        rng: &mut RngStream,
-    ) -> (Vec<(SimInstant, FlowEvent)>, Vec<DeliveredBatch>) {
-        let Some(dispatcher) = self.dispatchers.get_mut(&task) else {
-            return (Vec::new(), Vec::new());
-        };
-        let shelf = self.sorter.ensure_shelf(task);
-        let (batch, followups) = dispatcher.on_due(now, seq, shelf, rng);
-        let scheduled = followups
-            .into_iter()
-            .map(|(at, seq)| (at, FlowEvent::DispatchDue { task, seq }))
-            .collect();
-        let delivered = match batch {
-            Some(b) => self.record_batches(task, vec![b]),
-            None => Vec::new(),
-        };
-        (scheduled, delivered)
-    }
-
-    fn record_batches(&mut self, task: TaskId, batches: Vec<DispatchBatch>) -> Vec<DeliveredBatch> {
-        let mut delivered = Vec::with_capacity(batches.len());
-        for b in batches {
-            delivered.push(DeliveredBatch {
-                task,
-                at: b.at,
-                messages: b.messages,
-                dropped: b.dropped,
-            });
-        }
-        if let Some(stats) = self.stats.get_mut(&task) {
-            for b in &delivered {
-                stats.dispatched += b.messages.len() as u64;
-                stats.dropped += b.dropped;
-                stats.send_history.add(b.at, b.messages.len() as u64);
-            }
-        }
-        delivered
-    }
-
-    /// The shelf of a task, if it exists.
-    #[must_use]
-    pub fn shelf(&self, task: TaskId) -> Option<&Shelf> {
-        self.sorter.shelf(task)
     }
 
     /// Statistics of a task, if registered.
     #[must_use]
     pub fn stats(&self, task: TaskId) -> Option<&FlowStats> {
-        self.stats.get(&task)
+        self.tasks.get(&task).map(|d| &d.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simdc_types::{DeviceId, MessageId, StorageKey};
+    use crate::strategy::{TimePointRule, TimeSpec};
+    use crate::FlowHarness;
+    use simdc_types::{DeviceId, MessageId, SimDuration, StorageKey};
 
     fn msg(task: u64, i: u64, at: SimInstant) -> Message {
         Message::model_update(
@@ -269,6 +128,19 @@ mod tests {
             StorageKey::for_update(TaskId(task), RoundId(0), DeviceId(i)),
             at,
         )
+    }
+
+    fn t(secs: u64) -> SimInstant {
+        SimInstant::EPOCH + SimDuration::from_secs(secs)
+    }
+
+    /// `(task, release time, message ids)` of every delivered batch.
+    fn batches(harness: &FlowHarness) -> Vec<(TaskId, SimInstant, Vec<u64>)> {
+        harness
+            .delivered()
+            .iter()
+            .map(|b| (b.task, b.at, b.messages.iter().map(|m| m.id.0).collect()))
+            .collect()
     }
 
     #[test]
@@ -288,150 +160,89 @@ mod tests {
                 }
             )
             .is_err());
+        assert!(flow.stats(TaskId(2)).is_none());
     }
 
     #[test]
     fn immediate_strategy_forwards_each_message() {
         let mut flow = DeviceFlow::new();
-        let mut rng = RngStream::from_seed(1);
         flow.register_task(TaskId(1), DispatchStrategy::immediate())
             .unwrap();
-        let t0 = SimInstant::EPOCH;
-        flow.on_event(
-            t0,
-            FlowEvent::RoundStarted {
-                task: TaskId(1),
-                round: RoundId(0),
-            },
-            &mut rng,
-        );
-        let (sched, delivered) = flow.on_event(t0, FlowEvent::Ingest(msg(1, 0, t0)), &mut rng);
-        assert!(sched.is_empty());
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].messages.len(), 1);
-        let stats = flow.stats(TaskId(1)).unwrap();
+        let mut harness = FlowHarness::new(flow, RngStream::from_seed(1));
+        harness.round_started(TaskId(1), RoundId(0));
+        harness.ingest_at(t(0), msg(1, 0, t(0)));
+        harness.run();
+        assert_eq!(batches(&harness), vec![(TaskId(1), t(0), vec![0])]);
+        let stats = harness.flow().stats(TaskId(1)).unwrap();
         assert_eq!(stats.received, 1);
         assert_eq!(stats.dispatched, 1);
     }
 
     #[test]
-    fn unregistered_tasks_buffer_without_dispatch() {
+    fn unregistered_task_messages_are_dropped() {
         let mut flow = DeviceFlow::new();
-        let mut rng = RngStream::from_seed(2);
-        let (sched, delivered) = flow.on_event(
-            SimInstant::EPOCH,
-            FlowEvent::Ingest(msg(9, 0, SimInstant::EPOCH)),
-            &mut rng,
-        );
-        assert!(sched.is_empty());
-        assert!(delivered.is_empty());
-        assert_eq!(flow.shelf(TaskId(9)).unwrap().len(), 1);
-        assert!(flow.stats(TaskId(9)).is_none());
+        flow.register_task(TaskId(1), DispatchStrategy::immediate())
+            .unwrap();
+        let mut harness = FlowHarness::new(flow, RngStream::from_seed(2));
+        harness.round_started(TaskId(9), RoundId(0));
+        harness.ingest_at(t(0), msg(9, 0, t(0)));
+        harness.round_completed_at(t(1), TaskId(9), RoundId(0));
+        assert_eq!(harness.run(), 3);
+        assert!(harness.delivered().is_empty());
+        assert!(harness.flow().stats(TaskId(9)).is_none());
+        assert_eq!(harness.flow().stats(TaskId(1)).unwrap().received, 0);
     }
 
     #[test]
     fn tasks_are_isolated() {
         let mut flow = DeviceFlow::new();
-        let mut rng = RngStream::from_seed(3);
-        flow.register_task(
-            TaskId(1),
-            DispatchStrategy::RealTimeAccumulated {
-                thresholds: vec![2],
-                failure_prob: 0.0,
-            },
-        )
-        .unwrap();
-        flow.register_task(
-            TaskId(2),
-            DispatchStrategy::RealTimeAccumulated {
-                thresholds: vec![2],
-                failure_prob: 0.0,
-            },
-        )
-        .unwrap();
-        let t0 = SimInstant::EPOCH;
-        for task in [1u64, 2] {
-            flow.on_event(
-                t0,
-                FlowEvent::RoundStarted {
-                    task: TaskId(task),
-                    round: RoundId(0),
+        for task in [1, 2] {
+            flow.register_task(
+                TaskId(task),
+                DispatchStrategy::RealTimeAccumulated {
+                    thresholds: vec![2],
+                    failure_prob: 0.0,
                 },
-                &mut rng,
-            );
+            )
+            .unwrap();
         }
+        let mut harness = FlowHarness::new(flow, RngStream::from_seed(3));
+        harness.round_started(TaskId(1), RoundId(0));
+        harness.round_started(TaskId(2), RoundId(0));
         // One message per task: neither reaches its threshold of 2.
-        let (_, d1) = flow.on_event(t0, FlowEvent::Ingest(msg(1, 0, t0)), &mut rng);
-        let (_, d2) = flow.on_event(t0, FlowEvent::Ingest(msg(2, 1, t0)), &mut rng);
-        assert!(d1.is_empty() && d2.is_empty());
+        harness.ingest_at(t(0), msg(1, 0, t(0)));
+        harness.ingest_at(t(0), msg(2, 1, t(0)));
+        harness.run();
+        assert!(harness.delivered().is_empty());
         // Task 1's second message triggers only task 1's dispatcher.
-        let (_, d3) = flow.on_event(t0, FlowEvent::Ingest(msg(1, 2, t0)), &mut rng);
-        assert_eq!(d3.len(), 1);
-        assert_eq!(d3[0].task, TaskId(1));
-        assert_eq!(flow.shelf(TaskId(2)).unwrap().len(), 1);
+        harness.ingest_at(t(1), msg(1, 2, t(1)));
+        harness.run();
+        assert_eq!(batches(&harness), vec![(TaskId(1), t(1), vec![0, 2])]);
+        let other = harness.flow().stats(TaskId(2)).unwrap();
+        assert_eq!((other.received, other.dispatched), (1, 0));
     }
 
     #[test]
     fn round_completed_schedules_due_events() {
-        use crate::strategy::{Dropout, TimePointRule, TimeSpec};
         let mut flow = DeviceFlow::new();
-        let mut rng = RngStream::from_seed(4);
         flow.register_task(
             TaskId(1),
             DispatchStrategy::TimePoints {
                 points: vec![TimePointRule {
-                    at: TimeSpec::Relative(simdc_types::SimDuration::from_secs(3)),
+                    at: TimeSpec::Relative(SimDuration::from_secs(3)),
                     count: 1,
                     dropout: Dropout::NONE,
                 }],
             },
         )
         .unwrap();
-        let t0 = SimInstant::EPOCH;
-        flow.on_event(t0, FlowEvent::Ingest(msg(1, 0, t0)), &mut rng);
-        let (sched, delivered) = flow.on_event(
-            t0,
-            FlowEvent::RoundCompleted {
-                task: TaskId(1),
-                round: RoundId(0),
-            },
-            &mut rng,
-        );
-        assert!(delivered.is_empty());
-        assert_eq!(sched.len(), 1);
-        let (at, ev) = &sched[0];
-        assert_eq!(*at, t0 + simdc_types::SimDuration::from_secs(3));
-        // Fire it.
-        let (_, delivered) = flow.on_event(*at, ev.clone(), &mut rng);
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].messages.len(), 1);
-    }
-
-    /// Deregistering takes the shelf along, undelivered messages included.
-    #[test]
-    fn deregister_returns_final_stats() {
-        let mut flow = DeviceFlow::new();
-        let mut rng = RngStream::from_seed(5);
-        let strategy = DispatchStrategy::RealTimeAccumulated {
-            thresholds: vec![1, 2],
-            failure_prob: 0.0,
-        };
-        flow.register_task(TaskId(1), strategy).unwrap();
-        let t0 = SimInstant::EPOCH;
-        flow.on_event(
-            t0,
-            FlowEvent::RoundStarted {
-                task: TaskId(1),
-                round: RoundId(0),
-            },
-            &mut rng,
-        );
-        flow.on_event(t0, FlowEvent::Ingest(msg(1, 0, t0)), &mut rng);
-        flow.on_event(t0, FlowEvent::Ingest(msg(1, 1, t0)), &mut rng);
-        assert_eq!(flow.shelf(TaskId(1)).unwrap().len(), 1);
-        let stats = flow.deregister_task(TaskId(1)).unwrap();
-        assert_eq!((stats.received, stats.dispatched), (2, 1));
-        assert!(flow.stats(TaskId(1)).is_none());
-        assert!(flow.shelf(TaskId(1)).is_none());
+        let mut harness = FlowHarness::new(flow, RngStream::from_seed(4));
+        harness.ingest_at(t(0), msg(1, 0, t(0)));
+        harness.round_completed_at(t(0), TaskId(1), RoundId(0));
+        // The completion only schedules the send.
+        harness.run_until(t(2));
+        assert!(harness.delivered().is_empty());
+        harness.run();
+        assert_eq!(batches(&harness), vec![(TaskId(1), t(3), vec![0])]);
     }
 }

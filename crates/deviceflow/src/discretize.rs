@@ -96,8 +96,8 @@ impl DispatchPlan {
 /// # Errors
 ///
 /// Returns [`SimdcError::InvalidStrategy`] when the function violates the
-/// §V-B contract, the curve has zero area (nothing to apportion), or the
-/// capacity is zero / infeasibly small.
+/// §V-B contract, the curve's area is zero (nothing to apportion) or not
+/// finite, or the capacity is zero / infeasibly small.
 pub fn discretize(
     function: &TrafficFunction,
     domain: &Domain,
@@ -126,7 +126,7 @@ pub fn discretize(
 
     // Start from a reasonably dense grid and refine until the per-point
     // peak fits the capacity ("the interval is sufficiently small", §V-B).
-    let mut n: usize = 64.min(volume as usize).max(1);
+    let mut n: usize = FIRST_GRID.min(volume as usize).max(1);
     const MAX_POINTS: usize = 1 << 20;
     loop {
         let shares = auc_shares(function, domain, n)?;
@@ -170,10 +170,24 @@ pub fn discretize(
     }
 }
 
+/// The grid [`discretize`] starts from for volumes of at least this many
+/// messages.
+pub(crate) const FIRST_GRID: usize = 64;
+
 /// Per-subinterval AUC shares (normalized to sum 1), using an 8-subsample
 /// trapezoid per subinterval so piecewise-continuous curves integrate
 /// acceptably.
-fn auc_shares(function: &TrafficFunction, domain: &Domain, n: usize) -> Result<Vec<f64>> {
+///
+/// # Errors
+///
+/// Returns [`SimdcError::InvalidStrategy`] when the total area is zero or
+/// not finite: there is nothing to apportion, or the shares are not
+/// numbers.
+pub(crate) fn auc_shares(
+    function: &TrafficFunction,
+    domain: &Domain,
+    n: usize,
+) -> Result<Vec<f64>> {
     const SUB: usize = 8;
     let mut areas = Vec::with_capacity(n);
     let mut total = 0.0;
@@ -190,10 +204,10 @@ fn auc_shares(function: &TrafficFunction, domain: &Domain, n: usize) -> Result<V
         areas.push(area);
         total += area;
     }
-    if total <= 0.0 {
-        return Err(SimdcError::InvalidStrategy(
-            "rate function has zero area on the domain".into(),
-        ));
+    if !(total.is_finite() && total > 0.0) {
+        return Err(SimdcError::InvalidStrategy(format!(
+            "rate function's area on the domain must be positive and finite, got {total}"
+        )));
     }
     Ok(areas.into_iter().map(|a| a / total).collect())
 }
@@ -344,6 +358,11 @@ mod tests {
         assert!(discretize(&f, &d, minute(), 10, 0).is_err());
         let zero = TrafficFunction::Constant(0.0);
         assert!(discretize(&zero, &d, minute(), 10, 700).is_err());
+        // Every sample is finite, but neighbouring ones sum past f64::MAX:
+        // an error, not a panic.
+        let huge = Domain::new(0.0, 308.2).unwrap();
+        assert!(TrafficFunction::Exp10.validate_on(&huge).is_ok());
+        assert!(discretize(&TrafficFunction::Exp10, &huge, minute(), 100, 700).is_err());
     }
 
     #[test]

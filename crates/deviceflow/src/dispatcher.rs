@@ -1,166 +1,131 @@
-//! Per-task dispatchers: execute a strategy against a shelf.
+//! A task's record: its strategy state, its shelf and its statistics.
 //!
-//! Dispatchers associated with different shelves operate independently, so
-//! the dispatch processes of different tasks never interfere (§V-A).
+//! Fig 4 draws three roles per task. Routing a message to its task (the
+//! Sorter) is the [`crate::DeviceFlow`] map lookup on `message.task`; the
+//! Shelf is the `shelf` queue below; the Dispatcher is the hooks here,
+//! which release shelved messages by the task's strategy. Records of
+//! different tasks never touch each other, so the dispatch processes of
+//! different tasks never interfere (§V-A).
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
-use simdc_simrt::RngStream;
-use simdc_types::{Message, Result, RoundId, SimDuration, SimInstant, TaskId};
+use simdc_simrt::{EngineCtx, RngStream};
+use simdc_types::{Message, RoundId, SimDuration, SimInstant, TaskId};
 
+use crate::controller::{DeliveredBatch, FlowEvent, FlowStats};
 use crate::discretize::discretize;
-use crate::shelf::Shelf;
 use crate::strategy::{DispatchStrategy, Dropout};
+use crate::DEFAULT_CAPACITY_PER_SEC;
 
-/// A batch of messages released downstream, plus how many were dropped by
-/// the dropout simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DispatchBatch {
-    /// Release time.
-    pub at: SimInstant,
-    /// Messages that survived dropout.
-    pub messages: Vec<Message>,
-    /// Messages lost to simulated transmission failure / discard.
-    pub dropped: u64,
-}
-
-impl DispatchBatch {
-    /// Messages attempted (delivered + dropped).
-    #[must_use]
-    pub fn attempted(&self) -> u64 {
-        self.messages.len() as u64 + self.dropped
-    }
-}
-
-#[derive(Debug, Clone)]
-struct PendingSend {
-    count: u64,
-    dropout: Dropout,
-}
-
-/// The per-task dispatcher state machine.
-///
-/// The owning [`crate::DeviceFlow`] calls the `on_*` hooks and is
-/// responsible for scheduling the `(instant, seq)` pairs they return as
-/// [`crate::FlowEvent::DispatchDue`] events.
+/// One task's dispatcher state machine.
 #[derive(Debug)]
-pub struct Dispatcher {
-    task: TaskId,
+pub(crate) struct Dispatcher {
     strategy: DispatchStrategy,
-    capacity_per_sec: u64,
     cycle_idx: usize,
     round_active: bool,
     /// The latest round started; completions of earlier rounds are stale.
     started: Option<RoundId>,
-    pending: BTreeMap<u64, PendingSend>,
-    next_seq: u64,
+    /// Pending messages in arrival order.
+    shelf: VecDeque<Message>,
+    pub(crate) stats: FlowStats,
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher for `task`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`simdc_types::SimdcError::InvalidStrategy`] if the strategy
-    /// fails validation.
-    pub fn new(task: TaskId, strategy: DispatchStrategy, capacity_per_sec: u64) -> Result<Self> {
-        strategy.validate()?;
-        if capacity_per_sec == 0 {
-            return Err(simdc_types::SimdcError::InvalidStrategy(
-                "capacity must be positive".into(),
-            ));
-        }
-        Ok(Dispatcher {
-            task,
+    /// A dispatcher for an already validated strategy.
+    pub(crate) fn new(strategy: DispatchStrategy) -> Self {
+        Dispatcher {
             strategy,
-            capacity_per_sec,
             cycle_idx: 0,
             round_active: false,
             started: None,
-            pending: BTreeMap::new(),
-            next_seq: 0,
-        })
-    }
-
-    /// The owning task.
-    #[must_use]
-    pub fn task(&self) -> TaskId {
-        self.task
-    }
-
-    /// The configured strategy.
-    #[must_use]
-    pub fn strategy(&self) -> &DispatchStrategy {
-        &self.strategy
-    }
-
-    /// Round start: activates real-time dispatching. Returns immediate
-    /// flushes in case the shelf already holds a backlog over the
-    /// threshold.
-    pub fn on_round_started(
-        &mut self,
-        now: SimInstant,
-        round: RoundId,
-        shelf: &mut Shelf,
-        rng: &mut RngStream,
-    ) -> Vec<DispatchBatch> {
-        self.round_active = true;
-        self.started = Some(round);
-        if self.strategy.activates_at_round_start() {
-            self.drain_realtime(now, shelf, rng)
-        } else {
-            Vec::new()
+            shelf: VecDeque::new(),
+            stats: FlowStats::default(),
         }
     }
 
-    /// Message ingress: real-time strategies may flush.
-    pub fn on_ingest(
+    /// Handles one of this task's events: follow-up sends go onto `ctx`,
+    /// released batches onto `log`.
+    pub(crate) fn on_event(
         &mut self,
-        now: SimInstant,
-        shelf: &mut Shelf,
+        ctx: &mut EngineCtx<'_, FlowEvent>,
+        event: FlowEvent,
         rng: &mut RngStream,
-    ) -> Vec<DispatchBatch> {
-        if self.round_active && self.strategy.activates_at_round_start() {
-            self.drain_realtime(now, shelf, rng)
-        } else {
-            Vec::new()
+        log: &mut Vec<DeliveredBatch>,
+    ) {
+        let now = ctx.now();
+        match event {
+            // Real-time strategies flush while their round is active.
+            FlowEvent::Ingest(message) => {
+                let task = message.task;
+                self.stats.received += 1;
+                self.shelf.push_back(message);
+                if self.round_active {
+                    self.drain_realtime(now, task, rng, log);
+                }
+            }
+            // Round start activates real-time dispatching; a backlog over
+            // the threshold flushes at once.
+            FlowEvent::RoundStarted { task, round } => {
+                self.round_active = true;
+                self.started = Some(round);
+                self.drain_realtime(now, task, rng, log);
+            }
+            FlowEvent::RoundCompleted { task, round } => self.on_round_completed(ctx, task, round),
+            FlowEvent::DispatchDue {
+                task,
+                count,
+                dropout,
+            } => {
+                // The single-threaded sender cannot push more than one
+                // second of capacity in one burst; the overflow spills
+                // into the next second (Fig 10(b)).
+                let burst = count.min(DEFAULT_CAPACITY_PER_SEC);
+                let taken = burst.min(self.shelf.len() as u64) as usize;
+                let messages: Vec<Message> = self.shelf.drain(..taken).collect();
+                if count > burst && !self.shelf.is_empty() {
+                    ctx.schedule_in(
+                        SimDuration::from_secs(1),
+                        FlowEvent::DispatchDue {
+                            task,
+                            count: count - burst,
+                            dropout,
+                        },
+                    );
+                }
+                if !messages.is_empty() {
+                    self.release(now, task, messages, dropout, rng, log);
+                }
+            }
         }
     }
 
-    /// Round completion: rule-based strategies lay out their dispatch
-    /// schedule now. Returns `(instant, seq)` pairs to schedule as
-    /// `DispatchDue` events.
+    /// Round completion: rule-based strategies schedule their sends now.
     ///
     /// A completion of a round older than the latest one started is
     /// ignored: the cloud aggregated that round before its compute finished
     /// and has moved on, so it must not end the running round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates discretization failures for time-interval strategies.
-    pub fn on_round_completed(
+    fn on_round_completed(
         &mut self,
-        now: SimInstant,
+        ctx: &mut EngineCtx<'_, FlowEvent>,
+        task: TaskId,
         round: RoundId,
-        shelf: &Shelf,
-    ) -> Result<Vec<(SimInstant, u64)>> {
+    ) {
         if self.started > Some(round) {
-            return Ok(Vec::new());
+            return;
         }
         self.round_active = false;
+        let now = ctx.now();
         match &self.strategy {
-            DispatchStrategy::RealTimeAccumulated { .. } => Ok(Vec::new()),
+            DispatchStrategy::RealTimeAccumulated { .. } => {}
             DispatchStrategy::TimePoints { points } => {
-                let sends: Vec<_> = points
-                    .iter()
-                    .map(|r| (r.at.resolve(now), r.count, r.dropout))
-                    .collect();
-                Ok(sends
-                    .into_iter()
-                    .map(|(at, count, dropout)| {
-                        (at, self.push_pending(PendingSend { count, dropout }))
-                    })
-                    .collect())
+                for rule in points {
+                    let due = FlowEvent::DispatchDue {
+                        task,
+                        count: rule.count,
+                        dropout: rule.dropout,
+                    };
+                    ctx.schedule_at(rule.at.resolve(now), due);
+                }
             }
             DispatchStrategy::TimeInterval {
                 function,
@@ -169,133 +134,95 @@ impl Dispatcher {
                 interval,
                 dropout,
             } => {
-                let volume = shelf.len() as u64;
-                let plan = discretize(function, domain, *interval, volume, self.capacity_per_sec)?;
+                let volume = self.shelf.len() as u64;
+                // Registration checked the curve's area, so this fails
+                // only when the volume is more than the densest grid holds
+                // under the capacity (700 × 2²⁰ messages). Then nothing is
+                // scheduled: the round's messages stay shelved, neither
+                // delivered nor dropped.
+                let Ok(plan) = discretize(
+                    function,
+                    domain,
+                    *interval,
+                    volume,
+                    DEFAULT_CAPACITY_PER_SEC,
+                ) else {
+                    return;
+                };
                 let begin = start.resolve(now);
-                let dropout = *dropout;
-                let mut due = Vec::new();
-                for point in plan.points() {
-                    if point.count == 0 {
-                        continue;
-                    }
-                    let seq = self.push_pending(PendingSend {
+                for point in plan.points().iter().filter(|p| p.count > 0) {
+                    let due = FlowEvent::DispatchDue {
+                        task,
                         count: point.count,
-                        dropout,
-                    });
-                    due.push((begin + point.offset, seq));
+                        dropout: *dropout,
+                    };
+                    ctx.schedule_at(begin + point.offset, due);
                 }
-                Ok(due)
             }
         }
-    }
-
-    /// A scheduled dispatch came due. Returns the released batch (if any
-    /// messages were pending) and any follow-up `(instant, seq)` to
-    /// schedule — the rate-cap spillover of Fig 10(b).
-    pub fn on_due(
-        &mut self,
-        now: SimInstant,
-        seq: u64,
-        shelf: &mut Shelf,
-        rng: &mut RngStream,
-    ) -> (Option<DispatchBatch>, Vec<(SimInstant, u64)>) {
-        let Some(send) = self.pending.remove(&seq) else {
-            return (None, Vec::new());
-        };
-        // The single-threaded sender cannot push more than one second of
-        // capacity in one burst; the overflow spills into the next second.
-        let burst = send.count.min(self.capacity_per_sec);
-        let taken = shelf.take(burst as usize);
-        let remainder = send.count - burst;
-        let mut followups = Vec::new();
-        if remainder > 0 && !shelf.is_empty() {
-            let seq = self.push_pending(PendingSend {
-                count: remainder,
-                dropout: send.dropout,
-            });
-            followups.push((now + SimDuration::from_secs(1), seq));
-        }
-        if taken.is_empty() {
-            return (None, followups);
-        }
-        let batch = apply_dropout(now, taken, send.dropout, rng);
-        (Some(batch), followups)
-    }
-
-    /// Messages scheduled but not yet released.
-    #[must_use]
-    pub fn pending_count(&self) -> u64 {
-        self.pending.values().map(|p| p.count).sum()
-    }
-
-    fn push_pending(&mut self, send: PendingSend) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(seq, send);
-        seq
     }
 
     fn drain_realtime(
         &mut self,
         now: SimInstant,
-        shelf: &mut Shelf,
+        task: TaskId,
         rng: &mut RngStream,
-    ) -> Vec<DispatchBatch> {
-        let DispatchStrategy::RealTimeAccumulated {
-            thresholds,
-            failure_prob,
-        } = &self.strategy
-        else {
-            return Vec::new();
-        };
-        let mut batches = Vec::new();
+        log: &mut Vec<DeliveredBatch>,
+    ) {
         loop {
+            let DispatchStrategy::RealTimeAccumulated {
+                thresholds,
+                failure_prob,
+            } = &self.strategy
+            else {
+                return;
+            };
             let threshold = thresholds[self.cycle_idx % thresholds.len()];
-            if (shelf.len() as u64) < threshold {
+            let dropout = Dropout {
+                probability: *failure_prob,
+                random_discard: 0,
+            };
+            if (self.shelf.len() as u64) < threshold {
+                return;
+            }
+            self.cycle_idx += 1;
+            let messages = self.shelf.drain(..threshold as usize).collect();
+            self.release(now, task, messages, dropout, rng, log);
+        }
+    }
+
+    /// Releases `messages` downstream as one batch: applies dropout
+    /// (independent per-message failures first, then the random discard of
+    /// a fixed count), counts the outcome and appends the batch to `log`.
+    fn release(
+        &mut self,
+        at: SimInstant,
+        task: TaskId,
+        mut messages: Vec<Message>,
+        dropout: Dropout,
+        rng: &mut RngStream,
+        log: &mut Vec<DeliveredBatch>,
+    ) {
+        let before = messages.len();
+        if dropout.probability > 0.0 {
+            messages.retain(|_| !rng.chance(dropout.probability));
+        }
+        let mut dropped = (before - messages.len()) as u64;
+        for _ in 0..dropout.random_discard {
+            if messages.is_empty() {
                 break;
             }
-            let taken = shelf.take(threshold as usize);
-            self.cycle_idx += 1;
-            let batch = apply_dropout(
-                now,
-                taken,
-                Dropout {
-                    probability: *failure_prob,
-                    random_discard: 0,
-                },
-                rng,
-            );
-            batches.push(batch);
+            messages.swap_remove(rng.index(messages.len()));
+            dropped += 1;
         }
-        batches
-    }
-}
-
-/// Applies dropout to a batch: independent per-message failures first, then
-/// the random discard of a fixed count.
-fn apply_dropout(
-    at: SimInstant,
-    mut kept: Vec<Message>,
-    dropout: Dropout,
-    rng: &mut RngStream,
-) -> DispatchBatch {
-    let before = kept.len() as u64;
-    if dropout.probability > 0.0 {
-        kept.retain(|_| !rng.chance(dropout.probability));
-    }
-    let mut dropped_total = before - kept.len() as u64;
-    for _ in 0..dropout.random_discard {
-        if kept.is_empty() {
-            break;
-        }
-        let idx = rng.index(kept.len());
-        kept.swap_remove(idx);
-        dropped_total += 1;
-    }
-    DispatchBatch {
-        at,
-        messages: kept,
-        dropped: dropped_total,
+        self.stats.dispatched += messages.len() as u64;
+        self.stats.dropped += dropped;
+        log.push(DeliveredBatch {
+            task,
+            at,
+            messages,
+            dropped,
+        });
     }
 }
 
@@ -304,6 +231,7 @@ mod tests {
     use super::*;
     use crate::function::TrafficFunction;
     use crate::strategy::{TimePointRule, TimeSpec};
+    use crate::{DeviceFlow, FlowHarness};
     use simdc_types::{DeviceId, MessageId, StorageKey};
 
     fn msg(i: u64) -> Message {
@@ -318,186 +246,157 @@ mod tests {
         )
     }
 
-    fn filled_shelf(n: u64) -> Shelf {
-        let mut shelf = Shelf::new(TaskId(1));
-        for i in 0..n {
-            shelf.push(msg(i));
-        }
-        shelf
-    }
-
     fn t(secs: u64) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_secs(secs)
     }
 
+    /// A harness with task 1 registered under `strategy` and `n` messages
+    /// ingested at the epoch.
+    fn harness(strategy: DispatchStrategy, n: u64, seed: u64) -> FlowHarness {
+        let mut flow = DeviceFlow::new();
+        flow.register_task(TaskId(1), strategy).unwrap();
+        let mut harness = FlowHarness::new(flow, RngStream::from_seed(seed));
+        for i in 0..n {
+            harness.ingest_at(t(0), msg(i));
+        }
+        harness
+    }
+
+    /// A rule-based harness whose round completes at the epoch, after the
+    /// ingests.
+    fn completed(strategy: DispatchStrategy, n: u64, seed: u64) -> FlowHarness {
+        let mut harness = harness(strategy, n, seed);
+        harness.round_completed_at(t(0), TaskId(1), RoundId(0));
+        harness
+    }
+
+    fn one_point(count: u64, dropout: Dropout) -> DispatchStrategy {
+        DispatchStrategy::TimePoints {
+            points: vec![TimePointRule {
+                at: TimeSpec::Relative(SimDuration::ZERO),
+                count,
+                dropout,
+            }],
+        }
+    }
+
+    /// `(release time, batch size)` of every delivered batch.
+    fn sizes(harness: &FlowHarness) -> Vec<(SimInstant, usize)> {
+        harness
+            .delivered()
+            .iter()
+            .map(|b| (b.at, b.messages.len()))
+            .collect()
+    }
+
+    /// Messages still shelved.
+    fn shelved(harness: &FlowHarness) -> u64 {
+        let s = harness.flow().stats(TaskId(1)).unwrap();
+        s.received - s.dispatched - s.dropped
+    }
+
     #[test]
     fn realtime_cycles_threshold_sequence() {
-        let mut d = Dispatcher::new(
-            TaskId(1),
-            DispatchStrategy::RealTimeAccumulated {
-                thresholds: vec![20, 100, 50],
-                failure_prob: 0.0,
-            },
-            700,
-        )
-        .unwrap();
-        let mut shelf = filled_shelf(200);
-        let mut rng = RngStream::from_seed(1);
-        let batches = d.on_round_started(t(0), RoundId(0), &mut shelf, &mut rng);
-        // 200 pending → 20, then 100, then 50; 30 left (< next 20? no: 30 ≥ 20
-        // → another 20 flushes, leaving 10 < 100).
-        let sizes: Vec<usize> = batches.iter().map(|b| b.messages.len()).collect();
-        assert_eq!(sizes, vec![20, 100, 50, 20]);
-        assert_eq!(shelf.len(), 10);
+        let strategy = DispatchStrategy::RealTimeAccumulated {
+            thresholds: vec![20, 100, 50],
+            failure_prob: 0.0,
+        };
+        let mut h = harness(strategy, 200, 1);
+        h.round_started(TaskId(1), RoundId(0));
+        h.run();
+        // 200 shelved → 20, then 100, then 50; 30 left (≥ the next 20 →
+        // another 20 flushes, leaving 10 < 100).
+        let flushed: Vec<usize> = sizes(&h).into_iter().map(|(_, n)| n).collect();
+        assert_eq!(flushed, vec![20, 100, 50, 20]);
+        assert_eq!(shelved(&h), 10);
     }
 
     #[test]
     fn realtime_flushes_on_ingest_only_when_round_active() {
-        let mut d = Dispatcher::new(TaskId(1), DispatchStrategy::immediate(), 700).unwrap();
-        let mut shelf = Shelf::new(TaskId(1));
-        let mut rng = RngStream::from_seed(2);
-        shelf.push(msg(0));
+        let mut h = harness(DispatchStrategy::immediate(), 1, 2);
         // Not active yet.
-        assert!(d.on_ingest(t(0), &mut shelf, &mut rng).is_empty());
-        assert_eq!(shelf.len(), 1);
-        // Activate: backlog flushes immediately.
-        let batches = d.on_round_started(t(1), RoundId(0), &mut shelf, &mut rng);
-        assert_eq!(batches.len(), 1);
-        shelf.push(msg(1));
-        let batches = d.on_ingest(t(2), &mut shelf, &mut rng);
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].messages[0].id, MessageId(1));
+        h.run_until(t(1));
+        assert!(h.delivered().is_empty());
+        // Activate: the backlog flushes immediately.
+        h.round_started(TaskId(1), RoundId(0));
+        h.ingest_at(t(2), msg(1));
+        h.run();
+        let ids: Vec<(SimInstant, MessageId)> = h
+            .delivered()
+            .iter()
+            .map(|b| (b.at, b.messages[0].id))
+            .collect();
+        assert_eq!(ids, vec![(t(1), MessageId(0)), (t(2), MessageId(1))]);
     }
 
     #[test]
     fn superseded_round_completion_is_ignored() {
-        let mut d = Dispatcher::new(TaskId(1), DispatchStrategy::immediate(), 700).unwrap();
-        let mut shelf = Shelf::new(TaskId(1));
-        let mut rng = RngStream::from_seed(10);
-        d.on_round_started(t(0), RoundId(0), &mut shelf, &mut rng);
-        d.on_round_started(t(1), RoundId(1), &mut shelf, &mut rng);
+        let mut h = harness(DispatchStrategy::immediate(), 0, 10);
+        h.round_started(TaskId(1), RoundId(0));
+        h.run_until(t(1));
+        h.round_started(TaskId(1), RoundId(1));
         // Round 0 aggregated early; its compute finishes inside round 1,
         // which keeps flowing.
-        d.on_round_completed(t(2), RoundId(0), &shelf).unwrap();
-        shelf.push(msg(0));
-        assert_eq!(d.on_ingest(t(3), &mut shelf, &mut rng).len(), 1);
+        h.round_completed_at(t(2), TaskId(1), RoundId(0));
+        h.ingest_at(t(3), msg(0));
         // Round 1's own completion ends it.
-        d.on_round_completed(t(4), RoundId(1), &shelf).unwrap();
-        shelf.push(msg(1));
-        assert!(d.on_ingest(t(5), &mut shelf, &mut rng).is_empty());
+        h.round_completed_at(t(4), TaskId(1), RoundId(1));
+        h.ingest_at(t(5), msg(1));
+        h.run();
+        assert_eq!(sizes(&h), vec![(t(3), 1)]);
+        assert_eq!(shelved(&h), 1);
     }
 
     #[test]
     fn realtime_failure_probability_drops_messages() {
-        let mut d = Dispatcher::new(
-            TaskId(1),
-            DispatchStrategy::RealTimeAccumulated {
-                thresholds: vec![1],
-                failure_prob: 0.5,
-            },
-            700,
-        )
-        .unwrap();
-        let mut shelf = filled_shelf(2_000);
-        let mut rng = RngStream::from_seed(3);
-        let batches = d.on_round_started(t(0), RoundId(0), &mut shelf, &mut rng);
-        let delivered: usize = batches.iter().map(|b| b.messages.len()).sum();
-        let dropped: u64 = batches.iter().map(|b| b.dropped).sum();
-        assert_eq!(delivered as u64 + dropped, 2_000);
+        let strategy = DispatchStrategy::RealTimeAccumulated {
+            thresholds: vec![1],
+            failure_prob: 0.5,
+        };
+        let mut h = harness(strategy, 2_000, 3);
+        h.round_started(TaskId(1), RoundId(0));
+        h.run();
+        let delivered = h.delivered_messages();
+        let dropped: u64 = h.delivered().iter().map(|b| b.dropped).sum();
+        assert_eq!(delivered + dropped, 2_000);
+        assert_eq!(h.flow().stats(TaskId(1)).unwrap().dropped, dropped);
         let rate = dropped as f64 / 2_000.0;
         assert!((rate - 0.5).abs() < 0.05, "drop rate {rate}");
     }
 
     #[test]
     fn timepoints_schedule_and_release() {
-        let mut d = Dispatcher::new(
-            TaskId(1),
-            DispatchStrategy::TimePoints {
-                points: vec![
-                    TimePointRule {
-                        at: TimeSpec::Relative(SimDuration::from_secs(5)),
-                        count: 30,
-                        dropout: Dropout::NONE,
-                    },
-                    TimePointRule {
-                        at: TimeSpec::Relative(SimDuration::from_secs(10)),
-                        count: 70,
-                        dropout: Dropout::NONE,
-                    },
-                ],
-            },
-            700,
-        )
-        .unwrap();
-        let mut shelf = filled_shelf(100);
-        let due = d.on_round_completed(t(0), RoundId(0), &shelf).unwrap();
-        assert_eq!(due.len(), 2);
-        assert_eq!(due[0].0, t(5));
-        assert_eq!(due[1].0, t(10));
-        assert_eq!(d.pending_count(), 100);
-
-        let mut rng = RngStream::from_seed(4);
-        let (batch, follow) = d.on_due(t(5), due[0].1, &mut shelf, &mut rng);
-        assert_eq!(batch.unwrap().messages.len(), 30);
-        assert!(follow.is_empty());
-        let (batch, _) = d.on_due(t(10), due[1].1, &mut shelf, &mut rng);
-        assert_eq!(batch.unwrap().messages.len(), 70);
-        assert!(shelf.is_empty());
+        let at = |secs, count| TimePointRule {
+            at: TimeSpec::Relative(SimDuration::from_secs(secs)),
+            count,
+            dropout: Dropout::NONE,
+        };
+        let strategy = DispatchStrategy::TimePoints {
+            points: vec![at(5, 30), at(10, 70)],
+        };
+        let mut h = completed(strategy, 100, 4);
+        h.run();
+        assert_eq!(sizes(&h), vec![(t(5), 30), (t(10), 70)]);
+        assert_eq!(shelved(&h), 0);
     }
 
     #[test]
     fn capacity_overflow_spills_into_next_second() {
-        let mut d = Dispatcher::new(
-            TaskId(1),
-            DispatchStrategy::TimePoints {
-                points: vec![TimePointRule {
-                    at: TimeSpec::Relative(SimDuration::ZERO),
-                    count: 1_500,
-                    dropout: Dropout::NONE,
-                }],
-            },
-            700,
-        )
-        .unwrap();
-        let mut shelf = filled_shelf(1_500);
-        let due = d.on_round_completed(t(0), RoundId(0), &shelf).unwrap();
-        let mut rng = RngStream::from_seed(5);
-
-        let (b1, f1) = d.on_due(t(0), due[0].1, &mut shelf, &mut rng);
-        assert_eq!(b1.unwrap().messages.len(), 700);
-        assert_eq!(f1.len(), 1);
-        assert_eq!(f1[0].0, t(1));
-
-        let (b2, f2) = d.on_due(t(1), f1[0].1, &mut shelf, &mut rng);
-        assert_eq!(b2.unwrap().messages.len(), 700);
-        let (b3, f3) = d.on_due(t(2), f2[0].1, &mut shelf, &mut rng);
-        assert_eq!(b3.unwrap().messages.len(), 100);
-        assert!(f3.is_empty());
-        assert!(shelf.is_empty());
+        let mut h = completed(one_point(1_500, Dropout::NONE), 1_500, 5);
+        h.run();
+        assert_eq!(sizes(&h), vec![(t(0), 700), (t(1), 700), (t(2), 100)]);
+        assert_eq!(shelved(&h), 0);
     }
 
     #[test]
     fn random_discard_removes_exact_count() {
-        let mut d = Dispatcher::new(
-            TaskId(1),
-            DispatchStrategy::TimePoints {
-                points: vec![TimePointRule {
-                    at: TimeSpec::Relative(SimDuration::ZERO),
-                    count: 50,
-                    dropout: Dropout {
-                        probability: 0.0,
-                        random_discard: 7,
-                    },
-                }],
-            },
-            700,
-        )
-        .unwrap();
-        let mut shelf = filled_shelf(50);
-        let due = d.on_round_completed(t(0), RoundId(0), &shelf).unwrap();
-        let mut rng = RngStream::from_seed(6);
-        let (batch, _) = d.on_due(t(0), due[0].1, &mut shelf, &mut rng);
-        let batch = batch.unwrap();
+        let dropout = Dropout {
+            probability: 0.0,
+            random_discard: 7,
+        };
+        let mut h = completed(one_point(50, dropout), 50, 6);
+        h.run();
+        let batch = &h.delivered()[0];
         assert_eq!(batch.messages.len(), 43);
         assert_eq!(batch.dropped, 7);
     }
@@ -505,68 +404,29 @@ mod tests {
     #[test]
     fn interval_strategy_discretizes_shelf_volume() {
         let (function, domain) = TrafficFunction::right_tailed_normal(1.0);
-        let mut d = Dispatcher::new(
-            TaskId(1),
-            DispatchStrategy::TimeInterval {
-                function,
-                domain,
-                start: TimeSpec::Relative(SimDuration::ZERO),
-                interval: SimDuration::from_secs(60),
-                dropout: Dropout::NONE,
-            },
-            700,
-        )
-        .unwrap();
-        let mut shelf = filled_shelf(5_000);
-        let due = d.on_round_completed(t(0), RoundId(0), &shelf).unwrap();
-        assert!(!due.is_empty());
-        assert_eq!(d.pending_count(), 5_000);
-        // Releasing everything delivers the full volume.
-        let mut rng = RngStream::from_seed(7);
-        let mut delivered = 0usize;
-        for (at, seq) in due {
-            let (batch, follow) = d.on_due(at, seq, &mut shelf, &mut rng);
-            assert!(follow.is_empty(), "plans are pre-capped");
-            if let Some(b) = batch {
-                delivered += b.messages.len();
-            }
-        }
-        assert_eq!(delivered, 5_000);
-    }
-
-    #[test]
-    fn due_with_unknown_seq_is_noop() {
-        let mut d = Dispatcher::new(TaskId(1), DispatchStrategy::immediate(), 700).unwrap();
-        let mut shelf = filled_shelf(3);
-        let mut rng = RngStream::from_seed(8);
-        let (batch, follow) = d.on_due(t(0), 99, &mut shelf, &mut rng);
-        assert!(batch.is_none());
-        assert!(follow.is_empty());
-        assert_eq!(shelf.len(), 3);
+        let strategy = DispatchStrategy::TimeInterval {
+            function,
+            domain,
+            start: TimeSpec::Relative(SimDuration::ZERO),
+            interval: SimDuration::from_secs(60),
+            dropout: Dropout::NONE,
+        };
+        let mut h = completed(strategy, 5_000, 7);
+        h.run();
+        // Releasing everything delivers the full volume; plans are
+        // pre-capped, so nothing spills past the interval.
+        assert_eq!(h.delivered_messages(), 5_000);
+        assert!(h
+            .delivered()
+            .iter()
+            .all(|b| b.at < t(60) && b.messages.len() as u64 <= DEFAULT_CAPACITY_PER_SEC));
     }
 
     #[test]
     fn empty_shelf_due_emits_nothing() {
-        let mut d = Dispatcher::new(
-            TaskId(1),
-            DispatchStrategy::TimePoints {
-                points: vec![TimePointRule {
-                    at: TimeSpec::Relative(SimDuration::ZERO),
-                    count: 10,
-                    dropout: Dropout::NONE,
-                }],
-            },
-            700,
-        )
-        .unwrap();
-        let shelf_snapshot = Shelf::new(TaskId(1));
-        let due = d
-            .on_round_completed(t(0), RoundId(0), &shelf_snapshot)
-            .unwrap();
-        let mut shelf = Shelf::new(TaskId(1));
-        let mut rng = RngStream::from_seed(9);
-        let (batch, follow) = d.on_due(t(0), due[0].1, &mut shelf, &mut rng);
-        assert!(batch.is_none());
-        assert!(follow.is_empty());
+        let mut h = completed(one_point(10, Dropout::NONE), 0, 9);
+        // The completion and its one due send; no spill follows.
+        assert_eq!(h.run(), 2);
+        assert!(h.delivered().is_empty());
     }
 }

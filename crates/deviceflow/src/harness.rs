@@ -8,6 +8,10 @@
 //! evaluator asks for the next message, so the clock stops at the
 //! aggregation instant. The Fig 10 / Fig 11 experiments, the examples and
 //! the unit tests drive the harness directly.
+//!
+//! Each event goes to its task's record in the [`DeviceFlow`], which
+//! schedules follow-up sends on this engine and appends each batch it
+//! releases to the harness's delivery log.
 
 use simdc_simrt::{Engine, EngineCtx, RngStream, World};
 use simdc_types::{Message, RoundId, SimInstant, TaskId};
@@ -23,11 +27,8 @@ struct HarnessWorld {
 impl World for HarnessWorld {
     type Event = FlowEvent;
     fn handle(&mut self, ctx: &mut EngineCtx<'_, FlowEvent>, event: FlowEvent) {
-        let (scheduled, delivered) = self.flow.on_event(ctx.now(), event, &mut self.rng);
-        for (at, ev) in scheduled {
-            ctx.schedule_at(at, ev);
-        }
-        self.delivered.extend(delivered);
+        self.flow
+            .on_event(ctx, event, &mut self.rng, &mut self.delivered);
     }
 }
 
@@ -178,7 +179,7 @@ impl Iterator for RoundDeliveries<'_> {
 mod tests {
     use super::*;
     use crate::function::TrafficFunction;
-    use crate::strategy::{DispatchStrategy, Dropout, TimeSpec};
+    use crate::strategy::{DispatchStrategy, Dropout, TimePointRule, TimeSpec};
     use simdc_simrt::pearson_correlation;
     use simdc_types::{DeviceId, MessageId, SimDuration, StorageKey};
 
@@ -233,6 +234,38 @@ mod tests {
         assert!(r > 0.99, "dispatch/curve correlation {r}");
         // All sends happen within the 60 s interval (plus epsilon).
         assert!(sends.iter().all(|&(t, _)| t <= 61.0));
+    }
+
+    /// Messages leave in ingest order, and a send larger than the shelf
+    /// releases what is there.
+    #[test]
+    fn fifo_order_is_preserved() {
+        let point = |secs, count| TimePointRule {
+            at: TimeSpec::Relative(SimDuration::from_secs(secs)),
+            count,
+            dropout: Dropout::NONE,
+        };
+        let mut flow = DeviceFlow::new();
+        flow.register_task(
+            TaskId(1),
+            DispatchStrategy::TimePoints {
+                points: vec![point(1, 3), point(2, 10)],
+            },
+        )
+        .unwrap();
+        let mut harness = FlowHarness::new(flow, RngStream::from_seed(5));
+        let t0 = SimInstant::EPOCH;
+        for (k, i) in [4, 0, 3, 1, 2].into_iter().enumerate() {
+            harness.ingest_at(t0 + SimDuration::from_millis(k as u64), msg(i, t0));
+        }
+        harness.round_completed_at(t0 + SimDuration::from_millis(5), TaskId(1), RoundId(0));
+        harness.run();
+        let ids: Vec<Vec<u64>> = harness
+            .delivered()
+            .iter()
+            .map(|b| b.messages.iter().map(|m| m.id.0).collect())
+            .collect();
+        assert_eq!(ids, vec![vec![4, 0, 3], vec![1, 2]]);
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! request-traffic fluctuations and disconnections that large device fleets
 //! exhibit in the real world.
 //!
-//! Architecture (Fig 4): the [`Sorter`] routes incoming messages to a
-//! per-task [`Shelf`]; an independent per-task [`Dispatcher`] pulls pending
-//! messages from its shelf and forwards them downstream according to the
-//! task's [`DispatchStrategy`]:
+//! Architecture (Fig 4): the paper's Sorter, Shelf and Dispatcher are one
+//! record per task. [`DeviceFlow`] keeps a map from task to record, and
+//! routing an incoming message to its task (the Sorter) is the lookup on
+//! `message.task`; a message for an unregistered task is dropped. Each
+//! record holds its task's pending messages in arrival order (the Shelf),
+//! its [`FlowStats`] and the state of the task's [`DispatchStrategy`] (the
+//! Dispatcher), which releases shelved messages downstream:
 //!
 //! * **real-time accumulated** — flush after every `n` received messages
 //!   (cycling a user sequence), with a per-message transmission-failure
@@ -56,20 +59,15 @@
 
 pub mod controller;
 pub mod discretize;
-pub mod dispatcher;
+mod dispatcher;
 pub mod function;
 pub mod harness;
-pub mod shelf;
-pub mod sorter;
 pub mod strategy;
 
-pub use controller::{DeliveredBatch, DeviceFlow, FlowEvent, FlowStats};
+pub use controller::{DeliveredBatch, DeviceFlow, FlowStats};
 pub use discretize::{discretize, DispatchPlan, DispatchPoint};
-pub use dispatcher::Dispatcher;
 pub use function::{Domain, TrafficFunction};
 pub use harness::{FlowHarness, RoundDeliveries};
-pub use shelf::Shelf;
-pub use sorter::Sorter;
 pub use strategy::{DispatchStrategy, Dropout, TimePointRule, TimeSpec};
 
 /// Default single-threaded transmission capacity of DeviceFlow, in

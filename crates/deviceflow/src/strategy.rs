@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use simdc_types::{Result, SimDuration, SimInstant, SimdcError};
 
+use crate::discretize::{auc_shares, FIRST_GRID};
 use crate::function::{Domain, TrafficFunction};
 
 /// A point in time that is either relative to the end of the round or
@@ -167,6 +168,8 @@ impl DispatchStrategy {
                 ..
             } => {
                 function.validate_on(domain)?;
+                // The area must be apportionable at round completion.
+                auc_shares(function, domain, FIRST_GRID)?;
                 if interval.is_zero() {
                     return Err(InvalidStrategy("dispatch interval must be positive".into()));
                 }
@@ -270,6 +273,24 @@ mod tests {
             dropout: Dropout::NONE,
         };
         assert!(bad.validate().is_err());
+        // The curve's area must be positive (else nothing is apportioned)
+        // and finite (else the apportionment is not a number).
+        for (function, end) in [
+            (TrafficFunction::Constant(0.0), 1.0),
+            (TrafficFunction::Exp10, 308.2),
+        ] {
+            let curve = DispatchStrategy::TimeInterval {
+                function,
+                domain: Domain::new(0.0, end).unwrap(),
+                start: TimeSpec::Relative(SimDuration::ZERO),
+                interval: SimDuration::from_secs(60),
+                dropout: Dropout::NONE,
+            };
+            assert!(
+                matches!(curve.validate(), Err(SimdcError::InvalidStrategy(_))),
+                "{curve:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! use simdc_simrt::{Engine, EngineCtx, World};
 //! use simdc_types::SimDuration;
 //!
-//! struct Counter { fired: u32 }
+//! struct Ticks { fired: u32 }
 //! enum Tick { Once, Chain(u32) }
 //!
-//! impl World for Counter {
+//! impl World for Ticks {
 //!     type Event = Tick;
 //!     fn handle(&mut self, ctx: &mut EngineCtx<'_, Tick>, event: Tick) {
 //!         self.fired += 1;
@@ -28,7 +28,7 @@
 //!     }
 //! }
 //!
-//! let mut engine = Engine::new(Counter { fired: 0 });
+//! let mut engine = Engine::new(Ticks { fired: 0 });
 //! engine.schedule_in(SimDuration::ZERO, Tick::Chain(3));
 //! engine.schedule_in(SimDuration::from_secs(10), Tick::Once);
 //! engine.run();
@@ -46,4 +46,4 @@ pub mod series;
 
 pub use engine::{Engine, EngineCtx, EventQueue, World};
 pub use rng::{derive_seed, RngStream, SplitMix64};
-pub use series::{pearson_correlation, Counter, Histogram, SeriesStats, TimeSeries};
+pub use series::{pearson_correlation, SeriesStats, TimeSeries};

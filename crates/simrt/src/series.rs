@@ -1,11 +1,11 @@
-//! Measurement probes: time series, counters and histograms.
+//! Measurement probes: time series and their summary statistics.
 //!
-//! Substrates record performance traces (CPU %, memory, dispatch amounts,
-//! cumulative message counts) into these containers; experiment harnesses
-//! read them back to print the paper's figures.
+//! Substrates record performance traces (CPU %, memory, dispatch amounts)
+//! into these series; experiment harnesses read them back to print the
+//! paper's figures.
 
 use serde::{Deserialize, Serialize};
-use simdc_types::{SimDuration, SimInstant};
+use simdc_types::SimInstant;
 
 /// An append-only series of `(instant, value)` samples.
 ///
@@ -219,145 +219,10 @@ pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> f64 {
     cov / (var_x.sqrt() * var_y.sqrt())
 }
 
-/// A monotonically increasing event counter with a time-stamped history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Counter {
-    name: String,
-    total: u64,
-    history: Vec<(SimInstant, u64)>,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            total: 0,
-            history: Vec::new(),
-        }
-    }
-
-    /// The counter name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Adds `n` occurrences at virtual time `at`.
-    pub fn add(&mut self, at: SimInstant, n: u64) {
-        self.total += n;
-        self.history.push((at, self.total));
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self, at: SimInstant) {
-        self.add(at, 1);
-    }
-
-    /// Current total.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The cumulative history as `(instant, running total)` pairs.
-    #[must_use]
-    pub fn history(&self) -> &[(SimInstant, u64)] {
-        &self.history
-    }
-
-    /// Total accumulated strictly before `t`.
-    #[must_use]
-    pub fn total_before(&self, t: SimInstant) -> u64 {
-        match self.history.partition_point(|&(at, _)| at < t) {
-            0 => 0,
-            idx => self.history[idx - 1].1,
-        }
-    }
-}
-
-/// A fixed-width-bucket histogram of durations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    name: String,
-    bucket_width: SimDuration,
-    buckets: Vec<u64>,
-    overflow: u64,
-    samples: Vec<f64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bucket_count` buckets of `bucket_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is zero or `bucket_count` is zero.
-    #[must_use]
-    pub fn new(name: impl Into<String>, bucket_width: SimDuration, bucket_count: usize) -> Self {
-        assert!(!bucket_width.is_zero(), "bucket width must be positive");
-        assert!(bucket_count > 0, "need at least one bucket");
-        Histogram {
-            name: name.into(),
-            bucket_width,
-            buckets: vec![0; bucket_count],
-            overflow: 0,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Records a duration sample.
-    pub fn record(&mut self, d: SimDuration) {
-        let idx = (d.as_micros() / self.bucket_width.as_micros()) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.samples.push(d.as_secs_f64());
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.overflow
-    }
-
-    /// Samples that fell past the last bucket.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Bucket counts (index `i` covers `[i·w, (i+1)·w)`).
-    #[must_use]
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// The `q`-quantile of recorded samples in seconds (nearest-rank).
-    ///
-    /// Returns `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdc_types::SimDuration;
 
     fn t(secs: u64) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_secs(secs)
@@ -419,37 +284,5 @@ mod tests {
         s.record(t(2), 2.0); // area 2
         s.record(t(4), 2.0); // area 4
         assert_eq!(s.integral(), 6.0);
-    }
-
-    #[test]
-    fn counter_tracks_cumulative_history() {
-        let mut c = Counter::new("msgs");
-        c.add(t(1), 10);
-        c.incr(t(2));
-        c.add(t(3), 5);
-        assert_eq!(c.total(), 16);
-        assert_eq!(c.total_before(t(2)), 10);
-        assert_eq!(c.total_before(t(100)), 16);
-        assert_eq!(c.total_before(t(0)), 0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new("lat", SimDuration::from_secs(1), 5);
-        for secs in [0, 1, 1, 2, 9] {
-            h.record(SimDuration::from_secs(secs));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets(), &[1, 2, 1, 0, 0]);
-        assert_eq!(h.quantile(0.5), Some(1.0));
-        assert_eq!(h.quantile(1.0), Some(9.0));
-        assert_eq!(h.quantile(0.0), Some(0.0));
-    }
-
-    #[test]
-    fn histogram_empty_quantile_is_none() {
-        let h = Histogram::new("lat", SimDuration::from_secs(1), 2);
-        assert_eq!(h.quantile(0.5), None);
     }
 }

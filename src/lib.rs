@@ -23,7 +23,7 @@
 //! | [`ml`] | `simdc-ml` | logistic regression, dual kernels, FedAvg, metrics |
 //! | [`cluster`] | `simdc-cluster` | logical simulation (nodes, placement groups, actors) |
 //! | [`phone`] | `simdc-phone` | PhoneMgr, power/CPU/memory/network models |
-//! | [`deviceflow`] | `simdc-deviceflow` | Sorter/Shelf/Dispatcher/Strategy traffic control |
+//! | [`deviceflow`] | `simdc-deviceflow` | Strategy traffic control; Sorter/Shelf/Dispatcher as one record per task |
 //! | [`platform`] | `simdc-core` | task manager, scheduler, allocation optimizer, cloud |
 //! | [`workload`] | `simdc-workload` | scenario engine: arrival processes, task templates, fleet dynamics |
 //! | [`baselines`] | `simdc-baselines` | FedScale-like / FederatedScope-like comparators |
