@@ -180,16 +180,6 @@ impl CostMeter {
         self.last_at = now;
     }
 
-    /// Flushes the final partial interval — bills `nodes` up to `now` and
-    /// returns the total spend. Call at scenario end (and on retire
-    /// boundaries) so a run ending mid-hour still bills its tail:
-    /// afterwards `accrued() == node_seconds() × hourly_rate / 3600`
-    /// within float rounding, which `budget_capped` asserts.
-    pub fn finalize(&mut self, nodes: usize, hourly_rate: f64, now: SimInstant) -> f64 {
-        self.accrue(nodes, hourly_rate, now);
-        self.accrued
-    }
-
     /// Total spend so far.
     #[must_use]
     pub fn accrued(&self) -> f64 {
@@ -200,12 +190,6 @@ impl CostMeter {
     #[must_use]
     pub fn node_seconds(&self) -> f64 {
         self.node_seconds
-    }
-
-    /// The accrual cursor: the instant billing is complete up to.
-    #[must_use]
-    pub fn billed_to(&self) -> SimInstant {
-        self.last_at
     }
 }
 
@@ -592,20 +576,5 @@ mod tests {
         assert!((meter.accrued() - 4.0).abs() < 1e-9);
         meter.accrue(1, 2.0, t(3_600)); // +1 node × 0.5 h × 2.0/h
         assert!((meter.accrued() - 5.0).abs() < 1e-9);
-        assert_eq!(meter.billed_to(), t(3_600));
-    }
-
-    #[test]
-    fn finalize_bills_the_final_partial_interval() {
-        let mut meter = CostMeter::new(SimInstant::EPOCH);
-        meter.accrue(2, 1.0, t(3_600));
-        // A run ending 17 s into the next hour still bills that tail.
-        let total = meter.finalize(2, 1.0, t(3_617));
-        assert!((total - (2.0 + 2.0 * 17.0 / 3_600.0)).abs() < 1e-9);
-        assert!((meter.node_seconds() - (2.0 * 3_617.0)).abs() < 1e-9);
-        // Spend equals node-seconds × rate within float rounding.
-        assert!((meter.accrued() - meter.node_seconds() * 1.0 / 3_600.0).abs() < 1e-9);
-        // A second finalize at the same instant is a no-op.
-        assert!((meter.finalize(2, 1.0, t(3_617)) - total).abs() < 1e-12);
     }
 }

@@ -95,6 +95,6 @@ pub mod runner;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, CostMeter, ScalingAction};
 pub use cost::CostModel;
-pub use node::{NodePool, NodeState, PoolTransition, WorkerNode};
+pub use node::{NodePool, NodeState, WorkerNode};
 pub use placement::{PlacementGroup, PlacementGroupId};
 pub use runner::{ActorPlan, ClusterConfig, ClusterStats, JobPlan, JobSpec, LogicalCluster};

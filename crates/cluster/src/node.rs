@@ -50,18 +50,6 @@ impl WorkerNode {
         }
     }
 
-    /// Creates a node that is still booting and becomes ready at
-    /// `ready_at`.
-    #[must_use]
-    pub fn booting(id: NodeId, capacity: ResourceBundle, ready_at: SimInstant) -> Self {
-        WorkerNode {
-            id,
-            capacity,
-            allocated: ResourceBundle::ZERO,
-            state: NodeState::Booting { ready_at },
-        }
-    }
-
     /// Node identifier.
     #[must_use]
     pub fn id(&self) -> NodeId {
@@ -158,20 +146,11 @@ impl WorkerNode {
     }
 }
 
-/// How one [`NodePool::advance_to`] call changed the pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolTransition {
-    /// Booting nodes that became ready.
-    pub became_ready: usize,
-    /// Draining nodes that were retired (removed).
-    pub retired: usize,
-}
-
 /// An elastically scalable pool of identical worker nodes (the k8s layer).
 ///
-/// Scale-up charges boot latency: [`NodePool::scale_up`] and
-/// [`NodePool::scale_up_for`] add *booting* nodes whose capacity placement
-/// cannot see until [`NodePool::advance_to`] passes their ready instant.
+/// Scale-up charges boot latency: [`NodePool::scale_up`] adds *booting*
+/// nodes whose capacity placement cannot see until
+/// [`NodePool::advance_to`] passes their ready instant.
 /// Scale-in is drain-then-retire via [`NodePool::drain`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodePool {
@@ -242,8 +221,9 @@ impl NodePool {
         &self.nodes
     }
 
-    /// Mutable node access by id.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut WorkerNode> {
+    /// Mutable node access by id: how placement groups reserve and
+    /// release.
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> Option<&mut WorkerNode> {
         self.nodes.iter_mut().find(|n| n.id() == id)
     }
 
@@ -254,8 +234,8 @@ impl NodePool {
         self.nodes.len()
     }
 
-    /// Whether the pool holds no nodes at all (possible after a full
-    /// [`NodePool::scale_down`] to zero).
+    /// Whether the pool holds no nodes at all (possible once every node
+    /// has drained and retired).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
@@ -370,33 +350,6 @@ impl NodePool {
         added
     }
 
-    /// Scales up by adding booting nodes until the pool — once everything
-    /// currently booting is up — could place `bundles` of size `unit` at
-    /// full capacity, or `max_nodes` is reached. New nodes become ready at
-    /// `ready_at`; none of the added capacity is placeable before then.
-    ///
-    /// Returns the number of nodes added.
-    pub fn scale_up_for(
-        &mut self,
-        unit: &ResourceBundle,
-        bundles: u64,
-        ready_at: SimInstant,
-    ) -> usize {
-        if unit.is_zero() {
-            return 0;
-        }
-        let per_node = self.template.max_bundles(unit);
-        if per_node == 0 {
-            return 0;
-        }
-        let mut added = 0;
-        while self.prospective_units(unit) < bundles && self.nodes.len() < self.max_nodes {
-            self.add_node(NodeState::Booting { ready_at });
-            added += 1;
-        }
-        added
-    }
-
     /// Unit bundles the pool could hold once every booting node is up:
     /// current free capacity on ready nodes plus the full capacity of
     /// booting nodes.
@@ -457,56 +410,18 @@ impl NodePool {
 
     /// Advances the pool's lifecycle clock to `now`: booting nodes whose
     /// ready instant has passed become ready, and idle draining nodes are
-    /// retired (removed). Returns what changed.
-    pub fn advance_to(&mut self, now: SimInstant) -> PoolTransition {
-        let mut transition = PoolTransition::default();
+    /// retired (removed).
+    pub fn advance_to(&mut self, now: SimInstant) {
         for node in &mut self.nodes {
             if let NodeState::Booting { ready_at } = node.state {
                 if ready_at <= now {
                     node.state = NodeState::Ready;
-                    transition.became_ready += 1;
                 }
             }
         }
         let before = self.nodes.len();
         self.nodes.retain(|n| !(n.is_draining() && n.is_idle()));
-        transition.retired = before - self.nodes.len();
-        self.retired_total += transition.retired as u64;
-        transition
-    }
-
-    /// The earliest instant at which a booting node becomes ready, if any
-    /// node is booting — where the platform schedules its node-ready
-    /// event.
-    #[must_use]
-    pub fn next_ready_at(&self) -> Option<SimInstant> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n.state() {
-                NodeState::Booting { ready_at } => Some(ready_at),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Removes idle nodes beyond `keep`, newest first — an *immediate*
-    /// administrative scale-down (busy nodes still survive; only idle
-    /// nodes are ever removed). Returns how many were removed.
-    ///
-    /// `keep = 0` is honored: a caller scaling to zero gets an empty pool,
-    /// and [`NodePool::scale_up_for`] can regrow it later. The autoscaler
-    /// uses the gentler [`NodePool::drain`] path instead.
-    pub fn scale_down(&mut self, keep: usize) -> usize {
-        let mut removed = 0;
-        while self.nodes.len() > keep {
-            let Some(pos) = self.nodes.iter().rposition(WorkerNode::is_idle) else {
-                break;
-            };
-            self.nodes.remove(pos);
-            self.retired_total += 1;
-            removed += 1;
-        }
-        removed
+        self.retired_total += (before - self.nodes.len()) as u64;
     }
 
     /// How many bundles of size `unit` fit on the ready nodes right now,
@@ -615,9 +530,11 @@ mod tests {
 
     #[test]
     fn booting_node_rejects_placements() {
-        let mut node = WorkerNode::booting(NodeId(0), unit(), t(30));
-        assert!(node.reserve(&unit()).is_err());
+        let mut pool = pool();
+        pool.scale_up(1, t(30));
+        let node = pool.node_mut(NodeId(2)).unwrap();
         assert!(node.is_booting());
+        assert!(node.reserve(&unit()).is_err());
     }
 
     /// Debug builds trap the unpaired release instead of letting the
@@ -668,23 +585,22 @@ mod tests {
     fn scale_up_charges_boot_latency_before_capacity_is_placeable() {
         let mut pool = pool();
         assert_eq!(pool.placeable(&unit()), 8);
-        let added = pool.scale_up_for(&unit(), 20, t(30)); // needs 5 nodes
-        assert_eq!(added, 3);
+        assert_eq!(pool.scale_up(3, t(30)), 3);
         assert_eq!(pool.len(), 5);
         // Capacity is *not* visible at the call instant.
         assert_eq!(pool.placeable(&unit()), 8, "booting capacity leaked");
         assert_eq!(pool.booting_count(), 3);
-        assert_eq!(pool.next_ready_at(), Some(t(30)));
         // Not visible one tick before boot completes either.
         pool.advance_to(t(29));
         assert_eq!(pool.placeable(&unit()), 8);
+        assert_eq!(pool.booting_count(), 3);
         // Visible exactly at the ready instant.
-        let transition = pool.advance_to(t(30));
-        assert_eq!(transition.became_ready, 3);
+        pool.advance_to(t(30));
+        assert_eq!(pool.booting_count(), 0);
+        assert_eq!(pool.ready_count(), 5);
         assert_eq!(pool.placeable(&unit()), 20);
-        assert_eq!(pool.next_ready_at(), None);
         // Capped at max_nodes.
-        assert_eq!(pool.scale_up_for(&unit(), 100, t(60)), 0);
+        assert_eq!(pool.scale_up(100, t(60)), 0);
     }
 
     #[test]
@@ -693,8 +609,6 @@ mod tests {
         pool.scale_up(2, t(30));
         assert_eq!(pool.prospective_units(&unit()), 16);
         assert_eq!(pool.placeable(&unit()), 8);
-        // scale_up_for sees the in-flight boots and does not double-boot.
-        assert_eq!(pool.scale_up_for(&unit(), 16, t(40)), 0);
     }
 
     #[test]
@@ -706,17 +620,16 @@ mod tests {
         let busy_node = pool.place(&unit()).unwrap();
         // Drain everything: the busy node drains but survives.
         assert_eq!(pool.drain(3), 3);
-        let transition = pool.advance_to(t(10));
-        assert_eq!(transition.retired, 2, "only idle nodes retire");
-        assert_eq!(pool.len(), 1);
+        pool.advance_to(t(10));
+        assert_eq!(pool.len(), 1, "only idle nodes retire");
+        assert_eq!(pool.retired_total(), 2);
         assert_eq!(pool.draining_count(), 1);
         // A draining node accepts no new placements.
         assert!(pool.place(&unit()).is_err());
         assert_eq!(pool.placeable(&unit()), 0);
         // Releasing its allocation lets the next advance retire it.
         pool.node_mut(busy_node).unwrap().release(&unit());
-        let transition = pool.advance_to(t(20));
-        assert_eq!(transition.retired, 1);
+        pool.advance_to(t(20));
         assert!(pool.is_empty());
         assert_eq!(pool.retired_total(), 3);
     }
@@ -729,51 +642,6 @@ mod tests {
         assert_eq!(pool.cancel_drain(1), 1);
         assert_eq!(pool.ready_count(), 1);
         assert_eq!(pool.placeable(&unit()), 4);
-    }
-
-    #[test]
-    fn scale_down_removes_idle_nodes_only() {
-        let mut pool = pool();
-        pool.scale_up_for(&unit(), 12, t(0));
-        pool.advance_to(t(0));
-        assert_eq!(pool.len(), 3);
-        pool.place(&unit()).unwrap(); // occupies node 0
-        let removed = pool.scale_down(1);
-        assert_eq!(removed, 2);
-        assert_eq!(pool.len(), 1);
-        // The busy node survives even though keep=1 was already satisfied.
-        assert!(!pool.nodes()[0].is_idle());
-    }
-
-    #[test]
-    fn scale_down_to_zero_empties_an_idle_pool() {
-        let mut pool = pool();
-        pool.scale_up_for(&unit(), 12, t(0));
-        pool.advance_to(t(0));
-        assert_eq!(pool.len(), 3);
-        // keep = 0 is honored, not clamped to one retained node.
-        let removed = pool.scale_down(0);
-        assert_eq!(removed, 3);
-        assert!(pool.is_empty());
-        assert_eq!(pool.placeable(&unit()), 0);
-        assert!(pool.place(&unit()).is_err());
-        // The pool regrows on demand (after the boot window).
-        assert_eq!(pool.scale_up_for(&unit(), 4, t(30)), 1);
-        pool.advance_to(t(30));
-        assert_eq!(pool.len(), 1);
-        pool.place(&unit()).unwrap();
-    }
-
-    #[test]
-    fn scale_down_to_zero_spares_busy_nodes() {
-        let mut pool = pool();
-        pool.scale_up_for(&unit(), 12, t(0));
-        pool.advance_to(t(0));
-        pool.place(&unit()).unwrap(); // occupies node 0
-        let removed = pool.scale_down(0);
-        assert_eq!(removed, 2, "only the idle nodes go");
-        assert_eq!(pool.len(), 1);
-        assert!(!pool.nodes()[0].is_idle());
     }
 
     #[test]

@@ -535,13 +535,6 @@ impl LogicalCluster {
             None => false,
         }
     }
-
-    /// Shrinks the pool back to `keep` nodes where idle (immediate
-    /// administrative scale-down; the autoscaler's drain-then-retire path
-    /// is [`LogicalCluster::autoscale`]).
-    pub fn scale_down(&mut self, keep: usize) -> usize {
-        self.pool.scale_down(keep)
-    }
 }
 
 #[cfg(test)]
@@ -774,5 +767,22 @@ mod tests {
         c.advance_to(SimInstant::EPOCH + SimDuration::from_mins(10) + SimDuration::from_secs(1));
         assert_eq!(c.stats().nodes, 4, "idle drained nodes retire");
         assert!(c.stats().retired_total > 0);
+    }
+
+    #[test]
+    fn finalize_bills_the_final_partial_interval() {
+        let mut c = cluster(); // 4 nodes, no scaling
+        let rate = c.cost().node_hourly_cost;
+        let hour = SimInstant::EPOCH + SimDuration::from_secs(3_600);
+        let end = hour + SimDuration::from_secs(17);
+        c.advance_to(hour);
+        // A run ending 17 s into the next hour still bills that tail.
+        let total = c.finalize_cost(end);
+        assert!((total - 4.0 * rate * 3_617.0 / 3_600.0).abs() < 1e-9);
+        assert!((c.node_seconds() - 4.0 * 3_617.0).abs() < 1e-9);
+        // Spend equals node-seconds × rate within float rounding.
+        assert!((c.cost_accrued() - c.node_seconds() * rate / 3_600.0).abs() < 1e-9);
+        // A second flush at the same instant bills nothing more.
+        assert!((c.finalize_cost(end) - total).abs() < 1e-12);
     }
 }

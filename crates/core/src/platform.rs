@@ -193,6 +193,7 @@ impl Platform {
         let cluster = LogicalCluster::new(config.cluster.clone());
         let phones = PhoneMgr::with_fleet(config.fleet, config.poll_interval, config.seed);
         let total_bundles = cluster.free_unit_bundles();
+        // The fleet's membership is fixed, so these totals never change.
         let total_phones = PerGrade::from_fn(|g| phones.count(g, None) as u64);
         Platform {
             cluster,
@@ -223,11 +224,8 @@ impl Platform {
     /// [`Platform::run_until`], or at the first completion event that
     /// frees their claim.
     ///
-    /// Feasibility is checked against the *live* fleet: per-grade phone
-    /// totals are recomputed from the phone manager on every submission
-    /// (and the Resource Manager resynced), so fleet churn injectors that
-    /// register or retire phones cannot leave admission decisions keyed to
-    /// a stale construction-time snapshot.
+    /// Feasibility is checked against the fleet's per-grade phone totals,
+    /// fixed at construction, and the cluster's elastic ceiling.
     ///
     /// # Errors
     ///
@@ -235,7 +233,6 @@ impl Platform {
     /// task could never fit the platform's total capacity.
     pub fn submit(&mut self, spec: TaskSpec, dataset: Arc<CtrDataset>) -> Result<TaskId> {
         spec.validate()?;
-        self.sync_fleet_totals();
         // Bundle feasibility checks against the elastic *ceiling* (max
         // nodes, budget cap applied), not the capacity that happens to be
         // booted right now: a task needing a scale-out queues and waits
@@ -278,17 +275,6 @@ impl Platform {
         Ok(id)
     }
 
-    /// Resyncs the Resource Manager's per-grade phone totals with the
-    /// phone manager's current fleet. [`PhoneMgr::count`] answers from
-    /// the grade index's registration totals, so the resync is O(1)
-    /// however large the fleet — it runs on every scheduling pass.
-    fn sync_fleet_totals(&mut self) {
-        let totals = PerGrade::from_fn(|g| self.phones.count(g, None) as u64);
-        if totals != self.rm.total_phones() {
-            self.rm.set_total_phones(totals);
-        }
-    }
-
     /// Resyncs the Resource Manager's unit-bundle total with the logical
     /// cluster's *ready* capacity — the elastic tier's contribution to
     /// admission arithmetic. Runs on every scheduling pass, so booted and
@@ -311,14 +297,9 @@ impl Platform {
     /// the scheduler. Tasks whose plan fails outright (e.g. no idle
     /// benchmark phone) release their lease and fail. Returns the
     /// admitted count.
-    ///
-    /// Fleet totals are resynced first, so passes triggered by
-    /// completions (not just submissions) also see phones registered or
-    /// retired through [`Platform::phones_mut`] since the last pass.
     fn dispatch_pending(&mut self) -> usize {
         self.debug_assert_capacity_bounds();
         self.cluster.advance_to(self.clock);
-        self.sync_fleet_totals();
         self.sync_cluster_totals();
         let started = {
             let cluster = &self.cluster;
@@ -507,7 +488,9 @@ impl Platform {
 
     /// Fails every still-pending task: nothing is running, so no future
     /// completion can ever free the capacity they are waiting for. Pending
-    /// tasks hold no lease — failing them involves no release.
+    /// tasks hold no lease — failing them involves no release. No known
+    /// input reaches a starved task on a fixed fleet; this is the guard
+    /// that keeps [`Platform::run_until_idle`] from spinning if one does.
     fn fail_starved(&mut self) {
         for id in self.queue.pending_by_priority() {
             self.pending.remove(&id);
@@ -732,12 +715,9 @@ impl Platform {
 
     /// Mutable access to the phone manager — the hook fleet-dynamics
     /// injectors (churn, stragglers, benchmark failures) use to perturb
-    /// the fleet between scheduling passes.
-    ///
-    /// Fleet *size* changes through this handle are tolerated: the
-    /// Resource Manager's per-grade totals are resynced from the phone
-    /// manager on every submission, so admission feasibility always sees
-    /// the live fleet rather than a construction-time snapshot.
+    /// the fleet between scheduling passes, through the manager's write
+    /// operations. The fleet's membership is fixed, so the Resource
+    /// Manager's phone totals never change.
     pub fn phones_mut(&mut self) -> &mut PhoneMgr {
         &mut self.phones
     }
@@ -1370,8 +1350,11 @@ mod tests {
     }
 
     /// A task's dataset is held only while the task is pending: whether it
-    /// completed, failed at admission or starved, the platform keeps no
-    /// clone behind.
+    /// completed or failed at admission, the platform keeps no clone
+    /// behind. (Starvation, the third way out of pending, has no known
+    /// trigger on a fixed fleet: submit accepts only claims that fit the
+    /// totals, and at idle every lease is back and the autoscaler can
+    /// reach the ceiling `could_ever_place` checked.)
     #[test]
     fn no_dataset_outlives_the_pending_state() {
         let mut platform = Platform::paper_default();
@@ -1403,15 +1386,6 @@ mod tests {
         }
         platform.run_until_idle();
         assert!(!failure(&platform, 2).contains(starved));
-
-        // Starves: accepted against the full fleet, then the High phones
-        // are retired, so its claim never fits again.
-        platform.submit(small_spec(3, 0), data.clone()).unwrap();
-        for &id in &high {
-            platform.phones_mut().retire(id).unwrap();
-        }
-        platform.run_until_idle();
-        assert!(failure(&platform, 3).contains(starved));
 
         assert_eq!(Arc::strong_count(&data), 1);
     }

@@ -90,34 +90,14 @@ impl ResourceManager {
                 .all(|&g| self.free_phones.get(g) == self.total_phones.get(g))
     }
 
-    /// Resyncs the per-grade phone totals to `totals` (the fleet as the
-    /// phone manager currently knows it) and recomputes free capacity as
-    /// `total − frozen` (saturating at zero), where frozen is the sum of
-    /// the outstanding leases. Deriving free from the leases — rather
-    /// than applying a delta to the previous free count — keeps a
-    /// shrink-below-frozen followed by a later grow honest: the regrown
-    /// capacity only becomes free once the leases holding it release.
-    pub fn set_total_phones(&mut self, totals: PerGrade<u64>) {
-        let mut frozen = PerGrade::new(0u64);
-        for claim in self.leases.values() {
-            for grade in DeviceGrade::ALL {
-                *frozen.get_mut(grade) += *claim.phones.get(grade);
-            }
-        }
-        for grade in DeviceGrade::ALL {
-            let new_total = *totals.get(grade);
-            *self.free_phones.get_mut(grade) = new_total.saturating_sub(*frozen.get(grade));
-            *self.total_phones.get_mut(grade) = new_total;
-        }
-    }
-
     /// Resyncs the unit-bundle total to `total` (the logical cluster's
     /// *ready* capacity as of the current scheduling pass) and recomputes
-    /// free capacity as `total − frozen` (saturating at zero). Like
-    /// [`ResourceManager::set_total_phones`], free is derived from the
-    /// outstanding leases rather than by applying a delta, so an elastic
-    /// scale-in below the frozen amount followed by a later scale-out
-    /// stays honest: regrown capacity only frees once its leases release.
+    /// free capacity as `total − frozen` (saturating at zero). Free is
+    /// derived from the outstanding leases rather than by applying a
+    /// delta, so an elastic scale-in below the frozen amount followed by a
+    /// later scale-out stays honest: regrown capacity only frees once its
+    /// leases release. (Phone totals have no such resync: the fleet is
+    /// fixed, so they keep the value [`ResourceManager::new`] gave them.)
     pub fn set_total_bundles(&mut self, total: u64) {
         let frozen: u64 = self.leases.values().map(|c| c.unit_bundles).sum();
         self.total_bundles = total;
@@ -255,26 +235,5 @@ mod tests {
         assert!(rm.fully_free());
         assert_eq!(rm.total_bundles(), 200);
         assert_eq!(rm.total_phones(), PerGrade::from_parts(17, 13));
-    }
-
-    #[test]
-    fn total_phone_resync_adjusts_free_capacity() {
-        let mut rm = manager();
-        rm.set_total_phones(PerGrade::from_parts(20, 13));
-        assert_eq!(rm.free_phones(DeviceGrade::High), 20);
-        assert!(rm.fully_free());
-        // Shrinking below frozen capacity saturates free at zero but keeps
-        // the new total for later releases.
-        rm.freeze(TaskId(1), claim(0, 18, 0)).unwrap();
-        rm.set_total_phones(PerGrade::from_parts(4, 13));
-        assert_eq!(rm.free_phones(DeviceGrade::High), 0);
-        // Growing back while the lease is still held must not mint free
-        // capacity the lease already owns: free = total − frozen.
-        rm.set_total_phones(PerGrade::from_parts(20, 13));
-        assert_eq!(rm.free_phones(DeviceGrade::High), 2, "20 total − 18 frozen");
-        rm.set_total_phones(PerGrade::from_parts(4, 13));
-        rm.release(TaskId(1));
-        assert_eq!(rm.free_phones(DeviceGrade::High), 4, "clamped to total");
-        assert!(rm.fully_free());
     }
 }

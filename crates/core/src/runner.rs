@@ -388,7 +388,7 @@ impl TaskRunner {
     fn place_devices(
         spec: &TaskSpec,
         allocation: &Allocation,
-        phones: &PhoneMgr,
+        phones: &mut PhoneMgr,
         start: SimInstant,
     ) -> Result<Vec<GradePlacement>> {
         let mut placements: Vec<GradePlacement> = Vec::with_capacity(spec.grades.len());
@@ -414,8 +414,7 @@ impl TaskRunner {
         Ok(placements)
     }
 
-    /// A grade whose phone fleet has drained to zero (churn, retirement,
-    /// or a fleet that never had it) offers no behaviour profile to
+    /// A grade the fleet holds no phone of offers no behaviour profile to
     /// average. A task placing devices on that grade's phone cluster
     /// must surface resource exhaustion instead of silently planning
     /// with the static paper profile of phones that do not exist.
@@ -1052,10 +1051,7 @@ mod tests {
         // by a later task's (possible once that phone's own window ends
         // while this task's finished_at extends further).
         let stolen = plan.benchmark_phones[0];
-        {
-            let phone = phones.phone_mut(stolen).unwrap();
-            phone.reboot(); // wipes the old run so a new one can land
-        }
+        phones.reboot(stolen).unwrap(); // wipes the old run so a new one can land
         let foreign = simdc_phone::RunPlan::new(
             TaskId(99),
             stolen,
@@ -1073,19 +1069,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_fails_when_churn_drains_a_grade_to_zero_phones() {
+    fn plan_fails_when_the_fleet_has_no_phones_of_a_grade() {
         let data = dataset();
-        let (mut cluster, mut phones, mut storage) = substrates();
-        // Churn-to-zero: every High phone leaves the fleet.
-        let high_ids: Vec<_> = phones
-            .phones()
-            .iter()
-            .filter(|p| p.grade() == DeviceGrade::High)
-            .map(|p| p.id())
-            .collect();
-        for id in high_ids {
-            phones.retire(id).unwrap();
-        }
+        let (mut cluster, _, mut storage) = substrates();
+        let no_high = simdc_phone::FleetSpec {
+            local: simdc_types::PerGrade::from_parts(0, 6),
+            msp: simdc_types::PerGrade::from_parts(0, 7),
+        };
+        let mut phones = PhoneMgr::with_fleet(no_high, SimDuration::from_secs(1), 99);
         // A task placing compute devices on High phones (no benchmark
         // phones, so the failure exercises the profile guard rather than
         // benchmark selection) must surface exhaustion, not plan against
@@ -1111,7 +1102,7 @@ mod tests {
             matches!(err, SimdcError::ResourceExhausted { .. }),
             "expected ResourceExhausted, got {err}"
         );
-        // A fully-logical task on the same drained grade still plans fine.
+        // A fully-logical task on the same phoneless grade still plans fine.
         let mut logical = base_spec(12);
         logical.allocation = AllocationPolicy::FixedLogicalFraction(1.0);
         logical.grades[0].benchmark_phones = 0;

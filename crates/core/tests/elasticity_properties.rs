@@ -31,8 +31,6 @@ enum Op {
     /// Advance virtual time by this many seconds (boots complete, idle
     /// draining nodes retire).
     Advance(u64),
-    /// Immediate administrative scale-down to this many nodes.
-    ScaleDown(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -43,7 +41,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..5).prop_map(Op::Drain),
         (0usize..5).prop_map(Op::CancelDrain),
         (0u64..120).prop_map(Op::Advance),
-        (0usize..10).prop_map(Op::ScaleDown),
     ]
 }
 
@@ -99,9 +96,6 @@ proptest! {
                 Op::Advance(secs) => {
                     now += SimDuration::from_secs(secs);
                     pool.advance_to(now);
-                }
-                Op::ScaleDown(keep) => {
-                    pool.scale_down(keep);
                 }
             }
             // The platform's per-pass resync.

@@ -221,77 +221,6 @@ fn arrival_at_completion_instant_beats_pending_lower_priority() {
     assert_eq!(low_start, high_finish, "low priority waits its turn");
 }
 
-/// Phones registered through `phones_mut` mid-run become schedulable at
-/// the next completion-triggered pass, not only at the next submission:
-/// dispatch resyncs fleet totals every pass.
-#[test]
-fn fleet_growth_is_visible_to_completion_triggered_passes() {
-    use simdc_phone::{PhoneDevice, Provenance};
-    let data = dataset();
-    let t = |secs: u64| SimInstant::EPOCH + SimDuration::from_secs(secs);
-    let mut platform = Platform::new(PlatformConfig::default());
-    let high_total = platform.phones().count(DeviceGrade::High, None) as u64;
-
-    // Task 1 computes on every High phone for several rounds.
-    let all_phones = TaskSpec::builder(TaskId(1))
-        .rounds(4)
-        .grade(GradeRequirement {
-            grade: DeviceGrade::High,
-            total_devices: 8,
-            benchmark_phones: 0,
-            logical_unit_bundles: 20,
-            units_per_device: 8,
-            phones: high_total,
-        })
-        .trigger(AggregationTrigger::DeviceThreshold { min_devices: 8 })
-        .seed(1)
-        .build()
-        .unwrap();
-    // Task 2 needs 5 High phones — pending until capacity appears.
-    let needs_five = TaskSpec::builder(TaskId(2))
-        .rounds(1)
-        .grade(GradeRequirement {
-            grade: DeviceGrade::High,
-            total_devices: 8,
-            benchmark_phones: 0,
-            logical_unit_bundles: 20,
-            units_per_device: 8,
-            phones: 5,
-        })
-        .trigger(AggregationTrigger::DeviceThreshold { min_devices: 8 })
-        .seed(2)
-        .build()
-        .unwrap();
-    platform.submit(all_phones, data.clone()).unwrap();
-    platform.submit(needs_five, data).unwrap();
-    platform.run_until(t(1));
-    assert_eq!(platform.status().running, 1, "no phones free for task 2");
-    assert_eq!(platform.status().pending, 1);
-
-    // Grow the fleet mid-run; no further submission happens.
-    for i in 0..5u64 {
-        platform
-            .phones_mut()
-            .register(PhoneDevice::new(
-                simdc_types::PhoneId(900 + i as u32),
-                DeviceGrade::High,
-                Provenance::Local,
-                77,
-            ))
-            .unwrap();
-    }
-    platform.run_until(t(2));
-    assert_eq!(
-        platform.status().running,
-        2,
-        "task 2 admitted on the new phones while task 1 still runs"
-    );
-    assert_eq!(platform.run_until_idle(), 2);
-    // Idle again: free capacity must equal the *grown* totals.
-    let status = platform.status();
-    assert_eq!(*status.free_phones.get(DeviceGrade::High), high_total + 5);
-}
-
 /// A benchmark phone that crashes *and reboots* mid-run (reboot wipes its
 /// assigned run) must not fail the task at commit: training already
 /// completed, so the task completes with that measurement missing.
@@ -308,11 +237,11 @@ fn rebooted_benchmark_phone_degrades_to_a_missing_report() {
     let mid = SimInstant::EPOCH + SimDuration::from_secs(2);
     let ids: Vec<_> = platform.phones().phones().iter().map(|p| p.id()).collect();
     for id in ids {
-        let phone = platform.phones_mut().phone_mut(id).unwrap();
-        if !phone.is_crashed(mid) {
-            phone.inject_crash(mid);
+        let phones = platform.phones_mut();
+        if !phones.phone(id).unwrap().is_crashed(mid) {
+            phones.inject_crash(id, mid).unwrap();
         }
-        phone.reboot();
+        phones.reboot(id).unwrap();
     }
     assert_eq!(platform.run_until_idle(), 1, "task must still complete");
     assert!(matches!(

@@ -150,7 +150,7 @@ impl PartialEq for PhoneDevice {
 impl PhoneDevice {
     /// Creates an idle phone with the default profile of its grade.
     #[must_use]
-    pub fn new(id: PhoneId, grade: DeviceGrade, provenance: Provenance, seed: u64) -> Self {
+    pub(crate) fn new(id: PhoneId, grade: DeviceGrade, provenance: Provenance, seed: u64) -> Self {
         PhoneDevice {
             cold: None,
             seed,
@@ -171,8 +171,8 @@ impl PhoneDevice {
     /// The measurement-noise stream, seeded on its first use from the same
     /// `(seed, "phone/{id}")` label an eagerly built stream would carry.
     fn noise(&mut self) -> &mut RngStream {
-        // Labelled by phone id, which PhoneMgr::register keeps unique — no
-        // two phones can share a noise stream.
+        // Labelled by phone id, which PhoneMgr::with_fleet numbers uniquely
+        // — no two phones can share a noise stream.
         let (seed, id) = (self.seed, self.id);
         self.cold_mut()
             .noise
@@ -198,7 +198,7 @@ impl PhoneDevice {
     }
 
     /// The behaviour profile: the grade's shared nominal one until
-    /// [`PhoneDevice::set_profile`] stores a different one.
+    /// [`crate::PhoneMgr::set_phone_profile`] stores a different one.
     #[must_use]
     pub fn profile(&self) -> &PhoneProfile {
         match &self.cold().profile {
@@ -213,7 +213,7 @@ impl PhoneDevice {
     ///
     /// Returns `InvalidConfig` if the profile fails validation or its grade
     /// differs from the phone's.
-    pub fn set_profile(&mut self, profile: PhoneProfile) -> Result<()> {
+    pub(crate) fn set_profile(&mut self, profile: PhoneProfile) -> Result<()> {
         profile.validate()?;
         if profile.grade != self.grade {
             return Err(SimdcError::InvalidConfig(format!(
@@ -261,7 +261,7 @@ impl PhoneDevice {
     ///
     /// Returns [`SimdcError::PhoneUnavailable`] if the phone is busy at the
     /// plan's start or has crashed.
-    pub fn assign_run(&mut self, plan: RunPlan) -> Result<()> {
+    pub(crate) fn assign_run(&mut self, plan: RunPlan) -> Result<()> {
         if self.is_crashed(plan.start()) || self.is_busy(plan.start()) {
             return Err(SimdcError::PhoneUnavailable(self.id));
         }
@@ -271,7 +271,7 @@ impl PhoneDevice {
 
     /// Reboots a crashed phone: clears the crash state and any stale run so
     /// the device becomes selectable again.
-    pub fn reboot(&mut self) {
+    pub(crate) fn reboot(&mut self) {
         if let Some(cold) = &mut self.cold {
             cold.crashed_at = None;
             cold.run = None;
@@ -280,7 +280,7 @@ impl PhoneDevice {
 
     /// Injects a crash at `at`: from then on the device drops off ADB until
     /// [`PhoneDevice::reboot`] is called.
-    pub fn inject_crash(&mut self, at: SimInstant) {
+    pub(crate) fn inject_crash(&mut self, at: SimInstant) {
         self.cold_mut().crashed_at = Some(at);
     }
 

@@ -12,8 +12,8 @@
 //!   busy or crashed phone splits a range in two, and selection walks the
 //!   ids in the exact order the old sort-based scan produced (local before
 //!   MSP, ids ascending);
-//! * per-`(grade, provenance)` **registration totals**, making `count`
-//!   O(1);
+//! * per-`(grade, provenance)` **totals**, fixed when the fleet is built,
+//!   making `count` O(1);
 //! * per-grade **sums** of the profiled training/startup durations in
 //!   whole microseconds, making `effective_profile` O(1) and exact — plus
 //!   the contribution of each phone whose profile is *not* the grade's
@@ -32,9 +32,9 @@
 //! the manager asserts after every sync that the index agrees with one
 //! walk over the fleet.
 //!
-//! Mutations that bypass the manager's APIs (raw [`crate::PhoneMgr::phone_mut`]
-//! access) are tracked as *dirty* ids and re-indexed on the next query, so
-//! existing callers stay correct without threading hooks everywhere.
+//! The manager is the only writer of a phone, and each of its writes
+//! re-indexes the phone it changed (`touch`), so a sync has nothing to do
+//! but drain the transitions that have come due.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -152,34 +152,26 @@ fn nominal_contribution(grade: DeviceGrade) -> (u64, u64) {
 pub(crate) struct FleetIndex {
     /// Free (idle, healthy) phones per `[grade][provenance]`.
     free: [[IdRanges; 2]; DeviceGrade::COUNT],
-    /// Registered phones per `[grade][provenance]` (busy or not).
+    /// Phones per `[grade][provenance]` (busy or not), fixed at build.
     totals: [[usize; 2]; DeviceGrade::COUNT],
     /// Per-grade `(train, startup)` profile sums in microseconds. Integer,
     /// so they do not depend on the order phones were added in.
     sums: [(u128, u128); DeviceGrade::COUNT],
     /// The last-indexed contribution of each phone whose profile is not
     /// its grade's nominal one (absent = nominal) — what a profile change
-    /// or a retirement takes back out of the sums.
+    /// takes back out of the sums.
     cached_profile: BTreeMap<PhoneId, (u64, u64)>,
     /// Future instants at which a phone's availability may flip (run end,
     /// scheduled crash onset). Entries may be stale — re-indexing is
     /// idempotent, so stale pops are harmless.
     transitions: BinaryHeap<Reverse<(SimInstant, PhoneId)>>,
-    /// Phones mutated through raw `phone_mut` access since the last sync.
-    dirty: Vec<PhoneId>,
     /// High-water mark of drained transitions: availability answers are
     /// exact for queries at `now >= indexed_to`.
     indexed_to: SimInstant,
 }
 
 impl FleetIndex {
-    /// Marks a phone as needing re-indexing at the next sync (used by the
-    /// manager's raw mutable accessor, which cannot know what changed).
-    pub fn mark_dirty(&mut self, id: PhoneId) {
-        self.dirty.push(id);
-    }
-
-    /// Registered phones of `grade`, optionally narrowed to a provenance.
+    /// Phones of `grade`, optionally narrowed to a provenance.
     pub fn total(&self, grade: DeviceGrade, provenance: Option<Provenance>) -> usize {
         let bucket = &self.totals[grade.index()];
         match provenance {
@@ -202,9 +194,9 @@ impl FleetIndex {
         bucket[0].iter().chain(bucket[1].iter())
     }
 
-    /// Mean profiled `(train, startup)` durations over the registered
-    /// phones of `grade`, rounded to the microsecond; `None` for a grade
-    /// with no phones.
+    /// Mean profiled `(train, startup)` durations over the phones of
+    /// `grade`, rounded to the microsecond; `None` for a grade with no
+    /// phones.
     pub fn mean_profile(&self, grade: DeviceGrade) -> Option<(SimDuration, SimDuration)> {
         let n = self.total(grade, None) as u128;
         if n == 0 {
@@ -230,31 +222,6 @@ impl FleetIndex {
         self.sums[g].1 += seg.count as u128 * u128::from(startup);
     }
 
-    /// Accounts for a newly registered phone and indexes it.
-    pub fn note_registered(&mut self, phone: &PhoneDevice) {
-        let g = phone.grade().index();
-        self.totals[g][prov_slot(phone.provenance())] += 1;
-        let (train, startup) = nominal_contribution(phone.grade());
-        self.sums[g].0 += u128::from(train);
-        self.sums[g].1 += u128::from(startup);
-        let at = self.indexed_to;
-        self.reindex(phone, at);
-    }
-
-    /// Removes a retired phone from every structure (stale heap entries
-    /// are left behind; expiry skips unknown ids).
-    pub fn note_retired(&mut self, phone: &PhoneDevice) {
-        let g = phone.grade().index();
-        self.totals[g][prov_slot(phone.provenance())] -= 1;
-        self.free[g][prov_slot(phone.provenance())].remove(phone.id());
-        let (train, startup) = self
-            .cached_profile
-            .remove(&phone.id())
-            .unwrap_or_else(|| nominal_contribution(phone.grade()));
-        self.sums[g].0 -= u128::from(train);
-        self.sums[g].1 -= u128::from(startup);
-    }
-
     /// Re-indexes one phone at the index's current high-water instant —
     /// the hook manager APIs call right after they mutate a device.
     pub fn touch(&mut self, phone: &PhoneDevice) {
@@ -262,10 +229,10 @@ impl FleetIndex {
         self.reindex(phone, at);
     }
 
-    /// Re-derives one registered phone's index state from the device
-    /// itself, as of `at`: profile contribution, free-set membership, and
-    /// any future transition instants. Idempotent.
-    pub fn reindex(&mut self, phone: &PhoneDevice, at: SimInstant) {
+    /// Re-derives one phone's index state from the device itself, as of
+    /// `at`: profile contribution, free-set membership, and any future
+    /// transition instants. Idempotent.
+    fn reindex(&mut self, phone: &PhoneDevice, at: SimInstant) {
         let id = phone.id();
         let g = phone.grade().index();
 
@@ -307,16 +274,10 @@ impl FleetIndex {
         }
     }
 
-    /// Brings the index up to `now`: drains due transitions and re-indexes
-    /// dirty phones, resolving ids through `phone` (retired ids resolve to
-    /// nothing and are skipped). O(k log F) in the number of due
-    /// transitions and dirty ids — independent of fleet size on the
-    /// steady-state path.
-    pub fn sync<'a>(
-        &mut self,
-        now: SimInstant,
-        phone: impl Fn(PhoneId) -> Option<&'a PhoneDevice>,
-    ) {
+    /// Brings the index up to `now` by draining the transitions due by
+    /// then; phone `id` is `phones[id]`. O(k log F) in the number of due
+    /// transitions — independent of fleet size on the steady-state path.
+    pub fn sync(&mut self, now: SimInstant, phones: &[PhoneDevice]) {
         let at = self.indexed_to.max(now);
         self.indexed_to = at;
         while let Some(&Reverse((t, id))) = self.transitions.peek() {
@@ -324,19 +285,7 @@ impl FleetIndex {
                 break;
             }
             self.transitions.pop();
-            if let Some(phone) = phone(id) {
-                self.reindex(phone, at);
-            }
-        }
-        // Repeated phone_mut calls on one phone stack duplicate dirty
-        // entries; re-indexing is idempotent but each pass pushes fresh
-        // transition-heap entries, so dedup before flushing.
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        while let Some(id) = self.dirty.pop() {
-            if let Some(phone) = phone(id) {
-                self.reindex(phone, at);
-            }
+            self.reindex(&phones[id.0 as usize], at);
         }
     }
 
@@ -385,7 +334,7 @@ impl FleetIndex {
         assert_eq!(
             self.cached_profile.len(),
             off_nominal,
-            "fleet index caches a contribution for a nominal or retired phone"
+            "fleet index caches a contribution for a nominal phone"
         );
     }
 }

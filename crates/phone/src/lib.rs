@@ -21,7 +21,7 @@
 //! use simdc_phone::{PhoneDevice, PhoneMgr, Provenance, RunPlan};
 //! use simdc_types::{DeviceGrade, PhoneId, SimDuration, SimInstant, TaskId};
 //!
-//! let mgr = PhoneMgr::paper_default(42);
+//! let mut mgr = PhoneMgr::paper_default(42);
 //! assert_eq!(mgr.total(), 30); // 10 local + 20 MSP phones
 //! let picked = mgr
 //!     .select(DeviceGrade::High, 2, SimInstant::EPOCH)

@@ -161,7 +161,7 @@ impl FleetDynamics {
             profile.framework_startup = SimDuration::from_secs_f64(
                 profile.framework_startup.as_secs_f64() * self.straggler_slowdown,
             );
-            // Through the manager, not raw device access, so the grade
+            // The manager re-indexes the phone as it writes, so the grade
             // index's effective-profile sums track the slowdown exactly.
             mgr.set_phone_profile(id, profile)
                 .expect("slowed profile keeps its grade and stays valid");

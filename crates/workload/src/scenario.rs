@@ -237,9 +237,9 @@ impl World for ScenarioWorld {
                 self.platform.admit_now();
             }
             Ev::Fleet(FleetEvent::Crash(id)) => {
-                // Through the manager APIs (not raw phone_mut), so the
+                // The manager re-indexes the phone as it writes, so the
                 // crash lands in the availability index the instant it
-                // fires rather than on the next dirty flush.
+                // fires.
                 let phones = self.platform.phones_mut();
                 if phones.phone(id).is_some_and(|p| !p.is_crashed(ctx.now())) {
                     phones

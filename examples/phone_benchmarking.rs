@@ -82,9 +82,7 @@ fn main() -> Result<(), SimdcError> {
         SimDuration::from_secs(20),
     )?;
     mgr.submit_run(victim, plan)?;
-    mgr.phone_mut(victim)
-        .expect("registered")
-        .inject_crash(SimInstant::EPOCH + SimDuration::from_secs(50));
+    mgr.inject_crash(victim, SimInstant::EPOCH + SimDuration::from_secs(50))?;
     let partial = mgr.measure_run(victim)?;
     println!(
         "\ncrash injection on {victim}: captured {} samples across {} stages before crashing",
