@@ -6,6 +6,8 @@ use std::sync::Arc;
 
 use serde::Serialize;
 use simdc_core::{Platform, PlatformConfig};
+use simdc_phone::PerfSample;
+use simdc_simrt::SeriesStats;
 use simdc_types::TaskId;
 
 use crate::{f, ExpOptions};
@@ -41,19 +43,15 @@ pub fn run(opts: &ExpOptions) -> Traces {
         .expect("one benchmark phone measured");
 
     let start = report.started_at;
-    let to_xy = |series: &simdc_simrt::TimeSeries| {
-        series
-            .iter()
-            .map(|(t, v)| (t.duration_since(start).as_secs_f64(), v))
-            .collect::<Vec<_>>()
-    };
+    let secs = |s: &PerfSample| s.at.duration_since(start).as_secs_f64();
     let traces = Traces {
-        cpu: to_xy(&bench.cpu_series),
-        mem: to_xy(&bench.mem_series),
+        cpu: bench.trace().map(|s| (secs(s), s.cpu_pct)).collect(),
+        mem: bench.trace().map(|s| (secs(s), s.mem_mb())).collect(),
     };
 
-    let cpu_stats = bench.cpu_series.stats();
-    let mem_stats = bench.mem_series.stats();
+    let stats = |xy: &[(f64, f64)]| SeriesStats::from_values(xy.iter().map(|&(_, v)| v));
+    let cpu_stats = stats(&traces.cpu);
+    let mem_stats = stats(&traces.mem);
     println!("Fig 5 — CPU / memory during the first three training rounds");
     println!(
         "  cpu:    {} samples, range {}–{} %, mean {} %",

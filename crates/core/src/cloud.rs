@@ -1,92 +1,45 @@
-//! Cloud-side services: shared storage, message intake and aggregation
-//! triggers.
+//! Cloud-side services: the storage bandwidth account, message intake and
+//! aggregation triggers.
 //!
-//! Devices upload their updates to [`Storage`] and announce them with
-//! messages; DeviceFlow forwards the messages according to the task's
-//! strategy; the cloud service decides *when to aggregate* and takes the
-//! announced updates out of the store by key. In real deployments the
-//! cloud does not know how many devices will report (§VI-C.1), so
-//! aggregation fires on a trigger: a sample threshold or a schedule.
+//! Devices upload their updates and announce them with messages carrying
+//! each update's key; DeviceFlow forwards the messages according to the
+//! task's strategy; the cloud service decides *when to aggregate* and
+//! fetches the announced updates by key. An update lives only as long as
+//! its round (the task runner keeps a round's uploads in a map local to
+//! the round), so what outlasts a round is [`Storage`]'s byte count. In
+//! real deployments the cloud does not know how many devices will report
+//! (§VI-C.1), so aggregation fires on a trigger: a sample threshold or a
+//! schedule.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
-use simdc_types::{DeviceId, Message, Result, SimDuration, SimInstant, SimdcError, StorageKey};
+use simdc_types::{DeviceId, Message, Result, SimDuration, SimInstant, SimdcError};
 
-use simdc_ml::LocalUpdate;
-
-/// In-memory shared storage (the paper's object store between devices and
-/// cloud services). Updates cross it by value; the bandwidth figure counts
-/// each at its wire size.
+/// The bandwidth account of the paper's object store between devices and
+/// cloud services: every uploaded update and every published global
+/// model, each at its wire size.
 #[derive(Debug, Default)]
 pub struct Storage {
-    map: BTreeMap<StorageKey, LocalUpdate>,
     bytes_written: u64,
 }
 
 impl Storage {
-    /// Creates empty storage.
+    /// Creates an empty account.
     #[must_use]
     pub fn new() -> Self {
         Storage::default()
     }
 
-    /// Stores an update under `key` (overwrites).
-    pub fn put(&mut self, key: StorageKey, update: LocalUpdate) {
-        self.bytes_written += update.serialized_size();
-        self.map.insert(key, update);
-    }
-
-    /// Fetches an update out of the store — the aggregator is its one
-    /// reader, so the fetch consumes it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimdcError::StorageMiss`] when the key is absent.
-    pub fn take(&mut self, key: StorageKey) -> Result<LocalUpdate> {
-        self.map
-            .remove(&key)
-            .ok_or_else(|| SimdcError::StorageMiss(key.to_string()))
-    }
-
-    /// Removes an update nobody fetched, returning whether it existed.
-    pub fn remove(&mut self, key: StorageKey) -> bool {
-        self.map.remove(&key).is_some()
-    }
-
-    /// Counts `bytes` as written without keeping an object: the global
-    /// model the cloud publishes each round, which no one fetches by key.
+    /// Counts `bytes` as written.
     pub fn charge(&mut self, bytes: u64) {
         self.bytes_written += bytes;
-    }
-
-    /// Number of stored objects.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the store is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Total bytes ever written (bandwidth accounting).
     #[must_use]
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
-    }
-
-    /// Folds a task-local store into this one: remaining objects move over
-    /// (task-scoped keys cannot collide across tasks) and its lifetime
-    /// write count joins the bandwidth total, exactly as if every `put`
-    /// had happened here. [`crate::TaskRunner::plan`] runs a task's rounds
-    /// through a local store and folds it in only once the plan succeeds,
-    /// so a failed plan leaves no object and no bytes behind.
-    pub fn absorb(&mut self, local: Storage) {
-        self.bytes_written += local.bytes_written;
-        self.map.extend(local.map);
     }
 }
 
@@ -216,8 +169,7 @@ pub fn resolve_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simdc_ml::LrModel;
-    use simdc_types::{MessageId, RoundId, TaskId};
+    use simdc_types::{MessageId, RoundId, StorageKey, TaskId};
 
     fn t(secs: u64) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_secs(secs)
@@ -237,36 +189,6 @@ mod tests {
 
     fn deliveries() -> Vec<(SimInstant, Message)> {
         (0..10).map(|i| (t(i * 10), msg(i, 100))).collect()
-    }
-
-    #[test]
-    fn storage_round_trip_and_miss() {
-        let update = LocalUpdate {
-            model: LrModel::from_parts(vec![0.5, -1.5, 2.0], 0.25),
-            n_samples: 321,
-            final_loss: 0.625,
-        };
-        let wire = 16 + 8 + 4 * 3;
-        let mut s = Storage::new();
-        let key = |d| StorageKey::for_update(TaskId(1), RoundId(0), DeviceId(d));
-        let (a, b) = (key(0), key(1));
-        s.put(a, update.clone());
-        s.put(b, update.clone());
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.bytes_written(), 2 * wire);
-        assert_eq!(s.take(a).unwrap(), update);
-        assert!(matches!(s.take(a), Err(SimdcError::StorageMiss(_))));
-        assert!(s.remove(b));
-        assert!(!s.remove(b));
-        assert!(s.is_empty());
-        assert_eq!(s.bytes_written(), 2 * wire, "reads and removals are free");
-
-        let mut scratch = Storage::new();
-        scratch.put(b, update);
-        scratch.charge(100);
-        s.absorb(scratch);
-        assert_eq!(s.bytes_written(), 3 * wire + 100);
-        assert!(s.remove(b), "what the scratch still held moved over");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! This crate assembles the substrates ([`simdc_cluster`], [`simdc_phone`],
 //! [`simdc_deviceflow`]) into the platform of Fig 1:
 //!
-//! * [`spec`] — task design specifications (§III-A): operator flows,
-//!   per-grade device populations and resource requests, priorities.
+//! * [`spec`] — task design specifications (§III-A): rounds, per-grade
+//!   device populations and resource requests, priorities.
 //! * [`queue`] / [`scheduler`] — the Task Queue and the greedy Task
 //!   Scheduler (§III-B).
 //! * [`resources`] — the Resource Manager: query / freeze / release /
@@ -12,9 +12,10 @@
 //! * [`alloc`] — the hybrid allocation optimizer (§IV-B): the exact integer
 //!   minimizer of `T = max(Tl, Tp)` with the "prefer logical" secondary
 //!   objective.
-//! * [`cloud`] — shared storage of device updates and aggregation triggers.
-//! * [`runner`] — the Task Runner: executes the multi-round operator flow
-//!   over hybrid resources, routes messages through DeviceFlow, trains real
+//! * [`cloud`] — the storage bandwidth account, aggregation triggers and
+//!   the round evaluator.
+//! * [`runner`] — the Task Runner: executes the multi-round task over
+//!   hybrid resources, routes messages through DeviceFlow, trains real
 //!   models with the dual numeric kernels, and aggregates with FedAvg.
 //!   Execution is split into a *plan* phase (compute the per-round
 //!   timeline, reserve benchmark phones) and a *commit* phase (take the
@@ -81,6 +82,4 @@ pub use queue::{TaskQueue, TaskRecord, TaskState};
 pub use resources::{ResourceClaim, ResourceManager};
 pub use runner::{RoundReport, RunnerConfig, TaskPlan, TaskReport, TaskRunner};
 pub use scheduler::GreedyScheduler;
-pub use spec::{
-    AllocationPolicy, GradeRequirement, Operator, OperatorFlow, TaskSpec, TaskSpecBuilder,
-};
+pub use spec::{AllocationPolicy, GradeRequirement, TaskSpec, TaskSpecBuilder};

@@ -1,5 +1,5 @@
-//! The Task Runner: executes one task's multi-round operator flow over
-//! hybrid heterogeneous resources.
+//! The Task Runner: executes one task's multi-round load → train → upload
+//! cycle over hybrid heterogeneous resources.
 //!
 //! Per round, the runner
 //!
@@ -8,20 +8,23 @@
 //! 2. actually trains every simulated device's model on its local shard —
 //!    server kernel on the cluster, mobile kernel on phones (the §VI-B.2
 //!    implementation split),
-//! 3. puts each update into shared storage under its key and feeds the
-//!    announcement messages (which carry the key) through DeviceFlow at
-//!    each device's virtual completion time,
-//! 4. lets the cloud trigger decide the aggregation instant, takes the
-//!    updates that made it out of storage, FedAvgs them, evaluates the new
-//!    global model, and removes what was left behind.
+//! 3. keeps each update in a map local to the round, under the key its
+//!    announcement message carries, and feeds the messages through
+//!    DeviceFlow at each device's virtual completion time,
+//! 4. lets the cloud trigger decide the aggregation instant, fetches the
+//!    updates that made it by key, FedAvgs them and evaluates the new
+//!    global model; what stragglers and dropped devices uploaded ends
+//!    with the round.
 //!
 //! Everything is deterministic given the task seed and start instant.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use simdc_cluster::{JobSpec, LogicalCluster, PlacementGroupId};
 use simdc_data::CtrDataset;
 use simdc_deviceflow::{DeviceFlow, FlowHarness};
-use simdc_ml::{evaluate, EvalMetrics, FedAvg, KernelKind, LocalTrainer, LrModel};
+use simdc_ml::{evaluate, EvalMetrics, FedAvg, KernelKind, LocalTrainer, LocalUpdate, LrModel};
 use simdc_phone::{PerfReport, PhoneMgr, PhoneProfile, RunPlan};
 use simdc_simrt::RngStream;
 use simdc_types::{
@@ -318,9 +321,9 @@ impl TaskRunner {
     /// platform can schedule the completion event before any
     /// wall-clock-later work happens.
     ///
-    /// A plan that fails leaves no object and no bytes in `storage` — its
-    /// rounds go through a task-local store that is folded in only on
-    /// success — and gives its placement groups back.
+    /// A plan that fails leaves no bytes in `storage` — the plan's byte
+    /// total is charged only on success — and gives its placement groups
+    /// back.
     ///
     /// # Errors
     ///
@@ -345,7 +348,7 @@ impl TaskRunner {
         // tasks.
         Self::acquire_grade_groups(spec, &mut placements, cluster)?;
         let groups: Vec<PlacementGroupId> = placements.iter().filter_map(|p| p.group).collect();
-        let mut local = Storage::new();
+        let mut written = Storage::new();
         let planned = self
             .plan_timeline(
                 spec,
@@ -355,7 +358,7 @@ impl TaskRunner {
                 &placements,
                 cluster,
                 phones,
-                &mut local,
+                &mut written,
             )
             .and_then(|(report, runs)| {
                 let mut benchmark_phones = Vec::with_capacity(runs.len());
@@ -367,7 +370,7 @@ impl TaskRunner {
             });
         match planned {
             Ok((report, benchmark_phones)) => {
-                storage.absorb(local);
+                storage.charge(written.bytes_written());
                 Ok(TaskPlan {
                     report,
                     benchmark_phones,
@@ -465,8 +468,9 @@ impl TaskRunner {
     }
 
     /// Rounds, DeviceFlow routing, aggregation and benchmark-run planning
-    /// over the bound placement: updates go through `storage`, cloud
-    /// rounds are planned on the task's placement groups, and the
+    /// over the bound placement: every upload and global-model publish is
+    /// charged to `storage`, cloud rounds are planned on the task's
+    /// placement groups, and the
     /// benchmark runs come back for [`TaskRunner::plan`] to submit, in
     /// binding order. Profiles are read from the fleet as it stands.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
@@ -512,9 +516,9 @@ impl TaskRunner {
             // bandwidth only.
             storage.charge(global.serialized_size());
 
-            // Compute every device's completion offset and train it.
-            let mut emissions: Vec<(SimInstant, Message)> = Vec::new();
-            let mut compute_finished = round_start;
+            // Every device's completion instant and kernel, in training
+            // order (which assigns the message ids).
+            let mut completions: Vec<(SimInstant, DeviceId, KernelKind)> = Vec::new();
             let payload_mib =
                 self.config.data_payload_mib + global.serialized_size() as f64 / (1024.0 * 1024.0);
 
@@ -540,23 +544,7 @@ impl TaskRunner {
                     };
                     let plan = cluster.plan_round_on_group(pg, &job, &mut rng)?;
                     for (dev, offset) in plan.device_completions() {
-                        let at = round_start + offset;
-                        compute_finished = compute_finished.max(at);
-                        emissions.push((
-                            at,
-                            self.train_device(
-                                spec,
-                                dataset,
-                                &trainer,
-                                &global,
-                                storage,
-                                dev,
-                                round,
-                                KernelKind::Server,
-                                at,
-                                &mut message_seq,
-                            ),
-                        ));
+                        completions.push((round_start + offset, dev, KernelKind::Server));
                     }
                 }
                 // Phone compute side: waves over the granted phones.
@@ -569,43 +557,33 @@ impl TaskRunner {
                 for (j, &dev) in placement.phone_devices.iter().enumerate() {
                     let wave = (j as u64) / compute_phones;
                     let at = round_start + startup + profile.beta() * (wave + 1);
-                    compute_finished = compute_finished.max(at);
-                    emissions.push((
-                        at,
-                        self.train_device(
-                            spec,
-                            dataset,
-                            &trainer,
-                            &global,
-                            storage,
-                            dev,
-                            round,
-                            KernelKind::Mobile,
-                            at,
-                            &mut message_seq,
-                        ),
-                    ));
+                    completions.push((at, dev, KernelKind::Mobile));
                 }
                 // Benchmark devices: one per phone, first wave.
                 for &(dev, _phone) in &placement.benchmark_devices {
                     let at = round_start + startup + profile.beta();
-                    compute_finished = compute_finished.max(at);
-                    emissions.push((
-                        at,
-                        self.train_device(
-                            spec,
-                            dataset,
-                            &trainer,
-                            &global,
-                            storage,
-                            dev,
-                            round,
-                            KernelKind::Mobile,
-                            at,
-                            &mut message_seq,
-                        ),
-                    ));
+                    completions.push((at, dev, KernelKind::Mobile));
                 }
+            }
+
+            // Train every device. Its update waits in the round's own map
+            // under the key its message announces; whatever the cloud does
+            // not fetch ends with the round.
+            let mut uploads: BTreeMap<StorageKey, LocalUpdate> = BTreeMap::new();
+            let mut emissions: Vec<(SimInstant, Message)> = Vec::with_capacity(completions.len());
+            let mut compute_finished = round_start;
+            for (at, device, kernel) in completions {
+                compute_finished = compute_finished.max(at);
+                let shard = &dataset.devices[(device.0 % dataset.devices.len() as u64) as usize];
+                let update = trainer.train(&global, &shard.data, kernel);
+                let key = StorageKey::for_update(spec.id, round, device);
+                let id = MessageId(message_seq);
+                message_seq += 1;
+                let message =
+                    Message::model_update(id, spec.id, device, round, update.n_samples, key, at);
+                emissions.push((at, message));
+                storage.charge(update.serialized_size());
+                uploads.insert(key, update);
             }
             emissions.sort_by_key(|(at, m)| (*at, m.id));
 
@@ -642,26 +620,20 @@ impl TaskRunner {
             dropped_seen = dropped_total;
 
             // Cloud side: fetch, aggregate, evaluate.
-            let mut updates = Vec::with_capacity(included.len());
-            for m in &included {
-                let key = m.storage_key.ok_or_else(|| {
-                    SimdcError::Serialization("model-update message without key".into())
-                })?;
-                updates.push(storage.take(key)?);
-            }
+            let updates = included
+                .iter()
+                .map(|m| {
+                    uploads
+                        .remove(&m.storage_key)
+                        .ok_or_else(|| SimdcError::StorageMiss(m.storage_key.to_string()))
+                })
+                .collect::<Result<Vec<_>>>()?;
             let included_samples: u64 = updates.iter().map(|u| u.n_samples).sum();
             let train_loss = FedAvg::weighted_loss(&updates);
             if !updates.is_empty() {
                 global = FedAvg::aggregate(&updates)?;
             }
             let eval = evaluate(&global, &dataset.test);
-
-            // Stragglers' and dropped devices' updates were never fetched.
-            for (_, m) in &emissions {
-                if let Some(key) = m.storage_key {
-                    storage.remove(key);
-                }
-            }
 
             rounds.push(RoundReport {
                 round,
@@ -767,30 +739,6 @@ impl TaskRunner {
             }
         }
         Ok(report)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn train_device(
-        &self,
-        spec: &TaskSpec,
-        dataset: &CtrDataset,
-        trainer: &LocalTrainer,
-        global: &LrModel,
-        storage: &mut Storage,
-        device: DeviceId,
-        round: RoundId,
-        kernel: KernelKind,
-        at: SimInstant,
-        message_seq: &mut u64,
-    ) -> Message {
-        let shard = &dataset.devices[(device.0 % dataset.devices.len() as u64) as usize];
-        let update = trainer.train(global, &shard.data, kernel);
-        let key = StorageKey::for_update(spec.id, round, device);
-        let n_samples = update.n_samples;
-        storage.put(key, update);
-        let id = MessageId(*message_seq);
-        *message_seq += 1;
-        Message::model_update(id, spec.id, device, round, n_samples, key, at)
     }
 }
 
@@ -1120,7 +1068,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_is_cleaned_after_rounds() {
+    fn storage_counts_every_upload_and_publish() {
         let data = dataset();
         let (mut cluster, mut phones, mut storage) = substrates();
         let runner = TaskRunner::new(RunnerConfig {
@@ -1137,7 +1085,6 @@ mod tests {
                 SimInstant::EPOCH,
             )
             .unwrap();
-        assert!(storage.is_empty());
         // Three rounds, each publishing one global model and uploading 20
         // updates.
         let dim = u64::from(data.feature_dim);

@@ -1,10 +1,10 @@
 //! Task design specifications (§III-A).
 //!
-//! A task is the core operational unit of SimDC: a unique id, a single
-//! operator flow executed uniformly by every simulated device, per-grade
-//! device populations with explicit resource requests, a scheduling
-//! priority, an optional DeviceFlow strategy and a cloud aggregation
-//! trigger.
+//! A task is the core operational unit of SimDC: a unique id, a number of
+//! rounds in which every simulated device loads its shard, trains locally
+//! and uploads its update, per-grade device populations with explicit
+//! resource requests, a scheduling priority, an optional DeviceFlow
+//! strategy and a cloud aggregation trigger.
 
 use serde::{Deserialize, Serialize};
 use simdc_deviceflow::DispatchStrategy;
@@ -12,87 +12,6 @@ use simdc_ml::TrainConfig;
 use simdc_types::{DeviceGrade, Result, SimDuration, SimdcError, TaskId};
 
 use crate::cloud::AggregationTrigger;
-
-/// One step of a task's operator flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Operator {
-    /// Load the device's local shard (charged to the download cost model).
-    LoadData,
-    /// Run local SGD with the task's training configuration.
-    LocalTrain,
-    /// Evaluate the local model on the local shard (diagnostics only).
-    EvaluateLocal,
-    /// Upload the update to storage and notify the cloud.
-    UploadUpdate,
-}
-
-/// The ordered operator sequence every simulated device executes each
-/// round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OperatorFlow {
-    ops: Vec<Operator>,
-}
-
-impl OperatorFlow {
-    /// The standard federated-learning flow: load → train → upload.
-    #[must_use]
-    pub fn standard_fl() -> Self {
-        OperatorFlow {
-            ops: vec![
-                Operator::LoadData,
-                Operator::LocalTrain,
-                Operator::UploadUpdate,
-            ],
-        }
-    }
-
-    /// Builds a flow from explicit operators.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidConfig` when the flow is empty, trains without
-    /// uploading, or uploads before training.
-    pub fn new(ops: Vec<Operator>) -> Result<Self> {
-        use SimdcError::InvalidConfig;
-        if ops.is_empty() {
-            return Err(InvalidConfig("operator flow must not be empty".into()));
-        }
-        let train_pos = ops.iter().position(|o| matches!(o, Operator::LocalTrain));
-        let upload_pos = ops.iter().position(|o| matches!(o, Operator::UploadUpdate));
-        match (train_pos, upload_pos) {
-            (Some(t), Some(u)) if u < t => {
-                Err(InvalidConfig("UploadUpdate must follow LocalTrain".into()))
-            }
-            (Some(_), None) => Err(InvalidConfig(
-                "a training flow must end with UploadUpdate".into(),
-            )),
-            (None, _) => Err(InvalidConfig(
-                "operator flow must contain LocalTrain".into(),
-            )),
-            _ => Ok(OperatorFlow { ops }),
-        }
-    }
-
-    /// The operators in order.
-    #[must_use]
-    pub fn operators(&self) -> &[Operator] {
-        &self.ops
-    }
-
-    /// Whether the flow evaluates locally (adds a small compute overhead).
-    #[must_use]
-    pub fn evaluates_locally(&self) -> bool {
-        self.ops
-            .iter()
-            .any(|o| matches!(o, Operator::EvaluateLocal))
-    }
-}
-
-impl Default for OperatorFlow {
-    fn default() -> Self {
-        OperatorFlow::standard_fl()
-    }
-}
 
 /// Per-grade device population and resource request (the paper's `N`, `q`,
 /// `f`, `k`, `m`).
@@ -191,13 +110,11 @@ pub struct TaskSpec {
     /// Scheduling priority (higher runs first; the "expected benefit" the
     /// greedy scheduler maximizes).
     pub priority: u32,
-    /// Rounds of the operator flow (multi-round device-cloud
+    /// Rounds of load → train → upload (multi-round device-cloud
     /// collaboration).
     pub rounds: u32,
     /// Per-grade populations and resource requests.
     pub grades: Vec<GradeRequirement>,
-    /// The operator flow.
-    pub flow: OperatorFlow,
     /// DeviceFlow strategy (None = bypass DeviceFlow, deliver directly).
     pub strategy: Option<DispatchStrategy>,
     /// Cloud aggregation trigger.
@@ -281,7 +198,6 @@ impl TaskSpecBuilder {
                 priority: 0,
                 rounds: 1,
                 grades: Vec::new(),
-                flow: OperatorFlow::standard_fl(),
                 strategy: None,
                 trigger: AggregationTrigger::DeviceThreshold { min_devices: 1 },
                 round_timeout: SimDuration::from_mins(30),
@@ -307,12 +223,6 @@ impl TaskSpecBuilder {
     /// Adds a grade requirement.
     pub fn grade(&mut self, requirement: GradeRequirement) -> &mut Self {
         self.spec.grades.push(requirement);
-        self
-    }
-
-    /// Sets the operator flow.
-    pub fn flow(&mut self, flow: OperatorFlow) -> &mut Self {
-        self.spec.flow = flow;
         self
     }
 
@@ -381,23 +291,6 @@ mod tests {
         assert_eq!(spec.total_devices(), 10);
         assert!(spec.grade(DeviceGrade::High).is_some());
         assert!(spec.grade(DeviceGrade::Low).is_none());
-    }
-
-    #[test]
-    fn flow_validation() {
-        assert!(OperatorFlow::new(vec![]).is_err());
-        assert!(OperatorFlow::new(vec![Operator::LoadData]).is_err());
-        assert!(OperatorFlow::new(vec![Operator::LocalTrain]).is_err());
-        assert!(OperatorFlow::new(vec![Operator::UploadUpdate, Operator::LocalTrain]).is_err());
-        let flow = OperatorFlow::new(vec![
-            Operator::LoadData,
-            Operator::LocalTrain,
-            Operator::EvaluateLocal,
-            Operator::UploadUpdate,
-        ])
-        .unwrap();
-        assert!(flow.evaluates_locally());
-        assert_eq!(flow.operators().len(), 4);
     }
 
     #[test]

@@ -98,17 +98,6 @@ impl FeatureHasher {
         z ^= z >> 31;
         (z % u64::from(self.dim)) as u32
     }
-
-    /// Hashes a full record (one value per schema field) into a
-    /// [`FeatureVec`].
-    #[must_use]
-    pub fn hash_record<'a>(&self, fields: impl IntoIterator<Item = (&'a str, u32)>) -> FeatureVec {
-        let indices: Vec<u32> = fields
-            .into_iter()
-            .map(|(name, value)| self.index(name, value))
-            .collect();
-        FeatureVec::from_indices(indices)
-    }
 }
 
 #[cfg(test)]
@@ -143,14 +132,6 @@ mod tests {
             collisions < 5,
             "too many cross-field collisions: {collisions}"
         );
-    }
-
-    #[test]
-    fn hash_record_produces_one_index_per_field() {
-        let h = FeatureHasher::new(1 << 16);
-        let v = h.hash_record([("a", 1), ("b", 2), ("c", 3)]);
-        // Collisions are possible but vanishingly unlikely at this dim.
-        assert_eq!(v.len(), 3);
     }
 
     #[test]

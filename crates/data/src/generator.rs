@@ -122,49 +122,12 @@ impl CtrDataset {
         let mut devices = Vec::with_capacity(config.n_devices);
         for i in 0..config.n_devices {
             let id = DeviceId(i as u64);
-            devices.push(truth.generate_device(id, None));
+            devices.push(truth.generate_device(id));
         }
         let mut test = Dataset::new();
         for i in 0..config.n_test_devices {
             let id = DeviceId((config.n_devices + i) as u64);
-            test.extend(truth.generate_device(id, None).data);
-        }
-        CtrDataset {
-            devices,
-            test,
-            feature_dim: config.feature_dim,
-        }
-    }
-
-    /// Generates a dataset whose device CTR marginals are *overridden* so
-    /// that a fraction of devices is positive-heavy and the rest
-    /// negative-heavy, keeping the feature↔label relationship intact.
-    /// Used by the Fig 11(b) "differentially distributed" scenario
-    /// (70% positive-heavy / 30% negative-heavy in the paper).
-    #[must_use]
-    pub fn generate_label_skewed(
-        config: &GeneratorConfig,
-        positive_fraction: f64,
-        positive_rate: f64,
-        negative_rate: f64,
-    ) -> Self {
-        config.validate().expect("invalid generator configuration");
-        assert!(
-            (0.0..=1.0).contains(&positive_fraction),
-            "positive_fraction must be in [0, 1]"
-        );
-        let truth = GroundTruth::new(config);
-        let mut devices = Vec::with_capacity(config.n_devices);
-        for i in 0..config.n_devices {
-            let id = DeviceId(i as u64);
-            let heavy = (i as f64 + 0.5) / config.n_devices as f64 <= positive_fraction;
-            let rate = if heavy { positive_rate } else { negative_rate };
-            devices.push(truth.generate_device(id, Some(rate)));
-        }
-        let mut test = Dataset::new();
-        for i in 0..config.n_test_devices {
-            let id = DeviceId((config.n_devices + i) as u64);
-            test.extend(truth.generate_device(id, None).data);
+            test.extend(truth.generate_device(id).data);
         }
         CtrDataset {
             devices,
@@ -193,15 +156,6 @@ impl CtrDataset {
     #[must_use]
     pub fn total_examples(&self) -> usize {
         self.devices.iter().map(DeviceDataset::len).sum()
-    }
-
-    /// Devices sorted by descending CTR (used by CTR-correlated latency
-    /// assignment).
-    #[must_use]
-    pub fn devices_by_ctr_desc(&self) -> Vec<&DeviceDataset> {
-        let mut refs: Vec<&DeviceDataset> = self.devices.iter().collect();
-        refs.sort_by(|a, b| b.ctr.partial_cmp(&a.ctr).expect("ctr is finite"));
-        refs
     }
 }
 
@@ -239,12 +193,10 @@ impl<'a> GroundTruth<'a> {
         features.indices().iter().map(|&i| self.weight(i)).sum()
     }
 
-    fn generate_device(&self, id: DeviceId, ctr_override: Option<f64>) -> DeviceDataset {
+    fn generate_device(&self, id: DeviceId) -> DeviceDataset {
         let cfg = self.config;
         let mut rng = RngStream::named(cfg.seed, &format!("device/{}", id.as_u64()));
-        let ctr = ctr_override
-            .unwrap_or_else(|| rng.beta(cfg.ctr_alpha, cfg.ctr_beta))
-            .clamp(0.005, 0.995);
+        let ctr = rng.beta(cfg.ctr_alpha, cfg.ctr_beta).clamp(0.005, 0.995);
         let n_records = rng.poisson(cfg.mean_records_per_device).max(1) as usize;
         let device_model = rng.index(200) as u32;
         let tz_peak = rng.index(24) as u32;
@@ -355,30 +307,6 @@ mod tests {
             max - min > 0.1,
             "expected non-IID spread, got [{min}, {max}]"
         );
-    }
-
-    #[test]
-    fn label_skew_splits_marginals() {
-        let data = CtrDataset::generate_label_skewed(&small_config(), 0.7, 0.7, 0.1);
-        let heavy = data
-            .devices
-            .iter()
-            .filter(|d| d.data.positive_rate() > 0.4)
-            .count();
-        let frac = heavy as f64 / data.devices.len() as f64;
-        assert!(
-            (0.55..0.85).contains(&frac),
-            "~70% of devices should be positive-heavy, got {frac}"
-        );
-    }
-
-    #[test]
-    fn devices_by_ctr_desc_is_sorted() {
-        let data = CtrDataset::generate(&small_config());
-        let sorted = data.devices_by_ctr_desc();
-        for pair in sorted.windows(2) {
-            assert!(pair[0].ctr >= pair[1].ctr);
-        }
     }
 
     #[test]

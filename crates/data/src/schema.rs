@@ -90,12 +90,6 @@ impl Schema {
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
     }
-
-    /// Total number of `(field, value)` pairs across all fields.
-    #[must_use]
-    pub fn total_categories(&self) -> u64 {
-        self.fields.iter().map(|f| u64::from(f.cardinality)).sum()
-    }
 }
 
 impl Default for Schema {
@@ -112,7 +106,6 @@ mod tests {
     fn avazu_like_has_ten_fields() {
         let s = Schema::avazu_like();
         assert_eq!(s.len(), 10);
-        assert!(s.total_categories() > 1_000);
         assert!(!s.is_empty());
     }
 

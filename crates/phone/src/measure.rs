@@ -3,10 +3,11 @@
 //! On real phones the paper post-processes noisy ADB tool output "to
 //! extract valid data" (§IV-C). Here PhoneMgr samples the device model's
 //! typed reading, so a [`PerfSample`] is already clean: the numbers carry
-//! the units the paper reports and nothing else.
+//! the units the paper reports and nothing else. A [`PerfReport`] keeps
+//! each sample once; Fig 5's traces are [`PerfReport::trace`], a view of
+//! those samples.
 
 use serde::{Deserialize, Serialize};
-use simdc_simrt::TimeSeries;
 use simdc_types::{DeviceGrade, PhoneId, SimDuration, SimInstant};
 
 use crate::stage::Stage;
@@ -32,6 +33,14 @@ pub struct PerfSample {
     pub net_bytes: u64,
 }
 
+impl PerfSample {
+    /// Training-process PSS in MB, the unit of Fig 5's memory panel.
+    #[must_use]
+    pub fn mem_mb(&self) -> f64 {
+        self.mem_kb / 1_024.0
+    }
+}
+
 /// Aggregated metrics of one Table-I stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StageMetrics {
@@ -55,11 +64,7 @@ pub struct PerfReport {
     /// Per-stage aggregates in Table-I order (first round only, like the
     /// paper's table).
     pub stages: Vec<StageMetrics>,
-    /// CPU trace over the measured run (Fig 5 top panel).
-    pub cpu_series: TimeSeries,
-    /// Memory trace in MB (Fig 5 bottom panel).
-    pub mem_series: TimeSeries,
-    /// All raw samples.
+    /// All samples in time order, waiting-for-aggregation ones included.
     pub samples: Vec<PerfSample>,
 }
 
@@ -68,6 +73,17 @@ impl PerfReport {
     #[must_use]
     pub fn stage(&self, stage: Stage) -> Option<&StageMetrics> {
         self.stages.iter().find(|s| s.stage == stage)
+    }
+
+    /// The samples Fig 5 plots, in time order: those taken while the APK
+    /// runs and the phone is not waiting for aggregation. The paper
+    /// records no data while a device waits (Fig 5's dashed gaps); the
+    /// waiting samples stay in [`PerfReport::samples`] only as stage
+    /// markers that separate adjacent rounds for the Table-I aggregation.
+    pub fn trace(&self) -> impl Iterator<Item = &PerfSample> + '_ {
+        self.samples
+            .iter()
+            .filter(|s| s.stage != Stage::Waiting && s.stage.apk_running())
     }
 }
 

@@ -35,14 +35,13 @@
 //! availability but never hand out a busy phone.
 
 use serde::{Deserialize, Serialize};
-use simdc_simrt::TimeSeries;
 use simdc_types::{DeviceGrade, PerGrade, PhoneId, Result, SimDuration, SimInstant, SimdcError};
 
 use crate::device::{PhoneDevice, Provenance};
 use crate::index::FleetIndex;
 use crate::measure::{aggregate_stages, PerfReport, PerfSample};
 use crate::profile::PhoneProfile;
-use crate::stage::{RunPlan, Stage};
+use crate::stage::RunPlan;
 
 /// Fleet composition used by [`PhoneMgr::paper_default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -410,8 +409,9 @@ impl PhoneMgr {
     }
 
     /// Measures a benchmarking phone across its entire active run: polls at
-    /// the manager's interval, skips the waiting-for-aggregation gaps (the
-    /// paper records no data there), and aggregates the Table-I stages.
+    /// the manager's interval and aggregates the Table-I stages. The
+    /// report's [`PerfReport::trace`] leaves out the waiting-for-aggregation
+    /// gaps (the paper records no data there).
     ///
     /// The one thing that ends a measurement early is the phone crashing
     /// mid-run: the report then contains everything captured before the
@@ -435,20 +435,9 @@ impl PhoneMgr {
             .as_micros()
             .div_ceil(interval.as_micros()) as usize;
         let mut samples = Vec::with_capacity(polls);
-        let mut cpu_series = TimeSeries::with_capacity(format!("{id}/cpu_pct"), polls);
-        let mut mem_series = TimeSeries::with_capacity(format!("{id}/mem_mb"), polls);
         let mut t = start;
         while t < end && !phone.is_crashed(t) {
-            let sample = take_sample(phone, t)?;
-            // The paper records no data while a device waits for global
-            // aggregation (Fig 5's dashed gaps) — waiting samples are kept
-            // only as raw stage markers so the Table-I aggregation can
-            // separate adjacent rounds.
-            if sample.stage != Stage::Waiting && sample.stage.apk_running() {
-                cpu_series.record(t, sample.cpu_pct);
-                mem_series.record(t, sample.mem_kb / 1_024.0);
-            }
-            samples.push(sample);
+            samples.push(take_sample(phone, t)?);
             t += interval;
         }
 
@@ -457,8 +446,6 @@ impl PhoneMgr {
             phone: id,
             grade,
             stages,
-            cpu_series,
-            mem_series,
             samples,
         })
     }
@@ -513,6 +500,7 @@ fn take_sample(phone: &mut PhoneDevice, now: SimInstant) -> Result<PerfSample> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::Stage;
     use simdc_types::TaskId;
 
     fn t(secs: u64) -> SimInstant {
@@ -661,12 +649,12 @@ mod tests {
         assert_eq!(report.grade, DeviceGrade::High);
         // Waiting periods never reach the Fig-5 traces (the paper records
         // no data while devices wait for aggregation)...
-        assert!(report.cpu_series.len() < report.samples.len());
+        assert!(report.trace().all(|s| s.stage != Stage::Waiting));
         // ...but they do appear as raw stage markers separating rounds.
         assert!(report.samples.iter().any(|s| s.stage == Stage::Waiting));
         // CPU/memory traces span the run.
-        assert!(report.cpu_series.len() > 30);
-        assert!(report.mem_series.stats().max > 10.0);
+        assert!(report.trace().count() > 30);
+        assert!(report.trace().any(|s| s.mem_mb() > 10.0));
     }
 
     #[test]

@@ -245,16 +245,6 @@ impl RunPlan {
             .count()
     }
 
-    /// Total time spent in `stage`.
-    #[must_use]
-    pub fn stage_total(&self, stage: Stage) -> SimDuration {
-        self.windows
-            .iter()
-            .filter(|w| w.stage == stage)
-            .map(|w| w.duration)
-            .sum()
-    }
-
     /// Elapsed active-training time up to `t` (across completed and
     /// current training windows). Drives the memory ramp model.
     #[must_use]
@@ -375,14 +365,6 @@ mod tests {
         let (completed, progress) = p.round_progress_at(mid_round2);
         assert_eq!(completed, 1);
         assert!((progress - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stage_totals() {
-        let p = plan();
-        assert_eq!(p.stage_total(Stage::Training), SimDuration::from_secs(48));
-        assert_eq!(p.stage_total(Stage::Waiting), SimDuration::from_secs(60));
-        assert_eq!(p.stage_total(Stage::NoApk), MEASUREMENT_WINDOW);
     }
 
     #[test]

@@ -182,14 +182,6 @@ impl<W: World> Engine<W> {
         }
         self.executed - start
     }
-
-    /// Runs at most `limit` events (a watchdog for tests guarding against
-    /// runaway self-scheduling). Returns the number executed.
-    pub fn run_steps(&mut self, limit: u64) -> u64 {
-        let start = self.executed;
-        while self.executed - start < limit && self.step() {}
-        self.executed - start
-    }
 }
 
 /// Priority queue ordered by `(time, insertion sequence)`.
@@ -240,15 +232,6 @@ impl<E> EventQueue<E> {
             self.run.push_back(entry);
         } else {
             self.heap.push(entry);
-        }
-    }
-
-    /// Enqueues a batch of events in the given order: element `i` receives
-    /// sequence number `seq + i`, exactly as if each had been pushed
-    /// individually.
-    pub fn push_batch(&mut self, events: impl IntoIterator<Item = (SimInstant, E)>) {
-        for (at, event) in events {
-            self.push(at, event);
         }
     }
 
@@ -412,21 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn run_steps_bounds_execution() {
-        struct Loopy;
-        impl World for Loopy {
-            type Event = ();
-            fn handle(&mut self, ctx: &mut EngineCtx<'_, ()>, (): ()) {
-                ctx.schedule_in(SimDuration::from_micros(1), ());
-            }
-        }
-        let mut eng = Engine::new(Loopy);
-        eng.schedule_in(SimDuration::ZERO, ());
-        assert_eq!(eng.run_steps(100), 100);
-        assert_eq!(eng.pending(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule event in the past")]
     fn scheduling_in_the_past_panics() {
         let mut eng = engine();
@@ -451,27 +419,6 @@ mod tests {
         );
         assert_eq!(q.pop_before(SimInstant::from_micros(10)), None);
         assert_eq!(q.len(), 1, "the later event stays queued");
-    }
-
-    /// Batched pushes get consecutive sequence numbers in element order,
-    /// so a batch of simultaneous events pops in exactly the order the
-    /// batch listed them — interleaved FIFO with singly-pushed ties.
-    #[test]
-    fn push_batch_preserves_fifo_among_ties() {
-        let t = SimInstant::from_micros(5);
-        let mut q: EventQueue<&'static str> = EventQueue::new();
-        q.push(t, "first");
-        q.push_batch([
-            (t, "batch-a"),
-            (SimInstant::from_micros(3), "early"),
-            (t, "batch-b"),
-        ]);
-        q.push(t, "last");
-        let mut order = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            order.push(e);
-        }
-        assert_eq!(order, vec!["early", "first", "batch-a", "batch-b", "last"]);
     }
 
     #[test]

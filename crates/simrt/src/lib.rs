@@ -46,4 +46,4 @@ pub mod series;
 
 pub use engine::{Engine, EngineCtx, EventQueue, World};
 pub use rng::{derive_seed, RngStream, SplitMix64};
-pub use series::{pearson_correlation, SeriesStats, TimeSeries};
+pub use series::{pearson_correlation, SeriesStats};

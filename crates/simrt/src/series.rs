@@ -1,140 +1,10 @@
-//! Measurement probes: time series and their summary statistics.
+//! Summary statistics over sampled values.
 //!
-//! Substrates record performance traces (CPU %, memory, dispatch amounts)
-//! into these series; experiment harnesses read them back to print the
-//! paper's figures.
+//! Experiment harnesses summarise performance traces (CPU %, memory,
+//! dispatch amounts) with [`SeriesStats`] and compare them with
+//! [`pearson_correlation`] to print the paper's figures.
 
 use serde::{Deserialize, Serialize};
-use simdc_types::SimInstant;
-
-/// An append-only series of `(instant, value)` samples.
-///
-/// Samples must be appended in non-decreasing time order, which every
-/// engine-driven recorder naturally satisfies.
-///
-/// ```
-/// use simdc_simrt::TimeSeries;
-/// use simdc_types::SimInstant;
-///
-/// let mut cpu = TimeSeries::new("cpu_pct");
-/// cpu.record(SimInstant::from_micros(0), 4.0);
-/// cpu.record(SimInstant::from_micros(1_000_000), 12.5);
-/// assert_eq!(cpu.len(), 2);
-/// assert_eq!(cpu.stats().max, 12.5);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimeSeries {
-    name: String,
-    points: Vec<(SimInstant, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series with a diagnostic name.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// An empty series with room for `capacity` samples, for recorders
-    /// that know how many they will append.
-    #[must_use]
-    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
-        TimeSeries {
-            name: name.into(),
-            points: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// The series name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the previous sample.
-    pub fn record(&mut self, at: SimInstant, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(
-                at >= last,
-                "time series '{}' must be appended in order ({at} < {last})",
-                self.name
-            );
-        }
-        self.points.push((at, value));
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Iterates over `(instant, value)` samples.
-    pub fn iter(&self) -> impl Iterator<Item = (SimInstant, f64)> + '_ {
-        self.points.iter().copied()
-    }
-
-    /// The raw values, time-ordered.
-    #[must_use]
-    pub fn values(&self) -> Vec<f64> {
-        self.points.iter().map(|&(_, v)| v).collect()
-    }
-
-    /// The most recent sample.
-    #[must_use]
-    pub fn last(&self) -> Option<(SimInstant, f64)> {
-        self.points.last().copied()
-    }
-
-    /// Samples within `[from, to)`.
-    pub fn window(
-        &self,
-        from: SimInstant,
-        to: SimInstant,
-    ) -> impl Iterator<Item = (SimInstant, f64)> + '_ {
-        self.points
-            .iter()
-            .copied()
-            .skip_while(move |&(t, _)| t < from)
-            .take_while(move |&(t, _)| t < to)
-    }
-
-    /// Summary statistics over all samples.
-    ///
-    /// Returns default (all-zero) stats for an empty series.
-    #[must_use]
-    pub fn stats(&self) -> SeriesStats {
-        SeriesStats::from_values(self.points.iter().map(|&(_, v)| v))
-    }
-
-    /// Trapezoidal integral of the series over its time span, in
-    /// value·seconds. Used e.g. to turn a current (µA) trace into charge.
-    #[must_use]
-    pub fn integral(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| {
-                let (t0, v0) = w[0];
-                let (t1, v1) = w[1];
-                let dt = t1.duration_since(t0).as_secs_f64();
-                0.5 * (v0 + v1) * dt
-            })
-            .sum()
-    }
-}
 
 /// Summary statistics of a collection of samples.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -222,47 +92,10 @@ pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simdc_types::SimDuration;
-
-    fn t(secs: u64) -> SimInstant {
-        SimInstant::EPOCH + SimDuration::from_secs(secs)
-    }
-
-    #[test]
-    fn series_records_in_order() {
-        let mut s = TimeSeries::new("x");
-        s.record(t(1), 1.0);
-        s.record(t(1), 2.0); // equal timestamps allowed
-        s.record(t(2), 3.0);
-        assert_eq!(s.values(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(s.last(), Some((t(2), 3.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "appended in order")]
-    fn series_rejects_out_of_order() {
-        let mut s = TimeSeries::new("x");
-        s.record(t(5), 1.0);
-        s.record(t(4), 2.0);
-    }
-
-    #[test]
-    fn series_window_is_half_open() {
-        let mut s = TimeSeries::new("x");
-        for i in 0..10 {
-            s.record(t(i), i as f64);
-        }
-        let vals: Vec<f64> = s.window(t(2), t(5)).map(|(_, v)| v).collect();
-        assert_eq!(vals, vec![2.0, 3.0, 4.0]);
-    }
 
     #[test]
     fn series_stats() {
-        let mut s = TimeSeries::new("x");
-        for (i, v) in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].iter().enumerate() {
-            s.record(t(i as u64), *v);
-        }
-        let st = s.stats();
+        let st = SeriesStats::from_values([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(st.count, 8);
         assert_eq!(st.mean, 5.0);
         assert_eq!(st.std_dev, 2.0);
@@ -272,17 +105,8 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let st = TimeSeries::new("x").stats();
+        let st = SeriesStats::from_values(std::iter::empty());
         assert_eq!(st.count, 0);
         assert_eq!(st.mean, 0.0);
-    }
-
-    #[test]
-    fn integral_is_trapezoidal() {
-        let mut s = TimeSeries::new("current");
-        s.record(t(0), 0.0);
-        s.record(t(2), 2.0); // area 2
-        s.record(t(4), 2.0); // area 4
-        assert_eq!(s.integral(), 6.0);
     }
 }

@@ -28,7 +28,6 @@ fn times() -> impl Strategy<Value = Vec<u64>> {
 #[derive(Debug, Clone)]
 enum QueueOp {
     Push(u64),
-    PushBatch(Vec<u64>),
     Pop,
     PopBefore(u64),
     PeekTime,
@@ -39,7 +38,6 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
         // Twice, so the queue grows faster than the pops drain it.
         (0u64..6).prop_map(QueueOp::Push),
         (0u64..6).prop_map(QueueOp::Push),
-        proptest::collection::vec(0u64..6, 0..4).prop_map(QueueOp::PushBatch),
         proptest::Just(QueueOp::Pop),
         (0u64..6).prop_map(QueueOp::PopBefore),
         proptest::Just(QueueOp::PeekTime),
@@ -83,11 +81,6 @@ proptest! {
             let (got, want) = match op {
                 QueueOp::Push(t) => {
                     queue.push(at(*t), model.push(at(*t)));
-                    (None, None)
-                }
-                QueueOp::PushBatch(ts) => {
-                    let batch: Vec<_> = ts.iter().map(|&t| (at(t), model.push(at(t)))).collect();
-                    queue.push_batch(batch);
                     (None, None)
                 }
                 QueueOp::Pop => (queue.pop(), model.pop_before(at(u64::MAX))),
@@ -174,9 +167,9 @@ proptest! {
             for &(t, tag) in &initial {
                 engine.schedule_in(SimDuration::from_micros(t), tag);
             }
-            // Watchdog bound: each event spawns at most one follow-up with
-            // decreasing fuel, so the run always terminates well below it.
-            engine.run_steps(10_000);
+            // Each event spawns at most one follow-up and only while fuel
+            // lasts, so the run always terminates.
+            engine.run();
             engine.into_world().trace
         };
         let a = run(seed);

@@ -1,35 +1,22 @@
 //! Device→cloud messages.
 //!
-//! When a device finishes a round of its operator flow it uploads the
-//! computation result to shared storage and emits a [`Message`] toward the
-//! cloud service. DeviceFlow intercepts these messages and forwards them
-//! according to the task's dispatch strategy (§V of the paper); the cloud
-//! service then fetches the payload from storage using
-//! [`Message::storage_key`].
+//! When a device finishes a round of training it uploads its model update
+//! and emits a [`Message`] toward the cloud service announcing it.
+//! DeviceFlow intercepts these messages and forwards them according to the
+//! task's dispatch strategy (§V of the paper); the cloud service then
+//! fetches the update by [`Message::storage_key`].
 
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{DeviceId, MessageId, RoundId, StorageKey, TaskId};
 use crate::time::SimInstant;
 
-/// What a message announces to the cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MessageKind {
-    /// A local model update is available in storage.
-    ModelUpdate,
-    /// The device started its round (used for liveness/telemetry).
-    RoundStarted,
-    /// The device gave up on the round (crash, user interruption).
-    Aborted,
-    /// A performance-measurement sample from a benchmarking phone.
-    Telemetry,
-}
-
-/// A message from a (simulated or physical) device to a cloud service.
+/// A device's announcement to the cloud that its model update for a round
+/// has been uploaded.
 ///
-/// Messages are intentionally small: bulky payloads (model weights, metric
-/// batches) live in shared storage and are referenced by key, mirroring the
-/// paper's storage/notification split.
+/// Messages are intentionally small: the bulky update (model weights) is
+/// uploaded separately and referenced by key, mirroring the paper's
+/// storage/notification split.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Message {
     /// Unique id assigned at emission.
@@ -38,15 +25,13 @@ pub struct Message {
     pub task: TaskId,
     /// Originating device.
     pub device: DeviceId,
-    /// Round of the task's operator flow.
+    /// Round of the task.
     pub round: RoundId,
-    /// What the message announces.
-    pub kind: MessageKind,
     /// Number of training samples behind this result (drives
     /// sample-threshold aggregation and FedAvg weighting).
     pub sample_count: u64,
-    /// Where the payload was uploaded, if any.
-    pub storage_key: Option<StorageKey>,
+    /// Where the update was uploaded.
+    pub storage_key: StorageKey,
     /// Virtual time at which the device emitted the message.
     pub emitted_at: SimInstant,
 }
@@ -68,9 +53,8 @@ impl Message {
             task,
             device,
             round,
-            kind: MessageKind::ModelUpdate,
             sample_count,
-            storage_key: Some(storage_key),
+            storage_key,
             emitted_at,
         }
     }
@@ -93,10 +77,9 @@ mod tests {
     }
 
     #[test]
-    fn model_update_sets_kind_and_key() {
+    fn model_update_sets_key() {
         let msg = sample_message();
-        assert_eq!(msg.kind, MessageKind::ModelUpdate);
-        assert_eq!(msg.storage_key.unwrap().to_string(), "task-7/round-0/dev-3");
+        assert_eq!(msg.storage_key.to_string(), "task-7/round-0/dev-3");
     }
 
     #[test]

@@ -225,7 +225,9 @@ impl World for ScenarioWorld {
                 // strictly before now run normally, completions at
                 // exactly now only release their leases — the post-submit
                 // pass sees freed capacity and the new task together, so
-                // priority decides the tie.
+                // priority decides a completion-vs-arrival tie. Unlike
+                // `run_from_source`, every arrival gets its own pass: two
+                // arrivals at one instant are admitted in sampling order.
                 self.completed += self.platform.sync_to_arrival(ctx.now()) as u64;
                 match self.platform.submit(*spec, Arc::clone(&self.dataset)) {
                     Ok(_) => {

@@ -9,6 +9,7 @@
 
 use simdc::phone::RunPlan;
 use simdc::prelude::*;
+use simdc::simrt::SeriesStats;
 
 fn main() -> Result<(), SimdcError> {
     let mut mgr = PhoneMgr::paper_default(2024);
@@ -64,8 +65,8 @@ fn main() -> Result<(), SimdcError> {
                 );
             }
         }
-        let cpu = report.cpu_series.stats();
-        let mem = report.mem_series.stats();
+        let cpu = SeriesStats::from_values(report.trace().map(|s| s.cpu_pct));
+        let mem = SeriesStats::from_values(report.trace().map(|s| s.mem_mb()));
         println!(
             "      └ cpu {:.1}-{:.1}% (mean {:.1}), mem {:.1}-{:.1} MB over {} samples",
             cpu.min, cpu.max, cpu.mean, mem.min, mem.max, cpu.count

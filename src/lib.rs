@@ -83,8 +83,8 @@ pub use simdc_workload as workload;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use simdc_core::{
-        AggregationTrigger, Allocation, AllocationPolicy, GradeRequirement, Operator, OperatorFlow,
-        Platform, PlatformConfig, PlatformStatus, TaskReport, TaskSpec,
+        AggregationTrigger, Allocation, AllocationPolicy, GradeRequirement, Platform,
+        PlatformConfig, PlatformStatus, TaskReport, TaskSpec,
     };
     pub use simdc_data::{CtrDataset, Dataset, DeviceDataset, GeneratorConfig};
     pub use simdc_deviceflow::{DispatchStrategy, Domain, Dropout, TimeSpec, TrafficFunction};
