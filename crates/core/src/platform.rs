@@ -6,7 +6,9 @@
 //! the greedy scheduler as resources allow, executed by the
 //! [`crate::runner::TaskRunner`] on the virtual timeline, and their
 //! [`TaskReport`]s retained for inspection — the programmatic equivalent of
-//! the paper's GUI monitoring.
+//! the paper's GUI monitoring — until a driver takes them
+//! ([`Platform::take_reports`]). A finished task leaves only its terminal
+//! state in the queue; its spec is dropped.
 //!
 //! # Event-driven core
 //!
@@ -158,6 +160,7 @@ pub struct Platform {
     /// What each pending task carries; entries leave when the task leaves
     /// the pending state (admitted or starved).
     pending: BTreeMap<TaskId, PendingTask>,
+    /// Reports of completed tasks not yet taken by the driver.
     reports: BTreeMap<TaskId, TaskReport>,
     /// Planned executions of running tasks, keyed by task; each has a
     /// matching completion event in `events`.
@@ -672,16 +675,25 @@ impl Platform {
         self.cluster_events
     }
 
-    /// The report of a completed task.
+    /// The report of a completed task, while the platform still holds
+    /// it (see [`Platform::take_reports`]).
     #[must_use]
     pub fn report(&self, id: TaskId) -> Option<&TaskReport> {
         self.reports.get(&id)
     }
 
-    /// The lifecycle state of a task.
+    /// Hands over every report retained so far and keeps none of them:
+    /// a driver that takes the reports as tasks complete keeps the
+    /// platform's memory flat in the number of finished tasks. A later
+    /// [`Platform::report`] finds only reports of tasks completed since.
+    pub fn take_reports(&mut self) -> BTreeMap<TaskId, TaskReport> {
+        std::mem::take(&mut self.reports)
+    }
+
+    /// The lifecycle state of a task, live or finished.
     #[must_use]
     pub fn task_state(&self, id: TaskId) -> Option<&TaskState> {
-        self.queue.get(id).map(|r| &r.state)
+        self.queue.state(id)
     }
 
     /// Point-in-time status snapshot.
@@ -850,6 +862,38 @@ mod tests {
         let status = platform.status();
         assert_eq!(status.finished, 1);
         assert_eq!(status.free_bundles, 200);
+    }
+
+    #[test]
+    fn taken_reports_leave_the_task_states_behind() {
+        let mut platform = Platform::paper_default();
+        let data = dataset();
+        platform.submit(small_spec(1, 0), data).unwrap();
+        platform.run_until_idle();
+        let reports = platform.take_reports();
+        assert_eq!(reports.keys().copied().collect::<Vec<_>>(), [TaskId(1)]);
+        assert!(platform.report(TaskId(1)).is_none());
+        assert!(platform.take_reports().is_empty());
+        assert!(matches!(
+            platform.task_state(TaskId(1)),
+            Some(TaskState::Completed { .. })
+        ));
+    }
+
+    #[test]
+    fn a_diverging_learning_rate_ends_the_task_instead_of_panicking() {
+        let mut spec = small_spec(1, 0);
+        spec.train = simdc_ml::TrainConfig {
+            learning_rate: f32::MAX,
+            epochs: 1,
+        };
+        spec.validate().unwrap();
+        let mut platform = Platform::paper_default();
+        platform.submit(spec, dataset()).unwrap();
+        platform.run_until_idle();
+        let state = platform.task_state(TaskId(1)).unwrap();
+        assert!(state.is_terminal(), "{state:?}");
+        assert!(platform.invariant_violations().is_empty());
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl TaskState {
         matches!(self, TaskState::Pending)
     }
 
-    /// Whether the task is executing.
-    #[must_use]
-    pub fn is_running(&self) -> bool {
-        matches!(self, TaskState::Running { .. })
-    }
-
     /// Whether the task reached a terminal state.
     #[must_use]
     pub fn is_terminal(&self) -> bool {
@@ -55,12 +49,12 @@ impl TaskState {
     }
 }
 
-/// A queued task: spec + state + submission order.
+/// A live (pending or running) task: spec + state + submission order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskRecord {
     /// The specification.
     pub spec: TaskSpec,
-    /// Current lifecycle state.
+    /// Current lifecycle state: `Pending` or `Running`, never terminal.
     pub state: TaskState,
     /// Monotonic submission sequence (FIFO tie-break).
     pub submitted_seq: u64,
@@ -91,9 +85,18 @@ impl TaskRecord {
 /// [`crate::GreedyScheduler::schedule_filtered`]). A key enters its group
 /// on submit and leaves on the transition out of `Pending`; a group is
 /// dropped with its last member, so the map holds live shapes only.
+///
+/// A task that reaches a terminal state leaves `records` for `finished`,
+/// which keeps only its submission sequence and terminal [`TaskState`]:
+/// the spec is dropped, so a long run retains one small entry per
+/// finished task. [`TaskQueue::get`] answers live tasks only;
+/// [`TaskQueue::state`] answers every id ever submitted.
 #[derive(Debug, Default)]
 pub struct TaskQueue {
+    /// Live tasks: pending or running.
     records: BTreeMap<TaskId, TaskRecord>,
+    /// Tasks in a terminal state.
+    finished: BTreeMap<TaskId, FinishedTask>,
     pending: BTreeMap<ResourceClaim, BTreeSet<PendingKey>>,
     next_seq: u64,
     /// `mark_*` calls that tried to transition a task already in a
@@ -101,6 +104,13 @@ pub struct TaskQueue {
     /// never increments this — the invariant oracles
     /// (`crate::invariants::clobber_violation`) assert it stays zero.
     terminal_clobber_attempts: u64,
+}
+
+/// What the queue keeps of a task after it reached a terminal state.
+#[derive(Debug)]
+struct FinishedTask {
+    submitted_seq: u64,
+    state: TaskState,
 }
 
 impl TaskQueue {
@@ -114,11 +124,11 @@ impl TaskQueue {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidConfig` on duplicate ids or propagates spec
-    /// validation errors.
+    /// Returns `InvalidConfig` on duplicate ids (live or finished) or
+    /// propagates spec validation errors.
     pub fn submit(&mut self, spec: TaskSpec) -> Result<()> {
         spec.validate()?;
-        if self.records.contains_key(&spec.id) {
+        if self.records.contains_key(&spec.id) || self.finished.contains_key(&spec.id) {
             return Err(SimdcError::InvalidConfig(format!(
                 "task {} already submitted",
                 spec.id
@@ -149,7 +159,9 @@ impl TaskQueue {
         }
     }
 
-    /// A record by id.
+    /// The record of a live (pending or running) task. A finished task
+    /// has no record: its spec is dropped when it reaches a terminal
+    /// state, and [`TaskQueue::state`] answers for it.
     ///
     /// There is no public mutable record access: the pending index is
     /// keyed by the spec's claim, priority and id, so out-of-band mutation
@@ -169,6 +181,15 @@ impl TaskQueue {
     #[must_use]
     pub fn get(&self, id: TaskId) -> Option<&TaskRecord> {
         self.records.get(&id)
+    }
+
+    /// The lifecycle state of any submitted task, live or finished.
+    #[must_use]
+    pub fn state(&self, id: TaskId) -> Option<&TaskState> {
+        match self.records.get(&id) {
+            Some(record) => Some(&record.state),
+            None => self.finished.get(&id).map(|task| &task.state),
+        }
     }
 
     /// Pending tasks ordered by `(priority desc, submission asc)` — the
@@ -193,15 +214,8 @@ impl TaskQueue {
     /// Number of tasks in each broad state: `(pending, running, terminal)`.
     #[must_use]
     pub fn census(&self) -> (usize, usize, usize) {
-        let mut counts = (self.pending.values().map(BTreeSet::len).sum(), 0, 0);
-        for r in self.records.values() {
-            if r.state.is_running() {
-                counts.1 += 1;
-            } else if r.state.is_terminal() {
-                counts.2 += 1;
-            }
-        }
-        counts
+        let pending: usize = self.pending.values().map(BTreeSet::len).sum();
+        (pending, self.records.len() - pending, self.finished.len())
     }
 
     /// `mark_*` calls rejected because the task was already terminal — the
@@ -212,6 +226,24 @@ impl TaskQueue {
         self.terminal_clobber_attempts
     }
 
+    /// Refuses a transition of a finished task, counting the attempt.
+    fn refuse_finished(&mut self, id: TaskId, refusal: &str) -> Result<()> {
+        if self.finished.contains_key(&id) {
+            self.terminal_clobber_attempts += 1;
+            return Err(SimdcError::InvalidConfig(format!("task {id} {refusal}")));
+        }
+        Ok(())
+    }
+
+    /// Moves a live task to `finished` in `state`, dropping its spec.
+    fn finish(&mut self, record: TaskRecord, state: TaskState) {
+        let finished = FinishedTask {
+            submitted_seq: record.submitted_seq,
+            state,
+        };
+        self.finished.insert(record.spec.id, finished);
+    }
+
     /// Marks a task running.
     ///
     /// # Errors
@@ -219,14 +251,12 @@ impl TaskQueue {
     /// Returns [`SimdcError::TaskNotFound`] for unknown ids and
     /// `InvalidConfig` when the task is not pending.
     pub fn mark_running(&mut self, id: TaskId, at: SimInstant) -> Result<()> {
+        self.refuse_finished(id, "is not pending")?;
         let record = self
             .records
             .get_mut(&id)
             .ok_or(SimdcError::TaskNotFound(id))?;
         if !record.state.is_pending() {
-            if record.state.is_terminal() {
-                self.terminal_clobber_attempts += 1;
-            }
             return Err(SimdcError::InvalidConfig(format!(
                 "task {id} is not pending"
             )));
@@ -243,27 +273,24 @@ impl TaskQueue {
     /// Returns [`SimdcError::TaskNotFound`] / `InvalidConfig` analogous to
     /// [`TaskQueue::mark_running`].
     pub fn mark_completed(&mut self, id: TaskId, at: SimInstant) -> Result<()> {
-        let record = self
-            .records
-            .get_mut(&id)
-            .ok_or(SimdcError::TaskNotFound(id))?;
-        match record.state {
-            TaskState::Running { started_at } => {
-                record.state = TaskState::Completed {
-                    started_at,
-                    finished_at: at,
-                };
-                Ok(())
-            }
-            _ => {
-                if record.state.is_terminal() {
-                    self.terminal_clobber_attempts += 1;
-                }
-                Err(SimdcError::InvalidConfig(format!(
-                    "task {id} is not running"
-                )))
-            }
-        }
+        self.refuse_finished(id, "is not running")?;
+        let Entry::Occupied(live) = self.records.entry(id) else {
+            return Err(SimdcError::TaskNotFound(id));
+        };
+        let TaskState::Running { started_at } = live.get().state else {
+            return Err(SimdcError::InvalidConfig(format!(
+                "task {id} is not running"
+            )));
+        };
+        let record = live.remove();
+        self.finish(
+            record,
+            TaskState::Completed {
+                started_at,
+                finished_at: at,
+            },
+        );
+        Ok(())
     }
 
     /// Marks a task failed from any non-terminal state.
@@ -272,36 +299,32 @@ impl TaskQueue {
     ///
     /// Returns [`SimdcError::TaskNotFound`] for unknown ids and
     /// `InvalidConfig` for tasks already in a terminal state — a
-    /// `Completed` (or `Failed`) record is immutable history and must not
+    /// `Completed` (or `Failed`) task is immutable history and must not
     /// be clobbered.
     pub fn mark_failed(&mut self, id: TaskId, reason: impl Into<String>) -> Result<()> {
+        self.refuse_finished(id, "is already terminal")?;
         let record = self
             .records
-            .get_mut(&id)
+            .remove(&id)
             .ok_or(SimdcError::TaskNotFound(id))?;
-        if record.state.is_terminal() {
-            self.terminal_clobber_attempts += 1;
-            return Err(SimdcError::InvalidConfig(format!(
-                "task {id} is already terminal"
-            )));
-        }
         if record.state.is_pending() {
-            Self::unindex(&mut self.pending, record);
+            Self::unindex(&mut self.pending, &record);
         }
-        record.state = TaskState::Failed {
-            reason: reason.into(),
-        };
+        self.finish(
+            record,
+            TaskState::Failed {
+                reason: reason.into(),
+            },
+        );
         Ok(())
     }
 
-    /// All task ids in submission order.
+    /// All task ids, live and finished, in submission order.
     #[must_use]
     pub fn all_ids(&self) -> Vec<TaskId> {
-        let mut ids: Vec<(u64, TaskId)> = self
-            .records
-            .values()
-            .map(|r| (r.submitted_seq, r.spec.id))
-            .collect();
+        let live = self.records.values().map(|r| (r.submitted_seq, r.spec.id));
+        let finished = self.finished.iter().map(|(id, f)| (f.submitted_seq, *id));
+        let mut ids: Vec<(u64, TaskId)> = live.chain(finished).collect();
         ids.sort_unstable();
         ids.into_iter().map(|(_, id)| id).collect()
     }
@@ -346,11 +369,14 @@ mod tests {
         q.submit(spec(1, 0)).unwrap();
         let t0 = SimInstant::EPOCH;
         q.mark_running(TaskId(1), t0).unwrap();
-        assert!(q.get(TaskId(1)).unwrap().state.is_running());
+        assert!(matches!(
+            q.get(TaskId(1)).unwrap().state,
+            TaskState::Running { .. }
+        ));
         assert!(q.mark_running(TaskId(1), t0).is_err());
         let t1 = t0 + simdc_types::SimDuration::from_secs(5);
         q.mark_completed(TaskId(1), t1).unwrap();
-        assert!(q.get(TaskId(1)).unwrap().state.is_terminal());
+        assert!(q.state(TaskId(1)).unwrap().is_terminal());
         assert!(q.mark_completed(TaskId(1), t1).is_err());
         assert_eq!(q.census(), (0, 0, 1));
     }
@@ -361,7 +387,7 @@ mod tests {
         q.submit(spec(1, 0)).unwrap();
         q.mark_failed(TaskId(1), "resources never became available")
             .unwrap();
-        assert!(q.get(TaskId(1)).unwrap().state.is_terminal());
+        assert!(q.state(TaskId(1)).unwrap().is_terminal());
         assert!(q.mark_failed(TaskId(9), "x").is_err());
         assert!(q.pending_by_priority().is_empty(), "failed task left index");
     }
@@ -376,17 +402,46 @@ mod tests {
         // A completed record must not be clobbered to Failed.
         assert!(q.mark_failed(TaskId(1), "late failure").is_err());
         assert!(matches!(
-            q.get(TaskId(1)).unwrap().state,
-            TaskState::Completed { .. }
+            q.state(TaskId(1)),
+            Some(TaskState::Completed { .. })
         ));
         // Failed is terminal too: no double-fail with a new reason.
         q.submit(spec(2, 0)).unwrap();
         q.mark_failed(TaskId(2), "first reason").unwrap();
         assert!(q.mark_failed(TaskId(2), "second reason").is_err());
-        match &q.get(TaskId(2)).unwrap().state {
+        match q.state(TaskId(2)).unwrap() {
             TaskState::Failed { reason } => assert_eq!(reason, "first reason"),
             other => panic!("unexpected state {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_finished_task_keeps_its_state_but_not_its_record() {
+        let mut q = TaskQueue::new();
+        q.submit(spec(1, 0)).unwrap();
+        q.submit(spec(2, 0)).unwrap();
+        q.mark_running(TaskId(1), SimInstant::EPOCH).unwrap();
+        let t1 = SimInstant::EPOCH + simdc_types::SimDuration::from_secs(5);
+        q.mark_completed(TaskId(1), t1).unwrap();
+        q.mark_failed(TaskId(2), "boom").unwrap();
+        for id in [TaskId(1), TaskId(2)] {
+            assert!(q.get(id).is_none(), "finished task {id} kept its spec");
+            assert!(q.state(id).unwrap().is_terminal());
+        }
+        assert!(q.state(TaskId(3)).is_none());
+        // A finished id stays taken.
+        assert!(q.submit(spec(1, 0)).is_err());
+        assert!(q.submit(spec(2, 0)).is_err());
+        // Every transition of a finished task is refused and counted.
+        assert!(q.mark_running(TaskId(1), t1).is_err());
+        assert!(q.mark_completed(TaskId(2), t1).is_err());
+        assert!(q.mark_failed(TaskId(1), "late").is_err());
+        assert_eq!(q.terminal_clobber_attempts(), 3);
+        // An unknown id is not a clobber.
+        assert!(q.mark_failed(TaskId(9), "x").is_err());
+        assert_eq!(q.terminal_clobber_attempts(), 3);
+        assert_eq!(q.census(), (0, 0, 2));
+        assert_eq!(q.all_ids(), vec![TaskId(1), TaskId(2)]);
     }
 
     #[test]

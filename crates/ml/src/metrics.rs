@@ -62,7 +62,10 @@ fn auc(scored: &mut [(f64, bool)]) -> f64 {
     if n_pos == 0 || n_neg == 0 {
         return 0.5;
     }
-    scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("scores are finite"));
+    // `total_cmp` orders a diverged model's NaN scores instead of
+    // panicking; finite scores sort as before, and a tie group's midrank
+    // does not depend on the order within it.
+    scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
     // Assign midranks to tied scores.
     let mut rank_sum_pos = 0.0f64;
     let mut i = 0usize;
@@ -141,6 +144,16 @@ mod tests {
         let metrics = evaluate(&m, &dataset());
         assert_eq!(metrics.auc, 0.0);
         assert_eq!(metrics.accuracy, 0.0);
+    }
+
+    #[test]
+    fn a_diverged_model_evaluates_without_panicking() {
+        let mut m = LrModel::zeros(2);
+        m.weights_mut()[0] = f32::NAN;
+        let metrics = evaluate(&m, &dataset());
+        assert_eq!(metrics.n_examples, 100);
+        assert!(metrics.log_loss.is_nan());
+        assert!((0.0..=1.0).contains(&metrics.auc));
     }
 
     #[test]

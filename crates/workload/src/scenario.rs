@@ -4,10 +4,13 @@
 //! [`FleetDynamics`] over a time horizon; it is what a
 //! [`crate::ScenarioSpec`] compiles to (the named scenarios themselves are
 //! the JSON specs behind [`crate::library()`]). [`Scenario::run`]
-//! pre-samples the stochastic schedules from the scenario seed, then
-//! replays them through the deterministic [`simdc_simrt::Engine`] event
-//! loop: task arrivals, phone crashes and reboots are all events in one
-//! queue. The platform core is itself event-driven — each arrival is
+//! pre-samples the arrival instants and fleet perturbations from the
+//! scenario seed, then replays them through the deterministic
+//! [`simdc_simrt::Engine`] event loop: task arrivals, phone crashes and
+//! reboots are all events in one queue. A task's spec is instantiated
+//! when its arrival fires, and a finished task leaves only its arrival
+//! instant, final accuracy and terminal state behind, so a run's memory
+//! does not grow with the specs or reports of the tasks it has finished. The platform core is itself event-driven — each arrival is
 //! admitted at its arrival instant (or at the first task completion that
 //! frees its claim), and a recurring dispatch event merely paces the
 //! platform's completion events forward, never draining ahead of the
@@ -22,7 +25,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use simdc_cluster::ClusterConfig;
-use simdc_core::{Platform, PlatformConfig, TaskSpec, TaskState};
+use simdc_core::{Platform, PlatformConfig, TaskState};
 use simdc_data::CtrDataset;
 use simdc_simrt::{Engine, EngineCtx, RngStream, World};
 use simdc_types::{Result, SimDuration, SimInstant, SimdcError, TaskId};
@@ -105,6 +108,12 @@ impl Scenario {
     /// deliberately omits (e.g. billed node-seconds for the cost
     /// reconciliation check).
     ///
+    /// The run takes each task's report as the task completes and keeps
+    /// only its final accuracy, so the platform handed back holds no
+    /// reports ([`Platform::report`] finds none); its task states are
+    /// intact. A caller that wants reports builds a [`Platform`] and
+    /// drives it itself.
+    ///
     /// # Panics
     ///
     /// Panics if the scenario fails [`Scenario::validate`].
@@ -127,15 +136,10 @@ impl Scenario {
         let offsets = self
             .arrivals
             .sample(self.horizon, &mut rng.fork("arrivals"));
-        let mut template_rng = rng.fork("templates");
-        let specs: Vec<TaskSpec> = offsets
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                self.template
-                    .instantiate(TaskId(i as u64 + 1), &mut template_rng)
-            })
-            .collect();
+        // Specs are instantiated as their arrivals fire, from this one
+        // stream: offsets are strictly increasing, so arrival `i` fires
+        // before arrival `i + 1` and the draws come in id order.
+        let template_rng = rng.fork("templates");
         let stragglers = self
             .fleet
             .apply_stragglers(platform.phones_mut(), &mut rng.fork("stragglers"));
@@ -147,18 +151,19 @@ impl Scenario {
         let mut engine = Engine::new(ScenarioWorld {
             platform,
             dataset: Arc::clone(dataset),
+            template: &self.template,
+            template_rng,
             dispatch_interval: self.dispatch_interval,
             reboot_after: self.fleet.reboot_after,
-            arrivals: BTreeMap::new(),
-            submitted: Vec::new(),
+            tasks: BTreeMap::new(),
             rejected: 0,
             completed: 0,
             crashes: 0,
             reboots: 0,
             cloud_series: Vec::new(),
         });
-        for (offset, spec) in offsets.iter().zip(specs) {
-            engine.schedule_in(*offset, Ev::Arrival(Box::new(spec)));
+        for (i, offset) in offsets.iter().enumerate() {
+            engine.schedule_in(*offset, Ev::Arrival(TaskId(i as u64 + 1)));
         }
         for (offset, event) in &crashes {
             engine.schedule_in(*offset, Ev::Fleet(*event));
@@ -173,8 +178,9 @@ impl Scenario {
 
 /// The event alphabet of a scenario run.
 enum Ev {
-    /// A task arrives and is submitted to the platform queue.
-    Arrival(Box<TaskSpec>),
+    /// A task arrives: its spec is instantiated and submitted to the
+    /// platform queue.
+    Arrival(TaskId),
     /// A fleet perturbation fires.
     Fleet(FleetEvent),
     /// Pacing tick: run the platform's completion events up to now (final
@@ -182,14 +188,23 @@ enum Ev {
     Dispatch,
 }
 
+/// What a scenario run keeps of a submitted task.
+struct SubmittedTask {
+    arrival: SimInstant,
+    /// Final-round test accuracy, once the task completed.
+    final_accuracy: Option<f64>,
+}
+
 /// Platform + bookkeeping driven by the event loop.
-struct ScenarioWorld {
+struct ScenarioWorld<'a> {
     platform: Platform,
     dataset: Arc<CtrDataset>,
+    template: &'a TaskTemplate,
+    template_rng: RngStream,
     dispatch_interval: SimDuration,
     reboot_after: SimDuration,
-    arrivals: BTreeMap<TaskId, SimInstant>,
-    submitted: Vec<TaskId>,
+    /// Every submitted task by id; ascending id order is submission order.
+    tasks: BTreeMap<TaskId, SubmittedTask>,
     rejected: u64,
     completed: u64,
     crashes: u64,
@@ -199,7 +214,17 @@ struct ScenarioWorld {
     cloud_series: Vec<CloudSample>,
 }
 
-impl ScenarioWorld {
+impl ScenarioWorld<'_> {
+    /// Takes the reports of the tasks completed since the last call,
+    /// keeping only each one's final accuracy.
+    fn take_reports(&mut self) {
+        for (id, report) in self.platform.take_reports() {
+            if let Some(task) = self.tasks.get_mut(&id) {
+                task.final_accuracy = Some(report.final_accuracy());
+            }
+        }
+    }
+
     /// Samples the elastic tier at `now` into the cloud time series.
     fn sample_cloud(&mut self, now: SimInstant) {
         let stats = self.platform.cluster().stats();
@@ -213,13 +238,12 @@ impl ScenarioWorld {
     }
 }
 
-impl World for ScenarioWorld {
+impl World for ScenarioWorld<'_> {
     type Event = Ev;
 
     fn handle(&mut self, ctx: &mut EngineCtx<'_, Ev>, event: Ev) {
         match event {
-            Ev::Arrival(spec) => {
-                let id = spec.id;
+            Ev::Arrival(id) => {
                 // Bring the platform up to the arrival instant with the
                 // same tie discipline as `run_from_source`: completions
                 // strictly before now run normally, completions at
@@ -229,14 +253,19 @@ impl World for ScenarioWorld {
                 // `run_from_source`, every arrival gets its own pass: two
                 // arrivals at one instant are admitted in sampling order.
                 self.completed += self.platform.sync_to_arrival(ctx.now()) as u64;
-                match self.platform.submit(*spec, Arc::clone(&self.dataset)) {
+                let spec = self.template.instantiate(id, &mut self.template_rng);
+                match self.platform.submit(spec, Arc::clone(&self.dataset)) {
                     Ok(_) => {
-                        self.arrivals.insert(id, ctx.now());
-                        self.submitted.push(id);
+                        let task = SubmittedTask {
+                            arrival: ctx.now(),
+                            final_accuracy: None,
+                        };
+                        self.tasks.insert(id, task);
                     }
                     Err(_) => self.rejected += 1,
                 }
                 self.platform.admit_now();
+                self.take_reports();
             }
             Ev::Fleet(FleetEvent::Crash(id)) => {
                 // The manager re-indexes the phone as it writes, so the
@@ -273,6 +302,7 @@ impl World for ScenarioWorld {
                     // No sample here: `summarize` takes the one post-drain
                     // sample, so the series does not end on a duplicate.
                 }
+                self.take_reports();
             }
         }
     }
@@ -367,7 +397,7 @@ fn summarize(
     scenario: &Scenario,
     seed: u64,
     offsets: &[SimDuration],
-    mut world: ScenarioWorld,
+    mut world: ScenarioWorld<'_>,
     stragglers: u64,
     outer_events: u64,
 ) -> (ScenarioSummary, Platform) {
@@ -392,18 +422,19 @@ fn summarize(
     let mut runs: Vec<f64> = Vec::new();
     let mut accuracies: Vec<f64> = Vec::new();
     let mut failed = 0u64;
-    for id in &world.submitted {
+    for (id, task) in &world.tasks {
         match world.platform.task_state(*id) {
             Some(TaskState::Completed {
                 started_at,
                 finished_at,
             }) => {
-                let arrival = world.arrivals[id];
-                waits.push(started_at.saturating_duration_since(arrival).as_secs_f64());
+                waits.push(
+                    started_at
+                        .saturating_duration_since(task.arrival)
+                        .as_secs_f64(),
+                );
                 runs.push(finished_at.duration_since(*started_at).as_secs_f64());
-                if let Some(report) = world.platform.report(*id) {
-                    accuracies.push(report.final_accuracy());
-                }
+                accuracies.extend(task.final_accuracy);
             }
             Some(TaskState::Failed { .. }) => failed += 1,
             // A drained run leaves nothing pending/running; count any
@@ -423,7 +454,7 @@ fn summarize(
         seed,
         horizon_secs: scenario.horizon.as_secs_f64(),
         arrivals: offsets.len() as u64,
-        submitted: world.submitted.len() as u64,
+        submitted: world.tasks.len() as u64,
         rejected: world.rejected,
         completed: world.completed,
         failed,

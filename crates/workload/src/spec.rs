@@ -249,7 +249,10 @@ impl CompiledScenario {
 
     /// Like [`CompiledScenario::run`], but also hands back the drained
     /// platform so callers can interrogate the invariant oracles
-    /// ([`Platform::invariant_violations`]).
+    /// ([`Platform::invariant_violations`]) and task states. The run
+    /// takes each task's report as the task completes, so the platform
+    /// holds none; a caller that wants reports builds a [`Platform`] and
+    /// drives it itself.
     #[must_use]
     pub fn run_detailed(&self, dataset: &Arc<CtrDataset>) -> (ScenarioSummary, Platform) {
         self.scenario

@@ -123,3 +123,19 @@ fn truncated_documents_error_instead_of_panicking() {
     }
     assert!(ScenarioSpec::from_json_str(&full).is_ok());
 }
+
+/// Deep nesting is a typed error, not a stack overflow: the JSON parser
+/// stops at 128 levels, long before a million open brackets could
+/// exhaust the test thread's stack.
+#[test]
+fn deeply_nested_documents_error_instead_of_overflowing() {
+    let err = ScenarioSpec::from_json_str(&"[".repeat(1_000_000)).unwrap_err();
+    assert!(
+        matches!(err, simdc_types::SimdcError::Serialization(_)),
+        "{err}"
+    );
+    assert!(
+        err.to_string().contains("recursion limit exceeded"),
+        "{err}"
+    );
+}
