@@ -4,10 +4,10 @@
 //! Devices upload their updates and announce them with messages carrying
 //! each update's key; DeviceFlow forwards the messages according to the
 //! task's strategy; the cloud service decides *when to aggregate* and
-//! fetches the announced updates by key. An update lives only as long as
-//! its round (the task runner keeps a round's uploads in a map local to
-//! the round), so what outlasts a round is [`Storage`]'s byte count. In
-//! real deployments the cloud does not know how many devices will report
+//! fetches the announced updates. An update lives only as long as its
+//! round (the task runner folds each fetched update into the aggregate at
+//! once), so what outlasts a round is [`Storage`]'s byte count. In real
+//! deployments the cloud does not know how many devices will report
 //! (§VI-C.1), so aggregation fires on a trigger: a sample threshold or a
 //! schedule.
 
@@ -91,12 +91,16 @@ impl AggregationTrigger {
 
     /// The instant a round begun at `round_start` aggregates unless a
     /// threshold fires first: the schedule clamped to the round timeout, or
-    /// the timeout itself. No delivery after it can join the round.
+    /// the timeout itself. No delivery after it can join the round. Both
+    /// saturate at the end of time: a timeout too long to represent means
+    /// the round never times out.
     #[must_use]
     pub fn horizon(&self, round_start: SimInstant, timeout: SimDuration) -> SimInstant {
-        let deadline = round_start + timeout;
+        let deadline = round_start.saturating_add(timeout);
         match *self {
-            AggregationTrigger::Scheduled { period } => (round_start + period).min(deadline),
+            AggregationTrigger::Scheduled { period } => {
+                round_start.saturating_add(period).min(deadline)
+            }
             _ => deadline,
         }
     }

@@ -36,7 +36,7 @@ use simdc_types::{PerGrade, ResourceBundle, Result, SimDuration, SimInstant, Sim
 use crate::cloud::Storage;
 use crate::queue::{TaskQueue, TaskState};
 use crate::resources::ResourceManager;
-use crate::runner::{RunnerConfig, TaskPlan, TaskReport, TaskRunner};
+use crate::runner::{RoundZeroMemo, RunnerConfig, TaskPlan, TaskReport, TaskRunner};
 use crate::scheduler::GreedyScheduler;
 use crate::spec::TaskSpec;
 
@@ -157,6 +157,9 @@ pub struct Platform {
     queue: TaskQueue,
     scheduler: GreedyScheduler,
     runner: TaskRunner,
+    /// Round-0 updates shared by every task admitted on the same dataset;
+    /// rebound (and cleared) when a task brings another dataset.
+    round_zero: RoundZeroMemo,
     /// What each pending task carries; entries leave when the task leaves
     /// the pending state (admitted or starved).
     pending: BTreeMap<TaskId, PendingTask>,
@@ -206,6 +209,7 @@ impl Platform {
             queue: TaskQueue::new(),
             scheduler: GreedyScheduler::new(),
             runner: TaskRunner::new(config.runner),
+            round_zero: RoundZeroMemo::default(),
             pending: BTreeMap::new(),
             reports: BTreeMap::new(),
             plans: BTreeMap::new(),
@@ -351,9 +355,11 @@ impl Platform {
                 continue;
             };
             let spec = &self.queue.get(id).expect("just marked").spec;
-            match self.runner.plan(
+            self.round_zero.bind(&dataset);
+            match self.runner.plan_with(
                 spec,
                 &dataset,
+                &mut self.round_zero,
                 &mut self.cluster,
                 &mut self.phones,
                 &mut self.storage,
@@ -1458,6 +1464,146 @@ mod tests {
              units_per_device (8) to launch an actor\" }"
         );
         assert_eq!(platform.storage().bytes_written(), 0);
+    }
+
+    /// A task stream for the round-0 memo, in blocks of four tasks on one
+    /// dataset: two datasets of one shape, in the order A, B, A. Every
+    /// task runs half on the cluster (server kernel) and half on phones
+    /// (mobile kernel). In each block, the third task trains with the
+    /// first task's config but with the other kernel on some of its
+    /// shards, the second changes the learning rate only and the fourth
+    /// the epochs only. Tasks run 1–3 rounds, and each block's third task
+    /// has a dropout strategy, so its later rounds include devices its
+    /// round 0 lost.
+    fn memo_stream() -> (Vec<(TaskSpec, usize)>, [Arc<CtrDataset>; 2]) {
+        let data = |seed| {
+            Arc::new(CtrDataset::generate(&GeneratorConfig {
+                n_devices: 10,
+                n_test_devices: 4,
+                mean_records_per_device: 8.0,
+                feature_dim: 1 << 10,
+                seed,
+                ..GeneratorConfig::default()
+            }))
+        };
+        let config = |learning_rate, epochs| simdc_ml::TrainConfig {
+            learning_rate,
+            epochs,
+        };
+        let configs = [config(0.05, 2), config(0.02, 2), config(0.05, 3)];
+        let tasks = (0..12u64)
+            .map(|i| {
+                let high = [8, 16, 12, 20][(i % 4) as usize];
+                let mut builder = TaskSpec::builder(TaskId(i + 1));
+                builder
+                    .rounds(1 + ((i / 2) % 3) as u32)
+                    .grade(GradeRequirement {
+                        grade: DeviceGrade::High,
+                        total_devices: high,
+                        benchmark_phones: 0,
+                        logical_unit_bundles: 16,
+                        units_per_device: 8,
+                        phones: 3,
+                    })
+                    .grade(GradeRequirement {
+                        grade: DeviceGrade::Low,
+                        total_devices: 6,
+                        benchmark_phones: 0,
+                        logical_unit_bundles: 4,
+                        units_per_device: 2,
+                        phones: 2,
+                    })
+                    .allocation(AllocationPolicy::FixedLogicalFraction(0.5))
+                    .train(configs[[0, 1, 0, 2][(i % 4) as usize]])
+                    .trigger(AggregationTrigger::DeviceThreshold {
+                        min_devices: high + 6,
+                    })
+                    .seed(i);
+                if i % 4 == 2 {
+                    builder
+                        .strategy(simdc_deviceflow::DispatchStrategy::RealTimeAccumulated {
+                            thresholds: vec![1],
+                            failure_prob: 0.3,
+                        })
+                        .trigger(AggregationTrigger::Scheduled {
+                            period: SimDuration::from_mins(10),
+                        });
+                }
+                (builder.build().unwrap(), ((i / 4) % 2) as usize)
+            })
+            .collect();
+        (tasks, [data(11), data(12)])
+    }
+
+    /// Every bit of a report: its `Debug` text (which spells out every
+    /// float, `-0.0` and NaN included) and its final model's bits.
+    fn report_bits(report: &TaskReport) -> (String, Vec<u32>, u32) {
+        let model = &report.final_model;
+        let weights = model.weights().iter().map(|w| w.to_bits()).collect();
+        (format!("{report:?}"), weights, model.bias().to_bits())
+    }
+
+    /// Reusing round-0 updates across tasks changes no report. The stream
+    /// runs one task at a time, twice: once with every task of a dataset
+    /// sharing its `Arc`, so each task after the first reuses what
+    /// earlier ones trained, and once with each task on its own copy of
+    /// the dataset and a memo emptied before it, which reuses nothing
+    /// across tasks whatever the memo's key or reset logic does.
+    #[test]
+    fn round_zero_reuse_is_exact() {
+        let (tasks, datasets) = memo_stream();
+        let run = |reuse: bool| {
+            let mut platform = Platform::paper_default();
+            for (spec, d) in &tasks {
+                let data = if reuse {
+                    Arc::clone(&datasets[*d])
+                } else {
+                    platform.round_zero = RoundZeroMemo::default();
+                    Arc::new((*datasets[*d]).clone())
+                };
+                platform.submit(spec.clone(), data).unwrap();
+                assert_eq!(platform.run_until_idle(), 1);
+            }
+            platform.take_reports().into_values().collect::<Vec<_>>()
+        };
+        let (shared, reference) = (run(true), run(false));
+
+        assert_eq!(shared.len(), tasks.len());
+        let both_kernels = shared.iter().flat_map(|r| &r.allocation.grades);
+        assert!(both_kernels
+            .into_iter()
+            .all(|g| g.logical_devices > 0 && g.phone_devices > 0));
+        let rounds = || shared.iter().flat_map(|r| &r.rounds);
+        assert!(rounds().any(|r| r.round.0 > 0));
+        assert!(rounds().any(|r| r.dropped_messages > 0));
+        for (shared, reference) in shared.iter().zip(&reference) {
+            let same = report_bits(shared) == report_bits(reference);
+            assert!(same, "{}'s report differs from the reference", shared.task);
+        }
+    }
+
+    /// The round-0 memo is bounded by the dataset, not the horizon: a
+    /// second batch of the same tasks trains nothing new, and no batch
+    /// holds more than shards × kernels × configs updates.
+    #[test]
+    fn the_round_zero_memo_stops_growing() {
+        let mut platform = Platform::paper_default();
+        let data = dataset();
+        let mut batch = |first: u64| {
+            for id in first..first + 4 {
+                let mut spec = small_spec(id, 0);
+                spec.allocation = AllocationPolicy::FixedLogicalFraction(0.5);
+                platform.submit(spec, data.clone()).unwrap();
+            }
+            assert_eq!(platform.run_until_idle(), 4);
+            platform.round_zero.len()
+        };
+        let after_n = batch(1);
+        let after_2n = batch(5);
+        assert!(after_n > 0);
+        assert_eq!(after_2n, after_n);
+        let (shards, kernels, configs) = (data.devices.len(), 2, 1);
+        assert!(after_2n <= shards * kernels * configs, "{after_2n}");
     }
 
     #[test]

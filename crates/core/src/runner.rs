@@ -5,26 +5,33 @@
 //!
 //! 1. splits each grade's devices between the logical cluster and the
 //!    phone cluster according to the task's allocation,
-//! 2. actually trains every simulated device's model on its local shard —
-//!    server kernel on the cluster, mobile kernel on phones (the §VI-B.2
-//!    implementation split),
-//! 3. keeps each update in a map local to the round, under the key its
-//!    announcement message carries, and feeds the messages through
-//!    DeviceFlow at each device's virtual completion time,
-//! 4. lets the cloud trigger decide the aggregation instant, fetches the
-//!    updates that made it by key, FedAvgs them and evaluates the new
-//!    global model; what stragglers and dropped devices uploaded ends
-//!    with the round.
+//! 2. emits one update message per device at its virtual completion
+//!    time — its sample count is the shard length and its charged size a
+//!    function of the model dimension, so neither waits for training —
+//!    and feeds the messages through DeviceFlow,
+//! 3. lets the cloud trigger decide the aggregation instant and the
+//!    messages that made it,
+//! 4. trains only those devices, in inclusion order — server kernel on
+//!    the cluster, mobile kernel on phones (the §VI-B.2 implementation
+//!    split) — folding each update into FedAvg as it is fetched, and
+//!    evaluates the new global model. Stragglers and dropped devices are
+//!    never trained: nothing reads their updates.
+//!
+//! Round 0 always trains from the zero model, so its update depends only
+//! on the shard, the kernel and the training config. A memo trains each
+//! such update once: per call of [`TaskRunner::plan`], and across every
+//! task of one dataset on a [`crate::Platform`].
 //!
 //! Everything is deterministic given the task seed and start instant.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Weak};
 
 use serde::{Deserialize, Serialize};
 use simdc_cluster::{JobSpec, LogicalCluster, PlacementGroupId};
 use simdc_data::CtrDataset;
 use simdc_deviceflow::{DeviceFlow, FlowHarness};
-use simdc_ml::{evaluate, EvalMetrics, FedAvg, KernelKind, LocalTrainer, LocalUpdate, LrModel};
+use simdc_ml::{evaluate, EvalMetrics, FedAvgFold, KernelKind, LocalTrainer, LocalUpdate, LrModel};
 use simdc_phone::{PerfReport, PhoneMgr, PhoneProfile, RunPlan};
 use simdc_simrt::RngStream;
 use simdc_types::{
@@ -184,6 +191,58 @@ struct GradePlacement {
     benchmark_devices: Vec<(DeviceId, PhoneId)>,
 }
 
+/// Round-0 updates, each trained once per (shard index, kernel, learning
+/// rate bits, epochs): everything a round-0 training reads besides the
+/// zero model every task starts from. The entries are valid for one
+/// dataset; a platform binds its memo to the dataset of each task it
+/// admits ([`RoundZeroMemo::bind`]), so the memo holds at most
+/// shards × kernels × configs entries however long the run.
+#[derive(Debug, Default)]
+pub(crate) struct RoundZeroMemo {
+    /// The dataset the entries were trained on. A `Weak` keeps no dataset
+    /// alive, yet while it is held the allocation cannot be reused, so
+    /// pointer identity cannot mistake a new dataset for the old one.
+    dataset: Weak<CtrDataset>,
+    updates: BTreeMap<(usize, KernelKind, u32, u32), LocalUpdate>,
+}
+
+impl RoundZeroMemo {
+    /// Readies the memo for a task on `dataset`, dropping every entry
+    /// trained on another dataset.
+    pub(crate) fn bind(&mut self, dataset: &Arc<CtrDataset>) {
+        if !std::ptr::eq(self.dataset.as_ptr(), Arc::as_ptr(dataset)) {
+            self.dataset = Arc::downgrade(dataset);
+            self.updates.clear();
+        }
+    }
+
+    /// Updates held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.updates.len()
+    }
+
+    /// Shard `shard`'s round-0 update under `kernel` and `trainer`'s
+    /// config, trained from the zero model `global` on first use.
+    fn update(
+        &mut self,
+        trainer: &LocalTrainer,
+        global: &LrModel,
+        dataset: &CtrDataset,
+        shard: usize,
+        kernel: KernelKind,
+    ) -> &LocalUpdate {
+        debug_assert!(
+            global.bias().to_bits() == 0 && global.weights().iter().all(|w| w.to_bits() == 0),
+            "a round-0 update trains from the zero model"
+        );
+        let config = trainer.config();
+        self.updates
+            .entry((shard, kernel, config.learning_rate.to_bits(), config.epochs))
+            .or_insert_with(|| trainer.train(global, &dataset.devices[shard].data, kernel))
+    }
+}
+
 impl TaskRunner {
     /// Creates a runner.
     #[must_use]
@@ -337,6 +396,23 @@ impl TaskRunner {
         storage: &mut Storage,
         start: SimInstant,
     ) -> Result<TaskPlan> {
+        let mut memo = RoundZeroMemo::default();
+        self.plan_with(spec, dataset, &mut memo, cluster, phones, storage, start)
+    }
+
+    /// [`TaskRunner::plan`] serving round-0 updates from `memo`, which
+    /// holds only updates trained on `dataset`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn plan_with(
+        &self,
+        spec: &TaskSpec,
+        dataset: &CtrDataset,
+        memo: &mut RoundZeroMemo,
+        cluster: &mut LogicalCluster,
+        phones: &mut PhoneMgr,
+        storage: &mut Storage,
+        start: SimInstant,
+    ) -> Result<TaskPlan> {
         spec.validate()?;
         let allocation = self.plan_allocation(spec, cluster)?;
         let mut placements = Self::place_devices(spec, &allocation, phones, start)?;
@@ -353,6 +429,7 @@ impl TaskRunner {
             .plan_timeline(
                 spec,
                 dataset,
+                memo,
                 start,
                 allocation,
                 &placements,
@@ -470,7 +547,7 @@ impl TaskRunner {
     /// Rounds, DeviceFlow routing, aggregation and benchmark-run planning
     /// over the bound placement: every upload and global-model publish is
     /// charged to `storage`, cloud rounds are planned on the task's
-    /// placement groups, and the
+    /// placement groups, round 0's updates come from `memo`, and the
     /// benchmark runs come back for [`TaskRunner::plan`] to submit, in
     /// binding order. Profiles are read from the fleet as it stands.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
@@ -478,6 +555,7 @@ impl TaskRunner {
         &self,
         spec: &TaskSpec,
         dataset: &CtrDataset,
+        memo: &mut RoundZeroMemo,
         start: SimInstant,
         allocation: Allocation,
         placements: &[GradePlacement],
@@ -516,8 +594,8 @@ impl TaskRunner {
             // bandwidth only.
             storage.charge(global.serialized_size());
 
-            // Every device's completion instant and kernel, in training
-            // order (which assigns the message ids).
+            // Every device's completion instant and kernel, in the order
+            // that assigns the message ids.
             let mut completions: Vec<(SimInstant, DeviceId, KernelKind)> = Vec::new();
             let payload_mib =
                 self.config.data_payload_mib + global.serialized_size() as f64 / (1024.0 * 1024.0);
@@ -566,24 +644,22 @@ impl TaskRunner {
                 }
             }
 
-            // Train every device. Its update waits in the round's own map
-            // under the key its message announces; whatever the cloud does
-            // not fetch ends with the round.
-            let mut uploads: BTreeMap<StorageKey, LocalUpdate> = BTreeMap::new();
+            // Emit every device's message. Its sample count is the shard
+            // length and its upload size depends on the dimension only, so
+            // nothing here waits for training.
+            let shards = dataset.devices.len() as u64;
+            let first_id = message_seq;
             let mut emissions: Vec<(SimInstant, Message)> = Vec::with_capacity(completions.len());
             let mut compute_finished = round_start;
-            for (at, device, kernel) in completions {
+            for &(at, device, _) in &completions {
                 compute_finished = compute_finished.max(at);
-                let shard = &dataset.devices[(device.0 % dataset.devices.len() as u64) as usize];
-                let update = trainer.train(&global, &shard.data, kernel);
+                let n_samples = dataset.devices[(device.0 % shards) as usize].data.len() as u64;
                 let key = StorageKey::for_update(spec.id, round, device);
                 let id = MessageId(message_seq);
                 message_seq += 1;
-                let message =
-                    Message::model_update(id, spec.id, device, round, update.n_samples, key, at);
+                let message = Message::model_update(id, spec.id, device, round, n_samples, key, at);
                 emissions.push((at, message));
-                storage.charge(update.serialized_size());
-                uploads.insert(key, update);
+                storage.charge(LocalUpdate::wire_size(global.dim()));
             }
             emissions.sort_by_key(|(at, m)| (*at, m.id));
 
@@ -619,19 +695,25 @@ impl TaskRunner {
             let dropped_messages = dropped_total - dropped_seen;
             dropped_seen = dropped_total;
 
-            // Cloud side: fetch, aggregate, evaluate.
-            let updates = included
-                .iter()
-                .map(|m| {
-                    uploads
-                        .remove(&m.storage_key)
-                        .ok_or_else(|| SimdcError::StorageMiss(m.storage_key.to_string()))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let included_samples: u64 = updates.iter().map(|u| u.n_samples).sum();
-            let train_loss = FedAvg::weighted_loss(&updates);
-            if !updates.is_empty() {
-                global = FedAvg::aggregate(&updates)?;
+            // Cloud side: train what the trigger fetched, in inclusion
+            // order, folding each update into FedAvg as it arrives; then
+            // evaluate. Round 0 starts from the zero model, so its updates
+            // come from the memo.
+            let mut fold = FedAvgFold::new(included.iter().map(|m| m.sample_count));
+            for m in &included {
+                // Ids count up from `first_id` in `completions` order.
+                let (_, device, kernel) = completions[(m.id.0 - first_id) as usize];
+                let shard = (device.0 % shards) as usize;
+                if round_idx == 0 {
+                    fold.add(memo.update(&trainer, &global, dataset, shard, kernel));
+                } else {
+                    fold.add(&trainer.train(&global, &dataset.devices[shard].data, kernel));
+                }
+            }
+            let included_samples: u64 = included.iter().map(|m| m.sample_count).sum();
+            let train_loss = fold.loss();
+            if !included.is_empty() {
+                global = fold.into_model()?;
             }
             let eval = evaluate(&global, &dataset.test);
 

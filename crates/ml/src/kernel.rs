@@ -16,7 +16,7 @@ use simdc_data::Example;
 use crate::model::LrModel;
 
 /// Which operator implementation a simulated device runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum KernelKind {
     /// PyMNN-analog: `f64` accumulation (logical simulation).
     Server,

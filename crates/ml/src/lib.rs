@@ -53,7 +53,7 @@ pub mod metrics;
 pub mod model;
 pub mod train;
 
-pub use fedavg::FedAvg;
+pub use fedavg::{FedAvg, FedAvgFold};
 pub use kernel::{KernelKind, MobileKernel, ServerKernel, TrainKernel};
 pub use metrics::{evaluate, pearson_correlation, EvalMetrics};
 pub use model::LrModel;

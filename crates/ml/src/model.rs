@@ -99,7 +99,14 @@ impl LrModel {
     /// then weights — for bandwidth accounting.
     #[must_use]
     pub fn serialized_size(&self) -> u64 {
-        8 + self.weights.len() as u64 * 4
+        Self::wire_size(self.dim())
+    }
+
+    /// Wire size of any model of dimension `dim`
+    /// ([`LrModel::serialized_size`]).
+    #[must_use]
+    pub fn wire_size(dim: u32) -> u64 {
+        8 + u64::from(dim) * 4
     }
 }
 

@@ -61,11 +61,13 @@ pub struct LocalUpdate {
 }
 
 impl LocalUpdate {
-    /// Size in bytes of the update on the wire — sample count, loss, then
-    /// the model — for bandwidth accounting.
+    /// Size in bytes of an update of a dimension-`dim` model on the wire —
+    /// sample count, loss, then the model — for bandwidth accounting. It
+    /// depends on nothing training computes, so an upload is charged
+    /// before (or without) its update being trained.
     #[must_use]
-    pub fn serialized_size(&self) -> u64 {
-        16 + self.model.serialized_size()
+    pub fn wire_size(dim: u32) -> u64 {
+        16 + LrModel::wire_size(dim)
     }
 }
 

@@ -35,9 +35,6 @@ pub enum SimdcError {
         /// The polling instant.
         at: SimInstant,
     },
-    /// A storage key was not found when a cloud service tried to fetch a
-    /// device result.
-    StorageMiss(String),
     /// A DeviceFlow strategy was rejected (e.g. a traffic function violating
     /// the single-valued/bounded/non-negative contract).
     InvalidStrategy(String),
@@ -64,7 +61,6 @@ impl fmt::Display for SimdcError {
             SimdcError::NoActiveRun { phone, at } => {
                 write!(f, "phone {phone} has no active run at {at}")
             }
-            SimdcError::StorageMiss(key) => write!(f, "storage key not found: {key}"),
             SimdcError::InvalidStrategy(msg) => write!(f, "invalid dispatch strategy: {msg}"),
             SimdcError::InfeasibleAllocation(msg) => {
                 write!(f, "infeasible allocation: {msg}")
@@ -94,7 +90,6 @@ mod tests {
                 phone: PhoneId(1),
                 at: SimInstant::EPOCH,
             },
-            SimdcError::StorageMiss("task-1/round-0/dev-2".into()),
             SimdcError::InvalidStrategy("negative rate".into()),
             SimdcError::InfeasibleAllocation("q exceeds N".into()),
             SimdcError::Serialization("truncated payload".into()),

@@ -259,6 +259,12 @@ impl SimInstant {
     pub const fn saturating_duration_since(self, earlier: SimInstant) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
+
+    /// Adds `rhs`, saturating at the last representable instant.
+    #[must_use]
+    pub const fn saturating_add(self, rhs: SimDuration) -> SimInstant {
+        SimInstant(self.0.saturating_add(rhs.0))
+    }
 }
 
 impl Add<SimDuration> for SimInstant {
@@ -320,6 +326,10 @@ mod tests {
         assert_eq!(
             SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(2)),
             SimDuration::ZERO
+        );
+        assert_eq!(
+            SimInstant::from_micros(5).saturating_add(SimDuration::MAX),
+            SimInstant::from_micros(u64::MAX)
         );
     }
 
