@@ -10,107 +10,94 @@
 //! * **(b) differentially distributed** shards (70% positive-heavy / 30%
 //!   negative-heavy) — convergence destabilizes and test accuracy degrades
 //!   as dropout grows.
+//!
+//! Each `(distribution, dropout)` pair is one platform task over an
+//! all-logical High grade, one device per shard. DeviceFlow's real-time
+//! strategy loses each upload with the dropout probability, and a
+//! scheduled trigger aggregates whatever arrived. The 30-minute period
+//! outlasts every round's compute (the full run's slowest round computes
+//! for about 1 283 s), so no upload is a straggler and dropout alone
+//! decides what each aggregate misses; a shorter period would mix the
+//! clock's cut into the dropout effect.
+
+use std::sync::Arc;
 
 use serde::Serialize;
+use simdc_core::{
+    AggregationTrigger, AllocationPolicy, GradeRequirement, Platform, RoundReport, TaskSpec,
+};
 use simdc_data::{
-    iid_partition, label_skew_partition, CtrDataset, DeviceDataset, GeneratorConfig,
-    LabelSkewConfig,
+    iid_partition, label_skew_partition, CtrDataset, GeneratorConfig, LabelSkewConfig,
 };
-use simdc_deviceflow::{DeviceFlow, DispatchStrategy, FlowHarness};
-use simdc_ml::{evaluate, FedAvg, KernelKind, LocalTrainer, LocalUpdate, LrModel};
+use simdc_deviceflow::DispatchStrategy;
 use simdc_simrt::RngStream;
-use simdc_types::{
-    DeviceId, Message, MessageId, RoundId, SimDuration, SimInstant, StorageKey, TaskId,
-};
+use simdc_types::{DeviceGrade, SimDuration, TaskId};
 
 use crate::{f, render_table, ExpOptions};
 
-/// One `(distribution, dropout)` accuracy series.
+/// One `(distribution, dropout)` series.
 #[derive(Debug, Clone, Serialize)]
 pub struct Series {
     /// "identical" or "differential".
     pub distribution: String,
     /// Dropout probability.
     pub dropout: f64,
+    /// The task's rounds, in order.
+    pub rounds: Vec<RoundReport>,
+}
+
+impl Series {
     /// Test accuracy after each round.
-    pub accuracy: Vec<f64>,
+    #[must_use]
+    pub fn accuracy(&self) -> Vec<f64> {
+        self.rounds.iter().map(|r| r.eval.accuracy).collect()
+    }
 }
 
 const DROPOUTS: [f64; 4] = [0.0, 0.3, 0.7, 0.9];
 
-fn run_config(
-    shards: &[DeviceDataset],
-    test: &CtrDataset,
-    dropout: f64,
-    rounds: u32,
-    seed: u64,
-) -> Vec<f64> {
-    let trainer = LocalTrainer::new(super::visible_train_config());
-    let mut global = LrModel::zeros(test.feature_dim);
-    let mut accs = Vec::with_capacity(rounds as usize);
+/// The aggregation period; see the module docs for why it must exceed
+/// every round's compute.
+const PERIOD: SimDuration = SimDuration::from_mins(30);
 
-    // All updates flow through a real DeviceFlow with the paper's
-    // real-time strategy and failure probability.
-    let mut flow = DeviceFlow::new();
-    flow.register_task(
-        TaskId(1),
-        DispatchStrategy::RealTimeAccumulated {
+/// Runs one `(distribution, dropout)` task over `data`, one device per
+/// shard, and returns its rounds.
+fn run_config(data: &Arc<CtrDataset>, dropout: f64, rounds: u32, seed: u64) -> Vec<RoundReport> {
+    let mut platform = Platform::paper_default();
+    let spec = TaskSpec::builder(TaskId(1))
+        .rounds(rounds)
+        .grade(GradeRequirement {
+            logical_unit_bundles: 128,
+            phones: 0,
+            ..GradeRequirement::sized(DeviceGrade::High, data.devices.len() as u64)
+        })
+        .strategy(DispatchStrategy::RealTimeAccumulated {
             thresholds: vec![1],
             failure_prob: dropout,
-        },
-    )
-    .expect("valid strategy");
-    let mut harness = FlowHarness::new(flow, RngStream::named(seed, "fig11/flow"));
-    let mut now = SimInstant::EPOCH;
-    let round_len = SimDuration::from_secs(60);
-
-    for r in 0..rounds {
-        let round = RoundId(r);
-        let updates: Vec<LocalUpdate> = shards
-            .iter()
-            .map(|d| trainer.train(&global, &d.data, KernelKind::Server))
-            .collect();
-        harness.round_started(TaskId(1), round);
-        for (i, (shard, update)) in shards.iter().zip(&updates).enumerate() {
-            let at = now + SimDuration::from_millis(10 * i as u64 % 50_000);
-            harness.ingest_at(
-                at,
-                Message::model_update(
-                    MessageId(u64::from(r) * shards.len() as u64 + i as u64),
-                    TaskId(1),
-                    DeviceId(shard.device.0),
-                    round,
-                    update.n_samples,
-                    StorageKey::for_update(TaskId(1), round, shard.device),
-                    at,
-                ),
-            );
-        }
-        // Timed aggregation at the end of the round window.
-        now += round_len;
-        let included: Vec<LocalUpdate> = harness
-            .deliver_round(round, now)
-            .map(|(_, m)| {
-                let idx = shards
-                    .iter()
-                    .position(|s| s.device.0 == m.device.0)
-                    .expect("message from a known shard");
-                updates[idx].clone()
-            })
-            .collect();
-        if !included.is_empty() {
-            global = FedAvg::aggregate(&included).expect("non-empty aggregate");
-        }
-        accs.push(evaluate(&global, &test.test).accuracy);
-    }
-    accs
+        })
+        .trigger(AggregationTrigger::Scheduled { period: PERIOD })
+        .round_timeout(PERIOD)
+        .train(super::visible_train_config())
+        .allocation(AllocationPolicy::FixedLogicalFraction(1.0))
+        .seed(seed ^ dropout.to_bits())
+        .build()
+        .expect("fig11 spec is valid");
+    platform
+        .submit(spec, data.clone())
+        .expect("submit fig11 task");
+    platform.run_until_idle();
+    platform
+        .take_reports()
+        .remove(&TaskId(1))
+        .expect("fig11 task completed")
+        .rounds
 }
 
 /// Runs the experiment.
 ///
 /// # Panics
 ///
-/// Panics on internal aggregation errors.
+/// Panics if the platform rejects or fails a task.
 pub fn run(opts: &ExpOptions) -> Vec<Series> {
     let n_devices = if opts.quick { 200 } else { 1_000 };
     let rounds = if opts.quick { 6 } else { 10 };
@@ -137,13 +124,17 @@ pub fn run(opts: &ExpOptions) -> Vec<Series> {
     );
 
     let mut series = Vec::new();
-    for (name, shards) in [("identical", &identical), ("differential", &differential)] {
+    for (name, shards) in [("identical", identical), ("differential", differential)] {
+        let data = Arc::new(CtrDataset {
+            devices: shards,
+            test: base.test.clone(),
+            feature_dim: base.feature_dim,
+        });
         for &p in &DROPOUTS {
-            let accuracy = run_config(shards, &base, p, rounds, opts.seed ^ p.to_bits());
             series.push(Series {
                 distribution: name.into(),
                 dropout: p,
-                accuracy,
+                rounds: run_config(&data, p, rounds, opts.seed),
             });
         }
     }
@@ -154,8 +145,8 @@ pub fn run(opts: &ExpOptions) -> Vec<Series> {
             vec![
                 s.distribution.clone(),
                 format!("{:.1}", s.dropout),
-                f(*s.accuracy.last().expect("rounds ran"), 4),
-                f(spread(&s.accuracy), 4),
+                f(s.rounds.last().expect("rounds ran").eval.accuracy, 4),
+                f(spread(&s.accuracy()), 4),
             ]
         })
         .collect();
@@ -196,21 +187,29 @@ mod tests {
         };
         let series = run(&opts);
         assert_eq!(series.len(), 8);
+        // The premise: the period outlasts every round's compute, so no
+        // upload is a straggler and only DeviceFlow's dropout removes one.
+        for s in &series {
+            for r in &s.rounds {
+                let premise = r.stragglers == 0 && r.included_updates + r.dropped_messages == 200;
+                assert!(premise, "{} p={}: {r:?}", s.distribution, s.dropout);
+            }
+        }
         let find = |dist: &str, p: f64| {
             series
                 .iter()
                 .find(|s| s.distribution == dist && (s.dropout - p).abs() < 1e-9)
                 .unwrap()
+                .accuracy()
         };
         // (a) identical: negligible difference between p=0 and p=0.9.
-        let iid_gap = (find("identical", 0.0).accuracy.last().unwrap()
-            - find("identical", 0.9).accuracy.last().unwrap())
-        .abs();
+        let iid_gap =
+            (find("identical", 0.0).last().unwrap() - find("identical", 0.9).last().unwrap()).abs();
         assert!(iid_gap < 0.05, "IID dropout gap {iid_gap}");
         // (b) differential: high dropout destabilizes convergence more than
         // no dropout (spread grows with p).
-        let skew_stable = spread(&find("differential", 0.0).accuracy);
-        let skew_unstable = spread(&find("differential", 0.9).accuracy);
+        let skew_stable = spread(&find("differential", 0.0));
+        let skew_unstable = spread(&find("differential", 0.9));
         assert!(
             skew_unstable > skew_stable,
             "spread p=0 {skew_stable} vs p=0.9 {skew_unstable}"

@@ -8,9 +8,22 @@
 //! overhead); at ≥10,000 devices SimDC and FederatedScope converge, while
 //! FedScale stays fastest because it skips device-cloud communication
 //! entirely.
+//!
+//! Neither baseline framework is available here, so each is a cost curve
+//! of its standalone simulation mode — a fixed per-round overhead plus a
+//! per-client cost:
+//!
+//! * FedScale keeps data and models in memory and only swaps tensors
+//!   between buffers when switching clients (§VI-B.4: it "does not use
+//!   device-cloud communication during simulations"), so its per-client
+//!   cost is tiny and it "appears faster" while deviating most from real
+//!   deployments;
+//! * FederatedScope's standalone mode simulates clients one after another
+//!   on a single resource instance and keeps the device-cloud messages, so
+//!   each client pays a per-message cost; at large scales its round time
+//!   converges to SimDC's, since both grow linearly per device.
 
 use serde::Serialize;
-use simdc_baselines::{BaselineSimulator, FedScaleSim, FederatedScopeSim};
 use simdc_cluster::{ClusterConfig, CostModel, JobSpec, LogicalCluster};
 use simdc_simrt::RngStream;
 use simdc_types::{DeviceGrade, DeviceId, PerGrade, ResourceBundle, RoundId, SimDuration, TaskId};
@@ -27,6 +40,36 @@ pub struct Point {
     /// Single-round time, seconds.
     pub round_secs: f64,
 }
+
+/// A baseline simulator's single-round cost curve.
+#[derive(Debug, Clone, Copy)]
+struct Baseline {
+    /// Framework name as the figure's legend prints it.
+    name: &'static str,
+    /// Cost of simulating one client.
+    per_client: SimDuration,
+    /// Fixed per-round overhead (server setup, aggregation).
+    round_overhead: SimDuration,
+}
+
+impl Baseline {
+    /// Virtual time of one round with `n` participating devices.
+    fn round_time(&self, n: u64) -> SimDuration {
+        self.round_overhead.saturating_add(self.per_client * n)
+    }
+}
+
+const FEDSCALE: Baseline = Baseline {
+    name: "FedScale",
+    per_client: SimDuration::from_millis(5),
+    round_overhead: SimDuration::from_millis(500),
+};
+
+const FEDERATED_SCOPE: Baseline = Baseline {
+    name: "FederatedScope",
+    per_client: SimDuration::from_millis(80),
+    round_overhead: SimDuration::from_secs(2),
+};
 
 /// Cloud-side per-round overhead of SimDC (storage sync + DeviceFlow +
 /// aggregation service), added on top of the cluster makespan.
@@ -73,9 +116,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Point> {
     } else {
         &[100, 316, 1_000, 3_162, 10_000, 31_623, 100_000]
     };
-    let fedscale = FedScaleSim::default();
-    let fedscope = FederatedScopeSim::default();
-
     let mut points = Vec::new();
     for &n in scales {
         points.push(Point {
@@ -83,16 +123,13 @@ pub fn run(opts: &ExpOptions) -> Vec<Point> {
             devices: n,
             round_secs: simdc_round_time(n, opts.seed).as_secs_f64(),
         });
-        points.push(Point {
-            framework: fedscale.name().into(),
-            devices: n,
-            round_secs: fedscale.round_time(n).as_secs_f64(),
-        });
-        points.push(Point {
-            framework: fedscope.name().into(),
-            devices: n,
-            round_secs: fedscope.round_time(n).as_secs_f64(),
-        });
+        for baseline in [FEDSCALE, FEDERATED_SCOPE] {
+            points.push(Point {
+                framework: baseline.name.into(),
+                devices: n,
+                round_secs: baseline.round_time(n).as_secs_f64(),
+            });
+        }
     }
 
     let table = render_table(
@@ -159,5 +196,46 @@ mod tests {
         // Everything grows with scale.
         assert!(get(&points, "SimDC", 100_000) > get(&points, "SimDC", 100));
         std::fs::remove_dir_all(&opts.out_dir).ok();
+    }
+
+    #[test]
+    fn fig8_orderings_hold_across_four_decades() {
+        for n in [100u64, 1_000, 10_000, 100_000] {
+            let simdc = simdc_round_time(n, 1).as_secs_f64();
+            let scale = FEDSCALE.round_time(n).as_secs_f64();
+            let scope = FEDERATED_SCOPE.round_time(n).as_secs_f64();
+            // FedScale is always fastest (no device-cloud communication).
+            assert!(scale < scope && scale < simdc, "n={n}");
+            if n < 1_000 {
+                assert!(simdc > scope, "SimDC pays realism overhead at n={n}");
+            } else {
+                let ratio = simdc / scope;
+                assert!(
+                    (0.5..2.0).contains(&ratio),
+                    "SimDC ≈ FederatedScope at n={n}: ratio {ratio}"
+                );
+            }
+        }
+        // The baselines' round times grow linearly with the population.
+        let t1 = FEDERATED_SCOPE.round_time(1_000).as_secs_f64();
+        let t10 = FEDERATED_SCOPE.round_time(10_000).as_secs_f64();
+        assert!((t10 / t1 - 10.0).abs() < 0.5, "ratio {}", t10 / t1);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test's assertion *is* a wall-time bound, so it reads the real \
+                  clock (clippy.toml bans `Instant::now` in simulation code)"
+    )]
+    fn simulating_100k_devices_is_tractable() {
+        let start = std::time::Instant::now();
+        let secs = simdc_round_time(100_000, 1).as_secs_f64();
+        assert!(secs > 1_000.0, "virtual time is hours-scale: {secs}");
+        assert!(
+            start.elapsed().as_secs() < 30,
+            "wall time must stay laptop-scale: {:?}",
+            start.elapsed()
+        );
     }
 }

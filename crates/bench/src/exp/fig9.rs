@@ -10,13 +10,25 @@
 //! * **(b) scheduled aggregation** — per round, a tighter curve lets more
 //!   samples arrive before the deadline, so train accuracy per round is
 //!   higher.
+//!
+//! The figure runs its own rounds rather than a platform task. Its premise
+//! is that a device with a higher CTR uploads sooner, and the runner stamps
+//! each upload from the cluster's plan or the phones' waves: no task
+//! setting orders releases by a device's data, and one added for this
+//! figure alone would be a per-device release-order option that nothing
+//! else reads. Each round does follow the runner's order — the timeline
+//! is built from delays and shard lengths, [`resolve_round`] picks the
+//! updates, and only those devices train, in inclusion order, each folded
+//! into FedAvg as it is fetched.
 
 use serde::Serialize;
 use simdc_core::cloud::{resolve_round, AggregationTrigger};
 use simdc_data::{ctr_correlated_delays, CtrDataset, Dataset, GeneratorConfig};
-use simdc_ml::{evaluate, FedAvg, KernelKind, LocalTrainer, LrModel};
+use simdc_ml::{evaluate, FedAvgFold, KernelKind, LocalTrainer, LrModel};
 use simdc_simrt::RngStream;
-use simdc_types::{Message, MessageId, RoundId, SimDuration, SimInstant, StorageKey, TaskId};
+use simdc_types::{
+    DeviceId, Message, MessageId, RoundId, SimDuration, SimInstant, StorageKey, TaskId,
+};
 
 use crate::{f, render_table, ExpOptions};
 
@@ -66,59 +78,51 @@ fn scenario(opts: &ExpOptions, n_devices: usize) -> Scenario {
     Scenario { data, train_eval }
 }
 
-/// One federated round with CTR-correlated delays: trains every device,
-/// stamps each update with its arrival time, resolves the trigger and
-/// aggregates what made it. Returns `(new_global, aggregated_at,
-/// included_updates, weighted_loss)`.
-#[allow(clippy::too_many_arguments)]
-fn delayed_round(
-    global: &LrModel,
-    scn: &Scenario,
-    sigma: f64,
-    round_start: SimInstant,
-    round: RoundId,
-    trigger: AggregationTrigger,
-    timeout: SimDuration,
-    trainer: &LocalTrainer,
-    rng: &mut RngStream,
-) -> (LrModel, SimInstant, usize, f64) {
-    let delays = ctr_correlated_delays(&scn.data.devices, sigma, SimDuration::from_secs(60), rng);
-    let mut deliveries: Vec<(SimInstant, Message, simdc_ml::LocalUpdate)> = scn
-        .data
-        .devices
-        .iter()
-        .zip(&delays)
-        .map(|(dev, &(id, delay))| {
-            let update = trainer.train(global, &dev.data, KernelKind::Server);
-            let at = round_start + delay;
-            let msg = Message::model_update(
-                MessageId(id.0),
-                TaskId(1),
-                id,
-                round,
-                update.n_samples,
-                StorageKey::for_update(TaskId(1), round, id),
-                at,
-            );
-            (at, msg, update)
-        })
-        .collect();
-    deliveries.sort_by_key(|(at, m, _)| (*at, m.id));
+impl Scenario {
+    /// One federated round with CTR-correlated `delays`: stamps each
+    /// device's upload with its arrival time and shard length, resolves the
+    /// trigger, then trains and folds only the included devices into
+    /// `global`, which stays as it was if none made it. Returns
+    /// `(aggregated_at, included_updates, weighted_loss)`.
+    fn round(
+        &self,
+        global: &mut LrModel,
+        delays: &[(DeviceId, SimDuration)],
+        round_start: SimInstant,
+        round: RoundId,
+        trigger: AggregationTrigger,
+        timeout: SimDuration,
+    ) -> (SimInstant, usize, f64) {
+        let devices = &self.data.devices;
+        // A message's id is its device's index in `devices`.
+        let mut timeline: Vec<(SimInstant, Message)> = devices
+            .iter()
+            .zip(delays)
+            .enumerate()
+            .map(|(i, (dev, &(device, delay)))| {
+                let at = round_start + delay;
+                let key = StorageKey::for_update(TaskId(1), round, device);
+                let samples = dev.data.len() as u64;
+                let id = MessageId(i as u64);
+                let msg = Message::model_update(id, TaskId(1), device, round, samples, key, at);
+                (at, msg)
+            })
+            .collect();
+        timeline.sort_by_key(|(at, m)| (*at, m.id));
 
-    let timeline = deliveries.iter().map(|(at, m, _)| (*at, *m));
-    let outcome = resolve_round(trigger, round_start, timeline, timeout);
-    let included: Vec<simdc_ml::LocalUpdate> = deliveries
-        .iter()
-        .filter(|(_, m, _)| outcome.included.iter().any(|inc| inc.id == m.id))
-        .map(|(_, _, u)| u.clone())
-        .collect();
-    let loss = FedAvg::weighted_loss(&included);
-    let new_global = if included.is_empty() {
-        global.clone()
-    } else {
-        FedAvg::aggregate(&included).expect("non-empty aggregate")
-    };
-    (new_global, outcome.aggregated_at, included.len(), loss)
+        let outcome = resolve_round(trigger, round_start, timeline, timeout);
+        let trainer = LocalTrainer::new(super::visible_train_config());
+        let mut fold = FedAvgFold::new(outcome.included.iter().map(|m| m.sample_count));
+        for m in &outcome.included {
+            let shard = &devices[m.id.0 as usize].data;
+            fold.add(&trainer.train(global, shard, KernelKind::Server));
+        }
+        let (included, loss) = (outcome.included.len(), fold.loss());
+        if included > 0 {
+            *global = fold.into_model().expect("non-empty aggregate");
+        }
+        (outcome.aggregated_at, included, loss)
+    }
 }
 
 /// Runs the experiment.
@@ -129,8 +133,8 @@ fn delayed_round(
 pub fn run(opts: &ExpOptions) -> Fig9 {
     let n_devices = if opts.quick { 200 } else { 1_000 };
     let scn = scenario(opts, n_devices);
-    let trainer = LocalTrainer::new(super::visible_train_config());
     let sigmas = [1.0, 2.0, 3.0];
+    let minute = SimDuration::from_mins(1);
 
     // Panel (a): sample-threshold aggregation in a 20-minute window.
     let window = SimDuration::from_mins(20);
@@ -146,13 +150,12 @@ pub fn run(opts: &ExpOptions) -> Fig9 {
         let mut points = Vec::new();
         let mut round = RoundId::FIRST;
         while now < deadline {
-            let (next_global, agg_at, included, loss) = delayed_round(
-                &global, &scn, sigma, now, round, threshold, window, &trainer, &mut rng,
-            );
+            let delays = ctr_correlated_delays(&scn.data.devices, sigma, minute, &mut rng);
+            let (agg_at, included, loss) =
+                scn.round(&mut global, &delays, now, round, threshold, window);
             if agg_at > deadline || included == 0 {
                 break;
             }
-            global = next_global;
             now = agg_at;
             round = round.next();
             points.push((agg_at.as_secs_f64() / 60.0, loss));
@@ -163,6 +166,7 @@ pub fn run(opts: &ExpOptions) -> Fig9 {
     // Panel (b): scheduled aggregation, fixed rounds.
     let rounds = if opts.quick { 5 } else { 10 };
     let period = SimDuration::from_secs(90);
+    let scheduled = AggregationTrigger::Scheduled { period };
     let mut scheduled_accuracy = Vec::new();
     for &sigma in &sigmas {
         let mut rng = RngStream::named(opts.seed, &format!("fig9b/{sigma}"));
@@ -170,19 +174,9 @@ pub fn run(opts: &ExpOptions) -> Fig9 {
         let mut now = SimInstant::EPOCH;
         let mut points = Vec::new();
         for r in 0..rounds {
-            let (next_global, agg_at, _, _) = delayed_round(
-                &global,
-                &scn,
-                sigma,
-                now,
-                RoundId(r),
-                AggregationTrigger::Scheduled { period },
-                period * 2,
-                &trainer,
-                &mut rng,
-            );
-            global = next_global;
-            now = agg_at;
+            let delays = ctr_correlated_delays(&scn.data.devices, sigma, minute, &mut rng);
+            let round = RoundId(r);
+            (now, _, _) = scn.round(&mut global, &delays, now, round, scheduled, period * 2);
             let acc = evaluate(&global, &scn.train_eval).accuracy;
             points.push((f64::from(r + 1), acc));
         }

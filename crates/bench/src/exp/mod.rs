@@ -10,8 +10,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod scenarios;
-pub mod sweep;
 pub mod table1;
 pub mod table2;
 
@@ -59,23 +57,13 @@ pub const ALL: &[(&str, ExpRunner)] = &[
     ("fig11", |opts| {
         fig11::run(opts);
     }),
-    ("scenarios", |opts| {
-        scenarios::run(opts);
-    }),
-    // The sweep runner expands a seed × rate grid over the declarative
-    // scenario layer, one SWEEP_<cell>.json per cell plus the
-    // BENCH_sweep.json manifest.
-    ("BENCH_sweep", |opts| {
-        sweep::run(opts);
-    }),
 ];
 
-/// Looks an experiment up by its [`ALL`] name; the `BENCH_` prefix is
-/// optional (`sweep` finds `BENCH_sweep`).
+/// Looks an experiment up by its [`ALL`] name.
 #[must_use]
 pub fn find(name: &str) -> Option<ExpRunner> {
     ALL.iter()
-        .find(|(known, _)| *known == name || known.strip_prefix("BENCH_") == Some(name))
+        .find(|(known, _)| *known == name)
         .map(|(_, run)| *run)
 }
 

@@ -41,29 +41,29 @@ impl ExpOptions {
     /// Parses `--seed N`, `--quick` and `--out DIR` from `args` — what
     /// follows the experiment name on the `simdc-bench` command line.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments (this is a
-    /// developer-facing binary).
-    #[must_use]
-    pub fn from_args(mut args: impl Iterator<Item = String>) -> Self {
+    /// Returns a one-line message naming the offending argument when a
+    /// flag is unknown, `--seed` or `--out` lacks its value, or the seed
+    /// is not an unsigned integer.
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = ExpOptions::default();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--seed" => {
-                    let v = args.next().expect("--seed needs a value");
-                    opts.seed = v.parse().expect("--seed must be an integer");
+                    let v = args.next().ok_or("--seed needs a value")?;
+                    opts.seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed must be an unsigned integer, got '{v}'"))?;
                 }
                 "--quick" => opts.quick = true,
                 "--out" => {
-                    opts.out_dir = PathBuf::from(args.next().expect("--out needs a value"));
+                    opts.out_dir = PathBuf::from(args.next().ok_or("--out needs a value")?);
                 }
-                other => {
-                    panic!("unknown argument '{other}' (supported: --seed N, --quick, --out DIR)")
-                }
+                other => return Err(format!("unknown argument '{other}'")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Writes `value` as pretty JSON to `<out_dir>/<name>.json` and returns
@@ -147,6 +147,24 @@ mod tests {
     fn float_formatting() {
         assert_eq!(f(0.12349, 3), "0.123");
         assert_eq!(f(2.0, 1), "2.0");
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors_not_panics() {
+        let parse = |args: &[&str]| ExpOptions::from_args(args.iter().map(|a| (*a).to_owned()));
+        assert_eq!(
+            parse(&["--seed", "x"]).unwrap_err(),
+            "--seed must be an unsigned integer, got 'x'"
+        );
+        assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a value");
+        assert_eq!(
+            parse(&["--bogus"]).unwrap_err(),
+            "unknown argument '--bogus'"
+        );
+        let opts = parse(&["--quick", "--seed", "7", "--out", "dir"]).unwrap();
+        assert!(opts.quick);
+        assert_eq!(opts.seed, 7);
+        assert_eq!(opts.out_dir, PathBuf::from("dir"));
     }
 
     #[test]

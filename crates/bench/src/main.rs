@@ -1,6 +1,6 @@
 //! `simdc-bench <name>|all [--quick] [--seed N] [--out DIR]` — runs one
-//! experiment of [`exp::ALL`] by name (the `BENCH_` prefix is optional),
-//! or the whole suite.
+//! experiment of [`exp::ALL`] by name, or the whole suite. An unknown
+//! name or a malformed flag prints the usage line and exits 2.
 //!
 //! Results land in `<out>/<name>.json` (default `results/`); the printed
 //! tables mirror the paper's layout. `--quick` is the fast smoke profile.
@@ -16,6 +16,8 @@ use std::process::ExitCode;
 
 use simdc_bench::{exp, ExpOptions};
 
+const USAGE: &str = "usage: simdc-bench <name>|all [--quick] [--seed N] [--out DIR]";
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_default();
@@ -27,13 +29,16 @@ fn main() -> ExitCode {
     };
     if selected.is_empty() {
         let names: Vec<&str> = exp::ALL.iter().map(|(known, _)| *known).collect();
-        eprintln!(
-            "usage: simdc-bench <name>|all [--quick] [--seed N] [--out DIR]\nexperiments: {}",
-            names.join(", ")
-        );
+        eprintln!("{USAGE}\nexperiments: {}", names.join(", "));
         return ExitCode::from(2);
     }
-    let opts = ExpOptions::from_args(args);
+    let opts = match ExpOptions::from_args(args) {
+        Ok(opts) => opts,
+        Err(err) => {
+            eprintln!("simdc-bench: {err}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     if suite {
         println!(
             "=== SimDC experiment suite (seed {}, quick: {}) ===\n",

@@ -31,8 +31,7 @@ fn quick_registry_runs_and_writes_parseable_results() {
             .unwrap_or_else(|e| panic!("experiment {name} wrote malformed JSON: {e}"));
     }
 
-    // The CLI's lookup: `BENCH_` is optional, unknown names miss.
-    assert!(exp::find("sweep").is_some());
+    // The CLI's lookup: unknown names miss.
     for missing in ["scale", "elasticity", "run_all", ""] {
         assert!(exp::find(missing).is_none(), "{missing}");
     }

@@ -59,5 +59,5 @@ pub use arrival::ArrivalProcess;
 pub use fleet::{FleetDynamics, FleetEvent};
 pub use library::{library, scenario, scenario_names};
 pub use scenario::{CloudSample, CloudSummary, Scenario, ScenarioSummary};
-pub use spec::{scale_arrival_rates, shrink, CompiledScenario, ScenarioSpec};
+pub use spec::{shrink, CompiledScenario, ScenarioSpec};
 pub use template::{GradeScheme, TaskTemplate};

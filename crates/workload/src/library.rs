@@ -58,8 +58,8 @@ fn load((name, text): &(&str, &str)) -> ScenarioSpec {
 }
 
 /// Loads an embedded scenario by name; adjust the returned spec's knobs
-/// (`seed`, `fleet`, [`ScenarioSpec::with_horizon_scale`],
-/// [`ScenarioSpec::with_rate_scale`]) before [`ScenarioSpec::compile`].
+/// (`seed`, `fleet`, [`ScenarioSpec::with_horizon_scale`]) before
+/// [`ScenarioSpec::compile`].
 ///
 /// # Errors
 ///

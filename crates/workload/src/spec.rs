@@ -194,22 +194,6 @@ impl ScenarioSpec {
         serde_json::to_string_pretty(self).expect("spec serialization is infallible")
     }
 
-    /// Returns a copy with every rate in the arrival tree scaled by
-    /// `factor` — the sweep runner's load axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor` is positive and finite.
-    #[must_use]
-    pub fn with_rate_scale(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "rate scale must be positive and finite, got {factor}"
-        );
-        scale_arrival_rates(&mut self.arrivals, factor);
-        self
-    }
-
     /// Returns a copy with the horizon scaled by `factor` (quick-profile
     /// runs shrink scenarios this way).
     ///
@@ -257,28 +241,6 @@ impl CompiledScenario {
     pub fn run_detailed(&self, dataset: &Arc<CtrDataset>) -> (ScenarioSummary, Platform) {
         self.scenario
             .run_detailed(self.config.clone(), dataset, self.config.seed)
-    }
-}
-
-/// Scales every rate in an arrival tree by `factor`, preserving the tree
-/// shape (burst multipliers and periods are shapes, not rates, and stay).
-pub fn scale_arrival_rates(process: &mut ArrivalProcess, factor: f64) {
-    match process {
-        ArrivalProcess::Poisson { rate_per_min } => *rate_per_min *= factor,
-        ArrivalProcess::Diurnal {
-            mean_per_min,
-            amplitude_per_min,
-            ..
-        } => {
-            *mean_per_min *= factor;
-            *amplitude_per_min *= factor;
-        }
-        ArrivalProcess::Bursty { base_per_min, .. } => *base_per_min *= factor,
-        ArrivalProcess::Superpose(children) => {
-            for child in children {
-                scale_arrival_rates(child, factor);
-            }
-        }
     }
 }
 
@@ -484,37 +446,6 @@ mod tests {
             err.to_string(),
             "invalid configuration: unknown key `$.frequency` in scenario spec"
         );
-    }
-
-    #[test]
-    fn rate_scale_walks_the_whole_tree() {
-        let mut tree = ArrivalProcess::Superpose(vec![
-            ArrivalProcess::Poisson { rate_per_min: 1.0 },
-            ArrivalProcess::Bursty {
-                base_per_min: 0.5,
-                burst_multiplier: 4.0,
-                burst_every: SimDuration::from_mins(10),
-                burst_len: SimDuration::from_mins(1),
-            },
-        ]);
-        scale_arrival_rates(&mut tree, 2.0);
-        match tree {
-            ArrivalProcess::Superpose(children) => {
-                assert_eq!(children[0], ArrivalProcess::Poisson { rate_per_min: 2.0 });
-                match children[1] {
-                    ArrivalProcess::Bursty {
-                        base_per_min,
-                        burst_multiplier,
-                        ..
-                    } => {
-                        assert_eq!(base_per_min, 1.0);
-                        assert_eq!(burst_multiplier, 4.0, "shape must not scale");
-                    }
-                    ref other => panic!("unexpected {other:?}"),
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! | [`deviceflow`] | `simdc-deviceflow` | Strategy traffic control; Sorter/Shelf/Dispatcher as one record per task |
 //! | [`platform`] | `simdc-core` | task manager, scheduler, allocation optimizer, cloud |
 //! | [`workload`] | `simdc-workload` | scenario engine: arrival processes, task templates, fleet dynamics |
-//! | [`baselines`] | `simdc-baselines` | FedScale-like / FederatedScope-like comparators |
 //!
 //! # Quickstart
 //!
@@ -69,7 +68,6 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 
-pub use simdc_baselines as baselines;
 pub use simdc_cluster as cluster;
 pub use simdc_core as platform;
 pub use simdc_data as data;
