@@ -50,8 +50,10 @@ const FRACTIONS: [f64; 5] = [1.0, 0.75, 0.5, 0.25, 0.0];
 /// One FedAvg round over the first `n` device shards with the server
 /// kernel and sample-weighted averaging, folded in shard order.
 ///
+/// # Errors
+///
 /// Fails on an empty participant set, as [`FedAvg::aggregate`] does.
-fn run_round(
+pub fn run_round(
     global: &LrModel,
     dataset: &CtrDataset,
     n: usize,
@@ -173,8 +175,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Cell> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simdc_core::{AggregationTrigger, GradeRequirement, TaskSpec};
-    use simdc_types::{DeviceGrade, TaskId};
 
     #[test]
     fn acc_differences_stay_below_half_percent() {
@@ -201,66 +201,5 @@ mod tests {
             assert!(c.acc_diff_pct.abs() < 0.05, "{c:?}");
         }
         std::fs::remove_dir_all(&opts.out_dir).ok();
-    }
-
-    #[test]
-    fn baseline_fedavg_agrees_with_platform_all_server_run() {
-        // The benchmark loop and the platform implement the same FedAvg: an
-        // all-logical platform task reaches the loop's accuracy on the same
-        // participants.
-        let data = Arc::new(CtrDataset::generate(&GeneratorConfig {
-            n_devices: 16,
-            n_test_devices: 4,
-            feature_dim: 1 << 12,
-            ctr_alpha: 2.0,
-            ctr_beta: 2.0,
-            seed: 13,
-            ..GeneratorConfig::default()
-        }));
-        let rounds = 3;
-        let train = super::super::visible_train_config();
-
-        let zeros = LrModel::zeros(data.feature_dim);
-        let mut baseline = zeros.clone();
-        for _ in 0..rounds {
-            baseline = run_round(&baseline, &data, 16, train).unwrap();
-        }
-        assert_ne!(baseline, zeros, "training moved the model");
-        let mut again = zeros.clone();
-        for _ in 0..rounds {
-            again = run_round(&again, &data, 16, train).unwrap();
-        }
-        assert_eq!(baseline, again, "deterministic");
-        assert!(
-            run_round(&zeros, &data, 0, train).is_err(),
-            "an empty participant set is an error"
-        );
-
-        let mut platform = Platform::paper_default();
-        let spec = TaskSpec::builder(TaskId(1))
-            .rounds(rounds)
-            .grade(GradeRequirement {
-                grade: DeviceGrade::High,
-                total_devices: 16,
-                benchmark_phones: 0,
-                logical_unit_bundles: 128,
-                units_per_device: 8,
-                phones: 0,
-            })
-            .trigger(AggregationTrigger::DeviceThreshold { min_devices: 16 })
-            .train(train)
-            .allocation(AllocationPolicy::FixedLogicalFraction(1.0))
-            .build()
-            .unwrap();
-        platform.submit(spec, data.clone()).unwrap();
-        platform.run_until_idle();
-        let platform_model = &platform.report(TaskId(1)).unwrap().final_model;
-
-        let acc_base = evaluate(&baseline, &data.test).accuracy;
-        let acc_platform = evaluate(platform_model, &data.test).accuracy;
-        assert!(
-            (acc_base - acc_platform).abs() < 1e-9,
-            "identical algorithm, identical outcome: {acc_base} vs {acc_platform}"
-        );
     }
 }

@@ -43,29 +43,33 @@ pub struct Point {
 
 /// A baseline simulator's single-round cost curve.
 #[derive(Debug, Clone, Copy)]
-struct Baseline {
+pub struct Baseline {
     /// Framework name as the figure's legend prints it.
-    name: &'static str,
+    pub name: &'static str,
     /// Cost of simulating one client.
-    per_client: SimDuration,
+    pub per_client: SimDuration,
     /// Fixed per-round overhead (server setup, aggregation).
-    round_overhead: SimDuration,
+    pub round_overhead: SimDuration,
 }
 
 impl Baseline {
     /// Virtual time of one round with `n` participating devices.
-    fn round_time(&self, n: u64) -> SimDuration {
+    #[must_use]
+    pub fn round_time(&self, n: u64) -> SimDuration {
         self.round_overhead.saturating_add(self.per_client * n)
     }
 }
 
-const FEDSCALE: Baseline = Baseline {
+/// FedScale's standalone mode: in-memory client switching.
+pub const FEDSCALE: Baseline = Baseline {
     name: "FedScale",
     per_client: SimDuration::from_millis(5),
     round_overhead: SimDuration::from_millis(500),
 };
 
-const FEDERATED_SCOPE: Baseline = Baseline {
+/// FederatedScope's standalone mode: one client after another, with
+/// device-cloud messages.
+pub const FEDERATED_SCOPE: Baseline = Baseline {
     name: "FederatedScope",
     per_client: SimDuration::from_millis(80),
     round_overhead: SimDuration::from_secs(2),
@@ -77,7 +81,12 @@ const CLOUD_OVERHEAD: SimDuration = SimDuration::from_millis(2_500);
 
 /// SimDC single-round time at scale `n` on a 200-core logical cluster
 /// (single grade, one unit bundle per device, as in §VI-B.4).
-fn simdc_round_time(n: u64, seed: u64) -> SimDuration {
+///
+/// # Panics
+///
+/// Panics if the fixed-capacity cluster rejects the job (a bug).
+#[must_use]
+pub fn simdc_round_time(n: u64, seed: u64) -> SimDuration {
     let config = ClusterConfig {
         // One big 200-core pool; no elastic growth — Fig 8 fixes capacity.
         node_template: ResourceBundle::cores_gib(200, 300),
@@ -196,46 +205,5 @@ mod tests {
         // Everything grows with scale.
         assert!(get(&points, "SimDC", 100_000) > get(&points, "SimDC", 100));
         std::fs::remove_dir_all(&opts.out_dir).ok();
-    }
-
-    #[test]
-    fn fig8_orderings_hold_across_four_decades() {
-        for n in [100u64, 1_000, 10_000, 100_000] {
-            let simdc = simdc_round_time(n, 1).as_secs_f64();
-            let scale = FEDSCALE.round_time(n).as_secs_f64();
-            let scope = FEDERATED_SCOPE.round_time(n).as_secs_f64();
-            // FedScale is always fastest (no device-cloud communication).
-            assert!(scale < scope && scale < simdc, "n={n}");
-            if n < 1_000 {
-                assert!(simdc > scope, "SimDC pays realism overhead at n={n}");
-            } else {
-                let ratio = simdc / scope;
-                assert!(
-                    (0.5..2.0).contains(&ratio),
-                    "SimDC ≈ FederatedScope at n={n}: ratio {ratio}"
-                );
-            }
-        }
-        // The baselines' round times grow linearly with the population.
-        let t1 = FEDERATED_SCOPE.round_time(1_000).as_secs_f64();
-        let t10 = FEDERATED_SCOPE.round_time(10_000).as_secs_f64();
-        assert!((t10 / t1 - 10.0).abs() < 0.5, "ratio {}", t10 / t1);
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "this test's assertion *is* a wall-time bound, so it reads the real \
-                  clock (clippy.toml bans `Instant::now` in simulation code)"
-    )]
-    fn simulating_100k_devices_is_tractable() {
-        let start = std::time::Instant::now();
-        let secs = simdc_round_time(100_000, 1).as_secs_f64();
-        assert!(secs > 1_000.0, "virtual time is hours-scale: {secs}");
-        assert!(
-            start.elapsed().as_secs() < 30,
-            "wall time must stay laptop-scale: {:?}",
-            start.elapsed()
-        );
     }
 }

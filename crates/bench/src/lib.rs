@@ -126,6 +126,10 @@ pub fn f(value: f64, decimals: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exp::fig6::run_round;
+    use exp::fig8::{FEDERATED_SCOPE, FEDSCALE};
+    use simdc_data::{CtrDataset, GeneratorConfig};
+    use simdc_ml::{LrModel, TrainConfig};
 
     #[test]
     fn table_aligns_columns() {
@@ -165,6 +169,61 @@ mod tests {
         assert!(opts.quick);
         assert_eq!(opts.seed, 7);
         assert_eq!(opts.out_dir, PathBuf::from("dir"));
+    }
+
+    // The baseline comparators: Fig 8's cost curves and Fig 6's benchmark
+    // FedAvg loop.
+
+    #[test]
+    fn fedscale_is_fastest_everywhere() {
+        for n in [100u64, 1_000, 10_000, 100_000] {
+            assert!(
+                FEDSCALE.round_time(n) < FEDERATED_SCOPE.round_time(n),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn round_times_scale_linearly() {
+        let fscope = FEDERATED_SCOPE;
+        let t1 = fscope.round_time(1_000).as_secs_f64();
+        let t10 = fscope.round_time(10_000).as_secs_f64();
+        assert!((t10 / t1 - 10.0).abs() < 0.5, "ratio {}", t10 / t1);
+    }
+
+    #[test]
+    fn names_match_the_figure_legend() {
+        assert_eq!(FEDSCALE.name, "FedScale");
+        assert_eq!(FEDERATED_SCOPE.name, "FederatedScope");
+    }
+
+    #[test]
+    fn baseline_round_matches_fedavg_semantics() {
+        let data = CtrDataset::generate(&GeneratorConfig {
+            n_devices: 12,
+            n_test_devices: 2,
+            feature_dim: 1 << 10,
+            seed: 3,
+            ..GeneratorConfig::default()
+        });
+        let global = LrModel::zeros(data.feature_dim);
+        let a = run_round(&global, &data, 12, TrainConfig::default()).unwrap();
+        let b = run_round(&global, &data, 12, TrainConfig::default()).unwrap();
+        assert_eq!(a, b, "deterministic");
+        assert_ne!(a, global, "training moved the model");
+    }
+
+    #[test]
+    fn empty_participant_set_errors() {
+        let data = CtrDataset::generate(&GeneratorConfig {
+            n_devices: 2,
+            n_test_devices: 1,
+            feature_dim: 1 << 10,
+            ..GeneratorConfig::default()
+        });
+        let global = LrModel::zeros(data.feature_dim);
+        assert!(run_round(&global, &data, 0, TrainConfig::default()).is_err());
     }
 
     #[test]
