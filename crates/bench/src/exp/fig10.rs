@@ -175,6 +175,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-fig10-test"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let r = run(&opts);
 
         // (a) sends cluster around the three points, capped at 700.

@@ -185,6 +185,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-fig11-test"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let series = run(&opts);
         assert_eq!(series.len(), 8);
         // The premise: the period outlasts every round's compute, so no

@@ -86,6 +86,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-fig5-test"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let traces = run(&opts);
         assert!(traces.cpu.len() > 50);
         // CPU during training peaks in the paper's 4–13 % band.

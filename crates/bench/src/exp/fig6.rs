@@ -183,6 +183,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-fig6-test"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let cells = run(&opts);
         assert_eq!(cells.len(), 2 * 5);
         for c in &cells {

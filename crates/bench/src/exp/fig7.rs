@@ -98,6 +98,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-fig7-test"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let points = run(&opts);
         for scale in [4u64, 20, 100, 500] {
             let opt = points
@@ -124,6 +125,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-fig7-test2"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let points = run(&opts);
         let time = |scale: u64, series: &str| {
             points

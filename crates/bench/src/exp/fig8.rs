@@ -186,6 +186,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-fig8-test"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let points = run(&opts);
         // Below 1k devices SimDC is slower than both baselines.
         for n in [100u64, 316] {

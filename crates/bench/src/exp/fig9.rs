@@ -232,6 +232,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-fig9-test"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let result = run(&opts);
         // (a) σ=1 completes at least as many rounds as σ=3 and ends with a
         // loss no worse.

@@ -125,6 +125,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-table1-test"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let rows = run(&opts);
         assert_eq!(rows.len(), 10, "5 stages × 2 grades");
         // High consumes less power than Low in every stage.

@@ -106,6 +106,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("simdc-table2-test"),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let rows = run(&opts);
         assert_eq!(rows.len(), 6);
         for row in &rows {

@@ -66,15 +66,25 @@ impl ExpOptions {
         Ok(opts)
     }
 
+    /// Creates `out_dir` and its parents, so that a bad `--out` fails
+    /// before any experiment runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns `<dir>: <error>` when the directory cannot be created.
+    pub fn create_out_dir(&self) -> Result<(), String> {
+        std::fs::create_dir_all(&self.out_dir)
+            .map_err(|err| format!("{}: {err}", self.out_dir.display()))
+    }
+
     /// Writes `value` as pretty JSON to `<out_dir>/<name>.json` and returns
-    /// the path.
+    /// the path. The directory must exist ([`ExpOptions::create_out_dir`]).
     ///
     /// # Panics
     ///
     /// Panics on I/O or serialization failure (experiment runs want loud
     /// failures).
     pub fn write_json<T: Serialize>(&self, name: &str, value: &T) -> PathBuf {
-        std::fs::create_dir_all(&self.out_dir).expect("create results directory");
         let path = self.out_dir.join(format!("{name}.json"));
         let json = serde_json::to_string_pretty(value).expect("serialize result");
         std::fs::write(&path, json).expect("write result file");
@@ -233,9 +243,25 @@ mod tests {
             out_dir: dir.clone(),
             ..ExpOptions::default()
         };
+        opts.create_out_dir().unwrap();
         let path = opts.write_json("probe", &vec![1, 2, 3]);
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains('1'));
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn out_dir_below_a_regular_file_is_an_error_naming_it() {
+        let file = std::env::temp_dir().join(format!("simdc-bench-file-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let opts = ExpOptions {
+            out_dir: file.join("results"),
+            ..ExpOptions::default()
+        };
+        let err = opts.create_out_dir().unwrap_err();
+        std::fs::remove_file(&file).ok();
+        let prefix = format!("{}: ", opts.out_dir.display());
+        assert!(err.starts_with(&prefix), "{err}");
+        assert!(err.len() > prefix.len(), "{err}");
     }
 }

@@ -39,6 +39,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(err) = opts.create_out_dir() {
+        eprintln!("simdc-bench: {err}");
+        return ExitCode::FAILURE;
+    }
     if suite {
         println!(
             "=== SimDC experiment suite (seed {}, quick: {}) ===\n",

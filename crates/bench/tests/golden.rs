@@ -36,6 +36,7 @@ fn golden_check(name: &str, fixture: &str, run: impl FnOnce(&ExpOptions)) {
         out_dir: out_dir.clone(),
         ..ExpOptions::default()
     };
+    opts.create_out_dir().unwrap();
     run(&opts);
     let produced = std::fs::read_to_string(out_dir.join(format!("{name}.json")))
         .unwrap_or_else(|e| panic!("{name} wrote no result: {e}"));

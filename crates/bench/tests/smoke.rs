@@ -17,6 +17,7 @@ fn quick_registry_runs_and_writes_parseable_results() {
         out_dir: out_dir.clone(),
     };
 
+    opts.create_out_dir().unwrap();
     assert!(
         !exp::ALL.is_empty(),
         "experiment registry must not be empty"

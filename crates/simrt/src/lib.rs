@@ -1,11 +1,15 @@
 //! Deterministic discrete-event simulation runtime.
 //!
-//! All SimDC subsystems (logical cluster, phone cluster, DeviceFlow, cloud
-//! services) execute on one virtual timeline driven by [`Engine`]. A
-//! subsystem defines an event type, the composition root defines a
-//! [`World`] whose event enum wraps every subsystem's events, and the engine
-//! pops events in `(time, insertion order)` order — which makes every run
-//! with the same seed byte-for-byte reproducible.
+//! All SimDC subsystems execute on virtual time, and every event queue is
+//! an [`EventQueue`]: it pops events in `(time, insertion order)` order,
+//! which makes every run with the same seed byte-for-byte reproducible.
+//! The platform core keeps its completions in one, and a scenario run
+//! keeps the reboots and dispatch ticks it schedules itself in another,
+//! beside its pre-sampled arrivals and crashes.
+//!
+//! [`Engine`] adds a clock and a [`World`] callback to the queue. No
+//! scenario runs on it any more: it drives DeviceFlow's `FlowHarness`
+//! and the benchmark package's traced replica of the scenario loop.
 //!
 //! # Examples
 //!

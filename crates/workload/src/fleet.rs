@@ -2,9 +2,9 @@
 //! failures layered onto [`PhoneMgr`].
 //!
 //! The injector pre-samples crash instants from the scenario seed; the
-//! scenario engine turns each into a crash event on the virtual timeline
-//! and schedules the matching reboot through the engine context — fleet
-//! perturbations ride the same event loop as task arrivals.
+//! scenario run walks them in firing order beside the task arrivals, and
+//! each crash that lands queues the phone's reboot `reboot_after` later in
+//! the run's own event queue.
 
 use serde::{Deserialize, Serialize};
 use simdc_phone::{PhoneMgr, Provenance};
@@ -86,8 +86,8 @@ impl FleetDynamics {
     /// Pre-samples the crash schedule over `[0, horizon)`: exponential
     /// inter-crash gaps, victims drawn uniformly from the (optionally
     /// local-only) fleet. Reboots are *not* scheduled here — the scenario
-    /// world schedules each reboot `reboot_after` after its crash fires,
-    /// so reboots ride the live event loop.
+    /// run queues each reboot `reboot_after` after its crash lands (never,
+    /// if that instant is past the end of time).
     ///
     /// # Panics
     ///

@@ -9,9 +9,10 @@
 //! * [`template`] — bounded random [`simdc_core::TaskSpec`] generation;
 //! * [`fleet`] — fleet-dynamics injectors: phone churn, stragglers and
 //!   benchmark-phone outages layered onto the phone cluster;
-//! * [`mod@scenario`] — the runnable [`Scenario`], executed through the
-//!   deterministic [`simdc_simrt::Engine`] event loop, producing
-//!   [`ScenarioSummary`] JSON;
+//! * [`mod@scenario`] — the runnable [`Scenario`], executed by one loop
+//!   over its sampled arrivals and crashes plus a
+//!   [`simdc_simrt::EventQueue`] of the reboots and dispatch ticks it
+//!   schedules itself, producing [`ScenarioSummary`] JSON;
 //! * [`spec`] — the declarative scenario DSL: serde-backed
 //!   [`ScenarioSpec`]s, the compiler to runnable scenarios, and the
 //!   greedy shrinker the fuzz harness minimizes failing specs with;

@@ -1,20 +1,15 @@
-//! The runnable form of a scenario and the engine that executes it.
+//! The runnable form of a scenario and the loop that executes it.
 //!
 //! A [`Scenario`] composes an [`ArrivalProcess`], a [`TaskTemplate`] and
 //! [`FleetDynamics`] over a time horizon; it is what a
 //! [`crate::ScenarioSpec`] compiles to (the named scenarios themselves are
 //! the JSON specs behind [`crate::library()`]). [`Scenario::run`]
-//! pre-samples the arrival instants and fleet perturbations from the
-//! scenario seed, then replays them through the deterministic
-//! [`simdc_simrt::Engine`] event loop: task arrivals, phone crashes and
-//! reboots are all events in one queue. A task's spec is instantiated
-//! when its arrival fires, and a finished task leaves only its arrival
-//! instant, final accuracy and terminal state behind, so a run's memory
-//! does not grow with the specs or reports of the tasks it has finished. The platform core is itself event-driven — each arrival is
-//! admitted at its arrival instant (or at the first task completion that
-//! frees its claim), and a recurring dispatch event merely paces the
-//! platform's completion events forward, never draining ahead of the
-//! outer timeline.
+//! pre-samples the arrival instants and phone crashes from the scenario
+//! seed, then walks both in firing order; a [`simdc_simrt::EventQueue`]
+//! holds only what the run schedules itself (reboots and dispatch ticks).
+//! A task's spec is instantiated when its arrival fires, and a finished
+//! task leaves only its arrival instant, final accuracy and terminal state
+//! behind.
 //!
 //! Everything downstream of the seed is deterministic: same seed ⇒
 //! byte-identical [`ScenarioSummary`] JSON; different seed ⇒ different
@@ -27,8 +22,8 @@ use serde::{Deserialize, Serialize};
 use simdc_cluster::ClusterConfig;
 use simdc_core::{Platform, PlatformConfig, TaskState};
 use simdc_data::CtrDataset;
-use simdc_simrt::{Engine, EngineCtx, RngStream, World};
-use simdc_types::{Result, SimDuration, SimInstant, SimdcError, TaskId};
+use simdc_simrt::{EventQueue, RngStream};
+use simdc_types::{PhoneId, Result, SimDuration, SimInstant, SimdcError, TaskId};
 
 use crate::arrival::ArrivalProcess;
 use crate::fleet::{FleetDynamics, FleetEvent};
@@ -120,13 +115,12 @@ impl Scenario {
     #[must_use]
     pub fn run_detailed(
         &self,
-        config: PlatformConfig,
+        mut config: PlatformConfig,
         dataset: &Arc<CtrDataset>,
         seed: u64,
     ) -> (ScenarioSummary, Platform) {
         self.validate().expect("scenario must be valid");
         let mut rng = RngStream::named(seed, &format!("scenario/{}", self.name));
-        let mut config = config;
         if let Some(cluster) = &self.cluster {
             config.cluster = cluster.clone();
         }
@@ -147,44 +141,27 @@ impl Scenario {
             self.fleet
                 .sample_crashes(platform.phones(), self.horizon, &mut rng.fork("churn"));
 
-        // Replay the schedules through the deterministic event loop.
-        let mut engine = Engine::new(ScenarioWorld {
+        let mut run = ScenarioRun {
+            scenario: self,
             platform,
             dataset: Arc::clone(dataset),
-            template: &self.template,
             template_rng,
-            dispatch_interval: self.dispatch_interval,
-            reboot_after: self.fleet.reboot_after,
+            queue: EventQueue::new(),
             tasks: BTreeMap::new(),
             rejected: 0,
             completed: 0,
             crashes: 0,
             reboots: 0,
             cloud_series: Vec::new(),
-        });
-        for (i, offset) in offsets.iter().enumerate() {
-            engine.schedule_in(*offset, Ev::Arrival(TaskId(i as u64 + 1)));
-        }
-        for (offset, event) in &crashes {
-            engine.schedule_in(*offset, Ev::Fleet(*event));
-        }
-        engine.schedule_in(self.dispatch_interval, Ev::Dispatch);
-        let outer_events = engine.run();
-
-        let world = engine.into_world();
-        summarize(self, seed, &offsets, world, stragglers, outer_events)
+        };
+        let outer_events = run.replay(&offsets, &crashes);
+        summarize(self, seed, &offsets, run, stragglers, outer_events)
     }
 }
 
-/// The event alphabet of a scenario run.
+/// What a run schedules itself; arrivals and crashes stay in their vectors.
 enum Ev {
-    /// A task arrives: its spec is instantiated and submitted to the
-    /// platform queue.
-    Arrival(TaskId),
-    /// A fleet perturbation fires.
-    Fleet(FleetEvent),
-    /// Pacing tick: run the platform's completion events up to now (final
-    /// tick drains it to idle).
+    Reboot(PhoneId),
     Dispatch,
 }
 
@@ -195,14 +172,13 @@ struct SubmittedTask {
     final_accuracy: Option<f64>,
 }
 
-/// Platform + bookkeeping driven by the event loop.
-struct ScenarioWorld<'a> {
+/// Platform + bookkeeping of one scenario run.
+struct ScenarioRun<'a> {
+    scenario: &'a Scenario,
     platform: Platform,
     dataset: Arc<CtrDataset>,
-    template: &'a TaskTemplate,
     template_rng: RngStream,
-    dispatch_interval: SimDuration,
-    reboot_after: SimDuration,
+    queue: EventQueue<Ev>,
     /// Every submitted task by id; ascending id order is submission order.
     tasks: BTreeMap<TaskId, SubmittedTask>,
     rejected: u64,
@@ -214,7 +190,100 @@ struct ScenarioWorld<'a> {
     cloud_series: Vec<CloudSample>,
 }
 
-impl ScenarioWorld<'_> {
+impl ScenarioRun<'_> {
+    /// Walks the sampled arrivals and crashes and the queued reboots and
+    /// ticks in firing order; at one instant arrivals go first, then
+    /// crashes, then the queue in push order. Returns the items handled.
+    fn replay(&mut self, offsets: &[SimDuration], crashes: &[(SimDuration, FleetEvent)]) -> u64 {
+        let at = |offset: &SimDuration| SimInstant::EPOCH + *offset;
+        let mut arrivals = offsets.iter().map(at).enumerate().peekable();
+        let mut crashes = crashes.iter().map(|(t, e)| (at(t), *e)).peekable();
+        self.queue
+            .push(at(&self.scenario.dispatch_interval), Ev::Dispatch);
+        let mut handled = 0;
+        loop {
+            let sampled = [arrivals.peek().map(|a| a.1), crashes.peek().map(|c| c.0)];
+            let queued = self.queue.peek_time();
+            let Some(now) = sampled.into_iter().chain([queued]).flatten().min() else {
+                return handled;
+            };
+            handled += 1;
+            if let Some((i, _)) = arrivals.next_if(|a| a.1 == now) {
+                self.arrive(now, TaskId(i as u64 + 1));
+            } else if let Some((_, event)) = crashes.next_if(|c| c.0 == now) {
+                match event {
+                    FleetEvent::Crash(id) => self.crash(now, id),
+                    FleetEvent::Reboot(id) => self.reboot(now, id),
+                }
+            } else if let Some((_, event)) = self.queue.pop() {
+                match event {
+                    Ev::Reboot(id) => self.reboot(now, id),
+                    Ev::Dispatch => self.dispatch(now, arrivals.len() + crashes.len() > 0),
+                }
+            }
+        }
+    }
+
+    /// Instantiates task `id`'s spec and submits it.
+    fn arrive(&mut self, now: SimInstant, id: TaskId) {
+        // Completions at exactly now only release their leases, and each
+        // arrival gets its own pass (ARCHITECTURE.md, "The tie discipline").
+        self.completed += self.platform.sync_to_arrival(now) as u64;
+        let template = &self.scenario.template;
+        let spec = template.instantiate(id, &mut self.template_rng);
+        match self.platform.submit(spec, Arc::clone(&self.dataset)) {
+            Ok(_) => {
+                let task = SubmittedTask {
+                    arrival: now,
+                    final_accuracy: None,
+                };
+                self.tasks.insert(id, task);
+            }
+            Err(_) => self.rejected += 1,
+        }
+        self.platform.admit_now();
+        self.take_reports();
+    }
+
+    /// Crashes phone `id` if it is up and schedules its reboot; a reboot
+    /// past the end of time never comes, so the phone stays down.
+    fn crash(&mut self, now: SimInstant, id: PhoneId) {
+        let phones = self.platform.phones_mut();
+        let up = phones.phone(id).is_some_and(|p| !p.is_crashed(now));
+        if up && phones.inject_crash(id, now).is_ok() {
+            self.crashes += 1;
+            let reboot_after = self.scenario.fleet.reboot_after.as_micros();
+            let back = now.as_micros().checked_add(reboot_after);
+            if let Some(back) = back.map(SimInstant::from_micros) {
+                self.queue.push(back, Ev::Reboot(id));
+            }
+        }
+    }
+
+    /// Reboots phone `id` if it is down.
+    fn reboot(&mut self, now: SimInstant, id: PhoneId) {
+        let phones = self.platform.phones_mut();
+        if phones.phone(id).is_some_and(|p| p.is_crashed(now)) && phones.reboot(id).is_ok() {
+            self.reboots += 1;
+        }
+    }
+
+    /// Runs the platform up to `now` and schedules the next tick while the
+    /// sampled `streams` or the queue hold more, else drains the platform.
+    fn dispatch(&mut self, now: SimInstant, streams: bool) {
+        if streams || !self.queue.is_empty() {
+            self.completed += self.platform.run_until(now) as u64;
+            self.sample_cloud(now);
+            let next = now + self.scenario.dispatch_interval;
+            self.queue.push(next, Ev::Dispatch);
+        } else {
+            // `summarize` takes the one post-drain sample.
+            self.platform.advance_clock_to(now);
+            self.completed += self.platform.run_until_idle() as u64;
+        }
+        self.take_reports();
+    }
+
     /// Takes the reports of the tasks completed since the last call,
     /// keeping only each one's final accuracy.
     fn take_reports(&mut self) {
@@ -235,76 +304,6 @@ impl ScenarioWorld<'_> {
             utilization: stats.utilization,
             cost: stats.cost_accrued,
         });
-    }
-}
-
-impl World for ScenarioWorld<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, ctx: &mut EngineCtx<'_, Ev>, event: Ev) {
-        match event {
-            Ev::Arrival(id) => {
-                // Bring the platform up to the arrival instant with the
-                // same tie discipline as `run_from_source`: completions
-                // strictly before now run normally, completions at
-                // exactly now only release their leases — the post-submit
-                // pass sees freed capacity and the new task together, so
-                // priority decides a completion-vs-arrival tie. Unlike
-                // `run_from_source`, every arrival gets its own pass: two
-                // arrivals at one instant are admitted in sampling order.
-                self.completed += self.platform.sync_to_arrival(ctx.now()) as u64;
-                let spec = self.template.instantiate(id, &mut self.template_rng);
-                match self.platform.submit(spec, Arc::clone(&self.dataset)) {
-                    Ok(_) => {
-                        let task = SubmittedTask {
-                            arrival: ctx.now(),
-                            final_accuracy: None,
-                        };
-                        self.tasks.insert(id, task);
-                    }
-                    Err(_) => self.rejected += 1,
-                }
-                self.platform.admit_now();
-                self.take_reports();
-            }
-            Ev::Fleet(FleetEvent::Crash(id)) => {
-                // The manager re-indexes the phone as it writes, so the
-                // crash lands in the availability index the instant it
-                // fires.
-                let phones = self.platform.phones_mut();
-                if phones.phone(id).is_some_and(|p| !p.is_crashed(ctx.now())) {
-                    phones
-                        .inject_crash(id, ctx.now())
-                        .expect("victim exists in the fleet");
-                    self.crashes += 1;
-                    ctx.schedule_in(self.reboot_after, Ev::Fleet(FleetEvent::Reboot(id)));
-                }
-            }
-            Ev::Fleet(FleetEvent::Reboot(id)) => {
-                let phones = self.platform.phones_mut();
-                if phones.phone(id).is_some_and(|p| p.is_crashed(ctx.now())) {
-                    phones.reboot(id).expect("crashed phone exists");
-                    self.reboots += 1;
-                }
-            }
-            Ev::Dispatch => {
-                // Pace the platform's completion events up to now; while
-                // anything else (arrivals, crashes, reboots) is still on
-                // the outer timeline, never run ahead of it. The tick with
-                // an empty outer queue is the final drain.
-                if ctx.pending() > 0 {
-                    self.completed += self.platform.run_until(ctx.now()) as u64;
-                    self.sample_cloud(ctx.now());
-                    ctx.schedule_in(self.dispatch_interval, Ev::Dispatch);
-                } else {
-                    self.platform.advance_clock_to(ctx.now());
-                    self.completed += self.platform.run_until_idle() as u64;
-                    // No sample here: `summarize` takes the one post-drain
-                    // sample, so the series does not end on a duplicate.
-                }
-                self.take_reports();
-            }
-        }
     }
 }
 
@@ -397,33 +396,33 @@ fn summarize(
     scenario: &Scenario,
     seed: u64,
     offsets: &[SimDuration],
-    mut world: ScenarioWorld<'_>,
+    mut run: ScenarioRun<'_>,
     stragglers: u64,
     outer_events: u64,
 ) -> (ScenarioSummary, Platform) {
     // Flush the final partial node-hour before the last sample: a run
     // ending mid-hour must still bill its tail, so `cost_total` always
     // equals billed node-seconds × the hourly rate.
-    world.platform.finalize_cost();
+    run.platform.finalize_cost();
     // One final post-drain sample, so the series always ends on the
     // settled state (surplus nodes drained or still paying cooldown).
-    world.sample_cloud(world.platform.status().now);
-    let cluster_stats = world.platform.cluster().stats();
+    run.sample_cloud(run.platform.status().now);
+    let cluster_stats = run.platform.cluster().stats();
     let cloud = CloudSummary {
         peak_nodes: cluster_stats.peak_nodes,
         final_ready: cluster_stats.ready,
         nodes_booted: cluster_stats.booted_total,
         nodes_retired: cluster_stats.retired_total,
-        node_ready_events: world.platform.cluster_events(),
+        node_ready_events: run.platform.cluster_events(),
         cost_total: cluster_stats.cost_accrued,
-        series: std::mem::take(&mut world.cloud_series),
+        series: std::mem::take(&mut run.cloud_series),
     };
     let mut waits: Vec<f64> = Vec::new();
     let mut runs: Vec<f64> = Vec::new();
     let mut accuracies: Vec<f64> = Vec::new();
     let mut failed = 0u64;
-    for (id, task) in &world.tasks {
-        match world.platform.task_state(*id) {
+    for (id, task) in &run.tasks {
+        match run.platform.task_state(*id) {
             Some(TaskState::Completed {
                 started_at,
                 finished_at,
@@ -454,15 +453,15 @@ fn summarize(
         seed,
         horizon_secs: scenario.horizon.as_secs_f64(),
         arrivals: offsets.len() as u64,
-        submitted: world.tasks.len() as u64,
-        rejected: world.rejected,
-        completed: world.completed,
+        submitted: run.tasks.len() as u64,
+        rejected: run.rejected,
+        completed: run.completed,
         failed,
-        crashes: world.crashes,
-        reboots: world.reboots,
+        crashes: run.crashes,
+        reboots: run.reboots,
         stragglers,
-        events: outer_events + world.platform.completion_events() + world.platform.cluster_events(),
-        makespan_secs: world
+        events: outer_events + run.platform.completion_events() + run.platform.cluster_events(),
+        makespan_secs: run
             .platform
             .status()
             .now
@@ -475,7 +474,7 @@ fn summarize(
         arrival_preview_secs: offsets.iter().take(8).map(|d| d.as_secs_f64()).collect(),
         cloud,
     };
-    (summary, world.platform)
+    (summary, run.platform)
 }
 
 #[cfg(test)]
@@ -484,6 +483,7 @@ mod tests {
     use crate::{library, scenario_names, ScenarioSpec};
     use simdc_data::GeneratorConfig;
     use simdc_phone::FleetSpec;
+    use simdc_simrt::{Engine, EngineCtx, World};
 
     fn dataset() -> Arc<CtrDataset> {
         Arc::new(CtrDataset::generate(&GeneratorConfig {
@@ -578,6 +578,102 @@ mod tests {
         assert!(summary.crashes > 0, "{summary:?}");
         assert!(summary.reboots > 0, "{summary:?}");
         assert!(summary.reboots <= summary.crashes);
+    }
+
+    /// The engine-driven reference for the loop's same-instant order: every
+    /// arrival, then every crash, then the first tick pre-scheduled into a
+    /// `simrt::Engine`, each event handled by the run's own methods.
+    struct Reference<'a>(ScenarioRun<'a>);
+
+    enum RefEv {
+        Arrival(TaskId),
+        Fleet(FleetEvent),
+        Queued(Ev),
+    }
+
+    impl World for Reference<'_> {
+        type Event = RefEv;
+
+        fn handle(&mut self, ctx: &mut EngineCtx<'_, RefEv>, event: RefEv) {
+            let (run, now) = (&mut self.0, ctx.now());
+            match event {
+                RefEv::Arrival(id) => run.arrive(now, id),
+                RefEv::Fleet(FleetEvent::Crash(id)) => run.crash(now, id),
+                RefEv::Fleet(FleetEvent::Reboot(id)) | RefEv::Queued(Ev::Reboot(id)) => {
+                    run.reboot(now, id);
+                }
+                RefEv::Queued(Ev::Dispatch) => run.dispatch(now, ctx.pending() > 0),
+            }
+            // Hand what the handler scheduled to the engine.
+            while let Some((at, event)) = run.queue.pop() {
+                ctx.schedule_at(at, RefEv::Queued(event));
+            }
+        }
+    }
+
+    fn fresh_run<'a>(scenario: &'a Scenario, dataset: &Arc<CtrDataset>) -> ScenarioRun<'a> {
+        ScenarioRun {
+            scenario,
+            platform: Platform::new(PlatformConfig::default()),
+            dataset: Arc::clone(dataset),
+            template_rng: RngStream::named(8, "templates"),
+            queue: EventQueue::new(),
+            tasks: BTreeMap::new(),
+            rejected: 0,
+            completed: 0,
+            crashes: 0,
+            reboots: 0,
+            cloud_series: Vec::new(),
+        }
+    }
+
+    /// Sampled instants are random microseconds, so no fixture ties; this
+    /// schedule ties on purpose. At the first tick an arrival that needs a
+    /// benchmark phone meets the crash of every phone; one tick later
+    /// (`reboot_after` is the tick) a second arrival, phone 0's second
+    /// crash, the tick and all the reboots meet.
+    #[test]
+    fn same_instant_order_matches_the_engine_reference() {
+        let mut scenario = tiny("ties");
+        scenario.template.allocation = simdc_core::AllocationPolicy::FixedLogicalFraction(0.5);
+        scenario.template.benchmark_phones = 1;
+        scenario.fleet.reboot_after = scenario.dispatch_interval;
+        let (tick, second) = (SimDuration::from_mins(2), SimDuration::from_mins(4));
+        assert_eq!(scenario.dispatch_interval, tick);
+        let data = dataset();
+        let offsets = [tick, second];
+        let phones = fresh_run(&scenario, &data).platform.phones().total() as u32;
+        let mut crashes: Vec<_> = (0..phones)
+            .map(|id| (tick, FleetEvent::Crash(PhoneId(id))))
+            .collect();
+        crashes.push((second, FleetEvent::Crash(PhoneId(0))));
+
+        let mut run = fresh_run(&scenario, &data);
+        let handled = run.replay(&offsets, &crashes);
+        let (looped, _) = summarize(&scenario, 8, &offsets, run, 0, handled);
+
+        let mut engine = Engine::new(Reference(fresh_run(&scenario, &data)));
+        for (i, offset) in offsets.iter().enumerate() {
+            engine.schedule_in(*offset, RefEv::Arrival(TaskId(i as u64 + 1)));
+        }
+        for (offset, event) in &crashes {
+            engine.schedule_in(*offset, RefEv::Fleet(*event));
+        }
+        engine.schedule_in(tick, RefEv::Queued(Ev::Dispatch));
+        let handled = engine.run();
+        let run = engine.into_world().0;
+        let (reference, _) = summarize(&scenario, 8, &offsets, run, 0, handled);
+
+        assert_eq!(
+            serde_json::to_string(&looped).unwrap(),
+            serde_json::to_string(&reference).unwrap()
+        );
+        // The first task binds its benchmark phone before the crashes; the
+        // second arrives before the reboots and finds none. Phone 0's second
+        // crash also lands before its reboot, so it is a no-op.
+        assert_eq!((looped.completed, looped.failed), (1, 1), "{looped:?}");
+        let crashed = u64::from(phones);
+        assert_eq!((looped.crashes, looped.reboots), (crashed, crashed));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! # Compiler guarantees
 //!
 //! * **Byte-identity** — `compile` introduces no stochastic choice of its
-//!   own: the compiled scenario replays through the same engine as a
+//!   own: the compiled scenario replays through the same loop as a
 //!   [`Scenario`] built field by field, so spec + seed ⇒ byte-identical
 //!   [`ScenarioSummary`] JSON.
 //! * **Typed rejection** — [`ScenarioSpec::from_json_str`] never panics
@@ -211,7 +211,7 @@ impl ScenarioSpec {
     }
 }
 
-/// A validated spec lowered to what the engine actually runs: the
+/// A validated spec lowered to what a run actually executes: the
 /// [`Scenario`] plus the [`PlatformConfig`] it executes against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledScenario {

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use simdc_data::{CtrDataset, GeneratorConfig};
+use simdc_simrt::RngStream;
 use simdc_workload::ScenarioSpec;
 
 fn steady() -> String {
@@ -48,4 +49,45 @@ fn a_round_timeout_of_u64_max_never_times_out() {
         serde_json::to_string(&summary).unwrap(),
         serde_json::to_string(&run(&committed)).unwrap()
     );
+}
+
+/// A reboot delay past the end of time means a crashed phone never comes
+/// back: the run schedules no reboot at all, so every outer event is an
+/// arrival, a sampled crash or a dispatch tick.
+#[test]
+fn a_reboot_after_of_u64_max_keeps_crashed_phones_down() {
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../fixtures/scenarios/phone_churn.json"
+    ))
+    .expect("phone_churn fixture");
+    let never = committed.replacen(
+        "\"reboot_after\": 180000000",
+        "\"reboot_after\": 18446744073709551615",
+        1,
+    );
+    assert_ne!(never, committed, "patch needle not in fixture");
+    let compiled = ScenarioSpec::from_json_str(&never)
+        .unwrap()
+        .compile()
+        .unwrap();
+    let (summary, platform) = compiled.run_detailed(&dataset());
+    assert!(summary.crashes > 0, "{summary:?}");
+    assert_eq!(summary.reboots, 0, "{summary:?}");
+
+    // The crash schedule the run sampled, from its own fork order.
+    let scenario = &compiled.scenario;
+    let mut rng = RngStream::named(compiled.config.seed, "scenario/phone_churn");
+    for stream in ["arrivals", "templates", "stragglers"] {
+        let _ = rng.fork(stream);
+    }
+    let sampled = scenario
+        .fleet
+        .sample_crashes(platform.phones(), scenario.horizon, &mut rng.fork("churn"))
+        .len() as u64;
+    // Every tick but the final drain leaves one cloud sample, and
+    // `summarize` adds one more after the drain.
+    let ticks = summary.cloud.series.len() as u64;
+    let outer = summary.events - platform.completion_events() - platform.cluster_events();
+    assert_eq!(outer, summary.arrivals + sampled + ticks, "{summary:?}");
 }
