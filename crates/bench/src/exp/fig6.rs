@@ -117,7 +117,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Cell> {
             let mut platform = Platform::new(PlatformConfig {
                 runner: RunnerConfig {
                     measure_benchmarks: false,
-                    ..RunnerConfig::default()
                 },
                 seed: opts.seed,
                 ..PlatformConfig::default()

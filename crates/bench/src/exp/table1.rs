@@ -43,7 +43,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
     let mut platform = Platform::new(PlatformConfig {
         runner: RunnerConfig {
             measure_benchmarks: true,
-            ..RunnerConfig::default()
         },
         seed: opts.seed,
         ..PlatformConfig::default()

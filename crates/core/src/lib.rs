@@ -80,6 +80,6 @@ pub use invariants::InvariantViolation;
 pub use platform::{Platform, PlatformConfig, PlatformStatus, SourceRunStats, SubmissionSource};
 pub use queue::{TaskQueue, TaskRecord, TaskState};
 pub use resources::{ResourceClaim, ResourceManager};
-pub use runner::{RoundReport, RunnerConfig, TaskPlan, TaskReport, TaskRunner};
+pub use runner::{RoundReport, RunnerConfig, TaskReport, TaskRunner};
 pub use scheduler::GreedyScheduler;
 pub use spec::{AllocationPolicy, GradeRequirement, TaskSpec, TaskSpecBuilder};

@@ -14,7 +14,7 @@
 //!
 //! The platform loop is a discrete-event simulation riding the
 //! [`simdc_simrt`] event queue. Admitting a task plans its entire virtual
-//! timeline ([`TaskRunner::plan`]) and schedules a *completion event* at
+//! timeline (the runner's plan phase) and schedules a *completion event* at
 //! its `finished_at` instant; popping that event releases the task's
 //! resource lease at the task's actual completion instant and immediately
 //! re-runs the greedy scheduler, so queued work starts the moment capacity
@@ -132,8 +132,8 @@ struct PendingTask {
     /// allocation is deterministic in the spec and cost model); scheduling
     /// passes run the cloud placement trial against this cache. `None`
     /// means the allocation failed at submit: the task counts as
-    /// placeable, so `plan` surfaces the real error on the normal failure
-    /// path.
+    /// placeable, so `plan_with` surfaces the real error on the normal
+    /// failure path.
     placement: Option<Vec<(ResourceBundle, u64)>>,
 }
 
@@ -325,7 +325,7 @@ impl Platform {
 
     /// Admits the tasks a scheduling pass started, one at a time in
     /// admission order: each task's placement re-trial, `mark_running` and
-    /// [`TaskRunner::plan`] — phone binding, group acquisition, every
+    /// [`TaskRunner::plan_with`] — phone binding, group acquisition, every
     /// round, run submission — and its completion event all happen before
     /// the next task's re-trial, so the next task sees this one's phones
     /// and groups taken (or, if its plan failed, given back). Returns the
@@ -338,7 +338,7 @@ impl Platform {
             // groups by now, and a candidate that fit the pre-pass pool
             // may no longer place. It must go back to pending (wait for
             // a completion or node-ready event), not fall through to
-            // `plan` and fail permanently.
+            // `plan_with` and fail permanently.
             let still_places = self
                 .pending
                 .get(&id)
@@ -367,7 +367,7 @@ impl Platform {
             ) {
                 Ok(plan) => {
                     self.events
-                        .push(plan.finished_at(), PlatformEvent::Completion(id));
+                        .push(plan.report.finished_at, PlatformEvent::Completion(id));
                     self.plans.insert(id, plan);
                     admitted += 1;
                 }
@@ -476,8 +476,8 @@ impl Platform {
         let plan = self.plans.remove(&id).expect("completion without a plan");
         // Give the cloud capacity back at the completion instant — the
         // next scheduling pass (and its autoscale) sees the freed nodes.
-        for pg in plan.placement_groups() {
-            self.cluster.release_job(*pg);
+        for &pg in &plan.groups {
+            self.cluster.release_job(pg);
         }
         let committed = self.runner.commit(plan, &mut self.phones);
         // Release exactly once per freeze, whatever the commit outcome.

@@ -19,7 +19,7 @@
 //!
 //! Round 0 always trains from the zero model, so its update depends only
 //! on the shard, the kernel and the training config. A memo trains each
-//! such update once: per call of [`TaskRunner::plan`], and across every
+//! such update once: per call of [`TaskRunner::execute`], and across every
 //! task of one dataset on a [`crate::Platform`].
 //!
 //! Everything is deterministic given the task seed and start instant.
@@ -103,12 +103,13 @@ impl TaskReport {
     }
 }
 
+/// Data payload each logical actor downloads per round, MiB (on top of the
+/// serialized model).
+const DATA_PAYLOAD_MIB: f64 = 4.0;
+
 /// Tunables of the runner itself (not task-specific).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunnerConfig {
-    /// Data payload each logical actor downloads per round, MiB (on top of
-    /// the serialized model).
-    pub data_payload_mib: f64,
     /// Whether to run benchmark-phone measurement after the rounds.
     pub measure_benchmarks: bool,
 }
@@ -116,7 +117,6 @@ pub struct RunnerConfig {
 impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
-            data_payload_mib: 4.0,
             measure_benchmarks: true,
         }
     }
@@ -133,45 +133,20 @@ pub struct TaskRunner {
 /// not yet taken.
 ///
 /// The event-driven platform plans a task when the scheduler admits it
-/// ([`TaskRunner::plan`]) — fixing the task's completion instant so it can
-/// be scheduled as an event — and calls [`TaskRunner::commit`] when that
-/// event fires, which performs the benchmark measurements and produces the
-/// final [`TaskReport`].
+/// ([`TaskRunner::plan_with`]) — fixing the task's completion instant,
+/// `report.finished_at`, so it can be scheduled as an event — and calls
+/// [`TaskRunner::commit`] when that event fires, which performs the
+/// benchmark measurements and produces the final [`TaskReport`].
 #[derive(Debug)]
-pub struct TaskPlan {
-    report: TaskReport,
-    benchmark_phones: Vec<PhoneId>,
+pub(crate) struct TaskPlan {
+    /// The report so far: every round, no benchmark measurement yet.
+    pub(crate) report: TaskReport,
+    /// The benchmark phones reserved for the task, in binding order.
+    pub(crate) benchmark_phones: Vec<PhoneId>,
     /// Placement groups held on the logical cluster for this task's whole
     /// lifetime — the platform releases them at the completion event, so
     /// cloud capacity contention is real across concurrent tasks.
-    groups: Vec<PlacementGroupId>,
-}
-
-impl TaskPlan {
-    /// The planned task.
-    #[must_use]
-    pub fn task(&self) -> TaskId {
-        self.report.task
-    }
-
-    /// The placement groups the task holds until its completion event.
-    #[must_use]
-    pub fn placement_groups(&self) -> &[PlacementGroupId] {
-        &self.groups
-    }
-
-    /// Virtual start instant.
-    #[must_use]
-    pub fn started_at(&self) -> SimInstant {
-        self.report.started_at
-    }
-
-    /// Virtual completion instant (last aggregation or benchmark
-    /// teardown) — where the platform schedules the completion event.
-    #[must_use]
-    pub fn finished_at(&self) -> SimInstant {
-        self.report.finished_at
-    }
+    pub(crate) groups: Vec<PlacementGroupId>,
 }
 
 impl Default for TaskRunner {
@@ -291,7 +266,7 @@ impl TaskRunner {
     /// claim, so a task whose placement would block (capacity booting, or
     /// free units fragmented across nodes) waits instead of failing.
     #[must_use]
-    pub fn placement_requests(
+    pub(crate) fn placement_requests(
         spec: &TaskSpec,
         allocation: &Allocation,
         cluster: &LogicalCluster,
@@ -307,8 +282,9 @@ impl TaskRunner {
     /// `(actor bundle, actor count)` for `logical_devices` devices placed
     /// on the cloud tier, or `None` when the grade runs no logical
     /// devices. Both the admission trial ([`TaskRunner::placement_requests`])
-    /// and the real acquisition in [`TaskRunner::plan`] derive from here,
-    /// so the trial can never approve a placement the acquisition rejects.
+    /// and the real acquisition in [`TaskRunner::plan_with`] derive from
+    /// here, so the trial can never approve a placement the acquisition
+    /// rejects.
     fn grade_request(
         g: &GradeRequirement,
         logical_devices: u64,
@@ -341,9 +317,10 @@ impl TaskRunner {
     }
 
     /// Executes `spec` starting at virtual time `start`: plan immediately
-    /// followed by commit. Batch drivers and tests use this; the
-    /// event-driven platform splits the two phases so completions can
-    /// interleave on the virtual timeline.
+    /// followed by commit, with round-0 updates trained for this task
+    /// alone. Batch drivers and tests use this; the event-driven platform
+    /// splits the two phases so completions can interleave on the virtual
+    /// timeline.
     ///
     /// # Errors
     ///
@@ -359,16 +336,15 @@ impl TaskRunner {
         storage: &mut Storage,
         start: SimInstant,
     ) -> Result<TaskReport> {
-        let plan = self.plan(spec, dataset, cluster, phones, storage, start)?;
+        let mut memo = RoundZeroMemo::default();
+        let plan = self.plan_with(spec, dataset, &mut memo, cluster, phones, storage, start)?;
         // Single-shot execution has no completion event to release the
         // placement groups at — give them back here so batch drivers
         // leave the pool clean between tasks.
-        let groups: Vec<PlacementGroupId> = plan.placement_groups().to_vec();
-        let report = self.commit(plan, phones);
-        for pg in groups {
+        for &pg in &plan.groups {
             cluster.release_job(pg);
         }
-        report
+        self.commit(plan, phones)
     }
 
     /// Plan phase, and the platform's whole admission procedure for one
@@ -378,7 +354,8 @@ impl TaskRunner {
     /// phones by submitting their run plans — without taking the
     /// measurements. The returned [`TaskPlan`] fixes `finished_at`, so the
     /// platform can schedule the completion event before any
-    /// wall-clock-later work happens.
+    /// wall-clock-later work happens. Round-0 updates come from `memo`,
+    /// which holds only updates trained on `dataset`.
     ///
     /// A plan that fails leaves no bytes in `storage` — the plan's byte
     /// total is charged only on success — and gives its placement groups
@@ -387,21 +364,6 @@ impl TaskRunner {
     /// # Errors
     ///
     /// Returns validation/allocation/resource errors.
-    pub fn plan(
-        &self,
-        spec: &TaskSpec,
-        dataset: &CtrDataset,
-        cluster: &mut LogicalCluster,
-        phones: &mut PhoneMgr,
-        storage: &mut Storage,
-        start: SimInstant,
-    ) -> Result<TaskPlan> {
-        let mut memo = RoundZeroMemo::default();
-        self.plan_with(spec, dataset, &mut memo, cluster, phones, storage, start)
-    }
-
-    /// [`TaskRunner::plan`] serving round-0 updates from `memo`, which
-    /// holds only updates trained on `dataset`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn plan_with(
         &self,
@@ -548,7 +510,7 @@ impl TaskRunner {
     /// over the bound placement: every upload and global-model publish is
     /// charged to `storage`, cloud rounds are planned on the task's
     /// placement groups, round 0's updates come from `memo`, and the
-    /// benchmark runs come back for [`TaskRunner::plan`] to submit, in
+    /// benchmark runs come back for [`TaskRunner::plan_with`] to submit, in
     /// binding order. Profiles are read from the fleet as it stands.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
     fn plan_timeline(
@@ -598,7 +560,7 @@ impl TaskRunner {
             // that assigns the message ids.
             let mut completions: Vec<(SimInstant, DeviceId, KernelKind)> = Vec::new();
             let payload_mib =
-                self.config.data_payload_mib + global.serialized_size() as f64 / (1024.0 * 1024.0);
+                DATA_PAYLOAD_MIB + global.serialized_size() as f64 / (1024.0 * 1024.0);
 
             for (g, placement) in spec.grades.iter().zip(placements) {
                 // Effective (fleet-averaged) profile, so stragglers and
@@ -777,8 +739,9 @@ impl TaskRunner {
     }
 
     /// Commit phase: measures the benchmark phones reserved by
-    /// [`TaskRunner::plan`] (in reservation order, so the RNG draw sequence
-    /// matches the old single-shot execution) and finalizes the report.
+    /// [`TaskRunner::plan_with`] (in reservation order, so the RNG draw
+    /// sequence matches the old single-shot execution) and finalizes the
+    /// report.
     ///
     /// Measurement is best-effort: a benchmark phone whose run vanished
     /// between plan and commit — crashed and rebooted (reboot wipes the
@@ -795,12 +758,12 @@ impl TaskRunner {
     /// Propagates measurement faults other than the vanished-run cases
     /// above — an unexpected error must fail the task, not silently
     /// shorten its benchmark data.
-    pub fn commit(&self, plan: TaskPlan, phones: &mut PhoneMgr) -> Result<TaskReport> {
+    pub(crate) fn commit(&self, plan: TaskPlan, phones: &mut PhoneMgr) -> Result<TaskReport> {
         let TaskPlan {
             mut report,
             benchmark_phones,
             // Releasing the groups is the caller's job: the platform does
-            // it at the completion event, `execute` right after commit.
+            // it at the completion event, `execute` right before commit.
             groups: _,
         } = plan;
         for phone in benchmark_phones {
@@ -968,7 +931,6 @@ mod tests {
         spec.rounds = 1;
         let runner = TaskRunner::new(RunnerConfig {
             measure_benchmarks: false,
-            ..RunnerConfig::default()
         });
         let report = runner
             .execute(
@@ -1013,7 +975,6 @@ mod tests {
         spec.rounds = 2;
         let runner = TaskRunner::new(RunnerConfig {
             measure_benchmarks: false,
-            ..RunnerConfig::default()
         });
         let report = runner
             .execute(
@@ -1044,7 +1005,6 @@ mod tests {
         spec.rounds = 1;
         let runner = TaskRunner::new(RunnerConfig {
             measure_benchmarks: false,
-            ..RunnerConfig::default()
         });
         let report = runner
             .execute(
@@ -1067,9 +1027,10 @@ mod tests {
         let (mut cluster, mut phones, mut storage) = substrates();
         let runner = TaskRunner::default();
         let plan = runner
-            .plan(
+            .plan_with(
                 &base_spec(7),
                 &data,
+                &mut RoundZeroMemo::default(),
                 &mut cluster,
                 &mut phones,
                 &mut storage,
@@ -1116,7 +1077,6 @@ mod tests {
         spec.grades[0].benchmark_phones = 0;
         let runner = TaskRunner::new(RunnerConfig {
             measure_benchmarks: false,
-            ..RunnerConfig::default()
         });
         let err = runner
             .execute(
@@ -1155,7 +1115,6 @@ mod tests {
         let (mut cluster, mut phones, mut storage) = substrates();
         let runner = TaskRunner::new(RunnerConfig {
             measure_benchmarks: false,
-            ..RunnerConfig::default()
         });
         runner
             .execute(

@@ -11,6 +11,12 @@ use simdc_phone::{PhoneMgr, Provenance};
 use simdc_simrt::RngStream;
 use simdc_types::{PhoneId, Result, SimDuration, SimdcError};
 
+/// The largest [`FleetDynamics::straggler_slowdown`] a scenario may carry.
+/// A straggler's training and startup durations are multiplied by the
+/// factor; a far larger one pushes its run's instants past the end of
+/// virtual time, where adding a duration overflows.
+pub const MAX_STRAGGLER_SLOWDOWN: f64 = 1_000.0;
+
 /// A fleet perturbation on the virtual timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetEvent {
@@ -33,7 +39,8 @@ pub struct FleetDynamics {
     pub target_local: bool,
     /// Fraction of the fleet slowed down at scenario start.
     pub straggler_frac: f64,
-    /// Training/startup duration multiplier applied to stragglers (≥ 1).
+    /// Training/startup duration multiplier applied to stragglers, in
+    /// `[1, MAX_STRAGGLER_SLOWDOWN]`.
     pub straggler_slowdown: f64,
 }
 
@@ -55,7 +62,8 @@ impl FleetDynamics {
     /// # Errors
     ///
     /// Returns `InvalidConfig` for a zero crash interval or reboot delay, a
-    /// straggler fraction outside `[0, 1]`, or a slowdown below 1.
+    /// straggler fraction outside `[0, 1]`, or a slowdown below 1 or above
+    /// [`MAX_STRAGGLER_SLOWDOWN`].
     pub fn validate(&self) -> Result<()> {
         use SimdcError::InvalidConfig;
         if let Some(mtbc) = self.mean_time_between_crashes {
@@ -77,6 +85,12 @@ impl FleetDynamics {
         if self.straggler_slowdown < 1.0 || !self.straggler_slowdown.is_finite() {
             return Err(InvalidConfig(format!(
                 "straggler_slowdown must be >= 1, got {}",
+                self.straggler_slowdown
+            )));
+        }
+        if self.straggler_slowdown > MAX_STRAGGLER_SLOWDOWN {
+            return Err(InvalidConfig(format!(
+                "straggler_slowdown must be at most {MAX_STRAGGLER_SLOWDOWN}, got {}",
                 self.straggler_slowdown
             )));
         }

@@ -3,13 +3,13 @@
 //! A [`Scenario`] composes an [`ArrivalProcess`], a [`TaskTemplate`] and
 //! [`FleetDynamics`] over a time horizon; it is what a
 //! [`crate::ScenarioSpec`] compiles to (the named scenarios themselves are
-//! the JSON specs behind [`crate::library()`]). [`Scenario::run`]
-//! pre-samples the arrival instants and phone crashes from the scenario
-//! seed, then walks both in firing order; a [`simdc_simrt::EventQueue`]
-//! holds only what the run schedules itself (reboots and dispatch ticks).
-//! A task's spec is instantiated when its arrival fires, and a finished
-//! task leaves only its arrival instant, final accuracy and terminal state
-//! behind.
+//! the JSON specs behind [`crate::library()`]). A run
+//! ([`crate::CompiledScenario::run`]) pre-samples the arrival instants and
+//! phone crashes from the platform seed, then walks both in firing order;
+//! a [`simdc_simrt::EventQueue`] holds only what the run schedules itself
+//! (reboots and dispatch ticks). A task's spec is instantiated when its
+//! arrival fires, and a finished task leaves only its arrival instant,
+//! final accuracy and terminal state behind.
 //!
 //! Everything downstream of the seed is deterministic: same seed ⇒
 //! byte-identical [`ScenarioSummary`] JSON; different seed ⇒ different
@@ -81,82 +81,58 @@ impl Scenario {
         }
         self.fleet.validate()
     }
+}
 
-    /// Executes the scenario against a fresh platform and returns its
-    /// summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario fails [`Scenario::validate`].
-    #[must_use]
-    pub fn run(
-        &self,
-        config: PlatformConfig,
-        dataset: &Arc<CtrDataset>,
-        seed: u64,
-    ) -> ScenarioSummary {
-        self.run_detailed(config, dataset, seed).0
+/// Executes `scenario` against a fresh platform built from `config`, whose
+/// seed also seeds the scenario's own streams, and returns the summary and
+/// the drained platform.
+///
+/// The run takes each task's report as the task completes and keeps only
+/// its final accuracy, so the platform handed back holds no reports; its
+/// task states are intact.
+///
+/// # Panics
+///
+/// Panics if the scenario fails [`Scenario::validate`].
+pub(crate) fn run(
+    scenario: &Scenario,
+    mut config: PlatformConfig,
+    dataset: &Arc<CtrDataset>,
+) -> (ScenarioSummary, Platform) {
+    scenario.validate().expect("scenario must be valid");
+    let seed = config.seed;
+    let mut rng = RngStream::named(seed, &format!("scenario/{}", scenario.name));
+    if let Some(cluster) = &scenario.cluster {
+        config.cluster = cluster.clone();
     }
+    let mut platform = Platform::new(config);
 
-    /// Like [`Scenario::run`], but also hands back the drained platform —
-    /// for tests and tools that need post-run internals the summary
-    /// deliberately omits (e.g. billed node-seconds for the cost
-    /// reconciliation check).
-    ///
-    /// The run takes each task's report as the task completes and keeps
-    /// only its final accuracy, so the platform handed back holds no
-    /// reports ([`Platform::report`] finds none); its task states are
-    /// intact. A caller that wants reports builds a [`Platform`] and
-    /// drives it itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario fails [`Scenario::validate`].
-    #[must_use]
-    pub fn run_detailed(
-        &self,
-        mut config: PlatformConfig,
-        dataset: &Arc<CtrDataset>,
-        seed: u64,
-    ) -> (ScenarioSummary, Platform) {
-        self.validate().expect("scenario must be valid");
-        let mut rng = RngStream::named(seed, &format!("scenario/{}", self.name));
-        if let Some(cluster) = &self.cluster {
-            config.cluster = cluster.clone();
-        }
-        let mut platform = Platform::new(config);
+    // Pre-sample every stochastic schedule from the seed.
+    let offsets = scenario
+        .arrivals
+        .sample(scenario.horizon, &mut rng.fork("arrivals"));
+    // Specs are instantiated as their arrivals fire, from this one stream:
+    // offsets are non-decreasing and the loop takes tied arrivals one pass
+    // each, in sampling order, so arrival `i` fires no later than arrival
+    // `i + 1` and the draws come in id order.
+    let template_rng = rng.fork("templates");
+    let fleet = &scenario.fleet;
+    let stragglers = fleet.apply_stragglers(platform.phones_mut(), &mut rng.fork("stragglers"));
+    let crashes = fleet.sample_crashes(platform.phones(), scenario.horizon, &mut rng.fork("churn"));
 
-        // Pre-sample every stochastic schedule from the scenario seed.
-        let offsets = self
-            .arrivals
-            .sample(self.horizon, &mut rng.fork("arrivals"));
-        // Specs are instantiated as their arrivals fire, from this one
-        // stream: offsets are strictly increasing, so arrival `i` fires
-        // before arrival `i + 1` and the draws come in id order.
-        let template_rng = rng.fork("templates");
-        let stragglers = self
-            .fleet
-            .apply_stragglers(platform.phones_mut(), &mut rng.fork("stragglers"));
-        let crashes =
-            self.fleet
-                .sample_crashes(platform.phones(), self.horizon, &mut rng.fork("churn"));
-
-        let mut run = ScenarioRun {
-            scenario: self,
-            platform,
-            dataset: Arc::clone(dataset),
-            template_rng,
-            queue: EventQueue::new(),
-            tasks: BTreeMap::new(),
-            rejected: 0,
-            completed: 0,
-            crashes: 0,
-            reboots: 0,
-            cloud_series: Vec::new(),
-        };
-        let outer_events = run.replay(&offsets, &crashes);
-        summarize(self, seed, &offsets, run, stragglers, outer_events)
-    }
+    let mut run = ScenarioRun {
+        scenario,
+        platform,
+        dataset: Arc::clone(dataset),
+        template_rng,
+        queue: EventQueue::new(),
+        tasks: BTreeMap::new(),
+        crashes: 0,
+        reboots: 0,
+        cloud_series: Vec::new(),
+    };
+    let outer_events = run.replay(&offsets, &crashes);
+    summarize(scenario, seed, &offsets, run, stragglers, outer_events)
 }
 
 /// What a run schedules itself; arrivals and crashes stay in their vectors.
@@ -181,8 +157,6 @@ struct ScenarioRun<'a> {
     queue: EventQueue<Ev>,
     /// Every submitted task by id; ascending id order is submission order.
     tasks: BTreeMap<TaskId, SubmittedTask>,
-    rejected: u64,
-    completed: u64,
     crashes: u64,
     reboots: u64,
     /// Elastic-tier samples taken at every dispatch tick (plus one final
@@ -228,18 +202,16 @@ impl ScenarioRun<'_> {
     fn arrive(&mut self, now: SimInstant, id: TaskId) {
         // Completions at exactly now only release their leases, and each
         // arrival gets its own pass (ARCHITECTURE.md, "The tie discipline").
-        self.completed += self.platform.sync_to_arrival(now) as u64;
+        self.platform.sync_to_arrival(now);
         let template = &self.scenario.template;
         let spec = template.instantiate(id, &mut self.template_rng);
-        match self.platform.submit(spec, Arc::clone(&self.dataset)) {
-            Ok(_) => {
-                let task = SubmittedTask {
-                    arrival: now,
-                    final_accuracy: None,
-                };
-                self.tasks.insert(id, task);
-            }
-            Err(_) => self.rejected += 1,
+        let dataset = Arc::clone(&self.dataset);
+        if self.platform.submit(spec, dataset).is_ok() {
+            let task = SubmittedTask {
+                arrival: now,
+                final_accuracy: None,
+            };
+            self.tasks.insert(id, task);
         }
         self.platform.admit_now();
         self.take_reports();
@@ -272,14 +244,14 @@ impl ScenarioRun<'_> {
     /// sampled `streams` or the queue hold more, else drains the platform.
     fn dispatch(&mut self, now: SimInstant, streams: bool) {
         if streams || !self.queue.is_empty() {
-            self.completed += self.platform.run_until(now) as u64;
+            self.platform.run_until(now);
             self.sample_cloud(now);
             let next = now + self.scenario.dispatch_interval;
             self.queue.push(next, Ev::Dispatch);
         } else {
             // `summarize` takes the one post-drain sample.
             self.platform.advance_clock_to(now);
-            self.completed += self.platform.run_until_idle() as u64;
+            self.platform.run_until_idle();
         }
         self.take_reports();
     }
@@ -420,13 +392,14 @@ fn summarize(
     let mut waits: Vec<f64> = Vec::new();
     let mut runs: Vec<f64> = Vec::new();
     let mut accuracies: Vec<f64> = Vec::new();
-    let mut failed = 0u64;
+    let (mut completed, mut failed) = (0u64, 0u64);
     for (id, task) in &run.tasks {
         match run.platform.task_state(*id) {
             Some(TaskState::Completed {
                 started_at,
                 finished_at,
             }) => {
+                completed += 1;
                 waits.push(
                     started_at
                         .saturating_duration_since(task.arrival)
@@ -454,8 +427,10 @@ fn summarize(
         horizon_secs: scenario.horizon.as_secs_f64(),
         arrivals: offsets.len() as u64,
         submitted: run.tasks.len() as u64,
-        rejected: run.rejected,
-        completed: run.completed,
+        // Every arrival is submitted once; what the platform refused is
+        // what the task map lacks.
+        rejected: (offsets.len() - run.tasks.len()) as u64,
+        completed,
         failed,
         crashes: run.crashes,
         reboots: run.reboots,
@@ -510,6 +485,15 @@ mod tests {
         spec
     }
 
+    /// Runs `scenario` on the default platform under `seed`.
+    fn run_seeded(scenario: &Scenario, dataset: &Arc<CtrDataset>, seed: u64) -> ScenarioSummary {
+        let config = PlatformConfig {
+            seed,
+            ..PlatformConfig::default()
+        };
+        run(scenario, config, dataset).0
+    }
+
     fn tiny(name: &str) -> Scenario {
         Scenario {
             name: name.into(),
@@ -531,8 +515,8 @@ mod tests {
     fn run_is_seed_deterministic_to_the_byte() {
         let scenario = tiny("determinism");
         let data = dataset();
-        let a = scenario.run(PlatformConfig::default(), &data, 42);
-        let b = scenario.run(PlatformConfig::default(), &data, 42);
+        let a = run_seeded(&scenario, &data, 42);
+        let b = run_seeded(&scenario, &data, 42);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
@@ -543,8 +527,8 @@ mod tests {
     fn different_seeds_change_the_arrivals() {
         let scenario = tiny("seeds");
         let data = dataset();
-        let a = scenario.run(PlatformConfig::default(), &data, 1);
-        let b = scenario.run(PlatformConfig::default(), &data, 2);
+        let a = run_seeded(&scenario, &data, 1);
+        let b = run_seeded(&scenario, &data, 2);
         assert_ne!(
             a.arrival_preview_secs, b.arrival_preview_secs,
             "seed must steer the arrival process"
@@ -555,7 +539,7 @@ mod tests {
     fn tasks_arrive_queue_and_complete() {
         let scenario = tiny("lifecycle");
         let data = dataset();
-        let summary = scenario.run(PlatformConfig::default(), &data, 9);
+        let summary = run_seeded(&scenario, &data, 9);
         assert!(summary.arrivals > 0, "horizon long enough for arrivals");
         assert_eq!(summary.submitted, summary.arrivals);
         assert_eq!(summary.completed + summary.failed, summary.submitted);
@@ -574,7 +558,7 @@ mod tests {
             ..FleetDynamics::calm()
         };
         let data = dataset();
-        let summary = scenario.run(PlatformConfig::default(), &data, 3);
+        let summary = run_seeded(&scenario, &data, 3);
         assert!(summary.crashes > 0, "{summary:?}");
         assert!(summary.reboots > 0, "{summary:?}");
         assert!(summary.reboots <= summary.crashes);
@@ -619,8 +603,6 @@ mod tests {
             template_rng: RngStream::named(8, "templates"),
             queue: EventQueue::new(),
             tasks: BTreeMap::new(),
-            rejected: 0,
-            completed: 0,
             crashes: 0,
             reboots: 0,
             cloud_series: Vec::new(),
@@ -705,8 +687,8 @@ mod tests {
             ..slow
         };
         let data = dataset();
-        let fast = calm.run(PlatformConfig::default(), &data, 17);
-        let slowed = slow.run(PlatformConfig::default(), &data, 17);
+        let fast = run_seeded(&calm, &data, 17);
+        let slowed = run_seeded(&slow, &data, 17);
         assert_eq!(slowed.stragglers, 30);
         assert!(
             slowed.mean_run_secs > fast.mean_run_secs,

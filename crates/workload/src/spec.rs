@@ -225,10 +225,14 @@ pub struct CompiledScenario {
 
 impl CompiledScenario {
     /// Executes the compiled scenario and returns its summary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario fails [`Scenario::validate`] (a compiled
+    /// spec always passes; a hand-edited `scenario` may not).
     #[must_use]
     pub fn run(&self, dataset: &Arc<CtrDataset>) -> ScenarioSummary {
-        self.scenario
-            .run(self.config.clone(), dataset, self.config.seed)
+        self.run_detailed(dataset).0
     }
 
     /// Like [`CompiledScenario::run`], but also hands back the drained
@@ -237,10 +241,13 @@ impl CompiledScenario {
     /// takes each task's report as the task completes, so the platform
     /// holds none; a caller that wants reports builds a [`Platform`] and
     /// drives it itself.
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledScenario::run`].
     #[must_use]
     pub fn run_detailed(&self, dataset: &Arc<CtrDataset>) -> (ScenarioSummary, Platform) {
-        self.scenario
-            .run_detailed(self.config.clone(), dataset, self.config.seed)
+        crate::scenario::run(&self.scenario, self.config.clone(), dataset)
     }
 }
 

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_simrt::RngStream;
+use simdc_workload::fleet::MAX_STRAGGLER_SLOWDOWN;
 use simdc_workload::ScenarioSpec;
 
 fn steady() -> String {
@@ -91,3 +92,48 @@ fn a_reboot_after_of_u64_max_keeps_crashed_phones_down() {
     let outer = summary.events - platform.completion_events() - platform.cluster_events();
     assert_eq!(outer, summary.arrivals + sampled + ticks, "{summary:?}");
 }
+
+/// FNV-1a 64-bit, as `byte_identity.rs` digests summaries.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The largest straggler slowdown a spec may carry is one the simulator
+/// runs: every phone of `straggler_fleet` slowed by the cap runs to a
+/// clean end, to the same summary bytes in debug and release builds (the
+/// digest is checked under both profiles).
+#[test]
+fn the_straggler_slowdown_cap_runs_alike_in_both_profiles() {
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../fixtures/scenarios/straggler_fleet.json"
+    ))
+    .expect("straggler_fleet fixture");
+    let capped = committed
+        .replacen("\"straggler_frac\": 0.4", "\"straggler_frac\": 1", 1)
+        .replacen(
+            "\"straggler_slowdown\": 2.5",
+            "\"straggler_slowdown\": 1000",
+            1,
+        );
+    let spec = ScenarioSpec::from_json_str(&capped)
+        .unwrap()
+        .with_horizon_scale(0.2);
+    assert_eq!(spec.fleet_dynamics.straggler_frac, 1.0, "patch needle");
+    assert_eq!(
+        spec.fleet_dynamics.straggler_slowdown,
+        MAX_STRAGGLER_SLOWDOWN
+    );
+    let summary = spec.compile().unwrap().run(&dataset());
+    assert_eq!(summary.stragglers, 30, "{summary:?}");
+    assert!(summary.completed > 0, "{summary:?}");
+    let digest = fnv1a(serde_json::to_string(&summary).unwrap().as_bytes());
+    assert_eq!(digest, CAPPED_STRAGGLERS_DIGEST, "observed digest {digest}");
+}
+
+const CAPPED_STRAGGLERS_DIGEST: u64 = 10_572_425_055_548_573_556;

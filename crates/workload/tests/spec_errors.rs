@@ -100,6 +100,15 @@ fn every_malformed_spec_yields_its_pinned_error() {
             "invalid configuration: unknown key `$.template.bogus` in scenario spec",
         ),
         (
+            "straggler slowdown above the cap",
+            patch(
+                &steady(),
+                "\"straggler_slowdown\": 1\n",
+                "\"straggler_slowdown\": 1e6\n",
+            ),
+            "invalid configuration: straggler_slowdown must be at most 1000, got 1000000",
+        ),
+        (
             "too many threads",
             patch(&steady(), "\"threads\": 1", "\"threads\": 65"),
             "invalid configuration: threads must be at most 64, got 65",
