@@ -77,7 +77,7 @@ pub mod spec;
 pub use alloc::{optimize, Allocation, GradeAllocParams, GradeAllocation};
 pub use cloud::{AggregationTrigger, RoundOutcome, Storage};
 pub use invariants::InvariantViolation;
-pub use platform::{Platform, PlatformConfig, PlatformStatus, SourceRunStats, SubmissionSource};
+pub use platform::{Platform, PlatformConfig, PlatformStatus};
 pub use queue::{TaskQueue, TaskRecord, TaskState};
 pub use resources::{ResourceClaim, ResourceManager};
 pub use runner::{RoundReport, RunnerConfig, TaskReport, TaskRunner};

@@ -18,9 +18,11 @@
 //! its `finished_at` instant; popping that event releases the task's
 //! resource lease at the task's actual completion instant and immediately
 //! re-runs the greedy scheduler, so queued work starts the moment capacity
-//! frees — not at the end of an admission wave. [`Platform::run_from_source`]
-//! interleaves arrivals with pending completions on the same timeline,
-//! which is what keeps queueing delays honest under sustained traffic.
+//! frees — not at the end of an admission wave. A driver interleaves
+//! arrivals with pending completions on the same timeline
+//! ([`Platform::sync_to_arrival`], then [`Platform::submit`] for every
+//! arrival due, then one [`Platform::admit_now`]), which is what keeps
+//! queueing delays honest under sustained traffic.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -86,30 +88,6 @@ pub struct PlatformStatus {
     pub nodes: u64,
     /// Cloud nodes up and accepting placements.
     pub ready_nodes: u64,
-}
-
-/// A stream of task submissions arriving over virtual time — the scenario
-/// side of the platform (workload generators implement this; a static task
-/// list is just the degenerate constant-time case).
-///
-/// Arrival instants must be non-decreasing; [`Platform::run_from_source`]
-/// panics otherwise, because out-of-order arrivals would silently break
-/// determinism.
-pub trait SubmissionSource {
-    /// The next submission: `(arrival instant, spec, dataset)`, or `None`
-    /// when the stream is exhausted.
-    fn next_submission(&mut self) -> Option<(SimInstant, TaskSpec, Arc<CtrDataset>)>;
-}
-
-/// Outcome counters of [`Platform::run_from_source`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SourceRunStats {
-    /// Submissions accepted into the queue.
-    pub submitted: usize,
-    /// Submissions rejected at the door (validation / infeasible claims).
-    pub rejected: usize,
-    /// Tasks that ran to completion.
-    pub completed: usize,
 }
 
 /// The platform's internal event alphabet.
@@ -586,55 +564,14 @@ impl Platform {
         completed
     }
 
-    /// Drains a [`SubmissionSource`]: tasks arrive over virtual time,
-    /// queue up, and are admitted *mid-flight* — an arrival is interleaved
-    /// with the completion events due before it, so a task starts at the
-    /// first completion instant that frees its claim instead of waiting
-    /// for a whole admission wave to drain. Queueing delay is visible as
-    /// `started_at - arrival`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields decreasing arrival instants.
-    pub fn run_from_source(&mut self, source: &mut dyn SubmissionSource) -> SourceRunStats {
-        let mut stats = SourceRunStats::default();
-        let mut last_arrival = SimInstant::EPOCH;
-        let mut arrivals = std::iter::from_fn(|| source.next_submission()).peekable();
-        while let Some((at, spec, data)) = arrivals.next() {
-            assert!(
-                at >= last_arrival,
-                "submission source went back in time ({at} < {last_arrival})"
-            );
-            last_arrival = at;
-            stats.completed += self.sync_to_arrival(at);
-            // Submit every arrival at this instant before the one pass, so
-            // simultaneous submissions are admitted in priority order, not
-            // source order.
-            let mut wave = Some((spec, data));
-            while let Some((spec, data)) = wave {
-                match self.submit(spec, data) {
-                    Ok(_) => stats.submitted += 1,
-                    Err(_) => stats.rejected += 1,
-                }
-                wave = arrivals
-                    .next_if(|(at2, _, _)| *at2 == at)
-                    .map(|(_, spec, data)| (spec, data));
-            }
-            self.dispatch_pending();
-        }
-        stats.completed += self.run_until_idle();
-        stats
-    }
-
-    /// Advances the platform to arrival instant `at` with the tie
-    /// discipline [`Platform::run_from_source`] uses: completions
-    /// *strictly before* `at` are processed normally (each re-running the
-    /// scheduler), while completions at exactly `at` release their leases
-    /// *without* a scheduling pass. The caller then submits the arrivals
-    /// due at `at` and calls [`Platform::admit_now`], so one pass sees
-    /// both the freed capacity and the new tasks — priority decides the
-    /// tie, not arrival-vs-completion ordering. Returns the number of
-    /// tasks completed.
+    /// Advances the platform to arrival instant `at` under its one tie
+    /// rule: completions *strictly before* `at` are processed normally
+    /// (each re-running the scheduler), while completions at exactly `at`
+    /// release their leases *without* a scheduling pass. The caller then
+    /// submits every arrival due at `at` and calls [`Platform::admit_now`]
+    /// once, so one pass sees the freed capacity and all the new tasks —
+    /// priority decides the tie, not the order of arrivals and
+    /// completions. Returns the number of tasks completed.
     pub fn sync_to_arrival(&mut self, at: SimInstant) -> usize {
         let mut completed = 0usize;
         while let Some((t, done)) = self.step(at) {
@@ -997,163 +934,6 @@ mod tests {
         let data = dataset();
         platform.submit(small_spec(1, 0), data.clone()).unwrap();
         assert!(platform.submit(small_spec(1, 0), data).is_err());
-    }
-
-    #[test]
-    fn run_from_source_queues_arrivals_over_time() {
-        struct Timed {
-            items: std::vec::IntoIter<(SimInstant, TaskSpec, Arc<CtrDataset>)>,
-        }
-        impl SubmissionSource for Timed {
-            fn next_submission(&mut self) -> Option<(SimInstant, TaskSpec, Arc<CtrDataset>)> {
-                self.items.next()
-            }
-        }
-        let data = dataset();
-        let t = |secs: u64| SimInstant::EPOCH + SimDuration::from_secs(secs);
-        let mut source = Timed {
-            items: vec![
-                (t(10), small_spec(1, 0), data.clone()),
-                (t(10), small_spec(2, 0), data.clone()),
-                (t(20), small_spec(3, 0), data.clone()),
-            ]
-            .into_iter(),
-        };
-        let mut platform = Platform::paper_default();
-        let stats = platform.run_from_source(&mut source);
-        assert_eq!(stats.submitted, 3);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.completed, 3);
-        // No task starts before it arrived.
-        for (id, arrival) in [(1u64, t(10)), (2, t(10)), (3, t(20))] {
-            match platform.task_state(TaskId(id)) {
-                Some(TaskState::Completed { started_at, .. }) => {
-                    assert!(*started_at >= arrival, "task {id} started before arrival");
-                }
-                other => panic!("task {id} not completed: {other:?}"),
-            }
-        }
-        assert!(platform.status().now >= t(20));
-    }
-
-    /// Tie-discipline property: a workload with simultaneous arrivals
-    /// (priority decides the tie, not source order) admits identically
-    /// whichever driver paces the platform — [`Platform::run_from_source`]
-    /// or a manual loop over [`Platform::run_until`] /
-    /// [`Platform::advance_clock_to`] / [`Platform::admit_now`]. The
-    /// workload oversubscribes capacity so late admissions land on
-    /// completion instants, exercising completion-vs-pending ordering too.
-    #[test]
-    fn tied_arrivals_admit_identically_across_drivers() {
-        let t = |secs: u64| SimInstant::EPOCH + SimDuration::from_secs(secs);
-        // Three waves; within each wave every task shares an arrival
-        // instant and priorities are deliberately out of source order.
-        let workload = || -> Vec<(SimInstant, TaskSpec, Arc<CtrDataset>)> {
-            let data = dataset();
-            let mut items = Vec::new();
-            for (i, (secs, prio)) in [
-                (10u64, 2u32),
-                (10, 7),
-                (10, 5),
-                (10, 9),
-                (40, 1),
-                (40, 8),
-                (40, 8),
-                (70, 3),
-                (70, 6),
-            ]
-            .iter()
-            .enumerate()
-            {
-                items.push((t(*secs), small_spec(i as u64 + 1, *prio), data.clone()));
-            }
-            items
-        };
-        let fingerprint = |platform: &Platform, n: u64| -> Vec<String> {
-            (1..=n)
-                .map(|id| format!("{:?}", platform.task_state(TaskId(id)).unwrap()))
-                .collect()
-        };
-        struct Timed {
-            items: std::vec::IntoIter<(SimInstant, TaskSpec, Arc<CtrDataset>)>,
-        }
-        impl SubmissionSource for Timed {
-            fn next_submission(&mut self) -> Option<(SimInstant, TaskSpec, Arc<CtrDataset>)> {
-                self.items.next()
-            }
-        }
-
-        let via_source = || {
-            let mut platform = Platform::paper_default();
-            let mut source = Timed {
-                items: workload().into_iter(),
-            };
-            let stats = platform.run_from_source(&mut source);
-            assert_eq!(stats.completed, 9);
-            // Priority decides the wave-one tie, not source order: task 4
-            // (priority 9) starts no later than its wave-mates 1..=3.
-            let started = |id: u64| match platform.task_state(TaskId(id)) {
-                Some(TaskState::Completed { started_at, .. }) => *started_at,
-                other => panic!("task {id} not completed: {other:?}"),
-            };
-            for id in [1u64, 2, 3] {
-                assert!(
-                    started(4) <= started(id),
-                    "priority lost the tie to task {id}"
-                );
-            }
-            fingerprint(&platform, 9)
-        };
-        let via_manual = || {
-            let mut platform = Platform::paper_default();
-            // Group the workload by arrival instant; run the platform up
-            // to each instant, submit the whole wave, admit in one pass.
-            let mut items = workload().into_iter().peekable();
-            while let Some((at, spec, data)) = items.next() {
-                platform.run_until(at);
-                platform.advance_clock_to(at);
-                platform.submit(spec, data).unwrap();
-                while items.peek().is_some_and(|(at2, _, _)| *at2 == at) {
-                    let (_, spec2, data2) = items.next().unwrap();
-                    platform.submit(spec2, data2).unwrap();
-                }
-                platform.admit_now();
-            }
-            assert_eq!(platform.run_until_idle(), 9);
-            fingerprint(&platform, 9)
-        };
-
-        assert_eq!(via_manual(), via_source(), "manual driver diverged");
-    }
-
-    #[test]
-    fn run_from_source_counts_rejections() {
-        struct One {
-            item: Option<(SimInstant, TaskSpec, Arc<CtrDataset>)>,
-        }
-        impl SubmissionSource for One {
-            fn next_submission(&mut self) -> Option<(SimInstant, TaskSpec, Arc<CtrDataset>)> {
-                self.item.take()
-            }
-        }
-        let infeasible = TaskSpec::builder(TaskId(1))
-            .grade(GradeRequirement {
-                grade: DeviceGrade::High,
-                total_devices: 10,
-                benchmark_phones: 0,
-                logical_unit_bundles: 10_000,
-                units_per_device: 1,
-                phones: 0,
-            })
-            .build()
-            .unwrap();
-        let mut platform = Platform::paper_default();
-        let stats = platform.run_from_source(&mut One {
-            item: Some((SimInstant::EPOCH, infeasible, dataset())),
-        });
-        assert_eq!(stats.submitted, 0);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.completed, 0);
     }
 
     /// A task needing more bundles than the booted capacity: the paper's

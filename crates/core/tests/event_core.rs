@@ -17,8 +17,7 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use simdc_core::{
-    AggregationTrigger, GradeRequirement, Platform, PlatformConfig, SubmissionSource, TaskSpec,
-    TaskState,
+    AggregationTrigger, GradeRequirement, Platform, PlatformConfig, TaskSpec, TaskState,
 };
 use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_types::{DeviceGrade, PerGrade, SimDuration, SimInstant, TaskId};
@@ -62,14 +61,40 @@ fn logical_spec(id: u64, bundles: u64, rounds: u32, priority: u32) -> TaskSpec {
         .unwrap()
 }
 
-struct Timed {
-    items: std::vec::IntoIter<(SimInstant, TaskSpec, Arc<CtrDataset>)>,
+/// What [`drive`] counted: submissions accepted, submissions rejected at
+/// the door, and tasks that ran to completion.
+#[derive(Debug)]
+struct SourceRunStats {
+    submitted: usize,
+    rejected: usize,
+    completed: usize,
 }
 
-impl SubmissionSource for Timed {
-    fn next_submission(&mut self) -> Option<(SimInstant, TaskSpec, Arc<CtrDataset>)> {
-        self.items.next()
+/// Feeds `items`, sorted by arrival instant, to `platform` the way the
+/// scenario loop does — at each instant `sync_to_arrival`, then every
+/// submission due, then one `admit_now` — and then drains it.
+fn drive(
+    platform: &mut Platform,
+    items: Vec<(SimInstant, TaskSpec, Arc<CtrDataset>)>,
+) -> SourceRunStats {
+    let mut stats = SourceRunStats {
+        submitted: 0,
+        rejected: 0,
+        completed: 0,
+    };
+    let mut items = items.into_iter().peekable();
+    while let Some(&(at, ..)) = items.peek() {
+        stats.completed += platform.sync_to_arrival(at);
+        while let Some((_, spec, data)) = items.next_if(|item| item.0 == at) {
+            match platform.submit(spec, data) {
+                Ok(_) => stats.submitted += 1,
+                Err(_) => stats.rejected += 1,
+            }
+        }
+        platform.admit_now();
     }
+    stats.completed += platform.run_until_idle();
+    stats
 }
 
 fn completed_span(platform: &Platform, id: u64) -> (SimInstant, SimInstant) {
@@ -95,16 +120,15 @@ fn mid_run_arrival_starts_at_first_freeing_completion() {
     let long = logical_spec(1, 120, 5, 0);
     let short = logical_spec(2, 80, 1, 0);
     let late = logical_spec(3, 80, 1, 0);
-    let mut source = Timed {
-        items: vec![
+    let mut platform = Platform::new(PlatformConfig::default());
+    let stats = drive(
+        &mut platform,
+        vec![
             (t(0), long, data.clone()),
             (t(0), short, data.clone()),
             (t(1), late, data.clone()),
-        ]
-        .into_iter(),
-    };
-    let mut platform = Platform::new(PlatformConfig::default());
-    let stats = platform.run_from_source(&mut source);
+        ],
+    );
     assert_eq!(stats.submitted, 3);
     assert_eq!(stats.completed, 3);
 
@@ -146,11 +170,11 @@ fn simultaneous_arrivals_admit_by_priority() {
     // (submitted second) must win the pass.
     let low = logical_spec(1, 150, 1, 1);
     let high = logical_spec(2, 150, 1, 9);
-    let mut source = Timed {
-        items: vec![(t0, low, data.clone()), (t0, high, data.clone())].into_iter(),
-    };
     let mut platform = Platform::new(PlatformConfig::default());
-    let stats = platform.run_from_source(&mut source);
+    let stats = drive(
+        &mut platform,
+        vec![(t0, low, data.clone()), (t0, high, data)],
+    );
     assert_eq!(stats.completed, 2);
     let (high_start, high_finish) = completed_span(&platform, 2);
     let (low_start, _) = completed_span(&platform, 1);
@@ -158,10 +182,120 @@ fn simultaneous_arrivals_admit_by_priority() {
     assert_eq!(low_start, high_finish, "low priority waits for the lease");
 }
 
-/// The scenario engine's sequence gives each arrival event its own
-/// `sync_to_arrival` → `submit` → `admit_now`, so of the same two tasks at
-/// one instant the first sampled is admitted in its own pass, before the
-/// higher-priority one is even submitted.
+/// Arrivals queue over time: none starts before it arrived, and the clock
+/// ends no earlier than the last arrival.
+#[test]
+fn arrivals_start_no_earlier_than_they_arrive() {
+    let data = dataset();
+    let t = |secs: u64| SimInstant::EPOCH + SimDuration::from_secs(secs);
+    let mut platform = Platform::new(PlatformConfig::default());
+    let stats = drive(
+        &mut platform,
+        vec![
+            (t(10), logical_spec(1, 24, 2, 0), data.clone()),
+            (t(10), logical_spec(2, 24, 2, 0), data.clone()),
+            (t(20), logical_spec(3, 24, 2, 0), data),
+        ],
+    );
+    assert_eq!(
+        (stats.submitted, stats.rejected, stats.completed),
+        (3, 0, 3)
+    );
+    for (id, arrival) in [(1, t(10)), (2, t(10)), (3, t(20))] {
+        let (started_at, _) = completed_span(&platform, id);
+        assert!(started_at >= arrival, "task {id} started before arrival");
+    }
+    assert!(platform.status().now >= t(20));
+}
+
+/// A claim beyond the elastic ceiling is rejected at the door and counted
+/// as such; nothing runs.
+#[test]
+fn rejected_arrivals_are_counted() {
+    let mut platform = Platform::new(PlatformConfig::default());
+    let infeasible = logical_spec(1, 10_000, 1, 0);
+    let stats = drive(
+        &mut platform,
+        vec![(SimInstant::EPOCH, infeasible, dataset())],
+    );
+    assert_eq!(
+        (stats.submitted, stats.rejected, stats.completed),
+        (0, 1, 0)
+    );
+}
+
+/// The same tied workload admits identically whether [`drive`] paces the
+/// platform or a loop over `run_until` / `advance_clock_to` / `admit_now`
+/// does, and priority decides each tie. Capacity is oversubscribed, so
+/// late admissions land on completion instants, exercising
+/// completion-vs-pending ordering too.
+#[test]
+fn tied_arrivals_admit_identically_across_drivers() {
+    let t = |secs: u64| SimInstant::EPOCH + SimDuration::from_secs(secs);
+    // Three waves; within each every task shares an arrival instant and
+    // priorities are deliberately out of submission order.
+    let workload = || -> Vec<(SimInstant, TaskSpec, Arc<CtrDataset>)> {
+        let waves = [
+            (10u64, 2u32),
+            (10, 7),
+            (10, 5),
+            (10, 9),
+            (40, 1),
+            (40, 8),
+            (40, 8),
+            (70, 3),
+            (70, 6),
+        ];
+        let data = dataset();
+        (1u64..)
+            .zip(waves)
+            .map(|(id, (secs, prio))| {
+                // Phones, not bundles, run out: the elastic tier stays idle.
+                let mut spec = logical_spec(id, 24, 2, prio);
+                spec.grades[0].benchmark_phones = 1;
+                spec.grades[0].phones = 4;
+                (t(secs), spec, data.clone())
+            })
+            .collect()
+    };
+    let states = |platform: &Platform| -> Vec<String> {
+        (1..=9)
+            .map(|id| format!("{:?}", platform.task_state(TaskId(id)).unwrap()))
+            .collect()
+    };
+
+    let mut driven = Platform::new(PlatformConfig::default());
+    assert_eq!(drive(&mut driven, workload()).completed, 9);
+    // Priority decides the wave-one tie, not submission order: task 4
+    // (priority 9) starts no later than its wave-mates 1..=3.
+    for id in [1, 2, 3] {
+        assert!(
+            completed_span(&driven, 4).0 <= completed_span(&driven, id).0,
+            "priority lost the tie to task {id}"
+        );
+    }
+
+    let mut manual = Platform::new(PlatformConfig::default());
+    let mut items = workload().into_iter().peekable();
+    let mut completed = 0;
+    while let Some(&(at, ..)) = items.peek() {
+        completed += manual.run_until(at);
+        manual.advance_clock_to(at);
+        while let Some((_, spec, data)) = items.next_if(|item| item.0 == at) {
+            manual.submit(spec, data).unwrap();
+        }
+        manual.admit_now();
+    }
+    assert_eq!(completed + manual.run_until_idle(), 9);
+    assert_eq!(states(&manual), states(&driven), "manual driver diverged");
+}
+
+/// What the primitives do for a caller that gives each arrival its own
+/// `sync_to_arrival` → `submit` → `admit_now` (the benchmark's traced
+/// replica does): of the same two tasks at one instant the first submitted
+/// is admitted in its own pass, before the higher-priority one is even
+/// submitted. The scenario loop instead submits both before one pass
+/// ([`simultaneous_arrivals_admit_by_priority`]).
 #[test]
 fn per_arrival_admission_admits_in_sampling_order() {
     let data = dataset();
@@ -222,16 +356,15 @@ fn arrival_at_completion_instant_beats_pending_lower_priority() {
 
     // Real run: the blocker, a pending low-priority task, and a
     // high-priority task arriving exactly when the blocker completes.
-    let mut source = Timed {
-        items: vec![
+    let mut platform = Platform::new(PlatformConfig::default());
+    let stats = drive(
+        &mut platform,
+        vec![
             (t(0), logical_spec(1, 200, 1, 0), data.clone()),
             (t(1), logical_spec(2, 200, 1, 1), data.clone()),
-            (first_finish, logical_spec(3, 200, 1, 9), data.clone()),
-        ]
-        .into_iter(),
-    };
-    let mut platform = Platform::new(PlatformConfig::default());
-    let stats = platform.run_from_source(&mut source);
+            (first_finish, logical_spec(3, 200, 1, 9), data),
+        ],
+    );
     assert_eq!(stats.completed, 3);
     let (high_start, high_finish) = completed_span(&platform, 3);
     let (low_start, _) = completed_span(&platform, 2);
@@ -359,9 +492,6 @@ fn freeze_release_pairing_holds_for_random_schedules() {
         items.sort_by_key(|(at, spec, _)| (*at, spec.id));
         let total = items.len();
 
-        let mut source = Timed {
-            items: items.into_iter(),
-        };
         let mut platform = Platform::new(PlatformConfig::default());
         let crashed: Vec<_> = platform
             .phones()
@@ -377,7 +507,7 @@ fn freeze_release_pairing_holds_for_random_schedules() {
                 .inject_crash(id, SimInstant::EPOCH)
                 .unwrap();
         }
-        let stats = platform.run_from_source(&mut source);
+        let stats = drive(&mut platform, items);
         assert_eq!(stats.submitted + stats.rejected, total);
 
         let status = platform.status();

@@ -166,8 +166,9 @@ impl ArrivalProcess {
     /// Samples the arrival offsets (from the scenario start) within
     /// `[0, horizon)` using Lewis–Shedler thinning. Offsets come back
     /// non-decreasing: two draws in the same microsecond tie (about one
-    /// gap in a million at one arrival a second). A scenario run gives
-    /// tied arrivals one admission pass each, in sampling order.
+    /// gap in a million at one arrival a second). A scenario run submits
+    /// tied arrivals together before one admission pass, so priority
+    /// decides between them.
     ///
     /// # Panics
     ///

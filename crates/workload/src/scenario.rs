@@ -40,8 +40,8 @@ pub struct Scenario {
     /// drains.
     pub horizon: SimDuration,
     /// Period of the dispatch event that paces the platform's completion
-    /// events along the outer timeline (admission itself is per-arrival
-    /// and per-completion, not per-dispatch).
+    /// events along the outer timeline (admission itself runs at arrival
+    /// and completion instants, not per dispatch).
     pub dispatch_interval: SimDuration,
     /// Task arrival process.
     pub arrivals: ArrivalProcess,
@@ -112,9 +112,8 @@ pub(crate) fn run(
         .arrivals
         .sample(scenario.horizon, &mut rng.fork("arrivals"));
     // Specs are instantiated as their arrivals fire, from this one stream:
-    // offsets are non-decreasing and the loop takes tied arrivals one pass
-    // each, in sampling order, so arrival `i` fires no later than arrival
-    // `i + 1` and the draws come in id order.
+    // offsets are non-decreasing and the loop submits tied arrivals in
+    // sampling order before their one pass, so the draws come in id order.
     let template_rng = rng.fork("templates");
     let fleet = &scenario.fleet;
     let stragglers = fleet.apply_stragglers(platform.phones_mut(), &mut rng.fork("stragglers"));
@@ -183,7 +182,17 @@ impl ScenarioRun<'_> {
             };
             handled += 1;
             if let Some((i, _)) = arrivals.next_if(|a| a.1 == now) {
-                self.arrive(now, TaskId(i as u64 + 1));
+                // Completions at exactly now only release their leases; one
+                // pass then sees them and every arrival due now, so priority
+                // decides the tie (ARCHITECTURE.md, "The tie discipline").
+                self.platform.sync_to_arrival(now);
+                self.submit(now, TaskId(i as u64 + 1));
+                while let Some((i, _)) = arrivals.next_if(|a| a.1 == now) {
+                    handled += 1;
+                    self.submit(now, TaskId(i as u64 + 1));
+                }
+                self.platform.admit_now();
+                self.take_reports();
             } else if let Some((_, event)) = crashes.next_if(|c| c.0 == now) {
                 match event {
                     FleetEvent::Crash(id) => self.crash(now, id),
@@ -198,11 +207,8 @@ impl ScenarioRun<'_> {
         }
     }
 
-    /// Instantiates task `id`'s spec and submits it.
-    fn arrive(&mut self, now: SimInstant, id: TaskId) {
-        // Completions at exactly now only release their leases, and each
-        // arrival gets its own pass (ARCHITECTURE.md, "The tie discipline").
-        self.platform.sync_to_arrival(now);
+    /// Instantiates task `id`'s spec and submits it, arriving at `now`.
+    fn submit(&mut self, now: SimInstant, id: TaskId) {
         let template = &self.scenario.template;
         let spec = template.instantiate(id, &mut self.template_rng);
         let dataset = Arc::clone(&self.dataset);
@@ -213,8 +219,6 @@ impl ScenarioRun<'_> {
             };
             self.tasks.insert(id, task);
         }
-        self.platform.admit_now();
-        self.take_reports();
     }
 
     /// Crashes phone `id` if it is up and schedules its reboot; a reboot
@@ -581,7 +585,12 @@ mod tests {
         fn handle(&mut self, ctx: &mut EngineCtx<'_, RefEv>, event: RefEv) {
             let (run, now) = (&mut self.0, ctx.now());
             match event {
-                RefEv::Arrival(id) => run.arrive(now, id),
+                RefEv::Arrival(id) => {
+                    run.platform.sync_to_arrival(now);
+                    run.submit(now, id);
+                    run.platform.admit_now();
+                    run.take_reports();
+                }
                 RefEv::Fleet(FleetEvent::Crash(id)) => run.crash(now, id),
                 RefEv::Fleet(FleetEvent::Reboot(id)) | RefEv::Queued(Ev::Reboot(id)) => {
                     run.reboot(now, id);
@@ -656,6 +665,42 @@ mod tests {
         assert_eq!((looped.completed, looped.failed), (1, 1), "{looped:?}");
         let crashed = u64::from(phones);
         assert_eq!((looped.crashes, looped.reboots), (crashed, crashed));
+    }
+
+    /// Two arrivals at one instant, and only one of their claims fits: one
+    /// pass sees both, so the higher-priority one starts at the tie even
+    /// though it was sampled second, and the other waits for its lease.
+    #[test]
+    fn tied_arrivals_admit_by_priority() {
+        let mut scenario = tiny("tie");
+        scenario.template.both_grades_prob = 0.0;
+        // `fresh_run`'s template stream draws priorities 0 then 2.
+        scenario.template.priority_levels = 3;
+        scenario.template.high.unit_bundles = 150;
+        scenario.template.low.unit_bundles = 150;
+        let data = dataset();
+        let mut rng = RngStream::named(8, "templates");
+        let [first, second] =
+            [1, 2].map(|id| scenario.template.instantiate(TaskId(id), &mut rng).priority);
+        assert!(second > first, "priorities {first} then {second}");
+
+        let tie = SimDuration::from_secs(30);
+        // A no-op reboot keeps the first tick from being the final drain,
+        // which would start the waiting task at the tick, not at the
+        // completion that frees it.
+        let later = (SimDuration::from_mins(5), FleetEvent::Reboot(PhoneId(0)));
+        let mut run = fresh_run(&scenario, &data);
+        run.replay(&[tie, tie], &[later]);
+        let span = |id| match run.platform.task_state(TaskId(id)) {
+            Some(TaskState::Completed {
+                started_at,
+                finished_at,
+            }) => (*started_at, *finished_at),
+            other => panic!("task {id} not completed: {other:?}"),
+        };
+        let (high_start, high_finish) = span(2);
+        assert_eq!(high_start, SimInstant::EPOCH + tie, "higher priority first");
+        assert_eq!(span(1).0, high_finish, "lower priority waits for the lease");
     }
 
     #[test]

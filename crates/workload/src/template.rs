@@ -12,6 +12,12 @@ use simdc_ml::TrainConfig;
 use simdc_simrt::RngStream;
 use simdc_types::{DeviceGrade, Result, SimDuration, SimdcError, TaskId};
 
+/// The most simulated devices a task may draw per grade
+/// ([`TaskTemplate::devices_per_grade`]). A task's devices are trained one
+/// by one every round, so the bound keeps a spec's work finite; a range
+/// near `u64::MAX` would overflow the device total.
+pub const MAX_DEVICES_PER_GRADE: u64 = 100_000;
+
 /// Per-grade resource-request scheme (the paper's `f`, `k`, `m` knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GradeScheme {
@@ -51,7 +57,8 @@ impl GradeScheme {
 pub struct TaskTemplate {
     /// Inclusive range of federated rounds per task.
     pub rounds: (u32, u32),
-    /// Inclusive range of simulated devices per participating grade.
+    /// Inclusive range of simulated devices per participating grade, in
+    /// `[1, MAX_DEVICES_PER_GRADE]`.
     pub devices_per_grade: (u64, u64),
     /// Priorities are drawn uniformly from `0..priority_levels`.
     pub priority_levels: u32,
@@ -95,7 +102,8 @@ impl TaskTemplate {
     /// # Errors
     ///
     /// Returns `InvalidConfig` for inverted ranges, zero rounds/devices,
-    /// zero priority levels or a probability outside `[0, 1]`.
+    /// more than [`MAX_DEVICES_PER_GRADE`] devices, zero priority levels or
+    /// a probability outside `[0, 1]`.
     pub fn validate(&self) -> Result<()> {
         use SimdcError::InvalidConfig;
         if self.rounds.0 == 0 || self.rounds.0 > self.rounds.1 {
@@ -108,6 +116,12 @@ impl TaskTemplate {
             return Err(InvalidConfig(format!(
                 "device range must satisfy 1 <= lo <= hi, got {:?}",
                 self.devices_per_grade
+            )));
+        }
+        if self.devices_per_grade.1 > MAX_DEVICES_PER_GRADE {
+            return Err(InvalidConfig(format!(
+                "devices_per_grade must be at most {MAX_DEVICES_PER_GRADE}, got {}",
+                self.devices_per_grade.1
             )));
         }
         if self.priority_levels == 0 {

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_simrt::RngStream;
 use simdc_workload::fleet::MAX_STRAGGLER_SLOWDOWN;
+use simdc_workload::template::MAX_DEVICES_PER_GRADE;
 use simdc_workload::ScenarioSpec;
 
 fn steady() -> String {
@@ -137,3 +138,28 @@ fn the_straggler_slowdown_cap_runs_alike_in_both_profiles() {
 }
 
 const CAPPED_STRAGGLERS_DIGEST: u64 = 10_572_425_055_548_573_556;
+
+/// The largest device count a task may draw per grade is one the simulator
+/// runs: `steady_poisson` with every task at the cap in each grade it
+/// spans runs to a clean end, to the same summary bytes in debug and
+/// release builds (the digest is checked under both profiles).
+#[test]
+fn the_devices_per_grade_cap_runs_alike_in_both_profiles() {
+    let committed = steady();
+    let capped = committed.replacen(
+        "\"devices_per_grade\": [\n      8,\n      24\n    ]",
+        "\"devices_per_grade\": [\n      100000,\n      100000\n    ]",
+        1,
+    );
+    let spec = ScenarioSpec::from_json_str(&capped)
+        .unwrap()
+        .with_horizon_scale(0.2);
+    let cap = (MAX_DEVICES_PER_GRADE, MAX_DEVICES_PER_GRADE);
+    assert_eq!(spec.template.devices_per_grade, cap, "patch needle");
+    let summary = spec.compile().unwrap().run(&dataset());
+    assert!(summary.completed > 0, "{summary:?}");
+    let digest = fnv1a(serde_json::to_string(&summary).unwrap().as_bytes());
+    assert_eq!(digest, CAPPED_DEVICES_DIGEST, "observed digest {digest}");
+}
+
+const CAPPED_DEVICES_DIGEST: u64 = 1_736_564_252_937_182_850;

@@ -109,6 +109,17 @@ fn every_malformed_spec_yields_its_pinned_error() {
             "invalid configuration: straggler_slowdown must be at most 1000, got 1000000",
         ),
         (
+            "devices per grade above the cap",
+            patch(
+                &steady(),
+                "\"devices_per_grade\": [\n      8,\n      24\n    ]",
+                "\"devices_per_grade\": [\n      18446744073709551615,\n      \
+                 18446744073709551615\n    ]",
+            ),
+            "invalid configuration: devices_per_grade must be at most 100000, \
+             got 18446744073709551615",
+        ),
+        (
             "too many threads",
             patch(&steady(), "\"threads\": 1", "\"threads\": 65"),
             "invalid configuration: threads must be at most 64, got 65",

@@ -1,12 +1,13 @@
 //! Open-loop task arrivals: feed a sampled arrival process straight into
-//! the platform through [`SubmissionSource`].
+//! the platform.
 //!
 //! The scenario engine (`simdc-workload`) layers fleet dynamics and a
 //! dispatch cadence on top of the event loop; when all you need is "tasks
-//! arrive over time, run them", implement `SubmissionSource` over a
-//! sampled schedule and let [`Platform::run_from_source`] handle the
-//! arrival-paced admission waves. Queueing delay shows up as
-//! `started_at - arrival` per task.
+//! arrive over time, run them", walk a sampled schedule with the same
+//! three steps its loop takes at each arrival instant:
+//! [`Platform::sync_to_arrival`], a [`Platform::submit`] per arrival due,
+//! then one [`Platform::admit_now`], so priority decides tied arrivals.
+//! Queueing delay shows up as `started_at - arrival` per task.
 //!
 //! ```sh
 //! cargo run --release --example open_loop_arrivals
@@ -14,25 +15,9 @@
 
 use std::sync::Arc;
 
-use simdc::platform::{SourceRunStats, SubmissionSource};
 use simdc::prelude::*;
 use simdc::simrt::RngStream;
 use simdc::workload::ArrivalProcess;
-
-/// A pre-sampled arrival schedule: `(instant, spec)` pairs plus the shared
-/// dataset, drained in order.
-struct ScheduledSubmissions {
-    queue: std::vec::IntoIter<(SimInstant, TaskSpec)>,
-    dataset: Arc<CtrDataset>,
-}
-
-impl SubmissionSource for ScheduledSubmissions {
-    fn next_submission(&mut self) -> Option<(SimInstant, TaskSpec, Arc<CtrDataset>)> {
-        self.queue
-            .next()
-            .map(|(at, spec)| (at, spec, Arc::clone(&self.dataset)))
-    }
-}
 
 fn main() -> Result<(), SimdcError> {
     let seed = 2025;
@@ -70,15 +55,19 @@ fn main() -> Result<(), SimdcError> {
     println!("sampled {} arrivals over 20 min", schedule.len());
 
     let mut platform = Platform::paper_default();
-    let mut source = ScheduledSubmissions {
-        queue: schedule.clone().into_iter(),
-        dataset,
-    };
-    let SourceRunStats {
-        submitted,
-        rejected,
-        completed,
-    } = platform.run_from_source(&mut source);
+    let (mut submitted, mut rejected, mut completed) = (0, 0, 0);
+    let mut arrivals = schedule.iter().peekable();
+    while let Some(&&(at, _)) = arrivals.peek() {
+        completed += platform.sync_to_arrival(at);
+        while let Some((_, spec)) = arrivals.next_if(|(t, _)| *t == at) {
+            match platform.submit(spec.clone(), Arc::clone(&dataset)) {
+                Ok(_) => submitted += 1,
+                Err(_) => rejected += 1,
+            }
+        }
+        platform.admit_now();
+    }
+    completed += platform.run_until_idle();
     println!("submitted {submitted}, rejected {rejected}, completed {completed}");
 
     for (arrival, spec) in &schedule {
