@@ -28,7 +28,8 @@ impl std::fmt::Display for Provenance {
 
 /// What a phone carries only once something has happened to it: a run, a
 /// crash, a re-profile or a measurement draw. A fleet is mostly phones
-/// nothing ever happens to, and those hold no `Cold` at all.
+/// nothing ever happens to, and those hold no `Cold` at all; a reboot that
+/// leaves the cold part empty releases it again.
 #[derive(Debug, Clone, PartialEq)]
 struct Cold {
     /// `Some` only while the profile differs from the grade's nominal one.
@@ -139,7 +140,7 @@ pub struct PhoneDevice {
 
 impl PartialEq for PhoneDevice {
     /// Observable state: an untouched phone equals one whose cold part was
-    /// materialised and emptied again (a crash followed by a reboot).
+    /// materialised and emptied again (a re-profile undone).
     fn eq(&self, other: &Self) -> bool {
         (self.id, self.grade, self.provenance, self.seed)
             == (other.id, other.grade, other.provenance, other.seed)
@@ -270,12 +271,14 @@ impl PhoneDevice {
     }
 
     /// Reboots a crashed phone: clears the crash state and any stale run so
-    /// the device becomes selectable again.
+    /// the device becomes selectable again, and drops the cold part if that
+    /// left it empty.
     pub(crate) fn reboot(&mut self) {
         if let Some(cold) = &mut self.cold {
             cold.crashed_at = None;
             cold.run = None;
         }
+        self.cold.take_if(|cold| **cold == UNTOUCHED);
     }
 
     /// Injects a crash at `at`: from then on the device drops off ADB until

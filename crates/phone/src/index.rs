@@ -7,17 +7,17 @@
 //! keeps the answers *incrementally*, and at a cost that follows the phones
 //! something has happened to rather than the size of the fleet:
 //!
-//! * per-`(grade, provenance)` **free sets** stored as id ranges
-//!   ([`IdRanges`]): a freshly built fleet is one range per segment, each
-//!   busy or crashed phone splits a range in two, and selection walks the
-//!   ids in the exact order the old sort-based scan produced (local before
-//!   MSP, ids ascending);
+//! * per-`(grade, provenance)` **free sets** ([`FreeSet`]), one bit per
+//!   phone of the segment the fleet build laid out for that pair: a phone
+//!   leaving or re-entering its set is one word write, and selection walks
+//!   the words in the exact order the old sort-based scan produced (local
+//!   before MSP, ids ascending);
 //! * per-`(grade, provenance)` **totals**, fixed when the fleet is built,
 //!   making `count` O(1);
 //! * per-grade **sums** of the profiled training/startup durations in
-//!   whole microseconds, making `effective_profile` O(1) and exact — plus
-//!   the contribution of each phone whose profile is *not* the grade's
-//!   nominal one, so a re-profile swaps its old share for the new;
+//!   whole microseconds, making `effective_profile` O(1) and exact. The
+//!   manager, a phone's only writer, reads the old profile's share before
+//!   a re-profile and swaps it for the new one ([`FleetIndex::reprofile`]);
 //! * a global min-heap of **availability transitions** — run completions
 //!   and scheduled crash onsets — drained lazily as query time advances,
 //!   so a phone whose run ends at `t` re-enters its free set the first
@@ -32,12 +32,12 @@
 //! the manager asserts after every sync that the index agrees with one
 //! walk over the fleet.
 //!
-//! The manager is the only writer of a phone, and each of its writes
-//! re-indexes the phone it changed (`touch`), so a sync has nothing to do
-//! but drain the transitions that have come due.
+//! Each manager write that can move availability re-indexes the phone it
+//! changed (`touch`), so a sync has nothing to do but drain the
+//! transitions that have come due.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use simdc_types::{DeviceGrade, PhoneId, SimDuration, SimInstant};
 
@@ -53,114 +53,96 @@ pub(crate) const fn prov_slot(prov: Provenance) -> usize {
     }
 }
 
-/// A set of phone ids kept as disjoint, non-adjacent inclusive ranges
-/// (`start → end`).
+/// The free ids of one `(grade, provenance)` segment, one bit per phone:
+/// bit `i` of word `w` is phone `base + 64 w + i`. Inserting and removing
+/// are one word write each, and iteration walks the words in id order.
 #[derive(Debug, Default)]
-pub(crate) struct IdRanges {
-    ranges: BTreeMap<u32, u32>,
+pub(crate) struct FreeSet {
+    base: u32,
+    words: Vec<u64>,
     len: usize,
 }
 
-impl IdRanges {
+impl FreeSet {
+    /// Every id of `base..base + count`.
+    fn full(base: u32, count: usize) -> Self {
+        let mut words = vec![u64::MAX; count.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            // Bits past the segment's end name phones of other segments.
+            *last >>= (64 - count % 64) % 64;
+        }
+        FreeSet {
+            base,
+            words,
+            len: count,
+        }
+    }
+
     /// Ids in the set.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// The range holding `id`, if any.
-    fn range_of(&self, id: u32) -> Option<(u32, u32)> {
-        let (&start, &end) = self.ranges.range(..=id).next_back()?;
-        (id <= end).then_some((start, end))
+    /// The word holding `id` and its bit there.
+    fn slot(&self, id: PhoneId) -> (usize, u64) {
+        let offset = (id.0 - self.base) as usize;
+        (offset / 64, 1 << (offset % 64))
     }
 
     /// Whether `id` is in the set.
+    #[cfg(debug_assertions)]
     pub fn contains(&self, id: PhoneId) -> bool {
-        self.range_of(id.0).is_some()
+        let (w, bit) = self.slot(id);
+        self.words[w] & bit != 0
     }
 
-    /// Adds every id of `start..=end`, none of which may be present,
-    /// coalescing with the ranges that touch either side.
-    pub fn insert_range(&mut self, mut start: u32, mut end: u32) {
-        debug_assert!(
-            self.ranges
-                .range(..=end)
-                .next_back()
-                .is_none_or(|(_, &e)| e < start),
-            "id range {start}..={end} overlaps the set"
-        );
-        self.len += (end - start) as usize + 1;
-        if let Some((&s, &e)) = self.ranges.range(..start).next_back() {
-            if e + 1 == start {
-                start = s;
+    /// Puts `id` in the set if `free`, takes it out otherwise.
+    pub fn set(&mut self, id: PhoneId, free: bool) {
+        let (w, bit) = self.slot(id);
+        let word = &mut self.words[w];
+        if (*word & bit != 0) != free {
+            *word ^= bit;
+            if free {
+                self.len += 1;
+            } else {
+                self.len -= 1;
             }
-        }
-        if let Some(e) = end
-            .checked_add(1)
-            .and_then(|next| self.ranges.remove(&next))
-        {
-            end = e;
-        }
-        self.ranges.insert(start, end);
-    }
-
-    /// Adds one id; a no-op if present.
-    pub fn insert(&mut self, id: PhoneId) {
-        if !self.contains(id) {
-            self.insert_range(id.0, id.0);
-        }
-    }
-
-    /// Removes one id, splitting its range; a no-op if absent.
-    pub fn remove(&mut self, id: PhoneId) {
-        let Some((start, end)) = self.range_of(id.0) else {
-            return;
-        };
-        self.len -= 1;
-        if start < id.0 {
-            self.ranges.insert(start, id.0 - 1);
-        } else {
-            self.ranges.remove(&start);
-        }
-        if id.0 < end {
-            self.ranges.insert(id.0 + 1, end);
         }
     }
 
     /// The ids, ascending.
     pub fn iter(&self) -> impl Iterator<Item = PhoneId> + '_ {
-        self.ranges
-            .iter()
-            .flat_map(|(&start, &end)| (start..=end).map(PhoneId))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let base = self.base + 64 * w as u32;
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some(PhoneId(base + bit))
+            })
+        })
     }
 }
 
 /// A profile's share of its grade's sums: `(train, startup)` microseconds.
-fn contribution(profile: &PhoneProfile) -> (u64, u64) {
+pub(crate) fn contribution(profile: &PhoneProfile) -> (u64, u64) {
     (
         profile.train_duration.as_micros(),
         profile.framework_startup.as_micros(),
     )
 }
 
-/// The share of a phone that was never re-profiled.
-fn nominal_contribution(grade: DeviceGrade) -> (u64, u64) {
-    contribution(PhoneProfile::nominal(grade))
-}
-
 /// The incremental availability index. See the module docs.
 #[derive(Debug, Default)]
 pub(crate) struct FleetIndex {
-    /// Free (idle, healthy) phones per `[grade][provenance]`.
-    free: [[IdRanges; 2]; DeviceGrade::COUNT],
+    /// Free (idle, healthy) phones per `[grade][provenance]`, each a bitset
+    /// over that pair's one segment.
+    free: [[FreeSet; 2]; DeviceGrade::COUNT],
     /// Phones per `[grade][provenance]` (busy or not), fixed at build.
     totals: [[usize; 2]; DeviceGrade::COUNT],
     /// Per-grade `(train, startup)` profile sums in microseconds. Integer,
     /// so they do not depend on the order phones were added in.
     sums: [(u128, u128); DeviceGrade::COUNT],
-    /// The last-indexed contribution of each phone whose profile is not
-    /// its grade's nominal one (absent = nominal) — what a profile change
-    /// takes back out of the sums.
-    cached_profile: BTreeMap<PhoneId, (u64, u64)>,
     /// Future instants at which a phone's availability may flip (run end,
     /// scheduled crash onset). Entries may be stale — re-indexing is
     /// idempotent, so stale pops are harmless.
@@ -211,53 +193,41 @@ impl FleetIndex {
     }
 
     /// Accounts for a whole segment of freshly built, untouched phones:
-    /// one free range and `count × nominal` in the sums.
+    /// every one free and `count × nominal` in the sums.
     pub fn load_segment(&mut self, seg: &FleetSegment) {
         let (g, s) = (seg.grade.index(), prov_slot(seg.provenance));
-        self.totals[g][s] += seg.count;
-        // `FleetSpec::segments` emits no empty segment.
-        self.free[g][s].insert_range(seg.start, seg.start + (seg.count - 1) as u32);
-        let (train, startup) = nominal_contribution(seg.grade);
+        // `FleetSpec::segments` emits one non-empty segment per pair at most.
+        debug_assert_eq!(self.totals[g][s], 0, "segment {seg:?} loaded twice");
+        self.totals[g][s] = seg.count;
+        self.free[g][s] = FreeSet::full(seg.start, seg.count);
+        let (train, startup) = contribution(PhoneProfile::nominal(seg.grade));
         self.sums[g].0 += seg.count as u128 * u128::from(train);
         self.sums[g].1 += seg.count as u128 * u128::from(startup);
     }
 
+    /// Swaps a re-profiled phone's `(train, startup)` share in its grade's
+    /// sums. A profile change never moves availability, so nothing else is
+    /// re-indexed.
+    pub fn reprofile(&mut self, grade: DeviceGrade, old: (u64, u64), new: (u64, u64)) {
+        let sums = &mut self.sums[grade.index()];
+        sums.0 = sums.0 + u128::from(new.0) - u128::from(old.0);
+        sums.1 = sums.1 + u128::from(new.1) - u128::from(old.1);
+    }
+
     /// Re-indexes one phone at the index's current high-water instant —
-    /// the hook manager APIs call right after they mutate a device.
+    /// the hook manager APIs call right after they mutate a device's run or
+    /// crash state.
     pub fn touch(&mut self, phone: &PhoneDevice) {
         let at = self.indexed_to;
         self.reindex(phone, at);
     }
 
-    /// Re-derives one phone's index state from the device itself, as of
-    /// `at`: profile contribution, free-set membership, and any future
-    /// transition instants. Idempotent.
+    /// Re-derives one phone's free-set membership and any future
+    /// transition instants from the device itself, as of `at`. Idempotent.
     fn reindex(&mut self, phone: &PhoneDevice, at: SimInstant) {
         let id = phone.id();
-        let g = phone.grade().index();
-
-        // Profile sums: swap the cached contribution for the current one.
-        let nominal = nominal_contribution(phone.grade());
-        let new = contribution(phone.profile());
-        let old = if new == nominal {
-            self.cached_profile.remove(&id)
-        } else {
-            self.cached_profile.insert(id, new)
-        }
-        .unwrap_or(nominal);
-        if old != new {
-            let sums = &mut self.sums[g];
-            sums.0 = sums.0 + u128::from(new.0) - u128::from(old.0);
-            sums.1 = sums.1 + u128::from(new.1) - u128::from(old.1);
-        }
-
-        // Free-set membership as of `at`.
-        let set = &mut self.free[g][prov_slot(phone.provenance())];
-        if phone.is_busy(at) || phone.is_crashed(at) {
-            set.remove(id);
-        } else {
-            set.insert(id);
-        }
+        self.free[phone.grade().index()][prov_slot(phone.provenance())]
+            .set(id, !phone.is_busy(at) && !phone.is_crashed(at));
 
         // Future flips: the run's end frees the phone; a scheduled crash
         // onset removes it. Reboots have no instant of their own — they
@@ -299,8 +269,6 @@ impl FleetIndex {
         let mut free = [[0usize; 2]; DeviceGrade::COUNT];
         let mut totals = [[0usize; 2]; DeviceGrade::COUNT];
         let mut sums = [(0u128, 0u128); DeviceGrade::COUNT];
-        let mut off_nominal = 0usize;
-        let nominal = DeviceGrade::ALL.map(nominal_contribution);
         for p in phones {
             let g = p.grade().index();
             let s = prov_slot(p.provenance());
@@ -308,9 +276,6 @@ impl FleetIndex {
             let (train, startup) = contribution(p.profile());
             sums[g].0 += u128::from(train);
             sums[g].1 += u128::from(startup);
-            if (train, startup) != nominal[g] {
-                off_nominal += 1;
-            }
             if !p.is_busy(at) && !p.is_crashed(at) {
                 free[g][s] += 1;
                 assert!(
@@ -331,23 +296,15 @@ impl FleetIndex {
         }
         assert_eq!(self.totals, totals, "fleet index totals diverged");
         assert_eq!(self.sums, sums, "fleet index profile sums diverged");
-        assert_eq!(
-            self.cached_profile.len(),
-            off_nominal,
-            "fleet index caches a contribution for a nominal phone"
-        );
     }
 }
 
 #[cfg(test)]
 impl FleetIndex {
-    /// Free ranges held across all `(grade, provenance)` sets.
-    pub fn free_ranges(&self) -> usize {
-        self.free.iter().flatten().map(|set| set.ranges.len()).sum()
-    }
-
-    /// Phones with a cached non-nominal contribution.
-    pub fn cached_profiles(&self) -> usize {
-        self.cached_profile.len()
+    /// The words allocated to each free set, per `[grade][provenance]`.
+    pub fn free_words(&self) -> [[usize; 2]; DeviceGrade::COUNT] {
+        self.free
+            .each_ref()
+            .map(|sets| sets.each_ref().map(|set| set.words.capacity()))
     }
 }

@@ -6,7 +6,8 @@
 //! phone's state changes only through four manager operations —
 //! [`PhoneMgr::submit_run`], [`PhoneMgr::inject_crash`],
 //! [`PhoneMgr::reboot`] and [`PhoneMgr::set_phone_profile`] — each of
-//! which re-indexes the phone it changed.
+//! which re-indexes what it changed: the phone's availability for the
+//! first three, its grade's profile sums for the last.
 //!
 //! # Grade-indexed availability
 //!
@@ -23,10 +24,13 @@
 //! # What a fleet costs
 //!
 //! A phone nothing has happened to is a 24-byte [`PhoneDevice`] record in
-//! one dense vector and nothing else: no map entry, no set entry, no
-//! profile copy. Ids run contiguously from 0, so phone `id` sits at slot
-//! `id`, and [`PhoneMgr::with_fleet`] loads the index with one id range
-//! per segment, so building a fleet costs one vector fill.
+//! one dense vector plus one bit in its segment's free set, and nothing
+//! else: no map entry, no profile copy. Ids run contiguously from 0, so
+//! phone `id` sits at slot `id`, and [`PhoneMgr::with_fleet`] loads the
+//! index with one all-free bitset per segment (`ceil(count / 64)` words),
+//! so building a fleet costs one vector fill. A phone that crashes and
+//! reboots is back to that record alone unless it also carries a custom
+//! profile, a run or a noise stream.
 //!
 //! Availability is time-dependent (runs end, crashes strike), so index
 //! queries assume a non-decreasing `now` — the discrete-event platform's
@@ -38,7 +42,7 @@ use serde::{Deserialize, Serialize};
 use simdc_types::{DeviceGrade, PerGrade, PhoneId, Result, SimDuration, SimInstant, SimdcError};
 
 use crate::device::{PhoneDevice, Provenance};
-use crate::index::FleetIndex;
+use crate::index::{contribution, FleetIndex};
 use crate::measure::{aggregate_stages, PerfReport, PerfSample};
 use crate::profile::PhoneProfile;
 use crate::stage::RunPlan;
@@ -89,9 +93,9 @@ impl FleetSpec {
     }
 
     /// The fleet as contiguous id-range segments in registration order
-    /// (every Local grade, then every MSP grade): what
-    /// [`PhoneMgr::with_fleet`] fills the roster and loads the index from,
-    /// one range each.
+    /// (every Local grade, then every MSP grade), at most one per
+    /// `(grade, provenance)`: what [`PhoneMgr::with_fleet`] fills the
+    /// roster and loads the index's free sets from, one bitset each.
     ///
     /// # Panics
     ///
@@ -153,7 +157,7 @@ pub struct PhoneMgr {
     phones: Vec<PhoneDevice>,
     poll_interval: SimDuration,
     /// Incremental availability index: queries advance it to their `now`,
-    /// and every manager write re-indexes the phone it changed.
+    /// and every manager write re-indexes what it changed.
     index: FleetIndex,
 }
 
@@ -166,7 +170,7 @@ impl PhoneMgr {
 
     /// Builds a fleet from an explicit composition in one pass: each
     /// registration-order segment (see [`FleetSpec::segments`]) is one
-    /// `extend` of the roster and one id range in the index, so every
+    /// `extend` of the roster and one all-free bitset in the index, so every
     /// phone lands at slot `id`. The fleet's membership is fixed from here
     /// on; an empty fleet is an all-zero [`FleetSpec`].
     ///
@@ -217,16 +221,16 @@ impl PhoneMgr {
         self.phones.get(id.0 as usize)
     }
 
-    /// A phone to measure. Measurement draws device noise but changes no
-    /// availability, so nothing is re-indexed.
+    /// A phone to measure or re-profile. Neither changes availability, so
+    /// nothing is re-indexed here.
     fn device_mut(&mut self, id: PhoneId) -> Result<&mut PhoneDevice> {
         self.phones
             .get_mut(id.0 as usize)
             .ok_or(SimdcError::PhoneUnavailable(id))
     }
 
-    /// Applies `change` to phone `id`, then re-indexes the phone: the one
-    /// way a phone's state changes.
+    /// Applies `change` to phone `id`, then re-indexes the phone's
+    /// availability: the one way a phone's run or crash state changes.
     fn write(
         &mut self,
         id: PhoneId,
@@ -285,7 +289,12 @@ impl PhoneMgr {
     /// `InvalidConfig` if the profile fails validation or its grade
     /// differs from the phone's.
     pub fn set_phone_profile(&mut self, id: PhoneId, profile: PhoneProfile) -> Result<()> {
-        self.write(id, |phone| phone.set_profile(profile))
+        let phone = self.device_mut(id)?;
+        let old = contribution(phone.profile());
+        phone.set_profile(profile)?;
+        let (grade, new) = (phone.grade(), contribution(phone.profile()));
+        self.index.reprofile(grade, old, new);
+        Ok(())
     }
 
     /// Number of phones of `grade` (optionally filtered by provenance).
@@ -832,22 +841,23 @@ mod tests {
     }
 
     /// "Costs what it touches", as counts that repeat exactly rather than
-    /// timings: an untouched fleet is the 24-byte records plus one free
-    /// range per segment, and touching `k` phones adds `k` cold states and
-    /// at most `k` ranges. (That lazily seeded phones draw the noise an
+    /// timings: an untouched fleet is the 24-byte records plus one free-set
+    /// bitset per segment, touching `k` phones adds `k` cold states and no
+    /// index allocation, and a crash-and-reboot leaves a nominal phone
+    /// untouched again. (That lazily seeded phones draw the noise an
     /// eagerly seeded phone would is already pinned by the table1 / fig5
     /// goldens in `crates/bench/tests/golden.rs`.)
     #[test]
     fn a_fleet_costs_what_it_touches() {
         assert!(std::mem::size_of::<PhoneDevice>() <= 24);
-        let mut mgr = PhoneMgr::with_fleet(
-            FleetSpec::scaled_paper(100_000),
-            SimDuration::from_secs(1),
-            3,
-        );
-        // No query yet, so nothing has synced the index.
-        assert_eq!(mgr.index.free_ranges(), 4, "one per segment");
-        assert_eq!(mgr.index.cached_profiles(), 0);
+        let spec = FleetSpec::scaled_paper(100_000);
+        let mut mgr = PhoneMgr::with_fleet(spec, SimDuration::from_secs(1), 3);
+        let mut words = [[0; 2]; DeviceGrade::COUNT];
+        for seg in spec.segments() {
+            words[seg.grade.index()][crate::index::prov_slot(seg.provenance)] =
+                seg.count.div_ceil(64);
+        }
+        assert_eq!(mgr.index.free_words(), words, "one bitset per segment");
         assert!(!mgr.phones.iter().any(PhoneDevice::is_touched));
 
         let k = 5;
@@ -857,9 +867,25 @@ mod tests {
                 .unwrap();
             mgr.submit_run(id, plan).unwrap();
         }
-        assert!(mgr.index.free_ranges() <= 4 + k);
+        assert_eq!(mgr.index.free_words(), words);
         let touched = mgr.phones.iter().filter(|p| p.is_touched()).count();
         assert_eq!(touched, k);
-        assert_eq!(mgr.index.cached_profiles(), 0);
+
+        // Crash and reboot idle nominal phones, and one straggler, all High.
+        let straggler = PhoneId(40_000);
+        let mut slowed = PhoneProfile::high();
+        slowed.train_duration = slowed.train_duration.mul_f64(2.0);
+        mgr.set_phone_profile(straggler, slowed.clone()).unwrap();
+        for secs in 1..=k as u64 {
+            for id in [PhoneId(1_000 + secs as u32), straggler] {
+                mgr.inject_crash(id, t(secs)).unwrap();
+                assert_eq!(mgr.available(DeviceGrade::High, t(secs)), 56_665);
+                mgr.reboot(id).unwrap();
+            }
+        }
+        let touched = mgr.phones.iter().filter(|p| p.is_touched()).count();
+        assert_eq!(touched, k + 1, "the runs and the straggler");
+        assert_eq!(*mgr.phone(straggler).unwrap().profile(), slowed);
+        assert_eq!(mgr.index.free_words(), words);
     }
 }

@@ -2,20 +2,21 @@
 //! index.
 //!
 //! The [`PhoneMgr`] answers `select` / `available` / `count` /
-//! `effective_profile` from range-coded free sets and integer profile sums,
-//! and `phone(id)` from the slot the fleet build put it in. The oracle
-//! here is a model the test owns — a `BTreeMap<PhoneId, ModelPhone>`
-//! holding grade, provenance, the two profile durations, the run end and
-//! the crash onset, sharing no storage with the subject and never read
-//! back from it. A script of the manager's write operations — run
-//! submission, future-dated crashes, reboots, slowdowns and resets to
-//! nominal — interleaved with the passing of time is applied to the model
-//! and to a manager built by `with_fleet`, under a monotonically advancing
-//! clock. After every step the manager must give the model's answers to
-//! every query, resolve every model id to that phone, and hold exactly the
-//! model's ids. (Debug builds additionally self-check inside the manager;
-//! this suite is the external oracle and also runs in release mode, where
-//! that self-check is compiled out.)
+//! `effective_profile` from per-segment bitset free sets and integer
+//! profile sums, and `phone(id)` from the slot the fleet build put it in.
+//! The oracle here is a model the test owns —
+//! a `BTreeMap<PhoneId, ModelPhone>` holding grade, provenance, the two
+//! profile durations, the run end and the crash onset, sharing no storage
+//! with the subject and never read back from it. A script of the
+//! manager's write operations — run submission, future-dated crashes,
+//! reboots, slowdowns and resets to nominal — interleaved with the passing
+//! of time is applied to the model and to a manager built by
+//! `with_fleet`, under a monotonically advancing clock. After every step
+//! the manager must give the model's answers to every query, resolve every
+//! model id to that phone, and hold exactly the model's ids. (Debug builds
+//! additionally self-check inside the manager; this suite is the external
+//! oracle and also runs in release mode, where that self-check is
+//! compiled out.)
 
 use std::collections::BTreeMap;
 
@@ -251,8 +252,9 @@ proptest! {
     }
 }
 
-/// A 600-phone fleet: most phones stay untouched, so the free sets stay a
-/// few long ranges that the script splits and re-joins. Fewer scripts than
+/// A 600-phone fleet: most phones stay untouched, and segments of 80 to 260
+/// phones end inside a word, so the script's picks reach past the first
+/// word of each free set and up to its masked tail. Fewer scripts than
 /// `proptest!` would run — in debug builds every query also pays the
 /// manager's own walk over the 600 phones.
 #[test]

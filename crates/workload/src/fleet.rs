@@ -17,6 +17,14 @@ use simdc_types::{PhoneId, Result, SimDuration, SimdcError};
 /// virtual time, where adding a duration overflows.
 pub const MAX_STRAGGLER_SLOWDOWN: f64 = 1_000.0;
 
+/// The most crashes a scenario may expect over its horizon, counted as
+/// `horizon / mean_time_between_crashes` ([`crate::Scenario::validate`]).
+/// [`FleetDynamics::sample_crashes`] materialises the whole schedule, about
+/// that many 24-byte entries, before the run starts; an unbounded ratio
+/// (a 1 µs mean over 30 minutes is 1.8e9 entries) exhausts memory. The
+/// densest committed spec, the benchmark's `churn_storm`, expects 60 000.
+pub const MAX_EXPECTED_CRASHES: u64 = 1_000_000;
+
 /// A fleet perturbation on the virtual timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetEvent {
@@ -105,7 +113,9 @@ impl FleetDynamics {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`FleetDynamics::validate`].
+    /// Panics if the configuration fails [`FleetDynamics::validate`]. The
+    /// schedule's length is bounded only through
+    /// [`crate::Scenario::validate`] ([`MAX_EXPECTED_CRASHES`]).
     #[must_use]
     pub fn sample_crashes(
         &self,

@@ -26,7 +26,7 @@ use simdc_simrt::{EventQueue, RngStream};
 use simdc_types::{PhoneId, Result, SimDuration, SimInstant, SimdcError, TaskId};
 
 use crate::arrival::ArrivalProcess;
-use crate::fleet::{FleetDynamics, FleetEvent};
+use crate::fleet::{FleetDynamics, FleetEvent, MAX_EXPECTED_CRASHES};
 use crate::template::TaskTemplate;
 
 /// A named, self-contained workload description.
@@ -61,8 +61,9 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidConfig` for an empty name, zero horizon/interval, or
-    /// any invalid component.
+    /// Returns `InvalidConfig` for an empty name, zero horizon/interval,
+    /// any invalid component, or a crash schedule expecting more than
+    /// [`MAX_EXPECTED_CRASHES`] crashes over the horizon.
     pub fn validate(&self) -> Result<()> {
         use SimdcError::InvalidConfig;
         if self.name.is_empty() {
@@ -79,7 +80,17 @@ impl Scenario {
         if let Some(cluster) = &self.cluster {
             cluster.validate()?;
         }
-        self.fleet.validate()
+        self.fleet.validate()?;
+        if let Some(mtbc) = self.fleet.mean_time_between_crashes {
+            let expected = self.horizon.as_micros() / mtbc.as_micros();
+            if expected > MAX_EXPECTED_CRASHES {
+                return Err(InvalidConfig(format!(
+                    "expected crashes (horizon / mean_time_between_crashes) must be at most \
+                     {MAX_EXPECTED_CRASHES}, got {expected}"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 

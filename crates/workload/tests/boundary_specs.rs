@@ -5,9 +5,10 @@ use std::sync::Arc;
 
 use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_simrt::RngStream;
-use simdc_workload::fleet::MAX_STRAGGLER_SLOWDOWN;
+use simdc_types::SimDuration;
+use simdc_workload::fleet::{MAX_EXPECTED_CRASHES, MAX_STRAGGLER_SLOWDOWN};
 use simdc_workload::template::MAX_DEVICES_PER_GRADE;
-use simdc_workload::ScenarioSpec;
+use simdc_workload::{scenario, scenario_names, ScenarioSpec};
 
 fn steady() -> String {
     std::fs::read_to_string(concat!(
@@ -163,3 +164,39 @@ fn the_devices_per_grade_cap_runs_alike_in_both_profiles() {
 }
 
 const CAPPED_DEVICES_DIGEST: u64 = 1_736_564_252_937_182_850;
+
+/// The crash-schedule cap admits every committed spec with a 16× margin:
+/// the nine fixtures and the benchmark's workload files, whose densest,
+/// `churn_storm`, expects 60 000 crashes. (The fuzzer draws horizons of at
+/// most 4 minutes and crash means of at least 2, so it expects at most 2.)
+/// The workload files wrap their spec in `{why, dataset, spec}`, so their
+/// two numbers are read from the text.
+#[test]
+fn the_crash_cap_admits_every_committed_spec_with_margin() {
+    let expected = |horizon: u64, mtbc: Option<u64>| mtbc.map_or(0, |mean| horizon / mean);
+    let mut densest = 0;
+    for name in scenario_names() {
+        let spec = scenario(name).unwrap();
+        let mtbc = spec.fleet_dynamics.mean_time_between_crashes;
+        densest = densest.max(expected(
+            spec.horizon.as_micros(),
+            mtbc.map(SimDuration::as_micros),
+        ));
+    }
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/workloads");
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+        let number = |key: &str| {
+            let (_, rest) = text.split_once(&format!("\"{key}\": "))?;
+            rest.split(|c: char| !c.is_ascii_digit())
+                .next()?
+                .parse()
+                .ok()
+        };
+        if let Some(horizon) = number("horizon") {
+            densest = densest.max(expected(horizon, number("mean_time_between_crashes")));
+        }
+    }
+    assert_eq!(densest, 60_000, "churn_storm is the densest committed spec");
+    assert!(densest * 16 <= MAX_EXPECTED_CRASHES);
+}

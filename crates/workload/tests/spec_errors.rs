@@ -120,6 +120,16 @@ fn every_malformed_spec_yields_its_pinned_error() {
              got 18446744073709551615",
         ),
         (
+            "crash schedule above the cap",
+            patch(
+                &steady(),
+                "\"mean_time_between_crashes\": null",
+                "\"mean_time_between_crashes\": 1",
+            ),
+            "invalid configuration: expected crashes (horizon / mean_time_between_crashes) \
+             must be at most 1000000, got 1800000000",
+        ),
+        (
             "too many threads",
             patch(&steady(), "\"threads\": 1", "\"threads\": 65"),
             "invalid configuration: threads must be at most 64, got 65",
