@@ -4,7 +4,8 @@
 //! [`exp`], registered in [`exp::ALL`] and run by name through the one
 //! `simdc-bench` binary (`src/main.rs`); this library holds the bits they
 //! share: CLI parsing, result serialization and small text-rendering
-//! helpers.
+//! helpers. [`ab`] is the binary's other command: a paired A/B of two
+//! benchmark builds, recorded in `BENCH_trajectory.json`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -14,6 +15,7 @@ use std::path::PathBuf;
 
 use serde::Serialize;
 
+pub mod ab;
 pub mod exp;
 
 /// Common command-line options of every experiment.

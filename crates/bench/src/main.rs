@@ -2,6 +2,9 @@
 //! experiment of [`exp::ALL`] by name, or the whole suite. An unknown
 //! name or a malformed flag prints the usage line and exits 2.
 //!
+//! `simdc-bench ab …` is a paired A/B of two prebuilt benchmark binaries
+//! ([`simdc_bench::ab`]); it exits 2 on a bad flag and 1 on a failed run.
+//!
 //! Results land in `<out>/<name>.json` (default `results/`); the printed
 //! tables mirror the paper's layout. `--quick` is the fast smoke profile.
 //!
@@ -14,13 +17,29 @@
 
 use std::process::ExitCode;
 
-use simdc_bench::{exp, ExpOptions};
+use simdc_bench::{ab, exp, ExpOptions};
 
 const USAGE: &str = "usage: simdc-bench <name>|all [--quick] [--seed N] [--out DIR]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_default();
+    if name == "ab" {
+        let opts = match ab::AbOptions::from_args(args) {
+            Ok(opts) => opts,
+            Err(err) => {
+                eprintln!("simdc-bench ab: {err}\n{}", ab::USAGE);
+                return ExitCode::from(2);
+            }
+        };
+        return match ab::run(&opts) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(err) => {
+                eprintln!("simdc-bench ab: {err}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     let suite = name == "all";
     let selected: Vec<exp::ExpRunner> = if suite {
         exp::ALL.iter().map(|(_, run)| *run).collect()
@@ -29,7 +48,7 @@ fn main() -> ExitCode {
     };
     if selected.is_empty() {
         let names: Vec<&str> = exp::ALL.iter().map(|(known, _)| *known).collect();
-        eprintln!("{USAGE}\nexperiments: {}", names.join(", "));
+        eprintln!("{USAGE}\n{}\nexperiments: {}", ab::USAGE, names.join(", "));
         return ExitCode::from(2);
     }
     let opts = match ExpOptions::from_args(args) {

@@ -756,8 +756,10 @@ impl Platform {
 mod tests {
     use super::*;
     use crate::cloud::AggregationTrigger;
+    use crate::runner::EVALUATION_KEY_BYTES;
     use crate::spec::{AllocationPolicy, GradeRequirement};
     use simdc_data::GeneratorConfig;
+    use simdc_ml::KernelKind;
     use simdc_types::DeviceGrade;
 
     fn dataset() -> Arc<CtrDataset> {
@@ -1256,16 +1258,6 @@ mod tests {
     /// has a dropout strategy, so its later rounds include devices its
     /// round 0 lost.
     fn memo_stream() -> (Vec<(TaskSpec, usize)>, [Arc<CtrDataset>; 2]) {
-        let data = |seed| {
-            Arc::new(CtrDataset::generate(&GeneratorConfig {
-                n_devices: 10,
-                n_test_devices: 4,
-                mean_records_per_device: 8.0,
-                feature_dim: 1 << 10,
-                seed,
-                ..GeneratorConfig::default()
-            }))
-        };
         let config = |learning_rate, epochs| simdc_ml::TrainConfig {
             learning_rate,
             epochs,
@@ -1312,7 +1304,20 @@ mod tests {
                 (builder.build().unwrap(), ((i / 4) % 2) as usize)
             })
             .collect();
-        (tasks, [data(11), data(12)])
+        (tasks, [memo_dataset(11), memo_dataset(12)])
+    }
+
+    /// A small dataset for the round-0 memo streams; two seeds give two
+    /// datasets of one shape.
+    fn memo_dataset(seed: u64) -> Arc<CtrDataset> {
+        Arc::new(CtrDataset::generate(&GeneratorConfig {
+            n_devices: 10,
+            n_test_devices: 4,
+            mean_records_per_device: 8.0,
+            feature_dim: 1 << 10,
+            seed,
+            ..GeneratorConfig::default()
+        }))
     }
 
     /// Every bit of a report: its `Debug` text (which spells out every
@@ -1323,18 +1328,21 @@ mod tests {
         (format!("{report:?}"), weights, model.bias().to_bits())
     }
 
-    /// Reusing round-0 updates across tasks changes no report. The stream
-    /// runs one task at a time, twice: once with every task of a dataset
-    /// sharing its `Arc`, so each task after the first reuses what
-    /// earlier ones trained, and once with each task on its own copy of
-    /// the dataset and a memo emptied before it, which reuses nothing
-    /// across tasks whatever the memo's key or reset logic does.
-    #[test]
-    fn round_zero_reuse_is_exact() {
-        let (tasks, datasets) = memo_stream();
+    /// Runs `tasks` — each with the index of its dataset — one at a
+    /// time, twice: once with every task of a dataset sharing its `Arc`,
+    /// so each task after the first reuses what earlier ones trained and
+    /// scored, and once with each task on its own copy of the dataset and
+    /// a memo emptied before it, which reuses nothing across tasks
+    /// whatever the memo's key or reset logic does. Checks that the two
+    /// runs' reports are bit-equal and that each report's last evaluation
+    /// is its final model's, scored afresh; returns the shared run's.
+    fn shared_and_reference(
+        tasks: &[(TaskSpec, usize)],
+        datasets: &[Arc<CtrDataset>],
+    ) -> Vec<TaskReport> {
         let run = |reuse: bool| {
             let mut platform = Platform::paper_default();
-            for (spec, d) in &tasks {
+            for (spec, d) in tasks {
                 let data = if reuse {
                     Arc::clone(&datasets[*d])
                 } else {
@@ -1344,11 +1352,38 @@ mod tests {
                 platform.submit(spec.clone(), data).unwrap();
                 assert_eq!(platform.run_until_idle(), 1);
             }
-            platform.take_reports().into_values().collect::<Vec<_>>()
+            let reports: Vec<TaskReport> = platform.take_reports().into_values().collect();
+            for (report, (_, d)) in reports.iter().zip(tasks) {
+                let fresh = simdc_ml::evaluate(&report.final_model, &datasets[*d].test);
+                let last = report.rounds.last().unwrap().eval;
+                assert_eq!(eval_bits(&last), eval_bits(&fresh), "{}", report.task);
+            }
+            reports
         };
         let (shared, reference) = (run(true), run(false));
-
         assert_eq!(shared.len(), tasks.len());
+        for (shared, reference) in shared.iter().zip(&reference) {
+            let same = report_bits(shared) == report_bits(reference);
+            assert!(same, "{}'s report differs from the reference", shared.task);
+        }
+        shared
+    }
+
+    fn eval_bits(eval: &simdc_ml::EvalMetrics) -> (u64, u64, u64, usize) {
+        (
+            eval.accuracy.to_bits(),
+            eval.log_loss.to_bits(),
+            eval.auc.to_bits(),
+            eval.n_examples,
+        )
+    }
+
+    /// Reusing round-0 updates and evaluations across tasks changes no
+    /// report ([`shared_and_reference`]).
+    #[test]
+    fn round_zero_reuse_is_exact() {
+        let (tasks, datasets) = memo_stream();
+        let shared = shared_and_reference(&tasks, &datasets);
         let both_kernels = shared.iter().flat_map(|r| &r.allocation.grades);
         assert!(both_kernels
             .into_iter()
@@ -1356,10 +1391,64 @@ mod tests {
         let rounds = || shared.iter().flat_map(|r| &r.rounds);
         assert!(rounds().any(|r| r.round.0 > 0));
         assert!(rounds().any(|r| r.dropped_messages > 0));
-        for (shared, reference) in shared.iter().zip(&reference) {
-            let same = report_bits(shared) == report_bits(reference);
-            assert!(same, "{}'s report differs from the reference", shared.task);
+    }
+
+    /// Every part of the evaluation key is needed. Each case is a pair of
+    /// tasks whose round-0 inclusion sequences agree in all but one part,
+    /// and that part moves round 0's evaluation, so a key without it
+    /// hands the second task the first one's score:
+    /// - the kernel: one shard, on the cluster and then on a phone;
+    /// - the learning rate;
+    /// - the dataset: the same task on two datasets of one shape.
+    ///
+    /// A two-round phone task whose rounds include the same devices in
+    /// the same order shows the memo must not answer after round 0. The
+    /// order of the sequence is pinned by
+    /// `evaluation_keys_keep_inclusion_order`.
+    #[test]
+    fn round_zero_evaluation_reuse_is_exact() {
+        let task = |id: u64, devices: u64, logical: f64, learning_rate: f32| {
+            TaskSpec::builder(TaskId(id))
+                .rounds(1)
+                .grade(GradeRequirement {
+                    grade: DeviceGrade::High,
+                    total_devices: devices,
+                    benchmark_phones: 0,
+                    logical_unit_bundles: 16,
+                    units_per_device: 8,
+                    phones: 3,
+                })
+                .allocation(AllocationPolicy::FixedLogicalFraction(logical))
+                .train(simdc_ml::TrainConfig {
+                    learning_rate,
+                    epochs: 2,
+                })
+                .trigger(AggregationTrigger::DeviceThreshold {
+                    min_devices: devices,
+                })
+                .seed(id)
+                .build()
+                .unwrap()
+        };
+        let mut two_rounds = task(5, 6, 0.0, 0.05);
+        two_rounds.rounds = 2;
+        let tasks = vec![
+            (task(1, 1, 1.0, 0.05), 0),
+            (task(2, 1, 0.0, 0.05), 0),
+            (task(3, 1, 1.0, 0.02), 0),
+            (task(4, 1, 1.0, 0.05), 1),
+            (two_rounds, 0),
+        ];
+        let shared = shared_and_reference(&tasks, &[memo_dataset(11), memo_dataset(12)]);
+
+        let round_zero = |i: usize| eval_bits(&shared[i].rounds[0].eval);
+        for (part, first, second) in [("kernel", 0, 1), ("learning rate", 0, 2), ("dataset", 0, 3)]
+        {
+            assert_ne!(round_zero(first), round_zero(second), "{part}");
         }
+        let phone_rounds = &shared[4].rounds;
+        assert!(phone_rounds.iter().all(|r| r.included_updates == 6));
+        assert_ne!(round_zero(4), eval_bits(&phone_rounds[1].eval));
     }
 
     /// The round-0 memo is bounded by the dataset, not the horizon: a
@@ -1384,6 +1473,72 @@ mod tests {
         assert_eq!(after_2n, after_n);
         let (shards, kernels, configs) = (data.devices.len(), 2, 1);
         assert!(after_2n <= shards * kernels * configs, "{after_2n}");
+    }
+
+    /// The evaluation memo is bounded by key bytes, not by the horizon: a
+    /// repeated batch of inclusion sequences adds no entry, a flood of
+    /// distinct ones never holds more than `EVALUATION_KEY_BYTES` of keys,
+    /// and a new dataset empties it.
+    #[test]
+    fn the_round_zero_evaluation_memo_is_bounded() {
+        let data = dataset();
+        let trainer = simdc_ml::LocalTrainer::new(simdc_ml::TrainConfig::default());
+        let model = simdc_ml::LrModel::zeros(data.feature_dim);
+        let mut memo = RoundZeroMemo::default();
+        memo.bind(&data);
+        // Synthetic 64-device sequences (the largest committed task size),
+        // made distinct by their first shard: 65 words each.
+        let sequence = |i: usize| {
+            (0..64)
+                .map(|d| (if d == 0 { i } else { d }, KernelKind::Mobile))
+                .collect::<Vec<_>>()
+        };
+        let batch = |memo: &mut RoundZeroMemo, sequences: std::ops::Range<usize>| {
+            for i in sequences {
+                memo.evaluation(&trainer, &sequence(i), &model, &data);
+                assert!(memo.evaluations_held().1 <= EVALUATION_KEY_BYTES);
+            }
+            memo.evaluations_held()
+        };
+        let first = batch(&mut memo, 0..8);
+        assert_eq!(first, (8, 8 * 65 * 8));
+        assert_eq!(batch(&mut memo, 0..8), first);
+        let (held, bytes) = batch(&mut memo, 8..1000);
+        assert_eq!(held, EVALUATION_KEY_BYTES / (65 * 8));
+        assert_eq!(bytes, held * 65 * 8);
+        memo.bind(&dataset());
+        assert_eq!(memo.evaluations_held(), (0, 0));
+    }
+
+    /// Inclusion order is part of the evaluation key. `FedAvgFold` sums
+    /// in `f64` and rounds to `f32` once, so on generated data two orders
+    /// of one set of updates fold to the same bits; yet the fold reads
+    /// them in order, so only an ordered key is exact. Here two sequences
+    /// that differ only in order stand for two different models, and the
+    /// second must be scored afresh.
+    #[test]
+    fn evaluation_keys_keep_inclusion_order() {
+        let data = dataset();
+        let trainer = simdc_ml::LocalTrainer::new(simdc_ml::TrainConfig::default());
+        let zero = simdc_ml::LrModel::zeros(data.feature_dim);
+        let trained = trainer
+            .train(&zero, &data.devices[0].data, KernelKind::Server)
+            .model;
+        let mut memo = RoundZeroMemo::default();
+        memo.bind(&data);
+        let order = [(0, KernelKind::Server), (1, KernelKind::Server)];
+        let reversed = [order[1], order[0]];
+        let first = memo.evaluation(&trainer, &order, &trained, &data);
+        let second = memo.evaluation(&trainer, &reversed, &zero, &data);
+        assert_eq!(
+            eval_bits(&first),
+            eval_bits(&simdc_ml::evaluate(&trained, &data.test))
+        );
+        assert_eq!(
+            eval_bits(&second),
+            eval_bits(&simdc_ml::evaluate(&zero, &data.test))
+        );
+        assert_ne!(eval_bits(&first), eval_bits(&second));
     }
 
     #[test]

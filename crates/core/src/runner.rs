@@ -18,13 +18,15 @@
 //!    never trained: nothing reads their updates.
 //!
 //! Round 0 always trains from the zero model, so its update depends only
-//! on the shard, the kernel and the training config. A memo trains each
-//! such update once: per call of [`TaskRunner::execute`], and across every
-//! task of one dataset on a [`crate::Platform`].
+//! on the shard, the kernel and the training config, and its global model
+//! — hence its evaluation — only on the sequence of those updates in
+//! inclusion order. A memo trains each such update once and scores each
+//! such sequence once: per call of [`TaskRunner::execute`], and across
+//! every task of one dataset on a [`crate::Platform`].
 //!
 //! Everything is deterministic given the task seed and start instant.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Weak};
 
 use serde::{Deserialize, Serialize};
@@ -166,12 +168,28 @@ struct GradePlacement {
     benchmark_devices: Vec<(DeviceId, PhoneId)>,
 }
 
-/// Round-0 updates, each trained once per (shard index, kernel, learning
-/// rate bits, epochs): everything a round-0 training reads besides the
-/// zero model every task starts from. The entries are valid for one
-/// dataset; a platform binds its memo to the dataset of each task it
-/// admits ([`RoundZeroMemo::bind`]), so the memo holds at most
-/// shards × kernels × configs entries however long the run.
+/// Bytes of evaluation keys a [`RoundZeroMemo`] holds; the oldest entry
+/// goes first. The largest tasks of the committed specs include 64
+/// devices, a 65-word (520-byte) key, so at least their last 63 round-0
+/// outcomes stay held.
+pub(crate) const EVALUATION_KEY_BYTES: usize = 32 * 1024;
+
+/// Round 0's work, done once per distinct input:
+///
+/// - its updates, each trained once per (shard index, kernel, learning
+///   rate bits, epochs): everything a round-0 training reads besides the
+///   zero model every task starts from;
+/// - its evaluations, each scored once per inclusion sequence: the
+///   config plus each included device's (shard, kernel), in inclusion
+///   order. Round 0 folds those memoised updates from the zero model in
+///   that order, weighted by shard lengths, so the sequence fixes the
+///   global model bit for bit, and with it the evaluation.
+///
+/// The entries are valid for one dataset; a platform binds its memo to
+/// the dataset of each task it admits ([`RoundZeroMemo::bind`]), so the
+/// memo holds at most shards × kernels × configs updates however long the
+/// run, and the evaluations are evicted oldest first to stay within
+/// [`EVALUATION_KEY_BYTES`] of keys.
 #[derive(Debug, Default)]
 pub(crate) struct RoundZeroMemo {
     /// The dataset the entries were trained on. A `Weak` keeps no dataset
@@ -179,15 +197,23 @@ pub(crate) struct RoundZeroMemo {
     /// pointer identity cannot mistake a new dataset for the old one.
     dataset: Weak<CtrDataset>,
     updates: BTreeMap<(usize, KernelKind, u32, u32), LocalUpdate>,
+    /// Round-0 evaluations in insertion order, keyed by the config word
+    /// (learning rate bits, epochs) and then one word per included device
+    /// (`shard << 1 | kernel`).
+    evaluations: VecDeque<(Box<[u64]>, EvalMetrics)>,
+    /// Bytes of the keys in `evaluations`.
+    key_bytes: usize,
 }
 
 impl RoundZeroMemo {
     /// Readies the memo for a task on `dataset`, dropping every entry
-    /// trained on another dataset.
+    /// made on another dataset.
     pub(crate) fn bind(&mut self, dataset: &Arc<CtrDataset>) {
         if !std::ptr::eq(self.dataset.as_ptr(), Arc::as_ptr(dataset)) {
             self.dataset = Arc::downgrade(dataset);
             self.updates.clear();
+            self.evaluations.clear();
+            self.key_bytes = 0;
         }
     }
 
@@ -195,6 +221,66 @@ impl RoundZeroMemo {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.updates.len()
+    }
+
+    /// Evaluations held, and the bytes of their keys.
+    #[cfg(test)]
+    pub(crate) fn evaluations_held(&self) -> (usize, usize) {
+        (self.evaluations.len(), self.key_bytes)
+    }
+
+    /// Round 0's evaluation of `global`, the model folded from the
+    /// memoised updates of `inclusions` — (shard, kernel) per included
+    /// device, in inclusion order — under `trainer`'s config; scored on
+    /// first sight of the sequence.
+    pub(crate) fn evaluation(
+        &mut self,
+        trainer: &LocalTrainer,
+        inclusions: &[(usize, KernelKind)],
+        global: &LrModel,
+        dataset: &CtrDataset,
+    ) -> EvalMetrics {
+        let config = trainer.config();
+        let key: Box<[u64]> = std::iter::once(
+            u64::from(config.learning_rate.to_bits()) << 32 | u64::from(config.epochs),
+        )
+        .chain(
+            inclusions
+                .iter()
+                .map(|&(shard, kernel)| (shard as u64) << 1 | kernel as u64),
+        )
+        .collect();
+        if let Some((_, eval)) = self.evaluations.iter().find(|(held, _)| *held == key) {
+            debug_assert!(
+                {
+                    let fresh = evaluate(global, &dataset.test);
+                    let bits = |e: &EvalMetrics| {
+                        (
+                            e.accuracy.to_bits(),
+                            e.log_loss.to_bits(),
+                            e.auc.to_bits(),
+                            e.n_examples,
+                        )
+                    };
+                    bits(eval) == bits(&fresh)
+                },
+                "a round-0 evaluation is a function of its inclusion sequence"
+            );
+            return *eval;
+        }
+        let eval = evaluate(global, &dataset.test);
+        let bytes = std::mem::size_of_val(&*key);
+        if bytes <= EVALUATION_KEY_BYTES {
+            while self.key_bytes + bytes > EVALUATION_KEY_BYTES {
+                let Some((oldest, _)) = self.evaluations.pop_front() else {
+                    break;
+                };
+                self.key_bytes -= std::mem::size_of_val(&*oldest);
+            }
+            self.key_bytes += bytes;
+            self.evaluations.push_back((key, eval));
+        }
+        eval
     }
 
     /// Shard `shard`'s round-0 update under `kernel` and `trainer`'s
@@ -660,12 +746,17 @@ impl TaskRunner {
             // Cloud side: train what the trigger fetched, in inclusion
             // order, folding each update into FedAvg as it arrives; then
             // evaluate. Round 0 starts from the zero model, so its updates
-            // come from the memo.
+            // and its evaluation come from the memo.
+            let inclusions: Vec<(usize, KernelKind)> = included
+                .iter()
+                .map(|m| {
+                    // Ids count up from `first_id` in `completions` order.
+                    let (_, device, kernel) = completions[(m.id.0 - first_id) as usize];
+                    ((device.0 % shards) as usize, kernel)
+                })
+                .collect();
             let mut fold = FedAvgFold::new(included.iter().map(|m| m.sample_count));
-            for m in &included {
-                // Ids count up from `first_id` in `completions` order.
-                let (_, device, kernel) = completions[(m.id.0 - first_id) as usize];
-                let shard = (device.0 % shards) as usize;
+            for &(shard, kernel) in &inclusions {
                 if round_idx == 0 {
                     fold.add(memo.update(&trainer, &global, dataset, shard, kernel));
                 } else {
@@ -677,7 +768,11 @@ impl TaskRunner {
             if !included.is_empty() {
                 global = fold.into_model()?;
             }
-            let eval = evaluate(&global, &dataset.test);
+            let eval = if round_idx == 0 {
+                memo.evaluation(&trainer, &inclusions, &global, dataset)
+            } else {
+                evaluate(&global, &dataset.test)
+            };
 
             rounds.push(RoundReport {
                 round,

@@ -29,6 +29,29 @@ use crate::arrival::ArrivalProcess;
 use crate::fleet::{FleetDynamics, FleetEvent, MAX_EXPECTED_CRASHES};
 use crate::template::TaskTemplate;
 
+/// The most task arrivals a scenario may expect, counted as the arrival
+/// process's peak rate (per minute) times the horizon in minutes
+/// ([`Scenario::validate`]). The estimate is also the number of envelope
+/// draws [`ArrivalProcess::sample`] makes, and every offset it keeps is
+/// held before the run starts; `rate_per_min: 1e12` exhausts memory. The
+/// densest committed spec, the benchmark's `dense_flow`, expects 12 000.
+pub const MAX_EXPECTED_ARRIVALS: u64 = 1_000_000;
+
+/// The most dispatch ticks a scenario may schedule, counted as
+/// `horizon / dispatch_interval`: the run steps the platform once per
+/// tick. The densest committed spec, the benchmark's `cloud_elastic`,
+/// schedules 72.
+pub const MAX_DISPATCH_TICKS: u64 = 1_000_000;
+
+/// The most device-rounds a scenario may ask to train, counted as
+/// `max(1, expected arrivals) × max rounds × 2 × max devices_per_grade`
+/// (a task spans at most both grades): each is one local training when
+/// its update is included. `rounds: [4e9, 4e9]` would never finish. The
+/// densest committed spec, the benchmark's `cloud_elastic`, asks about
+/// 258 000; the `devices_per_grade`-cap run of `boundary_specs.rs` about
+/// 2.5 million.
+pub const MAX_DEVICE_ROUNDS: u64 = 100_000_000;
+
 /// A named, self-contained workload description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -62,8 +85,11 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns `InvalidConfig` for an empty name, zero horizon/interval,
-    /// any invalid component, or a crash schedule expecting more than
-    /// [`MAX_EXPECTED_CRASHES`] crashes over the horizon.
+    /// any invalid component, or work beyond a cap: more than
+    /// [`MAX_EXPECTED_CRASHES`] crashes, [`MAX_EXPECTED_ARRIVALS`]
+    /// arrivals, [`MAX_DISPATCH_TICKS`] dispatch ticks or
+    /// [`MAX_DEVICE_ROUNDS`] device-rounds expected over the horizon. The
+    /// message names the term, its estimate and the cap.
     pub fn validate(&self) -> Result<()> {
         use SimdcError::InvalidConfig;
         if self.name.is_empty() {
@@ -89,6 +115,30 @@ impl Scenario {
                      {MAX_EXPECTED_CRASHES}, got {expected}"
                 )));
             }
+        }
+        let arrivals = self.arrivals.peak_rate_per_min() * self.horizon.as_mins_f64();
+        if arrivals > MAX_EXPECTED_ARRIVALS as f64 {
+            return Err(InvalidConfig(format!(
+                "expected arrivals (peak rate_per_min × horizon in minutes) must be at most \
+                 {MAX_EXPECTED_ARRIVALS}, got {arrivals:e}"
+            )));
+        }
+        let ticks = self.horizon.as_micros() / self.dispatch_interval.as_micros();
+        if ticks > MAX_DISPATCH_TICKS {
+            return Err(InvalidConfig(format!(
+                "dispatch ticks (horizon / dispatch_interval) must be at most \
+                 {MAX_DISPATCH_TICKS}, got {ticks}"
+            )));
+        }
+        let device_rounds = arrivals.max(1.0)
+            * f64::from(self.template.rounds.1)
+            * 2.0
+            * self.template.devices_per_grade.1 as f64;
+        if device_rounds > MAX_DEVICE_ROUNDS as f64 {
+            return Err(InvalidConfig(format!(
+                "device-rounds (expected arrivals × max rounds × 2 × max devices_per_grade) \
+                 must be at most {MAX_DEVICE_ROUNDS}, got {device_rounds:e}"
+            )));
         }
         Ok(())
     }

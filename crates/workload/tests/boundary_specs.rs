@@ -7,6 +7,7 @@ use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_simrt::RngStream;
 use simdc_types::SimDuration;
 use simdc_workload::fleet::{MAX_EXPECTED_CRASHES, MAX_STRAGGLER_SLOWDOWN};
+use simdc_workload::scenario::{MAX_DEVICE_ROUNDS, MAX_DISPATCH_TICKS, MAX_EXPECTED_ARRIVALS};
 use simdc_workload::template::MAX_DEVICES_PER_GRADE;
 use simdc_workload::{scenario, scenario_names, ScenarioSpec};
 
@@ -199,4 +200,53 @@ fn the_crash_cap_admits_every_committed_spec_with_margin() {
     }
     assert_eq!(densest, 60_000, "churn_storm is the densest committed spec");
     assert!(densest * 16 <= MAX_EXPECTED_CRASHES);
+}
+
+/// The work caps admit every committed spec with a margin: the nine
+/// fixtures and the benchmark's workload files at full size, each read
+/// as a `ScenarioSpec` (a workload file wraps its spec in
+/// `{why, dataset, spec}`; `traffic_shaping` has none). Each estimate is
+/// restated here from `Scenario::validate`'s documented formula. The
+/// densest specs are `dense_flow` for arrivals (12 000, 83× under the
+/// cap), `cloud_elastic` for dispatch ticks (72) and device-rounds
+/// (258 048, 387× under). The fuzzer draws horizons of at most 4 minutes,
+/// peak rates of at most 3.2 per minute, dispatch every minute, at most 2
+/// rounds and at most 6 devices per grade: at most 13 arrivals, 4 ticks
+/// and 312 device-rounds.
+#[test]
+fn the_work_caps_admit_every_committed_spec_with_margin() {
+    let mut specs: Vec<(String, ScenarioSpec)> = scenario_names()
+        .map(|name| (name.to_string(), scenario(name).unwrap()))
+        .collect();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/workloads");
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let serde_json::Value::Object(fields) = serde_json::from_str(&text).unwrap() else {
+            panic!("{} is not an object", path.display());
+        };
+        if let Some((_, spec)) = fields.iter().find(|(key, _)| key == "spec") {
+            let spec = ScenarioSpec::from_json_str(&serde_json::to_string(spec).unwrap());
+            specs.push((path.display().to_string(), spec.unwrap()));
+        }
+    }
+    assert_eq!(specs.len(), 9 + 5);
+    let (mut arrivals, mut ticks, mut device_rounds) = (0.0f64, 0, 0.0f64);
+    for (name, spec) in &specs {
+        let expected = spec.arrivals.peak_rate_per_min() * spec.horizon.as_mins_f64();
+        arrivals = arrivals.max(expected);
+        ticks = ticks.max(spec.horizon.as_micros() / spec.dispatch_interval.as_micros());
+        let rounds = f64::from(spec.template.rounds.1);
+        let devices = 2.0 * spec.template.devices_per_grade.1 as f64;
+        device_rounds = device_rounds.max(expected.max(1.0) * rounds * devices);
+        assert!(spec.validate().is_ok(), "{name}");
+    }
+    assert_eq!((arrivals, ticks, device_rounds), (12_000.0, 72, 258_048.0));
+    assert!(arrivals * 16.0 <= MAX_EXPECTED_ARRIVALS as f64);
+    assert!(ticks * 16 <= MAX_DISPATCH_TICKS);
+    assert!(device_rounds * 16.0 <= MAX_DEVICE_ROUNDS as f64);
+    // The `devices_per_grade`-cap run above: `steady_poisson` at 0.2 of
+    // its horizon, 100 000 devices per grade.
+    let capped = 0.7 * 6.0 * 3.0 * 2.0 * MAX_DEVICES_PER_GRADE as f64;
+    assert!(capped * 16.0 <= MAX_DEVICE_ROUNDS as f64, "{capped}");
 }

@@ -130,6 +130,42 @@ fn every_malformed_spec_yields_its_pinned_error() {
              must be at most 1000000, got 1800000000",
         ),
         (
+            "arrivals above the cap",
+            patch(&steady(), "\"rate_per_min\": 0.7", "\"rate_per_min\": 1e12"),
+            "invalid configuration: expected arrivals (peak rate_per_min × horizon in minutes) \
+             must be at most 1000000, got 3e13",
+        ),
+        (
+            "a horizon of u64::MAX",
+            patch(
+                &steady(),
+                "\"horizon\": 1800000000",
+                "\"horizon\": 18446744073709551615",
+            ),
+            "invalid configuration: expected arrivals (peak rate_per_min × horizon in minutes) \
+             must be at most 1000000, got 2.152120141932781e11",
+        ),
+        (
+            "dispatch ticks above the cap",
+            patch(
+                &steady(),
+                "\"dispatch_interval\": 120000000",
+                "\"dispatch_interval\": 1",
+            ),
+            "invalid configuration: dispatch ticks (horizon / dispatch_interval) must be at most \
+             1000000, got 1800000000",
+        ),
+        (
+            "device-rounds above the cap",
+            patch(
+                &steady(),
+                "\"rounds\": [\n      1,\n      3\n    ]",
+                "\"rounds\": [\n      4000000000,\n      4000000000\n    ]",
+            ),
+            "invalid configuration: device-rounds (expected arrivals × max rounds × 2 × max \
+             devices_per_grade) must be at most 100000000, got 4.032e12",
+        ),
+        (
             "too many threads",
             patch(&steady(), "\"threads\": 1", "\"threads\": 65"),
             "invalid configuration: threads must be at most 64, got 65",
