@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use serde::Serialize;
-use simdc_core::{AllocationPolicy, Platform, PlatformConfig, RunnerConfig};
+use simdc_core::{AllocationPolicy, Platform, PlatformConfig};
 use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_ml::{evaluate, FedAvg, KernelKind, LocalTrainer, LrModel, TrainConfig};
 use simdc_types::Result;
@@ -115,9 +115,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Cell> {
 
         for (idx, &frac) in FRACTIONS.iter().enumerate() {
             let mut platform = Platform::new(PlatformConfig {
-                runner: RunnerConfig {
-                    measure_benchmarks: false,
-                },
                 seed: opts.seed,
                 ..PlatformConfig::default()
             });

@@ -39,7 +39,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Point> {
         &[4, 20, 100, 500]
     };
     let cluster = LogicalCluster::new(ClusterConfig::default());
-    let runner = TaskRunner::default();
+    let runner = TaskRunner;
 
     let mut points = Vec::new();
     for &scale in scales {

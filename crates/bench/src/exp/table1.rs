@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use serde::Serialize;
-use simdc_core::{Platform, PlatformConfig, RunnerConfig};
+use simdc_core::{Platform, PlatformConfig};
 use simdc_phone::Stage;
 use simdc_types::{DeviceGrade, TaskId};
 
@@ -41,9 +41,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
     let n_per_grade = if opts.quick { 60 } else { 500 };
     let data = Arc::new(super::standard_dataset(200, opts.seed));
     let mut platform = Platform::new(PlatformConfig {
-        runner: RunnerConfig {
-            measure_benchmarks: true,
-        },
         seed: opts.seed,
         ..PlatformConfig::default()
     });

@@ -26,6 +26,12 @@
 //! RNG-draw order of the old single-shot execution. Multi-task queueing
 //! delays did change (they shrank — that was the point), but nothing
 //! golden-pinned measures those.
+//!
+//! Re-pinned when each benchmark sample got a noise stream of its own,
+//! seeded by (fleet seed, phone, instant), in place of one per-phone
+//! stream carried across samples and runs; every field that reads no
+//! noise draw (timestamps, stages, durations, sample counts, `comm_kb`)
+//! stayed byte-identical.
 
 use simdc_bench::ExpOptions;
 

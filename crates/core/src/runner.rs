@@ -109,26 +109,16 @@ impl TaskReport {
 /// serialized model).
 const DATA_PAYLOAD_MIB: f64 = 4.0;
 
-/// Tunables of the runner itself (not task-specific).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RunnerConfig {
-    /// Whether to run benchmark-phone measurement after the rounds.
-    pub measure_benchmarks: bool,
-}
-
-impl Default for RunnerConfig {
-    fn default() -> Self {
-        RunnerConfig {
-            measure_benchmarks: true,
-        }
-    }
-}
+/// Tunables of the runner itself (not task-specific). It has none: every
+/// task measures its benchmark phones. The type stays so that code which
+/// builds a runner from a [`crate::PlatformConfig`] or calls
+/// `TaskRunner::new(RunnerConfig::default())` keeps compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct RunnerConfig;
 
 /// Executes tasks against borrowed substrates.
-#[derive(Debug)]
-pub struct TaskRunner {
-    config: RunnerConfig,
-}
+#[derive(Debug, Default)]
+pub struct TaskRunner;
 
 /// A planned task execution: the full per-round timeline computed at
 /// admission time, with benchmark phones reserved but their measurements
@@ -149,12 +139,6 @@ pub(crate) struct TaskPlan {
     /// lifetime — the platform releases them at the completion event, so
     /// cloud capacity contention is real across concurrent tasks.
     pub(crate) groups: Vec<PlacementGroupId>,
-}
-
-impl Default for TaskRunner {
-    fn default() -> Self {
-        TaskRunner::new(RunnerConfig::default())
-    }
 }
 
 /// Where one grade's devices run: logical devices on the grade's
@@ -305,10 +289,10 @@ impl RoundZeroMemo {
 }
 
 impl TaskRunner {
-    /// Creates a runner.
+    /// Creates a runner; `RunnerConfig` carries no tunables.
     #[must_use]
-    pub fn new(config: RunnerConfig) -> Self {
-        TaskRunner { config }
+    pub fn new(_config: RunnerConfig) -> Self {
+        TaskRunner
     }
 
     /// Computes the allocation a spec would use against the given
@@ -800,22 +784,20 @@ impl TaskRunner {
         // the measurements themselves wait for the commit phase.
         let mut benchmark_runs = Vec::new();
         let mut finished_at = rounds.last().map_or(start, |r| r.aggregated_at);
-        if self.config.measure_benchmarks {
-            for placement in placements {
-                for &(_dev, phone) in &placement.benchmark_devices {
-                    // Each benchmark placement names a concrete phone, so
-                    // its measurement windows come from that phone's own
-                    // profile — a straggler benchmark phone is measured at
-                    // its real (slowed) pace, not the fleet average.
-                    let profile = phones
-                        .phone(phone)
-                        .ok_or(SimdcError::PhoneUnavailable(phone))?
-                        .profile();
-                    let (durations, gaps) = benchmark_windows(&rounds, profile);
-                    let run = RunPlan::new(spec.id, phone, start, &durations, &gaps)?;
-                    finished_at = finished_at.max(run.end());
-                    benchmark_runs.push((phone, run));
-                }
+        for placement in placements {
+            for &(_dev, phone) in &placement.benchmark_devices {
+                // Each benchmark placement names a concrete phone, so its
+                // measurement windows come from that phone's own profile —
+                // a straggler benchmark phone is measured at its real
+                // (slowed) pace, not the fleet average.
+                let profile = phones
+                    .phone(phone)
+                    .ok_or(SimdcError::PhoneUnavailable(phone))?
+                    .profile();
+                let (durations, gaps) = benchmark_windows(&rounds, profile);
+                let run = RunPlan::new(spec.id, phone, start, &durations, &gaps)?;
+                finished_at = finished_at.max(run.end());
+                benchmark_runs.push((phone, run));
             }
         }
 
@@ -834,9 +816,8 @@ impl TaskRunner {
     }
 
     /// Commit phase: measures the benchmark phones reserved by
-    /// [`TaskRunner::plan_with`] (in reservation order, so the RNG draw
-    /// sequence matches the old single-shot execution) and finalizes the
-    /// report.
+    /// [`TaskRunner::plan_with`], in reservation order, and finalizes the
+    /// report. Measuring reads the phones and changes none of them.
     ///
     /// Measurement is best-effort: a benchmark phone whose run vanished
     /// between plan and commit — crashed and rebooted (reboot wipes the
@@ -853,7 +834,7 @@ impl TaskRunner {
     /// Propagates measurement faults other than the vanished-run cases
     /// above — an unexpected error must fail the task, not silently
     /// shorten its benchmark data.
-    pub(crate) fn commit(&self, plan: TaskPlan, phones: &mut PhoneMgr) -> Result<TaskReport> {
+    pub(crate) fn commit(&self, plan: TaskPlan, phones: &PhoneMgr) -> Result<TaskReport> {
         let TaskPlan {
             mut report,
             benchmark_phones,
@@ -962,7 +943,7 @@ mod tests {
     fn end_to_end_task_improves_accuracy() {
         let data = dataset();
         let (mut cluster, mut phones, mut storage) = substrates();
-        let runner = TaskRunner::default();
+        let runner = TaskRunner;
         let report = runner
             .execute(
                 &base_spec(1),
@@ -997,7 +978,7 @@ mod tests {
     #[test]
     fn execution_is_deterministic() {
         let data = dataset();
-        let runner = TaskRunner::default();
+        let runner = TaskRunner;
         let run = || {
             let (mut cluster, mut phones, mut storage) = substrates();
             runner
@@ -1024,9 +1005,7 @@ mod tests {
         let mut spec = base_spec(2);
         spec.allocation = AllocationPolicy::FixedLogicalFraction(0.0);
         spec.rounds = 1;
-        let runner = TaskRunner::new(RunnerConfig {
-            measure_benchmarks: false,
-        });
+        let runner = TaskRunner;
         let report = runner
             .execute(
                 &spec,
@@ -1068,9 +1047,7 @@ mod tests {
             period: SimDuration::from_mins(10),
         };
         spec.rounds = 2;
-        let runner = TaskRunner::new(RunnerConfig {
-            measure_benchmarks: false,
-        });
+        let runner = TaskRunner;
         let report = runner
             .execute(
                 &spec,
@@ -1098,9 +1075,7 @@ mod tests {
             period: SimDuration::from_secs(40),
         };
         spec.rounds = 1;
-        let runner = TaskRunner::new(RunnerConfig {
-            measure_benchmarks: false,
-        });
+        let runner = TaskRunner;
         let report = runner
             .execute(
                 &spec,
@@ -1120,7 +1095,7 @@ mod tests {
     fn commit_skips_benchmark_runs_reassigned_to_another_task() {
         let data = dataset();
         let (mut cluster, mut phones, mut storage) = substrates();
-        let runner = TaskRunner::default();
+        let runner = TaskRunner;
         let plan = runner
             .plan_with(
                 &base_spec(7),
@@ -1147,7 +1122,7 @@ mod tests {
         )
         .unwrap();
         phones.submit_run(stolen, foreign).unwrap();
-        let report = runner.commit(plan, &mut phones).unwrap();
+        let report = runner.commit(plan, &phones).unwrap();
         // The reassigned phone contributes nothing; the other phone's
         // measurement is intact. No cross-task data attribution.
         assert_eq!(report.benchmark_reports.len(), 1);
@@ -1170,9 +1145,7 @@ mod tests {
         let mut spec = base_spec(11);
         spec.allocation = AllocationPolicy::FixedLogicalFraction(0.0);
         spec.grades[0].benchmark_phones = 0;
-        let runner = TaskRunner::new(RunnerConfig {
-            measure_benchmarks: false,
-        });
+        let runner = TaskRunner;
         let err = runner
             .execute(
                 &spec,
@@ -1208,9 +1181,7 @@ mod tests {
     fn storage_counts_every_upload_and_publish() {
         let data = dataset();
         let (mut cluster, mut phones, mut storage) = substrates();
-        let runner = TaskRunner::new(RunnerConfig {
-            measure_benchmarks: false,
-        });
+        let runner = TaskRunner;
         runner
             .execute(
                 &base_spec(6),

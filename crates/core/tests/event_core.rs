@@ -422,10 +422,13 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 /// Digest of every schedule's per-task states and reports in
 /// [`freeze_release_pairing_holds_for_random_schedules`], taken on the
 /// batched prepare → compute → merge admission that serial admission
-/// replaced. Re-pinned once, when `PerfReport` stopped keeping a CPU and a
-/// memory series beside its samples: the old `Debug` strings with those
-/// two fields removed hash to this value.
-const SCHEDULES_DIGEST: u64 = 17_490_050_266_235_071_894;
+/// replaced. Re-pinned twice: when `PerfReport` stopped keeping a CPU and a
+/// memory series beside its samples (the old `Debug` strings with those
+/// two fields removed hash to the old value), and when each benchmark
+/// sample got a noise stream of its own (with the noise-valued fields
+/// `current_ua`, `voltage_mv`, `cpu_pct`, `mem_kb` and `power_mah`
+/// masked, the old and new strings hash alike).
+const SCHEDULES_DIGEST: u64 = 1_853_197_818_148_455_754;
 
 /// Freeze/release pairing across random schedules: whatever mix of
 /// concurrent, queued, rejected and plan-failed tasks a schedule

@@ -1,7 +1,7 @@
 //! One emulated physical phone.
 
 use serde::{Deserialize, Serialize};
-use simdc_simrt::RngStream;
+use simdc_simrt::{derive_seed, RngStream, SplitMix64};
 use simdc_types::{DeviceGrade, PhoneId, Result, SimDuration, SimInstant, SimdcError};
 
 use crate::profile::PhoneProfile;
@@ -27,17 +27,15 @@ impl std::fmt::Display for Provenance {
 }
 
 /// What a phone carries only once something has happened to it: a run, a
-/// crash, a re-profile or a measurement draw. A fleet is mostly phones
-/// nothing ever happens to, and those hold no `Cold` at all; a reboot that
-/// leaves the cold part empty releases it again.
+/// crash or a re-profile. A fleet is mostly phones nothing ever happens
+/// to, and those hold no `Cold` at all; a reboot that leaves the cold part
+/// empty releases it again.
 #[derive(Debug, Clone, PartialEq)]
 struct Cold {
     /// `Some` only while the profile differs from the grade's nominal one.
     profile: Option<PhoneProfile>,
     run: Option<RunPlan>,
     crashed_at: Option<SimInstant>,
-    /// Seeded on the first draw (see [`PhoneDevice::noise`]).
-    noise: Option<RngStream>,
 }
 
 /// The cold state of a phone that has none.
@@ -45,7 +43,6 @@ static UNTOUCHED: Cold = Cold {
     profile: None,
     run: None,
     crashed_at: None,
-    noise: None,
 };
 
 /// Where an instant falls inside a run: the active stage and the training
@@ -126,13 +123,13 @@ pub(crate) struct ProcessReading {
 /// An emulated Android phone: stage-driven power/CPU/memory/network models,
 /// measured through one typed reading per instant.
 ///
-/// The record itself is 24 bytes — identity, the noise seed and a pointer
-/// to a boxed cold part (run, crash, custom profile, noise stream), which
-/// exists only for phones something has happened to.
+/// The record itself is 16 bytes — identity and a pointer to a boxed cold
+/// part (run, crash, custom profile), which exists only for phones
+/// something has happened to. Measuring a phone reads it and changes
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct PhoneDevice {
     cold: Option<Box<Cold>>,
-    seed: u64,
     id: PhoneId,
     grade: DeviceGrade,
     provenance: Provenance,
@@ -142,8 +139,7 @@ impl PartialEq for PhoneDevice {
     /// Observable state: an untouched phone equals one whose cold part was
     /// materialised and emptied again (a re-profile undone).
     fn eq(&self, other: &Self) -> bool {
-        (self.id, self.grade, self.provenance, self.seed)
-            == (other.id, other.grade, other.provenance, other.seed)
+        (self.id, self.grade, self.provenance) == (other.id, other.grade, other.provenance)
             && self.cold() == other.cold()
     }
 }
@@ -151,10 +147,9 @@ impl PartialEq for PhoneDevice {
 impl PhoneDevice {
     /// Creates an idle phone with the default profile of its grade.
     #[must_use]
-    pub(crate) fn new(id: PhoneId, grade: DeviceGrade, provenance: Provenance, seed: u64) -> Self {
+    pub(crate) fn new(id: PhoneId, grade: DeviceGrade, provenance: Provenance) -> Self {
         PhoneDevice {
             cold: None,
-            seed,
             id,
             grade,
             provenance,
@@ -167,17 +162,6 @@ impl PhoneDevice {
 
     fn cold_mut(&mut self) -> &mut Cold {
         self.cold.get_or_insert_with(|| Box::new(UNTOUCHED.clone()))
-    }
-
-    /// The measurement-noise stream, seeded on its first use from the same
-    /// `(seed, "phone/{id}")` label an eagerly built stream would carry.
-    fn noise(&mut self) -> &mut RngStream {
-        // Labelled by phone id, which PhoneMgr::with_fleet numbers uniquely
-        // — no two phones can share a noise stream.
-        let (seed, id) = (self.seed, self.id);
-        self.cold_mut()
-            .noise
-            .get_or_insert_with(|| RngStream::named(seed, &format!("phone/{}", id.0)))
     }
 
     /// Phone identifier.
@@ -287,26 +271,26 @@ impl PhoneDevice {
         self.cold_mut().crashed_at = Some(at);
     }
 
-    fn noisy(&mut self, value: f64) -> f64 {
+    fn noisy(&self, noise: &mut RngStream, value: f64) -> f64 {
         let frac = self.profile().noise_frac;
         if frac == 0.0 {
             return value;
         }
-        value * self.noise().uniform_range(1.0 - frac, 1.0 + frac)
+        value * noise.uniform_range(1.0 - frac, 1.0 + frac)
     }
 
     /// Battery discharge current in µA during `stage`.
-    fn current_ua_in(&mut self, stage: Stage) -> f64 {
+    fn current_ua_in(&self, noise: &mut RngStream, stage: Stage) -> f64 {
         let ma = self.profile().stage_current(stage);
-        self.noisy(ma * 1_000.0)
+        self.noisy(noise, ma * 1_000.0)
     }
 
     /// One battery-voltage draw in µV; PhoneMgr converts to the mV the
     /// paper reports. Voltage wobbles far less than current, and is drawn
     /// even when the profile's `noise_frac` is zero.
-    pub(crate) fn draw_voltage_uv(&mut self) -> f64 {
+    fn voltage_uv(&self, noise: &mut RngStream) -> f64 {
         let base = self.profile().voltage_mv * 1_000.0;
-        base * self.noise().uniform_range(0.995, 1.005)
+        base * noise.uniform_range(0.995, 1.005)
     }
 
     /// CPU usage of the training process, in percent.
@@ -314,7 +298,7 @@ impl PhoneDevice {
     /// During training the load is a slow sine around the profile base
     /// (Fig 5's 4–13% band); the other stages sit at the idle floor, two
     /// points above it during APK launch.
-    fn cpu_pct_in(&mut self, pos: RunPosition) -> f64 {
+    fn cpu_pct_in(&self, noise: &mut RngStream, pos: RunPosition) -> f64 {
         let p = self.profile();
         let value = match pos.stage {
             Stage::Training => {
@@ -330,7 +314,7 @@ impl PhoneDevice {
             Stage::ApkLaunch => p.cpu_idle_pct + 2.0,
             _ => p.cpu_idle_pct,
         };
-        self.noisy(value).clamp(0.0, 100.0)
+        self.noisy(noise, value).clamp(0.0, 100.0)
     }
 
     /// PSS memory of the live training process in KB.
@@ -339,7 +323,7 @@ impl PhoneDevice {
     /// `mem_ramp` of *active training time* and stays there across waiting
     /// gaps, matching Fig 5's 10→50 MB envelope. A zero footprint takes no
     /// noise draw.
-    fn mem_kb_in(&mut self, pos: RunPosition) -> f64 {
+    fn mem_kb_in(&self, noise: &mut RngStream, pos: RunPosition) -> f64 {
         let p = self.profile();
         let active = pos.training_elapsed.as_secs_f64();
         let ramp = (active / p.mem_ramp.as_secs_f64()).min(1.0);
@@ -348,7 +332,7 @@ impl PhoneDevice {
         if value == 0.0 {
             0.0
         } else {
-            self.noisy(value)
+            self.noisy(noise, value)
         }
     }
 
@@ -368,33 +352,24 @@ impl PhoneDevice {
     /// the phone model: `PhoneMgr::poll` and `measure_run` read nothing
     /// else.
     ///
-    /// Two details are part of the model, and `golden.rs` pins both:
-    ///
-    /// * The noise draws come in a fixed order: current (none when
-    ///   `noise_frac` is zero), voltage, then, while the APK runs, `%CPU`, a
-    ///   memory draw that is discarded, and PSS. The discarded draw stands
-    ///   for the one a phone's `top` makes for its RES column. A phone's
-    ///   stream carries from sample to sample and run to run, so dropping
-    ///   it would shift every later number of that phone.
-    /// * `%CPU` is rounded the way `{:.1}` prints it: the exact binary value
-    ///   to the nearest tenth, exact ties to even. `(x * 10.0).round() /
-    ///   10.0` differs on ties: it gives 3.3 for 3.25, `{:.1}` gives 3.2.
-    pub(crate) fn reading_at(&mut self, now: SimInstant) -> Option<Reading> {
+    /// A reading is a pure function of the phone, its noise `key` (see
+    /// [`noise_key`]) and `now`: its noise draws come from a stream of
+    /// their own, seeded by the key and the instant, so what the phone
+    /// served or reported before does not move them. The draws come in a
+    /// fixed order: current (none when `noise_frac` is zero), voltage,
+    /// then, while the APK runs, `%CPU` and PSS. `%CPU` is rounded to one
+    /// decimal as `(x * 10.0).round() / 10.0`.
+    pub(crate) fn reading_at(&self, key: u64, now: SimInstant) -> Option<Reading> {
         if self.is_crashed(now) {
             return None;
         }
         let pos = RunPosition::locate(self.run()?, now)?;
-        let current_ua = self.current_ua_in(pos.stage).round() as i64;
-        let voltage_uv = self.draw_voltage_uv().round() as i64;
-        let process = pos.stage.apk_running().then(|| {
-            let cpu = self.cpu_pct_in(pos);
-            let _res = self.mem_kb_in(pos);
-            ProcessReading {
-                cpu_pct: format!("{cpu:.1}")
-                    .parse()
-                    .expect("a formatted float parses back"),
-                pss_kb: self.mem_kb_in(pos).round() as u64,
-            }
+        let noise = &mut sample_noise(key, now);
+        let current_ua = self.current_ua_in(noise, pos.stage).round() as i64;
+        let voltage_uv = self.voltage_uv(noise).round() as i64;
+        let process = pos.stage.apk_running().then(|| ProcessReading {
+            cpu_pct: (self.cpu_pct_in(noise, pos) * 10.0).round() / 10.0,
+            pss_kb: self.mem_kb_in(noise, pos).round() as u64,
         });
         Some(Reading {
             stage: pos.stage,
@@ -404,6 +379,19 @@ impl PhoneDevice {
             net_bytes: self.net_bytes_in(pos),
         })
     }
+}
+
+/// The measurement-noise key of phone `id` in a fleet built under `seed`:
+/// the `"phone/{id}"` label derived once, so no sample formats a string.
+/// Ids are unique within a fleet, so no two phones share a key.
+pub(crate) fn noise_key(seed: u64, id: PhoneId) -> u64 {
+    derive_seed(seed, &format!("phone/{}", id.0))
+}
+
+/// The noise stream of one sample: the phone's key and the instant in µs,
+/// mixed through SplitMix64.
+pub(crate) fn sample_noise(key: u64, now: SimInstant) -> RngStream {
+    RngStream::from_seed(SplitMix64::new(key ^ now.as_micros()).next_value())
 }
 
 #[cfg(test)]
@@ -419,8 +407,11 @@ mod tests {
     use super::*;
     use simdc_types::{SimDuration, TaskId};
 
+    /// A noise key, as `PhoneMgr` derives one per phone.
+    const KEY: u64 = 7;
+
     fn phone() -> PhoneDevice {
-        PhoneDevice::new(PhoneId(1), DeviceGrade::High, Provenance::Local, 7)
+        PhoneDevice::new(PhoneId(1), DeviceGrade::High, Provenance::Local)
     }
 
     fn plan(start_secs: u64) -> RunPlan {
@@ -440,17 +431,17 @@ mod tests {
 
     /// The process share of the reading at `secs`, which must fall in a
     /// stage where the APK runs.
-    fn process(p: &mut PhoneDevice, secs: u64) -> ProcessReading {
-        p.reading_at(t(secs))
+    fn process(p: &PhoneDevice, secs: u64) -> ProcessReading {
+        p.reading_at(KEY, t(secs))
             .and_then(|r| r.process)
             .expect("APK running")
     }
 
     #[test]
     fn idle_phone_reports_idle_readings() {
-        let mut p = phone();
+        let p = phone();
         assert!(!p.is_busy(t(0)));
-        assert_eq!(p.reading_at(t(0)), None);
+        assert_eq!(p.reading_at(KEY, t(0)), None);
         assert!(!p.is_touched(), "reading an idle phone draws nothing");
     }
 
@@ -488,7 +479,7 @@ mod tests {
         let mut p = phone();
         p.assign_run(plan(0)).unwrap();
         // Training starts at 30 s (two 15 s measurement windows first).
-        let reading = p.reading_at(t(35)).unwrap();
+        let reading = p.reading_at(KEY, t(35)).unwrap();
         assert_eq!(reading.stage, Stage::Training);
         let ua = reading.current_ua as f64;
         let expected = 40.0 * 1_000.0;
@@ -502,8 +493,8 @@ mod tests {
     fn cpu_rises_during_training() {
         let mut p = phone();
         p.assign_run(plan(0)).unwrap();
-        let busy = process(&mut p, 40).cpu_pct;
-        let settled = process(&mut p, 90).cpu_pct; // post-training
+        let busy = process(&p, 40).cpu_pct;
+        let settled = process(&p, 90).cpu_pct; // post-training
         assert!(busy > settled + 3.0, "busy {busy} vs settled {settled}");
         assert!(busy < 16.0, "Fig 5 band is ~4-13%: {busy}");
     }
@@ -512,8 +503,8 @@ mod tests {
     fn memory_ramps_and_persists_through_waiting() {
         let mut p = phone();
         p.assign_run(plan(0)).unwrap();
-        let early = process(&mut p, 31).pss_kb;
-        let late = process(&mut p, 30 + 16 + 5).pss_kb; // waiting gap
+        let early = process(&p, 31).pss_kb;
+        let late = process(&p, 30 + 16 + 5).pss_kb; // waiting gap
         assert!(late > early, "memory should grow: {early} → {late}");
         assert!(late > 10 * 1024 && late < 55 * 1024);
     }
@@ -522,22 +513,22 @@ mod tests {
     fn net_bytes_accumulate_per_round() {
         let mut p = phone();
         p.assign_run(plan(0)).unwrap();
-        let after_r1 = p.reading_at(t(30 + 16 + 1)).unwrap().net_bytes;
+        let after_r1 = p.reading_at(KEY, t(30 + 16 + 1)).unwrap().net_bytes;
         let expected_r1 = (33.1 * 1024.0) as u64;
         assert!((after_r1 as i64 - expected_r1 as i64).unsigned_abs() < 200);
         let last = p.run().unwrap().end() - SimDuration::from_secs(1);
-        let total = p.reading_at(last).unwrap().net_bytes;
+        let total = p.reading_at(KEY, last).unwrap().net_bytes;
         assert!((total as i64 - 2 * expected_r1 as i64).unsigned_abs() < 400);
     }
 
-    /// `%CPU` is the clamped model value rounded as `{:.1}` prints it. With
-    /// no noise and an idle floor of 1.25 %, APK launch sits at 3.25 and
-    /// post-training at 1.25 — exact binary ties, which `{:.1}` rounds half
-    /// to even (3.2, 1.2) and `(x * 10.0).round() / 10.0` rounds away from
-    /// zero (3.3, 1.3). A training base of 99 % pushes the sine past the
-    /// 100 % clamp.
+    /// `%CPU` is the clamped model value rounded to one decimal as
+    /// `(x * 10.0).round() / 10.0`. With no noise and an idle floor of
+    /// 1.25 %, APK launch sits at 3.25 and post-training at 1.25 — exact
+    /// binary ties, which this rule rounds away from zero (3.3, 1.3) where
+    /// printing with `{:.1}` would round them half to even (3.2, 1.2). A
+    /// training base of 99 % pushes the sine past the 100 % clamp.
     #[test]
-    fn cpu_reading_is_clamped_and_rounded_as_printed() {
+    fn cpu_reading_is_clamped_and_rounded_to_a_tenth() {
         let mut p = phone();
         let mut profile = PhoneProfile::high();
         profile.noise_frac = 0.0;
@@ -547,12 +538,12 @@ mod tests {
         p.assign_run(plan(0)).unwrap();
         let mut seen = std::collections::BTreeMap::new();
         let mut now = t(0);
-        while let Some(reading) = p.reading_at(now) {
+        while let Some(reading) = p.reading_at(KEY, now) {
             if let Some(process) = reading.process {
                 let cpu = process.cpu_pct;
                 match reading.stage {
-                    Stage::ApkLaunch => assert_eq!(cpu, 3.2, "at {now}"),
-                    Stage::PostTraining => assert_eq!(cpu, 1.2, "at {now}"),
+                    Stage::ApkLaunch => assert_eq!(cpu, 3.3, "at {now}"),
+                    Stage::PostTraining => assert_eq!(cpu, 1.3, "at {now}"),
                     Stage::Training => assert!(cpu <= 100.0, "{cpu} at {now}"),
                     _ => {}
                 }
@@ -573,8 +564,8 @@ mod tests {
         assert!(p.is_busy(t(34)));
         assert!(!p.is_busy(t(36)));
         assert!(p.is_crashed(t(36)));
-        assert!(p.reading_at(t(34)).is_some());
-        assert_eq!(p.reading_at(t(40)), None);
+        assert!(p.reading_at(KEY, t(34)).is_some());
+        assert_eq!(p.reading_at(KEY, t(40)), None);
         // Crashed phones reject new work until rebooted.
         let end = plan(0).end();
         let next = RunPlan::new(
@@ -618,8 +609,8 @@ mod tests {
     fn pid_visible_only_while_apk_runs() {
         let mut p = phone();
         p.assign_run(plan(0)).unwrap();
-        let mut alive = |secs| {
-            p.reading_at(t(secs))
+        let alive = |secs| {
+            p.reading_at(KEY, t(secs))
                 .expect("inside the run")
                 .process
                 .is_some()
@@ -629,7 +620,7 @@ mod tests {
         assert!(alive(40)); // training
         assert!(!alive(111)); // APK closed
         let end = p.run().unwrap().end();
-        assert_eq!(p.reading_at(end), None);
+        assert_eq!(p.reading_at(KEY, end), None);
     }
 
     /// `poll` reports no CPU or memory exactly when the reading carries no
@@ -643,7 +634,7 @@ mod tests {
         // One instant inside each window, and both edges of the run.
         for secs in [0, 7, 15, 22, 30, 40, 46, 60, 66, 80, 82, 90, 97, 111] {
             let stage = p.run().unwrap().stage_at(t(secs)).expect("inside the run");
-            let reading = p.reading_at(t(secs)).expect("inside the run");
+            let reading = p.reading_at(KEY, t(secs)).expect("inside the run");
             assert_eq!(reading.stage, stage);
             assert_eq!(
                 reading.process.is_some(),
@@ -655,10 +646,10 @@ mod tests {
         assert_eq!(alive_in.len(), 6, "every stage visited: {alive_in:?}");
         assert_eq!(alive_in.values().filter(|&&alive| alive).count(), 4);
         // Outside the run, and once crashed, there is nothing to read.
-        assert!(p.reading_at(t(112)).is_none());
+        assert!(p.reading_at(KEY, t(112)).is_none());
         p.inject_crash(t(40));
-        assert!(p.reading_at(t(40)).is_none());
-        assert!(p.reading_at(t(39)).is_some());
+        assert!(p.reading_at(KEY, t(40)).is_none());
+        assert!(p.reading_at(KEY, t(39)).is_some());
     }
 
     #[test]

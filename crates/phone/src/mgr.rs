@@ -23,14 +23,15 @@
 //!
 //! # What a fleet costs
 //!
-//! A phone nothing has happened to is a 24-byte [`PhoneDevice`] record in
+//! A phone nothing has happened to is a 16-byte [`PhoneDevice`] record in
 //! one dense vector plus one bit in its segment's free set, and nothing
-//! else: no map entry, no profile copy. Ids run contiguously from 0, so
-//! phone `id` sits at slot `id`, and [`PhoneMgr::with_fleet`] loads the
-//! index with one all-free bitset per segment (`ceil(count / 64)` words),
-//! so building a fleet costs one vector fill. A phone that crashes and
-//! reboots is back to that record alone unless it also carries a custom
-//! profile, a run or a noise stream.
+//! else: no map entry, no profile copy, no seed (the manager keeps the
+//! fleet's one). Ids run contiguously from 0, so phone `id` sits at slot
+//! `id`, and [`PhoneMgr::with_fleet`] loads the index with one all-free
+//! bitset per segment (`ceil(count / 64)` words), so building a fleet
+//! costs one vector fill. Measuring a phone only reads it. A phone that
+//! crashes and reboots is back to that record alone unless it also
+//! carries a custom profile or a run.
 //!
 //! Availability is time-dependent (runs end, crashes strike), so index
 //! queries assume a non-decreasing `now` — the discrete-event platform's
@@ -41,7 +42,7 @@
 use serde::{Deserialize, Serialize};
 use simdc_types::{DeviceGrade, PerGrade, PhoneId, Result, SimDuration, SimInstant, SimdcError};
 
-use crate::device::{PhoneDevice, Provenance};
+use crate::device::{noise_key, PhoneDevice, Provenance};
 use crate::index::{contribution, FleetIndex};
 use crate::measure::{aggregate_stages, PerfReport, PerfSample};
 use crate::profile::PhoneProfile;
@@ -156,6 +157,8 @@ pub struct PhoneMgr {
     /// The fleet, phone `id` at slot `id`.
     phones: Vec<PhoneDevice>,
     poll_interval: SimDuration,
+    /// The fleet seed: each phone's measurement noise derives from it.
+    seed: u64,
     /// Incremental availability index: queries advance it to their `now`,
     /// and every manager write re-indexes what it changed.
     index: FleetIndex,
@@ -185,14 +188,16 @@ impl PhoneMgr {
         let mut phones = Vec::with_capacity(spec.total());
         let mut index = FleetIndex::default();
         for seg in &segments {
-            phones.extend((0..seg.count as u32).map(|i| {
-                PhoneDevice::new(PhoneId(seg.start + i), seg.grade, seg.provenance, seed)
-            }));
+            phones.extend(
+                (0..seg.count as u32)
+                    .map(|i| PhoneDevice::new(PhoneId(seg.start + i), seg.grade, seg.provenance)),
+            );
             index.load_segment(seg);
         }
         PhoneMgr {
             phones,
             poll_interval,
+            seed,
             index,
         }
     }
@@ -221,12 +226,10 @@ impl PhoneMgr {
         self.phones.get(id.0 as usize)
     }
 
-    /// A phone to measure or re-profile. Neither changes availability, so
-    /// nothing is re-indexed here.
-    fn device_mut(&mut self, id: PhoneId) -> Result<&mut PhoneDevice> {
-        self.phones
-            .get_mut(id.0 as usize)
-            .ok_or(SimdcError::PhoneUnavailable(id))
+    /// A phone to measure, with its noise key.
+    fn measured(&self, id: PhoneId) -> Result<(&PhoneDevice, u64)> {
+        let phone = self.phone(id).ok_or(SimdcError::PhoneUnavailable(id))?;
+        Ok((phone, noise_key(self.seed, id)))
     }
 
     /// Applies `change` to phone `id`, then re-indexes the phone's
@@ -289,7 +292,11 @@ impl PhoneMgr {
     /// `InvalidConfig` if the profile fails validation or its grade
     /// differs from the phone's.
     pub fn set_phone_profile(&mut self, id: PhoneId, profile: PhoneProfile) -> Result<()> {
-        let phone = self.device_mut(id)?;
+        // A re-profile changes no availability, so nothing is re-indexed.
+        let phone = self
+            .phones
+            .get_mut(id.0 as usize)
+            .ok_or(SimdcError::PhoneUnavailable(id))?;
         let old = contribution(phone.profile());
         phone.set_profile(profile)?;
         let (grade, new) = (phone.grade(), contribution(phone.profile()));
@@ -405,7 +412,8 @@ impl PhoneMgr {
 
     /// Measures one phone at virtual time `now`: the numbers the paper's
     /// ADB command battery reports, read from the device's typed reading
-    /// of itself.
+    /// of itself. A sample depends only on the fleet seed, the phone and
+    /// `now`, so polling changes nothing and repeats exactly.
     ///
     /// # Errors
     ///
@@ -413,8 +421,9 @@ impl PhoneMgr {
     /// [`SimdcError::NoActiveRun`] when the device is offline or has no
     /// active run at `now` — only benchmarking devices inside a run are
     /// polled.
-    pub fn poll(&mut self, id: PhoneId, now: SimInstant) -> Result<PerfSample> {
-        take_sample(self.device_mut(id)?, now)
+    pub fn poll(&self, id: PhoneId, now: SimInstant) -> Result<PerfSample> {
+        let (phone, key) = self.measured(id)?;
+        take_sample(phone, key, now)
     }
 
     /// Measures a benchmarking phone across its entire active run: polls at
@@ -431,9 +440,9 @@ impl PhoneMgr {
     /// Returns [`SimdcError::PhoneUnavailable`] for unknown phones,
     /// `InvalidConfig` if the phone has no assigned run, and propagates any
     /// sampling error.
-    pub fn measure_run(&mut self, id: PhoneId) -> Result<PerfReport> {
+    pub fn measure_run(&self, id: PhoneId) -> Result<PerfReport> {
         let interval = self.poll_interval;
-        let phone = self.device_mut(id)?;
+        let (phone, key) = self.measured(id)?;
         let run = phone
             .run()
             .ok_or_else(|| SimdcError::InvalidConfig(format!("phone {id} has no assigned run")))?;
@@ -446,7 +455,7 @@ impl PhoneMgr {
         let mut samples = Vec::with_capacity(polls);
         let mut t = start;
         while t < end && !phone.is_crashed(t) {
-            samples.push(take_sample(phone, t)?);
+            samples.push(take_sample(phone, key, t)?);
             t += interval;
         }
 
@@ -486,10 +495,10 @@ impl PhoneMgr {
 /// One [`PerfSample`] from the phone's typed reading, in the paper's units:
 /// positive µA, µV → mV, whole-KB PSS, and zero CPU / memory while no
 /// process is alive.
-fn take_sample(phone: &mut PhoneDevice, now: SimInstant) -> Result<PerfSample> {
+fn take_sample(phone: &PhoneDevice, key: u64, now: SimInstant) -> Result<PerfSample> {
     let id = phone.id();
     let reading = phone
-        .reading_at(now)
+        .reading_at(key, now)
         .ok_or(SimdcError::NoActiveRun { phone: id, at: now })?;
     let (cpu_pct, mem_kb) = reading
         .process
@@ -509,6 +518,7 @@ fn take_sample(phone: &mut PhoneDevice, now: SimInstant) -> Result<PerfSample> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::sample_noise;
     use crate::stage::Stage;
     use simdc_types::TaskId;
 
@@ -640,7 +650,7 @@ mod tests {
 
     #[test]
     fn poll_without_run_is_an_error() {
-        let mut mgr = PhoneMgr::paper_default(7);
+        let mgr = PhoneMgr::paper_default(7);
         let id = mgr.phones()[0].id();
         assert!(mgr.poll(id, t(0)).is_err());
     }
@@ -731,29 +741,76 @@ mod tests {
         }
     }
 
+    /// A phone with one run submitted at `start`, in a paper fleet under
+    /// `seed`.
+    fn running(seed: u64, task: u64, start: SimInstant) -> (PhoneMgr, PhoneId) {
+        let mut mgr = PhoneMgr::paper_default(seed);
+        let id = mgr.select(DeviceGrade::High, 1, start).unwrap()[0];
+        submit(&mut mgr, id, task, start);
+        (mgr, id)
+    }
+
+    fn submit(mgr: &mut PhoneMgr, id: PhoneId, task: u64, start: SimInstant) {
+        let plan = mgr
+            .plan_for(id, TaskId(task), start, 2, SimDuration::from_secs(10))
+            .unwrap();
+        mgr.submit_run(id, plan).unwrap();
+    }
+
+    #[test]
+    fn poll_equals_the_sample_measure_run_takes() {
+        let (mgr, id) = running(19, 1, t(0));
+        let report = mgr.measure_run(id).unwrap();
+        assert!(report.samples.len() > 100);
+        for sample in &report.samples {
+            assert_eq!(mgr.poll(id, sample.at).unwrap(), *sample);
+        }
+        assert_eq!(mgr.measure_run(id).unwrap(), report, "measuring repeats");
+    }
+
+    /// A run's report depends on the fleet seed, the phone and the run
+    /// alone: not on an earlier run the phone served and was measured on,
+    /// nor on polls in between.
+    #[test]
+    fn a_run_s_report_ignores_the_phone_s_history() {
+        let second = t(1_000);
+        let (fresh, id) = running(20, 2, second);
+        let expected = fresh.measure_run(id).unwrap();
+
+        let (mut served, same) = running(20, 1, t(0));
+        assert_eq!(same, id);
+        let first = served.measure_run(id).unwrap();
+        for sample in &first.samples {
+            let _ = served.poll(id, sample.at + SimDuration::from_millis(500));
+        }
+        submit(&mut served, id, 2, second);
+        assert_eq!(served.measure_run(id).unwrap(), expected, "after a run");
+        for sample in &expected.samples[..10] {
+            served
+                .poll(id, sample.at + SimDuration::from_millis(500))
+                .unwrap();
+        }
+        assert_eq!(served.measure_run(id).unwrap(), expected, "after polls");
+    }
+
     /// A noiseless profile draws nothing for current, CPU or memory — the
-    /// samples are the model values — but voltage always wobbles, one draw
-    /// per poll.
+    /// samples are the model values — but voltage always wobbles: it is
+    /// the first draw of each sample's own stream.
     #[test]
     fn noiseless_profile_still_draws_voltage() {
-        let build = || {
-            let mut mgr = PhoneMgr::paper_default(18);
-            let id = mgr.select(DeviceGrade::High, 1, t(0)).unwrap()[0];
-            let mut quiet = PhoneProfile::high();
-            quiet.noise_frac = 0.0;
-            mgr.set_phone_profile(id, quiet).unwrap();
-            let plan = mgr
-                .plan_for(id, TaskId(1), t(0), 1, SimDuration::ZERO)
-                .unwrap();
-            mgr.submit_run(id, plan).unwrap();
-            (mgr, id)
-        };
-        let (mut polled, id) = build();
-        let (mut drawn, _) = build();
+        let mut mgr = PhoneMgr::paper_default(18);
+        let id = mgr.select(DeviceGrade::High, 1, t(0)).unwrap()[0];
+        let mut quiet = PhoneProfile::high();
+        quiet.noise_frac = 0.0;
+        mgr.set_phone_profile(id, quiet).unwrap();
+        let plan = mgr
+            .plan_for(id, TaskId(1), t(0), 1, SimDuration::ZERO)
+            .unwrap();
+        mgr.submit_run(id, plan).unwrap();
+        let profile = PhoneProfile::high();
         let mut voltages = Vec::new();
         for secs in [2, 20, 35, 50, 70] {
-            let sample = polled.poll(id, t(secs)).unwrap();
-            let profile = PhoneProfile::high();
+            let sample = mgr.poll(id, t(secs)).unwrap();
             assert_eq!(
                 sample.current_ua,
                 (profile.stage_current(sample.stage) * 1_000.0).round()
@@ -767,8 +824,9 @@ mod tests {
             if sample.stage == Stage::ApkLaunch {
                 assert_eq!(sample.mem_kb, 14.0 * 1_024.0);
             }
-            // The same phone, making only the voltage draw.
-            let uv = drawn.device_mut(id).unwrap().draw_voltage_uv();
+            // The sample's stream, making only the voltage draw.
+            let draw = sample_noise(noise_key(18, id), t(secs)).uniform_range(0.995, 1.005);
+            let uv = profile.voltage_mv * 1_000.0 * draw;
             assert_eq!(sample.voltage_mv, uv.round() / 1_000.0);
             voltages.push(sample.voltage_mv);
         }
@@ -841,15 +899,14 @@ mod tests {
     }
 
     /// "Costs what it touches", as counts that repeat exactly rather than
-    /// timings: an untouched fleet is the 24-byte records plus one free-set
+    /// timings: an untouched fleet is the 16-byte records plus one free-set
     /// bitset per segment, touching `k` phones adds `k` cold states and no
-    /// index allocation, and a crash-and-reboot leaves a nominal phone
-    /// untouched again. (That lazily seeded phones draw the noise an
-    /// eagerly seeded phone would is already pinned by the table1 / fig5
-    /// goldens in `crates/bench/tests/golden.rs`.)
+    /// index allocation, measuring them adds nothing, and a
+    /// crash-and-reboot leaves a nominal phone untouched again, measured or
+    /// not.
     #[test]
     fn a_fleet_costs_what_it_touches() {
-        assert!(std::mem::size_of::<PhoneDevice>() <= 24);
+        assert!(std::mem::size_of::<PhoneDevice>() <= 16);
         let spec = FleetSpec::scaled_paper(100_000);
         let mut mgr = PhoneMgr::with_fleet(spec, SimDuration::from_secs(1), 3);
         let mut words = [[0; 2]; DeviceGrade::COUNT];
@@ -861,7 +918,8 @@ mod tests {
         assert!(!mgr.phones.iter().any(PhoneDevice::is_touched));
 
         let k = 5;
-        for id in mgr.select(DeviceGrade::Low, k, t(0)).unwrap() {
+        let runs = mgr.select(DeviceGrade::Low, k, t(0)).unwrap();
+        for &id in &runs {
             let plan = mgr
                 .plan_for(id, TaskId(1), t(0), 1, SimDuration::ZERO)
                 .unwrap();
@@ -870,6 +928,17 @@ mod tests {
         assert_eq!(mgr.index.free_words(), words);
         let touched = mgr.phones.iter().filter(|p| p.is_touched()).count();
         assert_eq!(touched, k);
+
+        // Measuring the runs leaves every phone as it was, and a measured
+        // phone that crashes and reboots is untouched again.
+        let before = mgr.phones.clone();
+        for &id in &runs {
+            assert!(!mgr.measure_run(id).unwrap().samples.is_empty());
+        }
+        assert!(mgr.phones == before, "measuring changes no phone");
+        mgr.inject_crash(runs[0], t(1)).unwrap();
+        mgr.reboot(runs[0]).unwrap();
+        assert!(!mgr.phone(runs[0]).unwrap().is_touched());
 
         // Crash and reboot idle nominal phones, and one straggler, all High.
         let straggler = PhoneId(40_000);
@@ -884,7 +953,7 @@ mod tests {
             }
         }
         let touched = mgr.phones.iter().filter(|p| p.is_touched()).count();
-        assert_eq!(touched, k + 1, "the runs and the straggler");
+        assert_eq!(touched, k, "the runs left and the straggler");
         assert_eq!(*mgr.phone(straggler).unwrap().profile(), slowed);
         assert_eq!(mgr.index.free_words(), words);
     }
