@@ -14,7 +14,11 @@
 //! both sides' q1/median/q3, the ratio of the medians (change / base) and
 //! the pairs the change won and lost. It then runs `run --quick` once per
 //! side and requires every workload's output digest to be equal, so a row
-//! exists only for two builds that compute the same thing.
+//! exists only for two builds that compute the same thing. Of the row it
+//! prints each cell's `wall_s`, then every cell that reads worse than
+//! its metric's bound, as `worse` or, when the medians moved by no more
+//! than the base's spread (or one 10 ms tick of `user_cpu_s`),
+//! `unresolved`.
 //!
 //! The tool measures from outside, as `BENCHMARK.json`'s command does: it
 //! links no simulator code, only starts the two binaries.
@@ -34,14 +38,20 @@ pub const WORKLOADS: [&str; 6] = [
     "traffic_shaping",
 ];
 
-/// The benchmark's end-to-end metrics and whether higher is better.
-pub const END_TO_END: [(&str, bool); 5] = [
-    ("wall_s", false),
-    ("events_per_s", true),
-    ("setup_s", false),
-    ("peak_rss_mb", false),
-    ("user_cpu_s", false),
+/// The benchmark's end-to-end metrics: name, whether higher is better,
+/// and the bound (a fraction of the base) by which a change may read
+/// worse.
+pub const END_TO_END: [(&str, bool, f64); 5] = [
+    ("wall_s", false, 0.25),
+    ("events_per_s", true, 0.25),
+    ("setup_s", false, 0.25),
+    ("peak_rss_mb", false, 0.2),
+    ("user_cpu_s", false, 0.25),
 ];
+
+/// The resolution of `user_cpu_s`: the benchmark reads it in 10 ms utime
+/// ticks.
+const CPU_TICK_S: f64 = 0.01;
 
 /// The `about` text of a new trajectory file.
 const ABOUT: &str = "Append-only: one row per measured change. A row with `set` holds the \
@@ -179,7 +189,7 @@ impl AbCell {
         metric: &str,
         pairs: &[(f64, f64)],
     ) -> Result<Self, String> {
-        let higher_is_better = higher_is_better(metric)?;
+        let (higher_is_better, _) = metric_rule(metric)?;
         let base = Quartiles::of(&pairs.iter().map(|p| p.0).collect::<Vec<_>>())?;
         let change = Quartiles::of(&pairs.iter().map(|p| p.1).collect::<Vec<_>>())?;
         let better = |a: f64, b: f64| if higher_is_better { a > b } else { a < b };
@@ -196,6 +206,35 @@ impl AbCell {
     }
 }
 
+impl AbCell {
+    /// `None` while the change reads no worse than the metric's bound;
+    /// beyond it, `unresolved` when the medians moved by no more than the
+    /// base's interquartile range (for `user_cpu_s`, or by one 10 ms
+    /// tick), else `worse`.
+    fn verdict(&self) -> Option<&'static str> {
+        let (higher_is_better, bound) = metric_rule(&self.metric).ok()?;
+        let beyond = if higher_is_better {
+            self.ratio < 1.0 - bound
+        } else {
+            self.ratio > 1.0 + bound
+        };
+        if !beyond {
+            return None;
+        }
+        let mut noise = self.base.q3 - self.base.q1;
+        if self.metric == "user_cpu_s" {
+            noise = noise.max(CPU_TICK_S);
+        }
+        // The slack absorbs the rounding of two decimal medians.
+        let moved = (self.change.median - self.base.median).abs();
+        Some(if moved <= noise + 1e-9 {
+            "unresolved"
+        } else {
+            "worse"
+        })
+    }
+}
+
 fn median_ratio(base: Quartiles, change: Quartiles) -> f64 {
     if change.median == base.median {
         1.0
@@ -204,11 +243,12 @@ fn median_ratio(base: Quartiles, change: Quartiles) -> f64 {
     }
 }
 
-fn higher_is_better(metric: &str) -> Result<bool, String> {
+/// Whether higher is better for `metric`, and its bound.
+fn metric_rule(metric: &str) -> Result<(bool, f64), String> {
     END_TO_END
         .iter()
-        .find(|(name, _)| *name == metric)
-        .map(|(_, higher)| *higher)
+        .find(|(name, ..)| *name == metric)
+        .map(|&(_, higher, bound)| (higher, bound))
         .ok_or_else(|| format!("`{metric}` is not an end-to-end metric"))
 }
 
@@ -247,7 +287,7 @@ impl TrajectoryRow {
                 }
                 for v in &self.set {
                     known_workload(&v.workload).map_err(fail)?;
-                    higher_is_better(&v.metric).map_err(fail)?;
+                    metric_rule(&v.metric).map_err(fail)?;
                     if !v.value.is_finite() {
                         return Err(fail(format!("{} {} is not finite", v.workload, v.metric)));
                     }
@@ -260,7 +300,7 @@ impl TrajectoryRow {
                 for c in &self.ab {
                     let cell = format!("{} seed {} {}", c.workload, c.seed, c.metric);
                     known_workload(&c.workload).map_err(fail)?;
-                    higher_is_better(&c.metric).map_err(fail)?;
+                    metric_rule(&c.metric).map_err(fail)?;
                     if !self.seeds.contains(&c.seed) {
                         return Err(fail(format!("{cell}: seed not in the row's seeds")));
                     }
@@ -414,7 +454,7 @@ fn parse_result_line(stdout: &str) -> Result<[f64; 5], String> {
     }
     let metrics = field(&value, "metrics").unwrap_or(Value::Null);
     let mut out = [0.0; 5];
-    for (slot, (name, _)) in out.iter_mut().zip(END_TO_END) {
+    for (slot, (name, ..)) in out.iter_mut().zip(END_TO_END) {
         *slot = match field(&metrics, name).and_then(|m| field(&m, "value")) {
             Some(Value::F64(v)) => v,
             Some(Value::U64(v)) => v as f64,
@@ -490,7 +530,7 @@ fn measure(opts: &AbOptions) -> Result<TrajectoryRow, String> {
                     (second, first)
                 });
             }
-            for (m, (metric, _)) in END_TO_END.iter().enumerate() {
+            for (m, (metric, ..)) in END_TO_END.iter().enumerate() {
                 let values: Vec<(f64, f64)> = pairs.iter().map(|(b, c)| (b[m], c[m])).collect();
                 ab.push(AbCell::from_pairs(workload, seed, metric, &values)?);
             }
@@ -547,7 +587,8 @@ pub fn read_trajectory(path: &Path) -> Result<Trajectory, String> {
 }
 
 /// `simdc-bench ab`: measures `opts`, prints each cell's `wall_s` and
-/// appends the row to `opts.out`.
+/// every cell beyond its bound with its verdict, and appends the row to
+/// `opts.out`.
 ///
 /// # Errors
 ///
@@ -575,6 +616,22 @@ pub fn run(opts: &AbOptions) -> Result<(), String> {
             c.base.q1,
             c.base.q3
         );
+    }
+    for c in &row.ab {
+        if let Some(verdict) = c.verdict() {
+            println!(
+                "{} seed {}: {} {:.4} -> {:.4} ({:.3}x) beyond its bound: {verdict} \
+                 (base q1-q3 {:.4}-{:.4})",
+                c.workload,
+                c.seed,
+                c.metric,
+                c.base.median,
+                c.change.median,
+                c.ratio,
+                c.base.q1,
+                c.base.q3
+            );
+        }
     }
     trajectory.rows.push(row);
     let text = serde_json::to_string_pretty(&trajectory).map_err(|e| e.to_string())?;
@@ -608,6 +665,35 @@ mod tests {
         assert!(AbCell::from_pairs("dense_flow", 7, "wall", &pairs).is_err());
         let idle = AbCell::from_pairs("dense_flow", 7, "user_cpu_s", &[(0.0, 0.0)]).unwrap();
         assert_eq!((idle.ratio, idle.won, idle.lost), (1.0, 0, 0));
+    }
+
+    #[test]
+    fn a_one_tick_cpu_move_is_unresolved_and_a_real_move_worse() {
+        // backlog's user_cpu_s: every base run reads two 10 ms ticks and
+        // every change run three, a 1.5x ratio beyond the 25 % bound.
+        let tick = [(0.02, 0.03); 10];
+        let cpu = AbCell::from_pairs("backlog", 7, "user_cpu_s", &tick).unwrap();
+        assert!((cpu.ratio - 1.5).abs() < 1e-12);
+        assert_eq!(cpu.verdict(), Some("unresolved"));
+        // The same numbers as wall time are a resolved regression.
+        let wall = AbCell::from_pairs("backlog", 7, "wall_s", &tick).unwrap();
+        assert_eq!(wall.verdict(), Some("worse"));
+        // Two ticks of CPU are more than the tick.
+        let two = AbCell::from_pairs("backlog", 7, "user_cpu_s", &[(0.02, 0.04); 4]).unwrap();
+        assert_eq!(two.verdict(), Some("worse"));
+        // A move inside the base's spread is unresolved.
+        let spread = [(0.08, 0.14), (0.10, 0.14), (0.12, 0.14), (0.20, 0.14)];
+        let noisy = AbCell::from_pairs("backlog", 7, "wall_s", &spread).unwrap();
+        assert!(noisy.ratio > 1.25);
+        assert_eq!(noisy.verdict(), Some("unresolved"));
+        // Within the bound, or better, there is no verdict; a rate is
+        // worse when it falls.
+        let within = AbCell::from_pairs("backlog", 7, "wall_s", &[(1.0, 1.2); 3]).unwrap();
+        assert_eq!(within.verdict(), None);
+        let faster = AbCell::from_pairs("backlog", 7, "wall_s", &[(1.0, 0.5); 3]).unwrap();
+        assert_eq!(faster.verdict(), None);
+        let slower = AbCell::from_pairs("backlog", 7, "events_per_s", &[(100.0, 70.0); 3]).unwrap();
+        assert_eq!(slower.verdict(), Some("worse"));
     }
 
     #[test]
@@ -682,7 +768,7 @@ mod tests {
         use std::os::unix::fs::PermissionsExt;
         let path = dir.join(name);
         let metrics = END_TO_END
-            .map(|(m, _)| format!("\"{m}\":{{\"value\":{wall},\"unit\":\"s\"}}"))
+            .map(|(m, ..)| format!("\"{m}\":{{\"value\":{wall},\"unit\":\"s\"}}"))
             .join(",");
         let script = format!(
             "#!/bin/sh\necho {name} >> {calls}\nif [ \"$2\" = --quick ]; then\n\

@@ -45,8 +45,15 @@ struct ResultSet {
 /// `BENCHMARK.json`'s metric lists.
 #[derive(Debug, Deserialize)]
 struct Manifest {
-    end_to_end: Vec<Named>,
+    end_to_end: Vec<Bounded>,
     per_layer: Vec<Named>,
+}
+
+#[derive(Debug, Deserialize)]
+struct Bounded {
+    name: String,
+    better: String,
+    bound: f64,
 }
 
 #[derive(Debug, Deserialize)]
@@ -105,8 +112,16 @@ fn check_results(set: &str, results: &[WorkloadResult], metrics: &[String]) {
 fn every_committed_result_set_has_the_benchmark_s_shape() {
     let manifest: Manifest = read(&root().join("BENCHMARK.json"));
     let names = |list: &[Named]| list.iter().map(|m| m.name.clone()).collect::<Vec<_>>();
-    let end_to_end = names(&manifest.end_to_end);
-    assert_eq!(end_to_end, END_TO_END.map(|(name, _)| name.to_string()));
+    let rules: Vec<(&str, bool, f64)> = manifest
+        .end_to_end
+        .iter()
+        .map(|m| (m.name.as_str(), m.better == "higher", m.bound))
+        .collect();
+    assert_eq!(
+        rules, END_TO_END,
+        "`simdc-bench ab` reads BENCHMARK.json's rules"
+    );
+    let end_to_end: Vec<String> = manifest.end_to_end.iter().map(|m| m.name.clone()).collect();
     let sets = result_sets();
     assert!(!sets.is_empty());
     for (name, set) in &sets {

@@ -21,14 +21,14 @@
 //! use simdc_cluster::{Autoscaler, AutoscalerConfig, NodePool, ScalingAction};
 //! use simdc_types::{ResourceBundle, SimDuration, SimInstant};
 //!
-//! let mut pool = NodePool::new(ResourceBundle::cores_gib(4, 4), 1, 8);
-//! let mut scaler = Autoscaler::new(AutoscalerConfig::default());
+//! // One 4-core node of 1-core units: 4 units, growing to 8 nodes.
 //! let unit = ResourceBundle::cores_gib(1, 1);
+//! let mut pool = NodePool::new(ResourceBundle::cores_gib(4, 4), unit, 1, 8);
+//! let mut scaler = Autoscaler::new(AutoscalerConfig::default());
 //!
-//! // 12 unit bundles of queued demand against 4 free units: boot nodes.
+//! // 12 units of queued demand against 4 free units: boot nodes.
 //! let action = scaler.assess(
 //!     &mut pool,
-//!     &unit,
 //!     12,
 //!     SimDuration::from_secs(45),
 //!     1.0, // node_hourly_cost
@@ -39,13 +39,13 @@
 //! };
 //! assert!(nodes >= 2);
 //! // The capacity is only placeable after the boot latency elapses.
-//! assert_eq!(pool.placeable(&unit), 4);
+//! assert_eq!(pool.placeable(), 4);
 //! pool.advance_to(ready_at);
-//! assert!(pool.placeable(&unit) >= 12);
+//! assert!(pool.placeable() >= 12);
 //! ```
 
 use serde::{Deserialize, Serialize};
-use simdc_types::{ResourceBundle, Result, SimDuration, SimInstant, SimdcError};
+use simdc_types::{Result, SimDuration, SimInstant, SimdcError};
 
 use crate::node::NodePool;
 
@@ -241,7 +241,7 @@ impl Autoscaler {
         cap.max(self.min_nodes.min(pool.max_nodes()))
     }
 
-    /// One policy pass: reacts to `demand_units` of queued unit-bundle
+    /// One policy pass: reacts to `demand_units` of queued unit
     /// demand (claims of pending tasks that could not be admitted) given
     /// the pool's current state, and applies the decision to the pool.
     ///
@@ -253,21 +253,17 @@ impl Autoscaler {
     pub fn assess(
         &mut self,
         pool: &mut NodePool,
-        unit: &ResourceBundle,
         demand_units: u64,
         boot_latency: SimDuration,
         node_hourly_cost: f64,
         now: SimInstant,
     ) -> ScalingAction {
-        let per_node = pool.template().max_bundles(unit);
-        if per_node == 0 {
-            return ScalingAction::Hold;
-        }
+        let per_node = pool.units_per_node();
         let cap = self.node_cap(pool, node_hourly_cost);
 
         if demand_units > 0 {
             // Capacity the queue will see once in-flight boots finish.
-            let prospective = pool.prospective_units(unit);
+            let prospective = pool.prospective_units();
             if demand_units > prospective {
                 let deficit = demand_units - prospective;
                 // Provision toward the target utilization, not 100%.
@@ -331,8 +327,7 @@ impl Autoscaler {
             }
         }
         let ready = pool.ready_count();
-        let free_units = pool.placeable(unit);
-        let used_units = pool.unit_capacity(unit).saturating_sub(free_units);
+        let used_units = pool.unit_capacity().saturating_sub(pool.placeable());
         let desired = ((used_units as f64 / ((per_node as f64) * self.config.target_utilization))
             .ceil() as usize)
             .max(self.min_nodes)
@@ -352,13 +347,16 @@ impl Autoscaler {
 mod tests {
     use super::*;
 
-    fn unit() -> ResourceBundle {
-        ResourceBundle::cores_gib(1, 1)
-    }
+    use simdc_types::ResourceBundle;
 
     fn pool() -> NodePool {
         // 4-unit nodes, 2 initial, max 8.
-        NodePool::new(ResourceBundle::cores_gib(4, 4), 2, 8)
+        NodePool::new(
+            ResourceBundle::cores_gib(4, 4),
+            ResourceBundle::cores_gib(1, 1),
+            2,
+            8,
+        )
     }
 
     fn t(secs: u64) -> SimInstant {
@@ -391,7 +389,7 @@ mod tests {
     fn queue_pressure_boots_nodes_with_latency() {
         let mut pool = pool();
         let mut scaler = Autoscaler::new(AutoscalerConfig::default()).with_min_nodes(2);
-        let action = scaler.assess(&mut pool, &unit(), 20, BOOT, 1.0, t(0));
+        let action = scaler.assess(&mut pool, 20, BOOT, 1.0, t(0));
         let ScalingAction::ScaleUp {
             nodes,
             reclaimed,
@@ -403,11 +401,11 @@ mod tests {
         assert_eq!(reclaimed, 0, "nothing was draining");
         assert!(nodes >= 4, "20 units over 8 free at 0.7 target: {nodes}");
         assert_eq!(ready_at, SimInstant::EPOCH + BOOT);
-        assert_eq!(pool.placeable(&unit()), 8, "boot latency not charged");
+        assert_eq!(pool.placeable(), 8, "boot latency not charged");
         // A second pass at the same instant sees the in-flight boots and
         // holds instead of double-booting.
         assert_eq!(
-            scaler.assess(&mut pool, &unit(), 20, BOOT, 1.0, t(0)),
+            scaler.assess(&mut pool, 20, BOOT, 1.0, t(0)),
             ScalingAction::Hold
         );
     }
@@ -422,7 +420,7 @@ mod tests {
         .with_min_nodes(2);
         assert_eq!(scaler.node_cap(&pool, 1.0), 3);
         // Huge demand still only affords one extra node at 1.0/h each.
-        let action = scaler.assess(&mut pool, &unit(), 1_000, BOOT, 1.0, t(0));
+        let action = scaler.assess(&mut pool, 1_000, BOOT, 1.0, t(0));
         assert_eq!(
             action,
             ScalingAction::ScaleUp {
@@ -434,7 +432,7 @@ mod tests {
         assert_eq!(pool.len(), 3);
         // At the cap, further pressure holds.
         assert_eq!(
-            scaler.assess(&mut pool, &unit(), 1_000, BOOT, 1.0, t(60)),
+            scaler.assess(&mut pool, 1_000, BOOT, 1.0, t(60)),
             ScalingAction::Hold
         );
     }
@@ -447,7 +445,7 @@ mod tests {
         assert_eq!(pool.ready_count(), 6);
         let mut scaler = Autoscaler::new(AutoscalerConfig::default()).with_min_nodes(2);
         // Idle and under-utilized: drain down to the floor.
-        let action = scaler.assess(&mut pool, &unit(), 0, BOOT, 1.0, t(600));
+        let action = scaler.assess(&mut pool, 0, BOOT, 1.0, t(600));
         assert_eq!(action, ScalingAction::ScaleIn { nodes: 4 });
         pool.advance_to(t(600));
         assert_eq!(pool.len(), 2);
@@ -455,12 +453,12 @@ mod tests {
         pool.scale_up(2, t(601));
         pool.advance_to(t(601));
         assert_eq!(
-            scaler.assess(&mut pool, &unit(), 0, BOOT, 1.0, t(610)),
+            scaler.assess(&mut pool, 0, BOOT, 1.0, t(610)),
             ScalingAction::Hold
         );
         // After the cooldown the surplus drains again.
         assert!(matches!(
-            scaler.assess(&mut pool, &unit(), 0, BOOT, 1.0, t(601 + 200)),
+            scaler.assess(&mut pool, 0, BOOT, 1.0, t(601 + 200)),
             ScalingAction::ScaleIn { .. }
         ));
     }
@@ -468,11 +466,11 @@ mod tests {
     #[test]
     fn busy_pool_does_not_scale_in() {
         let mut pool = pool();
-        pool.place(&ResourceBundle::cores_gib(4, 4)).unwrap();
+        pool.place(4, 1).unwrap();
         // 50% utilization is above the 30% threshold: hold.
         let mut scaler = Autoscaler::new(AutoscalerConfig::default()).with_min_nodes(1);
         assert_eq!(
-            scaler.assess(&mut pool, &unit(), 0, BOOT, 1.0, t(600)),
+            scaler.assess(&mut pool, 0, BOOT, 1.0, t(600)),
             ScalingAction::Hold
         );
     }
@@ -485,14 +483,14 @@ mod tests {
         pool.drain(2);
         assert_eq!(pool.ready_count(), 2);
         let mut scaler = Autoscaler::new(AutoscalerConfig::default()).with_min_nodes(2);
-        let action = scaler.assess(&mut pool, &unit(), 12, BOOT, 1.0, t(10));
+        let action = scaler.assess(&mut pool, 12, BOOT, 1.0, t(10));
         // 12 units over 8 free: 2 more nodes at 0.7 target; both come from
         // the draining set, no boot needed — and the caller is *told* so,
         // rather than getting a `Hold` that hides the reappeared capacity.
         assert_eq!(pool.draining_count(), 0);
         assert_eq!(action, ScalingAction::Reclaim { nodes: 2 });
         assert_eq!(pool.booting_count(), 0, "reclaim needs no boot");
-        assert!(pool.placeable(&unit()) >= 12);
+        assert!(pool.placeable() >= 12);
     }
 
     #[test]
@@ -505,7 +503,7 @@ mod tests {
         let mut scaler = Autoscaler::new(AutoscalerConfig::default()).with_min_nodes(2);
         // 30 units over 8 free: the one draining node is reclaimed *and*
         // fresh nodes boot; both facts surface in the action.
-        let action = scaler.assess(&mut pool, &unit(), 30, BOOT, 1.0, t(10));
+        let action = scaler.assess(&mut pool, 30, BOOT, 1.0, t(10));
         let ScalingAction::ScaleUp {
             nodes, reclaimed, ..
         } = action
@@ -525,12 +523,12 @@ mod tests {
         // but the in-flight boot alone (4 units) cannot cover it — the
         // breaker must fire *now*, not after the 45 s boot latency.
         let mut pool = pool();
-        pool.place(&ResourceBundle::cores_gib(3, 3)).unwrap();
-        pool.place(&ResourceBundle::cores_gib(3, 3)).unwrap();
+        pool.place(3, 1).unwrap();
+        pool.place(3, 1).unwrap();
         pool.scale_up(1, t(0) + BOOT);
         assert_eq!(pool.booting_count(), 1);
         let mut scaler = Autoscaler::new(AutoscalerConfig::default()).with_min_nodes(2);
-        let action = scaler.assess(&mut pool, &unit(), 5, BOOT, 1.0, t(0));
+        let action = scaler.assess(&mut pool, 5, BOOT, 1.0, t(0));
         assert_eq!(
             action,
             ScalingAction::ScaleUp {
@@ -542,7 +540,7 @@ mod tests {
         );
         // Demand the booting node *can* absorb keeps holding: no thrash.
         assert_eq!(
-            scaler.assess(&mut pool, &unit(), 3, BOOT, 1.0, t(1)),
+            scaler.assess(&mut pool, 3, BOOT, 1.0, t(1)),
             ScalingAction::Hold
         );
     }
@@ -554,12 +552,12 @@ mod tests {
         pool.advance_to(t(0));
         pool.drain(1);
         // Fill both remaining ready nodes to 1 free unit each.
-        pool.place(&ResourceBundle::cores_gib(3, 3)).unwrap();
-        pool.place(&ResourceBundle::cores_gib(3, 3)).unwrap();
+        pool.place(3, 1).unwrap();
+        pool.place(3, 1).unwrap();
         let mut scaler = Autoscaler::new(AutoscalerConfig::default()).with_min_nodes(2);
         // 2 units, 2 free in aggregate, but fragmented 1+1: reclaim the
         // draining node instead of booting a fresh one.
-        let action = scaler.assess(&mut pool, &unit(), 2, BOOT, 1.0, t(10));
+        let action = scaler.assess(&mut pool, 2, BOOT, 1.0, t(10));
         assert_eq!(action, ScalingAction::Reclaim { nodes: 1 });
         assert_eq!(pool.draining_count(), 0);
         assert_eq!(pool.booting_count(), 0);

@@ -10,13 +10,16 @@
 //! * [`NodePool`] — worker nodes with capacity and an event-driven
 //!   lifecycle: scale-up charges a boot latency before capacity becomes
 //!   placeable, scale-in drains nodes and retires them once their last
-//!   allocation releases.
+//!   allocation releases. The pool counts in the cluster's one unit
+//!   bundle (`f` units per task, `k` per device, §IV-B): a node holds
+//!   `node_template.max_bundles(unit_bundle)` units, computed once, and
+//!   every capacity query answers in units.
 //! * [`Autoscaler`] — the elastic policy: target-utilization scaling with
 //!   a hysteresis band, a scale-in cooldown and a cost-budget cap priced
 //!   by [`CostModel::node_hourly_cost`].
-//! * [`PlacementGroup`] — a set of resource bundles placed across nodes
-//!   (first-fit-decreasing), all-or-nothing, held for the owning task's
-//!   whole lifetime.
+//! * [`PlacementGroup`] — a set of actors of `k` units each, placed
+//!   first-fit across the ready nodes, all-or-nothing, held for the
+//!   owning task's whole lifetime.
 //! * [`LogicalCluster`] — job submission: splits a device population over
 //!   the placement group's actors and produces a [`JobPlan`] with a virtual
 //!   completion time per device. Per-actor *data/model download* costs are
@@ -73,7 +76,7 @@
 //!     payload_mib: 4.0,
 //! };
 //! let mut rng = RngStream::from_seed(7);
-//! // 400 bundles > 200 ready cores: placement blocks (errors) for now.
+//! // 400 units > 200 ready units: placement blocks (errors) for now.
 //! assert!(cluster.submit_job(&burst, &mut rng).is_err());
 //! // The autoscaler reacts to the queued demand with booting nodes…
 //! let ScalingAction::ScaleUp { ready_at, .. } = cluster.autoscale(400, SimInstant::EPOCH)

@@ -5,12 +5,21 @@
 //! only becomes visible to placement once the virtual clock — advanced by
 //! the owner through [`NodePool::advance_to`] — passes its ready instant.
 //! Scaling in is *drain-then-retire*: a draining node stops accepting new
-//! bundles immediately but is only removed once its last allocation is
+//! actors immediately but is only removed once its last allocation is
 //! released. Both halves are what lets the platform interleave node
 //! lifecycle events with task completions on one timeline.
+//!
+//! The pool counts in the cluster's one *unit* bundle (§IV-B): a node
+//! holds `units_per_node = template.max_bundles(unit)` units, computed
+//! once, and an actor of `k` units fits a node iff `k` is at most the
+//! node's free units. Every actor bundle is `k` units, and floor
+//! division nests, so that is exactly whether `k · unit` fits the node's
+//! free bundle.
 
 use serde::{Deserialize, Serialize};
 use simdc_types::{NodeId, ResourceBundle, Result, SimInstant, SimdcError};
+
+use crate::runner::MAX_POOL_UNITS;
 
 /// Lifecycle state of a worker node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,43 +37,25 @@ pub enum NodeState {
     Draining,
 }
 
-/// One worker node: total capacity, the amount currently allocated, and
-/// its lifecycle state.
+/// One worker node: the units currently allocated on it and its
+/// lifecycle state (its capacity is the pool's `units_per_node`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerNode {
     id: NodeId,
-    capacity: ResourceBundle,
-    allocated: ResourceBundle,
+    allocated: u64,
     state: NodeState,
 }
 
 impl WorkerNode {
-    /// Creates an empty, ready node with the given capacity.
-    #[must_use]
-    pub fn new(id: NodeId, capacity: ResourceBundle) -> Self {
-        WorkerNode {
-            id,
-            capacity,
-            allocated: ResourceBundle::ZERO,
-            state: NodeState::Ready,
-        }
-    }
-
     /// Node identifier.
     #[must_use]
     pub fn id(&self) -> NodeId {
         self.id
     }
 
-    /// Total capacity.
+    /// Units currently allocated.
     #[must_use]
-    pub fn capacity(&self) -> ResourceBundle {
-        self.capacity
-    }
-
-    /// Currently allocated resources.
-    #[must_use]
-    pub fn allocated(&self) -> ResourceBundle {
+    pub fn allocated(&self) -> u64 {
         self.allocated
     }
 
@@ -92,61 +83,32 @@ impl WorkerNode {
         self.state == NodeState::Draining
     }
 
-    /// Remaining free resources.
-    #[must_use]
-    pub fn free(&self) -> ResourceBundle {
-        self.capacity.saturating_sub(&self.allocated)
-    }
-
-    /// Whether `bundle` currently fits on this node (capacity only; the
-    /// pool additionally requires [`WorkerNode::is_ready`] for placement).
-    #[must_use]
-    pub fn fits(&self, bundle: &ResourceBundle) -> bool {
-        self.free().contains(bundle)
-    }
-
-    /// Reserves `bundle` on this node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimdcError::ResourceExhausted`] if it does not fit or the
-    /// node is not ready (booting or draining nodes accept no placements).
-    pub fn reserve(&mut self, bundle: &ResourceBundle) -> Result<()> {
-        if !self.is_ready() || !self.fits(bundle) {
-            return Err(SimdcError::ResourceExhausted {
-                requested: bundle.to_string(),
-                available: self.free().to_string(),
-            });
-        }
-        self.allocated += *bundle;
-        Ok(())
-    }
-
-    /// Releases a previously reserved bundle.
+    /// Releases `units` previously reserved on this node.
     ///
     /// Release must pair with a reservation: debug builds assert the
-    /// bundle fits inside the current allocation, so a double release (or
+    /// units fit inside the current allocation, so a double release (or
     /// releasing on the wrong node) cannot silently zero-clamp and mask an
     /// accounting bug — mirroring the platform's lease-pairing invariant.
     /// Release builds keep the saturating subtraction as a safety net.
-    pub fn release(&mut self, bundle: &ResourceBundle) {
+    pub(crate) fn release(&mut self, units: u64) {
         debug_assert!(
-            self.allocated.contains(bundle),
-            "release of {bundle} exceeds allocation {} on node {} (double release?)",
+            self.allocated >= units,
+            "release of {units} units exceeds allocation {} on node {} (double release?)",
             self.allocated,
             self.id
         );
-        self.allocated = self.allocated.saturating_sub(bundle);
+        self.allocated = self.allocated.saturating_sub(units);
     }
 
     /// Whether nothing is allocated.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.allocated.is_zero()
+        self.allocated == 0
     }
 }
 
-/// An elastically scalable pool of identical worker nodes (the k8s layer).
+/// An elastically scalable pool of identical worker nodes (the k8s layer),
+/// counted in units of the cluster's unit bundle.
 ///
 /// Scale-up charges boot latency: [`NodePool::scale_up`] adds *booting*
 /// nodes whose capacity placement cannot see until
@@ -155,6 +117,8 @@ impl WorkerNode {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodePool {
     template: ResourceBundle,
+    unit: ResourceBundle,
+    units_per_node: u64,
     max_nodes: usize,
     nodes: Vec<WorkerNode>,
     next_id: u32,
@@ -166,19 +130,32 @@ pub struct NodePool {
 
 impl NodePool {
     /// Creates a pool of `initial` *ready* nodes of size `template`,
-    /// allowed to grow to `max_nodes`.
+    /// counted in `unit` bundles and allowed to grow to `max_nodes`.
     ///
     /// # Panics
     ///
-    /// Panics if `template` is the zero bundle, `initial` is zero, or
-    /// `initial > max_nodes`.
+    /// Panics if `unit` does not fit on a node, `initial` is zero,
+    /// `initial > max_nodes`, or the pool at `max_nodes` would hold more
+    /// than [`MAX_POOL_UNITS`] units (a zero `unit` fits unboundedly).
     #[must_use]
-    pub fn new(template: ResourceBundle, initial: usize, max_nodes: usize) -> Self {
-        assert!(!template.is_zero(), "node template must be non-empty");
+    pub fn new(
+        template: ResourceBundle,
+        unit: ResourceBundle,
+        initial: usize,
+        max_nodes: usize,
+    ) -> Self {
         assert!(initial > 0, "pool needs at least one node");
         assert!(initial <= max_nodes, "initial nodes exceed max_nodes");
+        let units_per_node = template.max_bundles(&unit);
+        assert!(units_per_node > 0, "unit bundle must fit on a node");
+        assert!(
+            (max_nodes as u64).saturating_mul(units_per_node) <= MAX_POOL_UNITS,
+            "pool units exceed MAX_POOL_UNITS"
+        );
         let mut pool = NodePool {
             template,
+            unit,
+            units_per_node,
             max_nodes,
             nodes: Vec::new(),
             next_id: 0,
@@ -195,18 +172,20 @@ impl NodePool {
     fn add_node(&mut self, state: NodeState) -> NodeId {
         let id = NodeId(self.next_id);
         self.next_id += 1;
-        let mut node = WorkerNode::new(id, self.template);
-        node.state = state;
-        self.nodes.push(node);
+        self.nodes.push(WorkerNode {
+            id,
+            allocated: 0,
+            state,
+        });
         self.booted_total += 1;
         self.peak_nodes = self.peak_nodes.max(self.nodes.len());
         id
     }
 
-    /// The per-node capacity template.
+    /// Unit bundles one node holds.
     #[must_use]
-    pub fn template(&self) -> ResourceBundle {
-        self.template
+    pub fn units_per_node(&self) -> u64 {
+        self.units_per_node
     }
 
     /// The elastic ceiling.
@@ -221,10 +200,13 @@ impl NodePool {
         &self.nodes
     }
 
-    /// Mutable node access by id: how placement groups reserve and
-    /// release.
+    /// Mutable node access by id: how placement groups release.
     pub(crate) fn node_mut(&mut self, id: NodeId) -> Option<&mut WorkerNode> {
         self.nodes.iter_mut().find(|n| n.id() == id)
+    }
+
+    fn free_units(&self, node: &WorkerNode) -> u64 {
+        self.units_per_node - node.allocated
     }
 
     /// Number of nodes in any state (physical footprint — what the cost
@@ -277,37 +259,13 @@ impl NodePool {
         self.peak_nodes
     }
 
-    /// Total capacity across *ready* nodes — the capacity placement (and
-    /// the Resource Manager's total) can actually count on. Booting nodes
-    /// are excluded until they come up; draining nodes accept no new work.
+    /// Units the *ready* nodes hold at full capacity (ignoring current
+    /// allocations) — the capacity placement, and the Resource Manager's
+    /// total, can count on. Booting nodes are excluded until they come
+    /// up; draining nodes accept no new work.
     #[must_use]
-    pub fn total_capacity(&self) -> ResourceBundle {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_ready())
-            .map(WorkerNode::capacity)
-            .sum()
-    }
-
-    /// Total free resources across ready nodes.
-    #[must_use]
-    pub fn total_free(&self) -> ResourceBundle {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_ready())
-            .map(WorkerNode::free)
-            .sum()
-    }
-
-    /// How many `unit` bundles the ready nodes could hold at full capacity
-    /// (ignoring current allocations), respecting per-node boundaries.
-    #[must_use]
-    pub fn unit_capacity(&self, unit: &ResourceBundle) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_ready())
-            .map(|n| n.capacity().max_bundles(unit))
-            .sum()
+    pub fn unit_capacity(&self) -> u64 {
+        self.ready_count() as u64 * self.units_per_node
     }
 
     /// Fraction of ready-node CPU capacity currently allocated, in
@@ -318,20 +276,14 @@ impl NodePool {
     /// autoscaler should see.
     #[must_use]
     pub fn cpu_utilization(&self) -> f64 {
-        let cap = self.total_capacity().cpu_millicores;
+        // A booting node holds nothing, so this is the ready and draining
+        // allocation.
+        let allocated: u64 = self.nodes.iter().map(WorkerNode::allocated).sum();
+        let cap = u128::from(self.template.cpu_millicores) * self.ready_count() as u128;
         if cap == 0 {
-            return if self.nodes.iter().any(|n| !n.is_idle()) {
-                1.0
-            } else {
-                0.0
-            };
+            return if allocated > 0 { 1.0 } else { 0.0 };
         }
-        let used: u64 = self
-            .nodes
-            .iter()
-            .filter(|n| n.is_ready() || n.is_draining())
-            .map(|n| n.allocated().cpu_millicores)
-            .sum();
+        let used = u128::from(self.unit.cpu_millicores) * u128::from(allocated);
         (used as f64 / cap as f64).min(1.0)
     }
 
@@ -350,16 +302,15 @@ impl NodePool {
         added
     }
 
-    /// Unit bundles the pool could hold once every booting node is up:
-    /// current free capacity on ready nodes plus the full capacity of
-    /// booting nodes.
+    /// Units the pool could hold once every booting node is up: current
+    /// free units on ready nodes plus the full capacity of booting nodes.
     #[must_use]
-    pub fn prospective_units(&self, unit: &ResourceBundle) -> u64 {
+    pub fn prospective_units(&self) -> u64 {
         self.nodes
             .iter()
             .map(|n| match n.state() {
-                NodeState::Ready => n.free().max_bundles(unit),
-                NodeState::Booting { .. } => n.capacity().max_bundles(unit),
+                NodeState::Ready => self.free_units(n),
+                NodeState::Booting { .. } => self.units_per_node,
                 NodeState::Draining => 0,
             })
             .sum()
@@ -424,72 +375,98 @@ impl NodePool {
         self.retired_total += (before - self.nodes.len()) as u64;
     }
 
-    /// How many bundles of size `unit` fit on the ready nodes right now,
-    /// respecting per-node boundaries. Booting and draining capacity is
-    /// invisible.
+    /// Free units on the ready nodes right now. Booting and draining
+    /// capacity is invisible.
     #[must_use]
-    pub fn placeable(&self, unit: &ResourceBundle) -> u64 {
+    pub fn placeable(&self) -> u64 {
+        self.ready_free_units().map(|(_, free)| free).sum()
+    }
+
+    /// Each ready node's index and free units, in node order.
+    fn ready_free_units(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.nodes
             .iter()
-            .filter(|n| n.is_ready())
-            .map(|n| n.free().max_bundles(unit))
-            .sum()
+            .enumerate()
+            .filter(|(_, n)| n.is_ready())
+            .map(|(i, n)| (i, self.free_units(n)))
     }
 
-    /// Whether every `(bundle, count)` request could be placed together on
-    /// the ready nodes right now — a side-effect-free trial of the same
-    /// first-fit the real placement uses.
+    /// Whether every `(units per actor, actors)` request could be placed
+    /// together on the ready nodes right now — a side-effect-free trial
+    /// of the first-fit [`NodePool::place`] runs.
     #[must_use]
-    pub fn can_place_all(&self, requests: &[(ResourceBundle, u64)]) -> bool {
-        let mut free: Vec<ResourceBundle> = self
-            .nodes
-            .iter()
-            .filter(|n| n.is_ready())
-            .map(WorkerNode::free)
-            .collect();
-        Self::trial_fit(&mut free, requests)
+    pub fn can_place_all(&self, requests: &[(u64, u64)]) -> bool {
+        let mut free: Vec<u64> = self.ready_free_units().map(|(_, free)| free).collect();
+        first_fit(&mut free, requests, |_, _| {})
     }
 
-    /// Whether `(bundle, count)` requests could ever be placed on a fully
-    /// scaled-out, empty pool of `ceiling` nodes — the admission-time
-    /// feasibility ceiling (fragmentation included).
+    /// Whether `(units per actor, actors)` requests could ever be placed
+    /// on a fully scaled-out, empty pool of `ceiling` nodes — the
+    /// admission-time feasibility ceiling (fragmentation included). The
+    /// trial needs no more nodes than actors: first-fit fills a prefix of
+    /// the empty nodes, each holding at least one actor.
     #[must_use]
-    pub fn could_ever_place(&self, requests: &[(ResourceBundle, u64)], ceiling: usize) -> bool {
-        let mut free = vec![self.template; ceiling];
-        Self::trial_fit(&mut free, requests)
+    pub fn could_ever_place(&self, requests: &[(u64, u64)], ceiling: usize) -> bool {
+        let actors = requests.iter().fold(0u64, |sum, r| sum.saturating_add(r.1));
+        let nodes = usize::try_from(actors).map_or(ceiling, |actors| actors.min(ceiling));
+        first_fit(&mut vec![self.units_per_node; nodes], requests, |_, _| {})
     }
 
-    fn trial_fit(free: &mut [ResourceBundle], requests: &[(ResourceBundle, u64)]) -> bool {
-        for (bundle, count) in requests {
-            for _ in 0..*count {
-                let Some(slot) = free.iter_mut().find(|f| f.contains(bundle)) else {
-                    return false;
-                };
-                *slot = slot.saturating_sub(bundle);
-            }
-        }
-        true
-    }
-
-    /// First-fit placement of one bundle onto a ready node; returns the
-    /// node it landed on.
+    /// Atomically places `count` actors of `units` units each onto the
+    /// ready nodes, first-fit in node order; returns the node of each
+    /// actor, in actor order.
     ///
     /// # Errors
     ///
-    /// Returns [`SimdcError::ResourceExhausted`] when no ready node can
-    /// hold the bundle.
-    pub fn place(&mut self, bundle: &ResourceBundle) -> Result<NodeId> {
-        for node in &mut self.nodes {
-            if node.is_ready() && node.fits(bundle) {
-                node.reserve(bundle)?;
-                return Ok(node.id());
+    /// Returns [`SimdcError::ResourceExhausted`] when the ready nodes
+    /// cannot hold every actor; nothing is then reserved.
+    pub fn place(&mut self, units: u64, count: usize) -> Result<Vec<NodeId>> {
+        let (ready, mut free): (Vec<usize>, Vec<u64>) = self.ready_free_units().unzip();
+        let mut landed = Vec::new();
+        if !first_fit(&mut free, &[(units, count as u64)], |slot, actors| {
+            landed.push((ready[slot], actors));
+        }) {
+            return Err(SimdcError::ResourceExhausted {
+                requested: format!("{count} actors of {units} units"),
+                available: format!("{} free units on ready nodes", self.placeable()),
+            });
+        }
+        let mut placements = Vec::with_capacity(count);
+        for (i, actors) in landed {
+            let node = &mut self.nodes[i];
+            node.allocated += actors * units;
+            placements.extend(std::iter::repeat_n(node.id, actors as usize));
+        }
+        Ok(placements)
+    }
+}
+
+/// The pool's one first-fit: places each `(units per actor, actors)`
+/// request in order over the `free` unit counts, each actor on the first
+/// slot with room. An actor only moves on from a slot that cannot hold
+/// it, and slots only shrink, so a request fills each slot as far as it
+/// can before the next. `land(slot, actors)` hears each run of actors
+/// placed on one slot. Returns whether every actor landed; `free` is
+/// left holding what remains.
+fn first_fit(free: &mut [u64], requests: &[(u64, u64)], mut land: impl FnMut(usize, u64)) -> bool {
+    for &(units, mut actors) in requests {
+        for (slot, left) in free.iter_mut().enumerate() {
+            if actors == 0 {
+                break;
+            }
+            // A zero-unit actor fits anywhere, as the zero bundle does.
+            let fit = left.checked_div(units).unwrap_or(u64::MAX).min(actors);
+            if fit > 0 {
+                *left -= fit * units;
+                actors -= fit;
+                land(slot, fit);
             }
         }
-        Err(SimdcError::ResourceExhausted {
-            requested: bundle.to_string(),
-            available: self.total_free().to_string(),
-        })
+        if actors > 0 {
+            return false;
+        }
     }
+    true
 }
 
 #[cfg(test)]
@@ -497,13 +474,15 @@ mod tests {
     use super::*;
     use simdc_types::SimDuration;
 
-    fn unit() -> ResourceBundle {
-        ResourceBundle::cores_gib(1, 1)
-    }
-
     fn pool() -> NodePool {
-        // 4-core/8-GiB nodes, 2 initial, max 5.
-        NodePool::new(ResourceBundle::cores_gib(4, 8), 2, 5)
+        // 4-core/8-GiB nodes of 1-core/1-GiB units (4 each), 2 initial,
+        // max 5.
+        NodePool::new(
+            ResourceBundle::cores_gib(4, 8),
+            ResourceBundle::cores_gib(1, 1),
+            2,
+            5,
+        )
     }
 
     fn t(secs: u64) -> SimInstant {
@@ -511,30 +490,45 @@ mod tests {
     }
 
     #[test]
+    fn units_per_node_is_the_scarcest_dimension() {
+        assert_eq!(pool().units_per_node(), 4);
+        let memory_bound = NodePool::new(
+            ResourceBundle::cores_gib(200, 300),
+            ResourceBundle::cores_gib(4, 12),
+            1,
+            1,
+        );
+        assert_eq!(memory_bound.units_per_node(), 25);
+    }
+
+    #[test]
     fn reserve_and_release_round_trip() {
-        let mut node = WorkerNode::new(NodeId(0), ResourceBundle::cores_gib(2, 2));
-        assert!(node.is_idle());
-        node.reserve(&unit()).unwrap();
-        assert!(!node.is_idle());
-        assert_eq!(node.free(), ResourceBundle::cores_gib(1, 1));
-        node.release(&unit());
-        assert!(node.is_idle());
+        let mut pool = pool();
+        let nodes = pool.place(1, 1).unwrap();
+        assert_eq!(nodes, [NodeId(0)]);
+        assert_eq!(pool.placeable(), 7);
+        pool.node_mut(NodeId(0)).unwrap().release(1);
+        assert!(pool.nodes().iter().all(WorkerNode::is_idle));
+        assert_eq!(pool.placeable(), 8);
     }
 
     #[test]
     fn reserve_rejects_overcommit() {
-        let mut node = WorkerNode::new(NodeId(0), unit());
-        node.reserve(&unit()).unwrap();
-        assert!(node.reserve(&unit()).is_err());
+        let mut pool = pool();
+        // 5 actors of 2 units need 10 units; the pool has 8.
+        assert!(pool.place(2, 5).is_err());
+        assert_eq!(pool.placeable(), 8, "a failed place must reserve nothing");
+        assert_eq!(pool.place(2, 4).unwrap().len(), 4);
+        assert!(pool.place(1, 1).is_err());
     }
 
     #[test]
     fn booting_node_rejects_placements() {
         let mut pool = pool();
         pool.scale_up(1, t(30));
-        let node = pool.node_mut(NodeId(2)).unwrap();
-        assert!(node.is_booting());
-        assert!(node.reserve(&unit()).is_err());
+        assert!(pool.nodes()[2].is_booting());
+        pool.place(4, 2).unwrap();
+        assert!(pool.place(1, 1).is_err(), "booting capacity leaked");
     }
 
     /// Debug builds trap the unpaired release instead of letting the
@@ -543,39 +537,41 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "double release")]
     fn unpaired_release_panics_in_debug() {
-        let mut node = WorkerNode::new(NodeId(0), unit());
-        node.release(&unit());
+        let mut pool = pool();
+        pool.node_mut(NodeId(0)).unwrap().release(1);
     }
 
     /// Release builds keep the zero-clamp as a safety net.
     #[test]
     #[cfg(not(debug_assertions))]
     fn unpaired_release_saturates_in_release() {
-        let mut node = WorkerNode::new(NodeId(0), unit());
-        node.release(&unit());
-        assert!(node.is_idle());
-        assert_eq!(node.free(), unit());
+        let mut pool = pool();
+        pool.node_mut(NodeId(0)).unwrap().release(1);
+        assert!(pool.nodes()[0].is_idle());
+        assert_eq!(pool.placeable(), 8);
     }
 
     #[test]
     fn placeable_respects_node_boundaries() {
         let pool = pool();
-        // Each 4c/8g node fits 4 one-core-one-GiB units → 8 total.
-        assert_eq!(pool.placeable(&unit()), 8);
-        // A 3-core/6-GiB bundle fits once per node.
-        assert_eq!(pool.placeable(&ResourceBundle::cores_gib(3, 6)), 2);
-        // A 5-core bundle fits nowhere even though total CPU is 8.
-        assert_eq!(pool.placeable(&ResourceBundle::cores_gib(5, 1)), 0);
+        // Each 4-unit node holds 4 one-unit actors → 8 in total.
+        assert_eq!(pool.placeable(), 8);
+        // A 3-unit actor fits once per node.
+        assert!(pool.can_place_all(&[(3, 2)]));
+        assert!(!pool.can_place_all(&[(3, 3)]));
+        // A 5-unit actor fits nowhere even though 8 units are free.
+        assert!(!pool.can_place_all(&[(5, 1)]));
     }
 
     #[test]
     fn place_first_fit() {
         let mut pool = pool();
-        let n1 = pool.place(&ResourceBundle::cores_gib(3, 3)).unwrap();
-        let n2 = pool.place(&ResourceBundle::cores_gib(3, 3)).unwrap();
-        assert_eq!(n1, NodeId(0));
-        assert_eq!(n2, NodeId(1)); // does not fit next to the first
-        assert!(pool.place(&ResourceBundle::cores_gib(3, 3)).is_err());
+        assert_eq!(pool.place(3, 1).unwrap(), [NodeId(0)]);
+        // Does not fit next to the first.
+        assert_eq!(pool.place(3, 1).unwrap(), [NodeId(1)]);
+        assert!(pool.place(3, 1).is_err());
+        // One-unit actors fill the gaps in node order.
+        assert_eq!(pool.place(1, 2).unwrap(), [NodeId(0), NodeId(1)]);
     }
 
     /// The boot-latency regression: scale-up must NOT make capacity usable
@@ -584,21 +580,23 @@ mod tests {
     #[test]
     fn scale_up_charges_boot_latency_before_capacity_is_placeable() {
         let mut pool = pool();
-        assert_eq!(pool.placeable(&unit()), 8);
+        assert_eq!(pool.placeable(), 8);
         assert_eq!(pool.scale_up(3, t(30)), 3);
         assert_eq!(pool.len(), 5);
         // Capacity is *not* visible at the call instant.
-        assert_eq!(pool.placeable(&unit()), 8, "booting capacity leaked");
+        assert_eq!(pool.placeable(), 8, "booting capacity leaked");
+        assert_eq!(pool.unit_capacity(), 8);
         assert_eq!(pool.booting_count(), 3);
         // Not visible one tick before boot completes either.
         pool.advance_to(t(29));
-        assert_eq!(pool.placeable(&unit()), 8);
+        assert_eq!(pool.placeable(), 8);
         assert_eq!(pool.booting_count(), 3);
         // Visible exactly at the ready instant.
         pool.advance_to(t(30));
         assert_eq!(pool.booting_count(), 0);
         assert_eq!(pool.ready_count(), 5);
-        assert_eq!(pool.placeable(&unit()), 20);
+        assert_eq!(pool.placeable(), 20);
+        assert_eq!(pool.unit_capacity(), 20);
         // Capped at max_nodes.
         assert_eq!(pool.scale_up(100, t(60)), 0);
     }
@@ -606,9 +604,10 @@ mod tests {
     #[test]
     fn prospective_units_count_booting_capacity() {
         let mut pool = pool();
+        pool.place(1, 1).unwrap();
         pool.scale_up(2, t(30));
-        assert_eq!(pool.prospective_units(&unit()), 16);
-        assert_eq!(pool.placeable(&unit()), 8);
+        assert_eq!(pool.prospective_units(), 15);
+        assert_eq!(pool.placeable(), 7);
     }
 
     #[test]
@@ -617,7 +616,7 @@ mod tests {
         pool.scale_up(1, t(0));
         pool.advance_to(t(0));
         assert_eq!(pool.ready_count(), 3);
-        let busy_node = pool.place(&unit()).unwrap();
+        let busy_node = pool.place(1, 1).unwrap()[0];
         // Drain everything: the busy node drains but survives.
         assert_eq!(pool.drain(3), 3);
         pool.advance_to(t(10));
@@ -625,10 +624,11 @@ mod tests {
         assert_eq!(pool.retired_total(), 2);
         assert_eq!(pool.draining_count(), 1);
         // A draining node accepts no new placements.
-        assert!(pool.place(&unit()).is_err());
-        assert_eq!(pool.placeable(&unit()), 0);
+        assert!(pool.place(1, 1).is_err());
+        assert_eq!(pool.placeable(), 0);
+        assert_eq!(pool.prospective_units(), 0);
         // Releasing its allocation lets the next advance retire it.
-        pool.node_mut(busy_node).unwrap().release(&unit());
+        pool.node_mut(busy_node).unwrap().release(1);
         pool.advance_to(t(20));
         assert!(pool.is_empty());
         assert_eq!(pool.retired_total(), 3);
@@ -641,38 +641,61 @@ mod tests {
         assert_eq!(pool.ready_count(), 0);
         assert_eq!(pool.cancel_drain(1), 1);
         assert_eq!(pool.ready_count(), 1);
-        assert_eq!(pool.placeable(&unit()), 4);
+        assert_eq!(pool.placeable(), 4);
     }
 
     #[test]
     fn utilization_tracks_cpu() {
         let mut pool = pool();
         assert_eq!(pool.cpu_utilization(), 0.0);
-        pool.place(&ResourceBundle::cores_gib(4, 4)).unwrap();
+        pool.place(4, 1).unwrap();
         assert!((pool.cpu_utilization() - 0.5).abs() < 1e-12);
         // Booting capacity does not dilute utilization.
         pool.scale_up(3, t(30));
         assert!((pool.cpu_utilization() - 0.5).abs() < 1e-12);
+        // Draining capacity leaves the denominator, not the numerator.
+        pool.drain(4);
+        assert_eq!(pool.cpu_utilization(), 1.0);
     }
 
     #[test]
     fn trial_placement_matches_real_placement() {
         let pool = pool();
-        let three = ResourceBundle::cores_gib(3, 3);
-        assert!(pool.can_place_all(&[(three, 2)]));
-        assert!(!pool.can_place_all(&[(three, 3)]));
         // Mixed requests share nodes the way first-fit would.
-        assert!(pool.can_place_all(&[(three, 1), (unit(), 5)]));
-        assert!(!pool.can_place_all(&[(three, 2), (ResourceBundle::cores_gib(2, 2), 1)]));
+        assert!(pool.can_place_all(&[(3, 1), (1, 5)]));
+        assert!(!pool.can_place_all(&[(3, 2), (2, 1)]));
+        assert!(pool.can_place_all(&[(3, 0), (0, 9)]));
+        let mut placed = pool.clone();
+        assert_eq!(
+            placed.place(3, 1).and_then(|_| placed.place(1, 5)).unwrap(),
+            [NodeId(0), NodeId(1), NodeId(1), NodeId(1), NodeId(1)]
+        );
         // Full-scale feasibility uses empty nodes at the ceiling.
-        assert!(pool.could_ever_place(&[(three, 5)], 5));
-        assert!(!pool.could_ever_place(&[(three, 6)], 5));
-        assert!(!pool.could_ever_place(&[(ResourceBundle::cores_gib(5, 1), 1)], 5));
+        assert!(pool.could_ever_place(&[(3, 5)], 5));
+        assert!(!pool.could_ever_place(&[(3, 6)], 5));
+        assert!(!pool.could_ever_place(&[(5, 1)], 5));
+        assert!(pool.could_ever_place(&[(4, 4), (1, 0)], 5));
     }
 
     #[test]
     #[should_panic(expected = "at least one node")]
     fn zero_initial_nodes_rejected() {
-        let _ = NodePool::new(unit(), 0, 3);
+        let _ = NodePool::new(
+            ResourceBundle::cores_gib(1, 1),
+            ResourceBundle::cores_gib(1, 1),
+            0,
+            3,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unit bundle must fit on a node")]
+    fn a_unit_larger_than_a_node_is_rejected() {
+        let _ = NodePool::new(
+            ResourceBundle::cores_gib(1, 1),
+            ResourceBundle::cores_gib(2, 1),
+            1,
+            3,
+        );
     }
 }

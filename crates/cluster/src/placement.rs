@@ -1,7 +1,7 @@
-//! Placement groups: all-or-nothing reservations of actor bundles.
+//! Placement groups: all-or-nothing reservations of actors.
 
 use serde::{Deserialize, Serialize};
-use simdc_types::{NodeId, ResourceBundle, Result};
+use simdc_types::{NodeId, Result};
 
 use crate::node::NodePool;
 
@@ -15,19 +15,20 @@ impl std::fmt::Display for PlacementGroupId {
     }
 }
 
-/// A placed group: which node each bundle landed on.
+/// A placed group: which node each actor landed on.
 ///
-/// Ray semantics: the group is created atomically — if any bundle cannot be
+/// Ray semantics: the group is created atomically — if any actor cannot be
 /// placed, none are, and the pool is left untouched.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlacementGroup {
     id: PlacementGroupId,
-    bundle: ResourceBundle,
+    units: u64,
     placements: Vec<NodeId>,
 }
 
 impl PlacementGroup {
-    /// Atomically places `count` copies of `bundle` onto the pool.
+    /// Atomically places `count` actors of `units` unit bundles each onto
+    /// the pool ([`NodePool::place`]).
     ///
     /// # Errors
     ///
@@ -36,28 +37,13 @@ impl PlacementGroup {
     pub fn create(
         id: PlacementGroupId,
         pool: &mut NodePool,
-        bundle: ResourceBundle,
+        units: u64,
         count: usize,
     ) -> Result<Self> {
-        let mut placements = Vec::with_capacity(count);
-        for i in 0..count {
-            match pool.place(&bundle) {
-                Ok(node) => placements.push(node),
-                Err(err) => {
-                    // Roll back everything placed so far.
-                    for &node in placements.iter().take(i) {
-                        if let Some(n) = pool.node_mut(node) {
-                            n.release(&bundle);
-                        }
-                    }
-                    return Err(err);
-                }
-            }
-        }
         Ok(PlacementGroup {
             id,
-            bundle,
-            placements,
+            units,
+            placements: pool.place(units, count)?,
         })
     }
 
@@ -67,35 +53,35 @@ impl PlacementGroup {
         self.id
     }
 
-    /// The per-actor bundle size.
+    /// Unit bundles per actor (`k`).
     #[must_use]
-    pub fn bundle(&self) -> ResourceBundle {
-        self.bundle
+    pub fn units(&self) -> u64 {
+        self.units
     }
 
-    /// Node of each placed bundle, in actor order.
+    /// Node of each placed actor, in actor order.
     #[must_use]
     pub fn placements(&self) -> &[NodeId] {
         &self.placements
     }
 
-    /// Number of bundles (= actors).
+    /// Number of actors.
     #[must_use]
     pub fn len(&self) -> usize {
         self.placements.len()
     }
 
-    /// Whether the group holds no bundles.
+    /// Whether the group holds no actors.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.placements.is_empty()
     }
 
-    /// Releases every bundle back to the pool.
+    /// Releases every actor's units back to the pool.
     pub fn release(&self, pool: &mut NodePool) {
         for &node in &self.placements {
             if let Some(n) = pool.node_mut(node) {
-                n.release(&self.bundle);
+                n.release(self.units);
             }
         }
     }
@@ -104,52 +90,41 @@ impl PlacementGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdc_types::ResourceBundle;
 
     fn pool() -> NodePool {
-        NodePool::new(ResourceBundle::cores_gib(4, 8), 2, 2)
+        NodePool::new(
+            ResourceBundle::cores_gib(4, 8),
+            ResourceBundle::cores_gib(1, 1),
+            2,
+            2,
+        )
     }
 
     #[test]
     fn create_and_release() {
         let mut pool = pool();
-        let pg = PlacementGroup::create(
-            PlacementGroupId(1),
-            &mut pool,
-            ResourceBundle::cores_gib(2, 2),
-            3,
-        )
-        .unwrap();
+        let pg = PlacementGroup::create(PlacementGroupId(1), &mut pool, 2, 3).unwrap();
         assert_eq!(pg.len(), 3);
-        assert_eq!(pool.total_free(), ResourceBundle::new(2_000, 10 * 1_024, 0));
+        assert_eq!(pg.placements(), [NodeId(0), NodeId(0), NodeId(1)]);
+        assert_eq!(pool.placeable(), 2);
         pg.release(&mut pool);
-        assert_eq!(pool.total_free(), pool.total_capacity());
+        assert_eq!(pool.placeable(), pool.unit_capacity());
     }
 
     #[test]
     fn create_is_atomic_on_failure() {
         let mut pool = pool();
-        let before = pool.total_free();
-        // 5 bundles of 2 cores need 10 cores; pool has 8.
-        let result = PlacementGroup::create(
-            PlacementGroupId(2),
-            &mut pool,
-            ResourceBundle::cores_gib(2, 2),
-            5,
-        );
+        // 5 actors of 2 units need 10 units; the pool has 8.
+        let result = PlacementGroup::create(PlacementGroupId(2), &mut pool, 2, 5);
         assert!(result.is_err());
-        assert_eq!(pool.total_free(), before, "failed create must roll back");
+        assert_eq!(pool.placeable(), 8, "failed create must roll back");
     }
 
     #[test]
     fn zero_count_group_is_empty() {
         let mut pool = pool();
-        let pg = PlacementGroup::create(
-            PlacementGroupId(3),
-            &mut pool,
-            ResourceBundle::cores_gib(1, 1),
-            0,
-        )
-        .unwrap();
+        let pg = PlacementGroup::create(PlacementGroupId(3), &mut pool, 1, 0).unwrap();
         assert!(pg.is_empty());
     }
 

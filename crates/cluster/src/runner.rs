@@ -15,6 +15,15 @@ use crate::cost::CostModel;
 use crate::node::NodePool;
 use crate::placement::{PlacementGroup, PlacementGroupId};
 
+/// The most nodes a cluster may scale to. The densest committed spec
+/// allows 512.
+pub const MAX_NODES: usize = 100_000;
+
+/// The most unit bundles a fully scaled-out pool may hold
+/// (`max_nodes × units_per_node`), so every unit count the pool sums fits
+/// in a `u64` many times over. The densest committed spec holds 25 600.
+pub const MAX_POOL_UNITS: u64 = u32::MAX as u64;
+
 /// Configuration of the logical-simulation cluster.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
@@ -51,8 +60,9 @@ impl ClusterConfig {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidConfig` for empty bundles, zero node counts or an
-    /// invalid cost/autoscaler model.
+    /// Returns `InvalidConfig` for empty bundles, zero node counts, a unit
+    /// that does not fit on a node, a pool beyond [`MAX_NODES`] nodes or
+    /// [`MAX_POOL_UNITS`] units, or an invalid cost/autoscaler model.
     pub fn validate(&self) -> Result<()> {
         use SimdcError::InvalidConfig;
         if self.node_template.is_zero() {
@@ -67,10 +77,24 @@ impl ClusterConfig {
                 self.initial_nodes, self.max_nodes
             )));
         }
-        if !self.node_template.contains(&self.unit_bundle) {
+        if self.max_nodes > MAX_NODES {
+            return Err(InvalidConfig(format!(
+                "max_nodes must be at most {MAX_NODES}, got {}",
+                self.max_nodes
+            )));
+        }
+        let units_per_node = self.node_template.max_bundles(&self.unit_bundle);
+        if units_per_node == 0 {
             return Err(InvalidConfig(
                 "unit_bundle must fit on a single node".into(),
             ));
+        }
+        let pool_units = self.max_nodes as u128 * u128::from(units_per_node);
+        if pool_units > u128::from(MAX_POOL_UNITS) {
+            return Err(InvalidConfig(format!(
+                "pool units (max_nodes × unit bundles per node) must be at most \
+                 {MAX_POOL_UNITS}, got {pool_units}"
+            )));
         }
         self.cost.validate()?;
         self.autoscaler.validate()
@@ -90,10 +114,10 @@ pub struct JobSpec {
     /// The devices to simulate (the optimizer's `x` of them end up here).
     pub devices: Vec<DeviceId>,
     /// Total unit bundles requested (`f`).
-    pub unit_bundles: u32,
+    pub unit_bundles: u64,
     /// Unit bundles consumed per simulated device (`k`); one actor holds
     /// `k` units, so the job runs `⌊f / k⌋` actors.
-    pub units_per_device: u32,
+    pub units_per_device: u64,
     /// Data + model payload each actor downloads at round start, in MiB.
     pub payload_mib: f64,
 }
@@ -101,7 +125,7 @@ pub struct JobSpec {
 impl JobSpec {
     /// Number of actors this job will launch.
     #[must_use]
-    pub fn actor_count(&self) -> u32 {
+    pub fn actor_count(&self) -> u64 {
         self.unit_bundles
             .checked_div(self.units_per_device)
             .unwrap_or(0)
@@ -220,7 +244,6 @@ pub struct ClusterStats {
 #[derive(Debug)]
 pub struct LogicalCluster {
     pool: NodePool,
-    unit: ResourceBundle,
     cost: CostModel,
     autoscaler: Autoscaler,
     meter: CostMeter,
@@ -241,8 +264,12 @@ impl LogicalCluster {
     pub fn new(config: ClusterConfig) -> Self {
         config.validate().expect("invalid cluster configuration");
         LogicalCluster {
-            pool: NodePool::new(config.node_template, config.initial_nodes, config.max_nodes),
-            unit: config.unit_bundle,
+            pool: NodePool::new(
+                config.node_template,
+                config.unit_bundle,
+                config.initial_nodes,
+                config.max_nodes,
+            ),
             cost: config.cost,
             autoscaler: Autoscaler::new(config.autoscaler).with_min_nodes(config.initial_nodes),
             meter: CostMeter::new(SimInstant::EPOCH),
@@ -286,14 +313,13 @@ impl LogicalCluster {
         self.clock = now;
     }
 
-    /// One autoscaling pass: reacts to `demand_units` of queued
-    /// unit-bundle demand at instant `now` (see [`Autoscaler::assess`]).
+    /// One autoscaling pass: reacts to `demand_units` of queued unit
+    /// demand at instant `now` (see [`Autoscaler::assess`]).
     /// Scale-ups charge [`CostModel::node_boot`] before the capacity is
     /// placeable; the returned action carries the ready instant.
     pub fn autoscale(&mut self, demand_units: u64, now: SimInstant) -> ScalingAction {
         self.autoscaler.assess(
             &mut self.pool,
-            &self.unit,
             demand_units,
             self.cost.node_boot,
             self.cost.node_hourly_cost,
@@ -304,14 +330,14 @@ impl LogicalCluster {
     /// Unit bundles placeable right now on ready nodes.
     #[must_use]
     pub fn free_unit_bundles(&self) -> u64 {
-        self.pool.placeable(&self.unit)
+        self.pool.placeable()
     }
 
     /// Unit bundles the *ready* nodes hold at full capacity — what the
     /// Resource Manager's total resyncs to each scheduling pass.
     #[must_use]
     pub fn ready_unit_capacity(&self) -> u64 {
-        self.pool.unit_capacity(&self.unit)
+        self.pool.unit_capacity()
     }
 
     /// Unit bundles the cluster could ever offer: the elastic ceiling
@@ -323,13 +349,13 @@ impl LogicalCluster {
         let cap = self
             .autoscaler
             .node_cap(&self.pool, self.cost.node_hourly_cost);
-        cap as u64 * self.pool.template().max_bundles(&self.unit)
+        cap as u64 * self.pool.units_per_node()
     }
 
-    /// Whether `(bundle, count)` requests could be placed together on the
-    /// ready nodes right now (side-effect-free trial).
+    /// Whether `(units per actor, actors)` requests could be placed
+    /// together on the ready nodes right now (side-effect-free trial).
     #[must_use]
-    pub fn can_place_all(&self, requests: &[(ResourceBundle, u64)]) -> bool {
+    pub fn can_place_all(&self, requests: &[(u64, u64)]) -> bool {
         self.pool.can_place_all(requests)
     }
 
@@ -337,17 +363,19 @@ impl LogicalCluster {
     /// (empty nodes, budget cap applied) — fragmentation-aware admission
     /// feasibility.
     #[must_use]
-    pub fn could_ever_place(&self, requests: &[(ResourceBundle, u64)]) -> bool {
+    pub fn could_ever_place(&self, requests: &[(u64, u64)]) -> bool {
         let cap = self
             .autoscaler
             .node_cap(&self.pool, self.cost.node_hourly_cost);
         self.pool.could_ever_place(requests, cap)
     }
 
-    /// The actor resource bundle a job of `units_per_device` (`k`) uses.
+    /// The units an actor of a job of `units_per_device` (`k`) holds:
+    /// `k` itself, since the pool counts in units. Kept only for callers
+    /// written against the bundle-valued form (the benchmark's probes).
     #[must_use]
-    pub fn actor_bundle(&self, units_per_device: u64) -> ResourceBundle {
-        self.unit.scaled(units_per_device)
+    pub fn actor_bundle(&self, units_per_device: u64) -> u64 {
+        units_per_device
     }
 
     /// Cumulative node-time spend accrued so far.
@@ -395,8 +423,8 @@ impl LogicalCluster {
         self.groups.len()
     }
 
-    /// Atomically reserves a placement group of `count` copies of
-    /// `bundle` on the ready nodes. The group stays reserved — blocking
+    /// Atomically reserves a placement group of `count` actors of `units`
+    /// unit bundles each on the ready nodes. The group stays reserved — blocking
     /// scale-in of its nodes — until [`LogicalCluster::release_job`].
     ///
     /// # Errors
@@ -405,14 +433,10 @@ impl LogicalCluster {
     /// fit the *currently ready* capacity. Booting capacity does not
     /// count: callers wait for the node-ready event and retry rather than
     /// treating this as fatal.
-    pub fn acquire_group(
-        &mut self,
-        bundle: ResourceBundle,
-        count: usize,
-    ) -> Result<PlacementGroupId> {
+    pub fn acquire_group(&mut self, units: u64, count: usize) -> Result<PlacementGroupId> {
         let pg_id = PlacementGroupId(self.next_group);
         self.next_group += 1;
-        let group = PlacementGroup::create(pg_id, &mut self.pool, bundle, count)?;
+        let group = PlacementGroup::create(pg_id, &mut self.pool, units, count)?;
         self.groups.insert(pg_id, group);
         Ok(pg_id)
     }
@@ -511,10 +535,9 @@ impl LogicalCluster {
         let actor_count = if job.devices.is_empty() {
             0
         } else {
-            (job.actor_count() as usize).min(job.devices.len())
+            job.actor_count().min(job.devices.len() as u64) as usize
         };
-        let actor_bundle = self.unit.scaled(u64::from(job.units_per_device));
-        let pg_id = self.acquire_group(actor_bundle, actor_count)?;
+        let pg_id = self.acquire_group(job.units_per_device, actor_count)?;
         match self.plan_round_on_group(pg_id, job, rng) {
             Ok(plan) => Ok(plan),
             Err(err) => {
@@ -545,7 +568,7 @@ mod tests {
         LogicalCluster::new(ClusterConfig::default())
     }
 
-    fn job(n_devices: u64, f: u32, k: u32) -> JobSpec {
+    fn job(n_devices: u64, f: u64, k: u64) -> JobSpec {
         JobSpec {
             task: TaskId(1),
             round: RoundId(0),
@@ -665,20 +688,17 @@ mod tests {
         let result = c.submit_job(&job(1_000, 1_000, 1), &mut rng);
         assert!(matches!(result, Err(SimdcError::ResourceExhausted { .. })));
         // Failed submission must not leak reservations.
-        assert_eq!(
-            c.free_unit_bundles(),
-            c.pool().placeable(&ResourceBundle::cores_gib(1, 1))
-        );
+        assert_eq!(c.free_unit_bundles(), c.pool().placeable());
         assert_eq!(c.active_jobs(), 0);
-        assert!(!c.could_ever_place(&[(ResourceBundle::cores_gib(1, 1), 1_000)]));
+        assert!(!c.could_ever_place(&[(1, 1_000)]));
+        assert!(c.could_ever_place(&[(1, 800)]));
     }
 
     #[test]
     fn one_group_serves_every_round_of_a_task() {
         let mut c = cluster();
         let mut rng = RngStream::from_seed(12);
-        let bundle = c.actor_bundle(8);
-        let pg = c.acquire_group(bundle, 10).unwrap();
+        let pg = c.acquire_group(8, 10).unwrap();
         let free_after_acquire = c.free_unit_bundles();
         for round in 0..3u32 {
             let mut j = job(100, 80, 8);

@@ -33,12 +33,12 @@ use simdc_data::CtrDataset;
 use simdc_phone::mgr::FleetSpec;
 use simdc_phone::PhoneMgr;
 use simdc_simrt::EventQueue;
-use simdc_types::{PerGrade, ResourceBundle, Result, SimDuration, SimInstant, SimdcError, TaskId};
+use simdc_types::{PerGrade, Result, SimDuration, SimInstant, SimdcError, TaskId};
 
 use crate::cloud::Storage;
 use crate::queue::{TaskQueue, TaskState};
 use crate::resources::ResourceManager;
-use crate::runner::{RoundZeroMemo, RunnerConfig, TaskPlan, TaskReport, TaskRunner};
+use crate::runner::{RoundZeroMemo, TaskPlan, TaskReport, TaskRunner};
 use crate::scheduler::GreedyScheduler;
 use crate::spec::TaskSpec;
 
@@ -51,8 +51,6 @@ pub struct PlatformConfig {
     pub fleet: FleetSpec,
     /// Benchmark polling interval.
     pub poll_interval: SimDuration,
-    /// Runner tunables.
-    pub runner: RunnerConfig,
     /// Platform seed (forked per phone/task).
     pub seed: u64,
 }
@@ -63,7 +61,6 @@ impl Default for PlatformConfig {
             cluster: ClusterConfig::default(),
             fleet: FleetSpec::paper_default(),
             poll_interval: SimDuration::from_secs(1),
-            runner: RunnerConfig,
             seed: 0x51AD_C0DE,
         }
     }
@@ -106,13 +103,14 @@ enum PlatformEvent {
 /// What a task carries while it is pending.
 struct PendingTask {
     dataset: Arc<CtrDataset>,
-    /// Actor-bundle placement requests, computed once at submission (the
-    /// allocation is deterministic in the spec and cost model); scheduling
-    /// passes run the cloud placement trial against this cache. `None`
+    /// Actor placement requests, `(units per actor, actors)`, computed
+    /// once at submission (the allocation is deterministic in the spec
+    /// and cost model); scheduling passes run the cloud placement trial
+    /// against this cache. `None`
     /// means the allocation failed at submit: the task counts as
     /// placeable, so `plan_with` surfaces the real error on the normal
     /// failure path.
-    placement: Option<Vec<(ResourceBundle, u64)>>,
+    placement: Option<Vec<(u64, u64)>>,
 }
 
 impl PendingTask {
@@ -133,8 +131,6 @@ pub struct Platform {
     storage: Storage,
     rm: ResourceManager,
     queue: TaskQueue,
-    scheduler: GreedyScheduler,
-    runner: TaskRunner,
     /// Round-0 updates shared by every task admitted on the same dataset;
     /// rebound (and cleared) when a task brings another dataset.
     round_zero: RoundZeroMemo,
@@ -185,8 +181,6 @@ impl Platform {
             storage: Storage::new(),
             rm: ResourceManager::new(total_bundles, total_phones),
             queue: TaskQueue::new(),
-            scheduler: GreedyScheduler::new(),
-            runner: TaskRunner::new(config.runner),
             round_zero: RoundZeroMemo::default(),
             pending: BTreeMap::new(),
             reports: BTreeMap::new(),
@@ -222,7 +216,7 @@ impl Platform {
         // nodes, budget cap applied), not the capacity that happens to be
         // booted right now: a task needing a scale-out queues and waits
         // for the node-ready event instead of being rejected at the door.
-        if !self.scheduler.feasible_at_all(
+        if !GreedyScheduler.feasible_at_all(
             &spec,
             self.cluster.capacity_ceiling_units(),
             self.rm.total_phones(),
@@ -241,10 +235,9 @@ impl Platform {
         // fully-scaled pool (per-node fragmentation the aggregate unit
         // ceiling misses) is rejected now rather than booting nodes it
         // can never use and starving later.
-        let placement = self
-            .runner
+        let placement = TaskRunner
             .plan_allocation(&spec, &self.cluster)
-            .map(|alloc| TaskRunner::placement_requests(&spec, &alloc, &self.cluster))
+            .map(|alloc| TaskRunner::placement_requests(&spec, &alloc))
             .ok();
         if let Some(requests) = &placement {
             if !self.cluster.could_ever_place(requests) {
@@ -289,12 +282,11 @@ impl Platform {
         let started = {
             let cluster = &self.cluster;
             let pending = &self.pending;
-            self.scheduler
-                .schedule_filtered(&self.queue, &mut self.rm, |spec| {
-                    pending
-                        .get(&spec.id)
-                        .is_some_and(|task| task.places_on(cluster))
-                })
+            GreedyScheduler.schedule_filtered(&self.queue, &mut self.rm, |spec| {
+                pending
+                    .get(&spec.id)
+                    .is_some_and(|task| task.places_on(cluster))
+            })
         };
         let admitted = self.admit(started);
         self.autoscale_for_pending();
@@ -334,7 +326,7 @@ impl Platform {
             };
             let spec = &self.queue.get(id).expect("just marked").spec;
             self.round_zero.bind(&dataset);
-            match self.runner.plan_with(
+            match TaskRunner.plan_with(
                 spec,
                 &dataset,
                 &mut self.round_zero,
@@ -457,7 +449,7 @@ impl Platform {
         for &pg in &plan.groups {
             self.cluster.release_job(pg);
         }
-        let committed = self.runner.commit(plan, &self.phones);
+        let committed = TaskRunner.commit(plan, &self.phones);
         // Release exactly once per freeze, whatever the commit outcome.
         self.rm.release(id);
         match committed {
@@ -760,7 +752,7 @@ mod tests {
     use crate::spec::{AllocationPolicy, GradeRequirement};
     use simdc_data::GeneratorConfig;
     use simdc_ml::KernelKind;
-    use simdc_types::DeviceGrade;
+    use simdc_types::{DeviceGrade, ResourceBundle};
 
     fn dataset() -> Arc<CtrDataset> {
         Arc::new(CtrDataset::generate(&GeneratorConfig {

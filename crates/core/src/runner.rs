@@ -37,8 +37,8 @@ use simdc_ml::{evaluate, EvalMetrics, FedAvgFold, KernelKind, LocalTrainer, Loca
 use simdc_phone::{PerfReport, PhoneMgr, PhoneProfile, RunPlan};
 use simdc_simrt::RngStream;
 use simdc_types::{
-    DeviceId, Message, MessageId, PhoneId, ResourceBundle, Result, RoundId, SimDuration,
-    SimInstant, SimdcError, StorageKey, TaskId,
+    DeviceId, Message, MessageId, PhoneId, Result, RoundId, SimDuration, SimInstant, SimdcError,
+    StorageKey, TaskId,
 };
 
 use crate::alloc::{optimize, Allocation, GradeAllocParams, GradeAllocation};
@@ -111,8 +111,7 @@ const DATA_PAYLOAD_MIB: f64 = 4.0;
 
 /// Tunables of the runner itself (not task-specific). It has none: every
 /// task measures its benchmark phones. The type stays so that code which
-/// builds a runner from a [`crate::PlatformConfig`] or calls
-/// `TaskRunner::new(RunnerConfig::default())` keeps compiling.
+/// calls `TaskRunner::new(RunnerConfig::default())` keeps compiling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunnerConfig;
 
@@ -330,41 +329,33 @@ impl TaskRunner {
     }
 
     /// The placement-group requests a spec would acquire under
-    /// `allocation`: one `(actor bundle, actor count)` pair per grade with
+    /// `allocation`: one `(units per actor, actor count)` pair per grade with
     /// logical devices. The platform's admission pre-check runs these
     /// through the cluster's trial placement *before* freezing the task's
     /// claim, so a task whose placement would block (capacity booting, or
     /// free units fragmented across nodes) waits instead of failing.
     #[must_use]
-    pub(crate) fn placement_requests(
-        spec: &TaskSpec,
-        allocation: &Allocation,
-        cluster: &LogicalCluster,
-    ) -> Vec<(ResourceBundle, u64)> {
+    pub(crate) fn placement_requests(spec: &TaskSpec, allocation: &Allocation) -> Vec<(u64, u64)> {
         spec.grades
             .iter()
             .zip(&allocation.grades)
-            .filter_map(|(g, a)| Self::grade_request(g, a.logical_devices, cluster))
+            .filter_map(|(g, a)| Self::grade_request(g, a.logical_devices))
             .collect()
     }
 
     /// The single source of truth for one grade's placement-group shape:
-    /// `(actor bundle, actor count)` for `logical_devices` devices placed
+    /// `(units per actor, actor count)` for `logical_devices` devices placed
     /// on the cloud tier, or `None` when the grade runs no logical
     /// devices. Both the admission trial ([`TaskRunner::placement_requests`])
     /// and the real acquisition in [`TaskRunner::plan_with`] derive from
     /// here, so the trial can never approve a placement the acquisition
     /// rejects.
-    fn grade_request(
-        g: &GradeRequirement,
-        logical_devices: u64,
-        cluster: &LogicalCluster,
-    ) -> Option<(ResourceBundle, u64)> {
+    fn grade_request(g: &GradeRequirement, logical_devices: u64) -> Option<(u64, u64)> {
         if logical_devices == 0 {
             return None;
         }
         let actors = (g.logical_unit_bundles / g.units_per_device.max(1)).min(logical_devices);
-        Some((cluster.actor_bundle(g.units_per_device), actors))
+        Some((g.units_per_device, actors))
     }
 
     fn alloc_params(spec: &TaskSpec, cluster: &LogicalCluster) -> Vec<GradeAllocParams> {
@@ -558,12 +549,12 @@ impl TaskRunner {
     ) -> Result<()> {
         for i in 0..placements.len() {
             let g = &spec.grades[i];
-            let Some((bundle, actors)) =
-                Self::grade_request(g, placements[i].logical_devices.len() as u64, cluster)
+            let Some((units, actors)) =
+                Self::grade_request(g, placements[i].logical_devices.len() as u64)
             else {
                 continue;
             };
-            match cluster.acquire_group(bundle, actors as usize) {
+            match cluster.acquire_group(units, actors as usize) {
                 Ok(pg) => placements[i].group = Some(pg),
                 Err(err) => {
                     for pg in placements[..i].iter().filter_map(|p| p.group) {
@@ -648,8 +639,8 @@ impl TaskRunner {
                         round,
                         grade: g.grade,
                         devices: placement.logical_devices.clone(),
-                        unit_bundles: g.logical_unit_bundles as u32,
-                        units_per_device: g.units_per_device as u32,
+                        unit_bundles: g.logical_unit_bundles,
+                        units_per_device: g.units_per_device,
                         payload_mib,
                     };
                     let plan = cluster.plan_round_on_group(pg, &job, &mut rng)?;

@@ -2,11 +2,10 @@
 //!
 //! The logical-simulation cluster emulates devices with *unit resource
 //! bundles* — e.g. `{CPU: 1 core, memory: 1 GB}` — and a grade-`g` device
-//! needs `k_g` such units (§IV-B). [`ResourceBundle`] is the quantity being
-//! requested, frozen and released by the resource manager.
+//! needs `k_g` such units (§IV-B). [`ResourceBundle`] sizes a node and the
+//! unit; everything above it counts in units.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 use serde::{Deserialize, Serialize};
 
@@ -91,73 +90,6 @@ impl ResourceBundle {
             .min(ratio(self.memory_mib, unit.memory_mib))
             .min(ratio(self.gpu_millis, unit.gpu_millis))
     }
-
-    /// Component-wise saturating subtraction.
-    #[must_use]
-    pub const fn saturating_sub(&self, rhs: &ResourceBundle) -> ResourceBundle {
-        ResourceBundle {
-            cpu_millicores: self.cpu_millicores.saturating_sub(rhs.cpu_millicores),
-            memory_mib: self.memory_mib.saturating_sub(rhs.memory_mib),
-            gpu_millis: self.gpu_millis.saturating_sub(rhs.gpu_millis),
-        }
-    }
-
-    /// Multiplies every component by `n`.
-    #[must_use]
-    pub const fn scaled(&self, n: u64) -> ResourceBundle {
-        ResourceBundle {
-            cpu_millicores: self.cpu_millicores * n,
-            memory_mib: self.memory_mib * n,
-            gpu_millis: self.gpu_millis * n,
-        }
-    }
-}
-
-impl Add for ResourceBundle {
-    type Output = ResourceBundle;
-    fn add(self, rhs: ResourceBundle) -> ResourceBundle {
-        ResourceBundle {
-            cpu_millicores: self.cpu_millicores + rhs.cpu_millicores,
-            memory_mib: self.memory_mib + rhs.memory_mib,
-            gpu_millis: self.gpu_millis + rhs.gpu_millis,
-        }
-    }
-}
-
-impl AddAssign for ResourceBundle {
-    fn add_assign(&mut self, rhs: ResourceBundle) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub for ResourceBundle {
-    type Output = ResourceBundle;
-    /// Component-wise subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds, via integer underflow) if any component of
-    /// `rhs` exceeds `self`; use [`ResourceBundle::saturating_sub`] when the
-    /// relationship is not known.
-    fn sub(self, rhs: ResourceBundle) -> ResourceBundle {
-        ResourceBundle {
-            cpu_millicores: self.cpu_millicores - rhs.cpu_millicores,
-            memory_mib: self.memory_mib - rhs.memory_mib,
-            gpu_millis: self.gpu_millis - rhs.gpu_millis,
-        }
-    }
-}
-
-impl SubAssign for ResourceBundle {
-    fn sub_assign(&mut self, rhs: ResourceBundle) {
-        *self = *self - rhs;
-    }
-}
-
-impl std::iter::Sum for ResourceBundle {
-    fn sum<I: Iterator<Item = ResourceBundle>>(iter: I) -> Self {
-        iter.fold(ResourceBundle::ZERO, |acc, b| acc + b)
-    }
 }
 
 impl fmt::Display for ResourceBundle {
@@ -200,21 +132,6 @@ mod tests {
         let high = ResourceBundle::cores_gib(4, 12);
         // 200 cores / 4 = 50 actors by CPU; 300 GiB / 12 GiB = 25 by memory.
         assert_eq!(node.max_bundles(&high), 25);
-    }
-
-    #[test]
-    fn arithmetic_round_trips() {
-        let a = ResourceBundle::new(3_000, 2_048, 500);
-        let b = ResourceBundle::new(1_000, 1_024, 250);
-        assert_eq!(a + b - b, a);
-        assert_eq!(b.scaled(3), ResourceBundle::new(3_000, 3_072, 750));
-        assert_eq!(b.saturating_sub(&a), ResourceBundle::ZERO);
-    }
-
-    #[test]
-    fn sum_accumulates() {
-        let total: ResourceBundle = (0..4).map(|_| ResourceBundle::cores_gib(1, 1)).sum();
-        assert_eq!(total, ResourceBundle::cores_gib(4, 4));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 
 use std::sync::Arc;
 
+use simdc_cluster::runner::{MAX_NODES, MAX_POOL_UNITS};
+use simdc_core::TaskState;
 use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_simrt::RngStream;
-use simdc_types::SimDuration;
+use simdc_types::{SimDuration, TaskId};
 use simdc_workload::fleet::{MAX_EXPECTED_CRASHES, MAX_STRAGGLER_SLOWDOWN};
 use simdc_workload::scenario::{MAX_DEVICE_ROUNDS, MAX_DISPATCH_TICKS, MAX_EXPECTED_ARRIVALS};
 use simdc_workload::template::MAX_DEVICES_PER_GRADE;
@@ -202,19 +204,10 @@ fn the_crash_cap_admits_every_committed_spec_with_margin() {
     assert!(densest * 16 <= MAX_EXPECTED_CRASHES);
 }
 
-/// The work caps admit every committed spec with a margin: the nine
-/// fixtures and the benchmark's workload files at full size, each read
-/// as a `ScenarioSpec` (a workload file wraps its spec in
-/// `{why, dataset, spec}`; `traffic_shaping` has none). Each estimate is
-/// restated here from `Scenario::validate`'s documented formula. The
-/// densest specs are `dense_flow` for arrivals (12 000, 83× under the
-/// cap), `cloud_elastic` for dispatch ticks (72) and device-rounds
-/// (258 048, 387× under). The fuzzer draws horizons of at most 4 minutes,
-/// peak rates of at most 3.2 per minute, dispatch every minute, at most 2
-/// rounds and at most 6 devices per grade: at most 13 arrivals, 4 ticks
-/// and 312 device-rounds.
-#[test]
-fn the_work_caps_admit_every_committed_spec_with_margin() {
+/// The committed specs read as `ScenarioSpec`s: the nine fixtures and
+/// the benchmark's workload files (a workload file wraps its spec in
+/// `{why, dataset, spec}`; `traffic_shaping` has none).
+fn committed_specs() -> Vec<(String, ScenarioSpec)> {
     let mut specs: Vec<(String, ScenarioSpec)> = scenario_names()
         .map(|name| (name.to_string(), scenario(name).unwrap()))
         .collect();
@@ -231,6 +224,21 @@ fn the_work_caps_admit_every_committed_spec_with_margin() {
         }
     }
     assert_eq!(specs.len(), 9 + 5);
+    specs
+}
+
+/// The work caps admit every committed spec with a margin: the nine
+/// fixtures and the benchmark's workload files at full size. Each estimate is
+/// restated here from `Scenario::validate`'s documented formula. The
+/// densest specs are `dense_flow` for arrivals (12 000, 83× under the
+/// cap), `cloud_elastic` for dispatch ticks (72) and device-rounds
+/// (258 048, 387× under). The fuzzer draws horizons of at most 4 minutes,
+/// peak rates of at most 3.2 per minute, dispatch every minute, at most 2
+/// rounds and at most 6 devices per grade: at most 13 arrivals, 4 ticks
+/// and 312 device-rounds.
+#[test]
+fn the_work_caps_admit_every_committed_spec_with_margin() {
+    let specs = committed_specs();
     let (mut arrivals, mut ticks, mut device_rounds) = (0.0f64, 0, 0.0f64);
     for (name, spec) in &specs {
         let expected = spec.arrivals.peak_rate_per_min() * spec.horizon.as_mins_f64();
@@ -250,3 +258,67 @@ fn the_work_caps_admit_every_committed_spec_with_margin() {
     let capped = 0.7 * 6.0 * 3.0 * 2.0 * MAX_DEVICES_PER_GRADE as f64;
     assert!(capped * 16.0 <= MAX_DEVICE_ROUNDS as f64, "{capped}");
 }
+
+/// The cluster caps admit every committed spec with a margin. A spec
+/// without a cluster override runs the default cluster (16 nodes of 50
+/// units). The densest is `cloud_elastic`: 512 nodes (195× under
+/// `MAX_NODES`) of 50 units, 25 600 units in all (167 000× under
+/// `MAX_POOL_UNITS`). The fuzzer drops the cluster override, so it runs
+/// the default cluster.
+#[test]
+fn the_cluster_caps_admit_every_committed_spec_with_margin() {
+    let (mut nodes, mut units) = (0, 0);
+    for (name, spec) in committed_specs() {
+        let cluster = spec.cluster.clone().unwrap_or_default();
+        assert!(cluster.validate().is_ok(), "{name}");
+        let per_node = cluster.node_template.max_bundles(&cluster.unit_bundle);
+        nodes = nodes.max(cluster.max_nodes);
+        units = units.max(cluster.max_nodes as u64 * per_node);
+    }
+    assert_eq!((nodes, units), (512, 25_600));
+    assert!(nodes * 16 <= MAX_NODES);
+    assert!(units * 16 <= MAX_POOL_UNITS);
+}
+
+/// A device that needs more units than any task asks for launches no
+/// actor: `steady_poisson`, every device on the cloud tier, with high
+/// devices of 10^18 units each. Every task that draws a high grade
+/// fails with a typed error naming the real `k` (no `u32` truncation,
+/// no overflow in building its actor bundle), and the run ends to the
+/// same summary bytes in debug and release builds (the digest is
+/// checked under both profiles).
+#[test]
+fn a_device_larger_than_its_task_fails_alike_in_both_profiles() {
+    let committed = steady();
+    let huge = committed
+        .replacen(
+            "\"units_per_device\": 8",
+            "\"units_per_device\": 1000000000000000000",
+            1,
+        )
+        .replacen(
+            "\"allocation\": \"Optimized\"",
+            "\"allocation\": {\n      \"FixedLogicalFraction\": 1\n    }",
+            1,
+        );
+    let spec = ScenarioSpec::from_json_str(&huge).unwrap();
+    assert_eq!(
+        spec.template.high.units_per_device,
+        1_000_000_000_000_000_000
+    );
+    let (summary, platform) = spec.compile().unwrap().run_detailed(&dataset());
+    assert_eq!((summary.submitted, summary.failed), (27, 21), "{summary:?}");
+    let reason = "invalid configuration: unit_bundles (48) must be >= units_per_device \
+                  (1000000000000000000) to launch an actor";
+    for id in 1..=summary.submitted {
+        match platform.task_state(TaskId(id)) {
+            Some(TaskState::Completed { .. }) => {}
+            Some(TaskState::Failed { reason: r }) => assert_eq!(r, reason, "task {id}"),
+            other => panic!("task {id} ended {other:?}"),
+        }
+    }
+    let digest = fnv1a(serde_json::to_string(&summary).unwrap().as_bytes());
+    assert_eq!(digest, HUGE_DEVICE_DIGEST, "observed digest {digest}");
+}
+
+const HUGE_DEVICE_DIGEST: u64 = 1_049_254_158_184_544_376;

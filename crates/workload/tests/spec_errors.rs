@@ -39,7 +39,8 @@ fn patch(text: &str, from: &str, to: &str) -> String {
 
 #[test]
 fn every_malformed_spec_yields_its_pinned_error() {
-    let cases: Vec<(&str, String, &str)> = vec![
+    let cases: Vec<(&str, String, &str)> =
+        vec![
         (
             "malformed json",
             "{ not json".into(),
@@ -164,6 +165,22 @@ fn every_malformed_spec_yields_its_pinned_error() {
             ),
             "invalid configuration: device-rounds (expected arrivals × max rounds × 2 × max \
              devices_per_grade) must be at most 100000000, got 4.032e12",
+        ),
+        (
+            "max_nodes above the cap",
+            patch(&budget_capped(), "\"max_nodes\": 16", "\"max_nodes\": 4000000"),
+            "invalid configuration: max_nodes must be at most 100000, got 4000000",
+        ),
+        (
+            "pool units above the cap",
+            patch(
+                &budget_capped(),
+                "\"cpu_millicores\": 50000,\n      \"memory_mib\": 76800",
+                "\"cpu_millicores\": 9223372036854775807,\n      \
+                 \"memory_mib\": 9223372036854775807",
+            ),
+            "invalid configuration: pool units (max_nodes × unit bundles per node) must be at \
+             most 4294967295, got 144115188075855856",
         ),
         (
             "too many threads",
