@@ -1,6 +1,6 @@
 //! Golden-trace regression tests.
 //!
-//! `table1` and `fig5` run at `--quick` scale with the default seed and
+//! `table1`, `fig5` and `fig8` run at `--quick` scale with the default seed and
 //! their JSON results are byte-compared against fixtures committed under
 //! `tests/golden/`. Any change to the simulation pipeline that silently
 //! shifts experiment outputs — a reordered RNG draw, a tweaked profile
@@ -12,8 +12,10 @@
 //! ```sh
 //! cargo run --release -p simdc-bench -- table1 --quick --out crates/bench/tests/golden
 //! cargo run --release -p simdc-bench -- fig5   --quick --out crates/bench/tests/golden
+//! cargo run --release -p simdc-bench -- fig8   --quick --out crates/bench/tests/golden
 //! mv crates/bench/tests/golden/table1.json crates/bench/tests/golden/table1_quick.json
 //! mv crates/bench/tests/golden/fig5.json   crates/bench/tests/golden/fig5_quick.json
+//! mv crates/bench/tests/golden/fig8.json   crates/bench/tests/golden/fig8_quick.json
 //! ```
 //!
 //! and call the drift out in the PR.
@@ -65,5 +67,12 @@ fn table1_quick_matches_golden_fixture() {
 fn fig5_quick_matches_golden_fixture() {
     golden_check("fig5", include_str!("golden/fig5_quick.json"), |opts| {
         simdc_bench::exp::fig5::run(opts);
+    });
+}
+
+#[test]
+fn fig8_quick_matches_golden_fixture() {
+    golden_check("fig8", include_str!("golden/fig8_quick.json"), |opts| {
+        simdc_bench::exp::fig8::run(opts);
     });
 }
