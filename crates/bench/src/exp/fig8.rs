@@ -24,9 +24,9 @@
 //!   converges to SimDC's, since both grow linearly per device.
 
 use serde::Serialize;
-use simdc_cluster::{ClusterConfig, CostModel, JobSpec, LogicalCluster};
+use simdc_cluster::{ClusterConfig, CostModel, LogicalCluster};
 use simdc_simrt::RngStream;
-use simdc_types::{DeviceGrade, DeviceId, PerGrade, ResourceBundle, RoundId, SimDuration, TaskId};
+use simdc_types::{DeviceGrade, DeviceId, PerGrade, ResourceBundle, SimDuration};
 
 use crate::{f, render_table, ExpOptions};
 
@@ -100,18 +100,21 @@ pub fn simdc_round_time(n: u64, seed: u64) -> SimDuration {
         ..ClusterConfig::default()
     };
     let mut cluster = LogicalCluster::new(config);
-    let job = JobSpec {
-        task: TaskId(1),
-        round: RoundId(0),
-        grade: DeviceGrade::High,
-        devices: (0..n).map(DeviceId).collect(),
-        unit_bundles: 200,
-        units_per_device: 1,
-        payload_mib: 4.0,
-    };
+    // f = 200 unit bundles, k = 1: one actor per unit, no idle actor, so
+    // every actor simulates at least one device.
+    let actors = n.min(200) as usize;
+    let pg = cluster.acquire_group(1, actors).expect("job fits");
+    let devices: Vec<DeviceId> = (0..n).map(DeviceId).collect();
     let mut rng = RngStream::named(seed, "fig8");
-    let plan = cluster.submit_job(&job, &mut rng).expect("job fits");
-    plan.makespan.saturating_add(CLOUD_OVERHEAD)
+    let completions = cluster
+        .plan_round(pg, DeviceGrade::High, &devices, 4.0, &mut rng)
+        .expect("job fits");
+    // The slowest actor finishes with its last device's upload.
+    let upload = cluster.cost().upload_per_device;
+    completions
+        .last()
+        .map_or(SimDuration::ZERO, |&(_, at)| at.saturating_add(upload))
+        .saturating_add(CLOUD_OVERHEAD)
 }
 
 /// Runs the experiment.

@@ -20,11 +20,12 @@
 //! * [`PlacementGroup`] — a set of actors of `k` units each, placed
 //!   first-fit across the ready nodes, all-or-nothing, held for the
 //!   owning task's whole lifetime.
-//! * [`LogicalCluster`] — job submission: splits a device population over
-//!   the placement group's actors and produces a [`JobPlan`] with a virtual
-//!   completion time per device. Per-actor *data/model download* costs are
-//!   charged every round — the architectural realism that makes SimDC
-//!   slower than in-memory simulators at small scale (Fig 8).
+//! * [`LogicalCluster`] — round planning: deals a round's devices over a
+//!   placement group's actors and returns each device's virtual completion
+//!   offset ([`LogicalCluster::plan_round`]). Per-actor *data/model
+//!   download* costs are charged every round — the architectural realism
+//!   that makes SimDC slower than in-memory simulators at small scale
+//!   (Fig 8).
 //!
 //! The cluster lives on the *platform's* clock: the owner calls
 //! [`LogicalCluster::advance_to`] as virtual time moves, and
@@ -34,56 +35,50 @@
 //!
 //! # Examples
 //!
-//! Submitting a job that fits the ready capacity:
+//! Planning a round on a placement group that fits the ready capacity:
 //!
 //! ```
-//! use simdc_cluster::{ClusterConfig, CostModel, JobSpec, LogicalCluster};
+//! use simdc_cluster::{ClusterConfig, LogicalCluster};
 //! use simdc_simrt::RngStream;
-//! use simdc_types::{DeviceGrade, DeviceId, RoundId, TaskId};
+//! use simdc_types::{DeviceGrade, DeviceId};
 //!
 //! let mut cluster = LogicalCluster::new(ClusterConfig::default());
-//! let job = JobSpec {
-//!     task: TaskId(1),
-//!     round: RoundId(0),
-//!     grade: DeviceGrade::High,
-//!     devices: (0..100).map(DeviceId).collect(),
-//!     unit_bundles: 80,              // f = 80 unit bundles
-//!     units_per_device: 8,           // k = 8 → 10 actors
-//!     payload_mib: 4.0,
-//! };
+//! // f = 80 unit bundles, k = 8 per device → 10 actors of 8 units.
+//! let pg = cluster.acquire_group(8, 10).unwrap();
+//! let devices: Vec<DeviceId> = (0..100).map(DeviceId).collect();
 //! let mut rng = RngStream::from_seed(1);
-//! let plan = cluster.submit_job(&job, &mut rng).unwrap();
-//! assert_eq!(plan.actor_count(), 10);
-//! assert_eq!(plan.device_completions().len(), 100);
+//! let completions = cluster
+//!     .plan_round(pg, DeviceGrade::High, &devices, 4.0, &mut rng)
+//!     .unwrap();
+//! assert_eq!(completions.len(), 100);
+//! assert!(completions.windows(2).all(|w| w[0].1 <= w[1].1));
+//! cluster.release_job(pg);
 //! ```
 //!
 //! A burst beyond the ready capacity blocks until the autoscaler's nodes
 //! finish booting:
 //!
 //! ```
-//! use simdc_cluster::{ClusterConfig, JobSpec, LogicalCluster, ScalingAction};
+//! use simdc_cluster::{ClusterConfig, LogicalCluster, ScalingAction};
 //! use simdc_simrt::RngStream;
-//! use simdc_types::{DeviceGrade, DeviceId, RoundId, SimInstant, TaskId};
+//! use simdc_types::{DeviceGrade, DeviceId, SimInstant};
 //!
 //! let mut cluster = LogicalCluster::new(ClusterConfig::default());
-//! let burst = JobSpec {
-//!     task: TaskId(1),
-//!     round: RoundId(0),
-//!     grade: DeviceGrade::High,
-//!     devices: (0..400).map(DeviceId).collect(),
-//!     unit_bundles: 400,
-//!     units_per_device: 1,
-//!     payload_mib: 4.0,
-//! };
-//! let mut rng = RngStream::from_seed(7);
-//! // 400 units > 200 ready units: placement blocks (errors) for now.
-//! assert!(cluster.submit_job(&burst, &mut rng).is_err());
+//! // 400 actors of one unit > 200 ready units: placement blocks (errors)
+//! // for now.
+//! assert!(cluster.acquire_group(1, 400).is_err());
 //! // The autoscaler reacts to the queued demand with booting nodes…
 //! let ScalingAction::ScaleUp { ready_at, .. } = cluster.autoscale(400, SimInstant::EPOCH)
 //! else { panic!("queue pressure must scale up") };
-//! // …and once the boot latency has elapsed, the same job places.
+//! // …and once the boot latency has elapsed, the same group places.
 //! cluster.advance_to(ready_at);
-//! assert_eq!(cluster.submit_job(&burst, &mut rng).unwrap().actor_count(), 400);
+//! let pg = cluster.acquire_group(1, 400).unwrap();
+//! let devices: Vec<DeviceId> = (0..400).map(DeviceId).collect();
+//! let mut rng = RngStream::from_seed(7);
+//! let completions = cluster
+//!     .plan_round(pg, DeviceGrade::High, &devices, 4.0, &mut rng)
+//!     .unwrap();
+//! assert_eq!(completions.len(), 400);
 //! ```
 
 #![deny(missing_docs)]
@@ -100,4 +95,4 @@ pub use autoscaler::{Autoscaler, AutoscalerConfig, CostMeter, ScalingAction};
 pub use cost::CostModel;
 pub use node::{NodePool, NodeState, WorkerNode};
 pub use placement::{PlacementGroup, PlacementGroupId};
-pub use runner::{ActorPlan, ClusterConfig, ClusterStats, JobPlan, JobSpec, LogicalCluster};
+pub use runner::{ClusterConfig, ClusterStats, LogicalCluster};

@@ -1,13 +1,12 @@
-//! The Ray Runner: job submission, placement-group lifecycle and actor
-//! scheduling on the elastic node pool.
+//! The Ray Runner: placement-group lifecycle on the elastic node pool and
+//! the timing of one round over a group's actors.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use simdc_simrt::RngStream;
 use simdc_types::{
-    ActorId, DeviceGrade, DeviceId, NodeId, ResourceBundle, Result, RoundId, SimDuration,
-    SimInstant, SimdcError, TaskId,
+    DeviceGrade, DeviceId, ResourceBundle, Result, SimDuration, SimInstant, SimdcError,
 };
 
 use crate::autoscaler::{Autoscaler, AutoscalerConfig, CostMeter, ScalingAction};
@@ -101,113 +100,6 @@ impl ClusterConfig {
     }
 }
 
-/// A single-grade, single-round simulation job (the paper's `f` and `k`
-/// parameters, §IV-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobSpec {
-    /// Owning task.
-    pub task: TaskId,
-    /// Round being executed.
-    pub round: RoundId,
-    /// Device grade simulated by this job.
-    pub grade: DeviceGrade,
-    /// The devices to simulate (the optimizer's `x` of them end up here).
-    pub devices: Vec<DeviceId>,
-    /// Total unit bundles requested (`f`).
-    pub unit_bundles: u64,
-    /// Unit bundles consumed per simulated device (`k`); one actor holds
-    /// `k` units, so the job runs `⌊f / k⌋` actors.
-    pub units_per_device: u64,
-    /// Data + model payload each actor downloads at round start, in MiB.
-    pub payload_mib: f64,
-}
-
-impl JobSpec {
-    /// Number of actors this job will launch.
-    #[must_use]
-    pub fn actor_count(&self) -> u64 {
-        self.unit_bundles
-            .checked_div(self.units_per_device)
-            .unwrap_or(0)
-    }
-
-    /// Validates the spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidConfig` when `k` is zero, `f < k` (no actor fits), or
-    /// the payload is negative/not finite.
-    pub fn validate(&self) -> Result<()> {
-        use SimdcError::InvalidConfig;
-        if self.units_per_device == 0 {
-            return Err(InvalidConfig("units_per_device (k) must be > 0".into()));
-        }
-        if !self.devices.is_empty() && self.actor_count() == 0 {
-            return Err(InvalidConfig(format!(
-                "unit_bundles ({}) must be >= units_per_device ({}) to launch an actor",
-                self.unit_bundles, self.units_per_device
-            )));
-        }
-        if !self.payload_mib.is_finite() || self.payload_mib < 0.0 {
-            return Err(InvalidConfig("payload_mib must be finite and >= 0".into()));
-        }
-        Ok(())
-    }
-}
-
-/// One actor's schedule within a job plan. All offsets are relative to job
-/// submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ActorPlan {
-    /// Actor identifier.
-    pub actor: ActorId,
-    /// Node hosting the actor.
-    pub node: NodeId,
-    /// When the actor is ready (placement + spawn).
-    pub ready_at: SimDuration,
-    /// Completion offset of each assigned device, in execution order.
-    pub completions: Vec<(DeviceId, SimDuration)>,
-    /// When the actor finished its last upload.
-    pub finished_at: SimDuration,
-}
-
-/// The timed execution plan of a submitted job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobPlan {
-    /// Owning task.
-    pub task: TaskId,
-    /// Round covered.
-    pub round: RoundId,
-    /// Grade simulated.
-    pub grade: DeviceGrade,
-    /// The placement group backing the job (release it when done).
-    pub placement_group: PlacementGroupId,
-    /// Per-actor schedules.
-    pub actors: Vec<ActorPlan>,
-    /// Time from submission until the slowest actor finished.
-    pub makespan: SimDuration,
-}
-
-impl JobPlan {
-    /// Number of actors launched.
-    #[must_use]
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
-    /// All device completion offsets, flattened across actors.
-    #[must_use]
-    pub fn device_completions(&self) -> Vec<(DeviceId, SimDuration)> {
-        let mut all: Vec<(DeviceId, SimDuration)> = self
-            .actors
-            .iter()
-            .flat_map(|a| a.completions.iter().copied())
-            .collect();
-        all.sort_by_key(|&(_, at)| at);
-        all
-    }
-}
-
 /// A point-in-time view of the elastic tier (what a scenario run samples
 /// into the `cloud.series` of its summary).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -233,8 +125,8 @@ pub struct ClusterStats {
     pub cost_accrued: f64,
 }
 
-/// The logical-simulation cluster: elastic node pool + Ray-style job
-/// submission, living on the platform's virtual clock.
+/// The logical-simulation cluster: elastic node pool + Ray-style
+/// placement groups, living on the platform's virtual clock.
 ///
 /// The platform owns the clock: it calls [`LogicalCluster::advance_to`]
 /// whenever its own clock moves, which promotes booting nodes, retires
@@ -249,7 +141,6 @@ pub struct LogicalCluster {
     meter: CostMeter,
     groups: BTreeMap<PlacementGroupId, PlacementGroup>,
     next_group: u64,
-    next_actor: u64,
     clock: SimInstant,
 }
 
@@ -275,7 +166,6 @@ impl LogicalCluster {
             meter: CostMeter::new(SimInstant::EPOCH),
             groups: BTreeMap::new(),
             next_group: 0,
-            next_actor: 0,
             clock: SimInstant::EPOCH,
         }
     }
@@ -290,13 +180,6 @@ impl LogicalCluster {
     #[must_use]
     pub fn cost(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// The cluster's clock — the instant of the last
-    /// [`LogicalCluster::advance_to`] (owned and driven by the platform).
-    #[must_use]
-    pub fn now(&self) -> SimInstant {
-        self.clock
     }
 
     /// Advances the elastic tier to `now`: accrues node cost at the
@@ -325,12 +208,6 @@ impl LogicalCluster {
             self.cost.node_hourly_cost,
             now,
         )
-    }
-
-    /// Unit bundles placeable right now on ready nodes.
-    #[must_use]
-    pub fn free_unit_bundles(&self) -> u64 {
-        self.pool.placeable()
     }
 
     /// Unit bundles the *ready* nodes hold at full capacity — what the
@@ -378,14 +255,8 @@ impl LogicalCluster {
         units_per_device
     }
 
-    /// Cumulative node-time spend accrued so far.
-    #[must_use]
-    pub fn cost_accrued(&self) -> f64 {
-        self.meter.accrued()
-    }
-
     /// Cumulative billed node-seconds (the quantity
-    /// [`LogicalCluster::cost_accrued`] prices at the hourly rate).
+    /// [`ClusterStats::cost_accrued`] prices at the hourly rate).
     #[must_use]
     pub fn node_seconds(&self) -> f64 {
         self.meter.node_seconds()
@@ -441,110 +312,59 @@ impl LogicalCluster {
         Ok(pg_id)
     }
 
-    /// Computes the timed per-round schedule of `job` over an already
-    /// acquired placement group, drawing actor ids from the cluster's own
-    /// counter. The group's reservation is untouched — one group serves
-    /// every round of its task. Deals devices round-robin over one actor
-    /// per placement, charges the per-round placement+spawn setup and the
-    /// per-actor data/model download, then walks each actor's queue
-    /// sequentially.
+    /// Plans one round of `devices` of `grade` over the acquired group
+    /// `pg_id`: when each device finishes, as an offset from the round's
+    /// start, sorted by offset (ties keep actor order, then deal order).
+    /// Devices are dealt round-robin over one actor per placement; every
+    /// actor pays the placement+spawn setup and the `payload_mib`
+    /// download, then computes its devices in sequence with an upload
+    /// after each. Compute is drawn from `rng` actor by actor. The
+    /// group's reservation is untouched — one group serves every round of
+    /// its task.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidConfig` for a malformed spec or an unknown group.
-    pub fn plan_round_on_group(
-        &mut self,
+    /// Returns `InvalidConfig` for an unknown group, a group with no actor
+    /// while `devices` is non-empty, or a negative or non-finite payload.
+    pub fn plan_round(
+        &self,
         pg_id: PlacementGroupId,
-        job: &JobSpec,
+        grade: DeviceGrade,
+        devices: &[DeviceId],
+        payload_mib: f64,
         rng: &mut RngStream,
-    ) -> Result<JobPlan> {
+    ) -> Result<Vec<(DeviceId, SimDuration)>> {
+        use SimdcError::InvalidConfig;
         let group = self
             .groups
             .get(&pg_id)
-            .ok_or_else(|| SimdcError::InvalidConfig(format!("unknown placement group {pg_id}")))?;
-        job.validate()?;
-
-        let cost = &self.cost;
-        let ready_at = cost.pg_create.saturating_add(cost.actor_spawn);
-        let download = cost.download_time(job.payload_mib);
-
-        let next_actor = &mut self.next_actor;
-        let mut actors: Vec<ActorPlan> = group
-            .placements()
-            .iter()
-            .map(|&node| {
-                let actor = ActorId(*next_actor);
-                *next_actor += 1;
-                ActorPlan {
-                    actor,
-                    node,
-                    ready_at,
-                    completions: Vec::new(),
-                    finished_at: ready_at,
-                }
-            })
-            .collect();
-
-        // Deal devices round-robin, then walk each actor's queue
-        // sequentially.
-        let mut queues: Vec<Vec<DeviceId>> = vec![Vec::new(); actors.len()];
-        let n_queues = queues.len().max(1);
-        for (i, &dev) in job.devices.iter().enumerate() {
-            queues[i % n_queues].push(dev);
+            .ok_or_else(|| InvalidConfig(format!("unknown placement group {pg_id}")))?;
+        let actors = group.len();
+        if actors == 0 && !devices.is_empty() {
+            return Err(InvalidConfig(format!(
+                "placement group {pg_id} has no actor for {} devices",
+                devices.len()
+            )));
         }
-        let mut makespan = SimDuration::ZERO;
-        for (actor, queue) in actors.iter_mut().zip(queues) {
-            let mut t = ready_at.saturating_add(download);
-            for dev in queue {
-                t = t.saturating_add(cost.device_compute(job.grade, rng));
-                actor.completions.push((dev, t));
+        if !payload_mib.is_finite() || payload_mib < 0.0 {
+            return Err(InvalidConfig("payload_mib must be finite and >= 0".into()));
+        }
+        let cost = &self.cost;
+        let compute_start = cost
+            .pg_create
+            .saturating_add(cost.actor_spawn)
+            .saturating_add(cost.download_time(payload_mib));
+        let mut completions = Vec::with_capacity(devices.len());
+        for actor in 0..actors {
+            let mut t = compute_start;
+            for &dev in devices.iter().skip(actor).step_by(actors) {
+                t = t.saturating_add(cost.device_compute(grade, rng));
+                completions.push((dev, t));
                 t = t.saturating_add(cost.upload_per_device);
             }
-            actor.finished_at = t;
-            makespan = makespan.max(t);
         }
-
-        Ok(JobPlan {
-            task: job.task,
-            round: job.round,
-            grade: job.grade,
-            placement_group: pg_id,
-            actors,
-            makespan,
-        })
-    }
-
-    /// Submits a one-shot job: acquires a placement group against the
-    /// currently ready capacity and returns the timed plan. Resources stay
-    /// reserved until [`LogicalCluster::release_job`].
-    ///
-    /// Devices are dealt to actors round-robin, so actor loads differ by at
-    /// most one device — matching the paper's "each actor sequentially
-    /// simulating multiple devices".
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidConfig` for a malformed spec and
-    /// [`SimdcError::ResourceExhausted`] when the placement group does not
-    /// fit the ready capacity. Submission does *not* scale the pool: boot
-    /// more nodes first (e.g. via [`LogicalCluster::autoscale`]) and let
-    /// the boot latency elapse — capacity is never usable at the request
-    /// instant.
-    pub fn submit_job(&mut self, job: &JobSpec, rng: &mut RngStream) -> Result<JobPlan> {
-        job.validate()?;
-        let actor_count = if job.devices.is_empty() {
-            0
-        } else {
-            job.actor_count().min(job.devices.len() as u64) as usize
-        };
-        let pg_id = self.acquire_group(job.units_per_device, actor_count)?;
-        match self.plan_round_on_group(pg_id, job, rng) {
-            Ok(plan) => Ok(plan),
-            Err(err) => {
-                self.release_job(pg_id);
-                Err(err)
-            }
-        }
+        completions.sort_by_key(|&(_, at)| at);
+        Ok(completions)
     }
 
     /// Releases the resources of a finished job. Returns `false` if the
@@ -568,41 +388,67 @@ mod tests {
         LogicalCluster::new(ClusterConfig::default())
     }
 
-    fn job(n_devices: u64, f: u64, k: u64) -> JobSpec {
-        JobSpec {
-            task: TaskId(1),
-            round: RoundId(0),
-            grade: DeviceGrade::High,
-            devices: (0..n_devices).map(DeviceId).collect(),
-            unit_bundles: f,
-            units_per_device: k,
-            payload_mib: 4.0,
-        }
-    }
-
-    #[test]
-    fn devices_split_evenly_across_actors() {
-        let mut c = cluster();
-        let mut rng = RngStream::from_seed(1);
-        let plan = c.submit_job(&job(100, 80, 8), &mut rng).unwrap();
-        assert_eq!(plan.actor_count(), 10);
-        for a in &plan.actors {
-            assert_eq!(a.completions.len(), 10);
-        }
-        assert_eq!(plan.device_completions().len(), 100);
-    }
-
-    #[test]
-    fn makespan_tracks_sequential_waves() {
-        let mut c = LogicalCluster::new(ClusterConfig {
+    fn without_jitter() -> LogicalCluster {
+        LogicalCluster::new(ClusterConfig {
             cost: CostModel {
                 jitter_frac: 0.0,
                 ..CostModel::default()
             },
             ..ClusterConfig::default()
-        });
+        })
+    }
+
+    fn devices(n: u64) -> Vec<DeviceId> {
+        (0..n).map(DeviceId).collect()
+    }
+
+    /// One round of `n` high-grade devices on a fresh group of `actors`
+    /// actors of `k` units, with a 4 MiB payload.
+    fn round(
+        c: &mut LogicalCluster,
+        k: u64,
+        actors: usize,
+        n: u64,
+        rng: &mut RngStream,
+    ) -> Vec<(DeviceId, SimDuration)> {
+        let pg = c.acquire_group(k, actors).unwrap();
+        c.plan_round(pg, DeviceGrade::High, &devices(n), 4.0, rng)
+            .unwrap()
+    }
+
+    /// The instant the last actor finishes its last upload.
+    fn makespan(c: &LogicalCluster, completions: &[(DeviceId, SimDuration)]) -> SimDuration {
+        completions
+            .last()
+            .map_or(SimDuration::ZERO, |&(_, at)| at)
+            .saturating_add(c.cost().upload_per_device)
+    }
+
+    #[test]
+    fn devices_split_evenly_across_actors() {
+        // Without jitter every actor's i-th device finishes at the same
+        // offset, so an even split is ten waves of ten completions each.
+        let mut c = without_jitter();
+        let mut rng = RngStream::from_seed(1);
+        let completions = round(&mut c, 8, 10, 100, &mut rng);
+        let mut dealt: Vec<DeviceId> = completions.iter().map(|&(d, _)| d).collect();
+        dealt.sort_unstable();
+        assert_eq!(dealt, devices(100));
+        for wave in completions.chunks(10) {
+            assert!(wave.iter().all(|&(_, at)| at == wave[0].1), "{wave:?}");
+        }
+        assert!(completions
+            .chunks(10)
+            .collect::<Vec<_>>()
+            .windows(2)
+            .all(|w| w[0][0].1 < w[1][0].1));
+    }
+
+    #[test]
+    fn makespan_tracks_sequential_waves() {
+        let mut c = without_jitter();
         let mut rng = RngStream::from_seed(2);
-        let plan = c.submit_job(&job(100, 80, 8), &mut rng).unwrap();
+        let completions = round(&mut c, 8, 10, 100, &mut rng);
         let cost = c.cost();
         // 10 devices per actor → 10·(α + upload) + setup + download.
         let expected = cost
@@ -615,35 +461,34 @@ mod tests {
                     .saturating_add(cost.upload_per_device))
                     * 10,
             );
-        assert_eq!(plan.makespan, expected);
+        assert_eq!(makespan(&c, &completions), expected);
     }
 
     #[test]
     fn more_actors_shorter_makespan() {
         let mut rng = RngStream::from_seed(3);
         let mut c1 = cluster();
-        let narrow = c1.submit_job(&job(64, 8, 8), &mut rng).unwrap(); // 1 actor
+        let narrow = round(&mut c1, 8, 1, 64, &mut rng);
         let mut c2 = cluster();
-        let wide = c2.submit_job(&job(64, 64, 8), &mut rng).unwrap(); // 8 actors
-        assert!(wide.makespan < narrow.makespan);
+        let wide = round(&mut c2, 8, 8, 64, &mut rng);
+        assert!(makespan(&c2, &wide) < makespan(&c1, &narrow));
     }
 
     #[test]
     fn resources_are_held_until_release() {
         let mut c = cluster();
-        let free_before = c.free_unit_bundles();
-        let mut rng = RngStream::from_seed(4);
-        let plan = c.submit_job(&job(100, 80, 8), &mut rng).unwrap();
-        assert_eq!(c.free_unit_bundles(), free_before - 80);
+        let free_before = c.pool().placeable();
+        let pg = c.acquire_group(8, 10).unwrap();
+        assert_eq!(c.pool().placeable(), free_before - 80);
         assert_eq!(c.active_jobs(), 1);
-        assert!(c.release_job(plan.placement_group));
-        assert_eq!(c.free_unit_bundles(), free_before);
-        assert!(!c.release_job(plan.placement_group), "double release");
+        assert!(c.release_job(pg));
+        assert_eq!(c.pool().placeable(), free_before);
+        assert!(!c.release_job(pg), "double release");
     }
 
-    /// Submission no longer silently scales the pool: a burst beyond the
-    /// ready capacity *waits* for an autoscale + boot latency, and only
-    /// then places. This is the virtual-time half of the boot-latency
+    /// Acquisition never scales the pool: a burst beyond the ready
+    /// capacity *waits* for an autoscale + boot latency, and only then
+    /// places. This is the virtual-time half of the boot-latency
     /// regression (the pool-level half lives in `node.rs`).
     #[test]
     fn burst_blocks_until_scale_up_boots() {
@@ -651,12 +496,11 @@ mod tests {
         let mut rng = RngStream::from_seed(5);
         // 600 unit bundles > ready 200 cores: placement must fail *now* —
         // no capacity may materialize at the call instant.
-        let burst = job(600, 600, 1);
         assert!(matches!(
-            c.submit_job(&burst, &mut rng),
+            c.acquire_group(1, 600),
             Err(SimdcError::ResourceExhausted { .. })
         ));
-        assert_eq!(c.active_jobs(), 0, "failed submission must not leak");
+        assert_eq!(c.active_jobs(), 0, "failed acquisition must not leak");
 
         // The autoscaler reacts to the queued demand...
         let action = c.autoscale(600, SimInstant::EPOCH);
@@ -666,29 +510,28 @@ mod tests {
         assert_eq!(ready_at, SimInstant::EPOCH + c.cost().node_boot);
         // ...but the capacity is still not placeable before the boot
         // latency has elapsed.
-        assert!(c.submit_job(&burst, &mut rng).is_err());
+        assert!(c.acquire_group(1, 600).is_err());
         c.advance_to(ready_at - SimDuration::from_millis(1));
-        assert!(c.submit_job(&burst, &mut rng).is_err());
+        assert!(c.acquire_group(1, 600).is_err());
 
-        // Once the nodes are up, the same job places.
+        // Once the nodes are up, the same group places.
         c.advance_to(ready_at);
-        let plan = c.submit_job(&burst, &mut rng).unwrap();
-        assert_eq!(plan.actor_count(), 600);
+        assert_eq!(round(&mut c, 1, 600, 600, &mut rng).len(), 600);
         assert!(c.pool().len() > 4);
-        assert!(c.cost_accrued() > 0.0, "node time was billed");
+        assert!(c.stats().cost_accrued > 0.0, "node time was billed");
     }
 
     #[test]
     fn exhaustion_after_max_nodes_is_an_error() {
         let mut c = cluster(); // max 16 nodes × 50 cores = 800 cores
-        let mut rng = RngStream::from_seed(6);
-        // Even fully scaled out (and booted), 1,000 bundles cannot fit.
+                               // Even fully scaled out (and booted), 1,000 bundles cannot fit.
         c.autoscale(1_000, SimInstant::EPOCH);
         c.advance_to(SimInstant::EPOCH + SimDuration::from_mins(5));
-        let result = c.submit_job(&job(1_000, 1_000, 1), &mut rng);
+        let placeable = c.pool().placeable();
+        let result = c.acquire_group(1, 1_000);
         assert!(matches!(result, Err(SimdcError::ResourceExhausted { .. })));
-        // Failed submission must not leak reservations.
-        assert_eq!(c.free_unit_bundles(), c.pool().placeable());
+        // A failed acquisition must not leak reservations.
+        assert_eq!(c.pool().placeable(), placeable);
         assert_eq!(c.active_jobs(), 0);
         assert!(!c.could_ever_place(&[(1, 1_000)]));
         assert!(c.could_ever_place(&[(1, 800)]));
@@ -699,25 +542,31 @@ mod tests {
         let mut c = cluster();
         let mut rng = RngStream::from_seed(12);
         let pg = c.acquire_group(8, 10).unwrap();
-        let free_after_acquire = c.free_unit_bundles();
-        for round in 0..3u32 {
-            let mut j = job(100, 80, 8);
-            j.round = RoundId(round);
-            let plan = c.plan_round_on_group(pg, &j, &mut rng).unwrap();
-            assert_eq!(plan.actor_count(), 10);
+        let free_after_acquire = c.pool().placeable();
+        for _ in 0..3 {
+            let completions = c
+                .plan_round(pg, DeviceGrade::High, &devices(100), 4.0, &mut rng)
+                .unwrap();
+            assert_eq!(completions.len(), 100);
             // Planning rounds does not consume further capacity.
-            assert_eq!(c.free_unit_bundles(), free_after_acquire);
+            assert_eq!(c.pool().placeable(), free_after_acquire);
         }
         assert!(c.release_job(pg));
-        assert_eq!(c.free_unit_bundles(), 200);
+        assert_eq!(c.pool().placeable(), 200);
     }
 
     #[test]
     fn plan_round_rejects_unknown_group() {
-        let mut c = cluster();
+        let c = cluster();
         let mut rng = RngStream::from_seed(13);
         let err = c
-            .plan_round_on_group(PlacementGroupId(99), &job(10, 80, 8), &mut rng)
+            .plan_round(
+                PlacementGroupId(99),
+                DeviceGrade::High,
+                &devices(10),
+                4.0,
+                &mut rng,
+            )
             .unwrap_err();
         assert!(matches!(err, SimdcError::InvalidConfig(_)));
     }
@@ -726,41 +575,134 @@ mod tests {
     fn empty_device_list_yields_empty_plan() {
         let mut c = cluster();
         let mut rng = RngStream::from_seed(7);
-        let plan = c.submit_job(&job(0, 80, 8), &mut rng).unwrap();
-        assert_eq!(plan.actor_count(), 0);
-        assert_eq!(plan.makespan, SimDuration::ZERO);
+        // A grade with no logical devices holds no actor; a group with
+        // actors may also be asked for an empty round.
+        assert!(round(&mut c, 8, 0, 0, &mut rng).is_empty());
+        assert!(round(&mut c, 8, 10, 0, &mut rng).is_empty());
     }
 
     #[test]
     fn invalid_specs_rejected() {
         let mut c = cluster();
         let mut rng = RngStream::from_seed(8);
-        assert!(c.submit_job(&job(10, 80, 0), &mut rng).is_err());
-        assert!(c.submit_job(&job(10, 4, 8), &mut rng).is_err()); // f < k
-        let mut bad = job(10, 80, 8);
-        bad.payload_mib = f64::NAN;
-        assert!(c.submit_job(&bad, &mut rng).is_err());
+        // f < k: the group holds no actor for its devices.
+        let empty = c.acquire_group(8, 0).unwrap();
+        let err = c
+            .plan_round(empty, DeviceGrade::High, &devices(10), 4.0, &mut rng)
+            .unwrap_err();
+        assert!(matches!(err, SimdcError::InvalidConfig(_)), "{err}");
+        let pg = c.acquire_group(8, 10).unwrap();
+        for payload in [f64::NAN, f64::INFINITY, -1.0] {
+            let err = c
+                .plan_round(pg, DeviceGrade::High, &devices(10), payload, &mut rng)
+                .unwrap_err();
+            assert!(
+                matches!(err, SimdcError::InvalidConfig(_)),
+                "{payload}: {err}"
+            );
+        }
     }
 
     #[test]
     fn completions_are_monotone_within_actor() {
         let mut c = cluster();
         let mut rng = RngStream::from_seed(9);
-        let plan = c.submit_job(&job(50, 40, 8), &mut rng).unwrap();
-        for actor in &plan.actors {
-            for pair in actor.completions.windows(2) {
-                assert!(pair[0].1 < pair[1].1);
-            }
-            assert!(actor.finished_at >= actor.completions.last().unwrap().1);
+        let completions = round(&mut c, 8, 5, 50, &mut rng);
+        // Device `d` is dealt to actor `d mod 5`, in device order.
+        for actor in 0..5 {
+            let mut mine: Vec<(DeviceId, SimDuration)> = completions
+                .iter()
+                .copied()
+                .filter(|&(d, _)| d.0 % 5 == actor)
+                .collect();
+            assert_eq!(mine.len(), 10);
+            mine.sort_by_key(|&(d, _)| d);
+            assert!(mine.windows(2).all(|w| w[0].1 < w[1].1), "{mine:?}");
         }
     }
 
+    /// The actor-queue walk `plan_round` replaced (the former
+    /// `LogicalCluster::plan_round_on_group` followed by
+    /// `JobPlan::device_completions`): deal the devices into one queue per
+    /// actor, walk each queue in turn, then flatten in actor order and
+    /// stably sort by offset.
+    fn queue_walk(
+        cost: &CostModel,
+        actors: usize,
+        grade: DeviceGrade,
+        devices: &[DeviceId],
+        payload_mib: f64,
+        rng: &mut RngStream,
+    ) -> Vec<(DeviceId, SimDuration)> {
+        let ready_at = cost.pg_create.saturating_add(cost.actor_spawn);
+        let download = cost.download_time(payload_mib);
+        let mut queues: Vec<Vec<DeviceId>> = vec![Vec::new(); actors];
+        let n_queues = queues.len().max(1);
+        for (i, &dev) in devices.iter().enumerate() {
+            queues[i % n_queues].push(dev);
+        }
+        let mut per_actor: Vec<Vec<(DeviceId, SimDuration)>> = Vec::new();
+        for queue in queues {
+            let mut t = ready_at.saturating_add(download);
+            let mut completions = Vec::new();
+            for dev in queue {
+                t = t.saturating_add(cost.device_compute(grade, rng));
+                completions.push((dev, t));
+                t = t.saturating_add(cost.upload_per_device);
+            }
+            per_actor.push(completions);
+        }
+        let mut all: Vec<(DeviceId, SimDuration)> = per_actor.into_iter().flatten().collect();
+        all.sort_by_key(|&(_, at)| at);
+        all
+    }
+
     #[test]
-    fn actor_count_capped_by_device_count() {
-        let mut c = cluster();
-        let mut rng = RngStream::from_seed(10);
-        let plan = c.submit_job(&job(3, 80, 8), &mut rng).unwrap();
-        assert_eq!(plan.actor_count(), 3, "no idle actors for tiny jobs");
+    fn plan_round_matches_the_actor_queue_walk() {
+        let mut gen = RngStream::from_seed(0x5eed_fa11);
+        for case in 0..400 {
+            // Jitter 0 makes every actor's i-th device tie; the default
+            // jitter makes the draw order visible.
+            let jitter_frac = if case % 2 == 0 {
+                0.0
+            } else {
+                CostModel::default().jitter_frac
+            };
+            let cost = CostModel {
+                jitter_frac,
+                ..CostModel::default()
+            };
+            let mut c = LogicalCluster::new(ClusterConfig {
+                cost: cost.clone(),
+                ..ClusterConfig::default()
+            });
+            let actors = 1 + gen.index(16);
+            let k = 1 + gen.index(8) as u64;
+            let n = gen.index(201);
+            let ids: Vec<DeviceId> = (0..n).map(|_| DeviceId(gen.next_u64() % 1_000)).collect();
+            let grade = if gen.chance(0.5) {
+                DeviceGrade::High
+            } else {
+                DeviceGrade::Low
+            };
+            let payload = gen.uniform_range(0.0, 16.0);
+            let seed = gen.next_u64();
+
+            let pg = c.acquire_group(k, actors).unwrap();
+            let mut rng = RngStream::from_seed(seed);
+            let planned = c.plan_round(pg, grade, &ids, payload, &mut rng).unwrap();
+            let mut oracle_rng = RngStream::from_seed(seed);
+            let expected = queue_walk(&cost, actors, grade, &ids, payload, &mut oracle_rng);
+            assert_eq!(
+                planned, expected,
+                "case {case}: {actors} actors, {n} devices, jitter {jitter_frac}"
+            );
+            assert_eq!(
+                rng.next_u64(),
+                oracle_rng.next_u64(),
+                "case {case}: both walks draw the same count"
+            );
+        }
     }
 
     #[test]
@@ -801,7 +743,7 @@ mod tests {
         assert!((total - 4.0 * rate * 3_617.0 / 3_600.0).abs() < 1e-9);
         assert!((c.node_seconds() - 4.0 * 3_617.0).abs() < 1e-9);
         // Spend equals node-seconds × rate within float rounding.
-        assert!((c.cost_accrued() - c.node_seconds() * rate / 3_600.0).abs() < 1e-9);
+        assert!((c.stats().cost_accrued - c.node_seconds() * rate / 3_600.0).abs() < 1e-9);
         // A second flush at the same instant bills nothing more.
         assert!((c.finalize_cost(end) - total).abs() < 1e-12);
     }

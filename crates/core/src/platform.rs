@@ -93,7 +93,7 @@ enum PlatformEvent {
     /// A running task reaches its planned completion instant: commit the
     /// plan, release the lease and placement groups, re-run the
     /// scheduler.
-    Completion(TaskId),
+    Completion(Box<TaskPlan>),
     /// An elastic scale-up finishes booting: the cluster's new capacity
     /// becomes placeable, so re-run the scheduler — blocked placements
     /// admit here instead of failing.
@@ -139,10 +139,8 @@ pub struct Platform {
     pending: BTreeMap<TaskId, PendingTask>,
     /// Reports of completed tasks not yet taken by the driver.
     reports: BTreeMap<TaskId, TaskReport>,
-    /// Planned executions of running tasks, keyed by task; each has a
-    /// matching completion event in `events`.
-    plans: BTreeMap<TaskId, TaskPlan>,
-    /// Pending completion events on the virtual timeline.
+    /// Pending events on the virtual timeline; a running task's plan
+    /// rides in its completion event.
     events: EventQueue<PlatformEvent>,
     /// Completion events processed so far — including tasks that failed
     /// at commit (scenario drivers fold this into their event totals).
@@ -172,7 +170,7 @@ impl Platform {
     pub fn new(config: PlatformConfig) -> Self {
         let cluster = LogicalCluster::new(config.cluster.clone());
         let phones = PhoneMgr::with_fleet(config.fleet, config.poll_interval, config.seed);
-        let total_bundles = cluster.free_unit_bundles();
+        let total_bundles = cluster.ready_unit_capacity();
         // The fleet's membership is fixed, so these totals never change.
         let total_phones = PerGrade::from_fn(|g| phones.count(g, None) as u64);
         Platform {
@@ -184,7 +182,6 @@ impl Platform {
             round_zero: RoundZeroMemo::default(),
             pending: BTreeMap::new(),
             reports: BTreeMap::new(),
-            plans: BTreeMap::new(),
             events: EventQueue::new(),
             completion_events: 0,
             cluster_events: 0,
@@ -336,9 +333,10 @@ impl Platform {
                 self.clock,
             ) {
                 Ok(plan) => {
-                    self.events
-                        .push(plan.report.finished_at, PlatformEvent::Completion(id));
-                    self.plans.insert(id, plan);
+                    self.events.push(
+                        plan.report.finished_at,
+                        PlatformEvent::Completion(Box::new(plan)),
+                    );
                     admitted += 1;
                 }
                 Err(err) => self.fail_admission(id, &err),
@@ -426,7 +424,7 @@ impl Platform {
     fn fire(&mut self, at: SimInstant, event: PlatformEvent) -> bool {
         self.clock = self.clock.max(at);
         match event {
-            PlatformEvent::Completion(id) => self.finish(id, at),
+            PlatformEvent::Completion(plan) => self.finish(*plan, at),
             PlatformEvent::NodeReady => {
                 // The next scheduling pass advances the cluster to this
                 // instant, making the booted capacity placeable.
@@ -440,10 +438,10 @@ impl Platform {
     /// benchmark measurements), releases the lease and the task's
     /// placement groups at the completion instant, and records the final
     /// state. Returns whether the task completed (vs. failed at commit).
-    fn finish(&mut self, id: TaskId, at: SimInstant) -> bool {
+    fn finish(&mut self, plan: TaskPlan, at: SimInstant) -> bool {
         self.debug_assert_capacity_bounds();
         self.completion_events += 1;
-        let plan = self.plans.remove(&id).expect("completion without a plan");
+        let id = plan.report.task;
         // Give the cloud capacity back at the completion instant — the
         // next scheduling pass (and its autoscale) sees the freed nodes.
         for &pg in &plan.groups {

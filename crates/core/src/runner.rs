@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Weak};
 
 use serde::{Deserialize, Serialize};
-use simdc_cluster::{JobSpec, LogicalCluster, PlacementGroupId};
+use simdc_cluster::{LogicalCluster, PlacementGroupId};
 use simdc_data::CtrDataset;
 use simdc_deviceflow::{DeviceFlow, FlowHarness};
 use simdc_ml::{evaluate, EvalMetrics, FedAvgFold, KernelKind, LocalTrainer, LocalUpdate, LrModel};
@@ -448,18 +448,20 @@ impl TaskRunner {
         Self::acquire_grade_groups(spec, &mut placements, cluster)?;
         let groups: Vec<PlacementGroupId> = placements.iter().filter_map(|p| p.group).collect();
         let mut written = Storage::new();
-        let planned = self
-            .plan_timeline(
-                spec,
-                dataset,
-                memo,
-                start,
-                allocation,
-                &placements,
-                cluster,
-                phones,
-                &mut written,
-            )
+        let planned = Self::check_actor_grades(spec, &placements)
+            .and_then(|()| {
+                self.plan_timeline(
+                    spec,
+                    dataset,
+                    memo,
+                    start,
+                    allocation,
+                    &placements,
+                    cluster,
+                    phones,
+                    &mut written,
+                )
+            })
             .and_then(|(report, runs)| {
                 let mut benchmark_phones = Vec::with_capacity(runs.len());
                 for (phone, run) in runs {
@@ -567,6 +569,23 @@ impl TaskRunner {
         Ok(())
     }
 
+    /// A grade with logical devices but fewer unit bundles than one
+    /// device needs (`f < k`) holds a group of no actor, which cannot run
+    /// a round. Checked once every group is acquired, so a later grade's
+    /// failed acquisition still reports first.
+    fn check_actor_grades(spec: &TaskSpec, placements: &[GradePlacement]) -> Result<()> {
+        for (g, placement) in spec.grades.iter().zip(placements) {
+            if !placement.logical_devices.is_empty() && g.logical_unit_bundles < g.units_per_device
+            {
+                return Err(SimdcError::InvalidConfig(format!(
+                    "unit_bundles ({}) must be >= units_per_device ({}) to launch an actor",
+                    g.logical_unit_bundles, g.units_per_device
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Rounds, DeviceFlow routing, aggregation and benchmark-run planning
     /// over the bound placement: every upload and global-model publish is
     /// charged to `storage`, cloud rounds are planned on the task's
@@ -582,7 +601,7 @@ impl TaskRunner {
         start: SimInstant,
         allocation: Allocation,
         placements: &[GradePlacement],
-        cluster: &mut LogicalCluster,
+        cluster: &LogicalCluster,
         phones: &PhoneMgr,
         storage: &mut Storage,
     ) -> Result<(TaskReport, Vec<(PhoneId, RunPlan)>)> {
@@ -634,17 +653,14 @@ impl TaskRunner {
                 // Logical side: plan this round over the task's standing
                 // placement group (acquired once, released at completion).
                 if let Some(pg) = placement.group {
-                    let job = JobSpec {
-                        task: spec.id,
-                        round,
-                        grade: g.grade,
-                        devices: placement.logical_devices.clone(),
-                        unit_bundles: g.logical_unit_bundles,
-                        units_per_device: g.units_per_device,
+                    let offsets = cluster.plan_round(
+                        pg,
+                        g.grade,
+                        &placement.logical_devices,
                         payload_mib,
-                    };
-                    let plan = cluster.plan_round_on_group(pg, &job, &mut rng)?;
-                    for (dev, offset) in plan.device_completions() {
+                        &mut rng,
+                    )?;
+                    for (dev, offset) in offsets {
                         completions.push((round_start + offset, dev, KernelKind::Server));
                     }
                 }
@@ -964,6 +980,22 @@ mod tests {
         // Benchmark phones produced measurement reports.
         assert_eq!(report.benchmark_reports.len(), 2);
         assert!(report.finished_at >= report.rounds.last().unwrap().aggregated_at);
+    }
+
+    #[test]
+    fn actor_count_capped_by_device_count() {
+        let g = GradeRequirement {
+            grade: DeviceGrade::High,
+            total_devices: 100,
+            benchmark_phones: 0,
+            logical_unit_bundles: 80,
+            units_per_device: 8,
+            phones: 6,
+        };
+        // f / k = 10 actors for 100 devices, but no idle actor for 3.
+        assert_eq!(TaskRunner::grade_request(&g, 100), Some((8, 10)));
+        assert_eq!(TaskRunner::grade_request(&g, 3), Some((8, 3)));
+        assert_eq!(TaskRunner::grade_request(&g, 0), None);
     }
 
     #[test]

@@ -54,10 +54,6 @@ int_id!(
     PhoneId, "phone", u32
 );
 int_id!(
-    /// Identifier of a logical-simulation actor (one per resource bundle).
-    ActorId, "actor", u64
-);
-int_id!(
     /// Identifier of a worker node in the logical-simulation cluster.
     NodeId, "node", u32
 );
@@ -127,7 +123,6 @@ mod tests {
         assert_eq!(TaskId(3).to_string(), "task-3");
         assert_eq!(DeviceId(11).to_string(), "dev-11");
         assert_eq!(PhoneId(2).to_string(), "phone-2");
-        assert_eq!(ActorId(0).to_string(), "actor-0");
         assert_eq!(NodeId(9).to_string(), "node-9");
         assert_eq!(MessageId(1).to_string(), "msg-1");
         assert_eq!(RoundId(5).to_string(), "round-5");

@@ -29,7 +29,7 @@ pub mod time;
 
 pub use error::{Result, SimdcError};
 pub use grade::{DeviceGrade, PerGrade};
-pub use ids::{ActorId, DeviceId, MessageId, NodeId, PhoneId, RoundId, StorageKey, TaskId};
+pub use ids::{DeviceId, MessageId, NodeId, PhoneId, RoundId, StorageKey, TaskId};
 pub use message::Message;
 pub use resources::ResourceBundle;
 pub use time::{SimDuration, SimInstant};
